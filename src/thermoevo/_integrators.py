@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-__all__ = ["phi_matrices", "exp_march_linear", "simpson_weights"]
+__all__ = ["phi_matrices", "exp_march_linear"]
 
 
 def phi_matrices(a: np.ndarray, order: int) -> list[np.ndarray]:
@@ -48,20 +48,3 @@ def exp_march_linear(a: np.ndarray, b: np.ndarray, u: np.ndarray, h: float) -> n
         x = e @ x + w_prev @ u[k] + w_next @ u[k + 1]
         out[k + 1] = x
     return out
-
-
-def simpson_weights(a: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Propagator and forcing weights for one step of x' = a x + g(t).
-
-    Returns (E, W0, Wm, W1) such that
-
-        x(t+h) = E x(t) + W0 g(t) + Wm g(t+h/2) + W1 g(t+h)
-
-    is exact when g is a quadratic polynomial on the step (degenerates to
-    the Simpson rule for a = 0).
-    """
-    e, p1, p2, p3 = phi_matrices(h * a, 3)
-    w0 = h * (p1 - 3.0 * p2 + 4.0 * p3)
-    wm = h * (4.0 * p2 - 8.0 * p3)
-    w1 = h * (4.0 * p3 - p2)
-    return e, w0, wm, w1

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InputError
 from .signals import WeightedSignal
-from .spatial import DiscreteSpatialOperator, mode_decomposition
+from .spatial import DiscreteSpatialOperator, node_modes
 
 __all__ = [
     "gaussian_pulse",
@@ -66,8 +66,7 @@ def spatial_profile(op: DiscreteSpatialOperator, name: str) -> np.ndarray:
             raise InputError(f"bad spatial profile '{name}'") from None
         if not 1 <= k <= grid.n_nodes:
             raise InputError(f"mode index {k} out of range 1..{grid.n_nodes}")
-        _, node_vecs, _, _ = mode_decomposition(op)
-        return node_vecs[:, k - 1]
+        return node_modes(grid, k)
     raise InputError(f"unknown spatial profile '{name}' (use 'bump' or 'mode_<k>')")
 
 

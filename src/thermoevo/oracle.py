@@ -1,25 +1,27 @@
 """Independent spectral reference solver for constant-coefficient runs.
 
-The discrete difference matrix is diagonalized by its singular triplets;
+The discrete difference matrix is diagonalized by its singular triplets,
+known in closed form (discrete sine modes, see ``mode_decomposition``);
 for laws whose instantaneous block does not couple unknowns across the two
 staggered location sets (no thermoelastic coupling, no flux-temperature
 coupling), the semidiscrete system splits into one small dense system per
-mode.  Each mode is integrated by an exponential integrator on a grid 64
-times finer than the marching scheme, with quadratic forcing interpolation,
-making the reference accurate to near round-off in time while sharing the
-spatial discretization exactly.  Index-1 algebraic rows (degenerate
-instantaneous block) are eliminated through the eigenbasis before
-integration.
+mode.  The forcing is interpolated in time by a cubic spline, and each mode
+takes one exponential step per marching step that integrates that cubic
+exactly (phi-function weights on the spline's polynomial coefficients), so
+the reference is exact in time up to round-off for its interpolant while
+sharing the spatial discretization exactly.  Index-1 algebraic rows
+(degenerate instantaneous block) are eliminated through the eigenbasis
+before integration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from ._integrators import simpson_weights
+from ._integrators import phi_matrices
 from .errors import InputError, OracleRejectionError
 from .evolution import EvolutionProblem, Trajectory
 from .models import SPECTRAL_CUTOFF
@@ -29,21 +31,20 @@ from .spatial import mode_decomposition
 
 __all__ = ["ModeSystem", "build_mode_systems", "spectral_solve", "compare", "ComparisonResult"]
 
-#: oracle substep refinement relative to the marching grid
-SUBSTEPS = 64
-
-_CHUNK = 2048
-
-
 @dataclass(frozen=True)
 class ModeSystem:
-    """Dense per-mode system E y' + K y = g with reduction metadata."""
+    """Dense per-mode system E y' + K y = g with reduction metadata.
+
+    ``y`` holds the four field coefficients, then ``aux_sizes[0]``
+    temperature-damping and ``aux_sizes[1]`` flux-resistance states.
+    """
 
     index: int
     wavenumber: float
     e_matrix: np.ndarray
     k_matrix: np.ndarray
     constant_coefficients: bool = True
+    aux_sizes: tuple = (0, 0)
 
 
 def _uniform_cell(problem: EvolutionProblem):
@@ -92,20 +93,23 @@ def build_mode_systems(problem: EvolutionProblem) -> list:
             k_mat[3, 4 + p1:] = r2.c[0]
             k_mat[4 + p1:, 3] = -r2.b[:, 0]
             k_mat[4 + p1:, 4 + p1:] = -r2.a
-        systems.append(ModeSystem(k + 1, float(wavenumber), e_mat, k_mat))
+        systems.append(ModeSystem(k + 1, float(wavenumber), e_mat, k_mat,
+                                  aux_sizes=(p1, p2)))
     return systems
 
 
-def spectral_solve(problem: EvolutionProblem, substeps: int = SUBSTEPS) -> Trajectory:
+def spectral_solve(problem: EvolutionProblem) -> Trajectory:
     """Reference trajectory by per-mode exponential integration.
 
     The forcing must live in the v and theta blocks only (the canonical
     right-hand side shape); its per-mode coefficients are interpolated by a
-    cubic spline onto the fine grid.  Algebraic unknowns (kernel of the
-    instantaneous block) are eliminated exactly and recovered after the
-    march.
+    cubic spline in time, which every step integrates exactly.  Algebraic
+    unknowns (kernel of the instantaneous block) are eliminated exactly and
+    recovered after the march.
     """
-    cell = _uniform_cell(problem)
+    from scipy.interpolate import CubicSpline  # only the oracle needs it
+
+    systems = build_mode_systems(problem)
     op = problem.op
     slices = op.block_slices()
     f_all = problem.forcing.samples
@@ -114,10 +118,8 @@ def spectral_solve(problem: EvolutionProblem, substeps: int = SUBSTEPS) -> Traje
             "spectral reference supports forcing in the v and theta blocks only"
         )
 
-    s, node_vecs, face_vecs, _ = mode_decomposition(op)
-    systems = build_mode_systems(problem)
-    p1 = realize_state_space(cell.theta_damping).n_states
-    p2 = realize_state_space(cell.flux_resistance).n_states
+    _, node_vecs, face_vecs, _ = mode_decomposition(op)
+    p1, p2 = systems[0].aux_sizes
     d = 4 + p1 + p2
 
     # unforced modes stay identically zero (zero history); march only the
@@ -140,7 +142,7 @@ def spectral_solve(problem: EvolutionProblem, substeps: int = SUBSTEPS) -> Traje
     face_vecs = face_vecs[:, active]
     systems = [systems[k] for k in active]
 
-    m0 = cell.mass().real
+    m0 = systems[0].e_matrix[:4, :4]
     eigvals, v_basis = np.linalg.eigh(m0)
     cutoff = SPECTRAL_CUTOFF * float(eigvals[-1])
     null_mask = np.concatenate([eigvals <= cutoff, np.zeros(p1 + p2, dtype=bool)])
@@ -152,10 +154,14 @@ def spectral_solve(problem: EvolutionProblem, substeps: int = SUBSTEPS) -> Traje
     n_null = int(np.sum(null_mask))
     n_red = d - n_null
 
-    # per-mode reduced matrices
-    g_props, g_w0, g_wm, g_w1 = [], [], [], []
+    # per-mode reduced matrices.  With forcing g(t_k + tau) = sum_j g_j tau^j
+    # on a step of length h, the exact step of w' = G w + g is
+    #   w(t_k + h) = E w(t_k) + sum_j j! h^(j+1) phi_(j+1)(h G) g_j
+    # (Hochbruck & Ostermann, Acta Numerica 2010).
+    h = problem.dt
+    poly_scale = [math.factorial(j) * h ** (j + 1) for j in range(4)]
+    g_props, g_weights = [], []
     k_nn_inv, k_nr, k_rn = [], [], []
-    h_fine = problem.dt / substeps
     m_red_inv = 1.0 / lam[diff_mask]
     for sys_k in systems:
         k_hat = t_full.T @ sys_k.k_matrix @ t_full
@@ -173,18 +179,14 @@ def spectral_solve(problem: EvolutionProblem, substeps: int = SUBSTEPS) -> Traje
         knr = k_hat[np.ix_(null_mask, diff_mask)]
         k_red = k_hat[np.ix_(diff_mask, diff_mask)] - krn @ knn_inv @ knr
         g_mat = -(m_red_inv[:, None] * k_red)
-        e_step, w0, wm, w1 = simpson_weights(g_mat, h_fine)
+        e_step, *phis = phi_matrices(h * g_mat, 4)
         g_props.append(e_step)
-        g_w0.append(w0)
-        g_wm.append(wm)
-        g_w1.append(w1)
+        g_weights.append([c * phi for c, phi in zip(poly_scale, phis)])
         k_nn_inv.append(knn_inv)
         k_nr.append(knr)
         k_rn.append(krn)
     g_props = np.stack(g_props)
-    g_w0 = np.stack(g_w0)
-    g_wm = np.stack(g_wm)
-    g_w1 = np.stack(g_w1)
+    g_weights = np.array(g_weights)
     k_nn_inv = np.stack(k_nn_inv)
     k_nr = np.stack(k_nr)
     k_rn = np.stack(k_rn)
@@ -202,38 +204,21 @@ def spectral_solve(problem: EvolutionProblem, substeps: int = SUBSTEPS) -> Traje
         hat[..., :4] = values @ v4
         return hat
 
-    def reduced_forcing(values):  # (pts, n_modes, 4) -> (pts, n_modes, n_red)
+    def reduced_forcing(values):  # (..., n_modes, 4) -> (..., n_modes, n_red)
         hat = hat_forcing(values)
         g_r = hat[..., diff_mask]
         if n_null:
-            g_r = g_r - np.einsum("mij,tmj->tmi", k_rn @ k_nn_inv, hat[..., null_mask])
-        return m_red_inv[None, None, :] * g_r
+            g_r = g_r - np.einsum("mij,...mj->...mi", k_rn @ k_nn_inv, hat[..., null_mask])
+        return m_red_inv * g_r
 
     n_t = t.size
-    n_fine = substeps * (n_t - 1)
-    w = np.zeros((n_modes, n_red))
+    # spline.c[3 - j] holds every interval's tau^j coefficient; the forcing
+    # reduction is linear, so it maps the coefficients directly
+    poly = reduced_forcing(spline.c[::-1].reshape(4, n_t - 1, n_modes, 4))
+    drive = np.einsum("mjil,jkml->kmi", g_weights, poly)
     w_coarse = np.zeros((n_t, n_modes, n_red))
-
-    pos = 0
-    while pos < n_fine:
-        count = min(_CHUNK, n_fine - pos)
-        t_pts = t[0] + h_fine * (pos + np.arange(2 * count + 1) / 2.0)
-        vals = spline(t_pts).reshape(t_pts.size, n_modes, 4)
-        g_fine = reduced_forcing(vals)
-        for j in range(count):
-            g0 = g_fine[2 * j]
-            gm = g_fine[2 * j + 1]
-            g1 = g_fine[2 * j + 2]
-            w = (
-                np.einsum("mij,mj->mi", g_props, w)
-                + np.einsum("mij,mj->mi", g_w0, g0)
-                + np.einsum("mij,mj->mi", g_wm, gm)
-                + np.einsum("mij,mj->mi", g_w1, g1)
-            )
-            step = pos + j + 1
-            if step % substeps == 0:
-                w_coarse[step // substeps] = w
-        pos += count
+    for k in range(n_t - 1):
+        w_coarse[k + 1] = np.einsum("mij,mj->mi", g_props, w_coarse[k]) + drive[k]
 
     # recover algebraic components and map back to physical unknowns
     g_hat_coarse = hat_forcing(coeffs)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import InputError, PoleProximityError, WindowDecayError
 
@@ -119,8 +118,9 @@ def antiderivative(f: WeightedSignal) -> WeightedSignal:
     cumulative trapezoidal integration from the first sample realizes the
     causal inverse of the time derivative on the window.
     """
-    g = cumulative_trapezoid(f.samples, dx=f.dt, axis=0, initial=0.0)
-    return f.with_samples(g)
+    y = f.samples
+    g = np.cumsum(f.dt * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return f.with_samples(np.concatenate([np.zeros_like(g[:1]), g]))
 
 
 def apply_symbol_fl(matrix_function, f: WeightedSignal) -> WeightedSignal:

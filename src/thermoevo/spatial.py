@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import svd
 
 from .errors import InputError
 
@@ -23,6 +22,7 @@ __all__ = [
     "build_operators",
     "verify_skew_adjoint",
     "mode_decomposition",
+    "node_modes",
     "write_operator_coo",
 ]
 
@@ -147,21 +147,36 @@ def verify_skew_adjoint(a_h, n_pairs: int = 100, seed: int = 0) -> float:
     return worst
 
 
+def node_modes(grid: Grid1D, k) -> np.ndarray:
+    """Discrete sine modes over the interior nodes (DST-I basis).
+
+    ``node_modes(grid, k)[j - 1] = sqrt(2/n) sin(j k pi / n)`` for node
+    ``j = 1..n-1``; ``k`` is a mode number in ``1..n-1`` or an array of them
+    (one column each).  Every mode is positive at the first node.
+    """
+    n = grid.n_cells
+    j = np.arange(1, n)
+    return np.sqrt(2.0 / n) * np.sin(np.multiply.outer(j, k) * (np.pi / n))
+
+
 def mode_decomposition(op: DiscreteSpatialOperator) -> tuple:
     """Singular triplets of the difference matrix, ascending in wavenumber.
 
-    Returns ``(s, node_vecs, face_vecs, face_null)`` with ``d_grad @
-    node_vecs[:, k] == s[k] * face_vecs[:, k]`` exactly by construction and
-    ``face_null`` spanning the complement of the gradient's range (the
-    discrete constant-flux direction).
+    Returns ``(s, node_vecs, face_vecs, face_null)`` in closed form: the
+    discrete sine modes ``node_vecs`` (:func:`node_modes`, positive at the
+    first node), the wavenumbers ``s[k-1] = (2/h) sin(k pi / 2n)``, the
+    face vectors ``face_vecs = d_grad @ node_vecs / s`` (so ``d_grad @
+    node_vecs[:, k] == s[k] * face_vecs[:, k]`` exactly by construction) and
+    ``face_null = 1/sqrt(n)`` spanning the complement of the gradient's
+    range (the discrete constant-flux direction).
     """
-    dense = op.d_grad.toarray()
-    w_mat, s_desc, vt = svd(dense, full_matrices=True)
-    order = np.argsort(s_desc)
-    s = s_desc[order]
-    node_vecs = vt[order].T
-    face_vecs = (dense @ node_vecs) / s[None, :]
-    face_null = w_mat[:, op.grid.n_nodes:]
+    grid = op.grid
+    n = grid.n_cells
+    k = np.arange(1, n)
+    s = (2.0 / grid.h) * np.sin(k * (np.pi / (2 * n)))
+    node_vecs = node_modes(grid, k)
+    face_vecs = (op.d_grad @ node_vecs) / s[None, :]
+    face_null = np.full((n, 1), 1.0 / np.sqrt(n))
     return s, node_vecs, face_vecs, face_null
 
 

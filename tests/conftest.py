@@ -1,4 +1,5 @@
-"""Shared fixtures: the standard probe pulse and catalog law builders."""
+"""Shared fixtures: the standard probe pulse, catalog law builders and the
+Simpson exponential step used as a time-integration reference."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from thermoevo import (
     assemble_material_law,
     canonical_spec,
 )
+from thermoevo._integrators import phi_matrices
 
 #: families whose canonical coefficients satisfy the certified hypotheses
 ALL_FAMILIES = [f for f in ModelFamily if f is not ModelFamily.CUSTOM]
@@ -62,6 +64,23 @@ def random_smooth(rng, t: np.ndarray, rho: float) -> WeightedSignal:
         for _ in range(4)
     )
     return WeightedSignal(t, envelope * waves, rho)
+
+
+def simpson_weights(a: np.ndarray, h: float):
+    """Propagator and forcing weights for one step of x' = a x + g(t).
+
+    Returns (E, W0, Wm, W1) such that
+
+        x(t+h) = E x(t) + W0 g(t) + Wm g(t+h/2) + W1 g(t+h)
+
+    is exact when g is a quadratic polynomial on the step (degenerates to
+    the Simpson rule for a = 0).
+    """
+    e, p1, p2, p3 = phi_matrices(h * a, 3)
+    w0 = h * (p1 - 3.0 * p2 + 4.0 * p3)
+    wm = h * (4.0 * p2 - 8.0 * p3)
+    w1 = h * (4.0 * p3 - p2)
+    return e, w0, wm, w1
 
 
 @pytest.fixture

@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermoevo
 from thermoevo import assemble_material_law, pattern_table
 from thermoevo.cli import RunConfig, main, run
 from thermoevo.errors import ConfigError
@@ -169,6 +175,7 @@ class TestVerifyMode:
         assert run(config, io.StringIO()) == 0
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["failures"] == []
+        assert payload["comparison"]["status"] == "ok"
         assert payload["comparison"]["overall"] <= 0.01
 
     def test_impossible_tolerance_fails_with_exit_three(self, tmp_path):
@@ -187,6 +194,20 @@ class TestVerifyMode:
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["causality"]["status"] == "ok"
         assert report["causality"]["leakage"] == 0.0
+
+    def test_readme_example_skips_oracle_comparison(self, tmp_path):
+        # the README's example law is coupled, which the oracle rejects
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(example)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 0
+        report = json.loads((out / "verify.json").read_text())
+        assert report["comparison"]["status"] == "skipped"
+        assert "uncoupled" in report["comparison"]["reason"]
+        assert report["bound_check"]["status"] in ("ok", "window_too_short")
+        assert report["failures"] == []
 
 
 class TestMain:
@@ -215,3 +236,14 @@ class TestMain:
             "coefficients": {"rho0": 1, "nu": 1, "C": 1, "Gamma": 0,
                              "kappa": 1, "zeta0": 3}}}))
         assert main(["check", "--config", str(config_path)]) == 1
+
+
+def test_cli_import_leaves_integrate_and_interpolate_unloaded():
+    src = str(Path(thermoevo.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, thermoevo.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, uncoupled_law
+from conftest import ALL_FAMILIES, simpson_weights, uncoupled_law
 from thermoevo import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
@@ -25,7 +25,7 @@ from thermoevo import (
     step_implicit,
     time_grid,
 )
-from thermoevo._integrators import exp_march_linear, simpson_weights
+from thermoevo._integrators import exp_march_linear
 from thermoevo.errors import InputError
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.linalg import expm
 
-from conftest import spec_with, uncoupled_law
+from conftest import simpson_weights, spec_with, uncoupled_law
 from thermoevo import (
     BACKWARD_EULER,
     EvolutionProblem,
@@ -21,6 +23,7 @@ from thermoevo import (
     time_grid,
 )
 from thermoevo.errors import OracleRejectionError
+from thermoevo.forcing import spatial_profile
 from thermoevo.oracle import build_mode_systems
 
 
@@ -31,6 +34,61 @@ def mode_problem(law, n_cells=16, dt=2**-9, t_max=0.5, profile="mode_1",
     forcing = assemble_forcing(op, t, 1.0, "gaussian_pulse", block, profile,
                                center=0.1, width=0.03)
     return EvolutionProblem(law, op, forcing, scheme)
+
+
+def physical_system(problem):
+    """Dense E z' + K z = (f, 0) over the field unknowns and aux states z."""
+    chain = problem.aux_chain
+    n, n_aux = problem.op.n_dof, chain.n_aux
+    e_mat = np.eye(n + n_aux)
+    e_mat[:n, :n] = problem.mass_matrix.toarray()
+    k_mat = np.zeros((n + n_aux, n + n_aux))
+    k_mat[:n, :n] = np.diag(problem.feedthrough) + problem.op.a_h.toarray()
+    aux = n + np.arange(n_aux)
+    k_mat[chain.owner, aux] = chain.gain_out
+    k_mat[aux, chain.owner] = -chain.gain_in
+    k_mat[aux, aux] = -chain.poles
+    return e_mat, k_mat
+
+
+def simpson_march(problem, substeps):
+    """Field states from Simpson exponential substeps through the cubic
+    spline of the forcing, with the massless rows of an uncoupled (diagonal
+    mass) law eliminated exactly: the oracle's former time stepping."""
+    e_mat, k_mat = physical_system(problem)
+    lam = np.diag(e_mat)
+    null = lam == 0.0
+    n = problem.op.n_dof
+    t = problem.forcing.t
+    k_nn_inv = np.linalg.inv(k_mat[np.ix_(null, null)])
+    k_rn = k_mat[np.ix_(~null, null)]
+    k_nr = k_mat[np.ix_(null, ~null)]
+    flow = -(k_mat[np.ix_(~null, ~null)] - k_rn @ k_nn_inv @ k_nr) / lam[~null, None]
+
+    def full(values):
+        out = np.zeros(values.shape[:-1] + (lam.size,))
+        out[..., :n] = values
+        return out
+
+    def reduced(values):
+        g = full(values)
+        return (g[..., ~null] - g[..., null] @ (k_rn @ k_nn_inv).T) / lam[~null]
+
+    h = problem.dt / substeps
+    n_fine = substeps * (t.size - 1)
+    spline = CubicSpline(t, problem.forcing.samples, axis=0)
+    g_fine = reduced(spline(t[0] + h * np.arange(2 * n_fine + 1) / 2.0))
+    prop, w0, wm, w1 = simpson_weights(flow, h)
+    w = np.zeros(flow.shape[0])
+    w_coarse = np.zeros((t.size, w.size))
+    for j in range(n_fine):
+        w = prop @ w + w0 @ g_fine[2 * j] + wm @ g_fine[2 * j + 1] + w1 @ g_fine[2 * j + 2]
+        if (j + 1) % substeps == 0:
+            w_coarse[(j + 1) // substeps] = w
+    z = np.zeros((t.size, lam.size))
+    z[:, ~null] = w_coarse
+    z[:, null] = (full(problem.forcing.samples)[:, null] - w_coarse @ k_nr.T) @ k_nn_inv.T
+    return z[:, :n]
 
 
 class TestRejections:
@@ -87,13 +145,44 @@ class TestModeSystems:
         others = np.delete(energy, 2)
         assert np.max(others) <= 1e-12 * energy[2]
 
-    def test_self_convergence(self):
+    @pytest.mark.parametrize("substeps", [64, 128])
+    def test_matches_simpson_substep_march(self, substeps):
         law = uncoupled_law(ModelFamily.GREEN_NAGHDI_III)
         problem = mode_problem(law, n_cells=8, dt=2**-8, t_max=0.25)
-        a = spectral_solve(problem, substeps=64)
-        b = spectral_solve(problem, substeps=128)
-        scale = np.max(np.abs(b.states))
-        assert np.max(np.abs(a.states - b.states)) <= 1e-9 * scale
+        states = spectral_solve(problem).states
+        reference = simpson_march(problem, substeps)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(states - reference)) <= 1e-9 * scale
+
+
+class TestExactness:
+    @pytest.mark.parametrize("family", [ModelFamily.LORD_SHULMAN, ModelFamily.DPL_II])
+    def test_cubic_forcing_matches_matrix_exponential(self, family):
+        # a cubic in time is its own spline interpolant, so the oracle must
+        # reproduce the exact semidiscrete solution: the exponential of the
+        # system augmented by the monomials m_j = t^j / j! (m_j' = m_(j-1))
+        law = uncoupled_law(family)
+        op = build_operators(Grid1D(1.0, 8))
+        t = time_grid(0.25, 2**-6)
+        poly = np.array([0.0, 1.0, -3.0, 5.0])
+        space = np.zeros(op.n_dof)
+        space[op.block_slices()[2]] = spatial_profile(op, "mode_2")
+        amplitude = sum(c * t**j for j, c in enumerate(poly))
+        problem = EvolutionProblem(law, op, WeightedSignal(t, np.outer(amplitude, space), 1.0))
+        traj = spectral_solve(problem)
+
+        e_mat, k_mat = physical_system(problem)
+        size = e_mat.shape[0]
+        aug = np.zeros((size + 4, size + 4))
+        aug[:size, :size] = -np.linalg.solve(e_mat, k_mat)
+        drive = np.linalg.solve(e_mat, np.concatenate([space, np.zeros(size - op.n_dof)]))
+        aug[:size, size:] = np.outer(drive, poly * [1.0, 1.0, 2.0, 6.0])
+        aug[size + np.arange(1, 4), size + np.arange(3)] = 1.0
+        start = np.zeros(size + 4)
+        start[size] = 1.0
+        exact = np.array([expm(tk * aug) @ start for tk in t])[:, :size]
+        got = np.hstack([traj.states, traj.aux])
+        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 class TestCompare:

@@ -99,6 +99,16 @@ class TestAntiderivative:
         before = np.max(np.abs(out.samples[t < 2.0 - 2e-3]))
         assert before <= 1e-8 * peak
 
+    def test_matches_scipy_cumulative_trapezoid(self, rng):
+        from scipy.integrate import cumulative_trapezoid
+
+        t = uniform(0.0, 1.0, 0.01)
+        real = rng.standard_normal((t.size, 3))
+        for samples in (real, real + 1j * rng.standard_normal(real.shape)):
+            f = WeightedSignal(t, samples, 1.0)
+            want = cumulative_trapezoid(samples, dx=f.dt, axis=0, initial=0.0)
+            assert np.array_equal(antiderivative(f).samples, want)
+
     def test_linearity(self, rng):
         t = uniform(0.0, 2.0, 1e-3)
         f = random_smooth(rng, t, 1.0)

@@ -103,6 +103,21 @@ class TestModeDecomposition:
             orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
             assert np.all(orders >= 1.9)
 
+    @pytest.mark.parametrize("n_cells", [2, 3, 12, 64])
+    def test_closed_form_matches_dense_svd(self, n_cells):
+        op = build_operators(Grid1D(1.0, n_cells))
+        s, node_vecs, face_vecs, face_null = mode_decomposition(op)
+        w_mat, s_desc, vt = np.linalg.svd(op.d_grad.toarray())
+        order = np.argsort(s_desc)
+        np.testing.assert_allclose(s, s_desc[order], rtol=1e-13)
+        # singular vectors are unique up to sign; the closed form fixes it
+        sign = np.sign(np.sum(node_vecs * vt[order].T, axis=0))
+        assert np.max(np.abs(node_vecs - sign * vt[order].T)) <= 1e-12
+        assert np.max(np.abs(face_vecs - sign * w_mat[:, order])) <= 1e-12
+        null_ref = w_mat[:, n_cells - 1:]
+        assert np.max(np.abs(face_null - np.sign(null_ref[0]) * null_ref)) <= 1e-13
+        assert np.all(node_vecs[0] > 0)
+
     def test_exact_discrete_formula(self):
         n = 64
         op = build_operators(Grid1D(1.0, n))
