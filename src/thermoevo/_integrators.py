@@ -33,11 +33,13 @@ def exp_march_linear(a: np.ndarray, b: np.ndarray, u: np.ndarray, h: float) -> n
     """March x' = a x + b u(t) from x=0 with piecewise-linear forcing samples.
 
     ``u`` has shape (n, m); returns the state history with shape (n, d).
+    A trailing axis, ``u`` of shape (n, m, k), marches k independent input
+    columns at once and returns shape (n, d, k).
     Exact for the homogeneous part; local error O(h^3) from interpolating u.
     """
     d = a.shape[0]
     n = u.shape[0]
-    out = np.zeros((n, d), dtype=np.promote_types(np.asarray(u).dtype, a.dtype))
+    out = np.zeros((n, d) + u.shape[2:], dtype=np.promote_types(np.asarray(u).dtype, a.dtype))
     if d == 0 or n == 0:
         return out
     e, p1, p2 = phi_matrices(h * a, 2)

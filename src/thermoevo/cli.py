@@ -75,29 +75,40 @@ def _check_keys(payload: dict, allowed: set, context: str) -> None:
 
 
 def _finite(value, context: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{context}' must be a number") from None
-    if not np.isfinite(x):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{context}' must be a number")
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int too large for a float
         raise ConfigError(f"'{context}' must be finite")
-    return x
+    return float(value)
+
+
+def _numeric_array(value, context: str, ndims: tuple) -> np.ndarray:
+    """``value`` as a non-empty finite float array whose dimension is in ``ndims``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if (arr.dtype.kind not in "iuf" or arr.ndim not in ndims or arr.size == 0
+            or not np.all(np.isfinite(arr))):
+        shapes = " or ".join(("a number", "a list", "a matrix")[d] for d in ndims)
+        raise ConfigError(f"'{context}' must be {shapes} of finite numbers")
+    return arr.astype(float)
 
 
 def _parse_coefficient(name, value):
+    context = f"model.coefficients.{name}"
     if isinstance(value, dict):
-        _check_keys(value, {"num", "den"}, f"model.coefficients.{name}")
+        _check_keys(value, {"num", "den"}, context)
+        if set(value) != {"num", "den"} or not isinstance(value["num"], list):
+            raise ConfigError(f"'{context}' needs both 'num' (a list) and 'den'")
         return RationalMatrixFunction(
-            tuple(np.asarray(m, dtype=float) if np.asarray(m).ndim == 2 else
-                  np.asarray([[m]], dtype=float) for m in value["num"]),
-            np.asarray(value["den"], dtype=float),
+            tuple(np.atleast_2d(_numeric_array(m, f"{context}.num", (0, 2)))
+                  for m in value["num"]),
+            _numeric_array(value["den"], f"{context}.den", (0, 1)),
         )
     if isinstance(value, list):
-        arr = np.asarray(value, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"coefficient '{name}' has non-finite entries")
-        return arr
-    return _finite(value, f"model.coefficients.{name}")
+        return _numeric_array(value, context, (1, 2))
+    return _finite(value, context)
 
 
 @dataclass(frozen=True)
@@ -149,8 +160,10 @@ class RunConfig:
             _check_keys(payload["grid"], _GRID_KEYS, "grid")
             if _GRID_KEYS - set(payload["grid"]):
                 raise ConfigError("'grid' needs 'L' and 'n_cells'")
-            grid = Grid1D(_finite(payload["grid"]["L"], "grid.L"),
-                          int(payload["grid"]["n_cells"]))
+            n_cells = payload["grid"]["n_cells"]
+            if isinstance(n_cells, bool) or not isinstance(n_cells, int):
+                raise ConfigError("'grid.n_cells' must be an integer")
+            grid = Grid1D(_finite(payload["grid"]["L"], "grid.L"), n_cells)
 
         time_section = None
         if "time" in payload:

@@ -25,7 +25,7 @@ from scipy.sparse.linalg import splu
 from .errors import InputError, SingularSystemError
 from .models import MaterialLaw, compute_entropy, recover_theta
 from .rational import realize_state_space
-from .signals import WeightedSignal, weighted_norm
+from .signals import WeightedSignal, weighted_norm, write_csv
 from .spatial import DiscreteSpatialOperator
 from .wellposed import WellPosednessReport, check_symbol_boundary
 
@@ -92,19 +92,13 @@ class EvolutionProblem:
         n = self.op.grid.n_cells
         if self.law.n_cells not in (1, n):
             raise InputError(f"law has {self.law.n_cells} cells, grid has {n}")
-        if self.law.n_cells > 1:
-            first = self.law.cells[0]
-            for cell in self.law.cells[1:]:
-                same = (
-                    cell.theta_lag == first.theta_lag
-                    and np.array_equal(cell.theta_damping.den, first.theta_damping.den)
-                    and all(np.array_equal(a, b) for a, b in
-                            zip(cell.theta_damping.num, first.theta_damping.num))
-                )
-                if not same:
-                    raise InputError(
-                        "per-cell variation of the temperature damping term is not supported"
-                    )
+        first = self.law.cells[0]
+        if any(cell.theta_lag != first.theta_lag
+               or cell.theta_damping.key() != first.theta_damping.key()
+               for cell in self.law.cells[1:]):
+            raise InputError(
+                "per-cell variation of the temperature damping term is not supported"
+            )
 
     @property
     def dt(self) -> float:
@@ -169,37 +163,24 @@ class EvolutionProblem:
         sl = op.block_slices()
         feed = np.zeros(op.n_dof)
         poles, g_in, g_out, owner = [], [], [], []
+        # (owner dof, law): flux resistance per face, then temperature damping per node
+        laws = [(sl[3].start + f, self.law.cell(f).flux_resistance)
+                for f in range(op.grid.n_cells)]
+        damping = self.law.cells[0].theta_damping
+        if any(np.any(np.asarray(c) != 0) for c in damping.num):
+            laws += [(sl[2].start + node, damping) for node in range(op.grid.n_nodes)]
         cache = {}
-
-        def realize_cached(r):
-            key = (tuple(np.asarray(m).tobytes() for m in r.num), r.den.tobytes())
+        for dof, r in laws:
+            key = r.key()
             if key not in cache:
                 cache[key] = realize_state_space(r)
-            return cache[key]
-
-        n_cells = op.grid.n_cells
-        for f in range(n_cells):
-            cell = self.law.cell(f)
-            real = realize_cached(cell.flux_resistance)
-            dof = sl[3].start + f
+            real = cache[key]
             feed[dof] = float(real.d[0, 0])
             for i in range(real.n_states):
                 poles.append(real.a[i, i])
                 g_in.append(real.b[i, 0])
                 g_out.append(real.c[0, i])
                 owner.append(dof)
-
-        damping = self.law.cells[0].theta_damping
-        if any(np.any(np.asarray(c) != 0) for c in damping.num):
-            real = realize_cached(damping)
-            for node in range(op.grid.n_nodes):
-                dof = sl[2].start + node
-                feed[dof] = float(real.d[0, 0])
-                for i in range(real.n_states):
-                    poles.append(real.a[i, i])
-                    g_in.append(real.b[i, 0])
-                    g_out.append(real.c[0, i])
-                    owner.append(dof)
 
         chain = _AuxChain(
             np.asarray(poles, dtype=float),
@@ -329,7 +310,7 @@ class Trajectory:
         return WeightedSignal(self.t, u, self.problem.rho)
 
     def strain(self) -> WeightedSignal:
-        eps = self.displacement().samples @ self.problem.op.d_grad.T.toarray()
+        eps = (self.problem.op.d_grad @ self.displacement().samples.T).T
         return WeightedSignal(self.t, eps, self.problem.rho)
 
     def theta(self) -> WeightedSignal:
@@ -340,9 +321,9 @@ class Trajectory:
         law = self.problem.law
         if not law.is_uniform():
             raise InputError("entropy export supports uniform laws only")
-        avg = self.problem.op.node_to_face.toarray()  # right-multiplying: face -> node mean
-        eps_nodes = self.strain().samples @ avg
-        q_nodes = self.block("q").samples @ avg
+        face_to_node = self.problem.op.node_to_face.T  # face -> node mean
+        eps_nodes = (face_to_node @ self.strain().samples.T).T
+        q_nodes = (face_to_node @ self.block("q").samples.T).T
         uniform = MaterialLaw(law.family, (law.cells[0],))
         rho = self.problem.rho
         return compute_entropy(
@@ -365,7 +346,6 @@ class Trajectory:
         """One CSV per field (primary and derived) plus the energy series."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        written = []
         fields = {name: self.block(name) for name in FIELD_BLOCKS}
         fields["u"] = self.displacement()
         fields["epsilon"] = self.strain()
@@ -374,27 +354,15 @@ class Trajectory:
             fields["eta"] = self.entropy()
         except InputError:
             pass
-        for name, signal in fields.items():
+        tables = {name: (["t", *(f"x_{i}" for i in range(signal.n_components))],
+                         signal.samples) for name, signal in fields.items()}
+        tables["energy"] = (["t", "energy"], energy_functional(self))
+        written = []
+        for name, (columns, values) in tables.items():
             path = directory / f"{name}.csv"
-            _write_named_csv(signal, path)
+            write_csv(path, columns, np.column_stack([self.t, values]))
             written.append(path)
-        energy = energy_functional(self)
-        path = directory / "energy.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,energy\n")
-            for ti, ei in zip(self.t, energy):
-                fh.write(f"{format(ti, '.17g')},{format(ei, '.17g')}\n")
-        written.append(path)
         return written
-
-
-def _write_named_csv(signal: WeightedSignal, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = "t," + ",".join(f"x_{i}" for i in range(signal.n_components))
-        fh.write(header + "\n")
-        for k in range(signal.t.size):
-            row = [signal.t[k], *signal.samples[k]]
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def solve(problem: EvolutionProblem) -> Trajectory:

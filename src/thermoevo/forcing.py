@@ -28,6 +28,8 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
     if dt <= 0 or t_max <= dt:
         raise InputError("need 0 < dt < t_max")
     n_steps = int(round(t_max / dt))
+    if abs(t_max - n_steps * dt) > 1e-9 * t_max:
+        raise InputError(f"t_max={t_max:g} is not a multiple of dt={dt:g}")
     return dt * np.arange(n_steps + 1)
 
 

@@ -323,13 +323,8 @@ def _cells_equal(a: CellLaw, b: CellLaw) -> bool:
                  "flux_coupling", "flux_inertia"):
         if not np.array_equal(getattr(a, attr), getattr(b, attr)):
             return False
-    for attr in ("theta_damping", "flux_resistance"):
-        ra, rb = getattr(a, attr), getattr(b, attr)
-        if not np.array_equal(ra.den, rb.den) or len(ra.num) != len(rb.num):
-            return False
-        if any(not np.array_equal(x, y) for x, y in zip(ra.num, rb.num)):
-            return False
-    return True
+    return (a.theta_damping.key() == b.theta_damping.key()
+            and a.flux_resistance.key() == b.flux_resistance.key())
 
 
 def _classify_cells(cells) -> str:
@@ -592,15 +587,19 @@ def compute_entropy(
         + (zeta0 * a0)[None, :] * flux.samples
     )
 
-    memory = np.zeros_like(rho_eta)
+    # one realization and one march per distinct damping law
+    groups = {}
     for j in range(m):
-        cell = law.cell(j if law.n_cells > 1 else 0)
-        damping = cell.theta_damping
+        damping = law.cell(j).theta_damping
+        groups.setdefault(damping.key(), (damping, []))[1].append(j)
+    memory = np.zeros_like(rho_eta)
+    for damping, cols in groups.values():
         if all(np.all(np.asarray(c) == 0) for c in damping.num):
             continue
         real = realize_state_space(damping)
-        states = exp_march_linear(real.a, real.b, theta_big.samples[:, j:j + 1], theta_big.dt)
-        memory[:, j] = (theta_big.samples[:, j:j + 1] @ real.d.T + states @ real.c.T)[:, 0]
+        theta = theta_big.samples[:, cols]
+        states = exp_march_linear(real.a, real.b, theta[:, None, :], theta_big.dt)
+        memory[:, cols] = theta * real.d[0, 0] + real.c[0] @ states
     if np.any(memory != 0):
         rho_eta = rho_eta + antiderivative(theta_big.with_samples(memory)).samples
 

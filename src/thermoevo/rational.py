@@ -128,6 +128,12 @@ class RationalMatrixFunction:
             acc = acc * z + c
         return acc
 
+    def key(self) -> tuple:
+        """Hashable identity of the coefficients; adding 0.0 maps integers to
+        floats and -0.0 to 0.0, so equal keys mean equal coefficient values."""
+        return (self.dims, tuple((m + 0.0).tobytes() for m in self.num),
+                (self.den + 0.0).tobytes())
+
     def at_zero(self) -> np.ndarray:
         """Value at z = 0 (always defined by the analyticity gate)."""
         return np.asarray(self.num[0]) / self.den[0]

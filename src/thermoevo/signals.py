@@ -25,6 +25,7 @@ __all__ = [
     "apply_symbol_fl",
     "read_signal_csv",
     "write_signal_csv",
+    "write_csv",
 ]
 
 #: relative decay required of the weighted samples at the window ends
@@ -194,19 +195,22 @@ def write_signal_csv(f: WeightedSignal, path_or_buffer) -> None:
     """Serialize to CSV with header ``t,component_0,...`` at 17 significant digits."""
     if np.iscomplexobj(f.samples):
         raise InputError("CSV export supports real-valued signals only")
-    header = "t," + ",".join(f"component_{i}" for i in range(f.n_components))
-    rows = np.column_stack([f.t, f.samples])
-    if hasattr(path_or_buffer, "write"):
-        _write_rows(path_or_buffer, header, rows)
-    else:
+    columns = ["t", *(f"component_{i}" for i in range(f.n_components))]
+    write_csv(path_or_buffer, columns, np.column_stack([f.t, f.samples]))
+
+
+def write_csv(path_or_buffer, columns, rows: np.ndarray) -> None:
+    """Write a header of ``columns`` names, then each row of a 2-d real array
+    at 17 significant digits (``%.17g``, the bytes of ``format(v, '.17g')``),
+    formatted and written one row at a time, never as one whole-file string."""
+    if not hasattr(path_or_buffer, "write"):
         with open(path_or_buffer, "w", encoding="utf-8") as fh:
-            _write_rows(fh, header, rows)
-
-
-def _write_rows(fh, header: str, rows: np.ndarray) -> None:
-    fh.write(header + "\n")
+            write_csv(fh, columns, rows)
+        return
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    path_or_buffer.write(",".join(columns) + "\n")
     for row in rows:
-        fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        path_or_buffer.write(line % tuple(row.tolist()))
 
 
 def read_signal_csv(path, rho: float = 1.0) -> WeightedSignal:

@@ -238,6 +238,51 @@ class TestMain:
         assert main(["check", "--config", str(config_path)]) == 1
 
 
+def _custom_a2(coefficient):
+    payload = sim_payload()
+    payload["model"] = {"family": "custom", "coefficients": {
+        "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "a2": coefficient}}
+    return payload
+
+
+def _with(section, key, value):
+    payload = sim_payload()
+    payload[section][key] = value
+    return payload
+
+
+def _t_max_off_grid():
+    payload = sim_payload()
+    payload["time"].update(t_max=0.1, dt=0.03)
+    return payload
+
+
+CONFIG_HOLES = {
+    "rational_without_den": (_custom_a2({"num": [1.0]}), "and 'den'"),
+    "rational_scalar_num": (_custom_a2({"num": 1.0, "den": [1.0]}), "'num' (a list)"),
+    "rational_ragged_num": (_custom_a2({"num": [[[1.0], [1.0, 2.0]]], "den": [1.0]}),
+                            "a2.num"),
+    "n_cells_fraction": (_with("grid", "n_cells", 2.7), "grid.n_cells"),
+    "n_cells_string": (_with("grid", "n_cells", "8"), "grid.n_cells"),
+    "n_cells_bool": (_with("grid", "n_cells", True), "grid.n_cells"),
+    "number_as_string": (_with("grid", "L", "1.0"), "grid.L"),
+    "integer_too_large_for_float": (_with("grid", "L", 10**400), "grid.L"),
+    "t_max_not_multiple_of_dt": (_t_max_off_grid(), "not a multiple of dt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_HOLES))
+def test_config_hole_exits_one_with_error_line(case, tmp_path, capsys):
+    payload, message = CONFIG_HOLES[case]
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_integrate_and_interpolate_unloaded():
     src = str(Path(thermoevo.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, simpson_weights, uncoupled_law
+from conftest import ALL_FAMILIES, simpson_weights, spec_with, uncoupled_law
 from thermoevo import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
@@ -25,6 +25,7 @@ from thermoevo import (
     step_implicit,
     time_grid,
 )
+from thermoevo import evolution
 from thermoevo._integrators import exp_march_linear
 from thermoevo.errors import InputError
 
@@ -241,6 +242,46 @@ class TestDerivedFields:
             "u.csv", "epsilon.csv", "theta.csv", "eta.csv", "energy.csv"])
         header = (tmp_path / "v.csv").read_text().splitlines()[0]
         assert header == "t," + ",".join(f"x_{i}" for i in range(3))
+        assert (tmp_path / "energy.csv").read_text().splitlines()[0] == "t,energy"
+
+    def test_piecewise_law_exports_no_entropy(self, tmp_path):
+        law = assemble_material_law(spec_with(ModelFamily.LORD_SHULMAN,
+                                              kappa=[1.0, 2.0, 1.5, 0.5]))
+        problem = pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25)
+        names = {p.name for p in solve(problem).export_csv(tmp_path)}
+        assert "eta.csv" not in names and "energy.csv" in names
+
+    def test_sparse_strain_matches_dense_product(self):
+        law = assemble_material_law(canonical_spec(ModelFamily.GREEN_LINDSAY))
+        problem = pulse_problem(law, n_cells=12, dt=2**-8, t_max=0.25)
+        traj = solve(problem)
+        dense = traj.displacement().samples @ problem.op.d_grad.T.toarray()
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(traj.strain().samples - dense)) <= 1e-15 * scale
+
+
+class TestPerCellLaws:
+    def test_per_cell_temperature_damping_rejected(self):
+        law = assemble_material_law(spec_with(ModelFamily.GREEN_LINDSAY,
+                                              d=[3.0, 2.0, 3.0, 2.0]))
+        with pytest.raises(InputError, match="temperature damping"):
+            pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25)
+
+    def test_one_realization_per_distinct_law(self, monkeypatch):
+        # with b = 0 the temperature damping does not depend on kappa
+        law = assemble_material_law(spec_with(ModelFamily.GREEN_LINDSAY, b=0.0,
+                                              kappa=[1.0, 2.0, 1.0, 2.0]))
+        problem = pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25)
+        calls = []
+
+        def counting(r):
+            calls.append(r.key())
+            return realize_state_space(r)
+
+        monkeypatch.setattr(evolution, "realize_state_space", counting)
+        assert problem.aux_chain.n_aux > 0
+        # two distinct flux resistances plus the shared temperature damping
+        assert len(calls) == len(set(calls)) == 3
 
 
 class TestCausality:

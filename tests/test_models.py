@@ -15,7 +15,11 @@ from thermoevo import (
     recover_theta,
     zero_pattern,
 )
+from thermoevo import models
+from thermoevo._integrators import exp_march_linear
 from thermoevo.errors import InputError
+from thermoevo.rational import realize_state_space
+from thermoevo.signals import antiderivative
 
 
 def stars(rows):
@@ -227,6 +231,59 @@ class TestEntropy:
         eta = compute_entropy(law, eps, theta, q)
         want = (0.3 * eps.samples + (h / n0) * theta.samples) / 2.0
         np.testing.assert_allclose(eta.samples, want, atol=1e-14)
+
+    @staticmethod
+    def per_column_entropy(law, strain, theta_big, flux):
+        """The former column-by-column path: one realization and one march
+        per component."""
+        coeff = law.scalar_arrays(strain.n_components)
+        nu, zeta0, a0 = coeff["heat_capacity"], coeff["flux_coupling"], coeff["flux_inertia"]
+        rho_eta = (coeff["coupling"][None, :] * strain.samples
+                   + (nu + zeta0 * a0 * zeta0)[None, :] * theta_big.samples
+                   + (zeta0 * a0)[None, :] * flux.samples)
+        memory = np.zeros_like(rho_eta)
+        for j in range(strain.n_components):
+            damping = law.cell(j).theta_damping
+            if all(np.all(np.asarray(c) == 0) for c in damping.num):
+                continue
+            real = realize_state_space(damping)
+            col = theta_big.samples[:, j:j + 1]
+            states = exp_march_linear(real.a, real.b, col, theta_big.dt)
+            memory[:, j] = (col @ real.d.T + states @ real.c.T)[:, 0]
+        if np.any(memory != 0):
+            rho_eta = rho_eta + antiderivative(theta_big.with_samples(memory)).samples
+        return rho_eta / coeff["rho0"][None, :]
+
+    @staticmethod
+    def random_fields(rng, m, n_t=401):
+        t = 1e-3 * np.arange(n_t)
+        freqs = rng.uniform(1.0, 5.0, (3, m))
+        return [WeightedSignal(t, np.sin(np.outer(t, f) + rng.uniform(0, 1, m)), 1.0)
+                for f in freqs]
+
+    @pytest.mark.parametrize("d_values, n_laws",
+                             [(3.0, 1), ([3.0, 2.0, 3.0, 2.0, 2.0, 3.0], 2)],
+                             ids=["uniform", "two_laws"])
+    def test_batched_memory_matches_per_column_loop(self, d_values, n_laws, rng,
+                                                    monkeypatch):
+        """Green-Lindsay: uniform law, and a per-cell law whose damping gain
+        takes two distinct values; each distinct law is realized once."""
+        law = assemble_material_law(spec_with(ModelFamily.GREEN_LINDSAY, d=d_values))
+        fields = self.random_fields(rng, 6)
+        want = self.per_column_entropy(law, *fields)
+
+        calls = []
+
+        def counting(r):
+            calls.append(r.key())
+            return realize_state_space(r)
+
+        monkeypatch.setattr(models, "realize_state_space", counting)
+        got = compute_entropy(law, *fields).samples
+        distinct = {law.cell(j).theta_damping.key() for j in range(6)}
+        assert len(distinct) == n_laws
+        assert sorted(calls) == sorted(distinct)
+        assert np.array_equal(got, want)
 
     def test_grid_mismatch_rejected(self):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))

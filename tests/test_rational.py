@@ -66,6 +66,18 @@ class TestEval:
         with pytest.raises(InputError):
             scalar_rational([1.0], [0.0, 1.0])
 
+    def test_key_identifies_equal_coefficients(self):
+        r = scalar_rational([0.5, 0.0], [1.0, 2.0])
+        assert r.key() == scalar_rational([0.5, -0.0], [1, 2]).key()
+        assert r.key() != scalar_rational([0.5, 0.0], [1.0, 2.5]).key()
+        assert r.key() != scalar_rational([0.5], [1.0, 2.0]).key()
+        ints = RationalMatrixFunction((np.array([[1]]),), np.array([2, 1]))
+        assert ints.key() == scalar_rational([1.0], [2.0, 1.0]).key()
+        wide = RationalMatrixFunction((np.array([[1.0, 2.0]]),), np.array([1.0]))
+        tall = RationalMatrixFunction((np.array([[1.0], [2.0]]),), np.array([1.0]))
+        assert wide.key() != tall.key()
+        assert hash(r.key()) == hash(scalar_rational([0.5, 0.0], [1.0, 2.0]).key())
+
     def test_json_round_trip(self):
         r = scalar_rational([0.5, 1.0], [1.0, 2.0])
         back = RationalMatrixFunction.from_json(r.to_json())

@@ -13,6 +13,7 @@ from thermoevo import (
     weighted_norm,
     write_signal_csv,
 )
+from thermoevo.signals import write_csv
 from thermoevo.errors import InputError, PoleProximityError, WindowDecayError
 
 
@@ -41,6 +42,48 @@ class TestWeightedSignal:
         assert text.splitlines()[0] == "t,component_0,component_1,component_2"
         back = read_signal_csv(io.StringIO(text), rho=2.0)
         np.testing.assert_allclose(back.samples, sig.samples, rtol=0, atol=0)
+
+
+def per_value_csv(header, rows):
+    """The former writer: one format(v, '.17g') call per value."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, 1e-300,
+               -1e300, 0.1, 1.0 / 3.0, 2.0 ** -1074 * 3, np.finfo(float).max]
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("prefix", ["x", "component"])
+    def test_matches_per_value_format(self, prefix, rng):
+        values = np.array(EDGE_VALUES + list(rng.standard_normal(4)))
+        rows = np.column_stack([np.arange(values.size) * 0.125, values,
+                                values[::-1], -values])
+        columns = ["t"] + [f"{prefix}_{i}" for i in range(3)]
+        buf = io.StringIO()
+        write_csv(buf, columns, rows)
+        assert buf.getvalue() == per_value_csv(",".join(columns), rows)
+
+    def test_path_and_buffer_give_same_bytes(self, tmp_path, rng):
+        rows = rng.standard_normal((7, 3))
+        buf = io.StringIO()
+        write_csv(buf, ["t", "energy", "x"], rows)
+        write_csv(tmp_path / "out.csv", ["t", "energy", "x"], rows)
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == buf.getvalue()
+
+    def test_signal_csv_matches_per_value_format(self):
+        finite = [v for v in EDGE_VALUES if np.isfinite(v)]
+        t = 0.25 * np.arange(len(finite))
+        sig = WeightedSignal(t, np.column_stack([finite, finite[::-1]]), 1.0)
+        buf = io.StringIO()
+        write_signal_csv(sig, buf)
+        want = per_value_csv("t,component_0,component_1",
+                             np.column_stack([t, sig.samples]))
+        assert buf.getvalue() == want
+        assert "-0," in buf.getvalue() and "4.9406564584124654e-324" in buf.getvalue()
 
 
 class TestWeightedNorm:
