@@ -149,9 +149,12 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown family '{payload['model']['family']}'"
                 ) from None
+            coefficients = payload["model"]["coefficients"]
+            if not isinstance(coefficients, dict):
+                raise ConfigError("'model.coefficients' must be an object")
             coeffs = {
                 name: _parse_coefficient(name, value)
-                for name, value in payload["model"]["coefficients"].items()
+                for name, value in coefficients.items()
             }
             spec = ModelSpec(family, coeffs)
 
@@ -190,6 +193,8 @@ class RunConfig:
             for key in ("kind", "block", "spatial_profile"):
                 if key not in forcing:
                     raise ConfigError(f"'forcing' needs '{key}'")
+                if not isinstance(forcing[key], str):
+                    raise ConfigError(f"'forcing.{key}' must be a string")
 
         tolerances = dict(DEFAULT_TOLERANCES)
         if "tolerances" in payload:
@@ -197,7 +202,10 @@ class RunConfig:
             for key, value in payload["tolerances"].items():
                 tolerances[key] = _finite(value, f"tolerances.{key}")
 
-        output = out_dir or payload.get("output")
+        output = payload.get("output")
+        if output is not None and not isinstance(output, str):
+            raise ConfigError("'output' must be a path string")
+        output = out_dir or output
         return cls(
             mode=mode,
             payload=payload,
@@ -308,7 +316,7 @@ def _verify(config, law, problem, report, trajectory, written, stream) -> int:
 
     causality = {"status": "skipped", "leakage": None, "reason": ""}
     if config.forcing["kind"] == "delayed_step":
-        result = causality_test(problem, config.forcing["delay"])
+        result = causality_test(problem, config.forcing["delay"], trajectory)
         if result.skipped:
             causality = {"status": "skipped", "leakage": None, "reason": result.reason}
         else:

@@ -399,6 +399,15 @@ def energy_functional(trajectory: Trajectory, law: MaterialLaw = None) -> np.nda
     return h * np.einsum("ki,ki->k", u, (m @ u.T).T)
 
 
+def _trajectory_of(problem: EvolutionProblem, trajectory: Trajectory = None) -> Trajectory:
+    """The given trajectory, which must belong to ``problem``, or a new march."""
+    if trajectory is None:
+        return solve(problem)
+    if trajectory.problem is not problem:
+        raise InputError("trajectory does not belong to the problem")
+    return trajectory
+
+
 @dataclass(frozen=True)
 class CausalityResult:
     leakage: float
@@ -406,12 +415,14 @@ class CausalityResult:
     reason: str = ""
 
 
-def causality_test(problem: EvolutionProblem, t0: float) -> CausalityResult:
+def causality_test(problem: EvolutionProblem, t0: float,
+                   trajectory: Trajectory = None) -> CausalityResult:
     """Pre-support leakage ratio of the marched solution.
 
     Requires the forcing to vanish for t < t0 with t0 strictly inside the
     window; when the forcing support touches the window start the check is
     skipped with a diagnostic instead of reporting a meaningless ratio.
+    A given ``trajectory`` of ``problem`` is used instead of marching again.
     """
     t = problem.forcing.t
     f = problem.forcing.samples
@@ -425,7 +436,7 @@ def causality_test(problem: EvolutionProblem, t0: float) -> CausalityResult:
     if t_first < t0:
         return CausalityResult(float("nan"), skipped=True,
                                reason=f"forcing is nonzero before t0={t0:g}")
-    trajectory = solve(problem)
+    trajectory = _trajectory_of(problem, trajectory)
     magnitude = np.max(np.abs(trajectory.states), axis=1)
     peak = float(np.max(magnitude))
     if peak == 0.0:
@@ -472,8 +483,7 @@ def solution_bound_check(
         raise InputError(
             f"run weight rho={problem.rho:g} below certified rho_min={report.rho_min:g}"
         )
-    if trajectory is None:
-        trajectory = solve(problem)
+    trajectory = _trajectory_of(problem, trajectory)
     c_used, _ = check_symbol_boundary(problem.law, problem.rho)
     if c_used <= 0:
         raise InputError("sampled positivity constant is not positive")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,9 @@ _FAMILY_COEFFS = {
 
 _CUSTOM_OPTIONAL = {"a0", "zeta0", "n0", "a1", "a2"}
 
+#: the only coefficients (of custom laws) that may be rational functions
+_RATIONAL_COEFFS = {"a1", "a2"}
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -109,6 +113,10 @@ class ModelSpec:
             raise InputError(
                 f"family '{family.value}' requires coefficients {sorted(missing)}"
             )
+        rational_ok = _RATIONAL_COEFFS if family is ModelFamily.CUSTOM else set()
+        for name, value in self.coefficients.items():
+            if isinstance(value, RationalMatrixFunction) and name not in rational_ok:
+                raise InputError(f"coefficient '{name}' cannot be a rational function")
 
     @property
     def n_cells(self) -> int:
@@ -289,6 +297,11 @@ class MaterialLaw:
     def cell(self, index: int) -> CellLaw:
         return self.cells[index if self.n_cells > 1 else 0]
 
+    @cached_property
+    def symbols(self) -> tuple:
+        """Each cell's full material symbol, built once per law."""
+        return tuple(cell.symbol() for cell in self.cells)
+
     def is_uniform(self) -> bool:
         if self.n_cells == 1:
             return True
@@ -462,9 +475,11 @@ def _assemble_cell(family: ModelFamily, c: dict) -> CellLaw:
 
 
 def _assemble_custom(c: dict) -> CellLaw:
-    rho0 = np.atleast_2d(np.asarray(c["rho0"], dtype=float))
-    stiff = np.atleast_2d(np.asarray(c["C"], dtype=float))
-    nu = np.atleast_2d(np.asarray(c["nu"], dtype=float))
+    rho0, stiff, nu = (np.atleast_2d(np.asarray(c[name], dtype=float))
+                       for name in ("rho0", "C", "nu"))
+    for name, block in (("rho0", rho0), ("C", stiff), ("nu", nu)):
+        if block.shape[0] != block.shape[1]:
+            raise InputError(f"{name} must be a square matrix")
     dv, ds, dth = rho0.shape[0], stiff.shape[0], nu.shape[0]
     gamma = _as_block(c["Gamma"], ds, dth)
 
@@ -488,7 +503,7 @@ def _assemble_custom(c: dict) -> CellLaw:
         raise InputError("C must be positive definite cellwise")
     if np.min(np.linalg.eigvalsh(0.5 * (nu + nu.T))) < 0:
         raise InputError("nu must be non-negative cellwise")
-    n0 = float(c.get("n0", 0.0) or 0.0)
+    n0 = _scalar(c, "n0") if c.get("n0") is not None else 0.0
     if n0 < 0:
         raise InputError("lag time n0 must be non-negative")
     return CellLaw(

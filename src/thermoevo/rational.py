@@ -33,6 +33,8 @@ __all__ = [
 EVAL_POLE_TOL = 1e-14
 #: relative tolerance of the transfer-match self check after realization
 TRANSFER_MATCH_TOL = 1e-9
+#: entries a memo of per-law results keeps (covers a 2048-cell per-cell law)
+MEMO_SIZE = 4096
 
 
 def _as_coeff_matrices(num) -> list[np.ndarray]:
@@ -44,6 +46,11 @@ def _as_coeff_matrices(num) -> list[np.ndarray]:
         if m.shape != shape:
             raise InputError("numerator coefficient matrices must share a shape")
     return mats
+
+
+def _coefficient_key(coeff: np.ndarray) -> tuple:
+    value = coeff + 0.0
+    return value.dtype.str, value.tobytes()
 
 
 @dataclass(frozen=True)
@@ -116,9 +123,11 @@ class RationalMatrixFunction:
     def num_at(self, z):
         """Horner evaluation of the matrix numerator; broadcasts over z arrays."""
         z = np.asarray(z)
-        acc = np.zeros(z.shape + self.dims, dtype=np.result_type(z.dtype, self.num[0].dtype, float))
+        dtype = np.result_type(z.dtype, *(m.dtype for m in self.num), float)
+        acc = np.zeros(z.shape + self.dims, dtype=dtype)
         for coeff in reversed(self.num):
-            acc = acc * z[..., None, None] + coeff
+            acc *= z[..., None, None]
+            acc += coeff
         return acc
 
     def den_at(self, z):
@@ -130,9 +139,10 @@ class RationalMatrixFunction:
 
     def key(self) -> tuple:
         """Hashable identity of the coefficients; adding 0.0 maps integers to
-        floats and -0.0 to 0.0, so equal keys mean equal coefficient values."""
-        return (self.dims, tuple((m + 0.0).tobytes() for m in self.num),
-                (self.den + 0.0).tobytes())
+        floats and -0.0 to 0.0, and the dtype tells a complex coefficient from
+        two real ones, so equal keys mean equal coefficient values."""
+        return (self.dims, tuple(_coefficient_key(m) for m in self.num),
+                _coefficient_key(self.den))
 
     def at_zero(self) -> np.ndarray:
         """Value at z = 0 (always defined by the analyticity gate)."""
@@ -176,11 +186,14 @@ class RationalMatrixFunction:
 
 
 def eval_rational(r: RationalMatrixFunction, z: complex) -> np.ndarray:
-    """Evaluate numerator(z)/denominator(z) with a pole-proximity guard."""
+    """Evaluate numerator(z)/denominator(z) with a pole-proximity guard;
+    broadcasts over an array of points z."""
     den = r.den_at(z)
     guard = EVAL_POLE_TOL * float(np.max(np.abs(r.den)))
-    if np.min(np.abs(den)) <= guard:
-        raise PoleProximityError(f"denominator nearly vanishes at z = {z}")
+    near = np.ravel(np.abs(den) <= guard)
+    if np.any(near):
+        first = np.ravel(z)[np.argmax(near)]
+        raise PoleProximityError(f"denominator nearly vanishes at z = {first}")
     return r.num_at(z) / np.asarray(den)[..., None, None]
 
 
@@ -198,10 +211,12 @@ class StateSpaceRealization:
         return self.a.shape[0]
 
     def transfer(self, s):
-        """D + C (sI - A)^{-1} B at one frequency s."""
+        """D + C (sI - A)^{-1} B; broadcasts over an array of frequencies s."""
+        s = np.asarray(s)
         if self.n_states == 0:
-            return self.d.astype(complex)
-        resolvent = np.linalg.solve(s * np.eye(self.n_states) - self.a, self.b)
+            return np.zeros(s.shape + self.d.shape, dtype=complex) + self.d
+        resolvent = np.linalg.solve(s[..., None, None] * np.eye(self.n_states) - self.a,
+                                    self.b)
         return self.d + self.c @ resolvent
 
 
@@ -215,6 +230,24 @@ def _poles_in_s(r: RationalMatrixFunction) -> np.ndarray:
     return np.asarray(poles, dtype=complex)
 
 
+class BoundedMemo(dict):
+    """A dict of at most ``size`` entries; storing past that drops the oldest."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def store(self, key, value):
+        if len(self) >= self.size:
+            del self[next(iter(self))]
+        self[key] = value
+        return value
+
+
+#: realizations by ``RationalMatrixFunction.key()``, shared by every caller
+_REALIZATIONS = BoundedMemo(MEMO_SIZE)
+
+
 def realize_state_space(r: RationalMatrixFunction) -> StateSpaceRealization:
     """Partial-fraction state-space realization of y = R(inverse-derivative) u.
 
@@ -222,7 +255,18 @@ def realize_state_space(r: RationalMatrixFunction) -> StateSpaceRealization:
     block whose size is the rank of the matrix residue.  Repeated poles are
     rejected.  The result is checked against direct evaluation at 32 sampled
     frequencies and must match to ``TRANSFER_MATCH_TOL`` relative.
+
+    Realizations are memoized on ``r.key()``, so equal laws share one
+    realization, and its arrays are read-only.
     """
+    key = r.key()
+    real = _REALIZATIONS.get(key)
+    if real is None:
+        real = _REALIZATIONS.store(key, _realize(r))
+    return real
+
+
+def _realize(r: RationalMatrixFunction) -> StateSpaceRealization:
     poles = _poles_in_s(r)
     if poles.size > 1:
         spread = max(np.max(np.abs(poles)), 1.0)
@@ -277,21 +321,22 @@ def realize_state_space(r: RationalMatrixFunction) -> StateSpaceRealization:
         d = np.asarray(d).real
 
     real = StateSpaceRealization(np.atleast_2d(d), a, b, c)
-    _check_transfer_match(r, real)
+    _check_transfer_match(r, real, poles)
+    for arr in (real.d, real.a, real.b, real.c):
+        arr.flags.writeable = False
     return real
 
 
-def _check_transfer_match(r: RationalMatrixFunction, real: StateSpaceRealization) -> None:
-    pole_mags = np.abs(_poles_in_s(r))
+def _check_transfer_match(r: RationalMatrixFunction, real: StateSpaceRealization,
+                          poles: np.ndarray) -> None:
+    """Compare the realization with ``r`` at 32 frequencies scaled by the
+    largest of ``poles`` (those of ``_poles_in_s(r)``)."""
+    pole_mags = np.abs(poles)
     ref = max(float(np.max(pole_mags)) if pole_mags.size else 1.0, 1.0)
     freqs = 1j * ref * np.logspace(-2, 2, 32) + 0.311 * ref  # off the imaginary axis and spectrum
-    scale = 0.0
-    worst = 0.0
-    for s in freqs:
-        want = eval_rational(r, 1.0 / s)
-        got = real.transfer(s)
-        scale = max(scale, float(np.max(np.abs(want))))
-        worst = max(worst, float(np.max(np.abs(want - got))))
+    want = eval_rational(r, 1.0 / freqs)
+    scale = float(np.max(np.abs(want)))
+    worst = float(np.max(np.abs(want - real.transfer(freqs))))
     if worst > TRANSFER_MATCH_TOL * max(scale, 1e-30):
         raise RealizationError(
             f"realization transfer mismatch {worst:.3e} (scale {scale:.3e})"

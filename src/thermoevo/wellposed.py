@@ -21,7 +21,7 @@ import numpy as np
 from . import _json
 from .errors import InputError, UnreachableTargetError
 from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, classify
-from .rational import RationalMatrixFunction, eval_rational
+from .rational import MEMO_SIZE, BoundedMemo, RationalMatrixFunction, eval_rational
 
 __all__ = [
     "Witness",
@@ -40,6 +40,9 @@ INCONCLUSIVE = "inconclusive"
 RHO_RANGE = (1e-3, 1e6)
 #: log-spaced rho search grid resolution (points per decade)
 RHO_GRID_PER_DECADE = 20
+
+#: per-symbol sampled minima by (symbol key, (rho0, n_samples, n_shells))
+_BOUNDARY_MINIMA = BoundedMemo(MEMO_SIZE)
 
 
 @dataclass(frozen=True)
@@ -117,36 +120,57 @@ def check_symbol_boundary(
     for rho on shells ``rho0 * (1 + 2^{-j})`` and t on a symmetric
     log-spaced grid (plus t = 0).  Returns ``(min_eigenvalue, worst_z)``.
     This is a sampling certificate, not a proof over the full ball.
+    Each symbol's sampled minimum is kept by its ``key()`` and the sampling
+    arguments, so repeated calls on the same law evaluate nothing again.
     """
     if rho0 <= 0:
         raise InputError("rho0 must be positive")
     if isinstance(symbol, MaterialLaw):
-        symbols = [cell.symbol() for cell in symbol.cells]
+        symbols = symbol.symbols
     elif isinstance(symbol, RationalMatrixFunction):
         symbols = [symbol]
     else:
         symbols = list(symbol)
 
+    settings = (float(rho0), n_samples, n_shells)
+    min_eig = np.inf
+    worst_z = None
+    z_inv = None
+    for sym in symbols:
+        key = (sym.key(), settings)
+        found = _BOUNDARY_MINIMA.get(key)
+        if found is None:
+            if z_inv is None:
+                z_inv = _boundary_samples(*settings)
+            found = _BOUNDARY_MINIMA.store(key, _symbol_minimum(sym, z_inv))
+        if found[0] < min_eig:
+            min_eig, worst_z = found
+    return min_eig, worst_z
+
+
+def _boundary_samples(rho0: float, n_samples: int, n_shells: int) -> np.ndarray:
+    """Sample points 1/z = i t + rho, one row per shell rho."""
     half = max((n_samples - 1) // 2, 1)
     t_pos = rho0 * np.logspace(-3, 6, half)
     t_grid = np.concatenate([[0.0], t_pos, -t_pos])
     shells = rho0 * (1.0 + 2.0 ** (-np.arange(n_shells, dtype=float)))
+    return 1j * t_grid + shells[:, None]
 
-    min_eig = np.inf
-    worst_z = None
-    for sym in symbols:
-        for rho in shells:
-            z_inv = 1j * t_grid + rho
-            z = 1.0 / z_inv
-            vals = eval_rational(sym, z)
-            mats = z_inv[:, None, None] * vals
-            herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
-            eigs = np.linalg.eigvalsh(herm)
-            k = int(np.argmin(eigs[:, 0]))
-            if eigs[k, 0] < min_eig:
-                min_eig = float(eigs[k, 0])
-                worst_z = complex(z[k])
-    return min_eig, worst_z
+
+def _symbol_minimum(sym: RationalMatrixFunction, z_inv: np.ndarray) -> tuple:
+    """Smallest eigenvalue of the Hermitian part of z^{-1} M(z) over all
+    samples, at its first occurrence in shell-major order, with its z."""
+    z = 1.0 / z_inv
+    mats = eval_rational(sym, z)
+    # z_inv * mats in place, in that operand order: numpy's complex product
+    # is not bitwise commutative
+    np.multiply(z_inv[..., None, None], mats, out=mats)
+    herm = np.conj(np.swapaxes(mats, -1, -2))
+    herm += mats
+    herm *= 0.5
+    lowest = np.linalg.eigvalsh(herm)[..., 0]
+    k = int(np.argmin(lowest))
+    return float(lowest.flat[k]), complex(z.flat[k])
 
 
 def _rho_grid() -> np.ndarray:

@@ -1,5 +1,7 @@
-"""Shared fixtures: the standard probe pulse, catalog law builders and the
-Simpson exponential step used as a time-integration reference."""
+"""Shared fixtures: the standard probe pulse, catalog law builders, and the
+former one-point-at-a-time versions of batched computations (the Simpson
+exponential step, the per-frequency realization check and the per-shell
+symbol sampling), kept as references."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from thermoevo import (
     canonical_spec,
 )
 from thermoevo._integrators import phi_matrices
+from thermoevo.rational import _poles_in_s
 
 #: families whose canonical coefficients satisfy the certified hypotheses
 ALL_FAMILIES = [f for f in ModelFamily if f is not ModelFamily.CUSTOM]
@@ -91,3 +94,56 @@ def probe() -> WeightedSignal:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def horner_per_point(r, z):
+    """Numerator over denominator of ``r`` at the points z, built as the
+    former out-of-place Horner loop did."""
+    z = np.asarray(z)
+    num = np.zeros(z.shape + r.dims, dtype=np.result_type(z.dtype, r.num[0].dtype, float))
+    for coeff in reversed(r.num):
+        num = num * z[..., None, None] + coeff
+    den = np.zeros(z.shape, dtype=np.result_type(z.dtype, r.den.dtype, float))
+    for c in reversed(r.den):
+        den = den * z + c
+    return num / den[..., None, None]
+
+
+def transfer_mismatch_per_frequency(r, real):
+    """(worst, scale) of the realization self check, one frequency at a time."""
+    pole_mags = np.abs(_poles_in_s(r))
+    ref = max(float(np.max(pole_mags)) if pole_mags.size else 1.0, 1.0)
+    freqs = 1j * ref * np.logspace(-2, 2, 32) + 0.311 * ref
+    scale = 0.0
+    worst = 0.0
+    for s in freqs:
+        want = horner_per_point(r, 1.0 / s)
+        if real.n_states == 0:
+            got = real.d.astype(complex)
+        else:
+            got = real.d + real.c @ np.linalg.solve(s * np.eye(real.n_states) - real.a, real.b)
+        scale = max(scale, float(np.max(np.abs(want))))
+        worst = max(worst, float(np.max(np.abs(want - got))))
+    return worst, scale
+
+
+def symbol_boundary_per_shell(symbols, rho0, n_samples=257, n_shells=8):
+    """(min_eigenvalue, worst_z) of the symbol sampling, one shell at a time."""
+    half = max((n_samples - 1) // 2, 1)
+    t_pos = rho0 * np.logspace(-3, 6, half)
+    t_grid = np.concatenate([[0.0], t_pos, -t_pos])
+    shells = rho0 * (1.0 + 2.0 ** (-np.arange(n_shells, dtype=float)))
+    min_eig = np.inf
+    worst_z = None
+    for sym in symbols:
+        for rho in shells:
+            z_inv = 1j * t_grid + rho
+            z = 1.0 / z_inv
+            mats = z_inv[:, None, None] * horner_per_point(sym, z)
+            herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
+            eigs = np.linalg.eigvalsh(herm)
+            k = int(np.argmin(eigs[:, 0]))
+            if eigs[k, 0] < min_eig:
+                min_eig = float(eigs[k, 0])
+                worst_z = complex(z[k])
+    return min_eig, worst_z

@@ -1,16 +1,20 @@
+import contextlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thermoevo
-from thermoevo import assemble_material_law, pattern_table
+from thermoevo import assemble_material_law, cli, evolution, pattern_table
 from thermoevo.cli import RunConfig, main, run
 from thermoevo.errors import ConfigError
 
@@ -195,6 +199,25 @@ class TestVerifyMode:
         assert report["causality"]["status"] == "ok"
         assert report["causality"]["leakage"] == 0.0
 
+    def test_verify_marches_once(self, tmp_path, monkeypatch):
+        payload = sim_payload()
+        payload["forcing"] = {"kind": "delayed_step", "delay": 0.25,
+                              "block": "h", "spatial_profile": "mode_1"}
+        calls = []
+        march = evolution.solve
+
+        def counting(problem):
+            calls.append(problem)
+            return march(problem)
+
+        monkeypatch.setattr(cli, "solve", counting)
+        monkeypatch.setattr(evolution, "solve", counting)
+        config = RunConfig.from_dict(payload, "verify", out_dir=tmp_path)
+        assert run(config, io.StringIO()) == 0
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["causality"]["status"] == "ok"
+
     def test_readme_example_skips_oracle_comparison(self, tmp_path):
         # the README's example law is coupled, which the oracle rejects
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -251,6 +274,12 @@ def _with(section, key, value):
     return payload
 
 
+def _custom_with(name, value):
+    payload = _custom_a2({"num": [[[1.0]]], "den": [2.0, 1.0]})
+    payload["model"]["coefficients"][name] = value
+    return payload
+
+
 def _t_max_off_grid():
     payload = sim_payload()
     payload["time"].update(t_max=0.1, dt=0.03)
@@ -268,6 +297,20 @@ CONFIG_HOLES = {
     "number_as_string": (_with("grid", "L", "1.0"), "grid.L"),
     "integer_too_large_for_float": (_with("grid", "L", 10**400), "grid.L"),
     "t_max_not_multiple_of_dt": (_t_max_off_grid(), "not a multiple of dt"),
+    "coefficients_not_object": (_with("model", "coefficients", [1.0]),
+                                "model.coefficients"),
+    "rational_catalog_coefficient": (
+        sim_payload(model={"family": "lord_shulman", "coefficients": dict(
+            ls_model()["coefficients"], kappa={"num": [1.0], "den": [1.0]})}),
+        "'kappa' cannot be a rational function"),
+    "rational_custom_inertia": (_custom_with("a0", {"num": [1.0], "den": [1.0]}),
+                                "'a0' cannot be a rational function"),
+    "custom_lag_matrix": (_custom_with("n0", [[1.0, 0.0], [0.0, 1.0]]), "'n0'"),
+    "custom_density_not_square": (_custom_with("rho0", [[1.0, 2.0]]),
+                                  "rho0 must be a square matrix"),
+    "spatial_profile_number": (_with("forcing", "spatial_profile", 3),
+                               "forcing.spatial_profile"),
+    "output_not_string": (sim_payload(output=3), "'output'"),
 }
 
 
@@ -281,6 +324,91 @@ def test_config_hole_exits_one_with_error_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+def _tiny_payload():
+    payload = sim_payload()
+    payload["grid"]["n_cells"] = 4
+    payload["time"].update(t_max=2**-6, dt=2**-8)
+    return payload
+
+
+def _node(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _replaced(path, value):
+    payload = _tiny_payload()
+    _node(payload, path[:-1])[path[-1]] = value
+    return payload
+
+
+def _deleted(path):
+    payload = _tiny_payload()
+    del _node(payload, path[:-1])[path[-1]]
+    return payload
+
+
+def _with_unknown_key(path, key):
+    payload = _tiny_payload()
+    _node(payload, path)[key] = 1.0
+    return payload
+
+
+_NUMBER_LEAVES = [("grid", "L"), ("time", "t_max"), ("time", "dt"), ("time", "rho"),
+                  ("forcing", "center"), ("forcing", "width")] + [
+    ("model", "coefficients", name) for name in ls_model()["coefficients"]]
+#: leaves that must be positive; coefficients are left out, where the sign
+#: of some is a well-posedness question rather than a malformed config
+_POSITIVE_LEAVES = [("grid", "L"), ("time", "t_max"), ("time", "dt"), ("time", "rho"),
+                    ("forcing", "width")]
+_NAME_LEAVES = [("model", "family"), ("time", "scheme"), ("forcing", "kind"),
+                ("forcing", "block"), ("forcing", "spatial_profile")]
+_OBJECTS = [("model",), ("grid",), ("time",), ("forcing",), ("model", "coefficients")]
+_LEAVES = _NUMBER_LEAVES + _NAME_LEAVES + [("grid", "n_cells")]
+
+_NOT_A_NUMBER = st.one_of(
+    st.text(max_size=4), st.none(), st.booleans(), st.just([]), st.just({}),
+    st.lists(st.lists(st.floats(), max_size=2), min_size=1, max_size=2).map(lambda v: [v]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+#: no valid family, scheme, forcing kind, block or profile name uses only these letters
+_NOT_A_NAME = st.one_of(
+    st.text(alphabet="xyz?", max_size=4), st.none(), st.booleans(), st.integers(),
+    st.floats(), st.lists(st.integers(), max_size=2), st.just({}))
+_NOT_AN_OBJECT = st.one_of(st.text(max_size=4), st.none(), st.booleans(), st.integers(),
+                           st.floats(), st.lists(st.integers(), max_size=2))
+_NOT_A_CELL_COUNT = st.one_of(st.integers(max_value=1), st.floats(), st.text(max_size=3),
+                              st.booleans(), st.none())
+
+MALFORMED_CONFIGS = st.one_of(
+    st.builds(_replaced, st.sampled_from(_NUMBER_LEAVES), _NOT_A_NUMBER),
+    st.builds(_replaced, st.sampled_from(_POSITIVE_LEAVES), st.floats(max_value=0.0)),
+    st.builds(_replaced, st.sampled_from(_NAME_LEAVES), _NOT_A_NAME),
+    st.builds(_replaced, st.just(("grid", "n_cells")), _NOT_A_CELL_COUNT),
+    st.builds(_replaced, st.sampled_from(_OBJECTS), _NOT_AN_OBJECT),
+    st.builds(_replaced, st.just(("output",)), _NOT_AN_OBJECT.filter(
+        lambda v: v is not None and not isinstance(v, str))),
+    st.builds(_deleted, st.sampled_from(_LEAVES + _OBJECTS)),
+    st.builds(_with_unknown_key, st.sampled_from([()] + _OBJECTS),
+              st.text(alphabet="xyz", min_size=1, max_size=3)),
+    _NOT_AN_OBJECT,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(payload=MALFORMED_CONFIGS)
+def test_malformed_config_exits_one_with_error_line(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "run.json"
+        config_path.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            status = main(["simulate", "--config", str(config_path),
+                           "--out", str(Path(tmp) / "out")])
+    assert status == 1
+    assert err.getvalue().startswith("error: ")
 
 
 def test_cli_import_leaves_integrate_and_interpolate_unloaded():

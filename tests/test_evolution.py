@@ -295,6 +295,22 @@ class TestCausality:
             assert not result.skipped
             assert result.leakage == 0.0
 
+    def test_given_trajectory_is_not_marched_again(self, monkeypatch):
+        law = assemble_material_law(canonical_spec(ModelFamily.DPL_II))
+        op = build_operators(Grid1D(1.0, 8))
+        forcing = assemble_forcing(op, time_grid(1.0, 2**-7), 1.0, "delayed_step", "h",
+                                   "bump", delay=0.5)
+        problem = EvolutionProblem(law, op, forcing, TRAPEZOIDAL)
+        trajectory = solve(problem)
+        marched = causality_test(problem, 0.5)
+        calls = []
+        monkeypatch.setattr(evolution, "solve", lambda p: calls.append(p))
+        assert causality_test(problem, 0.5, trajectory) == marched
+        assert calls == []
+        other = EvolutionProblem(law, op, forcing, TRAPEZOIDAL)
+        with pytest.raises(InputError, match="does not belong"):
+            causality_test(other, 0.5, trajectory)
+
     def test_support_touching_start_is_skipped(self):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         problem = pulse_problem(law, n_cells=8, dt=2**-7, t_max=0.5,

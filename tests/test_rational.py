@@ -3,15 +3,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, uncoupled_law
+from conftest import ALL_FAMILIES, spec_with, transfer_mismatch_per_frequency, uncoupled_law
 from thermoevo import (
+    ModelFamily,
     RationalMatrixFunction,
+    StateSpaceRealization,
     apply_symbol_fl,
+    assemble_material_law,
+    canonical_spec,
     eval_rational,
     realize_state_space,
     validate_realization,
 )
 from thermoevo.errors import InputError, PoleProximityError, RealizationError
+from thermoevo.rational import TRANSFER_MATCH_TOL, _check_transfer_match, _poles_in_s
 
 
 def scalar_rational(num, den):
@@ -186,3 +191,82 @@ class TestValidate:
         spectral = apply_symbol_fl(r, probe).samples
         scale = np.max(np.abs(spectral))
         assert np.max(np.abs(direct - spectral)) <= 1e-5 * scale
+
+
+def zero_order_laws():
+    """Temperature damping and flux resistance of every canonical family and
+    of a per-cell dpl_i law, one entry per distinct law."""
+    laws = [assemble_material_law(canonical_spec(f)) for f in ALL_FAMILIES]
+    laws.append(assemble_material_law(spec_with(
+        ModelFamily.DPL_I, kappa=[0.5, 1.3, 2.0], n2=[0.25, 0.3, 0.2])))
+    found = {}
+    for law in laws:
+        for cell in law.cells:
+            for r in (cell.theta_damping, cell.flux_resistance):
+                found.setdefault(r.key(), r)
+    return list(found.values())
+
+
+def accepted(check, *args) -> bool:
+    try:
+        check(*args)
+    except RealizationError:
+        return False
+    return True
+
+
+class TestBatchedTransferCheck:
+    def test_same_verdict_as_per_frequency_loop(self):
+        for r in zero_order_laws():
+            real = realize_state_space(r)
+            worst, scale = transfer_mismatch_per_frequency(r, real)
+            assert worst <= TRANSFER_MATCH_TOL * max(scale, 1e-30)
+            assert accepted(_check_transfer_match, r, real, _poles_in_s(r))
+
+    def test_corrupted_realization_rejected(self):
+        for r in zero_order_laws():
+            real = realize_state_space(r)
+            if real.n_states == 0:
+                continue
+            bad = StateSpaceRealization(real.d, real.a, real.b, real.c * (1.0 + 1e-6))
+            worst, scale = transfer_mismatch_per_frequency(r, bad)
+            assert worst > TRANSFER_MATCH_TOL * max(scale, 1e-30)
+            with pytest.raises(RealizationError, match="transfer mismatch"):
+                _check_transfer_match(r, bad, _poles_in_s(r))
+
+    def test_transfer_broadcasts_over_frequencies(self):
+        real = realize_state_space(scalar_rational([0.3, 1.0, 0.2], [1.0, 0.8, 0.15]))
+        freqs = 1j * np.logspace(-2, 2, 7) + 0.17
+        stacked = real.transfer(freqs)
+        assert stacked.shape == (7, 1, 1)
+        for s, value in zip(freqs, stacked):
+            assert np.array_equal(real.transfer(s), value)
+        feedthrough = realize_state_space(RationalMatrixFunction.constant(0.25))
+        assert np.array_equal(feedthrough.transfer(freqs), np.full((7, 1, 1), 0.25 + 0j))
+
+
+class TestRealizationMemo:
+    def test_equal_laws_share_one_read_only_realization(self):
+        r = scalar_rational([0.5, 1.0], [0.37, 1.0])
+        real = realize_state_space(r)
+        assert realize_state_space(scalar_rational([0.5, 1.0], [0.37, 1.0])) is real
+        for arr in (real.d, real.a, real.b, real.c):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    def test_key_tells_complex_from_real_coefficients(self):
+        # 1/(2 + 3z) and 1/(2 + 3j) hold the same bytes in their denominators
+        real_den = scalar_rational([1.0], [2.0, 3.0])
+        complex_den = RationalMatrixFunction((np.ones((1, 1)),), np.array([2.0 + 3.0j]))
+        assert real_den.key() != complex_den.key()
+        assert realize_state_space(real_den).n_states == 1
+        assert realize_state_space(complex_den).n_states == 0
+
+
+class TestPoleMessage:
+    def test_names_the_first_offending_point(self):
+        r = scalar_rational([1.0], [1.0, 1.0])  # pole at z = -1
+        with pytest.raises(PoleProximityError) as info:
+            eval_rational(r, np.array([[0.5, -1.0], [2.0, -1.0]]))
+        assert str(info.value) == "denominator nearly vanishes at z = -1.0"

@@ -3,19 +3,34 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, NEGATED_COEFFS, negated_law, spec_with
+from conftest import (
+    ALL_FAMILIES,
+    NEGATED_COEFFS,
+    negated_law,
+    spec_with,
+    symbol_boundary_per_shell,
+)
 from thermoevo import (
+    EvolutionProblem,
+    Grid1D,
     ModelFamily,
     ModelSpec,
     RationalMatrixFunction,
+    assemble_forcing,
     assemble_material_law,
+    build_operators,
     canonical_spec,
     check_condition_rho,
     check_symbol_boundary,
     certify_wellposedness,
     find_min_rho,
+    solution_bound_check,
+    solve,
+    time_grid,
+    wellposed,
 )
 from thermoevo.errors import InputError, UnreachableTargetError
+from thermoevo.rational import eval_rational
 
 
 def unit_classical(gamma=0.0):
@@ -91,6 +106,57 @@ class TestSymbolBoundary:
             m1_val = eval_rational(cell.dissipation(), 1.0 / z_inv)
             want = rho * cell.mass() + 0.5 * (m1_val + m1_val.conj().T)
             assert np.max(np.abs(herm - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestBatchedSymbolBoundary:
+    LAWS = {family.value: canonical_spec(family) for family in ALL_FAMILIES}
+    LAWS["dpl_i_per_cell"] = spec_with(ModelFamily.DPL_I, C=[0.9, 1.1, 1.2],
+                                       kappa=[0.5, 1.3, 2.0])
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("rho0", [0.3, 1.0, 4.0])
+    def test_bitwise_equal_to_per_shell_loop(self, name, rho0):
+        law = assemble_material_law(self.LAWS[name])
+        want = symbol_boundary_per_shell([cell.symbol() for cell in law.cells], rho0)
+        got = check_symbol_boundary(law, rho0)
+        assert got == want
+        assert np.signbit(got[0]) == np.signbit(want[0])
+
+    def test_ties_resolve_to_first_sample(self):
+        # every sample of a shell ties for the identity: the witness is the
+        # first one (t = 0) of the innermost shell
+        identity = RationalMatrixFunction.identity(2)
+        want = symbol_boundary_per_shell([identity], 2.0)
+        assert check_symbol_boundary(identity, 2.0) == want
+        assert want[1] == 1.0 / (2.0 * (1.0 + 2.0 ** -7))
+
+    def test_negated_law_same_witness(self):
+        law = negated_law(ModelFamily.DPL_I)
+        want = symbol_boundary_per_shell([cell.symbol() for cell in law.cells], 1.0)
+        assert check_symbol_boundary(law, 1.0) == want
+        assert want[0] < 0.0
+
+    def test_repeated_bound_check_evaluates_once(self, monkeypatch):
+        law = assemble_material_law(spec_with(ModelFamily.DPL_I, C=[0.95, 1.05, 1.15, 0.85],
+                                              kappa=[0.6, 1.7, 1.1, 0.9]))
+        op = build_operators(Grid1D(1.0, 4))
+        t = time_grid(0.25, 2**-6)
+        forcing = assemble_forcing(op, t, 1.0, "gaussian_pulse", "f", "bump",
+                                   center=0.05, width=0.02)
+        report = certify_wellposedness(law)
+        first = solution_bound_check(EvolutionProblem(law, op, forcing), report)
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return eval_rational(*args)
+
+        monkeypatch.setattr(wellposed, "eval_rational", counting)
+        problem = EvolutionProblem(law, op, forcing, "trapezoidal")
+        second = solution_bound_check(problem, report, solve(problem))
+        assert calls == []
+        assert second.c_used == first.c_used
 
 
 class TestCertification:
