@@ -298,9 +298,10 @@ class MaterialLaw:
         return self.cells[index if self.n_cells > 1 else 0]
 
     @cached_property
-    def symbols(self) -> tuple:
-        """Each cell's full material symbol, built once per law."""
-        return tuple(cell.symbol() for cell in self.cells)
+    def boundary_minima(self) -> dict:
+        """Sampled symbol-boundary minima of this law by sampling arguments,
+        filled by :func:`thermoevo.wellposed.check_symbol_boundary`."""
+        return {}
 
     def is_uniform(self) -> bool:
         if self.n_cells == 1:

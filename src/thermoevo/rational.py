@@ -33,8 +33,9 @@ __all__ = [
 EVAL_POLE_TOL = 1e-14
 #: relative tolerance of the transfer-match self check after realization
 TRANSFER_MATCH_TOL = 1e-9
-#: entries a memo of per-law results keeps (covers a 2048-cell per-cell law)
-MEMO_SIZE = 4096
+#: realizations the memo keeps; a 128-cell per-cell law (the largest
+#: measured, the api_sweep benchmark) realizes 128 distinct laws
+REALIZATION_MEMO_SIZE = 256
 
 
 def _as_coeff_matrices(num) -> list[np.ndarray]:
@@ -215,8 +216,10 @@ class StateSpaceRealization:
         s = np.asarray(s)
         if self.n_states == 0:
             return np.zeros(s.shape + self.d.shape, dtype=complex) + self.d
+        # b broadcast to a stack of matrices: numpy 1.x would read a 2-D b
+        # against a 3-D stack as a stack of vectors
         resolvent = np.linalg.solve(s[..., None, None] * np.eye(self.n_states) - self.a,
-                                    self.b)
+                                    np.broadcast_to(self.b, s.shape + self.b.shape))
         return self.d + self.c @ resolvent
 
 
@@ -230,22 +233,9 @@ def _poles_in_s(r: RationalMatrixFunction) -> np.ndarray:
     return np.asarray(poles, dtype=complex)
 
 
-class BoundedMemo(dict):
-    """A dict of at most ``size`` entries; storing past that drops the oldest."""
-
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
-
-    def store(self, key, value):
-        if len(self) >= self.size:
-            del self[next(iter(self))]
-        self[key] = value
-        return value
-
-
-#: realizations by ``RationalMatrixFunction.key()``, shared by every caller
-_REALIZATIONS = BoundedMemo(MEMO_SIZE)
+#: realizations by ``RationalMatrixFunction.key()``, shared by every caller;
+#: past ``REALIZATION_MEMO_SIZE`` entries the oldest is dropped
+_REALIZATIONS: dict = {}
 
 
 def realize_state_space(r: RationalMatrixFunction) -> StateSpaceRealization:
@@ -262,7 +252,10 @@ def realize_state_space(r: RationalMatrixFunction) -> StateSpaceRealization:
     key = r.key()
     real = _REALIZATIONS.get(key)
     if real is None:
-        real = _REALIZATIONS.store(key, _realize(r))
+        real = _realize(r)
+        if len(_REALIZATIONS) >= REALIZATION_MEMO_SIZE:
+            del _REALIZATIONS[next(iter(_REALIZATIONS))]
+        _REALIZATIONS[key] = real
     return real
 
 

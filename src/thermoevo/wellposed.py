@@ -21,7 +21,7 @@ import numpy as np
 from . import _json
 from .errors import InputError, UnreachableTargetError
 from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, classify
-from .rational import MEMO_SIZE, BoundedMemo, RationalMatrixFunction, eval_rational
+from .rational import RationalMatrixFunction, eval_rational
 
 __all__ = [
     "Witness",
@@ -40,9 +40,6 @@ INCONCLUSIVE = "inconclusive"
 RHO_RANGE = (1e-3, 1e6)
 #: log-spaced rho search grid resolution (points per decade)
 RHO_GRID_PER_DECADE = 20
-
-#: per-symbol sampled minima by (symbol key, (rho0, n_samples, n_shells))
-_BOUNDARY_MINIMA = BoundedMemo(MEMO_SIZE)
 
 
 @dataclass(frozen=True)
@@ -120,29 +117,30 @@ def check_symbol_boundary(
     for rho on shells ``rho0 * (1 + 2^{-j})`` and t on a symmetric
     log-spaced grid (plus t = 0).  Returns ``(min_eigenvalue, worst_z)``.
     This is a sampling certificate, not a proof over the full ball.
-    Each symbol's sampled minimum is kept by its ``key()`` and the sampling
-    arguments, so repeated calls on the same law evaluate nothing again.
+    The result for a :class:`MaterialLaw` is kept on the law by the
+    sampling arguments, so a repeated call evaluates nothing again.
     """
     if rho0 <= 0:
         raise InputError("rho0 must be positive")
-    if isinstance(symbol, MaterialLaw):
-        symbols = symbol.symbols
-    elif isinstance(symbol, RationalMatrixFunction):
-        symbols = [symbol]
-    else:
-        symbols = list(symbol)
-
     settings = (float(rho0), n_samples, n_shells)
+    if isinstance(symbol, MaterialLaw):
+        found = symbol.boundary_minima
+        if settings not in found:
+            found[settings] = _sampled_minimum(
+                [cell.symbol() for cell in symbol.cells], *settings)
+        return found[settings]
+    if isinstance(symbol, RationalMatrixFunction):
+        symbol = [symbol]
+    return _sampled_minimum(symbol, *settings)
+
+
+def _sampled_minimum(symbols, rho0: float, n_samples: int, n_shells: int) -> tuple:
+    """Smallest of the symbols' sampled minima, at its first symbol."""
+    z_inv = _boundary_samples(rho0, n_samples, n_shells)
     min_eig = np.inf
     worst_z = None
-    z_inv = None
     for sym in symbols:
-        key = (sym.key(), settings)
-        found = _BOUNDARY_MINIMA.get(key)
-        if found is None:
-            if z_inv is None:
-                z_inv = _boundary_samples(*settings)
-            found = _BOUNDARY_MINIMA.store(key, _symbol_minimum(sym, z_inv))
+        found = _symbol_minimum(sym, z_inv)
         if found[0] < min_eig:
             min_eig, worst_z = found
     return min_eig, worst_z

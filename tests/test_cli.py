@@ -1,17 +1,13 @@
-import contextlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import thermoevo
 from thermoevo import assemble_material_law, cli, evolution, pattern_table
@@ -324,91 +320,6 @@ def test_config_hole_exits_one_with_error_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
-
-
-def _tiny_payload():
-    payload = sim_payload()
-    payload["grid"]["n_cells"] = 4
-    payload["time"].update(t_max=2**-6, dt=2**-8)
-    return payload
-
-
-def _node(payload, path):
-    for key in path:
-        payload = payload[key]
-    return payload
-
-
-def _replaced(path, value):
-    payload = _tiny_payload()
-    _node(payload, path[:-1])[path[-1]] = value
-    return payload
-
-
-def _deleted(path):
-    payload = _tiny_payload()
-    del _node(payload, path[:-1])[path[-1]]
-    return payload
-
-
-def _with_unknown_key(path, key):
-    payload = _tiny_payload()
-    _node(payload, path)[key] = 1.0
-    return payload
-
-
-_NUMBER_LEAVES = [("grid", "L"), ("time", "t_max"), ("time", "dt"), ("time", "rho"),
-                  ("forcing", "center"), ("forcing", "width")] + [
-    ("model", "coefficients", name) for name in ls_model()["coefficients"]]
-#: leaves that must be positive; coefficients are left out, where the sign
-#: of some is a well-posedness question rather than a malformed config
-_POSITIVE_LEAVES = [("grid", "L"), ("time", "t_max"), ("time", "dt"), ("time", "rho"),
-                    ("forcing", "width")]
-_NAME_LEAVES = [("model", "family"), ("time", "scheme"), ("forcing", "kind"),
-                ("forcing", "block"), ("forcing", "spatial_profile")]
-_OBJECTS = [("model",), ("grid",), ("time",), ("forcing",), ("model", "coefficients")]
-_LEAVES = _NUMBER_LEAVES + _NAME_LEAVES + [("grid", "n_cells")]
-
-_NOT_A_NUMBER = st.one_of(
-    st.text(max_size=4), st.none(), st.booleans(), st.just([]), st.just({}),
-    st.lists(st.lists(st.floats(), max_size=2), min_size=1, max_size=2).map(lambda v: [v]),
-    st.sampled_from([float("nan"), float("inf"), -float("inf")]))
-#: no valid family, scheme, forcing kind, block or profile name uses only these letters
-_NOT_A_NAME = st.one_of(
-    st.text(alphabet="xyz?", max_size=4), st.none(), st.booleans(), st.integers(),
-    st.floats(), st.lists(st.integers(), max_size=2), st.just({}))
-_NOT_AN_OBJECT = st.one_of(st.text(max_size=4), st.none(), st.booleans(), st.integers(),
-                           st.floats(), st.lists(st.integers(), max_size=2))
-_NOT_A_CELL_COUNT = st.one_of(st.integers(max_value=1), st.floats(), st.text(max_size=3),
-                              st.booleans(), st.none())
-
-MALFORMED_CONFIGS = st.one_of(
-    st.builds(_replaced, st.sampled_from(_NUMBER_LEAVES), _NOT_A_NUMBER),
-    st.builds(_replaced, st.sampled_from(_POSITIVE_LEAVES), st.floats(max_value=0.0)),
-    st.builds(_replaced, st.sampled_from(_NAME_LEAVES), _NOT_A_NAME),
-    st.builds(_replaced, st.just(("grid", "n_cells")), _NOT_A_CELL_COUNT),
-    st.builds(_replaced, st.sampled_from(_OBJECTS), _NOT_AN_OBJECT),
-    st.builds(_replaced, st.just(("output",)), _NOT_AN_OBJECT.filter(
-        lambda v: v is not None and not isinstance(v, str))),
-    st.builds(_deleted, st.sampled_from(_LEAVES + _OBJECTS)),
-    st.builds(_with_unknown_key, st.sampled_from([()] + _OBJECTS),
-              st.text(alphabet="xyz", min_size=1, max_size=3)),
-    _NOT_AN_OBJECT,
-)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(payload=MALFORMED_CONFIGS)
-def test_malformed_config_exits_one_with_error_line(payload):
-    with tempfile.TemporaryDirectory() as tmp:
-        config_path = Path(tmp) / "run.json"
-        config_path.write_text(json.dumps(payload))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            status = main(["simulate", "--config", str(config_path),
-                           "--out", str(Path(tmp) / "out")])
-    assert status == 1
-    assert err.getvalue().startswith("error: ")
 
 
 def test_cli_import_leaves_integrate_and_interpolate_unloaded():

@@ -12,6 +12,7 @@ from thermoevo import (
     assemble_material_law,
     canonical_spec,
     eval_rational,
+    rational,
     realize_state_space,
     validate_realization,
 )
@@ -245,6 +246,21 @@ class TestBatchedTransferCheck:
         assert np.array_equal(feedthrough.transfer(freqs), np.full((7, 1, 1), 0.25 + 0j))
 
 
+    def test_transfer_solve_reads_alike_on_numpy_1_and_2(self, monkeypatch):
+        # numpy 1.x reads a right-hand side one dimension short of the
+        # matrix stack as a stack of vectors, numpy 2 as one matrix
+        solve = np.linalg.solve
+
+        def unambiguous(a, b):
+            assert np.ndim(b) == 1 or np.ndim(b) != np.ndim(a) - 1
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", unambiguous)
+        real = realize_state_space(scalar_rational([0.3, 1.0, 0.2], [1.0, 0.8, 0.15]))
+        assert real.transfer(1j * np.logspace(-2, 2, 7) + 0.17).shape == (7, 1, 1)
+        assert real.transfer(0.5).shape == (1, 1)
+
+
 class TestRealizationMemo:
     def test_equal_laws_share_one_read_only_realization(self):
         r = scalar_rational([0.5, 1.0], [0.37, 1.0])
@@ -254,6 +270,15 @@ class TestRealizationMemo:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+
+    def test_memo_drops_the_oldest_past_its_size(self, monkeypatch):
+        monkeypatch.setattr(rational, "REALIZATION_MEMO_SIZE", 2)
+        monkeypatch.setattr(rational, "_REALIZATIONS", {})
+        laws = [scalar_rational([1.0], [1.0, lag]) for lag in (0.1, 0.2, 0.3)]
+        first = [realize_state_space(r) for r in laws]
+        assert realize_state_space(laws[2]) is first[2]
+        assert realize_state_space(laws[0]) is not first[0]
+        assert len(rational._REALIZATIONS) == 2
 
     def test_key_tells_complex_from_real_coefficients(self):
         # 1/(2 + 3z) and 1/(2 + 3j) hold the same bytes in their denominators
