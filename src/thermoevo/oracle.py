@@ -5,10 +5,11 @@ known in closed form (discrete sine modes, see ``mode_decomposition``);
 for laws whose instantaneous block does not couple unknowns across the two
 staggered location sets (no thermoelastic coupling, no flux-temperature
 coupling), the semidiscrete system splits into one small dense system per
-mode.  The forcing is interpolated in time by a cubic spline, and each mode
-takes one exponential step per marching step that integrates that cubic
-exactly (phi-function weights on the spline's polynomial coefficients), so
-the reference is exact in time up to round-off for its interpolant while
+mode.  The forcing is interpolated in time by the not-a-knot cubic spline,
+built in this module with one ``solve_banded`` call, and each mode takes one
+exponential step per marching step that integrates that cubic exactly
+(phi-function weights on the spline's polynomial coefficients), so the
+reference is exact in time up to round-off for its interpolant while
 sharing the spatial discretization exactly.  Index-1 algebraic rows
 (degenerate instantaneous block) are eliminated through the eigenbasis
 before integration.
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve, solve_banded
 
 from ._integrators import phi_matrices
 from .errors import InputError, OracleRejectionError
@@ -62,8 +64,12 @@ def _uniform_cell(problem: EvolutionProblem):
 
 def build_mode_systems(problem: EvolutionProblem) -> list:
     """Assemble the dense DAE for each discrete mode of the difference matrix."""
+    return _mode_systems(problem, mode_decomposition(problem.op)[0])
+
+
+def _mode_systems(problem: EvolutionProblem, s: np.ndarray) -> list:
+    """:func:`build_mode_systems` on the given wavenumbers ``s``."""
     cell = _uniform_cell(problem)
-    s, _, _, _ = mode_decomposition(problem.op)
     m0 = cell.mass().real
     r1 = realize_state_space(cell.theta_damping)
     r2 = realize_state_space(cell.flux_resistance)
@@ -98,19 +104,57 @@ def build_mode_systems(problem: EvolutionProblem) -> list:
     return systems
 
 
+def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients ``(4, n - 1, m)`` of the not-a-knot cubic spline through
+    the rows of ``y`` (shape ``(n, m)``) at the increasing nodes ``x``.
+
+    ``c[3 - j, i]`` is the ``(x - x[i])**j`` coefficient on interval ``i``
+    (de Boor, *A Practical Guide to Splines*).  The node slopes solve one
+    tridiagonal system; the arithmetic follows SciPy's ``CubicSpline``
+    operation for operation, so ``c`` equals ``CubicSpline(x, y).c`` bitwise.
+    """
+    n = x.size
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    if n == 2:  # a straight line
+        s = np.concatenate((slope, slope))
+    elif n == 3:  # both end conditions coincide: the parabola through the nodes
+        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.stack((2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]), 2 * slope[1]))
+        s = solve(a, b, overwrite_a=True, overwrite_b=True, check_finite=False)
+    else:
+        ab = np.zeros((3, n))  # banded: upper, main and lower diagonals
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[0, 2:] = dx[:-1]
+        ab[-1, :-2] = dx[1:]
+        b = np.empty_like(y)
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        d = x[2] - x[0]
+        ab[1, 0], ab[0, 1] = dx[1], d
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        ab[1, -1], ab[-1, -2] = dx[-2], d
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
 def spectral_solve(problem: EvolutionProblem) -> Trajectory:
     """Reference trajectory by per-mode exponential integration.
 
     The forcing must live in the v and theta blocks only (the canonical
-    right-hand side shape); its per-mode coefficients are interpolated by a
-    cubic spline in time, which every step integrates exactly.  Algebraic
-    unknowns (kernel of the instantaneous block) are eliminated exactly and
-    recovered after the march.
+    right-hand side shape); its per-mode coefficients are interpolated in
+    time by the not-a-knot cubic spline (one ``solve_banded`` call, see
+    :func:`_not_a_knot_coefficients`), which every step integrates exactly.
+    Algebraic unknowns (kernel of the instantaneous block) are eliminated
+    exactly and recovered after the march.
     """
-    from scipy.interpolate import CubicSpline  # only the oracle needs it
-
-    systems = build_mode_systems(problem)
     op = problem.op
+    wavenumbers, node_vecs, face_vecs, _ = mode_decomposition(op)
+    systems = _mode_systems(problem, wavenumbers)
     slices = op.block_slices()
     f_all = problem.forcing.samples
     if np.any(f_all[:, slices[1]] != 0.0) or np.any(f_all[:, slices[3]] != 0.0):
@@ -118,7 +162,6 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
             "spectral reference supports forcing in the v and theta blocks only"
         )
 
-    _, node_vecs, face_vecs, _ = mode_decomposition(op)
     p1, p2 = systems[0].aux_sizes
     d = 4 + p1 + p2
 
@@ -195,7 +238,7 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
     coeffs = np.zeros((t.size, n_modes, 4))
     coeffs[:, :, 0] = f_v_full[:, active]
     coeffs[:, :, 2] = f_th_full[:, active]
-    spline = CubicSpline(t, coeffs.reshape(t.size, -1), axis=0)
+    spline_c = _not_a_knot_coefficients(t, coeffs.reshape(t.size, -1))
 
     v4 = t_full[:4, :4]
 
@@ -212,9 +255,9 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
         return m_red_inv * g_r
 
     n_t = t.size
-    # spline.c[3 - j] holds every interval's tau^j coefficient; the forcing
+    # spline_c[3 - j] holds every interval's tau^j coefficient; the forcing
     # reduction is linear, so it maps the coefficients directly
-    poly = reduced_forcing(spline.c[::-1].reshape(4, n_t - 1, n_modes, 4))
+    poly = reduced_forcing(spline_c[::-1].reshape(4, n_t - 1, n_modes, 4))
     drive = np.einsum("mjil,jkml->kmi", g_weights, poly)
     w_coarse = np.zeros((n_t, n_modes, n_red))
     for k in range(n_t - 1):

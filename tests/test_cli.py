@@ -322,12 +322,40 @@ def test_config_hole_exits_one_with_error_line(case, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_import_leaves_integrate_and_interpolate_unloaded():
+def package_env():
+    """Environment for a child interpreter that imports this checkout's package."""
     src = str(Path(thermoevo.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_cli_import_leaves_integrate_and_interpolate_unloaded():
     code = ("import sys, thermoevo.cli; "
             "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_verify_run_leaves_interpolate_unloaded(tmp_path):
+    # the oracle builds its forcing spline in-module, so a whole verify run
+    # (oracle comparison included) never loads scipy.interpolate
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({
+        "model": {"family": "dpl_i", "coefficients": {
+            "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "kappa": 1.0,
+            "n1": 0.5, "n2": 0.25}},
+        "grid": {"L": 1.0, "n_cells": 8},
+        "time": {"t_max": 0.0625, "dt": 2**-8, "rho": 1.0, "scheme": "trapezoidal"},
+        "forcing": {"kind": "delayed_step", "delay": 2**-5, "block": "f",
+                    "spatial_profile": "bump"},
+    }))
+    out = tmp_path / "out"
+    code = ("import sys, thermoevo.cli; "
+            f"code = thermoevo.cli.main(['verify', '--config', {str(config_path)!r}, "
+            f"'--out', {str(out)!r}]); "
+            "print(code, 'scipy.interpolate' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split()[-2:] == ["0", "False"]
+    assert json.loads((out / "verify.json").read_text())["comparison"]["status"] == "ok"

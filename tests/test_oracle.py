@@ -24,7 +24,8 @@ from thermoevo import (
 )
 from thermoevo.errors import OracleRejectionError
 from thermoevo.forcing import spatial_profile
-from thermoevo.oracle import build_mode_systems
+from thermoevo import oracle
+from thermoevo.oracle import _not_a_knot_coefficients, build_mode_systems
 
 
 def mode_problem(law, n_cells=16, dt=2**-9, t_max=0.5, profile="mode_1",
@@ -116,6 +117,15 @@ class TestRejections:
             spectral_solve(bad)
 
 
+class TestSpline:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 257])
+    @pytest.mark.parametrize("dt", [2**-10, 0.1])
+    def test_coefficients_equal_cubic_spline(self, n, dt):
+        x = dt * np.arange(n)
+        y = np.random.default_rng(n).standard_normal((n, 6))
+        assert np.array_equal(_not_a_knot_coefficients(x, y), CubicSpline(x, y, axis=0).c)
+
+
 class TestModeSystems:
     def test_structure(self):
         law = uncoupled_law(ModelFamily.DPL_I)
@@ -144,6 +154,17 @@ class TestModeSystems:
         energy = np.sum(theta_modes**2, axis=0)
         others = np.delete(energy, 2)
         assert np.max(others) <= 1e-12 * energy[2]
+
+    def test_one_mode_decomposition_per_solve(self, monkeypatch):
+        calls = []
+
+        def counting(op):
+            calls.append(op)
+            return mode_decomposition(op)
+
+        monkeypatch.setattr(oracle, "mode_decomposition", counting)
+        spectral_solve(mode_problem(uncoupled_law(ModelFamily.DPL_I), n_cells=8))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("substeps", [64, 128])
     def test_matches_simpson_substep_march(self, substeps):
