@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import _json
-from .errors import ConfigError, OracleRejectionError, ThermoevoError
+from .errors import (
+    ConfigError,
+    InputError,
+    OracleRejectionError,
+    PoleProximityError,
+    ThermoevoError,
+)
 from .evolution import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
@@ -330,19 +336,23 @@ def _verify(config, law, problem, report, trajectory, written, stream) -> int:
 
     bound = {"status": "skipped", "reason": ""}
     if report.verdict == "satisfied" and problem.rho >= report.rho_min:
-        check = solution_bound_check(problem, report, trajectory)
-        bound = {
-            "status": "ok" if check.window_ok else "window_too_short",
-            "lhs": check.lhs,
-            "rhs": check.rhs,
-            "c_used": check.c_used,
-            "tail_ratio": check.tail_ratio,
-        }
-        if check.window_ok and check.lhs > check.rhs * (1.0 + tol["bound_slack"]):
-            failures.append(
-                f"a_priori_bound lhs {check.lhs:.6e} > rhs {check.rhs:.6e} "
-                f"(slack {tol['bound_slack']})"
-            )
+        try:
+            check = solution_bound_check(problem, report, trajectory)
+        except (InputError, PoleProximityError) as exc:
+            bound["reason"] = str(exc)
+        else:
+            bound = {
+                "status": "ok" if check.window_ok else "window_too_short",
+                "lhs": check.lhs,
+                "rhs": check.rhs,
+                "c_used": check.c_used,
+                "tail_ratio": check.tail_ratio,
+            }
+            if check.window_ok and check.lhs > check.rhs * (1.0 + tol["bound_slack"]):
+                failures.append(
+                    f"a_priori_bound lhs {check.lhs:.6e} > rhs {check.rhs:.6e} "
+                    f"(slack {tol['bound_slack']})"
+                )
     else:
         bound["reason"] = "verdict not satisfied or rho below rho_min"
 

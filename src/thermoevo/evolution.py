@@ -472,10 +472,12 @@ def solution_bound_check(
 ) -> BoundCheckResult:
     """A-priori bound check: solution norm against forcing norm over c.
 
-    The constant is the sampled boundary minimum of the Hermitian part of
-    the weighted symbol at the run weight, the quantity the solution theory
-    inverts.  The weighted tail of the solution at the window end is
-    reported so short windows are flagged rather than silently accepted.
+    The constant is the infimum of the Hermitian part of the weighted
+    symbol over Re s >= rho, taken on the line Re s = rho at the run weight
+    (:func:`~thermoevo.wellposed.check_symbol_boundary`), the quantity the
+    solution theory inverts.  The weighted tail of the solution at the
+    window end is reported so short windows are flagged rather than
+    silently accepted.
     """
     if report.verdict != "satisfied":
         raise InputError("bound check requires a satisfied well-posedness verdict")
@@ -486,7 +488,9 @@ def solution_bound_check(
     trajectory = _trajectory_of(problem, trajectory)
     c_used, _ = check_symbol_boundary(problem.law, problem.rho)
     if c_used <= 0:
-        raise InputError("sampled positivity constant is not positive")
+        raise InputError(
+            f"positivity constant on Re s = {problem.rho:g} is not positive ({c_used:.6g})"
+        )
 
     h = problem.op.grid.h
     lhs = trajectory.space_time_norm()

@@ -299,8 +299,9 @@ class MaterialLaw:
 
     @cached_property
     def boundary_minima(self) -> dict:
-        """Sampled symbol-boundary minima of this law by sampling arguments,
-        filled by :func:`thermoevo.wellposed.check_symbol_boundary`."""
+        """Symbol minima on the boundary line of this law by
+        ``(rho0, n_samples)``, filled by
+        :func:`thermoevo.wellposed.check_symbol_boundary`."""
         return {}
 
     def is_uniform(self) -> bool:

@@ -5,11 +5,14 @@ Three layers of checking, from cheap to thorough:
 * :func:`check_condition_rho` evaluates the Hermitian matrix
   ``rho * M(0) + Re M'(0)`` cellwise and reports its smallest eigenvalue,
   the rational-law simplification of the positivity condition.
-* :func:`check_symbol_boundary` samples ``Re z^{-1} M(z)`` over the
-  admissibility ball boundary region (a sampling certificate, not a proof).
+* :func:`check_symbol_boundary` samples ``Re z^{-1} M(z)`` on the
+  boundary line ``Re 1/z = rho0`` of the admissibility ball, where the
+  maximum principle puts its infimum over the ball once poles and an
+  indefinite ``M(0)`` are ruled out (a sampling of the line, not a proof).
 * :func:`certify_wellposedness` runs the structural range/kernel conditions
   that guarantee a causal bounded inverse and combines everything into a
-  :class:`WellPosednessReport`.
+  :class:`WellPosednessReport`; its weight search stays strictly above the
+  law's poles in ``s = 1/z``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from . import _json
 from .errors import InputError, UnreachableTargetError
 from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, classify
-from .rational import RationalMatrixFunction, eval_rational
+from .rational import RationalMatrixFunction, _poles_in_s, eval_rational
 
 __all__ = [
     "Witness",
@@ -104,60 +107,79 @@ def check_condition_rho(law: MaterialLaw, rho: float) -> tuple:
     return best.eigenvalue, best
 
 
-def check_symbol_boundary(
-    symbol,
-    rho0: float,
-    n_samples: int = 257,
-    n_shells: int = 8,
-) -> tuple:
-    """Sampled minimum of the Hermitian part of z^{-1} M(z) near the ball.
+def check_symbol_boundary(symbol, rho0: float, n_samples: int = 257) -> tuple:
+    """Minimum of the Hermitian part of z^{-1} M(z) on the ball, from its
+    boundary line.
 
     ``symbol`` may be a :class:`MaterialLaw` (checked cellwise), a single
-    rational function, or a sequence of them.  Samples z = 1/(i t + rho)
-    for rho on shells ``rho0 * (1 + 2^{-j})`` and t on a symmetric
-    log-spaced grid (plus t = 0).  Returns ``(min_eigenvalue, worst_z)``.
-    This is a sampling certificate, not a proof over the full ball.
-    The result for a :class:`MaterialLaw` is kept on the law by the
-    sampling arguments, so a repeated call evaluates nothing again.
+    rational function, or a sequence of them.  With s = 1/z the ball is the
+    half-plane Re s >= rho0.  Where every symbol is analytic there and
+    Herm M(0) is positive semidefinite, the infimum over the half-plane lies
+    on the line Re s = rho0 (maximum principle), so only 1/z = rho0 + i t is
+    sampled, t on a symmetric log-spaced grid plus t = 0.  A symbol that
+    fails either condition is unbounded below: a pole p with Re p >= rho0
+    gives ``(-inf, 1/p)``, an indefinite Herm M(0) gives ``(-inf, 0j)``.
+    Returns ``(min_eigenvalue, worst_z)``, the first occurrence in symbol
+    and then t order; a sampling of the line, not a proof.  The result for a
+    :class:`MaterialLaw` is kept on the law by the sampling arguments, so a
+    repeated call evaluates nothing again.
     """
     if rho0 <= 0:
         raise InputError("rho0 must be positive")
-    settings = (float(rho0), n_samples, n_shells)
+    settings = (float(rho0), n_samples)
     if isinstance(symbol, MaterialLaw):
         found = symbol.boundary_minima
         if settings not in found:
-            found[settings] = _sampled_minimum(
+            found[settings] = _line_minimum(
                 [cell.symbol() for cell in symbol.cells], *settings)
         return found[settings]
     if isinstance(symbol, RationalMatrixFunction):
         symbol = [symbol]
-    return _sampled_minimum(symbol, *settings)
+    return _line_minimum(symbol, *settings)
 
 
-def _sampled_minimum(symbols, rho0: float, n_samples: int, n_shells: int) -> tuple:
-    """Smallest of the symbols' sampled minima, at its first symbol."""
-    z_inv = _boundary_samples(rho0, n_samples, n_shells)
+def _line_minimum(symbols, rho0: float, n_samples: int) -> tuple:
+    """Smallest of the symbols' line minima, at its first symbol."""
+    z_inv = _boundary_samples(rho0, n_samples)
     min_eig = np.inf
     worst_z = None
     for sym in symbols:
-        found = _symbol_minimum(sym, z_inv)
+        found = _unbounded_witness(sym, rho0) or _symbol_minimum(sym, z_inv)
         if found[0] < min_eig:
             min_eig, worst_z = found
+            if min_eig == -np.inf:
+                break
     return min_eig, worst_z
 
 
-def _boundary_samples(rho0: float, n_samples: int, n_shells: int) -> np.ndarray:
-    """Sample points 1/z = i t + rho, one row per shell rho."""
+def _unbounded_witness(sym: RationalMatrixFunction, rho0: float):
+    """``(-inf, z)`` when the line does not bound ``sym`` from below on
+    Re s >= rho0: a pole there, or Herm M(0) not positive semidefinite."""
+    for pole in _poles_in_s(sym):
+        if pole.real >= rho0:
+            return -np.inf, complex(1.0 / pole)
+    eigvals = np.linalg.eigvalsh(_herm(sym.at_zero()))
+    scale = max(float(np.max(np.abs(eigvals))), 1e-300)
+    if eigvals[0] < -SPECTRAL_CUTOFF * scale:
+        return -np.inf, 0j
+    return None
+
+
+def _boundary_samples(rho0: float, n_samples: int) -> np.ndarray:
+    """Sample points 1/z = rho0 + i t on the boundary line."""
     half = max((n_samples - 1) // 2, 1)
     t_pos = rho0 * np.logspace(-3, 6, half)
     t_grid = np.concatenate([[0.0], t_pos, -t_pos])
-    shells = rho0 * (1.0 + 2.0 ** (-np.arange(n_shells, dtype=float)))
-    return 1j * t_grid + shells[:, None]
+    return 1j * t_grid + rho0
 
 
 def _symbol_minimum(sym: RationalMatrixFunction, z_inv: np.ndarray) -> tuple:
     """Smallest eigenvalue of the Hermitian part of z^{-1} M(z) over all
-    samples, at its first occurrence in shell-major order, with its z."""
+    samples, at its first occurrence, with its z."""
+    if sym.is_real:
+        # M(conj z) = conj M(z): the samples at -t, which follow those at
+        # t, repeat their eigenvalues
+        z_inv = z_inv[:(z_inv.size + 1) // 2]
     z = 1.0 / z_inv
     mats = eval_rational(sym, z)
     # z_inv * mats in place, in that operand order: numpy's complex product
@@ -168,13 +190,22 @@ def _symbol_minimum(sym: RationalMatrixFunction, z_inv: np.ndarray) -> tuple:
     herm *= 0.5
     lowest = np.linalg.eigvalsh(herm)[..., 0]
     k = int(np.argmin(lowest))
-    return float(lowest.flat[k]), complex(z.flat[k])
+    return float(lowest[k]), complex(z[k])
 
 
 def _rho_grid() -> np.ndarray:
     lo, hi = RHO_RANGE
     decades = np.log10(hi) - np.log10(lo)
     return np.geomspace(lo, hi, int(decades * RHO_GRID_PER_DECADE) + 1)
+
+
+def _pole_floor(law: MaterialLaw) -> float:
+    """Largest real part of a pole in s of any cell's ``theta_damping`` or
+    ``flux_resistance``; the law is analytic only for Re s above it, so an
+    admissible weight rho lies strictly above.  -inf without poles."""
+    return max((float(p.real) for cell in law.cells
+                for r in (cell.theta_damping, cell.flux_resistance)
+                for p in _poles_in_s(r)), default=-np.inf)
 
 
 def certify_wellposedness(law: MaterialLaw) -> WellPosednessReport:
@@ -256,7 +287,8 @@ def certify_wellposedness(law: MaterialLaw) -> WellPosednessReport:
 
     rho_min = float("inf")
     c_estimate = 0.0
-    for rho in _rho_grid():
+    grid = _rho_grid()
+    for rho in grid[grid > _pole_floor(law)]:
         min_eig, _ = check_condition_rho(law, rho)
         if min_eig > 0.0:
             rho_min = float(rho)
@@ -276,22 +308,25 @@ def certify_wellposedness(law: MaterialLaw) -> WellPosednessReport:
 def find_min_rho(law: MaterialLaw, c_target: float, tol: float = 1e-6) -> float:
     """Smallest rho with min eig of rho*M(0) + Re M'(0) >= c_target.
 
-    Bisection over the standard search range; valid because the minimum
+    Bisection over the standard search range, strictly above the largest
+    real part of the law's poles in s; valid because the minimum
     eigenvalue is nondecreasing in rho whenever M(0) is positive
     semidefinite (the satisfied-verdict situation).
     """
     if c_target <= 0:
         raise InputError("c_target must be positive")
-    lo, hi = RHO_RANGE
+    floor = _pole_floor(law)
+    lo, hi = max(RHO_RANGE[0], floor), RHO_RANGE[1]
 
     def gap(rho):
         return check_condition_rho(law, rho)[0] - c_target
 
-    if gap(hi) < 0:
+    if hi <= floor or gap(hi) < 0:
         raise UnreachableTargetError(
-            f"positivity constant {c_target} not attainable for rho <= {hi:g}"
+            f"positivity constant {c_target} not attainable for "
+            f"{max(floor, 0.0):g} < rho <= {hi:g}"
         )
-    if gap(lo) >= 0:
+    if lo > floor and gap(lo) >= 0:
         return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -1,7 +1,7 @@
 """Shared fixtures: the standard probe pulse, catalog law builders, and the
 former one-point-at-a-time versions of batched computations (the Simpson
-exponential step, the per-frequency realization check and the per-shell
-symbol sampling), kept as references."""
+exponential step, the per-frequency realization check and the per-point
+symbol sampling on the boundary line), kept as references."""
 
 from __future__ import annotations
 
@@ -127,23 +127,43 @@ def transfer_mismatch_per_frequency(r, real):
     return worst, scale
 
 
-def symbol_boundary_per_shell(symbols, rho0, n_samples=257, n_shells=8):
-    """(min_eigenvalue, worst_z) of the symbol sampling, one shell at a time."""
+def symbol_boundary_per_point(symbols, rho0, n_samples=257):
+    """(min_eigenvalue, worst_z) of the symbol sampling on the line
+    Re 1/z = rho0, one point at a time, after the same guards: a pole p
+    with Re p >= rho0 gives (-inf, 1/p), an indefinite Herm M(0) (-inf, 0j)."""
     half = max((n_samples - 1) // 2, 1)
     t_pos = rho0 * np.logspace(-3, 6, half)
     t_grid = np.concatenate([[0.0], t_pos, -t_pos])
-    shells = rho0 * (1.0 + 2.0 ** (-np.arange(n_shells, dtype=float)))
+    z_inv = 1j * t_grid + rho0
+    z = 1.0 / z_inv
     min_eig = np.inf
     worst_z = None
     for sym in symbols:
-        for rho in shells:
-            z_inv = 1j * t_grid + rho
-            z = 1.0 / z_inv
-            mats = z_inv[:, None, None] * horner_per_point(sym, z)
-            herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
-            eigs = np.linalg.eigvalsh(herm)
-            k = int(np.argmin(eigs[:, 0]))
-            if eigs[k, 0] < min_eig:
-                min_eig = float(eigs[k, 0])
+        poles = [p for p in _poles_in_s(sym) if p.real >= rho0]
+        if poles:
+            return -np.inf, complex(1.0 / poles[0])
+        m0 = sym.at_zero()
+        eigs = np.linalg.eigvalsh(0.5 * (m0 + m0.conj().T))
+        if eigs[0] < -1e-10 * max(np.max(np.abs(eigs)), 1e-300):
+            return -np.inf, 0j
+        for k in range(t_grid.size):
+            mat = z_inv[k] * horner_per_point(sym, z[k])
+            lowest = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0]
+            if lowest < min_eig:
+                min_eig = float(lowest)
                 worst_z = complex(z[k])
     return min_eig, worst_z
+
+
+def dense_line_minimum(symbols, rho0, n_points=20001):
+    """Smallest eigenvalue of the Hermitian part of z^{-1} M(z) over
+    ``n_points`` points of the line Re 1/z = rho0, t over eleven decades."""
+    half = (n_points - 1) // 2
+    t_pos = rho0 * np.logspace(-4, 7, half)
+    z_inv = 1j * np.concatenate([[0.0], t_pos, -t_pos]) + rho0
+    lowest = np.inf
+    for sym in symbols:
+        mats = z_inv[:, None, None] * horner_per_point(sym, 1.0 / z_inv)
+        herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
+        lowest = min(lowest, float(np.min(np.linalg.eigvalsh(herm)[:, 0])))
+    return lowest

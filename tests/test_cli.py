@@ -228,6 +228,23 @@ class TestVerifyMode:
         assert report["bound_check"]["status"] in ("ok", "window_too_short")
         assert report["failures"] == []
 
+    def test_inapplicable_bound_check_skipped(self, tmp_path):
+        # Re a2 turns negative on the line Re s = rho (a2(z) = (1 - 2z) /
+        # (1 + z/2) is -2/3 at z = 1) although a2(0) = 1 certifies the law
+        payload = sim_payload(
+            model={"family": "custom", "coefficients": {
+                "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0,
+                "a2": {"num": [1.0, -2.0], "den": [1.0, 0.5]}}},
+            grid={"L": 1.0, "n_cells": 8},
+            time={"t_max": 0.25, "dt": 2**-7, "rho": 1.0, "scheme": "trapezoidal"})
+        payload["forcing"]["width"] = 0.05
+        config = RunConfig.from_dict(payload, "verify", out_dir=tmp_path)
+        assert run(config, io.StringIO()) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["bound_check"]["status"] == "skipped"
+        assert "not positive" in report["bound_check"]["reason"]
+        assert report["failures"] == []
+
 
 class TestMain:
     def test_end_to_end_check(self, tmp_path, capsys):

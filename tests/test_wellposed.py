@@ -6,9 +6,10 @@ import pytest
 from conftest import (
     ALL_FAMILIES,
     NEGATED_COEFFS,
+    dense_line_minimum,
     negated_law,
     spec_with,
-    symbol_boundary_per_shell,
+    symbol_boundary_per_point,
 )
 from thermoevo import (
     EvolutionProblem,
@@ -117,22 +118,22 @@ class TestBatchedSymbolBoundary:
     @pytest.mark.parametrize("rho0", [0.3, 1.0, 4.0])
     def test_bitwise_equal_to_per_shell_loop(self, name, rho0):
         law = assemble_material_law(self.LAWS[name])
-        want = symbol_boundary_per_shell([cell.symbol() for cell in law.cells], rho0)
+        want = symbol_boundary_per_point([cell.symbol() for cell in law.cells], rho0)
         got = check_symbol_boundary(law, rho0)
         assert got == want
         assert np.signbit(got[0]) == np.signbit(want[0])
 
     def test_ties_resolve_to_first_sample(self):
-        # every sample of a shell ties for the identity: the witness is the
-        # first one (t = 0) of the innermost shell
+        # every sample of the line ties for the identity: the witness is the
+        # first one, t = 0
         identity = RationalMatrixFunction.identity(2)
-        want = symbol_boundary_per_shell([identity], 2.0)
+        want = symbol_boundary_per_point([identity], 2.0)
         assert check_symbol_boundary(identity, 2.0) == want
-        assert want[1] == 1.0 / (2.0 * (1.0 + 2.0 ** -7))
+        assert want[1] == 1.0 / 2.0
 
     def test_negated_law_same_witness(self):
         law = negated_law(ModelFamily.DPL_I)
-        want = symbol_boundary_per_shell([cell.symbol() for cell in law.cells], 1.0)
+        want = symbol_boundary_per_point([cell.symbol() for cell in law.cells], 1.0)
         assert check_symbol_boundary(law, 1.0) == want
         assert want[0] < 0.0
 
@@ -157,6 +158,50 @@ class TestBatchedSymbolBoundary:
         second = solution_bound_check(problem, report, solve(problem))
         assert calls == []
         assert second.c_used == first.c_used
+
+
+def pole_at_two():
+    """Custom law whose flux resistance 1 / (1 - 2z) has its pole at s = 2."""
+    return assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
+        "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0,
+        "a2": RationalMatrixFunction((np.eye(1),), np.array([1.0, -2.0]))}))
+
+
+class TestLineConstant:
+    LAWS = TestBatchedSymbolBoundary.LAWS
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("rho0", [0.3, 1.0, 4.0])
+    def test_matches_dense_line(self, name, rho0):
+        law = assemble_material_law(self.LAWS[name])
+        want = dense_line_minimum([cell.symbol() for cell in law.cells], rho0)
+        got, _ = check_symbol_boundary(law, rho0)
+        assert abs(got - want) <= 1e-6 * abs(want)
+
+    def test_complex_symbol_sampled_on_both_half_lines(self):
+        # complex coefficients break the conjugate symmetry of the line: this
+        # minimum lies at t < 0, i.e. Im z > 0
+        sym = RationalMatrixFunction((np.eye(2), np.array([[0.0, -0.5j], [-0.5j, -1.0j]])),
+                                     np.array([1.0, 0.5]))
+        want = symbol_boundary_per_point([sym], 1.0)
+        assert check_symbol_boundary(sym, 1.0) == want
+        assert want[1].imag > 0.0
+
+    def test_cached_by_weight_and_sample_count(self):
+        law = assemble_material_law(canonical_spec(ModelFamily.DPL_I))
+        check_symbol_boundary(law, 1)
+        assert list(law.boundary_minima) == [(1.0, 257)]
+
+    def test_pole_inside_half_plane_unbounded(self):
+        law = pole_at_two()
+        assert check_symbol_boundary(law, 1.0) == (-np.inf, 0.5 + 0j)
+        assert check_symbol_boundary(law, 2.0)[0] == -np.inf
+        min_eig, _ = check_symbol_boundary(law, 3.0)
+        assert np.isfinite(min_eig) and min_eig > 0.0
+
+    def test_indefinite_value_at_zero_unbounded(self):
+        negated = RationalMatrixFunction.identity(2).scaled(-1.0)
+        assert check_symbol_boundary(negated, 1.0) == (-np.inf, 0j)
 
 
 class TestCertification:
@@ -230,6 +275,13 @@ class TestCertification:
         witness = payload["witnesses"][0]
         assert list(witness) == ["cell", "eigenvalue", "eigenvector"]
 
+    def test_rho_min_above_poles(self):
+        # the law is analytic only for Re s > 2: the search starts above it
+        report = certify_wellposedness(pole_at_two())
+        assert report.verdict == "satisfied"
+        grid = wellposed._rho_grid()
+        assert report.rho_min == grid[grid > 2.0][0]
+
     def test_verdict_fields_consistent(self):
         report = certify_wellposedness(unit_classical(gamma=0.5))
         assert report.verdict == "satisfied"
@@ -244,6 +296,10 @@ class TestFindMinRho:
     def test_unreachable_target(self):
         with pytest.raises(UnreachableTargetError):
             find_min_rho(unit_classical(), 2.0)
+
+    def test_stays_above_poles(self):
+        rho = find_min_rho(pole_at_two(), 0.5)
+        assert 2.0 < rho <= 2.0 + 1e-6
 
     def test_doubling_mass_halves_threshold(self):
         doubled = assemble_material_law(ModelSpec(ModelFamily.CLASSICAL, {
