@@ -137,14 +137,13 @@ class EvolutionProblem:
         sl = op.block_slices()
         avg = op.node_to_face.tocoo()
 
-        lmat = sp.lil_matrix((n, n))
-        lmat.setdiag(1.0)
         gamma_f = self.face_coeffs["coupling"]
         zeta_f = self.face_coeffs["flux_coupling"]
-        for r, c, v in zip(avg.row, avg.col, avg.data):
-            lmat[sl[1].start + r, sl[2].start + c] = gamma_f[r] * v
-            lmat[sl[3].start + r, sl[2].start + c] = zeta_f[r] * v
-        lmat = lmat.tocsr()
+        rows = np.concatenate([np.arange(n), sl[1].start + avg.row, sl[3].start + avg.row])
+        cols = np.concatenate([np.arange(n), sl[2].start + avg.col, sl[2].start + avg.col])
+        vals = np.concatenate([np.ones(n), gamma_f[avg.row] * avg.data,
+                               zeta_f[avg.row] * avg.data])
+        lmat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
         diag = np.concatenate([
             self.node_coeffs["rho0"],
@@ -161,32 +160,21 @@ class EvolutionProblem:
         """Feedthrough diagonal and aux chains for the zero-order block."""
         op = self.op
         sl = op.block_slices()
-        feed = np.zeros(op.n_dof)
-        poles, g_in, g_out, owner = [], [], [], []
-        # (owner dof, law): flux resistance per face, then temperature damping per node
-        laws = [(sl[3].start + f, self.law.cell(f).flux_resistance)
-                for f in range(op.grid.n_cells)]
+        # owner dofs and laws: flux resistance per face, then temperature damping per node
+        owner = sl[3].start + np.arange(op.grid.n_cells)
+        laws = [self.law.cell(f).flux_resistance for f in range(op.grid.n_cells)]
         damping = self.law.cells[0].theta_damping
         if any(np.any(np.asarray(c) != 0) for c in damping.num):
-            laws += [(sl[2].start + node, damping) for node in range(op.grid.n_nodes)]
-        cache = {}
-        for dof, r in laws:
-            key = r.key()
-            if key not in cache:
-                cache[key] = realize_state_space(r)
-            real = cache[key]
-            feed[dof] = float(real.d[0, 0])
-            for i in range(real.n_states):
-                poles.append(real.a[i, i])
-                g_in.append(real.b[i, 0])
-                g_out.append(real.c[0, i])
-                owner.append(dof)
-
+            owner = np.concatenate([owner, sl[2].start + np.arange(op.grid.n_nodes)])
+            laws += [damping] * op.grid.n_nodes
+        reals = realize_state_space(laws)
+        feed = np.zeros(op.n_dof)
+        feed[owner] = [real.d[0, 0] for real in reals]
         chain = _AuxChain(
-            np.asarray(poles, dtype=float),
-            np.asarray(g_in, dtype=float),
-            np.asarray(g_out, dtype=float),
-            np.asarray(owner, dtype=int),
+            np.concatenate([np.diagonal(real.a) for real in reals]),
+            np.concatenate([real.b[:, 0] for real in reals]),
+            np.concatenate([real.c[0] for real in reals]),
+            np.repeat(owner, [real.n_states for real in reals]),
         )
         return feed, chain
 

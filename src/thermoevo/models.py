@@ -22,7 +22,7 @@ import numpy as np
 
 from ._integrators import exp_march_linear
 from .errors import InputError
-from .rational import RationalMatrixFunction, realize_state_space
+from .rational import RationalMatrixFunction, _stack_groups, realize_state_space
 from .signals import WeightedSignal, antiderivative
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 BLOCK_NAMES = ("v", "sigma", "theta", "q")
+
+#: the matrix coefficients of a cell law
+_BLOCKS = ("rho0", "stiffness", "coupling", "heat_capacity", "flux_coupling", "flux_inertia")
 
 #: relative spectral cutoff separating "zero" from "positive" eigenvalues
 SPECTRAL_CUTOFF = 1e-10
@@ -201,66 +204,141 @@ class CellLaw:
 
     def congruence_factors(self) -> tuple:
         """Unit-triangular factor L and diagonal core D with L* D L = mass."""
-        dv, ds, dth, dq = self.block_dims
-        n = dv + ds + dth + dq
-        sl = _block_slices(self.block_dims)
-        lmat = np.eye(n, dtype=complex)
-        lmat[sl[1], sl[2]] = self.coupling
-        lmat[sl[3], sl[2]] = self.flux_coupling
-        core = np.zeros((n, n), dtype=complex)
-        core[sl[0], sl[0]] = self.rho0
-        core[sl[1], sl[1]] = np.linalg.inv(self.stiffness)
-        core[sl[2], sl[2]] = self.heat_capacity
-        core[sl[3], sl[3]] = self.flux_inertia
-        return lmat, core
+        lmat, core = _congruence([self])
+        return lmat[0], core[0]
 
     def mass(self) -> np.ndarray:
         """Hermitian instantaneous block over (v, sigma, theta, q)."""
-        lmat, core = self.congruence_factors()
-        m = lmat.conj().T @ core @ lmat
-        m = 0.5 * (m + m.conj().T)
-        if np.max(np.abs(m.imag)) == 0.0:
-            m = m.real
-        return m
+        m = _masses([self])[0]
+        return m.real if np.max(np.abs(m.imag)) == 0.0 else m
 
     def dissipation(self) -> RationalMatrixFunction:
         """Zero-order rational block, nonzero only at (theta, theta) and (q, q)."""
-        dv, ds, dth, dq = self.block_dims
-        n = dv + ds + dth + dq
-        sl = _block_slices(self.block_dims)
-        den = np.convolve(self.theta_damping.den, self.flux_resistance.den)
-        th_num = _poly_mul(self.theta_damping.num, self.flux_resistance.den)
-        q_num = _poly_mul(self.flux_resistance.num, self.theta_damping.den)
-        deg = max(len(th_num), len(q_num))
-        dtype = np.result_type(th_num[0].dtype, q_num[0].dtype, float)
-        mats = []
-        for k in range(deg):
-            m = np.zeros((n, n), dtype=dtype)
-            if k < len(th_num):
-                m[sl[2], sl[2]] = th_num[k]
-            if k < len(q_num):
-                m[sl[3], sl[3]] = q_num[k]
-            mats.append(m)
-        return RationalMatrixFunction(tuple(mats), den)
+        nums, den = _dissipation([self])
+        return RationalMatrixFunction(tuple(m[0] for m in nums), den[0])
 
     def symbol(self) -> RationalMatrixFunction:
         """The full material symbol mass + z * dissipation(z)."""
-        return self.dissipation().times_z().plus_constant(self.mass())
+        nums, den = _dissipation([self])
+        return RationalMatrixFunction(
+            tuple(m[0] for m in _symbol_num(self.mass()[None], nums, den)), den[0])
 
 
-def _poly_mul(mats, scalars) -> list:
-    dtype = np.result_type(np.asarray(mats[0]).dtype, np.asarray(scalars).dtype, float)
-    out = [np.zeros(np.asarray(mats[0]).shape, dtype=dtype)
-           for _ in range(len(mats) + len(scalars) - 1)]
+def _stack(cells, attr: str) -> np.ndarray:
+    return np.stack([getattr(cell, attr) for cell in cells])
+
+
+def _congruence(cells) -> tuple:
+    """Stacked unit-triangular factors L and diagonal cores D of cells that
+    share block dims, L* D L = mass, both complex."""
+    sl = _block_slices(cells[0].block_dims)
+    n = sl[-1].stop
+    lmat = np.zeros((len(cells), n, n), dtype=complex)
+    lmat[:, range(n), range(n)] = 1.0
+    lmat[:, sl[1], sl[2]] = _stack(cells, "coupling")
+    lmat[:, sl[3], sl[2]] = _stack(cells, "flux_coupling")
+    core = np.zeros_like(lmat)
+    core[:, sl[0], sl[0]] = _stack(cells, "rho0")
+    core[:, sl[1], sl[1]] = np.linalg.inv(_stack(cells, "stiffness"))
+    core[:, sl[2], sl[2]] = _stack(cells, "heat_capacity")
+    core[:, sl[3], sl[3]] = _stack(cells, "flux_inertia")
+    return lmat, core
+
+
+def _masses(cells) -> np.ndarray:
+    """Stacked instantaneous blocks L* D L, Hermitian-symmetrized, complex."""
+    lmat, core = _congruence(cells)
+    m = np.conj(lmat).swapaxes(-1, -2) @ core @ lmat
+    return 0.5 * (m + np.conj(m).swapaxes(-1, -2))
+
+
+def _dissipation(cells) -> tuple:
+    """Stacked numerator coefficients and denominators of the cells'
+    zero-order blocks (cells of one rational shape and dtype)."""
+    sl = _block_slices(cells[0].block_dims)
+    n = sl[-1].stop
+    (_, th, th_den), = _stack_groups([cell.theta_damping for cell in cells])
+    (_, fl, fl_den), = _stack_groups([cell.flux_resistance for cell in cells])
+    th_num, q_num = _poly_mul(th, fl_den), _poly_mul(fl, th_den)
+    dtype = np.result_type(th_num[0].dtype, q_num[0].dtype, float)
+    mats = [np.zeros((len(cells), n, n), dtype=dtype)
+            for _ in range(max(len(th_num), len(q_num)))]
+    for block, nums in ((sl[2], th_num), (sl[3], q_num)):
+        for m, coeff in zip(mats, nums):
+            m[:, block, block] = coeff
+    return mats, np.stack([np.convolve(a, b) for a, b in zip(th_den, fl_den)])
+
+
+def _symbol_num(mass: np.ndarray, nums: list, den: np.ndarray) -> list:
+    """Stacked numerator coefficients of mass + z * dissipation(z) over the
+    dissipation's denominator."""
+    num = [np.zeros_like(nums[0])] + list(nums)
+    for k in range(den.shape[1]):
+        term = den[:, k, None, None] * mass
+        if k < len(num):
+            num[k] = num[k] + term
+        else:
+            num.append(term)
+    return num
+
+
+def _poly_mul(mats: list, scalars: np.ndarray) -> list:
+    """Stacked coefficients of a matrix polynomial (``mats[k]`` of shape
+    (G, a, b)) times a scalar one (``scalars`` of shape (G, D))."""
+    dtype = np.result_type(mats[0].dtype, scalars.dtype, float)
+    out = [np.zeros(mats[0].shape, dtype=dtype)
+           for _ in range(len(mats) + scalars.shape[1] - 1)]
     for i, m in enumerate(mats):
-        for j, c in enumerate(scalars):
-            out[i + j] = out[i + j] + c * m
+        for j in range(scalars.shape[1]):
+            out[i + j] = out[i + j] + scalars[:, j, None, None] * m
     return out
 
 
 def _block_slices(dims) -> list:
     offsets = np.concatenate([[0], np.cumsum(dims)])
     return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(len(dims))]
+
+
+@dataclass(frozen=True)
+class _CellStack:
+    """Cells of a law stacked on a leading axis, all arrays of one dtype:
+    the cells' indices in the law, their instantaneous blocks, and the
+    numerator coefficients and denominators of their zero-order blocks."""
+
+    index: np.ndarray
+    cells: tuple
+    mass: np.ndarray
+    dissipation_num: list
+    dissipation_den: np.ndarray
+
+    @cached_property
+    def dissipation_at_zero(self) -> np.ndarray:
+        return self.dissipation_num[0] / self.dissipation_den[:, :1, None]
+
+
+def _cell_stacks(cells) -> tuple:
+    """The cells grouped by block dtypes, rational shapes and the realness
+    of their instantaneous block, each group stacked, so a stacked LAPACK
+    call sees every cell at the dtype it would have alone."""
+    groups = {}
+    for i, cell in enumerate(cells):
+        shape = [getattr(cell, attr).dtype.str for attr in _BLOCKS]
+        for r in (cell.theta_damping, cell.flux_resistance):
+            shape += [r.den.size, r.den.dtype.str] + [m.dtype.str for m in r.num]
+        groups.setdefault(tuple(shape), []).append(i)
+    stacks = []
+    for index in groups.values():
+        group = [cells[i] for i in index]
+        mass = _masses(group)
+        nums, den = _dissipation(group)
+        real = np.max(np.abs(mass.imag), axis=(1, 2)) == 0.0
+        for part in (np.flatnonzero(real), np.flatnonzero(~real)):
+            if part.size:
+                stacks.append(_CellStack(
+                    np.asarray(index)[part], tuple(group[j] for j in part),
+                    mass[part].real if real[part[0]] else mass[part],
+                    [m[part] for m in nums], den[part]))
+    return tuple(stacks)
 
 
 @dataclass(frozen=True)
@@ -276,7 +354,7 @@ class MaterialLaw:
         for cell in self.cells:
             if cell.block_dims != dims:
                 raise InputError("all cells must share block dimensions")
-        object.__setattr__(self, "classification", _classify_cells(self.cells))
+        object.__setattr__(self, "classification", _classify(self.stacks))
 
     @property
     def n_cells(self) -> int:
@@ -296,6 +374,12 @@ class MaterialLaw:
 
     def cell(self, index: int) -> CellLaw:
         return self.cells[index if self.n_cells > 1 else 0]
+
+    @cached_property
+    def stacks(self) -> tuple:
+        """The cells stacked for one LAPACK call per cell group (one group
+        unless cells differ in dtypes or rational shapes)."""
+        return _cell_stacks(self.cells)
 
     @cached_property
     def boundary_minima(self) -> dict:
@@ -319,43 +403,31 @@ class MaterialLaw:
                 f"law has {self.n_cells} cells, grid needs 1 or {n}"
             )
         idx = np.zeros(n, dtype=int) if self.n_cells == 1 else np.arange(n)
-        def take(attr):
-            return np.array([float(getattr(self.cells[i], attr)[0, 0].real) for i in idx])
-        return {
-            "rho0": take("rho0"),
-            "stiffness": take("stiffness"),
-            "coupling": take("coupling"),
-            "heat_capacity": take("heat_capacity"),
-            "flux_coupling": take("flux_coupling"),
-            "flux_inertia": take("flux_inertia"),
-        }
+        return {attr: _stack(self.cells, attr)[idx, 0, 0].real.astype(float)
+                for attr in _BLOCKS}
 
 
 def _cells_equal(a: CellLaw, b: CellLaw) -> bool:
     if a.block_dims != b.block_dims or a.theta_lag != b.theta_lag:
         return False
-    for attr in ("rho0", "stiffness", "coupling", "heat_capacity",
-                 "flux_coupling", "flux_inertia"):
+    for attr in _BLOCKS:
         if not np.array_equal(getattr(a, attr), getattr(b, attr)):
             return False
     return (a.theta_damping.key() == b.theta_damping.key()
             and a.flux_resistance.key() == b.flux_resistance.key())
 
 
-def _classify_cells(cells) -> str:
-    lam_min = np.inf
-    lam_max = 0.0
-    for cell in cells:
-        eigs = np.linalg.eigvalsh(cell.mass())
-        lam_min = min(lam_min, float(eigs[0]))
-        lam_max = max(lam_max, float(eigs[-1]))
+def _classify(stacks) -> str:
+    eigs = [np.linalg.eigvalsh(stack.mass) for stack in stacks]
+    lam_min = min(float(np.min(e[:, 0])) for e in eigs)
+    lam_max = max(0.0, *(float(np.max(e[:, -1])) for e in eigs))
     return GENERIC if lam_min > SPECTRAL_CUTOFF * lam_max else DEGENERATE
 
 
 def classify(law: MaterialLaw) -> str:
     """'generic' when the instantaneous block is strictly positive definite
     over all cells (relative spectral cutoff), otherwise 'degenerate'."""
-    return _classify_cells(law.cells)
+    return law.classification
 
 
 def assemble_material_law(spec: ModelSpec) -> MaterialLaw:
@@ -526,17 +598,13 @@ def zero_pattern(law: MaterialLaw) -> tuple:
 
     An entry is True when that block is not identically zero across cells.
     """
-    m0_stars = np.zeros((4, 4), dtype=bool)
-    m1_stars = np.zeros((4, 4), dtype=bool)
-    for cell in law.cells:
-        sl = _block_slices(cell.block_dims)
-        m0 = cell.mass()
-        m1 = cell.dissipation().at_zero()
-        for i in range(4):
-            for j in range(4):
-                m0_stars[i, j] |= bool(np.any(m0[sl[i], sl[j]] != 0))
-                m1_stars[i, j] |= bool(np.any(m1[sl[i], sl[j]] != 0))
-    return m0_stars, m1_stars
+    sl = _block_slices(law.block_dims)
+    stars = []
+    for blocks in ([st.mass for st in law.stacks],
+                   [st.dissipation_at_zero for st in law.stacks]):
+        stars.append(np.array([[any(np.any(m[:, sl[i], sl[j]] != 0) for m in blocks)
+                                for j in range(4)] for i in range(4)]))
+    return tuple(stars)
 
 
 def recover_theta(theta_big: WeightedSignal, n0: float) -> WeightedSignal:

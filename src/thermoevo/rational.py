@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,27 +122,18 @@ class RationalMatrixFunction:
             any(np.iscomplexobj(m) for m in self.num) or np.iscomplexobj(self.den)
         )
 
-    def num_at(self, z):
-        """Horner evaluation of the matrix numerator; broadcasts over z arrays."""
-        z = np.asarray(z)
-        dtype = np.result_type(z.dtype, *(m.dtype for m in self.num), float)
-        acc = np.zeros(z.shape + self.dims, dtype=dtype)
-        for coeff in reversed(self.num):
-            acc *= z[..., None, None]
-            acc += coeff
-        return acc
-
     def den_at(self, z):
-        z = np.asarray(z)
-        acc = np.zeros(z.shape, dtype=np.result_type(z.dtype, self.den.dtype, float))
-        for c in reversed(self.den):
-            acc = acc * z + c
-        return acc
+        return _horner(list(self.den[:, None]), np.asarray(z)[None])[0]
 
     def key(self) -> tuple:
         """Hashable identity of the coefficients; adding 0.0 maps integers to
         floats and -0.0 to 0.0, and the dtype tells a complex coefficient from
         two real ones, so equal keys mean equal coefficient values."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:
+        # the coefficient arrays are read-only, so the key never changes
         return (self.dims, tuple(_coefficient_key(m) for m in self.num),
                 _coefficient_key(self.den))
 
@@ -151,22 +143,6 @@ class RationalMatrixFunction:
 
     def scaled(self, factor: float) -> "RationalMatrixFunction":
         return RationalMatrixFunction(tuple(factor * m for m in self.num), self.den)
-
-    def times_z(self) -> "RationalMatrixFunction":
-        """The function z -> z * R(z)."""
-        zero = np.zeros_like(self.num[0])
-        return RationalMatrixFunction((zero,) + self.num, self.den)
-
-    def plus_constant(self, value) -> "RationalMatrixFunction":
-        """The function z -> R(z) + value."""
-        value = np.atleast_2d(np.asarray(value))
-        num = [m.copy() for m in self.num]
-        for k, c in enumerate(self.den):
-            if k < len(num):
-                num[k] = num[k] + c * value
-            else:
-                num.append(c * value)
-        return RationalMatrixFunction(tuple(num), self.den)
 
     # -- serialization -----------------------------------------------------
 
@@ -189,13 +165,46 @@ class RationalMatrixFunction:
 def eval_rational(r: RationalMatrixFunction, z: complex) -> np.ndarray:
     """Evaluate numerator(z)/denominator(z) with a pole-proximity guard;
     broadcasts over an array of points z."""
-    den = r.den_at(z)
-    guard = EVAL_POLE_TOL * float(np.max(np.abs(r.den)))
-    near = np.ravel(np.abs(den) <= guard)
+    return _evaluate([m[None] for m in r.num], r.den[None], np.asarray(z)[None])[0]
+
+
+def _horner(coeffs: list, z: np.ndarray) -> np.ndarray:
+    """Horner's rule for polynomials stacked on the leading axis:
+    ``coeffs[k]``, of shape (G, ...), multiplies z**k; z has shape
+    (G, points...)."""
+    tail = coeffs[0].shape[1:]
+    spread = (slice(None),) + (None,) * (z.ndim - 1)
+    z_tail = z.reshape(z.shape + (1,) * len(tail))
+    acc = np.zeros(z.shape + tail,
+                   dtype=np.result_type(z.dtype, *(c.dtype for c in coeffs), float))
+    for coeff in reversed(coeffs):
+        acc *= z_tail
+        acc += coeff[spread]
+    return acc
+
+
+def _evaluate(nums: list, den: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Values of stacked laws (numerator coefficients ``nums[k]`` of shape
+    (G, rows, cols), denominators (G, D)) at points z of shape
+    (G, points...), each law with its own pole-proximity guard."""
+    den_val = _horner(list(den.T), z)
+    guard = EVAL_POLE_TOL * np.max(np.abs(den), axis=1)
+    near = np.abs(den_val) <= guard.reshape((-1,) + (1,) * (z.ndim - 1))
     if np.any(near):
-        first = np.ravel(z)[np.argmax(near)]
-        raise PoleProximityError(f"denominator nearly vanishes at z = {first}")
-    return r.num_at(z) / np.asarray(den)[..., None, None]
+        raise PoleProximityError(f"denominator nearly vanishes at z = {z[near][0]}")
+    return _horner(nums, z) / den_val[..., None, None]
+
+
+def _stack_groups(laws) -> list:
+    """``(indices, numerators, denominators)`` per group of laws that share
+    dims, coefficient counts and dtypes, stacked on a leading axis, in
+    first-appearance order."""
+    groups = {}
+    for i, r in enumerate(laws):
+        shape = (r.dims, r.den.size, r.den.dtype.str) + tuple(m.dtype.str for m in r.num)
+        groups.setdefault(shape, []).append(i)
+    return [(index, [np.stack(m) for m in zip(*(laws[i].num for i in index))],
+             np.stack([laws[i].den for i in index])) for index in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -209,28 +218,69 @@ class StateSpaceRealization:
 
     @property
     def n_states(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     def transfer(self, s):
-        """D + C (sI - A)^{-1} B; broadcasts over an array of frequencies s."""
+        """D + C (sI - A)^{-1} B; broadcasts over an array of frequencies s.
+        Realizations stacked on leading axes broadcast against those of s."""
         s = np.asarray(s)
         if self.n_states == 0:
-            return np.zeros(s.shape + self.d.shape, dtype=complex) + self.d
+            return np.zeros(s.shape + self.d.shape[-2:], dtype=complex) + self.d
         # b broadcast to a stack of matrices: numpy 1.x would read a 2-D b
         # against a 3-D stack as a stack of vectors
         resolvent = np.linalg.solve(s[..., None, None] * np.eye(self.n_states) - self.a,
-                                    np.broadcast_to(self.b, s.shape + self.b.shape))
+                                    np.broadcast_to(self.b, s.shape + self.b.shape[-2:]))
         return self.d + self.c @ resolvent
 
 
-def _poles_in_s(r: RationalMatrixFunction) -> np.ndarray:
-    """Poles of R(1/s): reciprocals of the denominator roots plus, when the
-    numerator degree exceeds the denominator degree, poles at s = 0."""
-    den_roots = np.polynomial.Polynomial(r.den).roots() if r.den_degree > 0 else np.array([])
-    poles = [1.0 / root for root in den_roots]
-    extra = r.num_degree - r.den_degree
-    poles.extend([0.0] * max(extra, 0))
-    return np.asarray(poles, dtype=complex)
+def _poles(n_num: int, den: np.ndarray) -> np.ndarray:
+    """Poles in s of stacked laws R(1/s) with ``n_num`` numerator
+    coefficients over the denominators ``den`` (G, D): reciprocals of the
+    denominator roots, as ``numpy.polynomial.Polynomial.roots`` finds them
+    (closed form for degree 1, else sorted companion eigenvalues), then one
+    pole at s = 0 per degree the numerator exceeds the denominator."""
+    den = den.astype(np.result_type(den.dtype, float), copy=False)
+    count, size = den.shape
+    roots = np.zeros((count, 0))
+    if size == 2:
+        roots = -den[:, :1] / den[:, 1:]
+    elif size > 2:
+        companion = np.zeros((count, size - 1, size - 1), dtype=den.dtype)
+        companion[:, np.arange(1, size - 1), np.arange(size - 2)] = 1
+        companion[:, :, -1] -= den[:, :-1] / den[:, -1:]
+        roots = np.sort(np.linalg.eigvals(companion), axis=-1)
+    roots = 0.0 + 1.0 * roots  # Polynomial.roots maps its window onto its domain
+    extra = np.zeros((count, max(n_num - size, 0)))
+    return np.concatenate([1.0 / roots, extra], axis=1).astype(complex)
+
+
+def _live_poles(nums: list, den: np.ndarray) -> tuple:
+    """``(poles, live, phi(p), psi'(p))`` of stacked laws, R(1/s) =
+    phi(s) / psi(s) with cleared denominators, so that phi(p) / psi'(p) is
+    the residue at a simple pole p.  A pole is live unless the numerator
+    cancels it (its residue vanishes against the law's scale, e.g. for
+    identical lag times) or psi' vanishes there (a repeated pole)."""
+    poles = _poles(len(nums), den)
+    count, size = den.shape
+    deg = max(len(nums), size) - 1
+    rows, cols = nums[0].shape[1:]
+    phi = np.zeros((count, deg + 1, rows, cols), dtype=complex)
+    phi[:, deg - np.arange(len(nums))] += np.stack(nums, axis=1)
+    psi = np.zeros((count, deg + 1), dtype=complex)
+    psi[:, deg - np.arange(size)] += den
+    slope = np.arange(1, deg + 1) * psi[:, 1:]
+    x = 0.0 + 1.0 * poles  # Horner as Polynomial.__call__ runs it, domain map first
+    dpsi = slope[:, -1:] + x * 0
+    for k in range(2, deg + 1):
+        dpsi = slope[:, -k, None] + dpsi * x
+    powers = poles[..., None] ** np.arange(deg + 1)
+    phi_val = (powers[:, :, None, :] @ phi.reshape(count, 1, deg + 1, rows * cols)
+               ).reshape(poles.shape + (rows, cols))
+    scale = np.maximum(np.max(np.abs(nums[0]), axis=(1, 2)),
+                       np.max(np.abs(nums[0] / den[:, :1, None]), axis=(1, 2)))
+    tol = 1e-12 * np.maximum(scale, 1.0)[:, None] * np.abs(dpsi)
+    live = (np.max(np.abs(phi_val), axis=(2, 3)) > tol) | (dpsi == 0)
+    return poles, live, phi_val, dpsi
 
 
 #: realizations by ``RationalMatrixFunction.key()``, shared by every caller;
@@ -238,7 +288,7 @@ def _poles_in_s(r: RationalMatrixFunction) -> np.ndarray:
 _REALIZATIONS: dict = {}
 
 
-def realize_state_space(r: RationalMatrixFunction) -> StateSpaceRealization:
+def realize_state_space(laws):
     """Partial-fraction state-space realization of y = R(inverse-derivative) u.
 
     The feedthrough is R(0); each simple pole of R(1/s) contributes a state
@@ -246,94 +296,93 @@ def realize_state_space(r: RationalMatrixFunction) -> StateSpaceRealization:
     rejected.  The result is checked against direct evaluation at 32 sampled
     frequencies and must match to ``TRANSFER_MATCH_TOL`` relative.
 
-    Realizations are memoized on ``r.key()``, so equal laws share one
-    realization, and its arrays are read-only.
+    ``laws`` is one :class:`RationalMatrixFunction`, for which one
+    realization is returned, or a sequence of them, for which a tuple in the
+    same order is returned.  Realizations are memoized on ``r.key()``, so
+    equal laws share one realization, and its arrays are read-only; the
+    distinct laws the memo does not hold are realized together, one stacked
+    pass per group of equal dims, degrees and dtypes.
     """
-    key = r.key()
-    real = _REALIZATIONS.get(key)
-    if real is None:
-        real = _realize(r)
+    single = isinstance(laws, RationalMatrixFunction)
+    laws = [laws] if single else list(laws)
+    keys = [r.key() for r in laws]
+    fresh = {k: r for k, r in zip(keys, laws) if k not in _REALIZATIONS}
+    found = {k: _REALIZATIONS[k] for k in keys if k in _REALIZATIONS}
+    order = list(fresh)
+    for index, nums, den in _stack_groups(list(fresh.values())):
+        group = [order[i] for i in index]
+        found.update(zip(group, _realize([fresh[k] for k in group], nums, den)))
+    for key in fresh:
         if len(_REALIZATIONS) >= REALIZATION_MEMO_SIZE:
             del _REALIZATIONS[next(iter(_REALIZATIONS))]
-        _REALIZATIONS[key] = real
-    return real
+        _REALIZATIONS[key] = found[key]
+    return found[keys[0]] if single else tuple(found[k] for k in keys)
 
 
-def _realize(r: RationalMatrixFunction) -> StateSpaceRealization:
-    poles = _poles_in_s(r)
-    if poles.size > 1:
-        spread = max(np.max(np.abs(poles)), 1.0)
-        for i in range(poles.size):
-            for j in range(i + 1, poles.size):
-                if abs(poles[i] - poles[j]) <= 1e-8 * spread:
-                    raise RealizationError(
-                        f"repeated pole near s = {poles[i]:.6g}; only simple poles are supported"
-                    )
-
-    d = r.at_zero()
-    rows, cols = r.dims
-
-    # clear denominators: R(1/s) = phi(s) / psi(s) with matching powers of s
-    deg = max(r.num_degree, r.den_degree)
-    phi = np.zeros((deg + 1, rows, cols), dtype=complex)
-    for k, m in enumerate(r.num):
-        phi[deg - k] += m
-    psi = np.zeros(deg + 1, dtype=complex)
-    for k, c in enumerate(r.den):
-        psi[deg - k] += c
-    dpsi = np.polynomial.Polynomial(psi).deriv()
-
-    a_blocks, b_blocks, c_blocks = [], [], []
-    residue_scale = max(float(np.max(np.abs(r.num_at(0.0)))), float(np.max(np.abs(d))), 1.0)
-    for pole in poles:
-        powers = pole ** np.arange(deg + 1)
-        phi_val = np.tensordot(powers, phi, axes=(0, 0))
-        residue = phi_val / dpsi(pole)
-        if np.max(np.abs(residue)) <= 1e-12 * residue_scale:
-            continue  # exactly cancelling factor, e.g. identical lag times
-        u, s, vh = np.linalg.svd(residue)
-        rank = int(np.sum(s > 1e-12 * s[0]))
-        root_s = np.sqrt(s[:rank])
-        c_blocks.append(u[:, :rank] * root_s)
-        b_blocks.append(root_s[:, None] * vh[:rank])
-        a_blocks.append(np.full(rank, pole))
-
-    if a_blocks:
-        a = np.diag(np.concatenate(a_blocks))
-        b = np.vstack(b_blocks)
-        c = np.hstack(c_blocks)
-    else:
-        a = np.zeros((0, 0))
-        b = np.zeros((0, cols))
-        c = np.zeros((rows, 0))
-
-    if (np.max(np.abs(a.imag)) if a.size else 0.0) < 1e-14 and \
-            (np.max(np.abs(b.imag)) if b.size else 0.0) < 1e-12 and \
-            (np.max(np.abs(c.imag)) if c.size else 0.0) < 1e-12 and r.is_real:
-        a, b, c = a.real, b.real, c.real
-        d = np.asarray(d).real
-
-    real = StateSpaceRealization(np.atleast_2d(d), a, b, c)
-    _check_transfer_match(r, real, poles)
-    for arr in (real.d, real.a, real.b, real.c):
-        arr.flags.writeable = False
-    return real
-
-
-def _check_transfer_match(r: RationalMatrixFunction, real: StateSpaceRealization,
-                          poles: np.ndarray) -> None:
-    """Compare the realization with ``r`` at 32 frequencies scaled by the
-    largest of ``poles`` (those of ``_poles_in_s(r)``)."""
-    pole_mags = np.abs(poles)
-    ref = max(float(np.max(pole_mags)) if pole_mags.size else 1.0, 1.0)
-    freqs = 1j * ref * np.logspace(-2, 2, 32) + 0.311 * ref  # off the imaginary axis and spectrum
-    want = eval_rational(r, 1.0 / freqs)
-    scale = float(np.max(np.abs(want)))
-    worst = float(np.max(np.abs(want - real.transfer(freqs))))
-    if worst > TRANSFER_MATCH_TOL * max(scale, 1e-30):
+def _realize(laws: list, nums: list, den: np.ndarray) -> list:
+    """Realizations of laws of one dims, degrees and dtypes, stacked as
+    ``nums``/``den``."""
+    poles, live, phi_val, dpsi = _live_poles(nums, den)
+    spread = np.max(np.abs(poles), axis=1, initial=1.0)[:, None, None]
+    close = np.abs(poles[:, :, None] - poles[:, None, :]) <= 1e-8 * spread
+    close &= np.triu(np.ones(close.shape[1:], dtype=bool), 1)
+    if np.any(close):
+        g, i, _ = np.argwhere(close)[0]
         raise RealizationError(
-            f"realization transfer mismatch {worst:.3e} (scale {scale:.3e})"
-        )
+            f"repeated pole near s = {poles[g, i]:.6g}; only simple poles are supported")
+    d_all = nums[0] / den[:, :1, None]
+    rows, cols = nums[0].shape[1:]
+    rank = min(rows, cols)
+    u, s, vh = np.linalg.svd(phi_val / dpsi[..., None, None])
+    # per live pole the leading singular values above the rank cutoff; an
+    # exactly cancelling factor (e.g. identical lag times) keeps none
+    keep = live[..., None] & (s > 1e-12 * s[..., :1])
+    counts = np.sum(keep, axis=(1, 2))
+    root = np.sqrt(s[keep])
+    a_flat = np.broadcast_to(poles[..., None], keep.shape)[keep]
+    b_flat = root[:, None] * vh[..., :rank, :][keep]
+    c_flat = np.swapaxes(u[..., :rank], -1, -2)[keep] * root[:, None]
+    # a law whose states are real to rounding gets real arrays
+    fuzzy = ~((np.abs(a_flat.imag) < 1e-14) & np.all(np.abs(b_flat.imag) < 1e-12, axis=1)
+              & np.all(np.abs(c_flat.imag) < 1e-12, axis=1))
+    is_real = laws[0].is_real & (np.bincount(np.repeat(np.arange(len(laws)), counts)[fuzzy],
+                                             minlength=len(laws)) == 0)
+    parts = np.cumsum(counts)[:-1]
+    reals = []
+    for g, (d, a, b, c) in enumerate(zip(d_all, *(np.split(x, parts)
+                                                  for x in (a_flat, b_flat, c_flat)))):
+        a, c = np.diag(a), c.T
+        if not a.size:
+            a, b, c = np.zeros((0, 0)), np.zeros((0, cols)), np.zeros((rows, 0))
+        if is_real[g]:
+            a, b, c, d = a.real, b.real, c.real, d.real
+        reals.append(StateSpaceRealization(np.atleast_2d(d), a, b, c))
+    _check_transfer_match(nums, den, reals, poles)
+    for real in reals:
+        for arr in (real.d, real.a, real.b, real.c):
+            arr.flags.writeable = False
+    return reals
+
+
+def _check_transfer_match(nums: list, den: np.ndarray, reals: list,
+                          poles: np.ndarray) -> None:
+    """Compare the realizations with the stacked laws ``nums``/``den`` at 32
+    frequencies each, scaled by the largest of its ``poles`` (a row of
+    ``_poles`` per law)."""
+    ref = np.max(np.abs(poles), axis=1, initial=1.0)[:, None]
+    freqs = 1j * ref * np.logspace(-2, 2, 32) + 0.311 * ref  # off the imaginary axis and spectrum
+    want = _evaluate(nums, den, 1.0 / freqs)
+    got = np.zeros_like(want)
+    sizes = np.array([real.n_states for real in reals])
+    for n in np.unique(sizes):
+        index = np.flatnonzero(sizes == n)
+        stacked = StateSpaceRealization(*(np.stack([getattr(reals[i], f) for i in index])[:, None]
+                                          for f in "dabc"))
+        got[index] = stacked.transfer(freqs[index])
+    for w, sc in zip(np.max(np.abs(want - got), axis=(1, 2, 3)),
+                     np.max(np.abs(want), axis=(1, 2, 3))):
+        if w > TRANSFER_MATCH_TOL * max(sc, 1e-30):
+            raise RealizationError(f"realization transfer mismatch {w:.3e} (scale {sc:.3e})")
 
 
 def validate_realization(

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import _json
 from .errors import InputError, UnreachableTargetError
-from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, classify
-from .rational import RationalMatrixFunction, _poles_in_s, eval_rational
+from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, _stack, _symbol_num
+from .rational import RationalMatrixFunction, _evaluate, _live_poles, _stack_groups
 
 __all__ = [
     "Witness",
@@ -43,6 +43,9 @@ INCONCLUSIVE = "inconclusive"
 RHO_RANGE = (1e-3, 1e6)
 #: log-spaced rho search grid resolution (points per decade)
 RHO_GRID_PER_DECADE = 20
+#: symbols sampled per stacked evaluation of the boundary line: bounds its
+#: arrays (about 8 MB for 4x4 blocks) on laws with thousands of cells
+LINE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -81,30 +84,26 @@ class WellPosednessReport:
         })
 
 
-def _condition_matrix(cell, rho: float) -> np.ndarray:
-    h = rho * cell.mass() + _herm(cell.dissipation().at_zero())
-    return h
-
-
 def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part of a matrix or of a stack of matrices."""
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 def check_condition_rho(law: MaterialLaw, rho: float) -> tuple:
     """Smallest eigenvalue of rho * M(0) + Re M'(0) over all cells.
 
     Returns ``(min_eigenvalue, witness)`` where the witness records the cell
-    and eigenvector attaining the minimum.
+    and eigenvector attaining the minimum, the first such cell on ties.
     """
     if rho <= 0:
         raise InputError("rho must be positive")
-    best = None
-    for index, cell in enumerate(law.cells):
-        h = _condition_matrix(cell, rho)
-        eigvals, eigvecs = np.linalg.eigh(h)
-        if best is None or eigvals[0] < best.eigenvalue:
-            best = Witness(index, float(eigvals[0]), eigvecs[:, 0])
-    return best.eigenvalue, best
+    found = []
+    for stack in law.stacks:
+        eigvals, eigvecs = np.linalg.eigh(rho * stack.mass + _herm(stack.dissipation_at_zero))
+        k = int(np.argmin(eigvals[:, 0]))
+        found.append((float(eigvals[k, 0]), int(stack.index[k]), eigvecs[k, :, 0]))
+    value, cell, vector = min(found, key=lambda entry: entry[:2])
+    return value, Witness(cell, value, vector)
 
 
 def check_symbol_boundary(symbol, rho0: float, n_samples: int = 257) -> tuple:
@@ -118,11 +117,13 @@ def check_symbol_boundary(symbol, rho0: float, n_samples: int = 257) -> tuple:
     on the line Re s = rho0 (maximum principle), so only 1/z = rho0 + i t is
     sampled, t on a symmetric log-spaced grid plus t = 0.  A symbol that
     fails either condition is unbounded below: a pole p with Re p >= rho0
-    gives ``(-inf, 1/p)``, an indefinite Herm M(0) gives ``(-inf, 0j)``.
-    Returns ``(min_eigenvalue, worst_z)``, the first occurrence in symbol
-    and then t order; a sampling of the line, not a proof.  The result for a
-    :class:`MaterialLaw` is kept on the law by the sampling arguments, so a
-    repeated call evaluates nothing again.
+    (one the numerator does not cancel) gives ``(-inf, 1/p)``, an
+    indefinite Herm M(0) gives ``(-inf, 0j)``.  Returns
+    ``(min_eigenvalue, worst_z)``, the first occurrence in symbol and then
+    t order; a sampling of the line, not a proof.  The symbols are evaluated
+    stacked, one group of equal shapes and dtypes at a time.  The result for
+    a :class:`MaterialLaw` is kept on the law by the sampling arguments, so
+    a repeated call evaluates nothing again.
     """
     if rho0 <= 0:
         raise InputError("rho0 must be positive")
@@ -130,39 +131,49 @@ def check_symbol_boundary(symbol, rho0: float, n_samples: int = 257) -> tuple:
     if isinstance(symbol, MaterialLaw):
         found = symbol.boundary_minima
         if settings not in found:
-            found[settings] = _line_minimum(
-                [cell.symbol() for cell in symbol.cells], *settings)
+            found[settings] = _line_minimum([
+                (st.index, _symbol_num(st.mass, st.dissipation_num, st.dissipation_den),
+                 st.dissipation_den) for st in symbol.stacks], *settings)
         return found[settings]
     if isinstance(symbol, RationalMatrixFunction):
         symbol = [symbol]
-    return _line_minimum(symbol, *settings)
+    return _line_minimum(_stack_groups(list(symbol)), *settings)
 
 
-def _line_minimum(symbols, rho0: float, n_samples: int) -> tuple:
-    """Smallest of the symbols' line minima, at its first symbol."""
+def _line_minimum(groups: list, rho0: float, n_samples: int) -> tuple:
+    """Smallest of the symbols' line minima, at its first symbol; ``groups``
+    holds ``(indices, numerators, denominators)`` of stacked symbols."""
+    unbounded = [(index[k], z) for index, nums, den in groups
+                 for k, z in [_unbounded_witness(nums, den, rho0)] if k is not None]
+    if unbounded:
+        return -np.inf, min(unbounded, key=lambda entry: entry[0])[1]
     z_inv = _boundary_samples(rho0, n_samples)
-    min_eig = np.inf
-    worst_z = None
-    for sym in symbols:
-        found = _unbounded_witness(sym, rho0) or _symbol_minimum(sym, z_inv)
-        if found[0] < min_eig:
-            min_eig, worst_z = found
-            if min_eig == -np.inf:
-                break
-    return min_eig, worst_z
+    found = []
+    for index, nums, den in groups:
+        for start in range(0, len(den), LINE_CHUNK):
+            part = slice(start, start + LINE_CHUNK)
+            lowest, z = _symbol_minima([m[part] for m in nums], den[part], z_inv)
+            k, t = np.unravel_index(np.argmin(lowest), lowest.shape)
+            found.append((float(lowest[k, t]), index[start + k], complex(z[t])))
+    return min(found, key=lambda entry: entry[:2], default=(np.inf, None, None))[::2]
 
 
-def _unbounded_witness(sym: RationalMatrixFunction, rho0: float):
-    """``(-inf, z)`` when the line does not bound ``sym`` from below on
-    Re s >= rho0: a pole there, or Herm M(0) not positive semidefinite."""
-    for pole in _poles_in_s(sym):
-        if pole.real >= rho0:
-            return -np.inf, complex(1.0 / pole)
-    eigvals = np.linalg.eigvalsh(_herm(sym.at_zero()))
-    scale = max(float(np.max(np.abs(eigvals))), 1e-300)
-    if eigvals[0] < -SPECTRAL_CUTOFF * scale:
-        return -np.inf, 0j
-    return None
+def _unbounded_witness(nums: list, den: np.ndarray, rho0: float):
+    """``(k, z)`` for the first stacked symbol k that the line does not bound
+    from below on Re s >= rho0: a live pole there (z = 1/p, its first such
+    pole), or Herm M(0) not positive semidefinite (z = 0); (None, None) if
+    every symbol is bounded."""
+    poles, live = _live_poles(nums, den)[:2]
+    inside = live & (poles.real >= rho0)
+    eigvals = np.linalg.eigvalsh(_herm(nums[0] / den[:, :1, None]))
+    scale = np.maximum(np.max(np.abs(eigvals), axis=1), 1e-300)
+    failed = np.flatnonzero(np.any(inside, axis=1) | (eigvals[:, 0] < -SPECTRAL_CUTOFF * scale))
+    if failed.size == 0:
+        return None, None
+    k = failed[0]
+    if np.any(inside[k]):
+        return k, complex(1.0 / poles[k, np.argmax(inside[k])])
+    return k, 0j
 
 
 def _boundary_samples(rho0: float, n_samples: int) -> np.ndarray:
@@ -173,24 +184,22 @@ def _boundary_samples(rho0: float, n_samples: int) -> np.ndarray:
     return 1j * t_grid + rho0
 
 
-def _symbol_minimum(sym: RationalMatrixFunction, z_inv: np.ndarray) -> tuple:
-    """Smallest eigenvalue of the Hermitian part of z^{-1} M(z) over all
-    samples, at its first occurrence, with its z."""
-    if sym.is_real:
+def _symbol_minima(nums: list, den: np.ndarray, z_inv: np.ndarray) -> tuple:
+    """Smallest eigenvalue of the Hermitian part of z^{-1} M(z) per stacked
+    symbol and sample, with the sampled z."""
+    if not (any(np.iscomplexobj(m) for m in nums) or np.iscomplexobj(den)):
         # M(conj z) = conj M(z): the samples at -t, which follow those at
         # t, repeat their eigenvalues
         z_inv = z_inv[:(z_inv.size + 1) // 2]
     z = 1.0 / z_inv
-    mats = eval_rational(sym, z)
+    mats = _evaluate(nums, den, np.broadcast_to(z, (den.shape[0], z.size)))
     # z_inv * mats in place, in that operand order: numpy's complex product
     # is not bitwise commutative
     np.multiply(z_inv[..., None, None], mats, out=mats)
     herm = np.conj(np.swapaxes(mats, -1, -2))
     herm += mats
     herm *= 0.5
-    lowest = np.linalg.eigvalsh(herm)[..., 0]
-    k = int(np.argmin(lowest))
-    return float(lowest[k]), complex(z[k])
+    return np.linalg.eigvalsh(herm)[..., 0], z
 
 
 def _rho_grid() -> np.ndarray:
@@ -200,12 +209,68 @@ def _rho_grid() -> np.ndarray:
 
 
 def _pole_floor(law: MaterialLaw) -> float:
-    """Largest real part of a pole in s of any cell's ``theta_damping`` or
-    ``flux_resistance``; the law is analytic only for Re s above it, so an
-    admissible weight rho lies strictly above.  -inf without poles."""
-    return max((float(p.real) for cell in law.cells
-                for r in (cell.theta_damping, cell.flux_resistance)
-                for p in _poles_in_s(r)), default=-np.inf)
+    """Largest real part of a live pole in s (see
+    :func:`thermoevo.rational._live_poles`) of any cell's ``theta_damping``
+    or ``flux_resistance``; the law is analytic only for Re s above it, so
+    an admissible weight rho lies strictly above.  -inf without poles."""
+    floor = -np.inf
+    for stack in law.stacks:
+        for attr in ("theta_damping", "flux_resistance"):
+            (_, nums, den), = _stack_groups([getattr(cell, attr) for cell in stack.cells])
+            poles, live = _live_poles(nums, den)[:2]
+            if np.any(live):
+                floor = max(floor, float(np.max(poles.real[live])))
+    return floor
+
+
+def _structural_witnesses(stack) -> tuple:
+    """``(cell, check, i, witness)`` for every failed structural check over a
+    stack of cells, and whether a singular heat capacity leaves the verdict
+    open."""
+    sl = _block_slices(stack.cells[0].block_dims)
+    found = []
+
+    def add(check, cells, eigvals, vecs, block, sub=None):
+        full = np.zeros((len(cells), sl[-1].stop), dtype=complex)
+        full[:, sl[block]] = vecs
+        for j, cell in enumerate(cells):
+            index = int(stack.index[cell])
+            found.append((index, check, 0 if sub is None else int(sub[j]),
+                          Witness(index, float(eigvals[j]), full[j])))
+
+    def eigh(attr):
+        return np.linalg.eigh(_herm(_stack(stack.cells, attr).astype(complex)))
+
+    for check, attr in enumerate(("rho0", "stiffness", "heat_capacity")):
+        eigvals, eigvecs = eigh(attr)
+        low = eigvals[:, 0]
+        tol = SPECTRAL_CUTOFF * np.maximum(np.max(np.abs(eigvals), axis=1), 1e-300)
+        failed = low < -tol if attr == "heat_capacity" else low <= tol
+        cells = np.flatnonzero(failed)
+        add(check, cells, low[cells], eigvecs[cells, :, 0], check)
+    # a singular heat capacity (the last check) leaves the verdict open
+    undecided = bool(np.any(~failed & (low <= tol)))
+
+    eigvals, eigvecs = eigh("flux_inertia")
+    on_range = np.abs(eigvals) > SPECTRAL_CUTOFF * np.max(np.abs(eigvals), axis=1)[:, None]
+    cells, sub = np.nonzero(on_range & (eigvals < 0))
+    add(3, cells, eigvals[cells, sub], eigvecs[cells, :, sub], 3, sub)
+
+    (_, nums, den), = _stack_groups([cell.flux_resistance for cell in stack.cells])
+    re_a2 = _herm(nums[0] / den[:, :1, None])
+    a2_scale = np.max(np.abs(np.linalg.eigvalsh(re_a2)), axis=1)
+    n_kernel = np.sum(~on_range, axis=1)
+    for k in np.unique(n_kernel[n_kernel > 0]):
+        cells = np.flatnonzero(n_kernel == k)
+        # the kernel columns, in ascending order
+        order = np.argsort(on_range[cells], axis=1, kind="stable")[:, None, :k]
+        kernel = np.take_along_axis(eigvecs[cells], order, axis=2)
+        projected = np.conj(kernel).swapaxes(-1, -2) @ re_a2[cells] @ kernel
+        k_eigvals, k_eigvecs = np.linalg.eigh(_herm(projected))
+        failed = (a2_scale[cells] == 0.0) | (k_eigvals[:, 0] <= SPECTRAL_CUTOFF * a2_scale[cells])
+        vecs = (kernel[failed] @ k_eigvecs[failed][:, :, :1])[..., 0]
+        add(4, cells[failed], k_eigvals[failed, 0], vecs, 3)
+    return found, undecided
 
 
 def certify_wellposedness(law: MaterialLaw) -> WellPosednessReport:
@@ -216,74 +281,34 @@ def certify_wellposedness(law: MaterialLaw) -> WellPosednessReport:
     part of the flux resistance at zero must be strictly positive definite on
     the inertia's kernel.  A singular (but non-negative) heat capacity makes
     the verdict inconclusive rather than violated, since a compensating
-    zero-order term lies outside the certified conditions.
+    zero-order term lies outside the certified conditions.  Each check runs
+    once over the stacked cells; the witnesses are listed by cell, then by
+    check, and stably sorted by eigenvalue.
     """
-    witnesses = []
-    inconclusive = False
-    checks = [
+    checks = (
         "rho0_positive",
         "stiffness_positive",
         "heat_capacity_positive",
         "flux_inertia_pd_on_range",
         "flux_resistance_pd_on_kernel",
         "condition_rho_search",
-    ]
+    )
+    entries = []
+    inconclusive = False
+    for stack in law.stacks:
+        found, undecided = _structural_witnesses(stack)
+        entries += found
+        inconclusive |= undecided
+    classification = law.classification
 
-    for index, cell in enumerate(law.cells):
-        dims = cell.block_dims
-        sl = _block_slices(dims)
-        n_total = sum(dims)
-
-        def embed(vec, block):
-            full = np.zeros(n_total, dtype=complex)
-            full[sl[block]] = vec
-            return full
-
-        for attr, block in (("rho0", 0), ("stiffness", 1)):
-            mat = _herm(np.asarray(getattr(cell, attr), dtype=complex))
-            eigvals, eigvecs = np.linalg.eigh(mat)
-            scale = max(float(np.max(np.abs(eigvals))), 1e-300)
-            if eigvals[0] <= SPECTRAL_CUTOFF * scale:
-                witnesses.append(Witness(index, float(eigvals[0]), embed(eigvecs[:, 0], block)))
-
-        nu = _herm(np.asarray(cell.heat_capacity, dtype=complex))
-        eigvals, eigvecs = np.linalg.eigh(nu)
-        scale = max(float(np.max(np.abs(eigvals))), 1e-300)
-        if eigvals[0] < -SPECTRAL_CUTOFF * scale:
-            witnesses.append(Witness(index, float(eigvals[0]), embed(eigvecs[:, 0], 2)))
-        elif eigvals[0] <= SPECTRAL_CUTOFF * scale:
-            inconclusive = True
-
-        a0 = _herm(np.asarray(cell.flux_inertia, dtype=complex))
-        eigvals, eigvecs = np.linalg.eigh(a0)
-        scale = float(np.max(np.abs(eigvals)))
-        tol = SPECTRAL_CUTOFF * scale
-        on_range = np.abs(eigvals) > tol
-        negatives = on_range & (eigvals < 0)
-        for i in np.flatnonzero(negatives):
-            witnesses.append(Witness(index, float(eigvals[i]), embed(eigvecs[:, i], 3)))
-
-        kernel = eigvecs[:, ~on_range]
-        if kernel.shape[1] > 0:
-            re_a2 = _herm(cell.flux_resistance.at_zero())
-            a2_scale = float(np.max(np.abs(np.linalg.eigvalsh(re_a2)))) if re_a2.size else 0.0
-            projected = kernel.conj().T @ re_a2 @ kernel
-            k_eigvals, k_eigvecs = np.linalg.eigh(_herm(projected))
-            if a2_scale == 0.0 or k_eigvals[0] <= SPECTRAL_CUTOFF * a2_scale:
-                vec = kernel @ k_eigvecs[:, 0]
-                witnesses.append(Witness(index, float(k_eigvals[0]), embed(vec, 3)))
-
-    classification = classify(law)
-
-    if witnesses:
+    if entries:
+        witnesses = [entry[3] for entry in sorted(entries, key=lambda entry: entry[:3])]
         witnesses.sort(key=lambda w: w.eigenvalue)
         return WellPosednessReport(
-            VIOLATED, 0.0, float("inf"), classification, tuple(witnesses), tuple(checks)
+            VIOLATED, 0.0, float("inf"), classification, tuple(witnesses), checks
         )
     if inconclusive:
-        return WellPosednessReport(
-            INCONCLUSIVE, 0.0, float("inf"), classification, (), tuple(checks)
-        )
+        return WellPosednessReport(INCONCLUSIVE, 0.0, float("inf"), classification, (), checks)
 
     rho_min = float("inf")
     c_estimate = 0.0
@@ -297,12 +322,8 @@ def certify_wellposedness(law: MaterialLaw) -> WellPosednessReport:
     if not np.isfinite(rho_min):
         # structural conditions hold but the sampled search failed; report
         # honestly rather than extrapolating
-        return WellPosednessReport(
-            INCONCLUSIVE, 0.0, float("inf"), classification, (), tuple(checks)
-        )
-    return WellPosednessReport(
-        SATISFIED, c_estimate, rho_min, classification, (), tuple(checks)
-    )
+        return WellPosednessReport(INCONCLUSIVE, 0.0, float("inf"), classification, (), checks)
+    return WellPosednessReport(SATISFIED, c_estimate, rho_min, classification, (), checks)
 
 
 def find_min_rho(law: MaterialLaw, c_target: float, tol: float = 1e-6) -> float:

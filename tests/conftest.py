@@ -1,12 +1,15 @@
 """Shared fixtures: the standard probe pulse, catalog law builders, and the
-former one-point-at-a-time versions of batched computations (the Simpson
-exponential step, the per-frequency realization check and the per-point
-symbol sampling on the boundary line), kept as references."""
+former one-at-a-time versions of batched computations, kept as references:
+the Simpson exponential step, the per-frequency realization check, the
+per-point symbol sampling on the boundary line, the per-cell certification,
+condition, threshold and classification loops, the per-pole realization and
+the entry-by-entry congruence factor of the assembled mass matrix."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from thermoevo import (
     ModelFamily,
@@ -16,7 +19,9 @@ from thermoevo import (
     canonical_spec,
 )
 from thermoevo._integrators import phi_matrices
-from thermoevo.rational import _poles_in_s
+from thermoevo.models import SPECTRAL_CUTOFF, _block_slices
+from thermoevo.rational import StateSpaceRealization
+from thermoevo.wellposed import Witness, WellPosednessReport, _rho_grid
 
 #: families whose canonical coefficients satisfy the certified hypotheses
 ALL_FAMILIES = [f for f in ModelFamily if f is not ModelFamily.CUSTOM]
@@ -31,6 +36,28 @@ NEGATED_COEFFS = {
     ModelFamily.DPL_I: {"n2": -0.25},
     ModelFamily.DPL_II: {"n2": -0.75},
 }
+
+
+#: per-cell coefficients of four-cell variants of the catalog families
+PER_CELL_COEFFS = {
+    ModelFamily.CLASSICAL: {"kappa": [0.5, 1.0, 2.0, 1.5]},
+    ModelFamily.LORD_SHULMAN: {"kappa": [0.5, 1.0, 2.0, 1.5], "a0": [1.0, 0.5, 2.0, 0.25]},
+    ModelFamily.GREEN_NAGHDI_I: {"k": [0.5, 1.0, 2.0, 1.5]},
+    ModelFamily.GREEN_NAGHDI_II: {"k_star": [0.5, 1.0, 2.0, 1.5]},
+    ModelFamily.GREEN_NAGHDI_III: {"k": [0.5, 1.0, 2.0, 1.5], "k_star": [1.0, 0.0, 0.5, 2.0]},
+    ModelFamily.GREEN_LINDSAY: {"kappa": [0.5, 1.0, 2.0, 1.5], "d": [3.0, 2.5, 3.0, 4.0],
+                                "n0": [0.5, 0.4, 0.5, 0.6]},
+    ModelFamily.DPL_I: {"kappa": [0.5, 1.0, 2.0, 1.5], "n2": [0.25, 0.3, 0.2, 0.25]},
+    ModelFamily.DPL_II: {"kappa": [0.5, 1.0, 2.0, 1.5], "n1": [0.5, 0.4, 0.6, 0.5]},
+}
+
+
+def per_cell_law(family):
+    """Four-cell variant of the canonical law: per-cell stiffness and
+    coupling plus the family's own coefficients of ``PER_CELL_COEFFS``."""
+    return assemble_material_law(spec_with(family, C=[0.9, 1.1, 1.2, 0.8],
+                                           Gamma=[0.5, 0.3, 0.0, 0.4],
+                                           **PER_CELL_COEFFS[family]))
 
 
 def spec_with(family, **overrides) -> ModelSpec:
@@ -111,7 +138,7 @@ def horner_per_point(r, z):
 
 def transfer_mismatch_per_frequency(r, real):
     """(worst, scale) of the realization self check, one frequency at a time."""
-    pole_mags = np.abs(_poles_in_s(r))
+    pole_mags = np.abs(_pole_terms(r)[0])
     ref = max(float(np.max(pole_mags)) if pole_mags.size else 1.0, 1.0)
     freqs = 1j * ref * np.logspace(-2, 2, 32) + 0.311 * ref
     scale = 0.0
@@ -130,7 +157,8 @@ def transfer_mismatch_per_frequency(r, real):
 def symbol_boundary_per_point(symbols, rho0, n_samples=257):
     """(min_eigenvalue, worst_z) of the symbol sampling on the line
     Re 1/z = rho0, one point at a time, after the same guards: a pole p
-    with Re p >= rho0 gives (-inf, 1/p), an indefinite Herm M(0) (-inf, 0j)."""
+    with Re p >= rho0 that the numerator does not cancel gives (-inf, 1/p),
+    an indefinite Herm M(0) (-inf, 0j)."""
     half = max((n_samples - 1) // 2, 1)
     t_pos = rho0 * np.logspace(-3, 6, half)
     t_grid = np.concatenate([[0.0], t_pos, -t_pos])
@@ -139,7 +167,7 @@ def symbol_boundary_per_point(symbols, rho0, n_samples=257):
     min_eig = np.inf
     worst_z = None
     for sym in symbols:
-        poles = [p for p in _poles_in_s(sym) if p.real >= rho0]
+        poles = [p for p in live_poles_per_pole(sym) if p.real >= rho0]
         if poles:
             return -np.inf, complex(1.0 / poles[0])
         m0 = sym.at_zero()
@@ -167,3 +195,181 @@ def dense_line_minimum(symbols, rho0, n_points=20001):
         herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
         lowest = min(lowest, float(np.min(np.linalg.eigvalsh(herm)[:, 0])))
     return lowest
+
+
+def _pole_terms(r):
+    """(poles, phi(p), psi'(p)) of R(1/s) = phi(s) / psi(s), pole by pole."""
+    poles = np.asarray([1.0 / root for root in (
+        np.polynomial.Polynomial(r.den).roots() if r.den_degree > 0 else [])]
+        + [0.0] * max(r.num_degree - r.den_degree, 0), dtype=complex)
+    deg = max(r.num_degree, r.den_degree)
+    phi = np.zeros((deg + 1,) + r.dims, dtype=complex)
+    for k, m in enumerate(r.num):
+        phi[deg - k] += m
+    psi = np.zeros(deg + 1, dtype=complex)
+    for k, c in enumerate(r.den):
+        psi[deg - k] += c
+    dpsi = np.polynomial.Polynomial(psi).deriv()
+    return poles, [np.tensordot(p ** np.arange(deg + 1), phi, axes=(0, 0)) for p in poles], \
+        [dpsi(p) for p in poles]
+
+
+def _live_terms(r):
+    """(pole, phi(p), psi'(p)) of the poles whose residue the numerator does
+    not cancel (or where psi' vanishes), one pole at a time."""
+    scale = max(float(np.max(np.abs(r.num[0]))), float(np.max(np.abs(r.at_zero()))), 1.0)
+    return [(p, phi, slope) for p, phi, slope in zip(*_pole_terms(r))
+            if slope == 0 or np.max(np.abs(phi)) > 1e-12 * scale * abs(slope)]
+
+
+def live_poles_per_pole(r):
+    return [p for p, _, _ in _live_terms(r)]
+
+
+def realize_per_pole(r):
+    """The partial-fraction realization of ``r``, one pole at a time."""
+    d = r.at_zero()
+    rows, cols = r.dims
+    a_blocks, b_blocks, c_blocks = [], [], []
+    for pole, phi, slope in _live_terms(r):
+        u, s, vh = np.linalg.svd(phi / slope)
+        rank = int(np.sum(s > 1e-12 * s[0]))
+        root_s = np.sqrt(s[:rank])
+        c_blocks.append(u[:, :rank] * root_s)
+        b_blocks.append(root_s[:, None] * vh[:rank])
+        a_blocks.append(np.full(rank, pole))
+    if a_blocks:
+        a, b, c = np.diag(np.concatenate(a_blocks)), np.vstack(b_blocks), np.hstack(c_blocks)
+    else:
+        a, b, c = np.zeros((0, 0)), np.zeros((0, cols)), np.zeros((rows, 0))
+    if (np.max(np.abs(a.imag)) if a.size else 0.0) < 1e-14 and \
+            (np.max(np.abs(b.imag)) if b.size else 0.0) < 1e-12 and \
+            (np.max(np.abs(c.imag)) if c.size else 0.0) < 1e-12 and r.is_real:
+        a, b, c, d = a.real, b.real, c.real, np.asarray(d).real
+    return StateSpaceRealization(np.atleast_2d(d), a, b, c)
+
+
+def _herm(a):
+    return 0.5 * (a + a.conj().T)
+
+
+def classify_per_cell(law):
+    lam_min, lam_max = np.inf, 0.0
+    for cell in law.cells:
+        eigs = np.linalg.eigvalsh(cell.mass())
+        lam_min = min(lam_min, float(eigs[0]))
+        lam_max = max(lam_max, float(eigs[-1]))
+    return "generic" if lam_min > SPECTRAL_CUTOFF * lam_max else "degenerate"
+
+
+def condition_rho_per_cell(law, rho):
+    """(min_eigenvalue, witness) of rho * M(0) + Re M'(0), one cell at a time."""
+    best = None
+    for index, cell in enumerate(law.cells):
+        eigvals, eigvecs = np.linalg.eigh(rho * cell.mass() + _herm(cell.dissipation().at_zero()))
+        if best is None or eigvals[0] < best.eigenvalue:
+            best = Witness(index, float(eigvals[0]), eigvecs[:, 0])
+    return best.eigenvalue, best
+
+
+def pole_floor_per_cell(law):
+    return max((float(p.real) for cell in law.cells
+                for r in (cell.theta_damping, cell.flux_resistance)
+                for p in live_poles_per_pole(r)), default=-np.inf)
+
+
+def find_min_rho_per_cell(law, c_target, tol=1e-6):
+    """Bisection for the smallest rho reaching c_target, per-cell condition."""
+    floor = pole_floor_per_cell(law)
+    lo, hi = max(1e-3, floor), 1e6
+
+    def gap(rho):
+        return condition_rho_per_cell(law, rho)[0] - c_target
+
+    if hi <= floor or gap(hi) < 0:
+        return None
+    if lo > floor and gap(lo) >= 0:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def certify_per_cell(law):
+    """The certification report with every check run one cell at a time."""
+    witnesses = []
+    inconclusive = False
+    checks = ("rho0_positive", "stiffness_positive", "heat_capacity_positive",
+              "flux_inertia_pd_on_range", "flux_resistance_pd_on_kernel",
+              "condition_rho_search")
+    for index, cell in enumerate(law.cells):
+        sl = _block_slices(cell.block_dims)
+
+        def embed(vec, block):
+            full = np.zeros(sl[-1].stop, dtype=complex)
+            full[sl[block]] = vec
+            return full
+
+        for attr, block in (("rho0", 0), ("stiffness", 1)):
+            block = np.asarray(getattr(cell, attr), dtype=complex)
+            eigvals, eigvecs = np.linalg.eigh(_herm(block))
+            scale = max(float(np.max(np.abs(eigvals))), 1e-300)
+            if eigvals[0] <= SPECTRAL_CUTOFF * scale:
+                witnesses.append(Witness(index, float(eigvals[0]), embed(eigvecs[:, 0], block)))
+        eigvals, eigvecs = np.linalg.eigh(_herm(np.asarray(cell.heat_capacity, dtype=complex)))
+        scale = max(float(np.max(np.abs(eigvals))), 1e-300)
+        if eigvals[0] < -SPECTRAL_CUTOFF * scale:
+            witnesses.append(Witness(index, float(eigvals[0]), embed(eigvecs[:, 0], 2)))
+        elif eigvals[0] <= SPECTRAL_CUTOFF * scale:
+            inconclusive = True
+        eigvals, eigvecs = np.linalg.eigh(_herm(np.asarray(cell.flux_inertia, dtype=complex)))
+        on_range = np.abs(eigvals) > SPECTRAL_CUTOFF * float(np.max(np.abs(eigvals)))
+        for i in np.flatnonzero(on_range & (eigvals < 0)):
+            witnesses.append(Witness(index, float(eigvals[i]), embed(eigvecs[:, i], 3)))
+        kernel = eigvecs[:, ~on_range]
+        if kernel.shape[1] > 0:
+            re_a2 = _herm(cell.flux_resistance.at_zero())
+            a2_scale = float(np.max(np.abs(np.linalg.eigvalsh(re_a2))))
+            k_eigvals, k_eigvecs = np.linalg.eigh(_herm(kernel.conj().T @ re_a2 @ kernel))
+            if a2_scale == 0.0 or k_eigvals[0] <= SPECTRAL_CUTOFF * a2_scale:
+                witnesses.append(Witness(index, float(k_eigvals[0]),
+                                         embed(kernel @ k_eigvecs[:, 0], 3)))
+    classification = classify_per_cell(law)
+    if witnesses:
+        witnesses.sort(key=lambda w: w.eigenvalue)
+        return WellPosednessReport("violated", 0.0, float("inf"), classification,
+                                   tuple(witnesses), checks)
+    if not inconclusive:
+        grid = _rho_grid()
+        for rho in grid[grid > pole_floor_per_cell(law)]:
+            min_eig, _ = condition_rho_per_cell(law, rho)
+            if min_eig > 0.0:
+                return WellPosednessReport("satisfied", float(min_eig), float(rho),
+                                           classification, (), checks)
+    return WellPosednessReport("inconclusive", 0.0, float("inf"), classification, (), checks)
+
+
+def mass_matrix_lil(problem):
+    """The assembled mass matrix with its congruence factor set entry by
+    entry in a ``lil_matrix``."""
+    op = problem.op
+    n = op.n_dof
+    sl = op.block_slices()
+    avg = op.node_to_face.tocoo()
+    lmat = sp.lil_matrix((n, n))
+    lmat.setdiag(1.0)
+    gamma_f = problem.face_coeffs["coupling"]
+    zeta_f = problem.face_coeffs["flux_coupling"]
+    for r, c, v in zip(avg.row, avg.col, avg.data):
+        lmat[sl[1].start + r, sl[2].start + c] = gamma_f[r] * v
+        lmat[sl[3].start + r, sl[2].start + c] = zeta_f[r] * v
+    lmat = lmat.tocsr()
+    diag = np.concatenate([problem.node_coeffs["rho0"], 1.0 / problem.face_coeffs["stiffness"],
+                           problem.node_coeffs["heat_capacity"],
+                           problem.face_coeffs["flux_inertia"]])
+    m = (lmat.T @ sp.diags(diag) @ lmat).tocsr()
+    return ((m + m.T) * 0.5).tocsr()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, simpson_weights, spec_with, uncoupled_law
+from conftest import (ALL_FAMILIES, mass_matrix_lil, per_cell_law, simpson_weights, spec_with,
+                      uncoupled_law)
 from thermoevo import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
@@ -25,7 +26,7 @@ from thermoevo import (
     step_implicit,
     time_grid,
 )
-from thermoevo import evolution
+from thermoevo import evolution, rational
 from thermoevo._integrators import exp_march_linear
 from thermoevo.errors import InputError
 
@@ -272,16 +273,38 @@ class TestPerCellLaws:
         law = assemble_material_law(spec_with(ModelFamily.GREEN_LINDSAY, b=0.0,
                                               kappa=[1.0, 2.0, 1.0, 2.0]))
         problem = pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25)
-        calls = []
+        calls, realized = [], []
+        realize = rational._realize
 
-        def counting(r):
-            calls.append(r.key())
-            return realize_state_space(r)
+        def counting(laws):
+            calls.append(laws)
+            return realize_state_space(laws)
+
+        def realizing(laws, *stacked):
+            realized.extend(r.key() for r in laws)
+            return realize(laws, *stacked)
 
         monkeypatch.setattr(evolution, "realize_state_space", counting)
+        monkeypatch.setattr(rational, "_REALIZATIONS", {})
+        monkeypatch.setattr(rational, "_realize", realizing)
         assert problem.aux_chain.n_aux > 0
-        # two distinct flux resistances plus the shared temperature damping
-        assert len(calls) == len(set(calls)) == 3
+        # one call for the problem; two distinct flux resistances plus the
+        # shared temperature damping, each realized once
+        assert len(calls) == 1
+        assert len(realized) == len(set(realized)) == 3
+
+
+class TestMassMatrix:
+    @pytest.mark.parametrize("law", [
+        per_cell_law(ModelFamily.DPL_I),
+        assemble_material_law(spec_with(ModelFamily.GREEN_LINDSAY, Gamma=[0.5, 0.3, 0.0, 0.4])),
+        uncoupled_law(ModelFamily.DPL_II),
+    ], ids=["dpl_i_per_cell", "green_lindsay_per_cell_coupling", "uncoupled"])
+    def test_csr_equals_entrywise_assembly(self, law):
+        problem = pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25)
+        got, want = problem.mass_matrix, mass_matrix_lil(problem)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 class TestCausality:

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, spec_with, transfer_mismatch_per_frequency, uncoupled_law
+from conftest import (ALL_FAMILIES, per_cell_law, realize_per_pole, spec_with,
+                      transfer_mismatch_per_frequency, uncoupled_law)
 from thermoevo import (
     ModelFamily,
     RationalMatrixFunction,
@@ -17,7 +18,8 @@ from thermoevo import (
     validate_realization,
 )
 from thermoevo.errors import InputError, PoleProximityError, RealizationError
-from thermoevo.rational import TRANSFER_MATCH_TOL, _check_transfer_match, _poles_in_s
+from thermoevo.rational import (TRANSFER_MATCH_TOL, _check_transfer_match, _poles,
+                                _stack_groups)
 
 
 def scalar_rational(num, den):
@@ -222,7 +224,8 @@ class TestBatchedTransferCheck:
             real = realize_state_space(r)
             worst, scale = transfer_mismatch_per_frequency(r, real)
             assert worst <= TRANSFER_MATCH_TOL * max(scale, 1e-30)
-            assert accepted(_check_transfer_match, r, real, _poles_in_s(r))
+            assert accepted(_check_transfer_match, *_stack_groups([r])[0][1:], [real],
+                            _poles(len(r.num), r.den[None]))
 
     def test_corrupted_realization_rejected(self):
         for r in zero_order_laws():
@@ -233,7 +236,8 @@ class TestBatchedTransferCheck:
             worst, scale = transfer_mismatch_per_frequency(r, bad)
             assert worst > TRANSFER_MATCH_TOL * max(scale, 1e-30)
             with pytest.raises(RealizationError, match="transfer mismatch"):
-                _check_transfer_match(r, bad, _poles_in_s(r))
+                _check_transfer_match(*_stack_groups([r])[0][1:], [bad],
+                                      _poles(len(r.num), r.den[None]))
 
     def test_transfer_broadcasts_over_frequencies(self):
         real = realize_state_space(scalar_rational([0.3, 1.0, 0.2], [1.0, 0.8, 0.15]))
@@ -259,6 +263,38 @@ class TestBatchedTransferCheck:
         real = realize_state_space(scalar_rational([0.3, 1.0, 0.2], [1.0, 0.8, 0.15]))
         assert real.transfer(1j * np.logspace(-2, 2, 7) + 0.17).shape == (7, 1, 1)
         assert real.transfer(0.5).shape == (1, 1)
+
+
+def same_arrays(got, want) -> bool:
+    return all(getattr(got, f).dtype == getattr(want, f).dtype
+               and np.array_equal(getattr(got, f), getattr(want, f)) for f in "dabc")
+
+
+class TestStackedRealization:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_stacked_call_equals_per_law_calls(self, family, monkeypatch):
+        law = per_cell_law(family)
+        laws = [r for cell in law.cells for r in (cell.theta_damping, cell.flux_resistance)]
+        monkeypatch.setattr(rational, "_REALIZATIONS", {})
+        stacked = realize_state_space(laws)
+        assert len(stacked) == len(laws)
+        for r, got in zip(laws, stacked):
+            monkeypatch.setattr(rational, "_REALIZATIONS", {})
+            assert same_arrays(got, realize_state_space(r))
+            assert same_arrays(got, realize_per_pole(r))
+
+    def test_equal_laws_share_one_entry(self, monkeypatch):
+        monkeypatch.setattr(rational, "_REALIZATIONS", {})
+        laws = [scalar_rational([1.0], [1.0, lag]) for lag in (0.1, 0.2, 0.1)]
+        reals = realize_state_space(laws)
+        assert reals[0] is reals[2] and reals[0] is not reals[1]
+        assert len(rational._REALIZATIONS) == 2
+        assert realize_state_space(laws[1]) is reals[1]
+
+    def test_repeated_pole_rejected_in_a_stack(self):
+        with pytest.raises(RealizationError, match="repeated pole"):
+            realize_state_space([scalar_rational([1.0], [1.0, 0.5]),
+                                 scalar_rational([1.0], [1.0, 2.0, 1.0])])
 
 
 class TestRealizationMemo:

@@ -6,12 +6,18 @@ import pytest
 from conftest import (
     ALL_FAMILIES,
     NEGATED_COEFFS,
+    certify_per_cell,
+    classify_per_cell,
+    condition_rho_per_cell,
     dense_line_minimum,
+    find_min_rho_per_cell,
     negated_law,
+    per_cell_law,
     spec_with,
     symbol_boundary_per_point,
 )
 from thermoevo import (
+    CellLaw,
     EvolutionProblem,
     Grid1D,
     ModelFamily,
@@ -24,6 +30,7 @@ from thermoevo import (
     check_condition_rho,
     check_symbol_boundary,
     certify_wellposedness,
+    classify,
     find_min_rho,
     solution_bound_check,
     solve,
@@ -31,7 +38,7 @@ from thermoevo import (
     wellposed,
 )
 from thermoevo.errors import InputError, UnreachableTargetError
-from thermoevo.rational import eval_rational
+from thermoevo.rational import _evaluate
 
 
 def unit_classical(gamma=0.0):
@@ -123,6 +130,15 @@ class TestBatchedSymbolBoundary:
         assert got == want
         assert np.signbit(got[0]) == np.signbit(want[0])
 
+    @pytest.mark.parametrize("family", [ModelFamily.DPL_I, ModelFamily.GREEN_LINDSAY])
+    def test_chunked_cells_equal_per_point(self, family, monkeypatch):
+        # four cells in chunks of three: the minimum is taken across chunks
+        monkeypatch.setattr(wellposed, "LINE_CHUNK", 3)
+        law = per_cell_law(family)
+        for rho0 in (0.3, 1.0):
+            want = symbol_boundary_per_point([cell.symbol() for cell in law.cells], rho0)
+            assert check_symbol_boundary(law, rho0) == want
+
     def test_ties_resolve_to_first_sample(self):
         # every sample of the line ties for the identity: the witness is the
         # first one, t = 0
@@ -151,9 +167,9 @@ class TestBatchedSymbolBoundary:
 
         def counting(*args):
             calls.append(args)
-            return eval_rational(*args)
+            return _evaluate(*args)
 
-        monkeypatch.setattr(wellposed, "eval_rational", counting)
+        monkeypatch.setattr(wellposed, "_evaluate", counting)
         problem = EvolutionProblem(law, op, forcing, "trapezoidal")
         second = solution_bound_check(problem, report, solve(problem))
         assert calls == []
@@ -306,3 +322,101 @@ class TestFindMinRho:
             "rho0": 2.0, "nu": 2.0, "C": 0.5, "Gamma": 0.0, "kappa": 1.0}))
         base = find_min_rho(unit_classical(), 0.5)
         assert find_min_rho(doubled, 0.5) == pytest.approx(base / 2.0, abs=1e-6)
+
+
+#: heterogeneous per-cell laws with violated cells: one cell; two cells
+#: failing different checks; two cells tied on one eigenvalue, in one check
+#: and across two checks (the later check in the earlier cell)
+VIOLATED_PER_CELL = {
+    "one_cell": (ModelFamily.DPL_I, {"C": [1.0, 0.9, 1.1, 1.2], "Gamma": 0.5,
+                                     "kappa": [1.0, 1.3, 0.7, 2.0],
+                                     "n2": [0.25, -0.25, 0.3, 0.2]}),
+    "two_checks": (ModelFamily.LORD_SHULMAN, {"a0": [1.0, -1.0, 0.0, 0.5],
+                                              "kappa": [1.0, 1.0, -2.0, 1.0]}),
+    "tie": (ModelFamily.LORD_SHULMAN, {"a0": [-1.0, 1.0, -1.0, 1.0]}),
+    "tie_across_checks": (ModelFamily.LORD_SHULMAN, {"a0": [0.0, -1.0, 1.0, 1.0],
+                                                     "kappa": [-1.0, 1.0, 1.0, 1.0]}),
+}
+
+STACKED_LAWS = {f"{family.value}_per_cell": (lambda f=family: per_cell_law(f))
+                for family in ALL_FAMILIES}
+STACKED_LAWS.update({
+    f"violated_{name}": (lambda f=f, c=c: assemble_material_law(spec_with(f, **c)))
+    for name, (f, c) in VIOLATED_PER_CELL.items()})
+
+
+class TestStackedAgainstPerCell:
+    @pytest.mark.parametrize("name", sorted(STACKED_LAWS))
+    def test_report_bytes_and_witness_order(self, name):
+        law = STACKED_LAWS[name]()
+        got, want = certify_wellposedness(law), certify_per_cell(law)
+        assert got.to_json() == want.to_json()
+        assert [w.cell for w in got.witnesses] == [w.cell for w in want.witnesses]
+        if name.startswith("violated"):
+            assert got.verdict == "violated"
+
+    @pytest.mark.parametrize("name, cells", [("violated_tie", [0, 2]),
+                                             ("violated_tie_across_checks", [0, 1])])
+    def test_tied_witnesses_keep_cell_order(self, name, cells):
+        report = certify_wellposedness(STACKED_LAWS[name]())
+        assert [w.cell for w in report.witnesses] == cells
+        assert len({w.eigenvalue for w in report.witnesses}) == 1
+
+    @pytest.mark.parametrize("name", sorted(STACKED_LAWS))
+    def test_condition_threshold_and_classification(self, name):
+        law = STACKED_LAWS[name]()
+        for rho in (0.01, 1.0, 30.0):
+            got_eig, got = check_condition_rho(law, rho)
+            want_eig, want = condition_rho_per_cell(law, rho)
+            assert (got_eig, got.cell) == (want_eig, want.cell)
+            assert np.array_equal(got.eigenvector, want.eigenvector)
+        assert classify(law) == classify_per_cell(law)
+        want = find_min_rho_per_cell(law, 0.3)
+        if want is None:
+            with pytest.raises(UnreachableTargetError):
+                find_min_rho(law, 0.3)
+        else:
+            assert find_min_rho(law, 0.3) == want
+
+    def test_mass_built_at_most_once_per_cell(self, monkeypatch, rng):
+        law = assemble_material_law(spec_with(ModelFamily.DPL_I,
+                                              C=rng.uniform(0.8, 1.25, 64).tolist(),
+                                              kappa=rng.uniform(0.5, 2.0, 64).tolist()))
+        calls = []
+        mass = CellLaw.mass
+
+        def counting(cell):
+            calls.append(cell)
+            return mass(cell)
+
+        monkeypatch.setattr(CellLaw, "mass", counting)
+        assert certify_wellposedness(law).verdict == "satisfied"
+        assert np.isfinite(check_symbol_boundary(law, 1.0)[0])
+        assert len(calls) <= law.n_cells
+
+
+def custom_resistance(a2):
+    return assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
+        "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "a2": a2}))
+
+
+class TestCancelledFactors:
+    """(1 - 2z) / (1 - 2z) is the constant 1: its denominator root is no pole."""
+
+    CANCELLED = RationalMatrixFunction((np.eye(1), -2.0 * np.eye(1)), np.array([1.0, -2.0]))
+
+    def test_certified_like_the_constant(self):
+        got = certify_wellposedness(custom_resistance(self.CANCELLED))
+        want = certify_wellposedness(custom_resistance(1.0))
+        assert got.rho_min == want.rho_min == wellposed.RHO_RANGE[0]
+        assert got.c_estimate == pytest.approx(want.c_estimate, rel=1e-12)
+
+    def test_boundary_constant_finite(self):
+        got, _ = check_symbol_boundary(custom_resistance(self.CANCELLED), 1.0)
+        want, _ = check_symbol_boundary(custom_resistance(1.0), 1.0)
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_threshold_not_floored(self):
+        got = find_min_rho(custom_resistance(self.CANCELLED), 0.5)
+        assert got == pytest.approx(find_min_rho(custom_resistance(1.0), 0.5), abs=1e-12)
