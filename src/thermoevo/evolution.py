@@ -6,10 +6,11 @@ states, and the antisymmetric spatial operator:
 
     M_h dU/dt + D_h U + C x + A_h U = F(t),      dx/dt = P x + B U,
 
-marched from zero history by backward Euler or the trapezoidal rule with
-one sparse factorization reused across steps.  Auxiliary dynamics are
-diagonal (one simple pole per state), so their elimination adds only a
-diagonal correction to the step matrix.
+marched from zero history by one theta-scheme step (Hairer & Wanner,
+Solving ODEs II, IV.3): backward Euler is theta = 1, the trapezoidal rule
+theta = 1/2, and one sparse factorization is reused across steps.  Auxiliary
+dynamics are diagonal (one simple pole per state), so their elimination adds
+only a diagonal correction to the step matrix.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ __all__ = [
 
 BACKWARD_EULER = "backward_euler"
 TRAPEZOIDAL = "trapezoidal"
+
+#: implicit weight of each scheme's theta-scheme step
+_THETA = {BACKWARD_EULER: 1.0, TRAPEZOIDAL: 0.5}
 
 FIELD_BLOCKS = ("v", "sigma", "theta_big", "q")
 
@@ -107,6 +111,11 @@ class EvolutionProblem:
     @property
     def rho(self) -> float:
         return self.forcing.rho
+
+    @property
+    def theta(self) -> float:
+        """Implicit weight of the scheme's theta-scheme step."""
+        return _THETA[self.scheme]
 
     @property
     def n_steps(self) -> int:
@@ -192,82 +201,53 @@ class EvolutionProblem:
 
 
 class _ImplicitStepper:
-    """One factorized step matrix, reused across the march."""
+    """One factorized theta-scheme step matrix, reused across the march.
+
+    Eliminating x+ = (I - theta dt P)^-1 ((I + (1-theta) dt P) x + dt B (theta u+ + (1-theta) u))
+    leaves (M/dt + K_theta) u+ = theta f+ + (1-theta) f + (M/dt - (1-theta)/theta K_theta) u
+    - C (I - theta dt P)^-1 x, with K_theta = theta (diag(D) + A_h) + diag(theta^2 dt C
+    (I - theta dt P)^-1 B).  An owner dof repeats when its law has several poles.
+    """
 
     def __init__(self, problem: EvolutionProblem):
-        self.problem = problem
+        self.theta = theta = problem.theta
         dt = problem.dt
         chain = problem.aux_chain
-        n = problem.op.n_dof
-        zero_order = sp.diags(problem.feedthrough) + problem.op.a_h
-
-        if problem.scheme == BACKWARD_EULER:
-            self.aux_decay = 1.0 / (1.0 - dt * chain.poles)
-            correction = np.zeros(n)
-            np.add.at(correction, chain.owner,
-                      dt * chain.gain_out * chain.gain_in * self.aux_decay)
-            system = problem.mass_matrix / dt + zero_order + sp.diags(correction)
-            self.rhs_mass = problem.mass_matrix / dt
-            self.explicit_part = None
-        else:
-            half = 0.5 * dt * chain.poles
-            self.aux_decay = 1.0 / (1.0 - half)     # (I - dt/2 P)^-1
-            self.aux_grow = 1.0 + half              # (I + dt/2 P)
-            correction = np.zeros(n)
-            np.add.at(correction, chain.owner,
-                      0.25 * dt * chain.gain_out * chain.gain_in * self.aux_decay)
-            k_half = 0.5 * zero_order + sp.diags(correction)
-            system = problem.mass_matrix / dt + k_half
-            self.rhs_mass = problem.mass_matrix / dt - k_half
-            self.explicit_part = k_half
-
+        self.owner = chain.owner
+        self.aux_decay = 1.0 / (1.0 - theta * dt * chain.poles)
+        self.aux_grow = 1.0 + (1.0 - theta) * dt * chain.poles
+        self.aux_in = dt * chain.gain_in
+        self.aux_out = chain.gain_out * self.aux_decay
+        correction = np.bincount(chain.owner, theta * theta * dt * chain.gain_out * chain.gain_in
+                                 * self.aux_decay, minlength=problem.op.n_dof).astype(float)
+        k_theta = (theta * (sp.diags(problem.feedthrough) + problem.op.a_h)
+                   + sp.diags(correction))
+        mass = problem.mass_matrix / dt
+        self.rhs_mass = mass - ((1.0 - theta) / theta) * k_theta
         try:
-            self.lu = splu(system.tocsc())
+            self.lu = splu((mass + k_theta).tocsc())
         except RuntimeError as exc:
             raise SingularSystemError(
                 f"step matrix not invertible at dt={dt:g}: {exc}"
             ) from exc
 
-    def step(self, u_n, x_n, f_next, f_n=None):
-        problem = self.problem
-        chain = problem.aux_chain
-        dt = problem.dt
-        if problem.scheme == BACKWARD_EULER:
-            rhs = f_next + self.rhs_mass @ u_n
-            if chain.n_aux:
-                np.subtract.at(rhs, chain.owner,
-                               chain.gain_out * self.aux_decay * x_n)
-            u_next = self.lu.solve(rhs)
-            if chain.n_aux:
-                x_next = self.aux_decay * (x_n + dt * chain.gain_in * u_next[chain.owner])
-            else:
-                x_next = x_n
-        else:
-            if f_n is None:
-                raise InputError("trapezoidal stepping needs the forcing at both ends")
-            rhs = 0.5 * (f_next + f_n) + self.rhs_mass @ u_n
-            if chain.n_aux:
-                np.subtract.at(rhs, chain.owner,
-                               chain.gain_out * self.aux_decay * x_n)
-            u_next = self.lu.solve(rhs)
-            if chain.n_aux:
-                x_next = self.aux_decay * (
-                    self.aux_grow * x_n
-                    + 0.5 * dt * chain.gain_in * (u_next[chain.owner] + u_n[chain.owner])
-                )
-            else:
-                x_next = x_n
-        return u_next, x_next
+    def step(self, u_n, x_n, f_next, f_n):
+        theta = self.theta
+        rhs = theta * f_next + (1.0 - theta) * f_n + self.rhs_mass @ u_n
+        rhs -= np.bincount(self.owner, self.aux_out * x_n, minlength=rhs.size)
+        u_next = self.lu.solve(rhs)
+        mixed = theta * u_next[self.owner] + (1.0 - theta) * u_n[self.owner]
+        return u_next, self.aux_decay * (self.aux_grow * x_n + self.aux_in * mixed)
 
 
 def step_implicit(problem: EvolutionProblem, u_n, x_n, f_next, f_n=None):
-    """Advance one implicit step; the factorization is cached on the problem."""
-    return problem._stepper.step(
-        np.asarray(u_n, dtype=float),
-        np.asarray(x_n, dtype=float),
-        np.asarray(f_next, dtype=float),
-        None if f_n is None else np.asarray(f_n, dtype=float),
-    )
+    """Advance one implicit step; the factorization is cached on the problem.
+    Backward Euler may omit ``f_n``, the trapezoidal rule needs it."""
+    if f_n is None:
+        if problem.theta != 1.0:
+            raise InputError("trapezoidal stepping needs the forcing at both ends")
+        f_n = f_next
+    return problem._stepper.step(*(np.asarray(a, dtype=float) for a in (u_n, x_n, f_next, f_n)))
 
 
 @dataclass(frozen=True)
@@ -287,14 +267,11 @@ class Trajectory:
         return WeightedSignal(self.t, self.states[:, sl], self.problem.rho)
 
     def displacement(self) -> WeightedSignal:
-        """Scheme-consistent causal antiderivative of the velocity block."""
+        """Scheme-consistent causal antiderivative: the theta-weighted cumulative sum of v."""
         v = self.block("v").samples
-        dt = self.problem.dt
-        if self.problem.scheme == BACKWARD_EULER:
-            u = dt * np.cumsum(v, axis=0) - dt * v[0]
-        else:
-            u = np.zeros_like(v)
-            u[1:] = 0.5 * dt * np.cumsum(v[1:] + v[:-1], axis=0)
+        theta = self.problem.theta
+        u = np.zeros_like(v)
+        u[1:] = self.problem.dt * np.cumsum(theta * v[1:] + (1.0 - theta) * v[:-1], axis=0)
         return WeightedSignal(self.t, u, self.problem.rho)
 
     def strain(self) -> WeightedSignal:

@@ -611,26 +611,19 @@ def recover_theta(theta_big: WeightedSignal, n0: float) -> WeightedSignal:
     """Invert the temperature-lag relation componentwise.
 
     For a positive lag time the relaxed unknown satisfies
-    ``n0 * theta' + theta = theta_big`` with zero initial data; the update is
-    the exact exponential step with linear interpolation of the input.  A
-    zero lag returns the input unchanged.
+    ``n0 * theta' + theta = theta_big`` with zero initial data; it is marched
+    by :func:`~thermoevo._integrators.exp_march_linear`, the exact
+    exponential step with linear interpolation of the input, whose phi
+    functions come from one matrix exponential and so stay accurate for
+    lags far longer than the step.  A zero lag returns the input unchanged.
     """
     if n0 < 0:
         raise InputError("lag time n0 must be non-negative")
     if n0 == 0.0:
         return theta_big.with_samples(theta_big.samples.copy())
-    # exact scalar exponential step with linearly interpolated input
-    arg = -theta_big.dt / n0
-    decay = np.exp(arg)
-    phi1 = (decay - 1.0) / arg
-    phi2 = (phi1 - 1.0) / arg
-    w_prev = -arg * (phi1 - phi2)
-    w_next = -arg * phi2
-    samples = theta_big.samples
-    out = np.zeros_like(np.asarray(samples, dtype=float))
-    for k in range(samples.shape[0] - 1):
-        out[k + 1] = decay * out[k] + w_prev * samples[k] + w_next * samples[k + 1]
-    return theta_big.with_samples(out)
+    rate = np.array([[1.0 / n0]])
+    return theta_big.with_samples(
+        exp_march_linear(-rate, rate, theta_big.samples[:, None, :], theta_big.dt)[:, 0, :])
 
 
 def compute_entropy(

@@ -95,29 +95,10 @@ def build_operators(grid: Grid1D) -> DiscreteSpatialOperator:
     """
     n = grid.n_cells
     inv_h = 1.0 / grid.h
-    rows, cols, vals = [], [], []
-    for f in range(n):
-        right = f + 1  # node index of the right end of cell f (1..n-1 interior)
-        if right <= n - 1:
-            rows.append(f)
-            cols.append(right - 1)
-            vals.append(inv_h)
-        left = f
-        if left >= 1:
-            rows.append(f)
-            cols.append(left - 1)
-            vals.append(-inv_h)
-    d_grad = sp.csr_matrix((vals, (rows, cols)), shape=(n, n - 1))
+    # cell f spans nodes f and f + 1; node j is column j - 1 (j = 1..n-1)
+    d_grad = sp.diags([inv_h, -inv_h], [0, -1], shape=(n, n - 1), format="csr")
     d_div = (-d_grad.T).tocsr()
-
-    avg_rows, avg_cols, avg_vals = [], [], []
-    for f in range(n):
-        for node in (f, f + 1):
-            if 1 <= node <= n - 1:
-                avg_rows.append(f)
-                avg_cols.append(node - 1)
-                avg_vals.append(0.5)
-    node_to_face = sp.csr_matrix((avg_vals, (avg_rows, avg_cols)), shape=(n, n - 1))
+    node_to_face = sp.diags([0.5, 0.5], [0, -1], shape=(n, n - 1), format="csr")
 
     grad_t = d_grad.T.tocsr()
     a_h = sp.bmat(

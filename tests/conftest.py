@@ -2,16 +2,21 @@
 former one-at-a-time versions of batched computations, kept as references:
 the Simpson exponential step, the per-frequency realization check, the
 per-point symbol sampling on the boundary line, the per-cell certification,
-condition, threshold and classification loops, the per-pole realization and
-the entry-by-entry congruence factor of the assembled mass matrix."""
+condition, threshold and classification loops, the per-pole realization,
+the entry-by-entry congruence factor of the assembled mass matrix, the
+per-cell loops of the difference and averaging matrices, and the
+two-branch backward-Euler / trapezoidal stepper with its displacement
+rule."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from thermoevo import (
+    BACKWARD_EULER,
     ModelFamily,
     ModelSpec,
     WeightedSignal,
@@ -373,3 +378,82 @@ def mass_matrix_lil(problem):
                            problem.face_coeffs["flux_inertia"]])
     m = (lmat.T @ sp.diags(diag) @ lmat).tocsr()
     return ((m + m.T) * 0.5).tocsr()
+
+
+def operators_per_cell(grid):
+    """(d_grad, node_to_face) assembled one cell at a time from COO lists."""
+    n = grid.n_cells
+    inv_h = 1.0 / grid.h
+    rows, cols, vals = [], [], []
+    for f in range(n):
+        right = f + 1  # node index of the right end of cell f (1..n-1 interior)
+        if right <= n - 1:
+            rows.append(f)
+            cols.append(right - 1)
+            vals.append(inv_h)
+        left = f
+        if left >= 1:
+            rows.append(f)
+            cols.append(left - 1)
+            vals.append(-inv_h)
+    d_grad = sp.csr_matrix((vals, (rows, cols)), shape=(n, n - 1))
+    avg_rows, avg_cols, avg_vals = [], [], []
+    for f in range(n):
+        for node in (f, f + 1):
+            if 1 <= node <= n - 1:
+                avg_rows.append(f)
+                avg_cols.append(node - 1)
+                avg_vals.append(0.5)
+    node_to_face = sp.csr_matrix((avg_vals, (avg_rows, avg_cols)), shape=(n, n - 1))
+    return d_grad, node_to_face
+
+
+def march_two_branch(problem):
+    """(states, aux) of the march with one hand-written branch per scheme:
+    backward Euler folds the aux correction into ``M/dt + K``, the
+    trapezoidal rule into ``K/2``; aux outputs scatter with ``np.add.at``."""
+    dt = problem.dt
+    chain = problem.aux_chain
+    n = problem.op.n_dof
+    zero_order = sp.diags(problem.feedthrough) + problem.op.a_h
+    correction = np.zeros(n)
+    if problem.scheme == BACKWARD_EULER:
+        decay = 1.0 / (1.0 - dt * chain.poles)
+        np.add.at(correction, chain.owner, dt * chain.gain_out * chain.gain_in * decay)
+        lu = splu((problem.mass_matrix / dt + zero_order + sp.diags(correction)).tocsc())
+        rhs_mass = problem.mass_matrix / dt
+    else:
+        half = 0.5 * dt * chain.poles
+        decay = 1.0 / (1.0 - half)
+        grow = 1.0 + half
+        np.add.at(correction, chain.owner, 0.25 * dt * chain.gain_out * chain.gain_in * decay)
+        k_half = 0.5 * zero_order + sp.diags(correction)
+        lu = splu((problem.mass_matrix / dt + k_half).tocsc())
+        rhs_mass = problem.mass_matrix / dt - k_half
+    f = problem.forcing.samples
+    states = np.zeros((f.shape[0], n))
+    aux = np.zeros((f.shape[0], chain.n_aux))
+    for k in range(f.shape[0] - 1):
+        u, x = states[k], aux[k]
+        if problem.scheme == BACKWARD_EULER:
+            rhs = f[k + 1] + rhs_mass @ u
+        else:
+            rhs = 0.5 * (f[k + 1] + f[k]) + rhs_mass @ u
+        np.subtract.at(rhs, chain.owner, chain.gain_out * decay * x)
+        states[k + 1] = lu.solve(rhs)
+        if problem.scheme == BACKWARD_EULER:
+            aux[k + 1] = decay * (x + dt * chain.gain_in * states[k + 1][chain.owner])
+        else:
+            aux[k + 1] = decay * (grow * x + 0.5 * dt * chain.gain_in
+                                  * (states[k + 1][chain.owner] + u[chain.owner]))
+    return states, aux
+
+
+def displacement_two_branch(problem, v):
+    """The velocity's causal antiderivative, one formula per scheme."""
+    dt = problem.dt
+    if problem.scheme == BACKWARD_EULER:
+        return dt * np.cumsum(v, axis=0) - dt * v[0]
+    u = np.zeros_like(v)
+    u[1:] = 0.5 * dt * np.cumsum(v[1:] + v[:-1], axis=0)
+    return u

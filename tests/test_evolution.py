@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (ALL_FAMILIES, mass_matrix_lil, per_cell_law, simpson_weights, spec_with,
-                      uncoupled_law)
+from conftest import (ALL_FAMILIES, displacement_two_branch, march_two_branch, mass_matrix_lil,
+                      per_cell_law, simpson_weights, spec_with, uncoupled_law)
 from thermoevo import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
@@ -157,6 +157,78 @@ class TestStepping:
         assert np.all(np.isfinite(traj.states))
         energy = energy_functional(traj)
         assert np.all(energy >= 0.0)
+
+
+def two_pole_resistance_law():
+    """Custom law with flux inertia whose flux resistance has two simple
+    poles, so one q dof owns two aux states."""
+    return assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
+        "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.5, "a0": 1.0,
+        "a2": RationalMatrixFunction((np.eye(1), 0.5 * np.eye(1)), np.array([1.0, 3.0, 2.0]))}))
+
+
+class TestThetaScheme:
+    """The theta-scheme step against the former two-branch stepper."""
+
+    @staticmethod
+    def marched(law, scheme, block):
+        problem = pulse_problem(law, n_cells=16, dt=2**-8, t_max=0.5, scheme=scheme, block=block)
+        traj = solve(problem)
+        states, aux = march_two_branch(problem)
+        want = (states, aux, displacement_two_branch(problem, traj.block("v").samples))
+        return (traj.states, traj.aux, traj.displacement().samples), want
+
+    @pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
+    @pytest.mark.parametrize("block", ["f", "h"])
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_equals_two_branch_march(self, family, block, scheme):
+        got, want = self.marched(assemble_material_law(canonical_spec(family)), scheme, block)
+        if family is ModelFamily.DPL_II and scheme == BACKWARD_EULER:
+            # the q rows carry flux inertia, a feedthrough and an aux
+            # correction: the step matrix sums M/dt + (D + corr), not
+            # (M/dt + D) + corr
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+            return
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
+    def test_two_poles_on_one_owner(self, scheme):
+        law = two_pole_resistance_law()
+        got, want = self.marched(law, scheme, "f")
+        owner = pulse_problem(law, n_cells=16).aux_chain.owner
+        assert np.unique(owner).size < owner.size
+        # np.bincount sums an owner's two outputs before subtracting them
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+    def test_backward_euler_step_needs_no_previous_forcing(self):
+        problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.DPL_II)),
+                                n_cells=8, dt=2**-7, t_max=0.25)
+        traj = solve(problem)
+        f = problem.forcing.samples
+        u1, x1 = step_implicit(problem, traj.states[1], traj.aux[1], f[2])
+        u2, x2 = step_implicit(problem, traj.states[1], traj.aux[1], f[2], f[2])
+        np.testing.assert_array_equal(u1, u2)
+        np.testing.assert_array_equal(x1, x2)
+        np.testing.assert_array_equal(u1, traj.states[2])
+
+    def test_trapezoidal_step_needs_previous_forcing(self):
+        problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.DPL_II)),
+                                n_cells=8, dt=2**-7, t_max=0.25, scheme=TRAPEZOIDAL)
+        f = problem.forcing.samples
+        with pytest.raises(InputError, match="forcing at both ends"):
+            step_implicit(problem, np.zeros(problem.op.n_dof),
+                          np.zeros(problem.aux_chain.n_aux), f[1])
+
+    def test_empty_aux_chain_stays_float(self):
+        law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
+        problem = pulse_problem(law, n_cells=8, dt=2**-7, t_max=0.25)
+        assert problem.aux_chain.n_aux == 0
+        # an int64 scatter would reach sp.diags, whose FutureWarning fails under -W error
+        traj = solve(problem)
+        assert traj.states.dtype == traj.aux.dtype == np.float64
 
 
 class TestEnergy:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,22 @@ class TestThetaRecovery:
         parts = 2.0 * recover_theta(a, 0.7).samples + 3.0 * recover_theta(b, 0.7).samples
         scale = max(np.max(np.abs(parts)), 1e-30)
         assert np.max(np.abs(combo.samples - parts)) <= 1e-12 * scale
+
+    def test_long_lag_matches_series_phi(self):
+        # dt / n0 = 2.4e-8: the phi functions by difference quotients cancel
+        # catastrophically, their Taylor series do not
+        n0, dt = 1e4, 2.0**-12
+        t = dt * np.arange(4097)
+        samples = np.column_stack([np.sin(3.0 * t), np.exp(-t) * t])
+        out = recover_theta(WeightedSignal(t, samples, 1.0), n0)
+        z = -dt / n0
+        phi1 = sum(z**k / math.factorial(k + 1) for k in range(8))
+        phi2 = sum(z**k / math.factorial(k + 2) for k in range(8))
+        w_prev, w_next = -z * (phi1 - phi2), -z * phi2
+        want = np.zeros_like(samples)
+        for k in range(t.size - 1):
+            want[k + 1] = np.exp(z) * want[k] + w_prev * samples[k] + w_next * samples[k + 1]
+        assert np.max(np.abs(out.samples - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_negative_lag_rejected(self):
         t = 1e-3 * np.arange(10)

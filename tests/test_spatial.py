@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import operators_per_cell
 
 from thermoevo import (
     Grid1D,
@@ -40,6 +41,16 @@ class TestOperators:
         op = build_operators(Grid1D(1.0, 2))
         assert op.block_sizes == (1, 2, 1, 2)
         assert op.a_h.shape == (6, 6)
+
+    @pytest.mark.parametrize("n_cells", [2, 3, 12, 128, 2048])
+    def test_csr_arrays_equal_per_cell_assembly(self, n_cells):
+        grid = Grid1D(1.0, n_cells)
+        op = build_operators(grid)
+        for got, want in zip((op.d_grad, op.node_to_face), operators_per_cell(grid)):
+            for name in ("data", "indices", "indptr"):
+                got_arr, want_arr = getattr(got, name), getattr(want, name)
+                assert got_arr.dtype == want_arr.dtype
+                np.testing.assert_array_equal(got_arr, want_arr)
 
     def test_divergence_is_negative_transpose(self):
         op = build_operators(Grid1D(1.0, 8))
