@@ -18,15 +18,16 @@ __all__ = ["phi_matrices", "exp_march_linear"]
 
 
 def phi_matrices(a: np.ndarray, order: int) -> list[np.ndarray]:
-    """Return [expm(a), phi_1(a), ..., phi_order(a)] for a square matrix."""
-    d = a.shape[0]
+    """Return [expm(a), phi_1(a), ..., phi_order(a)] for a square matrix or
+    a stack of them on leading axes (one batched ``expm`` call)."""
+    d = a.shape[-1]
     size = d * (order + 1)
-    aug = np.zeros((size, size), dtype=np.promote_types(a.dtype, float))
-    aug[:d, :d] = a
+    aug = np.zeros(a.shape[:-2] + (size, size), dtype=np.promote_types(a.dtype, float))
+    aug[..., :d, :d] = a
     for j in range(order):
-        aug[j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = np.eye(d)
+        aug[..., j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = np.eye(d)
     e = expm(aug)
-    return [e[:d, j * d:(j + 1) * d] for j in range(order + 1)]
+    return [e[..., :d, j * d:(j + 1) * d] for j in range(order + 1)]
 
 
 def exp_march_linear(a: np.ndarray, b: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:

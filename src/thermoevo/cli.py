@@ -5,8 +5,9 @@ and the output directory.  All numeric report output is written with fixed
 17-significant-digit formatting so identical configs produce byte-identical
 artifacts.
 
-Exit codes: 0 success, 1 input error, 2 certification verdict violated
-(check mode), 3 verification tolerance exceeded (verify mode).
+Exit codes: 0 success, 1 input error, 2 certification verdict not
+satisfied, that is violated or inconclusive (check mode), 3 verification
+tolerance exceeded (verify mode).
 """
 
 from __future__ import annotations

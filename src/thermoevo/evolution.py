@@ -348,7 +348,7 @@ def solve(problem: EvolutionProblem) -> Trajectory:
     return Trajectory(problem, states, aux)
 
 
-def energy_functional(trajectory: Trajectory, law: MaterialLaw = None) -> np.ndarray:
+def energy_functional(trajectory: Trajectory) -> np.ndarray:
     """Per-step quadratic form of the instantaneous block, h-weighted.
 
     For laws with constant Hermitian zero-order block and vanished forcing,
@@ -356,8 +356,6 @@ def energy_functional(trajectory: Trajectory, law: MaterialLaw = None) -> np.nda
     rule conserves it exactly (skew spatial part drops out).
     """
     problem = trajectory.problem
-    if law is not None and law is not problem.law:
-        raise InputError("law does not match the trajectory's problem")
     m = problem.mass_matrix
     h = problem.op.grid.h
     u = trajectory.states

@@ -5,14 +5,16 @@ known in closed form (discrete sine modes, see ``mode_decomposition``);
 for laws whose instantaneous block does not couple unknowns across the two
 staggered location sets (no thermoelastic coupling, no flux-temperature
 coupling), the semidiscrete system splits into one small dense system per
-mode.  The forcing is interpolated in time by the not-a-knot cubic spline,
-built in this module with one ``solve_banded`` call, and each mode takes one
-exponential step per marching step that integrates that cubic exactly
-(phi-function weights on the spline's polynomial coefficients), so the
-reference is exact in time up to round-off for its interpolant while
-sharing the spatial discretization exactly.  Index-1 algebraic rows
-(degenerate instantaneous block) are eliminated through the eigenbasis
-before integration.
+mode, and the modes differ only by their wavenumber.  The forcing is
+interpolated in time by the not-a-knot cubic spline, built in this module
+with one ``solve_banded`` call, and every mode takes one exponential step
+per marching step that integrates that cubic exactly (phi-function weights
+on the spline's polynomial coefficients, all modes from one batched
+``expm``), so the reference is exact in time up to round-off for its
+interpolant while sharing the spatial discretization exactly.  Without
+couplings the instantaneous block M(0) = diag(rho0, 1/C, nu, a0) is
+diagonal; its vanishing entries mark the index-1 algebraic rows, which are
+eliminated (one stacked inverse over the modes) before integration.
 """
 
 from __future__ import annotations
@@ -31,22 +33,23 @@ from .rational import realize_state_space
 from .signals import WeightedSignal, weighted_norm
 from .spatial import mode_decomposition
 
-__all__ = ["ModeSystem", "build_mode_systems", "spectral_solve", "compare", "ComparisonResult"]
+__all__ = ["ModeSystems", "build_mode_systems", "spectral_solve", "compare", "ComparisonResult"]
 
 @dataclass(frozen=True)
-class ModeSystem:
-    """Dense per-mode system E y' + K y = g with reduction metadata.
+class ModeSystems:
+    """Dense per-mode systems E y' + K_k y = g, stacked over the modes.
 
     ``y`` holds the four field coefficients, then ``aux_sizes[0]``
-    temperature-damping and ``aux_sizes[1]`` flux-resistance states.
+    temperature-damping and ``aux_sizes[1]`` flux-resistance states.  All
+    modes share ``e_matrix`` (d, d); ``k_matrix`` (n_modes, d, d) differs
+    between modes only by ``wavenumbers[k]`` times a fixed skew pattern in
+    the field block.
     """
 
-    index: int
-    wavenumber: float
+    wavenumbers: np.ndarray
     e_matrix: np.ndarray
     k_matrix: np.ndarray
-    constant_coefficients: bool = True
-    aux_sizes: tuple = (0, 0)
+    aux_sizes: tuple
 
 
 def _uniform_cell(problem: EvolutionProblem):
@@ -62,46 +65,34 @@ def _uniform_cell(problem: EvolutionProblem):
     return cell
 
 
-def build_mode_systems(problem: EvolutionProblem) -> list:
-    """Assemble the dense DAE for each discrete mode of the difference matrix."""
+def build_mode_systems(problem: EvolutionProblem) -> ModeSystems:
+    """Assemble the dense DAE of every discrete mode of the difference matrix."""
     return _mode_systems(problem, mode_decomposition(problem.op)[0])
 
 
-def _mode_systems(problem: EvolutionProblem, s: np.ndarray) -> list:
+def _mode_systems(problem: EvolutionProblem, s: np.ndarray) -> ModeSystems:
     """:func:`build_mode_systems` on the given wavenumbers ``s``."""
     cell = _uniform_cell(problem)
-    m0 = cell.mass().real
     r1 = realize_state_space(cell.theta_damping)
     r2 = realize_state_space(cell.flux_resistance)
     p1, p2 = r1.n_states, r2.n_states
     d = 4 + p1 + p2
 
-    systems = []
-    for k, wavenumber in enumerate(s):
-        e_mat = np.zeros((d, d))
-        e_mat[:4, :4] = m0
-        e_mat[4:, 4:] = np.eye(p1 + p2)
-        k_mat = np.zeros((d, d))
-        k_mat[2, 2] = float(r1.d[0, 0])
-        k_mat[3, 3] = float(r2.d[0, 0])
-        a_k = np.array([
-            [0.0, wavenumber, 0.0, 0.0],
-            [-wavenumber, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, -wavenumber],
-            [0.0, 0.0, wavenumber, 0.0],
-        ])
-        k_mat[:4, :4] += a_k
-        if p1:
-            k_mat[2, 4:4 + p1] = r1.c[0]
-            k_mat[4:4 + p1, 2] = -r1.b[:, 0]
-            k_mat[4:4 + p1, 4:4 + p1] = -r1.a
-        if p2:
-            k_mat[3, 4 + p1:] = r2.c[0]
-            k_mat[4 + p1:, 3] = -r2.b[:, 0]
-            k_mat[4 + p1:, 4 + p1:] = -r2.a
-        systems.append(ModeSystem(k + 1, float(wavenumber), e_mat, k_mat,
-                                  aux_sizes=(p1, p2)))
-    return systems
+    e_mat = np.eye(d)
+    e_mat[:4, :4] = cell.mass().real
+    k_mat = np.zeros((d, d))
+    k_mat[2, 2] = float(r1.d[0, 0])
+    k_mat[3, 3] = float(r2.d[0, 0])
+    k_mat[2, 4:4 + p1] = r1.c[0]
+    k_mat[4:4 + p1, 2] = -r1.b[:, 0]
+    k_mat[4:4 + p1, 4:4 + p1] = -r1.a
+    k_mat[3, 4 + p1:] = r2.c[0]
+    k_mat[4 + p1:, 3] = -r2.b[:, 0]
+    k_mat[4 + p1:, 4 + p1:] = -r2.a
+    skew = np.zeros((d, d))  # the mode's difference symbol on (v, sigma) and (theta, q)
+    skew[0, 1] = skew[3, 2] = 1.0
+    skew[1, 0] = skew[2, 3] = -1.0
+    return ModeSystems(s, e_mat, k_mat + s[:, None, None] * skew, (p1, p2))
 
 
 def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -143,14 +134,14 @@ def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def spectral_solve(problem: EvolutionProblem) -> Trajectory:
-    """Reference trajectory by per-mode exponential integration.
+    """Reference trajectory by exponential integration of all modes at once.
 
     The forcing must live in the v and theta blocks only (the canonical
     right-hand side shape); its per-mode coefficients are interpolated in
     time by the not-a-knot cubic spline (one ``solve_banded`` call, see
     :func:`_not_a_knot_coefficients`), which every step integrates exactly.
-    Algebraic unknowns (kernel of the instantaneous block) are eliminated
-    exactly and recovered after the march.
+    Algebraic unknowns (null rows of the diagonal instantaneous block) are
+    eliminated exactly and recovered after the march.
     """
     op = problem.op
     wavenumbers, node_vecs, face_vecs, _ = mode_decomposition(op)
@@ -162,7 +153,7 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
             "spectral reference supports forcing in the v and theta blocks only"
         )
 
-    p1, p2 = systems[0].aux_sizes
+    p1, p2 = systems.aux_sizes
     d = 4 + p1 + p2
 
     # unforced modes stay identically zero (zero history); march only the
@@ -183,112 +174,69 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
                           np.zeros((t.size, problem.aux_chain.n_aux)))
     node_vecs = node_vecs[:, active]
     face_vecs = face_vecs[:, active]
-    systems = [systems[k] for k in active]
+    k_all = systems.k_matrix[active]
 
-    m0 = systems[0].e_matrix[:4, :4]
-    eigvals, v_basis = np.linalg.eigh(m0)
-    cutoff = SPECTRAL_CUTOFF * float(eigvals[-1])
-    null_mask = np.concatenate([eigvals <= cutoff, np.zeros(p1 + p2, dtype=bool)])
-    diff_mask = ~null_mask
-    t_full = np.eye(d)
-    t_full[:4, :4] = v_basis
-    lam = np.concatenate([eigvals, np.ones(p1 + p2)])
+    # the uncoupled instantaneous block is diagonal, so its null rows are
+    # the field unknowns with a vanishing diagonal entry (aux rows never are)
+    lam = np.diag(systems.e_matrix)
+    null = np.zeros(d, dtype=bool)
+    null[:4] = lam[:4] <= SPECTRAL_CUTOFF * lam[:4].max()
+    diff = ~null
+    m_red_inv = 1.0 / lam[diff]
+    try:
+        k_nn_inv = np.linalg.inv(k_all[:, null][:, :, null])
+    except np.linalg.LinAlgError as exc:
+        raise OracleRejectionError(
+            "algebraic block not invertible; the law is not index-1 reducible"
+        ) from exc
+    k_rn = k_all[:, diff][:, :, null]
+    k_nr = k_all[:, null][:, :, diff]
+    k_red = k_all[:, diff][:, :, diff] - k_rn @ k_nn_inv @ k_nr
 
-    n_null = int(np.sum(null_mask))
-    n_red = d - n_null
-
-    # per-mode reduced matrices.  With forcing g(t_k + tau) = sum_j g_j tau^j
-    # on a step of length h, the exact step of w' = G w + g is
+    # with forcing g(t_k + tau) = sum_j g_j tau^j on a step of length h, the
+    # exact step of w' = G w + g is
     #   w(t_k + h) = E w(t_k) + sum_j j! h^(j+1) phi_(j+1)(h G) g_j
     # (Hochbruck & Ostermann, Acta Numerica 2010).
     h = problem.dt
-    poly_scale = [math.factorial(j) * h ** (j + 1) for j in range(4)]
-    g_props, g_weights = [], []
-    k_nn_inv, k_nr, k_rn = [], [], []
-    m_red_inv = 1.0 / lam[diff_mask]
-    for sys_k in systems:
-        k_hat = t_full.T @ sys_k.k_matrix @ t_full
-        knn = k_hat[np.ix_(null_mask, null_mask)]
-        if n_null:
-            try:
-                knn_inv = np.linalg.inv(knn)
-            except np.linalg.LinAlgError as exc:
-                raise OracleRejectionError(
-                    "algebraic block not invertible; the law is not index-1 reducible"
-                ) from exc
-        else:
-            knn_inv = np.zeros((0, 0))
-        krn = k_hat[np.ix_(diff_mask, null_mask)]
-        knr = k_hat[np.ix_(null_mask, diff_mask)]
-        k_red = k_hat[np.ix_(diff_mask, diff_mask)] - krn @ knn_inv @ knr
-        g_mat = -(m_red_inv[:, None] * k_red)
-        e_step, *phis = phi_matrices(h * g_mat, 4)
-        g_props.append(e_step)
-        g_weights.append([c * phi for c, phi in zip(poly_scale, phis)])
-        k_nn_inv.append(knn_inv)
-        k_nr.append(knr)
-        k_rn.append(krn)
-    g_props = np.stack(g_props)
-    g_weights = np.array(g_weights)
-    k_nn_inv = np.stack(k_nn_inv)
-    k_nr = np.stack(k_nr)
-    k_rn = np.stack(k_rn)
+    e_step, *phis = phi_matrices(h * -(m_red_inv[:, None] * k_red), 4)
+    g_weights = np.stack([math.factorial(j) * h ** (j + 1) * phi
+                          for j, phi in enumerate(phis)], axis=1)
 
     # per-mode forcing coefficients on the coarse grid, then spline in time
-    coeffs = np.zeros((t.size, n_modes, 4))
+    n_t = t.size
+    coeffs = np.zeros((n_t, n_modes, 4))
     coeffs[:, :, 0] = f_v_full[:, active]
     coeffs[:, :, 2] = f_th_full[:, active]
-    spline_c = _not_a_knot_coefficients(t, coeffs.reshape(t.size, -1))
+    spline_c = _not_a_knot_coefficients(t, coeffs.reshape(n_t, -1))
 
-    v4 = t_full[:4, :4]
-
-    def hat_forcing(values):  # (..., n_modes, 4) -> transformed, same shape padded to d
-        hat = np.zeros(values.shape[:-1] + (d,))
-        hat[..., :4] = values @ v4
-        return hat
-
-    def reduced_forcing(values):  # (..., n_modes, 4) -> (..., n_modes, n_red)
-        hat = hat_forcing(values)
-        g_r = hat[..., diff_mask]
-        if n_null:
-            g_r = g_r - np.einsum("mij,...mj->...mi", k_rn @ k_nn_inv, hat[..., null_mask])
-        return m_red_inv * g_r
-
-    n_t = t.size
     # spline_c[3 - j] holds every interval's tau^j coefficient; the forcing
     # reduction is linear, so it maps the coefficients directly
-    poly = reduced_forcing(spline_c[::-1].reshape(4, n_t - 1, n_modes, 4))
+    g = np.zeros((4, n_t - 1, n_modes, d))
+    g[..., :4] = spline_c[::-1].reshape(4, n_t - 1, n_modes, 4)
+    poly = g[..., diff]
+    poly -= np.einsum("mij,...mj->...mi", k_rn @ k_nn_inv, g[..., null])
+    poly *= m_red_inv
     drive = np.einsum("mjil,jkml->kmi", g_weights, poly)
-    w_coarse = np.zeros((n_t, n_modes, n_red))
+    w_coarse = np.zeros((n_t, n_modes, m_red_inv.size))
     for k in range(n_t - 1):
-        w_coarse[k + 1] = np.einsum("mij,mj->mi", g_props, w_coarse[k]) + drive[k]
+        w_coarse[k + 1] = np.einsum("mij,mj->mi", e_step, w_coarse[k]) + drive[k]
 
-    # recover algebraic components and map back to physical unknowns
-    g_hat_coarse = hat_forcing(coeffs)
-    y_hat = np.zeros((n_t, n_modes, d))
-    y_hat[..., diff_mask] = w_coarse
-    if n_null:
-        g_n = g_hat_coarse[..., null_mask]
-        y_n = np.einsum("mij,tmj->tmi", k_nn_inv, g_n - np.einsum("mij,tmj->tmi", k_nr, w_coarse))
-        y_hat[..., null_mask] = y_n
-    y_full = np.empty_like(y_hat)
-    y_full[..., :4] = np.einsum("ij,tmj->tmi", v4, y_hat[..., :4])
-    y_full[..., 4:] = y_hat[..., 4:]
+    # recover the algebraic components; mode coefficients to physical unknowns
+    y = np.empty((n_t, n_modes, d))
+    y[..., diff] = w_coarse
+    y[..., null] = np.einsum("mij,tmj->tmi", k_nn_inv,
+                             coeffs[..., null[:4]] - np.einsum("mij,tmj->tmi", k_nr, w_coarse))
 
     states = np.zeros((n_t, op.n_dof))
-    states[:, slices[0]] = y_full[:, :, 0] @ node_vecs.T
-    states[:, slices[1]] = y_full[:, :, 1] @ face_vecs.T
-    states[:, slices[2]] = y_full[:, :, 2] @ node_vecs.T
-    states[:, slices[3]] = y_full[:, :, 3] @ face_vecs.T
+    states[:, slices[0]] = y[:, :, 0] @ node_vecs.T
+    states[:, slices[1]] = y[:, :, 1] @ face_vecs.T
+    states[:, slices[2]] = y[:, :, 2] @ node_vecs.T
+    states[:, slices[3]] = y[:, :, 3] @ face_vecs.T
 
     aux = np.zeros((n_t, problem.aux_chain.n_aux))
     n_faces = op.grid.n_faces
-    if p2:
-        x2 = y_full[:, :, 4 + p1:4 + p1 + p2]
-        aux[:, :n_faces * p2] = np.einsum("tmp,fm->tfp", x2, face_vecs).reshape(n_t, -1)
-    if p1:
-        x1 = y_full[:, :, 4:4 + p1]
-        aux[:, n_faces * p2:] = np.einsum("tmp,nm->tnp", x1, node_vecs).reshape(n_t, -1)
+    aux[:, :n_faces * p2] = np.einsum("tmp,fm->tfp", y[..., 4 + p1:], face_vecs).reshape(n_t, -1)
+    aux[:, n_faces * p2:] = np.einsum("tmp,nm->tnp", y[..., 4:4 + p1], node_vecs).reshape(n_t, -1)
 
     return Trajectory(problem, states, aux)
 

@@ -21,6 +21,12 @@ def ls_model(gamma=0.5):
                              "kappa": 1.0, "a0": 1.0}}
 
 
+#: no heat capacity and no temperature damping (nu = 0, a1 = 0): the
+#: certificate is inconclusive and the algebraic theta row is not index-1
+NOT_INDEX_ONE_MODEL = {"family": "custom", "coefficients": {
+    "rho0": 1.0, "nu": 0.0, "C": 1.0, "Gamma": 0.0, "a0": 1.0, "a2": 1.0}}
+
+
 def sim_payload(**overrides):
     payload = {
         "model": ls_model(gamma=0.0),
@@ -245,6 +251,16 @@ class TestVerifyMode:
         assert "not positive" in report["bound_check"]["reason"]
         assert report["failures"] == []
 
+    def test_not_index_one_law_skips_oracle_comparison(self, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(sim_payload(
+            model=NOT_INDEX_ONE_MODEL, grid={"L": 1.0, "n_cells": 8})))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 0
+        report = json.loads((out / "verify.json").read_text())
+        assert report["comparison"]["status"] == "skipped"
+        assert "not index-1 reducible" in report["comparison"]["reason"]
+
 
 class TestMain:
     def test_end_to_end_check(self, tmp_path, capsys):
@@ -252,6 +268,13 @@ class TestMain:
         config_path.write_text(json.dumps({"model": ls_model()}))
         assert main(["check", "--config", str(config_path)]) == 0
         assert "satisfied" in capsys.readouterr().out
+
+    def test_check_inconclusive_exits_two(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"model": NOT_INDEX_ONE_MODEL}))
+        assert main(["check", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
+        assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "inconclusive"
 
     def test_bad_json_is_input_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"

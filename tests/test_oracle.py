@@ -25,6 +25,7 @@ from thermoevo import (
 from thermoevo.errors import OracleRejectionError
 from thermoevo.forcing import spatial_profile
 from thermoevo import oracle
+from thermoevo._integrators import phi_matrices
 from thermoevo.oracle import _not_a_knot_coefficients, build_mode_systems
 
 
@@ -106,6 +107,14 @@ class TestRejections:
         with pytest.raises(OracleRejectionError):
             spectral_solve(mode_problem(law))
 
+    def test_not_index_one_reducible_rejected(self):
+        # nu = 0 and no temperature damping: the algebraic theta row's block
+        # is singular in every mode
+        law = assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
+            "rho0": 1.0, "nu": 0.0, "C": 1.0, "Gamma": 0.0, "a0": 1.0, "a2": 1.0}))
+        with pytest.raises(OracleRejectionError, match="not index-1 reducible"):
+            spectral_solve(mode_problem(law, n_cells=8))
+
     def test_flux_block_forcing_rejected(self):
         law = uncoupled_law(ModelFamily.CLASSICAL)
         problem = mode_problem(law, n_cells=8)
@@ -130,11 +139,12 @@ class TestModeSystems:
     def test_structure(self):
         law = uncoupled_law(ModelFamily.DPL_I)
         systems = build_mode_systems(mode_problem(law, n_cells=8))
-        assert len(systems) == 7
-        for sys_k in systems:
-            a_part = sys_k.k_matrix[:4, :4] - np.diag(np.diag(sys_k.k_matrix[:4, :4]))
+        assert systems.wavenumbers.shape == (7,)
+        assert systems.k_matrix.shape[0] == 7
+        for k_mat in systems.k_matrix:
+            a_part = k_mat[:4, :4] - np.diag(np.diag(k_mat[:4, :4]))
             assert np.max(np.abs(a_part + a_part.T)) == 0.0
-            assert np.max(np.abs(sys_k.e_matrix - sys_k.e_matrix.T)) == 0.0
+        assert np.max(np.abs(systems.e_matrix - systems.e_matrix.T)) == 0.0
 
     def test_zero_forcing_zero_output(self):
         law = uncoupled_law(ModelFamily.CLASSICAL)
@@ -166,6 +176,18 @@ class TestModeSystems:
         spectral_solve(mode_problem(uncoupled_law(ModelFamily.DPL_I), n_cells=8))
         assert len(calls) == 1
 
+    def test_one_phi_matrices_call_per_solve(self, monkeypatch):
+        calls = []
+
+        def counting(a, order):
+            calls.append(a.shape)
+            return phi_matrices(a, order)
+
+        monkeypatch.setattr(oracle, "phi_matrices", counting)
+        spectral_solve(mode_problem(uncoupled_law(ModelFamily.DPL_I), n_cells=8))
+        assert len(calls) == 1
+        assert len(calls[0]) == 3  # one stack over the modes
+
     @pytest.mark.parametrize("substeps", [64, 128])
     def test_matches_simpson_substep_march(self, substeps):
         law = uncoupled_law(ModelFamily.GREEN_NAGHDI_III)
@@ -174,6 +196,17 @@ class TestModeSystems:
         reference = simpson_march(problem, substeps)
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(states - reference)) <= 1e-9 * scale
+
+
+class TestPhiMatrices:
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_stack_equals_single_calls(self, order):
+        a = np.random.default_rng(order).standard_normal((5, 6, 6))
+        a[1] *= 40.0  # another scaling-and-squaring depth than its neighbours
+        stacked = phi_matrices(a, order)
+        for m in range(a.shape[0]):
+            for got, want in zip(stacked, phi_matrices(a[m], order)):
+                assert np.array_equal(got[m], want)
 
 
 class TestExactness:
