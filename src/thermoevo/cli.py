@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -349,7 +349,7 @@ def _verify(config, law, problem, report, trajectory, written, stream) -> int:
                 "c_used": check.c_used,
                 "tail_ratio": check.tail_ratio,
             }
-            if check.window_ok and check.lhs > check.rhs * (1.0 + tol["bound_slack"]):
+            if check.window_ok and not replace(check, slack=tol["bound_slack"]).ok:
                 failures.append(
                     f"a_priori_bound lhs {check.lhs:.6e} > rhs {check.rhs:.6e} "
                     f"(slack {tol['bound_slack']})"

@@ -17,7 +17,6 @@ from .spatial import DiscreteSpatialOperator, node_modes
 __all__ = [
     "gaussian_pulse",
     "delayed_step",
-    "smooth_bump",
     "spatial_profile",
     "assemble_forcing",
     "time_grid",
@@ -41,17 +40,6 @@ def gaussian_pulse(t: np.ndarray, center: float, width: float) -> np.ndarray:
 
 def delayed_step(t: np.ndarray, delay: float) -> np.ndarray:
     return (t >= delay).astype(float)
-
-
-def smooth_bump(t: np.ndarray, center: float, width: float) -> np.ndarray:
-    """C-infinity bump, exactly zero outside (center - width, center + width)."""
-    if width <= 0:
-        raise InputError("bump width must be positive")
-    x = (t - center) / width
-    out = np.zeros_like(np.asarray(t, dtype=float))
-    inside = np.abs(x) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
-    return out
 
 
 def spatial_profile(op: DiscreteSpatialOperator, name: str) -> np.ndarray:

@@ -5,16 +5,19 @@ known in closed form (discrete sine modes, see ``mode_decomposition``);
 for laws whose instantaneous block does not couple unknowns across the two
 staggered location sets (no thermoelastic coupling, no flux-temperature
 coupling), the semidiscrete system splits into one small dense system per
-mode, and the modes differ only by their wavenumber.  The forcing is
-interpolated in time by the not-a-knot cubic spline, built in this module
-with one ``solve_banded`` call, and every mode takes one exponential step
-per marching step that integrates that cubic exactly (phi-function weights
-on the spline's polynomial coefficients, all modes from one batched
-``expm``), so the reference is exact in time up to round-off for its
-interpolant while sharing the spatial discretization exactly.  Without
-couplings the instantaneous block M(0) = diag(rho0, 1/C, nu, a0) is
-diagonal; its vanishing entries mark the index-1 algebraic rows, which are
-eliminated (one stacked inverse over the modes) before integration.
+mode, and the modes differ only by their wavenumber.  The source enters
+the balance equations alone (forcing on the sigma or q rows is rejected),
+so only the v and theta mode coefficients of the forcing are interpolated
+in time, by the not-a-knot cubic spline built in this module with one
+``solve_banded`` call.  Every mode takes one exponential step per marching
+step that integrates that cubic exactly (phi-function weights on the
+spline's polynomial coefficients, all modes from one batched ``expm``), so
+the reference is exact in time up to round-off for its interpolant while
+sharing the spatial discretization exactly.  Without couplings the
+instantaneous block M(0) = diag(rho0, 1/C, nu, a0) is diagonal; its
+vanishing entries mark the index-1 algebraic rows, whose elimination (one
+stacked inverse over the modes) is folded into the phi weights; they are
+recovered from the same two forcing columns.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from scipy.linalg import solve, solve_banded
 
 from ._integrators import phi_matrices
 from .errors import InputError, OracleRejectionError
-from .evolution import EvolutionProblem, Trajectory
+from .evolution import FIELD_BLOCKS, EvolutionProblem, Trajectory
 from .models import SPECTRAL_CUTOFF
 from .rational import realize_state_space
 from .signals import WeightedSignal, weighted_norm
@@ -137,11 +140,12 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
     """Reference trajectory by exponential integration of all modes at once.
 
     The forcing must live in the v and theta blocks only (the canonical
-    right-hand side shape); its per-mode coefficients are interpolated in
-    time by the not-a-knot cubic spline (one ``solve_banded`` call, see
-    :func:`_not_a_knot_coefficients`), which every step integrates exactly.
-    Algebraic unknowns (null rows of the diagonal instantaneous block) are
-    eliminated exactly and recovered after the march.
+    right-hand side shape); those two per-mode coefficient columns alone are
+    interpolated in time by the not-a-knot cubic spline (one ``solve_banded``
+    call, see :func:`_not_a_knot_coefficients`), which every step integrates
+    exactly.  Algebraic unknowns (null rows of the diagonal instantaneous
+    block) are eliminated by one per-mode map folded into the phi weights
+    and recovered from the same two columns after the march.
     """
     op = problem.op
     wavenumbers, node_vecs, face_vecs, _ = mode_decomposition(op)
@@ -156,22 +160,19 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
     p1, p2 = systems.aux_sizes
     d = 4 + p1 + p2
 
-    # unforced modes stay identically zero (zero history); march only the
-    # modes carrying more than projection round-off
+    # the v and theta mode coefficients of the forcing; unforced modes stay
+    # identically zero (zero history), so march only the modes carrying more
+    # than projection round-off
     t = problem.forcing.t
-    f_v_full = f_all[:, slices[0]] @ node_vecs
-    f_th_full = f_all[:, slices[2]] @ node_vecs
-    peak = max(np.max(np.abs(f_v_full), initial=0.0),
-               np.max(np.abs(f_th_full), initial=0.0))
-    gate = 1e-14 * peak
-    active = np.flatnonzero(
-        (np.max(np.abs(f_v_full), axis=0) > gate)
-        | (np.max(np.abs(f_th_full), axis=0) > gate)
-    )
+    forcing = np.stack((f_all[:, slices[0]] @ node_vecs,
+                        f_all[:, slices[2]] @ node_vecs), axis=-1)
+    peak = np.max(np.abs(forcing), axis=(0, 2))
+    active = np.flatnonzero(peak > 1e-14 * np.max(peak, initial=0.0))
     n_modes = active.size
     if n_modes == 0:
         return Trajectory(problem, np.zeros((t.size, op.n_dof)),
                           np.zeros((t.size, problem.aux_chain.n_aux)))
+    forcing = forcing[:, active]
     node_vecs = node_vecs[:, active]
     face_vecs = face_vecs[:, active]
     k_all = systems.k_matrix[active]
@@ -189,34 +190,30 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
         raise OracleRejectionError(
             "algebraic block not invertible; the law is not index-1 reducible"
         ) from exc
-    k_rn = k_all[:, diff][:, :, null]
+    k_rn_nn = k_all[:, diff][:, :, null] @ k_nn_inv
     k_nr = k_all[:, null][:, :, diff]
-    k_red = k_all[:, diff][:, :, diff] - k_rn @ k_nn_inv @ k_nr
+    k_red = k_all[:, diff][:, :, diff] - k_rn_nn @ k_nr
+
+    # the forcing enters rows 0 (v) and 2 (theta); with the algebraic rows
+    # eliminated, one (n_diff, 2) map per mode carries it to the reduced rows
+    inject = np.zeros((d, 2))
+    inject[0, 0] = inject[2, 1] = 1.0
+    reduce = m_red_inv[:, None] * (inject[diff] - k_rn_nn @ inject[null])
 
     # with forcing g(t_k + tau) = sum_j g_j tau^j on a step of length h, the
     # exact step of w' = G w + g is
     #   w(t_k + h) = E w(t_k) + sum_j j! h^(j+1) phi_(j+1)(h G) g_j
-    # (Hochbruck & Ostermann, Acta Numerica 2010).
+    # (Hochbruck & Ostermann, Acta Numerica 2010), that map folded in.
     h = problem.dt
     e_step, *phis = phi_matrices(h * -(m_red_inv[:, None] * k_red), 4)
-    g_weights = np.stack([math.factorial(j) * h ** (j + 1) * phi
-                          for j, phi in enumerate(phis)], axis=1)
+    weights = np.stack([math.factorial(j) * h ** (j + 1) * phi @ reduce
+                        for j, phi in enumerate(phis)], axis=1)
 
-    # per-mode forcing coefficients on the coarse grid, then spline in time
+    # spline_c[3 - j] holds every interval's tau^j coefficient
     n_t = t.size
-    coeffs = np.zeros((n_t, n_modes, 4))
-    coeffs[:, :, 0] = f_v_full[:, active]
-    coeffs[:, :, 2] = f_th_full[:, active]
-    spline_c = _not_a_knot_coefficients(t, coeffs.reshape(n_t, -1))
-
-    # spline_c[3 - j] holds every interval's tau^j coefficient; the forcing
-    # reduction is linear, so it maps the coefficients directly
-    g = np.zeros((4, n_t - 1, n_modes, d))
-    g[..., :4] = spline_c[::-1].reshape(4, n_t - 1, n_modes, 4)
-    poly = g[..., diff]
-    poly -= np.einsum("mij,...mj->...mi", k_rn @ k_nn_inv, g[..., null])
-    poly *= m_red_inv
-    drive = np.einsum("mjil,jkml->kmi", g_weights, poly)
+    spline_c = _not_a_knot_coefficients(t, forcing.reshape(n_t, -1))
+    drive = np.einsum("mjic,jkmc->kmi", weights,
+                      spline_c[::-1].reshape(4, n_t - 1, n_modes, 2))
     w_coarse = np.zeros((n_t, n_modes, m_red_inv.size))
     for k in range(n_t - 1):
         w_coarse[k + 1] = np.einsum("mij,mj->mi", e_step, w_coarse[k]) + drive[k]
@@ -225,7 +222,7 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
     y = np.empty((n_t, n_modes, d))
     y[..., diff] = w_coarse
     y[..., null] = np.einsum("mij,tmj->tmi", k_nn_inv,
-                             coeffs[..., null[:4]] - np.einsum("mij,tmj->tmi", k_nr, w_coarse))
+                             forcing @ inject[null].T - np.einsum("mij,tmj->tmi", k_nr, w_coarse))
 
     states = np.zeros((n_t, op.n_dof))
     states[:, slices[0]] = y[:, :, 0] @ node_vecs.T
@@ -257,7 +254,7 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> ComparisonResult:
     per_field = {}
     num_sq = 0.0
     den_sq = 0.0
-    for name in ("v", "sigma", "theta_big", "q"):
+    for name in FIELD_BLOCKS:
         a = traj_a.block(name).samples
         b = traj_b.block(name).samples
         diff = weighted_norm(WeightedSignal(traj_a.t, a - b, rho))

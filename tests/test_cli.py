@@ -261,6 +261,27 @@ class TestVerifyMode:
         assert report["comparison"]["status"] == "skipped"
         assert "not index-1 reducible" in report["comparison"]["reason"]
 
+    def test_bound_slack_override_decides_bound_check(self, tmp_path):
+        # lhs is about a sixth of rhs here (window tail ~1e-13), so the
+        # default slack passes and a slack of -0.99 must fail the bound alone
+        payload = sim_payload(
+            model={"family": "dpl_i", "coefficients": {
+                "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "kappa": 1.0,
+                "n1": 0.5, "n2": 0.25}},
+            grid={"L": 1.0, "n_cells": 8},
+            time={"t_max": 4.0, "dt": 2**-8, "rho": 4.0, "scheme": "trapezoidal"},
+            tolerances={"bound_slack": -0.99})
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
+        report = json.loads((out / "verify.json").read_text())
+        assert report["comparison"]["status"] == "ok"
+        assert report["bound_check"]["status"] == "ok"
+        assert report["bound_check"]["lhs"] <= report["bound_check"]["rhs"] * 1.05
+        assert len(report["failures"]) == 1
+        assert report["failures"][0].startswith("a_priori_bound")
+
 
 class TestMain:
     def test_end_to_end_check(self, tmp_path, capsys):

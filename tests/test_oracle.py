@@ -188,10 +188,29 @@ class TestModeSystems:
         assert len(calls) == 1
         assert len(calls[0]) == 3  # one stack over the modes
 
+    def test_spline_carries_two_columns_per_active_mode(self, monkeypatch):
+        # only the v and theta mode coefficients are splined; the symmetric
+        # bump excites the 4 odd modes of the 7
+        widths = []
+
+        def recording(x, y):
+            widths.append(y.shape[1])
+            return _not_a_knot_coefficients(x, y)
+
+        monkeypatch.setattr(oracle, "_not_a_knot_coefficients", recording)
+        spectral_solve(mode_problem(uncoupled_law(ModelFamily.DPL_I), n_cells=8,
+                                    profile="bump"))
+        assert widths == [2 * 4]
+
+    @pytest.mark.parametrize("spec", [
+        spec_with(ModelFamily.GREEN_NAGHDI_III, Gamma=0.0),
+        # nu = 0: the forced theta row is algebraic (a1 makes it index-1)
+        ModelSpec(ModelFamily.CUSTOM, {
+            "rho0": 1.0, "nu": 0.0, "C": 1.0, "Gamma": 0.0, "a0": 1.0, "a1": 1.0, "a2": 1.0}),
+    ], ids=["green_naghdi_iii", "custom_algebraic_theta"])
     @pytest.mark.parametrize("substeps", [64, 128])
-    def test_matches_simpson_substep_march(self, substeps):
-        law = uncoupled_law(ModelFamily.GREEN_NAGHDI_III)
-        problem = mode_problem(law, n_cells=8, dt=2**-8, t_max=0.25)
+    def test_matches_simpson_substep_march(self, substeps, spec):
+        problem = mode_problem(assemble_material_law(spec), n_cells=8, dt=2**-8, t_max=0.25)
         states = spectral_solve(problem).states
         reference = simpson_march(problem, substeps)
         scale = np.max(np.abs(reference))
