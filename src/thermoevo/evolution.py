@@ -8,9 +8,11 @@ states, and the antisymmetric spatial operator:
 
 marched from zero history by one theta-scheme step (Hairer & Wanner,
 Solving ODEs II, IV.3): backward Euler is theta = 1, the trapezoidal rule
-theta = 1/2, and one sparse factorization is reused across steps.  Auxiliary
-dynamics are diagonal (one simple pole per state), so their elimination adds
-only a diagonal correction to the step matrix.
+theta = 1/2.  The step matrix couples only neighbouring cells, so with the
+unknowns ordered cell by cell it is a band with 4 sub- and 4 super-diagonals;
+one banded LU in that order is reused across steps.  Auxiliary dynamics are
+diagonal (one simple pole per state), so their elimination adds only a
+diagonal correction to the step matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracer.py hooks this name)
 
 from .errors import InputError, SingularSystemError
 from .models import MaterialLaw, compute_entropy, recover_theta
@@ -200,6 +203,10 @@ class EvolutionProblem:
         return _ImplicitStepper(self)
 
 
+#: sub- and super-diagonals of the step matrix in cell order
+_BAND = 4
+
+
 class _ImplicitStepper:
     """One factorized theta-scheme step matrix, reused across the march.
 
@@ -207,6 +214,12 @@ class _ImplicitStepper:
     leaves (M/dt + K_theta) u+ = theta f+ + (1-theta) f + (M/dt - (1-theta)/theta K_theta) u
     - C (I - theta dt P)^-1 x, with K_theta = theta (diag(D) + A_h) + diag(theta^2 dt C
     (I - theta dt P)^-1 B).  An owner dof repeats when its law has several poles.
+
+    The step matrix is factorized once as a LAPACK band (``dgbtrf``) in cell
+    order: ``perm`` lists sigma_j, q_j, v_j, theta_j per cell j (node j + 1
+    is the right end of cell j; the last cell has only sigma and q), so every
+    coupling lies within 4 places of the diagonal.  The right-hand side stays
+    in block order and only the solve is permuted.
     """
 
     def __init__(self, problem: EvolutionProblem):
@@ -224,18 +237,26 @@ class _ImplicitStepper:
                    + sp.diags(correction))
         mass = problem.mass_matrix / dt
         self.rhs_mass = mass - ((1.0 - theta) / theta) * k_theta
-        try:
-            self.lu = splu((mass + k_theta).tocsc())
-        except RuntimeError as exc:
+        sl = problem.op.block_slices()
+        cells = np.arange(problem.op.grid.n_cells)
+        self.perm = np.column_stack([sl[1].start + cells, sl[3].start + cells,
+                                     sl[0].start + cells, sl[2].start + cells]).ravel()[:-2]
+        self.inv = np.argsort(self.perm)
+        matrix = (mass + k_theta).tocoo()
+        rows, cols = self.inv[matrix.row], self.inv[matrix.col]
+        band = np.zeros((3 * _BAND + 1, self.perm.size))
+        band[2 * _BAND + rows - cols, cols] = matrix.data
+        self.lu, self.piv, info = dgbtrf(band, _BAND, _BAND)
+        if info > 0:
             raise SingularSystemError(
-                f"step matrix not invertible at dt={dt:g}: {exc}"
-            ) from exc
+                f"step matrix not invertible at dt={dt:g}: zero pivot {info}"
+            )
 
     def step(self, u_n, x_n, f_next, f_n):
         theta = self.theta
         rhs = theta * f_next + (1.0 - theta) * f_n + self.rhs_mass @ u_n
         rhs -= np.bincount(self.owner, self.aux_out * x_n, minlength=rhs.size)
-        u_next = self.lu.solve(rhs)
+        u_next = dgbtrs(self.lu, _BAND, _BAND, rhs[self.perm], self.piv)[0][self.inv]
         mixed = theta * u_next[self.owner] + (1.0 - theta) * u_n[self.owner]
         return u_next, self.aux_decay * (self.aux_grow * x_n + self.aux_in * mixed)
 

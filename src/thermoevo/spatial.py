@@ -95,10 +95,14 @@ def build_operators(grid: Grid1D) -> DiscreteSpatialOperator:
     """
     n = grid.n_cells
     inv_h = 1.0 / grid.h
-    # cell f spans nodes f and f + 1; node j is column j - 1 (j = 1..n-1)
-    d_grad = sp.diags([inv_h, -inv_h], [0, -1], shape=(n, n - 1), format="csr")
+    # cell f spans nodes f and f + 1; node j is column j - 1 (j = 1..n-1), so
+    # row f holds columns f - 1 and f where they exist
+    indptr = np.concatenate([[0], np.arange(1, 2 * n - 2, 2), [2 * n - 2]])
+    indices = np.repeat(np.arange(n - 1), 2)
+    d_grad = sp.csr_matrix((np.tile([-inv_h, inv_h], n)[1:-1], indices, indptr),
+                           shape=(n, n - 1))
     d_div = (-d_grad.T).tocsr()
-    node_to_face = sp.diags([0.5, 0.5], [0, -1], shape=(n, n - 1), format="csr")
+    node_to_face = sp.csr_matrix((np.full(2 * n - 2, 0.5), indices, indptr), shape=(n, n - 1))
 
     grad_t = d_grad.T.tocsr()
     a_h = sp.bmat(

@@ -6,14 +6,14 @@ condition, threshold and classification loops, the per-pole realization,
 the entry-by-entry congruence factor of the assembled mass matrix, the
 per-cell loops of the difference and averaging matrices, and the
 two-branch backward-Euler / trapezoidal stepper with its displacement
-rule."""
+rule, factorized through its own per-cell loop of the band order."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from thermoevo import (
     BACKWARD_EULER,
@@ -408,28 +408,68 @@ def operators_per_cell(grid):
     return d_grad, node_to_face
 
 
-def march_two_branch(problem):
-    """(states, aux) of the march with one hand-written branch per scheme:
-    backward Euler folds the aux correction into ``M/dt + K``, the
-    trapezoidal rule into ``K/2``; aux outputs scatter with ``np.add.at``."""
+def cell_order(problem):
+    """Dof indices cell by cell: sigma_j, q_j, v_j, theta_j for cell j, whose
+    right end is node j + 1; the last cell has only sigma and q."""
+    sl = problem.op.block_slices()
+    order = []
+    for j in range(problem.op.grid.n_cells):
+        order += [sl[1].start + j, sl[3].start + j]
+        if j < problem.op.grid.n_cells - 1:
+            order += [sl[0].start + j, sl[2].start + j]
+    return np.array(order)
+
+
+def bandwidth(matrix, order):
+    """Largest distance of a stored entry from the diagonal once rows and
+    columns follow ``order``."""
+    place = np.argsort(order)
+    a = sp.coo_matrix(matrix)
+    return int(np.max(np.abs(place[a.row] - place[a.col])))
+
+
+def banded_solver(matrix, order, band=4):
+    """The solve of ``matrix`` through one LAPACK band LU in ``order``, the
+    band filled entry by entry."""
+    place = np.argsort(order)
+    a = sp.coo_matrix(matrix)
+    ab = np.zeros((3 * band + 1, order.size))
+    for r, c, value in zip(place[a.row], place[a.col], a.data):
+        assert abs(r - c) <= band
+        ab[2 * band + r - c, c] = value
+    lu, piv, info = dgbtrf(ab, band, band)
+    assert info == 0
+    return lambda rhs: dgbtrs(lu, band, band, rhs[order], piv)[0][place]
+
+
+def two_branch_system(problem):
+    """(step matrix, right-hand-side mass, aux decay, aux growth) with one
+    hand-written branch per scheme: backward Euler folds the aux correction
+    into ``M/dt + K``, the trapezoidal rule into ``K/2``."""
     dt = problem.dt
     chain = problem.aux_chain
-    n = problem.op.n_dof
     zero_order = sp.diags(problem.feedthrough) + problem.op.a_h
-    correction = np.zeros(n)
+    correction = np.zeros(problem.op.n_dof)
     if problem.scheme == BACKWARD_EULER:
         decay = 1.0 / (1.0 - dt * chain.poles)
         np.add.at(correction, chain.owner, dt * chain.gain_out * chain.gain_in * decay)
-        lu = splu((problem.mass_matrix / dt + zero_order + sp.diags(correction)).tocsc())
-        rhs_mass = problem.mass_matrix / dt
-    else:
-        half = 0.5 * dt * chain.poles
-        decay = 1.0 / (1.0 - half)
-        grow = 1.0 + half
-        np.add.at(correction, chain.owner, 0.25 * dt * chain.gain_out * chain.gain_in * decay)
-        k_half = 0.5 * zero_order + sp.diags(correction)
-        lu = splu((problem.mass_matrix / dt + k_half).tocsc())
-        rhs_mass = problem.mass_matrix / dt - k_half
+        step = problem.mass_matrix / dt + zero_order + sp.diags(correction)
+        return step, problem.mass_matrix / dt, decay, None
+    half = 0.5 * dt * chain.poles
+    decay = 1.0 / (1.0 - half)
+    np.add.at(correction, chain.owner, 0.25 * dt * chain.gain_out * chain.gain_in * decay)
+    k_half = 0.5 * zero_order + sp.diags(correction)
+    return problem.mass_matrix / dt + k_half, problem.mass_matrix / dt - k_half, decay, 1.0 + half
+
+
+def march_two_branch(problem):
+    """(states, aux) of the march with one hand-written branch per scheme
+    (:func:`two_branch_system`); aux outputs scatter with ``np.add.at``."""
+    dt = problem.dt
+    chain = problem.aux_chain
+    n = problem.op.n_dof
+    step, rhs_mass, decay, grow = two_branch_system(problem)
+    solve = banded_solver(step, cell_order(problem))
     f = problem.forcing.samples
     states = np.zeros((f.shape[0], n))
     aux = np.zeros((f.shape[0], chain.n_aux))
@@ -440,7 +480,7 @@ def march_two_branch(problem):
         else:
             rhs = 0.5 * (f[k + 1] + f[k]) + rhs_mass @ u
         np.subtract.at(rhs, chain.owner, chain.gain_out * decay * x)
-        states[k + 1] = lu.solve(rhs)
+        states[k + 1] = solve(rhs)
         if problem.scheme == BACKWARD_EULER:
             aux[k + 1] = decay * (x + dt * chain.gain_in * states[k + 1][chain.owner])
         else:

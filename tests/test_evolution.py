@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from conftest import (ALL_FAMILIES, displacement_two_branch, march_two_branch, mass_matrix_lil,
-                      per_cell_law, simpson_weights, spec_with, uncoupled_law)
+from conftest import (ALL_FAMILIES, bandwidth, cell_order, displacement_two_branch,
+                      march_two_branch, mass_matrix_lil, per_cell_law, simpson_weights,
+                      spec_with, two_branch_system, uncoupled_law)
 from thermoevo import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
@@ -28,7 +31,7 @@ from thermoevo import (
 )
 from thermoevo import evolution, rational
 from thermoevo._integrators import exp_march_linear
-from thermoevo.errors import InputError
+from thermoevo.errors import InputError, SingularSystemError
 
 
 def pulse_problem(law, n_cells=16, dt=2**-9, t_max=1.0, rho=1.0,
@@ -229,6 +232,60 @@ class TestThetaScheme:
         # an int64 scatter would reach sp.diags, whose FutureWarning fails under -W error
         traj = solve(problem)
         assert traj.states.dtype == traj.aux.dtype == np.float64
+
+
+def sweep_law(n_cells, seed=3):
+    """Piecewise-constant coupled dpl_i law with per-cell kappa and C, as in
+    the Python-API sweep."""
+    rng = np.random.default_rng(seed)
+    return assemble_material_law(ModelSpec(ModelFamily.DPL_I, {
+        "rho0": 1.0, "nu": 1.0, "Gamma": 0.5, "n1": 0.5, "n2": 0.25,
+        "C": rng.uniform(0.8, 1.25, n_cells).tolist(),
+        "kappa": rng.uniform(0.5, 2.0, n_cells).tolist()}))
+
+
+#: (catalog family or "sweep", n_cells) under both schemes
+BANDED_CASES = [(name, n, scheme)
+                for name, n in [*((f.value, 16) for f in ALL_FAMILIES), ("sweep", 32),
+                                (ModelFamily.DPL_II.value, 2)]
+                for scheme in (BACKWARD_EULER, TRAPEZOIDAL)]
+
+
+class TestBandedStep:
+    """The step matrix factorized as a band in cell order."""
+
+    @staticmethod
+    def problem(name, n_cells, scheme):
+        law = (sweep_law(n_cells) if name == "sweep"
+               else assemble_material_law(canonical_spec(ModelFamily(name))))
+        return pulse_problem(law, n_cells=n_cells, dt=2**-8, t_max=0.125, scheme=scheme)
+
+    @pytest.mark.parametrize("name, n_cells, scheme", BANDED_CASES)
+    def test_cell_order_has_bandwidth_four(self, name, n_cells, scheme):
+        problem = self.problem(name, n_cells, scheme)
+        stepper = problem._stepper
+        np.testing.assert_array_equal(stepper.perm, cell_order(problem))
+        np.testing.assert_array_equal(stepper.perm[stepper.inv], np.arange(problem.op.n_dof))
+        assert bandwidth(two_branch_system(problem)[0], stepper.perm) <= 4
+
+    @pytest.mark.parametrize("name, n_cells, scheme", BANDED_CASES)
+    def test_solve_matches_sparse_lu(self, name, n_cells, scheme):
+        problem = self.problem(name, n_cells, scheme)
+        n = problem.op.n_dof
+        b = np.random.default_rng(n_cells).standard_normal(n)
+        # from zero states the right-hand side is theta b + (1 - theta) b == b
+        got, _ = problem._stepper.step(np.zeros(n), np.zeros(problem.aux_chain.n_aux), b, b)
+        want = splu(sp.csc_matrix(two_branch_system(problem)[0])).solve(b)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_zero_step_matrix_raises(self):
+        problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.CLASSICAL)),
+                                n_cells=8, dt=2**-7, t_max=0.25)
+        assert problem.aux_chain.n_aux == 0
+        # M/dt cancels theta (diag(D) + A_h) exactly at theta = 1 and dt = 2^-7
+        problem.mass_matrix = -problem.dt * (sp.diags(problem.feedthrough) + problem.op.a_h)
+        with pytest.raises(SingularSystemError, match="zero pivot 1"):
+            problem._stepper
 
 
 class TestEnergy:
