@@ -5,9 +5,9 @@ and the output directory.  All numeric report output is written with fixed
 17-significant-digit formatting so identical configs produce byte-identical
 artifacts.
 
-Exit codes: 0 success, 1 input error, 2 certification verdict not
-satisfied, that is violated or inconclusive (check mode), 3 verification
-tolerance exceeded (verify mode).
+Exit codes: 0 success, 1 input error or unwritable output, 2 certification
+verdict not satisfied, that is violated or inconclusive (check mode), 3
+verification tolerance exceeded (verify mode).
 """
 
 from __future__ import annotations
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
         config = RunConfig.from_dict(payload, args.mode, out_dir=args.out,
                                      all_families=args.all)
         return run(config)
-    except ThermoevoError as exc:
+    except (ThermoevoError, OSError) as exc:  # OSError: a config or output path unusable
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

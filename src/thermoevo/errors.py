@@ -33,5 +33,9 @@ class SingularSystemError(ThermoevoError):
     """The implicit step matrix could not be factorized."""
 
 
+class ArtifactWriteError(ThermoevoError):
+    """An output file could not be written."""
+
+
 class OracleRejectionError(InputError):
     """The spectral reference solver does not support the given problem."""

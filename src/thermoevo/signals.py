@@ -196,21 +196,25 @@ def write_signal_csv(f: WeightedSignal, path_or_buffer) -> None:
     if np.iscomplexobj(f.samples):
         raise InputError("CSV export supports real-valued signals only")
     columns = ["t", *(f"component_{i}" for i in range(f.n_components))]
-    write_csv(path_or_buffer, columns, np.column_stack([f.t, f.samples]))
+    write_csv(path_or_buffer, columns, f.t, f.samples)
 
 
-def write_csv(path_or_buffer, columns, rows: np.ndarray) -> None:
-    """Write a header of ``columns`` names, then each row of a 2-d real array
-    at 17 significant digits (``%.17g``, the bytes of ``format(v, '.17g')``),
-    formatted and written one row at a time, never as one whole-file string."""
+def write_csv(path_or_buffer, columns, t: np.ndarray, values: np.ndarray) -> None:
+    """Write a header of ``columns`` names, then one row per sample: ``t[k]``
+    followed by ``values[k]`` (a 1-d ``values`` is one column), each at 17
+    significant digits (``%.17g``, the bytes of ``format(v, '.17g')``),
+    formatted and written one row at a time, never as one whole-file string
+    or a stacked copy of the table."""
     if not hasattr(path_or_buffer, "write"):
         with open(path_or_buffer, "w", encoding="utf-8") as fh:
-            write_csv(fh, columns, rows)
+            write_csv(fh, columns, t, values)
         return
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    if values.ndim == 1:
+        values = values[:, None]
+    line = ",".join(["%.17g"] * (1 + values.shape[1])) + "\n"
     path_or_buffer.write(",".join(columns) + "\n")
-    for row in rows:
-        path_or_buffer.write(line % tuple(row.tolist()))
+    for t_k, row in zip(t.tolist(), values, strict=True):
+        path_or_buffer.write(line % (t_k, *row.tolist()))
 
 
 def read_signal_csv(path, rho: float = 1.0) -> WeightedSignal:

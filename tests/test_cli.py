@@ -318,6 +318,47 @@ class TestMain:
         assert main(["check", "--config", str(config_path)]) == 1
 
 
+def readme_config(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    config_path = tmp_path / "run.json"
+    config_path.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    return config_path
+
+
+class TestArtifactWrites:
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--config", str(readme_config(tmp_path)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+    def test_unwritable_table_names_its_file(self, tmp_path, capsys, monkeypatch):
+        # every table lands in some writer; with 4 shares most are forked
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        out = tmp_path / "out"
+        (out / "energy.csv").mkdir(parents=True)
+        assert main(["simulate", "--config", str(readme_config(tmp_path)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "energy.csv" in err
+        assert "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not (out / "manifest.json").exists()
+
+    def test_readme_run_bytes_match_one_share_write(self, tmp_path, monkeypatch):
+        config_path = readme_config(tmp_path)
+        outputs = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+            outputs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(outputs[1]) == 10 and outputs[4] == outputs[1]
+
+
 def _custom_a2(coefficient):
     payload = sim_payload()
     payload["model"] = {"family": "custom", "coefficients": {

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -31,7 +33,7 @@ from thermoevo import (
 )
 from thermoevo import evolution, rational
 from thermoevo._integrators import exp_march_linear
-from thermoevo.errors import InputError, SingularSystemError
+from thermoevo.errors import ArtifactWriteError, InputError, SingularSystemError
 
 
 def pulse_problem(law, n_cells=16, dt=2**-9, t_max=1.0, rho=1.0,
@@ -388,6 +390,126 @@ class TestDerivedFields:
         dense = traj.displacement().samples @ problem.op.d_grad.T.toarray()
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(traj.strain().samples - dense)) <= 1e-15 * scale
+
+
+def with_cpus(monkeypatch, n):
+    """Make the export see ``n`` CPUs in this process's affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def counting_forks(monkeypatch):
+    """Patch ``os.fork`` to record the pid of every writer it starts."""
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def exported_bytes(written):
+    return [(p.name, p.read_bytes()) for p in written]
+
+
+def verify_uniform_problem():
+    """Uniform dpl_i without coupling and a delayed step on f: the layout of
+    the benchmark's verify workload, on which theta_big, q, theta and eta
+    are all zero."""
+    law = assemble_material_law(spec_with(ModelFamily.DPL_I, Gamma=0.0))
+    op = build_operators(Grid1D(1.0, 16))
+    t = time_grid(0.0625, 2**-10)
+    forcing = assemble_forcing(op, t, 1.0, "delayed_step", "f", "bump", delay=2**-7)
+    return EvolutionProblem(law, op, forcing, BACKWARD_EULER)
+
+
+class TestParallelExport:
+    @pytest.mark.parametrize("family", [*ALL_FAMILIES, "dpl_i_per_cell"], ids=str)
+    def test_bytes_match_one_share_write(self, family, tmp_path, monkeypatch):
+        if family == "dpl_i_per_cell":
+            law, n_cells = per_cell_law(ModelFamily.DPL_I), 4
+        else:
+            law, n_cells = assemble_material_law(canonical_spec(family)), 8
+        traj = solve(pulse_problem(law, n_cells=n_cells, dt=2**-7, t_max=0.25,
+                                   scheme=TRAPEZOIDAL))
+        with_cpus(monkeypatch, 1)
+        one = exported_bytes(traj.export_csv(tmp_path / "one"))
+        with_cpus(monkeypatch, 4)
+        pids = counting_forks(monkeypatch)
+        four = exported_bytes(traj.export_csv(tmp_path / "four"))
+        assert len(pids) == 3
+        assert four == one
+        assert_no_child_left()
+
+    def test_split_puts_a_heavy_table_in_each_share(self, tmp_path, monkeypatch):
+        traj = solve(verify_uniform_problem())
+        dealt = []
+        monkeypatch.setattr(evolution, "_write_shares",
+                            lambda t, jobs, shares: dealt.append((jobs, shares)))
+        with_cpus(monkeypatch, 2)
+        traj.export_csv(tmp_path)
+        traj.export_csv(tmp_path)
+        (jobs, shares), (_, again) = dealt
+        assert shares == again
+        names = [path.stem for path, _, _ in jobs]
+        zero = {name for name, (_, _, values) in zip(names, jobs) if not values.any()}
+        assert zero == {"theta_big", "q", "theta", "eta"}
+        heavy = {"v", "sigma", "u", "epsilon"}
+        assert len(shares) == 2 and sorted(i for s in shares for i in s) == list(range(len(jobs)))
+        # the all-zero tables still cost a quarter of a nonzero one: two go to each share
+        assert [len(heavy & {names[i] for i in share}) for share in shares] == [2, 2]
+        assert [len(zero & {names[i] for i in share}) for share in shares] == [2, 2]
+
+    def test_deal_is_largest_first_to_least_loaded(self):
+        assert evolution._deal([5, 0, 9, 4, 0, 1], 2) == [[2, 5], [0, 3, 1, 4]]
+        assert evolution._deal([0, 0, 0], 2) == [[0, 2], [1]]
+        assert evolution._deal([3, 1], 8) == [[0], [1]]
+        assert evolution._deal([3, 1], 1) == [[0, 1]]
+
+    def test_one_cpu_makes_no_fork(self, tmp_path, monkeypatch):
+        law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
+        traj = solve(pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25))
+
+        def no_fork():
+            raise AssertionError("os.fork called with one CPU")
+
+        with_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        written = traj.export_csv(tmp_path)
+        assert all(p.stat().st_size > 0 for p in written) and len(written) == 9
+
+    def test_failed_fork_writes_the_share_here(self, tmp_path, monkeypatch):
+        law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
+        traj = solve(pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25))
+        with_cpus(monkeypatch, 1)
+        one = exported_bytes(traj.export_csv(tmp_path / "one"))
+
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        with_cpus(monkeypatch, 4)
+        monkeypatch.setattr(os, "fork", no_process)
+        assert exported_bytes(traj.export_csv(tmp_path / "four")) == one
+
+    def test_failed_writer_names_its_file_and_is_reaped(self, tmp_path):
+        t = np.arange(3.0)
+        blocked = tmp_path / "b.csv"
+        blocked.mkdir()
+        jobs = [(tmp_path / "a.csv", ["t", "x"], t), (blocked, ["t", "x"], t),
+                (tmp_path / "c.csv", ["t", "x"], t)]
+        with pytest.raises(ArtifactWriteError, match="cannot write .*b.csv"):
+            evolution._write_shares(t, jobs, [[0], [1], [2]])
+        assert_no_child_left()
+        assert (tmp_path / "a.csv").read_text() == (tmp_path / "c.csv").read_text() \
+            == "t,x\n0,0\n1,1\n2,2\n"
 
 
 class TestPerCellLaws:

@@ -64,14 +64,14 @@ class TestCsvWriter:
                                 values[::-1], -values])
         columns = ["t"] + [f"{prefix}_{i}" for i in range(3)]
         buf = io.StringIO()
-        write_csv(buf, columns, rows)
+        write_csv(buf, columns, rows[:, 0], rows[:, 1:])
         assert buf.getvalue() == per_value_csv(",".join(columns), rows)
 
     def test_path_and_buffer_give_same_bytes(self, tmp_path, rng):
         rows = rng.standard_normal((7, 3))
         buf = io.StringIO()
-        write_csv(buf, ["t", "energy", "x"], rows)
-        write_csv(tmp_path / "out.csv", ["t", "energy", "x"], rows)
+        write_csv(buf, ["t", "energy", "x"], rows[:, 0], rows[:, 1:])
+        write_csv(tmp_path / "out.csv", ["t", "energy", "x"], rows[:, 0], rows[:, 1:])
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") == buf.getvalue()
 
     def test_signal_csv_matches_per_value_format(self):
