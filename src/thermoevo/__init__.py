@@ -14,8 +14,6 @@ from .errors import (
     RealizationError,
     SingularSystemError,
     ThermoevoError,
-    UnreachableTargetError,
-    WindowDecayError,
 )
 from .evolution import (
     BACKWARD_EULER,
@@ -48,23 +46,17 @@ from .rational import (
     StateSpaceRealization,
     eval_rational,
     realize_state_space,
-    validate_realization,
 )
 from .signals import (
     WeightedSignal,
     antiderivative,
-    apply_symbol_fl,
-    read_signal_csv,
     weighted_norm,
-    write_signal_csv,
 )
 from .spatial import (
     DiscreteSpatialOperator,
     Grid1D,
     build_operators,
     mode_decomposition,
-    verify_skew_adjoint,
-    write_operator_coo,
 )
 from .wellposed import (
     WellPosednessReport,
@@ -72,7 +64,6 @@ from .wellposed import (
     check_condition_rho,
     check_symbol_boundary,
     certify_wellposedness,
-    find_min_rho,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Exponential integrators for small dense linear systems.
 
-Shared by the realization validator and the spectral reference solver.
+Shared by the spectral reference solver and the memory marches of ``models``.
 The phi matrices follow the usual convention
 
     phi_0(A) = expm(A),   phi_{k+1}(z) = (phi_k(z) - 1/k!) / z,

@@ -17,16 +17,8 @@ class PoleProximityError(ThermoevoError):
     """A rational symbol was evaluated too close to one of its poles."""
 
 
-class WindowDecayError(InputError):
-    """A signal does not decay at the ends of its sampling window."""
-
-
 class RealizationError(ThermoevoError):
     """A rational function cannot be realized (improper form, repeated poles)."""
-
-
-class UnreachableTargetError(ThermoevoError):
-    """The requested positivity constant is not attainable in the search range."""
 
 
 class SingularSystemError(ThermoevoError):

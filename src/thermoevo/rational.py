@@ -12,22 +12,18 @@ variable s = 1/z, which is what the time steppers consume.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._integrators import exp_march_linear
 from .errors import InputError, PoleProximityError, RealizationError
-from .signals import WeightedSignal, apply_symbol_fl
 
 __all__ = [
     "RationalMatrixFunction",
     "StateSpaceRealization",
     "eval_rational",
     "realize_state_space",
-    "validate_realization",
 ]
 
 #: relative pole guard for pointwise evaluation
@@ -143,23 +139,6 @@ class RationalMatrixFunction:
 
     def scaled(self, factor: float) -> "RationalMatrixFunction":
         return RationalMatrixFunction(tuple(factor * m for m in self.num), self.den)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "num": [np.asarray(m).tolist() for m in self.num],
-            "den": self.den.tolist(),
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RationalMatrixFunction":
-        payload = json.loads(text)
-        if set(payload) != {"num", "den"}:
-            raise InputError("rational function JSON must have exactly 'num' and 'den'")
-        return cls(tuple(np.asarray(m, dtype=float) for m in payload["num"]),
-                   np.asarray(payload["den"], dtype=float))
 
 
 def eval_rational(r: RationalMatrixFunction, z: complex) -> np.ndarray:
@@ -383,23 +362,3 @@ def _check_transfer_match(nums: list, den: np.ndarray, reals: list,
                      np.max(np.abs(want), axis=(1, 2, 3))):
         if w > TRANSFER_MATCH_TOL * max(sc, 1e-30):
             raise RealizationError(f"realization transfer mismatch {w:.3e} (scale {sc:.3e})")
-
-
-def validate_realization(
-    r: RationalMatrixFunction,
-    real: StateSpaceRealization,
-    probe: WeightedSignal,
-) -> float:
-    """Maximum relative deviation between the two computation paths.
-
-    The realization is marched with an exponential one-sided integrator on
-    the probe grid; the reference is the frequency-domain application of the
-    same function.  The probe must be smooth and decay inside its window.
-    """
-    states = exp_march_linear(real.a, real.b, probe.samples, probe.dt)
-    direct = probe.samples @ real.d.T + states @ real.c.T
-    reference = apply_symbol_fl(r, probe).samples
-    scale = float(np.max(np.abs(reference)))
-    if scale == 0.0:
-        return float(np.max(np.abs(direct)))
-    return float(np.max(np.abs(direct - reference)) / scale)

@@ -20,10 +20,8 @@ __all__ = [
     "Grid1D",
     "DiscreteSpatialOperator",
     "build_operators",
-    "verify_skew_adjoint",
     "mode_decomposition",
     "node_modes",
-    "write_operator_coo",
 ]
 
 
@@ -117,21 +115,6 @@ def build_operators(grid: Grid1D) -> DiscreteSpatialOperator:
     return DiscreteSpatialOperator(grid, d_grad, d_div, a_h, node_to_face)
 
 
-def verify_skew_adjoint(a_h, n_pairs: int = 100, seed: int = 0) -> float:
-    """Maximum relative pairing residual |<A u, w> + <u, A w>| over random pairs."""
-    a_h = sp.csr_matrix(a_h)
-    n = a_h.shape[0]
-    scale = sp.linalg.norm(a_h, 1)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_pairs):
-        u = rng.standard_normal(n)
-        w = rng.standard_normal(n)
-        residual = abs(float((a_h @ u) @ w + u @ (a_h @ w)))
-        worst = max(worst, residual / (np.linalg.norm(u) * np.linalg.norm(w) * scale))
-    return worst
-
-
 def node_modes(grid: Grid1D, k) -> np.ndarray:
     """Discrete sine modes over the interior nodes (DST-I basis).
 
@@ -163,16 +146,3 @@ def mode_decomposition(op: DiscreteSpatialOperator) -> tuple:
     face_vecs = (op.d_grad @ node_vecs) / s[None, :]
     face_null = np.full((n, 1), 1.0 / np.sqrt(n))
     return s, node_vecs, face_vecs, face_null
-
-
-def write_operator_coo(matrix, path_or_buffer) -> None:
-    """Plain-text sparse export: one ``row col value`` line per entry."""
-    coo = sp.coo_matrix(matrix)
-    def _write(fh):
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {format(v, '.17g')}\n")
-    if hasattr(path_or_buffer, "write"):
-        _write(path_or_buffer)
-    else:
-        with open(path_or_buffer, "w", encoding="utf-8") as fh:
-            _write(fh)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _json
-from .errors import InputError, UnreachableTargetError
+from .errors import InputError
 from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, _stack, _symbol_num
 from .rational import RationalMatrixFunction, _evaluate, _live_poles, _stack_groups
 
@@ -32,7 +32,6 @@ __all__ = [
     "check_condition_rho",
     "check_symbol_boundary",
     "certify_wellposedness",
-    "find_min_rho",
 ]
 
 SATISFIED = "satisfied"
@@ -324,35 +323,3 @@ def certify_wellposedness(law: MaterialLaw) -> WellPosednessReport:
         # honestly rather than extrapolating
         return WellPosednessReport(INCONCLUSIVE, 0.0, float("inf"), classification, (), checks)
     return WellPosednessReport(SATISFIED, c_estimate, rho_min, classification, (), checks)
-
-
-def find_min_rho(law: MaterialLaw, c_target: float, tol: float = 1e-6) -> float:
-    """Smallest rho with min eig of rho*M(0) + Re M'(0) >= c_target.
-
-    Bisection over the standard search range, strictly above the largest
-    real part of the law's poles in s; valid because the minimum
-    eigenvalue is nondecreasing in rho whenever M(0) is positive
-    semidefinite (the satisfied-verdict situation).
-    """
-    if c_target <= 0:
-        raise InputError("c_target must be positive")
-    floor = _pole_floor(law)
-    lo, hi = max(RHO_RANGE[0], floor), RHO_RANGE[1]
-
-    def gap(rho):
-        return check_condition_rho(law, rho)[0] - c_target
-
-    if hi <= floor or gap(hi) < 0:
-        raise UnreachableTargetError(
-            f"positivity constant {c_target} not attainable for "
-            f"{max(floor, 0.0):g} < rho <= {hi:g}"
-        )
-    if lo > floor and gap(lo) >= 0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi

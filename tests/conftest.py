@@ -1,12 +1,13 @@
-"""Shared fixtures: the standard probe pulse, catalog law builders, and the
-former one-at-a-time versions of batched computations, kept as references:
-the Simpson exponential step, the per-frequency realization check, the
-per-point symbol sampling on the boundary line, the per-cell certification,
-condition, threshold and classification loops, the per-pole realization,
+"""Shared fixtures: the standard probe pulse, catalog law builders, the FFT
+application of a rational symbol, the realization and skew-adjointness
+checks, and the former one-at-a-time versions of batched computations, kept
+as references: the Simpson exponential step, the per-frequency realization
+check, the per-point symbol sampling on the boundary line, the per-cell
+certification, condition and classification loops, the per-pole realization,
 the entry-by-entry congruence factor of the assembled mass matrix, the
-per-cell loops of the difference and averaging matrices, and the
-two-branch backward-Euler / trapezoidal stepper with its displacement
-rule, factorized through its own per-cell loop of the band order."""
+per-cell loops of the difference and averaging matrices, and the two-branch
+backward-Euler / trapezoidal stepper with its displacement rule, factorized
+through its own per-cell loop of the band order."""
 
 from __future__ import annotations
 
@@ -23,9 +24,10 @@ from thermoevo import (
     assemble_material_law,
     canonical_spec,
 )
-from thermoevo._integrators import phi_matrices
+from thermoevo._integrators import exp_march_linear, phi_matrices
+from thermoevo.errors import InputError, PoleProximityError
 from thermoevo.models import SPECTRAL_CUTOFF, _block_slices
-from thermoevo.rational import StateSpaceRealization
+from thermoevo.rational import RationalMatrixFunction, StateSpaceRealization, eval_rational
 from thermoevo.wellposed import Witness, WellPosednessReport, _rho_grid
 
 #: families whose canonical coefficients satisfy the certified hypotheses
@@ -116,6 +118,116 @@ def simpson_weights(a: np.ndarray, h: float):
     wm = h * (4.0 * p2 - 8.0 * p3)
     w1 = h * (4.0 * p3 - p2)
     return e, w0, wm, w1
+
+
+#: relative decay required of the weighted samples at the window ends
+DECAY_TOL = 1e-8
+#: absolute guard against evaluating a symbol on top of a pole
+POLE_TOL = 1e-12
+
+
+class WindowDecayError(InputError):
+    """A signal does not decay at the ends of its sampling window."""
+
+
+def apply_symbol_fl(matrix_function, f: WeightedSignal) -> WeightedSignal:
+    """Apply a rational symbol of the inverse time derivative via FFT.
+
+    The signal is unweighted with exp(-rho*t), transformed, multiplied per
+    frequency by ``matrix_function`` evaluated at z = 1/(i*omega + rho), and
+    transformed back.  Zero padding to the next power of two (at least twice
+    the signal length) suppresses circular wrap-around so that causality is
+    preserved up to spectral leakage.
+
+    Raises
+    ------
+    WindowDecayError
+        If the weighted samples do not decay at the window ends.
+    PoleProximityError
+        If the symbol denominator nearly vanishes at a grid frequency.
+    """
+    if not isinstance(matrix_function, RationalMatrixFunction):
+        raise InputError("symbol must be a RationalMatrixFunction")
+    rows, cols = matrix_function.dims
+    if cols != f.n_components:
+        raise InputError(
+            f"symbol acts on {cols} components, signal has {f.n_components}"
+        )
+
+    weighted = np.exp(-f.rho * f.t)[:, None] * f.samples
+    peak = float(np.max(np.abs(weighted)))
+    if peak > 0.0:
+        edge = max(np.max(np.abs(weighted[0])), np.max(np.abs(weighted[-1])))
+        if edge >= DECAY_TOL * peak:
+            raise WindowDecayError(
+                "weighted signal does not decay at the window ends "
+                f"(edge/peak = {edge / peak:.2e}, required < {DECAY_TOL:.0e})"
+            )
+
+    # The weighted impulse response of an admissible symbol decays no slower
+    # than exp(-rho*tau); pad past that decay length to suppress wrap-around.
+    n = f.t.size
+    tail = int(np.ceil(21.0 / (f.rho * f.dt)))
+    n_fft = 1 << int(np.ceil(np.log2(n + max(n, tail))))
+    omega = 2.0 * np.pi * np.fft.fftfreq(n_fft, d=f.dt)
+    z = 1.0 / (1j * omega + f.rho)
+
+    den_scale = max(float(np.max(np.abs(matrix_function.den))), 1.0)
+    den_vals = matrix_function.den_at(z)
+    if np.min(np.abs(den_vals)) < POLE_TOL * den_scale:
+        worst = omega[int(np.argmin(np.abs(den_vals)))]
+        raise PoleProximityError(
+            f"symbol denominator vanishes near grid frequency omega={worst:.6g}"
+        )
+
+    spectrum = np.fft.fft(weighted, n=n_fft, axis=0)
+    mats = eval_rational(matrix_function, z)
+    out_spec = np.einsum("krc,kc->kr", mats, spectrum)
+    out = np.fft.ifft(out_spec, axis=0)[:n]
+
+    real_input = not np.iscomplexobj(f.samples)
+    real_symbol = matrix_function.is_real
+    if real_input and real_symbol:
+        out = out.real
+    out = np.exp(f.rho * f.t)[:, None] * out
+    if rows == f.n_components:
+        return f.with_samples(out)
+    return WeightedSignal(f.t, out, f.rho)
+
+
+def validate_realization(
+    r: RationalMatrixFunction,
+    real: StateSpaceRealization,
+    probe: WeightedSignal,
+) -> float:
+    """Maximum relative deviation between the two computation paths.
+
+    The realization is marched with an exponential one-sided integrator on
+    the probe grid; the reference is the frequency-domain application of the
+    same function.  The probe must be smooth and decay inside its window.
+    """
+    states = exp_march_linear(real.a, real.b, probe.samples, probe.dt)
+    direct = probe.samples @ real.d.T + states @ real.c.T
+    reference = apply_symbol_fl(r, probe).samples
+    scale = float(np.max(np.abs(reference)))
+    if scale == 0.0:
+        return float(np.max(np.abs(direct)))
+    return float(np.max(np.abs(direct - reference)) / scale)
+
+
+def verify_skew_adjoint(a_h, n_pairs: int = 100, seed: int = 0) -> float:
+    """Maximum relative pairing residual |<A u, w> + <u, A w>| over random pairs."""
+    a_h = sp.csr_matrix(a_h)
+    n = a_h.shape[0]
+    scale = sp.linalg.norm(a_h, 1)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_pairs):
+        u = rng.standard_normal(n)
+        w = rng.standard_normal(n)
+        residual = abs(float((a_h @ u) @ w + u @ (a_h @ w)))
+        worst = max(worst, residual / (np.linalg.norm(u) * np.linalg.norm(w) * scale))
+    return worst
 
 
 @pytest.fixture
@@ -281,27 +393,6 @@ def pole_floor_per_cell(law):
     return max((float(p.real) for cell in law.cells
                 for r in (cell.theta_damping, cell.flux_resistance)
                 for p in live_poles_per_pole(r)), default=-np.inf)
-
-
-def find_min_rho_per_cell(law, c_target, tol=1e-6):
-    """Bisection for the smallest rho reaching c_target, per-cell condition."""
-    floor = pole_floor_per_cell(law)
-    lo, hi = max(1e-3, floor), 1e6
-
-    def gap(rho):
-        return condition_rho_per_cell(law, rho)[0] - c_target
-
-    if hi <= floor or gap(hi) < 0:
-        return None
-    if lo > floor and gap(lo) >= 0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def certify_per_cell(law):

@@ -10,15 +10,17 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from conftest import (
     ALL_FAMILIES,
     NEGATED_COEFFS,
+    apply_symbol_fl,
     make_probe,
     negated_law,
     random_smooth,
     uncoupled_law,
+    validate_realization,
+    verify_skew_adjoint,
 )
 from thermoevo import (
     BACKWARD_EULER,
@@ -31,7 +33,6 @@ from thermoevo import (
     Trajectory,
     WeightedSignal,
     antiderivative,
-    apply_symbol_fl,
     assemble_forcing,
     assemble_material_law,
     build_operators,
@@ -46,8 +47,6 @@ from thermoevo import (
     solve,
     spectral_solve,
     time_grid,
-    validate_realization,
-    verify_skew_adjoint,
     weighted_norm,
 )
 from thermoevo._integrators import exp_march_linear

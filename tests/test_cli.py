@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import thermoevo
@@ -87,8 +86,6 @@ class TestConfigParsing:
         config = RunConfig.from_dict(payload, "check")
         law = assemble_material_law(config.spec)
         assert law.block_dims == (1, 1, 1, 2)
-        import io
-
         assert run(config, io.StringIO()) == 0
 
     def test_tolerance_overrides(self):
@@ -250,6 +247,16 @@ class TestVerifyMode:
         assert report["bound_check"]["status"] == "skipped"
         assert "not positive" in report["bound_check"]["reason"]
         assert report["failures"] == []
+
+    def test_underflowing_weight_skips_comparison_and_bound(self, tmp_path):
+        # exp(-2 rho t) is 0 past t = 0 at rho = 1e300: nothing can be compared
+        payload = sim_payload()
+        payload["time"]["rho"] = 1e300
+        assert run(RunConfig.from_dict(payload, "verify", out_dir=tmp_path), io.StringIO()) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        reason = "the rho-weighted norm of a nonzero trajectory underflows to 0 at rho=1e+300"
+        for entry in ("comparison", "bound_check"):
+            assert report[entry] == {"status": "skipped", "reason": reason}
 
     def test_not_index_one_law_skips_oracle_comparison(self, tmp_path):
         config_path = tmp_path / "run.json"

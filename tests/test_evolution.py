@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from conftest import (ALL_FAMILIES, bandwidth, cell_order, displacement_two_branch,
-                      march_two_branch, mass_matrix_lil, per_cell_law, simpson_weights,
-                      spec_with, two_branch_system, uncoupled_law)
+from conftest import (ALL_FAMILIES, apply_symbol_fl, bandwidth, cell_order,
+                      displacement_two_branch, march_two_branch, mass_matrix_lil,
+                      per_cell_law, simpson_weights, spec_with, two_branch_system,
+                      uncoupled_law)
 from thermoevo import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
@@ -17,7 +18,6 @@ from thermoevo import (
     ModelSpec,
     RationalMatrixFunction,
     WeightedSignal,
-    apply_symbol_fl,
     assemble_forcing,
     assemble_material_law,
     build_operators,

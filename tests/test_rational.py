@@ -3,19 +3,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (ALL_FAMILIES, per_cell_law, realize_per_pole, spec_with,
-                      transfer_mismatch_per_frequency, uncoupled_law)
+from conftest import (ALL_FAMILIES, apply_symbol_fl, per_cell_law, realize_per_pole,
+                      spec_with, transfer_mismatch_per_frequency, uncoupled_law,
+                      validate_realization)
 from thermoevo import (
     ModelFamily,
     RationalMatrixFunction,
     StateSpaceRealization,
-    apply_symbol_fl,
     assemble_material_law,
     canonical_spec,
     eval_rational,
     rational,
     realize_state_space,
-    validate_realization,
 )
 from thermoevo.errors import InputError, PoleProximityError, RealizationError
 from thermoevo.rational import (TRANSFER_MATCH_TOL, _check_transfer_match, _poles,
@@ -85,12 +84,6 @@ class TestEval:
         tall = RationalMatrixFunction((np.array([[1.0], [2.0]]),), np.array([1.0]))
         assert wide.key() != tall.key()
         assert hash(r.key()) == hash(scalar_rational([0.5, 0.0], [1.0, 2.0]).key())
-
-    def test_json_round_trip(self):
-        r = scalar_rational([0.5, 1.0], [1.0, 2.0])
-        back = RationalMatrixFunction.from_json(r.to_json())
-        assert all(np.array_equal(a, b) for a, b in zip(r.num, back.num))
-        assert np.array_equal(r.den, back.den)
 
 
 class TestRealize:

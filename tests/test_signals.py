@@ -3,18 +3,10 @@ import io
 import numpy as np
 import pytest
 
-from conftest import make_probe, random_smooth
-from thermoevo import (
-    RationalMatrixFunction,
-    WeightedSignal,
-    antiderivative,
-    apply_symbol_fl,
-    read_signal_csv,
-    weighted_norm,
-    write_signal_csv,
-)
+from conftest import WindowDecayError, apply_symbol_fl, make_probe, random_smooth
+from thermoevo import RationalMatrixFunction, WeightedSignal, antiderivative, weighted_norm
 from thermoevo.signals import write_csv
-from thermoevo.errors import InputError, PoleProximityError, WindowDecayError
+from thermoevo.errors import InputError, PoleProximityError
 
 
 def uniform(t0, t1, dt):
@@ -31,17 +23,6 @@ class TestWeightedSignal:
             WeightedSignal(np.array([0.0, 0.1]), np.zeros(2), rho=0.0)
         with pytest.raises(InputError):
             WeightedSignal(np.array([0.0, 0.1]), np.array([1.0, np.nan]), 1.0)
-
-    def test_csv_round_trip(self):
-        t = uniform(0.0, 1.0, 0.125)
-        rng = np.random.default_rng(3)
-        sig = WeightedSignal(t, rng.standard_normal((t.size, 3)), 2.0)
-        buf = io.StringIO()
-        write_signal_csv(sig, buf)
-        text = buf.getvalue()
-        assert text.splitlines()[0] == "t,component_0,component_1,component_2"
-        back = read_signal_csv(io.StringIO(text), rho=2.0)
-        np.testing.assert_allclose(back.samples, sig.samples, rtol=0, atol=0)
 
 
 def per_value_csv(header, rows):
@@ -73,17 +54,6 @@ class TestCsvWriter:
         write_csv(buf, ["t", "energy", "x"], rows[:, 0], rows[:, 1:])
         write_csv(tmp_path / "out.csv", ["t", "energy", "x"], rows[:, 0], rows[:, 1:])
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") == buf.getvalue()
-
-    def test_signal_csv_matches_per_value_format(self):
-        finite = [v for v in EDGE_VALUES if np.isfinite(v)]
-        t = 0.25 * np.arange(len(finite))
-        sig = WeightedSignal(t, np.column_stack([finite, finite[::-1]]), 1.0)
-        buf = io.StringIO()
-        write_signal_csv(sig, buf)
-        want = per_value_csv("t,component_0,component_1",
-                             np.column_stack([t, sig.samples]))
-        assert buf.getvalue() == want
-        assert "-0," in buf.getvalue() and "4.9406564584124654e-324" in buf.getvalue()
 
 
 class TestWeightedNorm:

@@ -1,17 +1,10 @@
-import io
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import operators_per_cell
+from conftest import operators_per_cell, verify_skew_adjoint
 
-from thermoevo import (
-    Grid1D,
-    build_operators,
-    mode_decomposition,
-    verify_skew_adjoint,
-    write_operator_coo,
-)
+from thermoevo import Grid1D, build_operators, mode_decomposition
 from thermoevo.errors import InputError
 
 
@@ -136,18 +129,3 @@ class TestModeDecomposition:
         k = np.arange(1, n)
         want = 2 * n * np.sin(k * np.pi / (2 * n))
         np.testing.assert_allclose(s, want, rtol=1e-13)
-
-
-class TestExport:
-    def test_coo_round_trip(self):
-        op = build_operators(Grid1D(1.0, 4))
-        buf = io.StringIO()
-        write_operator_coo(op.a_h, buf)
-        rows, cols, vals = [], [], []
-        for line in buf.getvalue().strip().splitlines():
-            r, c, v = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-        rebuilt = sp.coo_matrix((vals, (rows, cols)), shape=op.a_h.shape).tocsr()
-        assert (rebuilt - op.a_h).nnz == 0

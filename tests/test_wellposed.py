@@ -10,7 +10,6 @@ from conftest import (
     classify_per_cell,
     condition_rho_per_cell,
     dense_line_minimum,
-    find_min_rho_per_cell,
     negated_law,
     per_cell_law,
     spec_with,
@@ -31,13 +30,12 @@ from thermoevo import (
     check_symbol_boundary,
     certify_wellposedness,
     classify,
-    find_min_rho,
     solution_bound_check,
     solve,
     time_grid,
     wellposed,
 )
-from thermoevo.errors import InputError, UnreachableTargetError
+from thermoevo.errors import InputError
 from thermoevo.rational import _evaluate
 
 
@@ -304,26 +302,6 @@ class TestCertification:
         assert report.c_estimate > 0.0 and np.isfinite(report.rho_min)
 
 
-class TestFindMinRho:
-    def test_unit_classical_half(self):
-        # min(rho, 1) >= 0.5 exactly when rho >= 0.5
-        assert find_min_rho(unit_classical(), 0.5) == pytest.approx(0.5, abs=1e-6)
-
-    def test_unreachable_target(self):
-        with pytest.raises(UnreachableTargetError):
-            find_min_rho(unit_classical(), 2.0)
-
-    def test_stays_above_poles(self):
-        rho = find_min_rho(pole_at_two(), 0.5)
-        assert 2.0 < rho <= 2.0 + 1e-6
-
-    def test_doubling_mass_halves_threshold(self):
-        doubled = assemble_material_law(ModelSpec(ModelFamily.CLASSICAL, {
-            "rho0": 2.0, "nu": 2.0, "C": 0.5, "Gamma": 0.0, "kappa": 1.0}))
-        base = find_min_rho(unit_classical(), 0.5)
-        assert find_min_rho(doubled, 0.5) == pytest.approx(base / 2.0, abs=1e-6)
-
-
 #: heterogeneous per-cell laws with violated cells: one cell; two cells
 #: failing different checks; two cells tied on one eigenvalue, in one check
 #: and across two checks (the later check in the earlier cell)
@@ -371,12 +349,6 @@ class TestStackedAgainstPerCell:
             assert (got_eig, got.cell) == (want_eig, want.cell)
             assert np.array_equal(got.eigenvector, want.eigenvector)
         assert classify(law) == classify_per_cell(law)
-        want = find_min_rho_per_cell(law, 0.3)
-        if want is None:
-            with pytest.raises(UnreachableTargetError):
-                find_min_rho(law, 0.3)
-        else:
-            assert find_min_rho(law, 0.3) == want
 
     def test_mass_built_at_most_once_per_cell(self, monkeypatch, rng):
         law = assemble_material_law(spec_with(ModelFamily.DPL_I,
@@ -416,7 +388,3 @@ class TestCancelledFactors:
         want, _ = check_symbol_boundary(custom_resistance(1.0), 1.0)
         assert np.isfinite(got)
         assert got == pytest.approx(want, rel=1e-12)
-
-    def test_threshold_not_floored(self):
-        got = find_min_rho(custom_resistance(self.CANCELLED), 0.5)
-        assert got == pytest.approx(find_min_rho(custom_resistance(1.0), 0.5), abs=1e-12)
