@@ -373,10 +373,15 @@ def _verify(config, law, problem, report, trajectory, written, stream) -> int:
         "failures": failures,
     }
     _emit(config.output / "verify.json", _json.dumps(payload), written)
+    checks = ("comparison", "causality", "bound_check")
+    skipped = [name for name in checks if payload[name]["status"] == "skipped"]
     for line in failures:
         stream.write(f"FAIL {line}\n")
-    if not failures:
-        stream.write("verify: all checks within tolerance\n")
+    if len(skipped) == len(checks):
+        stream.write(f"verify: no check ran (skipped: {', '.join(skipped)})\n")
+    elif not failures:
+        stream.write("verify: all checks within tolerance"
+                     + (f" (skipped: {', '.join(skipped)})" if skipped else "") + "\n")
     return 3 if failures else 0
 
 

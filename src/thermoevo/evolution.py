@@ -8,11 +8,13 @@ states, and the antisymmetric spatial operator:
 
 marched from zero history by one theta-scheme step (Hairer & Wanner,
 Solving ODEs II, IV.3): backward Euler is theta = 1, the trapezoidal rule
-theta = 1/2.  The step matrix couples only neighbouring cells, so with the
-unknowns ordered cell by cell it is a band with 4 sub- and 4 super-diagonals;
-one banded LU in that order is reused across steps.  Auxiliary dynamics are
-diagonal (one simple pole per state), so their elimination adds only a
-diagonal correction to the step matrix.
+theta = 1/2.  Every block couples only neighbouring cells, so with the
+unknowns ordered cell by cell each matrix of the step is a band with 4 sub-
+and 4 super-diagonals, written entry by entry from closed forms: one banded
+LU of the step matrix is reused across steps, and the right-hand side is one
+banded product.  Auxiliary dynamics are diagonal (one simple pole per
+state), so their elimination adds only a diagonal correction to the step
+matrix.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse.linalg import splu  # noqa: F401  (bench/tracer.py hooks this name)
 
 from .errors import ArtifactWriteError, InputError, SingularSystemError
 from .models import MaterialLaw, compute_entropy, recover_theta
@@ -55,6 +56,16 @@ TRAPEZOIDAL = "trapezoidal"
 _THETA = {BACKWARD_EULER: 1.0, TRAPEZOIDAL: 0.5}
 
 FIELD_BLOCKS = ("v", "sigma", "theta_big", "q")
+
+
+def __getattr__(name):
+    # bench/tracer.py still wraps ``evolution.splu`` as its factorization span
+    # until the benchmark moves that hook (ROADMAP item 6); import it only
+    # when looked up, so that no run loads scipy.sparse
+    if name == "splu":
+        from scipy.sparse.linalg import splu
+        return splu
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -138,35 +149,33 @@ class EvolutionProblem:
         return self.law.scalar_arrays(self.op.grid.n_cells)
 
     @cached_property
-    def mass_matrix(self) -> sp.csr_matrix:
-        """Assembled instantaneous block, symmetric positive semidefinite.
+    def mass_band(self) -> np.ndarray:
+        """Instantaneous block M = L^T diag(D) L in band storage over the cell
+        order of :class:`_ImplicitStepper`.
 
-        Built through the triangular congruence so cellwise positivity is
-        inherited exactly; the couplings act through the two-point node-to-
-        face average, with coupling coefficients sampled at faces.
+        Entry ``(i, j)`` of M sits at ``[_BAND + i - j, j]``.  L is the unit
+        triangular congruence factor whose only off-diagonal entries put
+        ``gamma_f / 2`` (sigma rows) and ``zeta_f / 2`` (q rows) on the two
+        temperature nodes of face f, so M is symmetric positive semidefinite
+        wherever D is nonnegative; its entries are written in closed form.
         """
-        op = self.op
-        n = op.n_dof
-        sl = op.block_slices()
-        avg = op.node_to_face.tocoo()
-
-        gamma_f = self.face_coeffs["coupling"]
-        zeta_f = self.face_coeffs["flux_coupling"]
-        rows = np.concatenate([np.arange(n), sl[1].start + avg.row, sl[3].start + avg.row])
-        cols = np.concatenate([np.arange(n), sl[2].start + avg.col, sl[2].start + avg.col])
-        vals = np.concatenate([np.ones(n), gamma_f[avg.row] * avg.data,
-                               zeta_f[avg.row] * avg.data])
-        lmat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-        diag = np.concatenate([
-            self.node_coeffs["rho0"],
-            1.0 / self.face_coeffs["stiffness"],
-            self.node_coeffs["heat_capacity"],
-            self.face_coeffs["flux_inertia"],
-        ])
-        core = sp.diags(diag)
-        m = (lmat.T @ core @ lmat).tocsr()
-        return ((m + m.T) * 0.5).tocsr()
+        n = self.op.grid.n_cells
+        face, node = self.face_coeffs, self.node_coeffs
+        inv_c, inertia = 1.0 / face["stiffness"], face["flux_inertia"]
+        half_gamma, half_zeta = 0.5 * face["coupling"], 0.5 * face["flux_coupling"]
+        sigma_theta = inv_c * half_gamma   # M[sigma_f, theta] on both nodes of face f
+        q_theta = inertia * half_zeta      # M[q_f, theta] likewise
+        shared = sigma_theta * half_gamma + q_theta * half_zeta  # theta-theta through face f
+        f, c = np.arange(n), np.arange(n - 1)
+        theta_c = 4 * c + 3
+        diagonal = [(4 * f, inv_c), (4 * f + 1, inertia), (4 * c + 2, node["rho0"]),
+                    (theta_c, node["heat_capacity"] + shared[:-1] + shared[1:])]
+        # node c has face c on its left and face c + 1 on its right
+        pairs = [(4 * c, theta_c, sigma_theta[:-1]), (4 * c + 4, theta_c, sigma_theta[1:]),
+                 (4 * c + 1, theta_c, q_theta[:-1]), (4 * c + 5, theta_c, q_theta[1:]),
+                 (theta_c[1:], theta_c[:-1], shared[1:-1])]
+        return _band(4 * n - 2, [*((p, p, v) for p, v in diagonal), *pairs,
+                                 *((col, row, v) for row, col, v in pairs)])
 
     @cached_property
     def _realizations(self) -> tuple:
@@ -204,8 +213,35 @@ class EvolutionProblem:
         return _ImplicitStepper(self)
 
 
-#: sub- and super-diagonals of the step matrix in cell order
+#: sub- and super-diagonals of every step matrix in cell order
 _BAND = 4
+
+
+def _band(n: int, entries) -> np.ndarray:
+    """The n x n matrix with the ``(rows, cols, values)`` of ``entries`` in
+    LAPACK/BLAS band storage with ``_BAND`` sub- and super-diagonals: entry
+    (i, j) at ``[_BAND + i - j, j]``, Fortran-ordered so BLAS reads it in place."""
+    band = np.zeros((2 * _BAND + 1, n), order="F")
+    for rows, cols, values in entries:
+        band[_BAND + rows - cols, cols] = values
+    return band
+
+
+def skew_band(op: DiscreteSpatialOperator) -> np.ndarray:
+    """The block operator A_h in band storage over the cell order of
+    :class:`_ImplicitStepper`.
+
+    ``A_h[v, sigma] = grad^T`` and ``A_h[theta, q] = -grad^T``, each with the
+    negated transpose below: every node unknown of cell j meets the faces j
+    and j + 1 with ``+-1/h``, so ``A_h^T = -A_h`` bit for bit.
+    """
+    n = op.grid.n_cells
+    inv_h = np.full(n - 1, 1.0 / op.grid.h)
+    c = np.arange(n - 1)
+    # v_c and theta_c against sigma and q on the node's left and right faces
+    node_rows = [(4 * c + 2, 4 * c, inv_h), (4 * c + 2, 4 * c + 4, -inv_h),
+                 (4 * c + 3, 4 * c + 1, -inv_h), (4 * c + 3, 4 * c + 5, inv_h)]
+    return _band(4 * n - 2, [*node_rows, *((col, row, -v) for row, col, v in node_rows)])
 
 
 class _ImplicitStepper:
@@ -216,50 +252,73 @@ class _ImplicitStepper:
     - C (I - theta dt P)^-1 x, with K_theta = theta (diag(D) + A_h) + diag(theta^2 dt C
     (I - theta dt P)^-1 B).  An owner dof repeats when its law has several poles.
 
-    The step matrix is factorized once as a LAPACK band (``dgbtrf``) in cell
-    order: ``perm`` lists sigma_j, q_j, v_j, theta_j per cell j (node j + 1
-    is the right end of cell j; the last cell has only sigma and q), so every
-    coupling lies within 4 places of the diagonal.  The right-hand side stays
-    in block order and only the solve is permuted.
+    Both matrices are written as bands in cell order: ``perm`` lists sigma_j,
+    q_j, v_j, theta_j per cell j (node j + 1 is the right end of cell j; the
+    last cell has only sigma and q), so every coupling lies within ``_BAND``
+    places of the diagonal.  The step matrix is factorized once with
+    ``dgbtrf``, and the right-hand side is one ``dgbmv`` product on a
+    Fortran-ordered band.  :meth:`advance` works in cell order; :meth:`step`
+    takes and returns block order.
     """
 
     def __init__(self, problem: EvolutionProblem):
         self.theta = theta = problem.theta
         dt = problem.dt
         chain = problem.aux_chain
-        self.owner = chain.owner
-        self.aux_decay = 1.0 / (1.0 - theta * dt * chain.poles)
-        self.aux_grow = 1.0 + (1.0 - theta) * dt * chain.poles
-        self.aux_in = dt * chain.gain_in
-        self.aux_out = chain.gain_out * self.aux_decay
-        correction = np.bincount(chain.owner, theta * theta * dt * chain.gain_out * chain.gain_in
-                                 * self.aux_decay, minlength=problem.op.n_dof).astype(float)
-        k_theta = (theta * (sp.diags(problem.feedthrough) + problem.op.a_h)
-                   + sp.diags(correction))
-        mass = problem.mass_matrix / dt
-        self.rhs_mass = mass - ((1.0 - theta) / theta) * k_theta
         sl = problem.op.block_slices()
         cells = np.arange(problem.op.grid.n_cells)
         self.perm = np.column_stack([sl[1].start + cells, sl[3].start + cells,
                                      sl[0].start + cells, sl[2].start + cells]).ravel()[:-2]
         self.inv = np.argsort(self.perm)
-        matrix = (mass + k_theta).tocoo()
-        rows, cols = self.inv[matrix.row], self.inv[matrix.col]
+        # scipy's dgbmv asks for at least 2 _BAND + 1 rows; on the 2-cell grid
+        # the product runs over zero rows past the 6 unknowns
+        self.rows = max(self.perm.size, 2 * _BAND + 1)
+        self.owner = self.inv[chain.owner]
+        self.aux_decay = 1.0 / (1.0 - theta * dt * chain.poles)
+        self.aux_grow = 1.0 + (1.0 - theta) * dt * chain.poles
+        self.aux_in = dt * chain.gain_in
+        self.aux_out = chain.gain_out * self.aux_decay
+        k_theta = theta * skew_band(problem.op)
+        k_theta[_BAND] = theta * problem.feedthrough[self.perm] + np.bincount(
+            self.owner, theta * theta * dt * chain.gain_out * chain.gain_in * self.aux_decay,
+            minlength=self.perm.size)
+        mass = problem.mass_band / dt
+        self.rhs_band = mass - ((1.0 - theta) / theta) * k_theta
         band = np.zeros((3 * _BAND + 1, self.perm.size))
-        band[2 * _BAND + rows - cols, cols] = matrix.data
+        band[_BAND:] = mass + k_theta
         self.lu, self.piv, info = dgbtrf(band, _BAND, _BAND)
         if info > 0:
             raise SingularSystemError(
                 f"step matrix not invertible at dt={dt:g}: zero pivot {info}"
             )
 
-    def step(self, u_n, x_n, f_next, f_n):
-        theta = self.theta
-        rhs = theta * f_next + (1.0 - theta) * f_n + self.rhs_mass @ u_n
-        rhs -= np.bincount(self.owner, self.aux_out * x_n, minlength=rhs.size)
-        u_next = dgbtrs(self.lu, _BAND, _BAND, rhs[self.perm], self.piv)[0][self.inv]
-        mixed = theta * u_next[self.owner] + (1.0 - theta) * u_n[self.owner]
+    def forcing_mix(self, f_next, f_n):
+        """theta f+ + (1 - theta) f in a new array (f+ itself for backward Euler)."""
+        if self.theta == 1.0:
+            return f_next.copy()
+        mix = self.theta * f_next
+        mix += (1.0 - self.theta) * f_n
+        return mix
+
+    def advance(self, u_n, x_n, mix):
+        """One step in cell order from the forcing mix ``mix``, which it may overwrite."""
+        n = u_n.size
+        if self.rows > n:
+            mix = np.concatenate([mix, np.zeros(self.rows - n)])
+        rhs = dgbmv(self.rows, n, _BAND, _BAND, 1.0, self.rhs_band, u_n, beta=1.0, y=mix,
+                    overwrite_y=1)[:n]
+        rhs -= np.bincount(self.owner, self.aux_out * x_n, minlength=n)
+        u_next = dgbtrs(self.lu, _BAND, _BAND, rhs, self.piv, overwrite_b=1)[0]
+        mixed = u_next[self.owner]
+        if self.theta != 1.0:
+            mixed = self.theta * mixed + (1.0 - self.theta) * u_n[self.owner]
         return u_next, self.aux_decay * (self.aux_grow * x_n + self.aux_in * mixed)
+
+    def step(self, u_n, x_n, f_next, f_n):
+        perm = self.perm
+        u_next, x_next = self.advance(u_n[perm], x_n,
+                                      self.forcing_mix(f_next[perm], f_n[perm]))
+        return u_next[self.inv], x_next
 
 
 def step_implicit(problem: EvolutionProblem, u_n, x_n, f_next, f_n=None):
@@ -297,7 +356,7 @@ class Trajectory:
         return WeightedSignal(self.t, u, self.problem.rho)
 
     def strain(self) -> WeightedSignal:
-        eps = (self.problem.op.d_grad @ self.displacement().samples.T).T
+        eps = self.problem.op.grad(self.displacement().samples)
         return WeightedSignal(self.t, eps, self.problem.rho)
 
     def theta(self) -> WeightedSignal:
@@ -308,9 +367,9 @@ class Trajectory:
         law = self.problem.law
         if not law.is_uniform():
             raise InputError("entropy export supports uniform laws only")
-        face_to_node = self.problem.op.node_to_face.T  # face -> node mean
-        eps_nodes = (face_to_node @ self.strain().samples.T).T
-        q_nodes = (face_to_node @ self.block("q").samples.T).T
+        face_to_node = self.problem.op.face_to_node
+        eps_nodes = face_to_node(self.strain().samples)
+        q_nodes = face_to_node(self.block("q").samples)
         uniform = MaterialLaw(law.family, (law.cells[0],))
         rho = self.problem.rho
         return compute_entropy(
@@ -435,35 +494,55 @@ def _reap(pid: int, read_end: int, paths) -> str:
 
 
 def solve(problem: EvolutionProblem) -> Trajectory:
-    """March the implicit scheme from zero initial data over the grid."""
+    """March the implicit scheme from zero initial data over the grid.
+
+    The march runs in cell order; each step is stored in block order."""
     n_t = problem.forcing.t.size
-    n = problem.op.n_dof
-    chain = problem.aux_chain
-    states = np.zeros((n_t, n))
-    aux = np.zeros((n_t, chain.n_aux))
     stepper = problem._stepper
+    perm = stepper.perm
+    states = np.zeros((n_t, problem.op.n_dof))
+    aux = np.zeros((n_t, problem.aux_chain.n_aux))
     f = problem.forcing.samples
-    u = states[0]
+    u = states[0][perm]
     x = aux[0]
+    f_next = f[0][perm]
     for k in range(n_t - 1):
-        u, x = stepper.step(u, x, f[k + 1], f[k])
-        states[k + 1] = u
+        f_n, f_next = f_next, f[k + 1][perm]
+        u, x = stepper.advance(u, x, stepper.forcing_mix(f_next, f_n))
+        states[k + 1] = u[stepper.inv]
         aux[k + 1] = x
     return Trajectory(problem, states, aux)
+
+
+#: values per row chunk of :func:`energy_functional`, whose temporaries then stay in cache
+_ENERGY_CHUNK = 2 ** 15
 
 
 def energy_functional(trajectory: Trajectory) -> np.ndarray:
     """Per-step quadratic form of the instantaneous block, h-weighted.
 
+    Evaluated in the congruence form ``u^T M u = sum_i D_i (L u)_i^2``
+    (:attr:`EvolutionProblem.mass_band`): ``L u`` is ``u`` with ``gamma_f``
+    and ``zeta_f`` times the face mean of Theta added to sigma and q.
     For laws with constant Hermitian zero-order block and vanished forcing,
     backward Euler makes this sequence nonincreasing and the trapezoidal
     rule conserves it exactly (skew spatial part drops out).
     """
     problem = trajectory.problem
-    m = problem.mass_matrix
-    h = problem.op.grid.h
-    u = trajectory.states
-    return h * np.einsum("ki,ki->k", u, (m @ u.T).T)
+    face, node = problem.face_coeffs, problem.node_coeffs
+    sl = problem.op.block_slices()
+    weights = np.concatenate([node["rho0"], 1.0 / face["stiffness"], node["heat_capacity"],
+                              face["flux_inertia"]])
+    states = trajectory.states
+    energy = np.empty(states.shape[0])
+    rows = max(1, _ENERGY_CHUNK // problem.op.n_dof)
+    for start in range(0, energy.size, rows):
+        lu = states[start:start + rows].copy()
+        theta_faces = problem.op.node_to_face(lu[:, sl[2]])
+        lu[:, sl[1]] += face["coupling"] * theta_faces
+        lu[:, sl[3]] += face["flux_coupling"] * theta_faces
+        energy[start:start + rows] = np.einsum("ki,ki,i->k", lu, lu, weights)
+    return problem.op.grid.h * energy
 
 
 def _trajectory_of(problem: EvolutionProblem, trajectory: Trajectory = None) -> Trajectory:

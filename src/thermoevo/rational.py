@@ -205,10 +205,16 @@ class StateSpaceRealization:
         s = np.asarray(s)
         if self.n_states == 0:
             return np.zeros(s.shape + self.d.shape[-2:], dtype=complex) + self.d
-        # b broadcast to a stack of matrices: numpy 1.x would read a 2-D b
-        # against a 3-D stack as a stack of vectors
-        resolvent = np.linalg.solve(s[..., None, None] * np.eye(self.n_states) - self.a,
-                                    np.broadcast_to(self.b, s.shape + self.b.shape[-2:]))
+        poles = np.diagonal(self.a, axis1=-2, axis2=-1)
+        if np.array_equal(self.a, poles[..., None] * np.eye(self.n_states)):
+            # a diagonal A (every partial-fraction realization): the resolvent
+            # divides each row of B by s - a
+            resolvent = self.b / (s[..., None] - poles)[..., None]
+        else:
+            # b broadcast to a stack of matrices: numpy 1.x would read a 2-D b
+            # against a 3-D stack as a stack of vectors
+            resolvent = np.linalg.solve(s[..., None, None] * np.eye(self.n_states) - self.a,
+                                        np.broadcast_to(self.b, s.shape + self.b.shape[-2:]))
         return self.d + self.c @ resolvent
 
 

@@ -2,9 +2,10 @@
 
 Velocity and temperature unknowns live at the interior grid nodes (their
 boundary values are pinned to zero and omitted, realizing the Dirichlet
-closures); stress and heat flux live at the cell midpoints.  The two-point
-difference matrix and its exact negative transpose make the assembled block
-operator antisymmetric to the last bit.
+closures); stress and heat flux live at the cell midpoints.  Every operator
+is a two-point difference or mean, applied in closed form; the block
+operator pairs the gradient with its exact negative transpose, so it is
+antisymmetric to the last bit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError
 
@@ -61,13 +61,15 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class DiscreteSpatialOperator:
-    """Assembled antisymmetric block operator and its difference blocks."""
+    """The staggered difference and averaging operators of one grid.
+
+    Each acts along the last axis of an array of node (or face) values, so a
+    field sampled in time, ``(n_t, n_space)``, maps row by row.  Each is a
+    closed-form two-point difference or mean, with zero Dirichlet values
+    padded at both boundary nodes.
+    """
 
     grid: Grid1D
-    d_grad: sp.csr_matrix
-    d_div: sp.csr_matrix
-    a_h: sp.csr_matrix
-    node_to_face: sp.csr_matrix
     block_sizes: tuple = field(init=False)
 
     def __post_init__(self):
@@ -82,37 +84,40 @@ class DiscreteSpatialOperator:
         offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(4)]
 
+    def grad(self, u) -> np.ndarray:
+        """Gradient at the faces, ``(u[f+1] - u[f]) / h`` of the padded node values."""
+        padded = _padded(u, 1.0 / self.grid.h)
+        return padded[..., 1:] - padded[..., :-1]
+
+    def node_to_face(self, u) -> np.ndarray:
+        """Mean of the two end nodes of each cell (zero at the boundary)."""
+        padded = _padded(u, 0.5)
+        return padded[..., :-1] + padded[..., 1:]
+
+    def face_to_node(self, w) -> np.ndarray:
+        """Transpose of :meth:`node_to_face`: the mean of each node's two faces."""
+        half = 0.5 * np.asarray(w, dtype=float)
+        return half[..., :-1] + half[..., 1:]
+
+
+def _padded(u, scale: float) -> np.ndarray:
+    """``scale * u`` between one zero at each end of the last axis."""
+    u = np.asarray(u, dtype=float)
+    padded = np.zeros(u.shape[:-1] + (u.shape[-1] + 2,))
+    np.multiply(u, scale, out=padded[..., 1:-1])
+    return padded
+
 
 def build_operators(grid: Grid1D) -> DiscreteSpatialOperator:
     """Two-point staggered differences with Dirichlet closures on v and theta.
 
     The gradient maps interior-node values to cell midpoints using zero
     boundary values; the divergence is its exact negative transpose.  The
-    block operator couples (v, sigma) and (theta, q) with the signs of the
-    continuous skew-selfadjoint operator.
+    block operator A_h couples (v, sigma) and (theta, q) with the signs of
+    the continuous skew-selfadjoint operator; the time stepper writes its
+    entries, ``+-1/h``, straight into its band.
     """
-    n = grid.n_cells
-    inv_h = 1.0 / grid.h
-    # cell f spans nodes f and f + 1; node j is column j - 1 (j = 1..n-1), so
-    # row f holds columns f - 1 and f where they exist
-    indptr = np.concatenate([[0], np.arange(1, 2 * n - 2, 2), [2 * n - 2]])
-    indices = np.repeat(np.arange(n - 1), 2)
-    d_grad = sp.csr_matrix((np.tile([-inv_h, inv_h], n)[1:-1], indices, indptr),
-                           shape=(n, n - 1))
-    d_div = (-d_grad.T).tocsr()
-    node_to_face = sp.csr_matrix((np.full(2 * n - 2, 0.5), indices, indptr), shape=(n, n - 1))
-
-    grad_t = d_grad.T.tocsr()
-    a_h = sp.bmat(
-        [
-            [None, grad_t, None, None],
-            [-d_grad, None, None, None],
-            [None, None, None, -grad_t],
-            [None, None, d_grad, None],
-        ],
-        format="csr",
-    )
-    return DiscreteSpatialOperator(grid, d_grad, d_div, a_h, node_to_face)
+    return DiscreteSpatialOperator(grid)
 
 
 def node_modes(grid: Grid1D, k) -> np.ndarray:
@@ -133,8 +138,9 @@ def mode_decomposition(op: DiscreteSpatialOperator) -> tuple:
     Returns ``(s, node_vecs, face_vecs, face_null)`` in closed form: the
     discrete sine modes ``node_vecs`` (:func:`node_modes`, positive at the
     first node), the wavenumbers ``s[k-1] = (2/h) sin(k pi / 2n)``, the
-    face vectors ``face_vecs = d_grad @ node_vecs / s`` (so ``d_grad @
-    node_vecs[:, k] == s[k] * face_vecs[:, k]`` exactly by construction) and
+    face vectors ``face_vecs[:, k] = grad(node_vecs[:, k]) / s[k]`` (so the
+    gradient of each node mode is ``s[k]`` times its face vector, exactly by
+    construction) and
     ``face_null = 1/sqrt(n)`` spanning the complement of the gradient's
     range (the discrete constant-flux direction).
     """
@@ -143,6 +149,6 @@ def mode_decomposition(op: DiscreteSpatialOperator) -> tuple:
     k = np.arange(1, n)
     s = (2.0 / grid.h) * np.sin(k * (np.pi / (2 * n)))
     node_vecs = node_modes(grid, k)
-    face_vecs = (op.d_grad @ node_vecs) / s[None, :]
+    face_vecs = np.ascontiguousarray(op.grad(node_vecs.T).T) / s[None, :]
     face_null = np.full((n, 1), 1.0 / np.sqrt(n))
     return s, node_vecs, face_vecs, face_null

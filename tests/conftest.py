@@ -5,15 +5,17 @@ as references: the Simpson exponential step, the per-frequency realization
 check, the per-point symbol sampling on the boundary line, the per-cell
 certification, condition and classification loops, the per-pole realization,
 the entry-by-entry congruence factor of the assembled mass matrix, the
-per-cell loops of the difference and averaging matrices, and the two-branch
-backward-Euler / trapezoidal stepper with its displacement rule, factorized
-through its own per-cell loop of the band order."""
+per-cell loops of the difference and averaging matrices and the block
+operator assembled from them (all as ``scipy.sparse`` matrices), and the
+two-branch backward-Euler / trapezoidal stepper with its displacement rule,
+factorized through its own per-cell loop of the band order."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from thermoevo import (
@@ -455,7 +457,7 @@ def mass_matrix_lil(problem):
     op = problem.op
     n = op.n_dof
     sl = op.block_slices()
-    avg = op.node_to_face.tocoo()
+    avg = operators_per_cell(op.grid)[1].tocoo()
     lmat = sp.lil_matrix((n, n))
     lmat.setdiag(1.0)
     gamma_f = problem.face_coeffs["coupling"]
@@ -499,14 +501,26 @@ def operators_per_cell(grid):
     return d_grad, node_to_face
 
 
-def cell_order(problem):
+def skew_operator(grid):
+    """The block operator A_h as a CSR matrix: the gradient of
+    :func:`operators_per_cell` and its negative transpose, coupling
+    (v, sigma) and (theta, q)."""
+    d_grad = operators_per_cell(grid)[0]
+    grad_t = d_grad.T.tocsr()
+    return sp.bmat([[None, grad_t, None, None],
+                    [-d_grad, None, None, None],
+                    [None, None, None, -grad_t],
+                    [None, None, d_grad, None]], format="csr")
+
+
+def cell_order(op):
     """Dof indices cell by cell: sigma_j, q_j, v_j, theta_j for cell j, whose
     right end is node j + 1; the last cell has only sigma and q."""
-    sl = problem.op.block_slices()
+    sl = op.block_slices()
     order = []
-    for j in range(problem.op.grid.n_cells):
+    for j in range(op.grid.n_cells):
         order += [sl[1].start + j, sl[3].start + j]
-        if j < problem.op.grid.n_cells - 1:
+        if j < op.grid.n_cells - 1:
             order += [sl[0].start + j, sl[2].start + j]
     return np.array(order)
 
@@ -519,18 +533,44 @@ def bandwidth(matrix, order):
     return int(np.max(np.abs(place[a.row] - place[a.col])))
 
 
-def banded_solver(matrix, order, band=4):
-    """The solve of ``matrix`` through one LAPACK band LU in ``order``, the
-    band filled entry by entry."""
+def band_of(matrix, order, band=4):
+    """``matrix`` in BLAS band storage once rows and columns follow
+    ``order``, filled entry by entry: entry (i, j) at ``[band + i - j, j]``."""
     place = np.argsort(order)
     a = sp.coo_matrix(matrix)
-    ab = np.zeros((3 * band + 1, order.size))
+    ab = np.zeros((2 * band + 1, order.size), order="F")
     for r, c, value in zip(place[a.row], place[a.col], a.data):
         assert abs(r - c) <= band
-        ab[2 * band + r - c, c] = value
+        ab[band + r - c, c] = value
+    return ab
+
+
+def from_band(ab, order, band=4):
+    """The CSR matrix in block order whose band in ``order`` is ``ab``."""
+    n = order.size
+    rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    near = np.abs(rows - cols) <= band
+    i, j = rows[near], cols[near]
+    return sp.csr_matrix((ab[band + i - j, j], (order[i], order[j])), shape=(n, n))
+
+
+def banded_solver(matrix, order, band=4):
+    """The solve of ``matrix`` through one LAPACK band LU in ``order``."""
+    place = np.argsort(order)
+    ab = np.zeros((3 * band + 1, order.size))
+    ab[band:] = band_of(matrix, order, band)
     lu, piv, info = dgbtrf(ab, band, band)
     assert info == 0
     return lambda rhs: dgbtrs(lu, band, band, rhs[order], piv)[0][place]
+
+
+def band_product(ab, u, y, band=4):
+    """``y + A u`` by ``dgbmv`` for A in band storage ``ab``, over at least
+    ``2 band + 1`` rows (the least scipy's wrapper takes)."""
+    n = u.size
+    rows = max(n, 2 * band + 1)
+    y = np.concatenate([y, np.zeros(rows - n)])
+    return dgbmv(rows, n, band, band, 1.0, ab, u, beta=1.0, y=y)[:n]
 
 
 def two_branch_system(problem):
@@ -539,37 +579,44 @@ def two_branch_system(problem):
     into ``M/dt + K``, the trapezoidal rule into ``K/2``."""
     dt = problem.dt
     chain = problem.aux_chain
-    zero_order = sp.diags(problem.feedthrough) + problem.op.a_h
+    zero_order = sp.diags(problem.feedthrough) + skew_operator(problem.op.grid)
+    mass = from_band(problem.mass_band, cell_order(problem.op))
     correction = np.zeros(problem.op.n_dof)
     if problem.scheme == BACKWARD_EULER:
         decay = 1.0 / (1.0 - dt * chain.poles)
         np.add.at(correction, chain.owner, dt * chain.gain_out * chain.gain_in * decay)
-        step = problem.mass_matrix / dt + zero_order + sp.diags(correction)
-        return step, problem.mass_matrix / dt, decay, None
+        step = mass / dt + zero_order + sp.diags(correction)
+        return step, mass / dt, decay, None
     half = 0.5 * dt * chain.poles
     decay = 1.0 / (1.0 - half)
     np.add.at(correction, chain.owner, 0.25 * dt * chain.gain_out * chain.gain_in * decay)
     k_half = 0.5 * zero_order + sp.diags(correction)
-    return problem.mass_matrix / dt + k_half, problem.mass_matrix / dt - k_half, decay, 1.0 + half
+    return mass / dt + k_half, mass / dt - k_half, decay, 1.0 + half
 
 
 def march_two_branch(problem):
     """(states, aux) of the march with one hand-written branch per scheme
-    (:func:`two_branch_system`); aux outputs scatter with ``np.add.at``."""
+    (:func:`two_branch_system`); the right-hand-side mass acts through its
+    band in cell order (:func:`band_product`), aux outputs scatter with
+    ``np.add.at``."""
     dt = problem.dt
     chain = problem.aux_chain
     n = problem.op.n_dof
+    order = cell_order(problem.op)
+    place = np.argsort(order)
     step, rhs_mass, decay, grow = two_branch_system(problem)
-    solve = banded_solver(step, cell_order(problem))
+    solve = banded_solver(step, order)
+    rhs_band = band_of(rhs_mass, order)
     f = problem.forcing.samples
     states = np.zeros((f.shape[0], n))
     aux = np.zeros((f.shape[0], chain.n_aux))
     for k in range(f.shape[0] - 1):
         u, x = states[k], aux[k]
         if problem.scheme == BACKWARD_EULER:
-            rhs = f[k + 1] + rhs_mass @ u
+            forcing = f[k + 1]
         else:
-            rhs = 0.5 * (f[k + 1] + f[k]) + rhs_mass @ u
+            forcing = 0.5 * (f[k + 1] + f[k])
+        rhs = band_product(rhs_band, u[order], forcing[order])[place]
         np.subtract.at(rhs, chain.owner, chain.gain_out * decay * x)
         states[k + 1] = solve(rhs)
         if problem.scheme == BACKWARD_EULER:

@@ -258,6 +258,26 @@ class TestVerifyMode:
         for entry in ("comparison", "bound_check"):
             assert report[entry] == {"status": "skipped", "reason": reason}
 
+    def test_no_check_ran_is_said(self, tmp_path):
+        # at rho = 1e300 the comparison and the bound check are skipped and a
+        # pulse has no causality check: the summary line must not read as a pass
+        payload = sim_payload()
+        payload["time"]["rho"] = 1e300
+        stream = io.StringIO()
+        assert run(RunConfig.from_dict(payload, "verify", out_dir=tmp_path), stream) == 0
+        lines = stream.getvalue().splitlines()
+        assert "verify: no check ran (skipped: comparison, causality, bound_check)" in lines
+        assert not any("within tolerance" in line for line in lines)
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert list(report) == ["comparison", "causality", "bound_check", "tolerances",
+                                "failures"]
+
+    def test_pass_line_names_skipped_checks(self, tmp_path):
+        stream = io.StringIO()
+        assert run(RunConfig.from_dict(sim_payload(), "verify", out_dir=tmp_path), stream) == 0
+        assert "verify: all checks within tolerance (skipped: causality)" in \
+            stream.getvalue().splitlines()
+
     def test_not_index_one_law_skips_oracle_comparison(self, tmp_path):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(sim_payload(
@@ -468,3 +488,53 @@ def test_cli_verify_run_leaves_interpolate_unloaded(tmp_path):
                             capture_output=True, text=True, check=True)
     assert result.stdout.split()[-2:] == ["0", "False"]
     assert json.loads((out / "verify.json").read_text())["comparison"]["status"] == "ok"
+
+
+SPARSE = ("scipy.sparse", "scipy.sparse.linalg")
+
+
+def sparse_loaded(code: str) -> list:
+    """The scipy.sparse modules in ``sys.modules`` after running ``code`` in
+    a fresh interpreter."""
+    code += f"; import json, sys; print(json.dumps([m for m in {SPARSE!r} if m in sys.modules]))"
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_runs_leave_scipy_sparse_unloaded(tmp_path):
+    # a run needs numpy and scipy.linalg only; the baseline is what those two
+    # load by themselves on the installed scipy
+    baseline = sparse_loaded("import numpy, scipy.linalg")
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(sim_payload(
+        model={"family": "dpl_i", "coefficients": {
+            "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.5, "kappa": 1.0,
+            "n1": 0.5, "n2": 0.25}},
+        grid={"L": 1.0, "n_cells": 8},
+        time={"t_max": 0.0625, "dt": 2**-8, "rho": 1.0, "scheme": "trapezoidal"},
+        forcing={"kind": "delayed_step", "delay": 2**-5, "block": "f",
+                 "spatial_profile": "bump"})))
+    assert sparse_loaded("import thermoevo") == baseline
+    for mode in ("simulate", "verify"):
+        code = ("import thermoevo.cli; "
+                f"assert thermoevo.cli.main([{mode!r}, '--config', {str(config_path)!r}, "
+                f"'--out', {str(tmp_path / mode)!r}]) == 0")
+        assert sparse_loaded(code) == baseline
+    assert (tmp_path / "verify" / "verify.json").exists()
+
+
+def test_splu_name_loads_scipy_sparse_on_lookup():
+    baseline = sparse_loaded("import numpy, scipy.linalg")
+    code = ("import sys, thermoevo.evolution as evolution; "
+            "before = 'scipy.sparse.linalg' in sys.modules; "
+            "found = evolution.splu; "
+            "after = 'scipy.sparse.linalg' in sys.modules; "
+            "from scipy.sparse.linalg import splu; "
+            "assert found is splu; "
+            "print(before, after)")
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == [str("scipy.sparse.linalg" in baseline), "True"]
+    with pytest.raises(AttributeError, match="no attribute 'spl'"):
+        evolution.spl  # noqa: B018

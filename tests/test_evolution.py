@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from conftest import (ALL_FAMILIES, apply_symbol_fl, bandwidth, cell_order,
-                      displacement_two_branch, march_two_branch, mass_matrix_lil,
-                      per_cell_law, simpson_weights, spec_with, two_branch_system,
-                      uncoupled_law)
+from conftest import (ALL_FAMILIES, apply_symbol_fl, band_of, bandwidth, cell_order,
+                      displacement_two_branch, from_band, march_two_branch, mass_matrix_lil,
+                      operators_per_cell, per_cell_law, simpson_weights, skew_operator,
+                      spec_with, two_branch_system, uncoupled_law)
 from thermoevo import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
@@ -17,6 +17,7 @@ from thermoevo import (
     ModelFamily,
     ModelSpec,
     RationalMatrixFunction,
+    Trajectory,
     WeightedSignal,
     assemble_forcing,
     assemble_material_law,
@@ -73,9 +74,9 @@ class TestStepping:
             problem = pulse_problem(law, n_cells=2, dt=dt, t_max=1.0,
                                     profile="mode_1", center=0.25, width=0.06)
             traj = solve(problem)
-            mass = problem.mass_matrix.toarray()
+            mass = mass_matrix_lil(problem).toarray()
             flow = -np.linalg.solve(mass, np.diag(problem.feedthrough)
-                                    + problem.op.a_h.toarray())
+                                    + skew_operator(problem.op.grid).toarray())
             h_fine = dt / 64.0
             prop, w0, wm, w1 = simpson_weights(flow, h_fine)
             mass_inv = np.linalg.inv(mass)
@@ -266,7 +267,7 @@ class TestBandedStep:
     def test_cell_order_has_bandwidth_four(self, name, n_cells, scheme):
         problem = self.problem(name, n_cells, scheme)
         stepper = problem._stepper
-        np.testing.assert_array_equal(stepper.perm, cell_order(problem))
+        np.testing.assert_array_equal(stepper.perm, cell_order(problem.op))
         np.testing.assert_array_equal(stepper.perm[stepper.inv], np.arange(problem.op.n_dof))
         assert bandwidth(two_branch_system(problem)[0], stepper.perm) <= 4
 
@@ -285,7 +286,8 @@ class TestBandedStep:
                                 n_cells=8, dt=2**-7, t_max=0.25)
         assert problem.aux_chain.n_aux == 0
         # M/dt cancels theta (diag(D) + A_h) exactly at theta = 1 and dt = 2^-7
-        problem.mass_matrix = -problem.dt * (sp.diags(problem.feedthrough) + problem.op.a_h)
+        zero_order = sp.diags(problem.feedthrough) + skew_operator(problem.op.grid)
+        problem.mass_band = -problem.dt * band_of(zero_order, cell_order(problem.op))
         with pytest.raises(SingularSystemError, match="zero pivot 1"):
             problem._stepper
 
@@ -322,7 +324,7 @@ class TestEnergy:
         traj = solve(problem)
         energy = energy_functional(traj)
         h = problem.op.grid.h
-        m = problem.mass_matrix.toarray()
+        m = mass_matrix_lil(problem).toarray()
         d = problem.feedthrough
         start = np.searchsorted(problem.forcing.t, 0.3) + 1
         for k in range(start, traj.states.shape[0] - 1):
@@ -352,7 +354,8 @@ class TestDerivedFields:
         traj = solve(problem)
         eps = traj.strain().samples
         sigma = traj.block("sigma").samples
-        theta_faces = traj.block("theta_big").samples @ problem.op.node_to_face.T.toarray()
+        theta_faces = (traj.block("theta_big").samples
+                       @ operators_per_cell(problem.op.grid)[1].T.toarray())
         want = 1.0 * eps - 0.5 * theta_faces
         scale = max(np.max(np.abs(sigma)), 1e-30)
         assert np.max(np.abs(sigma - want)) <= 1e-10 * scale
@@ -383,11 +386,11 @@ class TestDerivedFields:
         names = {p.name for p in solve(problem).export_csv(tmp_path)}
         assert "eta.csv" not in names and "energy.csv" in names
 
-    def test_sparse_strain_matches_dense_product(self):
+    def test_strain_matches_dense_product(self):
         law = assemble_material_law(canonical_spec(ModelFamily.GREEN_LINDSAY))
         problem = pulse_problem(law, n_cells=12, dt=2**-8, t_max=0.25)
         traj = solve(problem)
-        dense = traj.displacement().samples @ problem.op.d_grad.T.toarray()
+        dense = traj.displacement().samples @ operators_per_cell(problem.op.grid)[0].T.toarray()
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(traj.strain().samples - dense)) <= 1e-15 * scale
 
@@ -545,17 +548,58 @@ class TestPerCellLaws:
         assert len(realized) == len(set(realized)) == 3
 
 
-class TestMassMatrix:
-    @pytest.mark.parametrize("law", [
-        per_cell_law(ModelFamily.DPL_I),
-        assemble_material_law(spec_with(ModelFamily.GREEN_LINDSAY, Gamma=[0.5, 0.3, 0.0, 0.4])),
-        uncoupled_law(ModelFamily.DPL_II),
-    ], ids=["dpl_i_per_cell", "green_lindsay_per_cell_coupling", "uncoupled"])
-    def test_csr_equals_entrywise_assembly(self, law):
-        problem = pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25)
-        got, want = problem.mass_matrix, mass_matrix_lil(problem)
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+#: (law name, n_cells, length): the 8 catalog families and a per-cell dpl_i law
+CLOSED_FORM_CASES = [(name, n, length)
+                     for name in [*(f.value for f in ALL_FAMILIES), "dpl_i_per_cell"]
+                     for n in (2, 3, 17, 128) for length in (1.0, 0.3)]
+
+
+def closed_form_problem(name, n_cells, length, scheme=BACKWARD_EULER):
+    if name == "dpl_i_per_cell":
+        law = sweep_law(n_cells)
+    elif name == "uncoupled_classical":
+        law = uncoupled_law(ModelFamily.CLASSICAL)
+    else:
+        law = assemble_material_law(canonical_spec(ModelFamily(name)))
+    op = build_operators(Grid1D(length, n_cells))
+    t = time_grid(4 * 2**-8, 2**-8)
+    return EvolutionProblem(law, op, WeightedSignal(t, np.zeros((t.size, op.n_dof)), 1.0),
+                            scheme)
+
+
+class TestClosedForms:
+    """Closed-form bands and energy against the entry-by-entry sparse assembly."""
+
+    @pytest.mark.parametrize("name, n_cells, length", CLOSED_FORM_CASES)
+    def test_mass_band_equals_entrywise_assembly(self, name, n_cells, length):
+        problem = closed_form_problem(name, n_cells, length)
+        order = cell_order(problem.op)
+        want = mass_matrix_lil(problem)
+        assert bandwidth(want, order) <= 4
+        got = from_band(problem.mass_band, order).toarray()
+        want = want.toarray()
+        np.testing.assert_array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name, n_cells, length", CLOSED_FORM_CASES)
+    def test_energy_equals_quadratic_form(self, name, n_cells, length):
+        problem = closed_form_problem(name, n_cells, length)
+        u = np.random.default_rng(n_cells).standard_normal((5, problem.op.n_dof))
+        trajectory = Trajectory(problem, u, np.zeros((5, problem.aux_chain.n_aux)))
+        m = mass_matrix_lil(problem)
+        want = problem.op.grid.h * np.einsum("ki,ki->k", u, (m @ u.T).T)
+        assert np.all(np.abs(energy_functional(trajectory) - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("n_cells", [2, 3, 17])
+    def test_trapezoidal_rhs_band_carries_skew_operator(self, n_cells):
+        # without coupling M has no off-diagonal entry, so off the diagonal the
+        # right-hand-side band M/dt - K_theta is exactly -A_h / 2
+        problem = closed_form_problem("uncoupled_classical", n_cells, 1.0, TRAPEZOIDAL)
+        band = problem._stepper.rhs_band.copy()
+        band[4] = 0.0
+        want = band_of(-0.5 * skew_operator(problem.op.grid), cell_order(problem.op))
+        np.testing.assert_array_equal(band, want)
+        assert problem._stepper.rhs_band.flags.f_contiguous
 
 
 class TestCausality:

@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
-from conftest import simpson_weights, spec_with, uncoupled_law
+from conftest import mass_matrix_lil, simpson_weights, skew_operator, spec_with, uncoupled_law
 from thermoevo import (
     BACKWARD_EULER,
     EvolutionProblem,
@@ -43,9 +43,9 @@ def physical_system(problem):
     chain = problem.aux_chain
     n, n_aux = problem.op.n_dof, chain.n_aux
     e_mat = np.eye(n + n_aux)
-    e_mat[:n, :n] = problem.mass_matrix.toarray()
+    e_mat[:n, :n] = mass_matrix_lil(problem).toarray()
     k_mat = np.zeros((n + n_aux, n + n_aux))
-    k_mat[:n, :n] = np.diag(problem.feedthrough) + problem.op.a_h.toarray()
+    k_mat[:n, :n] = np.diag(problem.feedthrough) + skew_operator(problem.op.grid).toarray()
     aux = n + np.arange(n_aux)
     k_mat[chain.owner, aux] = chain.gain_out
     k_mat[aux, chain.owner] = -chain.gain_in

@@ -232,6 +232,37 @@ class TestBatchedTransferCheck:
                 _check_transfer_match(*_stack_groups([r])[0][1:], [bad],
                                       _poles(len(r.num), r.den[None]))
 
+    def test_one_perturbed_gain_rejected(self):
+        # the check divides by s - a for a diagonal A; one input gain of a
+        # two-state law off by 1e-6 must still fail it
+        r = scalar_rational([0.3, 1.0, 0.2], [1.0, 0.8, 0.15])
+        real = realize_state_space(r)
+        assert real.n_states == 2 and np.count_nonzero(real.a) == 2
+        for state in range(2):
+            b = np.array(real.b)
+            b[state, 0] *= 1.0 + 1e-6
+            bad = StateSpaceRealization(real.d, real.a, b, real.c)
+            with pytest.raises(RealizationError, match="transfer mismatch"):
+                _check_transfer_match(*_stack_groups([r])[0][1:], [bad],
+                                      _poles(len(r.num), r.den[None]))
+
+    def test_diagonal_transfer_matches_solve(self):
+        freqs = 1j * np.logspace(-2, 2, 9) + 0.311
+        for r in zero_order_laws():
+            real = realize_state_space(r)
+            if real.n_states == 0:
+                continue
+            for s in freqs:
+                want = real.d + real.c @ np.linalg.solve(s * np.eye(real.n_states) - real.a,
+                                                         real.b)
+                np.testing.assert_allclose(real.transfer(s), want, rtol=1e-13, atol=0)
+        # a non-diagonal A takes the solve: the same law in a rotated basis
+        real = realize_state_space(scalar_rational([0.3, 1.0, 0.2], [1.0, 0.8, 0.15]))
+        turn = np.array([[1.0, 0.5], [-0.25, 1.0]])
+        rotated = StateSpaceRealization(real.d, turn @ real.a @ np.linalg.inv(turn),
+                                        turn @ real.b, real.c @ np.linalg.inv(turn))
+        np.testing.assert_allclose(rotated.transfer(freqs), real.transfer(freqs), rtol=1e-12)
+
     def test_transfer_broadcasts_over_frequencies(self):
         real = realize_state_space(scalar_rational([0.3, 1.0, 0.2], [1.0, 0.8, 0.15]))
         freqs = 1j * np.logspace(-2, 2, 7) + 0.17
