@@ -188,7 +188,10 @@ def _stack_groups(laws) -> list:
 
 @dataclass(frozen=True)
 class StateSpaceRealization:
-    """Time-domain realization y = D u + C x with x' = A x + B u."""
+    """Time-domain realization y = D u + C x with x' = A x + B u.
+
+    A is diagonal: every state belongs to one simple pole (the partial
+    fractions of :func:`realize_state_space`)."""
 
     d: np.ndarray
     a: np.ndarray
@@ -205,16 +208,9 @@ class StateSpaceRealization:
         s = np.asarray(s)
         if self.n_states == 0:
             return np.zeros(s.shape + self.d.shape[-2:], dtype=complex) + self.d
+        # A is diagonal, so the resolvent divides each row of B by s - a
         poles = np.diagonal(self.a, axis1=-2, axis2=-1)
-        if np.array_equal(self.a, poles[..., None] * np.eye(self.n_states)):
-            # a diagonal A (every partial-fraction realization): the resolvent
-            # divides each row of B by s - a
-            resolvent = self.b / (s[..., None] - poles)[..., None]
-        else:
-            # b broadcast to a stack of matrices: numpy 1.x would read a 2-D b
-            # against a 3-D stack as a stack of vectors
-            resolvent = np.linalg.solve(s[..., None, None] * np.eye(self.n_states) - self.a,
-                                        np.broadcast_to(self.b, s.shape + self.b.shape[-2:]))
+        resolvent = self.b / (s[..., None] - poles)[..., None]
         return self.d + self.c @ resolvent
 
 

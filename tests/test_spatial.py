@@ -32,6 +32,8 @@ class TestGrid:
 
 #: (n_cells, length) of the closed-form checks against the per-cell assembly
 GRIDS = [(n, length) for n in (2, 3, 17, 128) for length in (1.0, 0.3)]
+#: the same plus one large grid, for the checks that need no dense matrix
+LARGE_GRIDS = [*GRIDS, (2048, 1.0)]
 
 
 class TestOperators:
@@ -46,7 +48,7 @@ class TestOperators:
         assert op.block_sizes == (1, 2, 1, 2)
         assert skew_band(op).shape == (9, 6)
 
-    @pytest.mark.parametrize("n_cells, length", GRIDS)
+    @pytest.mark.parametrize("n_cells, length", LARGE_GRIDS)
     def test_actions_equal_per_cell_assembly(self, n_cells, length):
         grid = Grid1D(length, n_cells)
         op = build_operators(grid)
@@ -71,7 +73,7 @@ class TestOperators:
         to_nodes = op.face_to_node(np.eye(n_cells))
         np.testing.assert_array_equal(to_faces, to_nodes.T)
 
-    @pytest.mark.parametrize("n_cells, length", GRIDS)
+    @pytest.mark.parametrize("n_cells, length", LARGE_GRIDS)
     def test_skew_band_equals_per_cell_assembly(self, n_cells, length):
         op = build_operators(Grid1D(length, n_cells))
         band = skew_band(op)
