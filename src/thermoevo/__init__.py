@@ -34,7 +34,6 @@ from .models import (
     ModelSpec,
     assemble_material_law,
     canonical_spec,
-    classify,
     compute_entropy,
     pattern_table,
     recover_theta,

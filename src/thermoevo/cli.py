@@ -5,6 +5,10 @@ and the output directory.  All numeric report output is written with fixed
 17-significant-digit formatting so identical configs produce byte-identical
 artifacts.
 
+``verify`` runs the checks listed in ``_CHECKS``, each one function that
+returns its ``verify.json`` entry and failure lines; a check is added there
+and nowhere else.
+
 Exit codes: 0 success, 1 input error or unwritable output, 2 certification
 verdict not satisfied, that is violated or inconclusive (check mode), 3
 verification tolerance exceeded (verify mode).
@@ -304,80 +308,78 @@ def run(config: RunConfig, stream=None) -> int:
     if config.mode == "simulate":
         return 0
 
-    return _verify(config, law, problem, report, trajectory, written, stream)
+    return _verify(config, problem, report, trajectory, written, stream)
 
 
-def _verify(config, law, problem, report, trajectory, written, stream) -> int:
-    tol = config.tolerances
-    failures = []
+def _underflows(trajectory) -> bool:
+    """Whether a nonzero trajectory has a zero rho-weighted norm: exp(-rho t)
+    underflowed past t = 0, so nothing weighted can be compared or bounded."""
+    return trajectory.space_time_norm() == 0.0 and bool(np.any(trajectory.states))
 
+
+def _over(name: str, value: float, tol: dict) -> list:
+    """The failure line of a measured ``value`` above its tolerance ``tol[name]``."""
+    return [f"{name} {value:.3e} > {tol[name]:.3e}"] if value > tol[name] else []
+
+
+def _comparison(config, problem, report, trajectory):
     try:
         reference = spectral_solve(problem)
     except OracleRejectionError as exc:
-        comparison = {"status": "skipped", "reason": str(exc)}
-    else:
-        result = compare(trajectory, reference)
-        comparison = {"status": "ok", "per_field": result.per_field,
-                      "overall": result.overall}
-        if (result.overall == 0.0 and reference.space_time_norm() == 0.0
-                and np.any(reference.states)):
-            comparison = {"status": "skipped", "reason": _UNDERFLOW.format(problem.rho)}
-        elif result.overall > tol["solver_vs_oracle"]:
-            failures.append(
-                f"solver_vs_oracle {result.overall:.3e} > {tol['solver_vs_oracle']:.3e}"
-            )
+        return {"status": "skipped", "reason": str(exc)}, []
+    result = compare(trajectory, reference)
+    if result.overall == 0.0 and _underflows(reference):
+        return {"status": "skipped", "reason": _UNDERFLOW.format(problem.rho)}, []
+    entry = {"status": "ok", "per_field": result.per_field, "overall": result.overall}
+    return entry, _over("solver_vs_oracle", result.overall, config.tolerances)
 
-    causality = {"status": "skipped", "leakage": None, "reason": ""}
-    if config.forcing["kind"] == "delayed_step":
-        result = causality_test(problem, config.forcing["delay"], trajectory)
-        if result.skipped:
-            causality = {"status": "skipped", "leakage": None, "reason": result.reason}
-        else:
-            causality = {"status": "ok", "leakage": result.leakage, "reason": ""}
-            if result.leakage > tol["causality_leakage"]:
-                failures.append(
-                    f"causality_leakage {result.leakage:.3e} > {tol['causality_leakage']:.3e}"
-                )
-    else:
-        causality["reason"] = "forcing kind has no exact pre-support"
 
-    bound = {"status": "skipped", "reason": ""}
-    if report.verdict == "satisfied" and problem.rho >= report.rho_min:
-        try:
-            check = solution_bound_check(problem, report, trajectory)
-        except (InputError, PoleProximityError) as exc:
-            bound["reason"] = str(exc)
-        else:
-            bound = {
-                "status": "ok" if check.window_ok else "window_too_short",
-                "lhs": check.lhs,
-                "rhs": check.rhs,
-                "c_used": check.c_used,
-                "tail_ratio": check.tail_ratio,
-            }
-            if check.lhs == 0.0 and np.any(trajectory.states):
-                bound = {"status": "skipped", "reason": _UNDERFLOW.format(problem.rho)}
-            elif check.window_ok and not replace(check, slack=tol["bound_slack"]).ok:
-                failures.append(
-                    f"a_priori_bound lhs {check.lhs:.6e} > rhs {check.rhs:.6e} "
-                    f"(slack {tol['bound_slack']})"
-                )
-    else:
-        bound["reason"] = "verdict not satisfied or rho below rho_min"
+def _causality(config, problem, report, trajectory):
+    if config.forcing["kind"] != "delayed_step":
+        return {"status": "skipped", "leakage": None,
+                "reason": "forcing kind has no exact pre-support"}, []
+    result = causality_test(problem, config.forcing["delay"], trajectory)
+    if result.skipped:
+        return {"status": "skipped", "leakage": None, "reason": result.reason}, []
+    entry = {"status": "ok", "leakage": result.leakage, "reason": ""}
+    return entry, _over("causality_leakage", result.leakage, config.tolerances)
 
-    payload = {
-        "comparison": comparison,
-        "causality": causality,
-        "bound_check": bound,
-        "tolerances": tol,
-        "failures": failures,
-    }
+
+def _bound_check(config, problem, report, trajectory):
+    try:
+        check = solution_bound_check(problem, report, trajectory)
+    except (InputError, PoleProximityError) as exc:
+        return {"status": "skipped", "reason": str(exc)}, []
+    if check.lhs == 0.0 and _underflows(trajectory):
+        return {"status": "skipped", "reason": _UNDERFLOW.format(problem.rho)}, []
+    entry = {"status": "ok" if check.window_ok else "window_too_short",
+             "lhs": check.lhs, "rhs": check.rhs, "c_used": check.c_used,
+             "tail_ratio": check.tail_ratio}
+    slack = config.tolerances["bound_slack"]
+    if check.window_ok and not replace(check, slack=slack).ok:
+        return entry, [f"a_priori_bound lhs {check.lhs:.6e} > rhs {check.rhs:.6e} "
+                       f"(slack {slack})"]
+    return entry, []
+
+
+#: the verify checks in verify.json order.  Each takes (config, problem,
+#: report, trajectory) and returns its verify.json entry and failure lines; it
+#: looks the library functions up at call time, so tracing wrappers see them.
+_CHECKS = (("comparison", _comparison), ("causality", _causality),
+           ("bound_check", _bound_check))
+
+
+def _verify(config, problem, report, trajectory, written, stream) -> int:
+    payload, failures = {}, []
+    for name, check in _CHECKS:
+        payload[name], lines = check(config, problem, report, trajectory)
+        failures += lines
+    payload.update(tolerances=config.tolerances, failures=failures)
     _emit(config.output / "verify.json", _json.dumps(payload), written)
-    checks = ("comparison", "causality", "bound_check")
-    skipped = [name for name in checks if payload[name]["status"] == "skipped"]
+    skipped = [name for name, _ in _CHECKS if payload[name]["status"] == "skipped"]
     for line in failures:
         stream.write(f"FAIL {line}\n")
-    if len(skipped) == len(checks):
+    if len(skipped) == len(_CHECKS):
         stream.write(f"verify: no check ran (skipped: {', '.join(skipped)})\n")
     elif not failures:
         stream.write("verify: all checks within tolerance"

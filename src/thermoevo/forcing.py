@@ -50,10 +50,10 @@ def spatial_profile(op: DiscreteSpatialOperator, name: str) -> np.ndarray:
         width = grid.length / 8.0
         return np.exp(-(((x - grid.length / 2.0) / width) ** 2))
     if name.startswith("mode_"):
-        try:
-            k = int(name[5:])
-        except ValueError:
-            raise InputError(f"bad spatial profile '{name}'") from None
+        digits = name[5:]
+        if not (digits.isascii() and digits.isdigit()):  # int() takes '+1', ' 1', '1_0'
+            raise InputError(f"bad spatial profile '{name}'")
+        k = int(digits)
         if not 1 <= k <= grid.n_nodes:
             raise InputError(f"mode index {k} out of range 1..{grid.n_nodes}")
         return node_modes(grid, k)

@@ -32,7 +32,6 @@ __all__ = [
     "MaterialLaw",
     "assemble_material_law",
     "zero_pattern",
-    "classify",
     "recover_theta",
     "compute_entropy",
     "pattern_table",
@@ -248,7 +247,10 @@ def _congruence(cells) -> tuple:
 def _masses(cells) -> np.ndarray:
     """Stacked instantaneous blocks L* D L, Hermitian-symmetrized, complex."""
     lmat, core = _congruence(cells)
-    m = np.conj(lmat).swapaxes(-1, -2) @ core @ lmat
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.conj(lmat).swapaxes(-1, -2) @ core @ lmat
+    if not np.all(np.isfinite(m)):
+        raise InputError("instantaneous block is not finite: coefficient products overflow")
     return 0.5 * (m + np.conj(m).swapaxes(-1, -2))
 
 
@@ -422,12 +424,6 @@ def _classify(stacks) -> str:
     lam_min = min(float(np.min(e[:, 0])) for e in eigs)
     lam_max = max(0.0, *(float(np.max(e[:, -1])) for e in eigs))
     return GENERIC if lam_min > SPECTRAL_CUTOFF * lam_max else DEGENERATE
-
-
-def classify(law: MaterialLaw) -> str:
-    """'generic' when the instantaneous block is strictly positive definite
-    over all cells (relative spectral cutoff), otherwise 'degenerate'."""
-    return law.classification
 
 
 def assemble_material_law(spec: ModelSpec) -> MaterialLaw:

@@ -36,7 +36,7 @@ from .rational import realize_state_space
 from .signals import WeightedSignal, weighted_norm
 from .spatial import mode_decomposition
 
-__all__ = ["ModeSystems", "build_mode_systems", "spectral_solve", "compare", "ComparisonResult"]
+__all__ = ["ModeSystems", "spectral_solve", "compare", "ComparisonResult"]
 
 @dataclass(frozen=True)
 class ModeSystems:
@@ -68,13 +68,8 @@ def _uniform_cell(problem: EvolutionProblem):
     return cell
 
 
-def build_mode_systems(problem: EvolutionProblem) -> ModeSystems:
-    """Assemble the dense DAE of every discrete mode of the difference matrix."""
-    return _mode_systems(problem, mode_decomposition(problem.op)[0])
-
-
 def _mode_systems(problem: EvolutionProblem, s: np.ndarray) -> ModeSystems:
-    """:func:`build_mode_systems` on the given wavenumbers ``s``."""
+    """The dense DAE of every discrete mode of wavenumber in ``s``."""
     cell = _uniform_cell(problem)
     r1 = realize_state_space(cell.theta_damping)
     r2 = realize_state_space(cell.flux_resistance)

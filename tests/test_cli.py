@@ -248,6 +248,34 @@ class TestVerifyMode:
         assert "not positive" in report["bound_check"]["reason"]
         assert report["failures"] == []
 
+    @pytest.mark.parametrize("model, rho, reason", [
+        (NOT_INDEX_ONE_MODEL, 2.0, "bound check requires a satisfied well-posedness verdict"),
+        # a2(z) = 1 / (1 - z/2) has its pole at s = 1/2: rho_min lies above it
+        ({"family": "custom", "coefficients": {
+            "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0,
+            "a2": {"num": [1.0], "den": [1.0, -0.5]}}},
+         0.25, "run weight rho=0.25 below certified rho_min=0.501187"),
+    ], ids=["inconclusive", "rho_below_rho_min"])
+    def test_bound_check_skip_names_failed_precondition(self, tmp_path, model, rho, reason):
+        payload = sim_payload(model=model, grid={"L": 1.0, "n_cells": 8})
+        payload["time"]["rho"] = rho
+        assert run(RunConfig.from_dict(payload, "verify", out_dir=tmp_path), io.StringIO()) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["bound_check"] == {"status": "skipped", "reason": reason}
+
+    def test_step_at_window_start_skips_causality(self, tmp_path):
+        payload = sim_payload()
+        payload["forcing"] = {"kind": "delayed_step", "delay": 0.0,
+                              "block": "h", "spatial_profile": "mode_1"}
+        stream = io.StringIO()
+        assert run(RunConfig.from_dict(payload, "verify", out_dir=tmp_path), stream) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["causality"] == {
+            "status": "skipped", "leakage": None,
+            "reason": "forcing support touches the window start"}
+        assert "verify: all checks within tolerance (skipped: causality)" in \
+            stream.getvalue().splitlines()
+
     def test_underflowing_weight_skips_comparison_and_bound(self, tmp_path):
         # exp(-2 rho t) is 0 past t = 0 at rho = 1e300: nothing can be compared
         payload = sim_payload()
@@ -435,6 +463,15 @@ CONFIG_HOLES = {
                                   "rho0 must be a square matrix"),
     "spatial_profile_number": (_with("forcing", "spatial_profile", 3),
                                "forcing.spatial_profile"),
+    # int() would read these as mode 10, 1 and 1
+    "mode_index_underscore": (_with("forcing", "spatial_profile", "mode_1_0"),
+                              "bad spatial profile 'mode_1_0'"),
+    "mode_index_sign": (_with("forcing", "spatial_profile", "mode_+1"),
+                        "bad spatial profile 'mode_+1'"),
+    "mode_index_space": (_with("forcing", "spatial_profile", "mode_ 1"),
+                         "bad spatial profile 'mode_ 1'"),
+    "coefficient_products_overflow": (sim_payload(model=ls_model(gamma=1e160)),
+                                      "instantaneous block is not finite"),
     "output_not_string": (sim_payload(output=3), "'output'"),
 }
 

@@ -26,7 +26,7 @@ from thermoevo.errors import OracleRejectionError
 from thermoevo.forcing import spatial_profile
 from thermoevo import oracle
 from thermoevo._integrators import phi_matrices
-from thermoevo.oracle import _not_a_knot_coefficients, build_mode_systems
+from thermoevo.oracle import _mode_systems, _not_a_knot_coefficients
 
 
 def mode_problem(law, n_cells=16, dt=2**-9, t_max=0.5, profile="mode_1",
@@ -138,7 +138,8 @@ class TestSpline:
 class TestModeSystems:
     def test_structure(self):
         law = uncoupled_law(ModelFamily.DPL_I)
-        systems = build_mode_systems(mode_problem(law, n_cells=8))
+        problem = mode_problem(law, n_cells=8)
+        systems = _mode_systems(problem, mode_decomposition(problem.op)[0])
         assert systems.wavenumbers.shape == (7,)
         assert systems.k_matrix.shape[0] == 7
         for k_mat in systems.k_matrix:

@@ -29,7 +29,6 @@ from thermoevo import (
     check_condition_rho,
     check_symbol_boundary,
     certify_wellposedness,
-    classify,
     solution_bound_check,
     solve,
     time_grid,
@@ -348,7 +347,7 @@ class TestStackedAgainstPerCell:
             want_eig, want = condition_rho_per_cell(law, rho)
             assert (got_eig, got.cell) == (want_eig, want.cell)
             assert np.array_equal(got.eigenvector, want.eigenvector)
-        assert classify(law) == classify_per_cell(law)
+        assert law.classification == classify_per_cell(law)
 
     def test_mass_built_at_most_once_per_cell(self, monkeypatch, rng):
         law = assemble_material_law(spec_with(ModelFamily.DPL_I,
