@@ -43,7 +43,6 @@ from .oracle import compare, spectral_solve
 from .rational import (
     RationalMatrixFunction,
     StateSpaceRealization,
-    eval_rational,
     realize_state_space,
 )
 from .signals import (

@@ -10,15 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
+    """``obj`` as JSON text, indented two spaces per level."""
     out = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _emit(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, out, level):
+    pad = "  " * level
+    pad_in = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -26,7 +27,7 @@ def _emit(obj, out, indent, level):
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(f'{pad_in}"{key}": ')
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -37,7 +38,7 @@ def _emit(obj, out, indent, level):
         out.append("[\n")
         for i, value in enumerate(items):
             out.append(pad_in)
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):

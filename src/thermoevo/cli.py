@@ -352,11 +352,10 @@ def _bound_check(config, problem, report, trajectory):
         return {"status": "skipped", "reason": str(exc)}, []
     if check.lhs == 0.0 and _underflows(trajectory):
         return {"status": "skipped", "reason": _UNDERFLOW.format(problem.rho)}, []
-    entry = {"status": "ok" if check.window_ok else "window_too_short",
-             "lhs": check.lhs, "rhs": check.rhs, "c_used": check.c_used,
+    entry = {"status": "ok", "lhs": check.lhs, "rhs": check.rhs, "c_used": check.c_used,
              "tail_ratio": check.tail_ratio}
     slack = config.tolerances["bound_slack"]
-    if check.window_ok and not replace(check, slack=slack).ok:
+    if not replace(check, slack=slack).ok:
         return entry, [f"a_priori_bound lhs {check.lhs:.6e} > rhs {check.rhs:.6e} "
                        f"(slack {slack})"]
     return entry, []

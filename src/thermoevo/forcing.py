@@ -33,9 +33,18 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
 
 
 def gaussian_pulse(t: np.ndarray, center: float, width: float) -> np.ndarray:
+    """exp(-((t - center) / width)^2); an argument past the float range is
+    an input error naming ``width`` when its reciprocal overflows, else
+    ``center``."""
     if width <= 0:
         raise InputError("pulse width must be positive")
-    return np.exp(-(((t - center) / width) ** 2))
+    with np.errstate(over="ignore"):  # a square past the float range is exp(-inf) = 0
+        offset = (t - center) / width
+        if not np.all(np.isfinite(offset)):
+            name, value = ("width", width) if np.isinf(1.0 / width) else ("center", center)
+            raise InputError(f"pulse {name} {value:g} puts (t - center) / width "
+                             "past the float range")
+        return np.exp(-(offset ** 2))
 
 
 def delayed_step(t: np.ndarray, delay: float) -> np.ndarray:

@@ -96,13 +96,10 @@ class ModelSpec:
 
     family: ModelFamily
     coefficients: dict
-    d_sp: int = 1
 
     def __post_init__(self):
         family = ModelFamily(self.family)
         object.__setattr__(self, "family", family)
-        if self.d_sp != 1:
-            raise InputError("only spatial dimension 1 is supported")
         allowed = _FAMILY_COEFFS[family]
         unknown = set(self.coefficients) - set(allowed)
         if unknown:
@@ -200,11 +197,6 @@ class CellLaw:
     @property
     def is_scalar(self) -> bool:
         return self.block_dims == (1, 1, 1, 1)
-
-    def congruence_factors(self) -> tuple:
-        """Unit-triangular factor L and diagonal core D with L* D L = mass."""
-        lmat, core = _congruence([self])
-        return lmat[0], core[0]
 
     def mass(self) -> np.ndarray:
         """Hermitian instantaneous block over (v, sigma, theta, q)."""
@@ -385,9 +377,8 @@ class MaterialLaw:
 
     @cached_property
     def boundary_minima(self) -> dict:
-        """Symbol minima on the boundary line of this law by
-        ``(rho0, n_samples)``, filled by
-        :func:`thermoevo.wellposed.check_symbol_boundary`."""
+        """Symbol minima on the boundary line of this law by ``rho0``,
+        filled by :func:`thermoevo.wellposed.check_symbol_boundary`."""
         return {}
 
     def is_uniform(self) -> bool:
@@ -680,12 +671,11 @@ def compute_entropy(
     return strain.with_samples(rho_eta / rho0[None, :])
 
 
-def pattern_table(law: MaterialLaw, label: str = None) -> str:
+def pattern_table(law: MaterialLaw) -> str:
     """Human-readable star table of the zero patterns."""
     m0_stars, m1_stars = zero_pattern(law)
-    label = label or law.family.value
     width = max(len(n) for n in BLOCK_NAMES)
-    lines = [f"family: {label}"]
+    lines = [f"family: {law.family.value}"]
     for title, stars in (("M(0)", m0_stars), ("M1(0)", m1_stars)):
         lines.append(f"{title}:")
         for i, name in enumerate(BLOCK_NAMES):

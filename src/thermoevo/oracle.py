@@ -140,10 +140,22 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
     call, see :func:`_not_a_knot_coefficients`), which every step integrates
     exactly.  Algebraic unknowns (null rows of the diagonal instantaneous
     block) are eliminated by one per-mode map folded into the phi weights
-    and recovered from the same two columns after the march.
+    and recovered from the same two columns after the march.  The reference
+    is computed with floating-point warnings off; one that is not finite
+    (its systems overflow, as wavenumbers near the float range make them)
+    raises :class:`OracleRejectionError`.
     """
+    with np.errstate(all="ignore"):
+        reference = _reference(problem)
+    if not (np.isfinite(reference.states.max()) and np.isfinite(reference.states.min())):
+        raise OracleRejectionError("spectral reference is not finite: its mode systems overflow")
+    return reference
+
+
+def _reference(problem: EvolutionProblem) -> Trajectory:
+    """The trajectory of :func:`spectral_solve`, unchecked."""
     op = problem.op
-    wavenumbers, node_vecs, face_vecs, _ = mode_decomposition(op)
+    wavenumbers, node_vecs, face_vecs = mode_decomposition(op)
     systems = _mode_systems(problem, wavenumbers)
     slices = op.block_slices()
     f_all = problem.forcing.samples

@@ -12,7 +12,7 @@ variable s = 1/z, which is what the time steppers consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -22,7 +22,6 @@ from .errors import InputError, PoleProximityError, RealizationError
 __all__ = [
     "RationalMatrixFunction",
     "StateSpaceRealization",
-    "eval_rational",
     "realize_state_space",
 ]
 
@@ -60,7 +59,7 @@ class RationalMatrixFunction:
 
     num: tuple
     den: np.ndarray
-    dims: tuple = None
+    dims: tuple = field(init=False)
 
     def __post_init__(self):
         mats = _as_coeff_matrices(self.num)
@@ -89,37 +88,14 @@ class RationalMatrixFunction:
         return cls((np.atleast_2d(np.asarray(value)),), np.array([1.0]))
 
     @classmethod
-    def zero(cls, rows: int = 1, cols: int = None) -> "RationalMatrixFunction":
-        cols = rows if cols is None else cols
-        return cls((np.zeros((rows, cols)),), np.array([1.0]))
-
-    @classmethod
-    def identity(cls, n: int = 1) -> "RationalMatrixFunction":
-        return cls.constant(np.eye(n))
-
-    @classmethod
-    def variable(cls) -> "RationalMatrixFunction":
-        """The scalar function z itself (causal integration symbol)."""
-        return cls((np.zeros((1, 1)), np.ones((1, 1))), np.array([1.0]))
-
-    # -- basic algebra -----------------------------------------------------
-
-    @property
-    def num_degree(self) -> int:
-        return len(self.num) - 1
-
-    @property
-    def den_degree(self) -> int:
-        return self.den.size - 1
+    def zero(cls, dim: int) -> "RationalMatrixFunction":
+        return cls((np.zeros((dim, dim)),), np.array([1.0]))
 
     @property
     def is_real(self) -> bool:
         return not (
             any(np.iscomplexobj(m) for m in self.num) or np.iscomplexobj(self.den)
         )
-
-    def den_at(self, z):
-        return _horner(list(self.den[:, None]), np.asarray(z)[None])[0]
 
     def key(self) -> tuple:
         """Hashable identity of the coefficients; adding 0.0 maps integers to
@@ -132,19 +108,6 @@ class RationalMatrixFunction:
         # the coefficient arrays are read-only, so the key never changes
         return (self.dims, tuple(_coefficient_key(m) for m in self.num),
                 _coefficient_key(self.den))
-
-    def at_zero(self) -> np.ndarray:
-        """Value at z = 0 (always defined by the analyticity gate)."""
-        return np.asarray(self.num[0]) / self.den[0]
-
-    def scaled(self, factor: float) -> "RationalMatrixFunction":
-        return RationalMatrixFunction(tuple(factor * m for m in self.num), self.den)
-
-
-def eval_rational(r: RationalMatrixFunction, z: complex) -> np.ndarray:
-    """Evaluate numerator(z)/denominator(z) with a pole-proximity guard;
-    broadcasts over an array of points z."""
-    return _evaluate([m[None] for m in r.num], r.den[None], np.asarray(z)[None])[0]
 
 
 def _horner(coeffs: list, z: np.ndarray) -> np.ndarray:

@@ -77,10 +77,6 @@ class WeightedSignal:
     def t_min(self) -> float:
         return float(self.t[0])
 
-    @property
-    def t_max(self) -> float:
-        return float(self.t[-1])
-
     def with_samples(self, samples: np.ndarray) -> "WeightedSignal":
         """Same grid and weight, new sample values."""
         return WeightedSignal(self.t, samples, self.rho)
@@ -115,19 +111,16 @@ def antiderivative(f: WeightedSignal) -> WeightedSignal:
     return f.with_samples(np.concatenate([np.zeros_like(g[:1]), g]))
 
 
-def write_csv(path_or_buffer, columns, t: np.ndarray, values: np.ndarray) -> None:
-    """Write a header of ``columns`` names, then one row per sample: ``t[k]``
-    followed by ``values[k]`` (a 1-d ``values`` is one column), each at 17
-    significant digits (``%.17g``, the bytes of ``format(v, '.17g')``),
-    formatted and written one row at a time, never as one whole-file string
-    or a stacked copy of the table."""
-    if not hasattr(path_or_buffer, "write"):
-        with open(path_or_buffer, "w", encoding="utf-8") as fh:
-            write_csv(fh, columns, t, values)
-        return
+def write_csv(path, columns, t: np.ndarray, values: np.ndarray) -> None:
+    """Write to ``path`` a header of ``columns`` names, then one row per
+    sample: ``t[k]`` followed by ``values[k]`` (a 1-d ``values`` is one
+    column), each at 17 significant digits (``%.17g``, the bytes of
+    ``format(v, '.17g')``), formatted and written one row at a time, never
+    as one whole-file string or a stacked copy of the table."""
     if values.ndim == 1:
         values = values[:, None]
     line = ",".join(["%.17g"] * (1 + values.shape[1])) + "\n"
-    path_or_buffer.write(",".join(columns) + "\n")
-    for t_k, row in zip(t.tolist(), values, strict=True):
-        path_or_buffer.write(line % (t_k, *row.tolist()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for t_k, row in zip(t.tolist(), values, strict=True):
+            fh.write(line % (t_k, *row.tolist()))

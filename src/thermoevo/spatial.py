@@ -135,14 +135,12 @@ def node_modes(grid: Grid1D, k) -> np.ndarray:
 def mode_decomposition(op: DiscreteSpatialOperator) -> tuple:
     """Singular triplets of the difference matrix, ascending in wavenumber.
 
-    Returns ``(s, node_vecs, face_vecs, face_null)`` in closed form: the
-    discrete sine modes ``node_vecs`` (:func:`node_modes`, positive at the
-    first node), the wavenumbers ``s[k-1] = (2/h) sin(k pi / 2n)``, the
+    Returns ``(s, node_vecs, face_vecs)`` in closed form: the wavenumbers
+    ``s[k-1] = (2/h) sin(k pi / 2n)``, the discrete sine modes
+    ``node_vecs`` (:func:`node_modes`, positive at the first node) and the
     face vectors ``face_vecs[:, k] = grad(node_vecs[:, k]) / s[k]`` (so the
     gradient of each node mode is ``s[k]`` times its face vector, exactly by
-    construction) and
-    ``face_null = 1/sqrt(n)`` spanning the complement of the gradient's
-    range (the discrete constant-flux direction).
+    construction).
     """
     grid = op.grid
     n = grid.n_cells
@@ -150,5 +148,4 @@ def mode_decomposition(op: DiscreteSpatialOperator) -> tuple:
     s = (2.0 / grid.h) * np.sin(k * (np.pi / (2 * n)))
     node_vecs = node_modes(grid, k)
     face_vecs = np.ascontiguousarray(op.grad(node_vecs.T).T) / s[None, :]
-    face_null = np.full((n, 1), 1.0 / np.sqrt(n))
-    return s, node_vecs, face_vecs, face_null
+    return s, node_vecs, face_vecs

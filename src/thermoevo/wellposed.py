@@ -5,10 +5,11 @@ Three layers of checking, from cheap to thorough:
 * :func:`check_condition_rho` evaluates the Hermitian matrix
   ``rho * M(0) + Re M'(0)`` cellwise and reports its smallest eigenvalue,
   the rational-law simplification of the positivity condition.
-* :func:`check_symbol_boundary` samples ``Re z^{-1} M(z)`` on the
-  boundary line ``Re 1/z = rho0`` of the admissibility ball, where the
-  maximum principle puts its infimum over the ball once poles and an
-  indefinite ``M(0)`` are ruled out (a sampling of the line, not a proof).
+* :func:`check_symbol_boundary` samples ``Re z^{-1} M(z)`` of every cell
+  of a law on the boundary line ``Re 1/z = rho0`` of the admissibility
+  ball, where the maximum principle puts its infimum over the ball once
+  poles and an indefinite ``M(0)`` are ruled out (a sampling of the line,
+  not a proof).
 * :func:`certify_wellposedness` runs the structural range/kernel conditions
   that guarantee a causal bounded inverse and combines everything into a
   :class:`WellPosednessReport`; its weight search stays strictly above the
@@ -24,7 +25,7 @@ import numpy as np
 from . import _json
 from .errors import InputError
 from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, _stack, _symbol_num
-from .rational import RationalMatrixFunction, _evaluate, _live_poles, _stack_groups
+from .rational import _evaluate, _live_poles, _stack_groups
 
 __all__ = [
     "Witness",
@@ -42,6 +43,8 @@ INCONCLUSIVE = "inconclusive"
 RHO_RANGE = (1e-3, 1e6)
 #: log-spaced rho search grid resolution (points per decade)
 RHO_GRID_PER_DECADE = 20
+#: sample points on the boundary line Re 1/z = rho0
+LINE_SAMPLES = 257
 #: symbols sampled per stacked evaluation of the boundary line: bounds its
 #: arrays (about 8 MB for 4x4 blocks) on laws with thousands of cells
 LINE_CHUNK = 128
@@ -105,48 +108,42 @@ def check_condition_rho(law: MaterialLaw, rho: float) -> tuple:
     return value, Witness(cell, value, vector)
 
 
-def check_symbol_boundary(symbol, rho0: float, n_samples: int = 257) -> tuple:
+def check_symbol_boundary(law: MaterialLaw, rho0: float) -> tuple:
     """Minimum of the Hermitian part of z^{-1} M(z) on the ball, from its
-    boundary line.
+    boundary line, over every cell of ``law``.
 
-    ``symbol`` may be a :class:`MaterialLaw` (checked cellwise), a single
-    rational function, or a sequence of them.  With s = 1/z the ball is the
-    half-plane Re s >= rho0.  Where every symbol is analytic there and
-    Herm M(0) is positive semidefinite, the infimum over the half-plane lies
-    on the line Re s = rho0 (maximum principle), so only 1/z = rho0 + i t is
-    sampled, t on a symmetric log-spaced grid plus t = 0.  A symbol that
+    With s = 1/z the ball is the half-plane Re s >= rho0.  Where every cell
+    symbol is analytic there and Herm M(0) is positive semidefinite, the
+    infimum over the half-plane lies on the line Re s = rho0 (maximum
+    principle), so only 1/z = rho0 + i t is sampled, at ``LINE_SAMPLES``
+    values of t on a symmetric log-spaced grid plus t = 0.  A symbol that
     fails either condition is unbounded below: a pole p with Re p >= rho0
     (one the numerator does not cancel) gives ``(-inf, 1/p)``, an
     indefinite Herm M(0) gives ``(-inf, 0j)``.  Returns
-    ``(min_eigenvalue, worst_z)``, the first occurrence in symbol and then
-    t order; a sampling of the line, not a proof.  The symbols are evaluated
-    stacked, one group of equal shapes and dtypes at a time.  The result for
-    a :class:`MaterialLaw` is kept on the law by the sampling arguments, so
-    a repeated call evaluates nothing again.
+    ``(min_eigenvalue, worst_z)``, the first occurrence in cell and then t
+    order; a sampling of the line, not a proof.  The cells are evaluated
+    stacked, one group of equal shapes and dtypes at a time.  The result is
+    kept on the law by ``rho0``, so a repeated call evaluates nothing again.
     """
     if rho0 <= 0:
         raise InputError("rho0 must be positive")
-    settings = (float(rho0), n_samples)
-    if isinstance(symbol, MaterialLaw):
-        found = symbol.boundary_minima
-        if settings not in found:
-            found[settings] = _line_minimum([
-                (st.index, _symbol_num(st.mass, st.dissipation_num, st.dissipation_den),
-                 st.dissipation_den) for st in symbol.stacks], *settings)
-        return found[settings]
-    if isinstance(symbol, RationalMatrixFunction):
-        symbol = [symbol]
-    return _line_minimum(_stack_groups(list(symbol)), *settings)
+    rho0 = float(rho0)
+    found = law.boundary_minima
+    if rho0 not in found:
+        found[rho0] = _line_minimum([
+            (st.index, _symbol_num(st.mass, st.dissipation_num, st.dissipation_den),
+             st.dissipation_den) for st in law.stacks], rho0)
+    return found[rho0]
 
 
-def _line_minimum(groups: list, rho0: float, n_samples: int) -> tuple:
+def _line_minimum(groups: list, rho0: float) -> tuple:
     """Smallest of the symbols' line minima, at its first symbol; ``groups``
     holds ``(indices, numerators, denominators)`` of stacked symbols."""
     unbounded = [(index[k], z) for index, nums, den in groups
                  for k, z in [_unbounded_witness(nums, den, rho0)] if k is not None]
     if unbounded:
         return -np.inf, min(unbounded, key=lambda entry: entry[0])[1]
-    z_inv = _boundary_samples(rho0, n_samples)
+    z_inv = _boundary_samples(rho0)
     found = []
     for index, nums, den in groups:
         for start in range(0, len(den), LINE_CHUNK):
@@ -175,9 +172,9 @@ def _unbounded_witness(nums: list, den: np.ndarray, rho0: float):
     return k, 0j
 
 
-def _boundary_samples(rho0: float, n_samples: int) -> np.ndarray:
+def _boundary_samples(rho0: float) -> np.ndarray:
     """Sample points 1/z = rho0 + i t on the boundary line."""
-    half = max((n_samples - 1) // 2, 1)
+    half = (LINE_SAMPLES - 1) // 2
     t_pos = rho0 * np.logspace(-3, 6, half)
     t_grid = np.concatenate([[0.0], t_pos, -t_pos])
     return 1j * t_grid + rho0

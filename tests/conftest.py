@@ -29,7 +29,7 @@ from thermoevo import (
 from thermoevo._integrators import exp_march_linear, phi_matrices
 from thermoevo.errors import InputError, PoleProximityError
 from thermoevo.models import SPECTRAL_CUTOFF, _block_slices
-from thermoevo.rational import RationalMatrixFunction, StateSpaceRealization, eval_rational
+from thermoevo.rational import RationalMatrixFunction, StateSpaceRealization
 from thermoevo.wellposed import Witness, WellPosednessReport, _rho_grid
 
 #: families whose canonical coefficients satisfy the certified hypotheses
@@ -175,7 +175,7 @@ def apply_symbol_fl(matrix_function, f: WeightedSignal) -> WeightedSignal:
     z = 1.0 / (1j * omega + f.rho)
 
     den_scale = max(float(np.max(np.abs(matrix_function.den))), 1.0)
-    den_vals = matrix_function.den_at(z)
+    den_vals = np.polynomial.polynomial.polyval(z, matrix_function.den)
     if np.min(np.abs(den_vals)) < POLE_TOL * den_scale:
         worst = omega[int(np.argmin(np.abs(den_vals)))]
         raise PoleProximityError(
@@ -183,7 +183,7 @@ def apply_symbol_fl(matrix_function, f: WeightedSignal) -> WeightedSignal:
         )
 
     spectrum = np.fft.fft(weighted, n=n_fft, axis=0)
-    mats = eval_rational(matrix_function, z)
+    mats = horner_per_point(matrix_function, z)
     out_spec = np.einsum("krc,kc->kr", mats, spectrum)
     out = np.fft.ifft(out_spec, axis=0)[:n]
 
@@ -289,7 +289,7 @@ def symbol_boundary_per_point(symbols, rho0, n_samples=257):
         poles = [p for p in live_poles_per_pole(sym) if p.real >= rho0]
         if poles:
             return -np.inf, complex(1.0 / poles[0])
-        m0 = sym.at_zero()
+        m0 = sym.num[0] / sym.den[0]
         eigs = np.linalg.eigvalsh(0.5 * (m0 + m0.conj().T))
         if eigs[0] < -1e-10 * max(np.max(np.abs(eigs)), 1e-300):
             return -np.inf, 0j
@@ -318,10 +318,11 @@ def dense_line_minimum(symbols, rho0, n_points=20001):
 
 def _pole_terms(r):
     """(poles, phi(p), psi'(p)) of R(1/s) = phi(s) / psi(s), pole by pole."""
+    num_degree, den_degree = len(r.num) - 1, r.den.size - 1
     poles = np.asarray([1.0 / root for root in (
-        np.polynomial.Polynomial(r.den).roots() if r.den_degree > 0 else [])]
-        + [0.0] * max(r.num_degree - r.den_degree, 0), dtype=complex)
-    deg = max(r.num_degree, r.den_degree)
+        np.polynomial.Polynomial(r.den).roots() if den_degree > 0 else [])]
+        + [0.0] * max(num_degree - den_degree, 0), dtype=complex)
+    deg = max(num_degree, den_degree)
     phi = np.zeros((deg + 1,) + r.dims, dtype=complex)
     for k, m in enumerate(r.num):
         phi[deg - k] += m
@@ -336,7 +337,7 @@ def _pole_terms(r):
 def _live_terms(r):
     """(pole, phi(p), psi'(p)) of the poles whose residue the numerator does
     not cancel (or where psi' vanishes), one pole at a time."""
-    scale = max(float(np.max(np.abs(r.num[0]))), float(np.max(np.abs(r.at_zero()))), 1.0)
+    scale = max(float(np.max(np.abs(r.num[0]))), float(np.max(np.abs(r.num[0] / r.den[0]))), 1.0)
     return [(p, phi, slope) for p, phi, slope in zip(*_pole_terms(r))
             if slope == 0 or np.max(np.abs(phi)) > 1e-12 * scale * abs(slope)]
 
@@ -347,7 +348,7 @@ def live_poles_per_pole(r):
 
 def realize_per_pole(r):
     """The partial-fraction realization of ``r``, one pole at a time."""
-    d = r.at_zero()
+    d = r.num[0] / r.den[0]
     rows, cols = r.dims
     a_blocks, b_blocks, c_blocks = [], [], []
     for pole, phi, slope in _live_terms(r):
@@ -385,7 +386,8 @@ def condition_rho_per_cell(law, rho):
     """(min_eigenvalue, witness) of rho * M(0) + Re M'(0), one cell at a time."""
     best = None
     for index, cell in enumerate(law.cells):
-        eigvals, eigvecs = np.linalg.eigh(rho * cell.mass() + _herm(cell.dissipation().at_zero()))
+        m1 = cell.dissipation()
+        eigvals, eigvecs = np.linalg.eigh(rho * cell.mass() + _herm(m1.num[0] / m1.den[0]))
         if best is None or eigvals[0] < best.eigenvalue:
             best = Witness(index, float(eigvals[0]), eigvecs[:, 0])
     return best.eigenvalue, best
@@ -430,7 +432,8 @@ def certify_per_cell(law):
             witnesses.append(Witness(index, float(eigvals[i]), embed(eigvecs[:, i], 3)))
         kernel = eigvecs[:, ~on_range]
         if kernel.shape[1] > 0:
-            re_a2 = _herm(cell.flux_resistance.at_zero())
+            a2 = cell.flux_resistance
+            re_a2 = _herm(a2.num[0] / a2.den[0])
             a2_scale = float(np.max(np.abs(np.linalg.eigvalsh(re_a2))))
             k_eigvals, k_eigvecs = np.linalg.eigh(_herm(kernel.conj().T @ re_a2 @ kernel))
             if a2_scale == 0.0 or k_eigvals[0] <= SPECTRAL_CUTOFF * a2_scale:

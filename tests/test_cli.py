@@ -76,7 +76,7 @@ class TestConfigParsing:
             "a2": {"num": [[[1.0]]], "den": [2.0, 1.0]}}}}
         config = RunConfig.from_dict(payload, "check")
         law = assemble_material_law(config.spec)
-        assert law.cells[0].flux_resistance.den_degree == 1
+        assert law.cells[0].flux_resistance.den.size == 2
 
     def test_custom_matrix_coefficient(self):
         payload = {"model": {"family": "custom", "coefficients": {
@@ -228,7 +228,7 @@ class TestVerifyMode:
         report = json.loads((out / "verify.json").read_text())
         assert report["comparison"]["status"] == "skipped"
         assert "uncoupled" in report["comparison"]["reason"]
-        assert report["bound_check"]["status"] in ("ok", "window_too_short")
+        assert report["bound_check"]["status"] == "ok"
         assert report["failures"] == []
 
     def test_inapplicable_bound_check_skipped(self, tmp_path):
@@ -305,6 +305,30 @@ class TestVerifyMode:
         assert run(RunConfig.from_dict(sim_payload(), "verify", out_dir=tmp_path), stream) == 0
         assert "verify: all checks within tolerance (skipped: causality)" in \
             stream.getvalue().splitlines()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_reference_skips_comparison(self, tmp_path):
+        # on a grid of length 1e-300 the wavenumbers overflow the mode systems
+        payload = sim_payload()
+        payload["grid"]["L"] = 1e-300
+        assert run(RunConfig.from_dict(payload, "verify", out_dir=tmp_path), io.StringIO()) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["comparison"] == {
+            "status": "skipped",
+            "reason": "spectral reference is not finite: its mode systems overflow"}
+
+    def test_short_window_bound_is_judged(self, tmp_path):
+        # the weighted solution is still near its peak at the window end
+        # (tail_ratio about 0.5), and the bound is judged all the same
+        payload = sim_payload(grid={"L": 1.0, "n_cells": 8},
+                              tolerances={"bound_slack": -0.99})
+        payload["time"].update(t_max=0.25, rho=1.0)
+        assert run(RunConfig.from_dict(payload, "verify", out_dir=tmp_path), io.StringIO()) == 3
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["bound_check"]["status"] == "ok"
+        assert report["bound_check"]["tail_ratio"] > 1e-6
+        assert report["bound_check"]["lhs"] <= report["bound_check"]["rhs"]
+        assert [line.split()[0] for line in report["failures"]] == ["a_priori_bound"]
 
     def test_not_index_one_law_skips_oracle_comparison(self, tmp_path):
         config_path = tmp_path / "run.json"
@@ -439,6 +463,15 @@ def _t_max_off_grid():
     return payload
 
 
+def _march_overflow():
+    # a negative conductivity makes the heat equation run backward in time
+    payload = sim_payload(model={"family": "classical", "coefficients": {
+        "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "kappa": -1.0}},
+        grid={"L": 1.0, "n_cells": 8})
+    payload["time"]["t_max"] = 8.0
+    return payload
+
+
 CONFIG_HOLES = {
     "rational_without_den": (_custom_a2({"num": [1.0]}), "and 'den'"),
     "rational_scalar_num": (_custom_a2({"num": 1.0, "den": [1.0]}), "'num' (a list)"),
@@ -472,6 +505,12 @@ CONFIG_HOLES = {
                          "bad spatial profile 'mode_ 1'"),
     "coefficient_products_overflow": (sim_payload(model=ls_model(gamma=1e160)),
                                       "instantaneous block is not finite"),
+    "march_overflows": (_march_overflow(),
+                        "the march overflows: the state is not finite from step 724 "
+                        "(t = 2.82812)"),
+    # (t - center) / width overflows: the pulse would be zero at every step
+    "pulse_center_overflows": (_with("forcing", "center", 1e308), "pulse center 1e+308"),
+    "pulse_width_overflows": (_with("forcing", "width", 1e-310), "pulse width 1e-310"),
     "output_not_string": (sim_payload(output=3), "'output'"),
 }
 

@@ -686,6 +686,14 @@ class TestBoundCheck:
         assert result.lhs == 0.0 and result.rhs == 0.0
         assert result.ok
 
+    def test_short_window_is_judged(self):
+        # ok reads the bound alone, whatever the weighted tail at the window end
+        assert evolution.BoundCheckResult(1.0, 2.0, 1.0, tail_ratio=0.5).ok
+        assert not evolution.BoundCheckResult(3.0, 2.0, 1.0, tail_ratio=0.5).ok
+        assert not evolution.BoundCheckResult(3.0, 2.0, 1.0, tail_ratio=0.0).ok
+        for lhs in (np.nan, np.inf):
+            assert not evolution.BoundCheckResult(lhs, np.inf, 1.0, tail_ratio=0.0).ok
+
     def test_forcing_homogeneity(self):
         law = assemble_material_law(canonical_spec(ModelFamily.LORD_SHULMAN))
         problem = pulse_problem(law, n_cells=8, dt=2**-8, t_max=4.0, rho=4.0,

@@ -160,7 +160,7 @@ class TestModeSystems:
         law = uncoupled_law(ModelFamily.LORD_SHULMAN)
         problem = mode_problem(law, n_cells=16, profile="mode_3")
         traj = spectral_solve(problem)
-        _, node_vecs, _, _ = mode_decomposition(problem.op)
+        _, node_vecs, _ = mode_decomposition(problem.op)
         theta_modes = traj.block("theta_big").samples @ node_vecs
         energy = np.sum(theta_modes**2, axis=0)
         others = np.delete(energy, 2)

@@ -3,27 +3,36 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (ALL_FAMILIES, apply_symbol_fl, per_cell_law, realize_per_pole,
-                      spec_with, transfer_mismatch_per_frequency, uncoupled_law,
-                      validate_realization)
+from conftest import (ALL_FAMILIES, apply_symbol_fl, horner_per_point, per_cell_law,
+                      realize_per_pole, spec_with, transfer_mismatch_per_frequency,
+                      uncoupled_law, validate_realization)
 from thermoevo import (
     ModelFamily,
     RationalMatrixFunction,
     StateSpaceRealization,
     assemble_material_law,
     canonical_spec,
-    eval_rational,
     rational,
     realize_state_space,
 )
 from thermoevo.errors import InputError, PoleProximityError, RealizationError
-from thermoevo.rational import (TRANSFER_MATCH_TOL, _check_transfer_match, _poles,
-                                _stack_groups)
+from thermoevo.rational import (TRANSFER_MATCH_TOL, _check_transfer_match, _evaluate,
+                                _poles, _stack_groups)
 
 
 def scalar_rational(num, den):
     return RationalMatrixFunction(tuple(np.array([[c]], float) for c in num),
                                   np.asarray(den, float))
+
+
+#: the scalar function z itself (the causal integration symbol)
+VARIABLE = scalar_rational([0.0, 1.0], [1.0])
+
+
+def evaluate(r, z):
+    """``r`` at the points z through the stacked evaluation, its pole guard included."""
+    (_, nums, den), = _stack_groups([r])
+    return _evaluate(nums, den, np.asarray(z)[None])[0]
 
 
 def frac_eval(num, den, z: Fraction) -> Fraction:
@@ -38,24 +47,24 @@ class TestEval:
         # 1 / (z*k_star + k) with k=2, k_star=1
         r = scalar_rational([1.0], [2.0, 1.0])
         assert frac_eval([1], [2, 1], Fraction(0)) == Fraction(1, 2)
-        assert eval_rational(r, 0.0)[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert evaluate(r, 0.0)[0, 0] == pytest.approx(0.5, abs=1e-15)
         want = frac_eval([1], [2, 1], Fraction(1, 4))
-        assert eval_rational(r, 0.25)[0, 0] == pytest.approx(float(want), rel=1e-15)
+        assert evaluate(r, 0.25)[0, 0] == pytest.approx(float(want), rel=1e-15)
 
     def test_identical_lags_cancel_to_fourier(self):
         # (z + n1)/(z + n2) / kappa with n1 == n2 is just 1/kappa
         kappa = 2.0
         r = scalar_rational([0.7 / kappa, 1.0 / kappa], [0.7, 1.0])
         for z in (0.0, 0.3, -0.2 + 0.4j, 1.5j):
-            assert eval_rational(r, z)[0, 0] == pytest.approx(1.0 / kappa, rel=1e-13)
+            assert evaluate(r, z)[0, 0] == pytest.approx(1.0 / kappa, rel=1e-13)
 
     def test_identity_polynomial(self):
-        assert eval_rational(RationalMatrixFunction.variable(), 0.25)[0, 0] == 0.25
+        assert evaluate(VARIABLE, 0.25)[0, 0] == 0.25
 
     def test_pole_proximity_guard(self):
         r = scalar_rational([1.0], [1.0, 1.0])  # pole at z = -1
         with pytest.raises(PoleProximityError):
-            eval_rational(r, -1.0 + 1e-16)
+            evaluate(r, -1.0 + 1e-16)
 
     def test_numerator_linearity(self, rng):
         den = np.array([1.0, 0.4])
@@ -65,8 +74,8 @@ class TestEval:
         r2 = RationalMatrixFunction(tuple(n2), den)
         rsum = RationalMatrixFunction(tuple(n1 + n2), den)
         z = 0.37 + 0.21j
-        got = eval_rational(rsum, z)
-        want = eval_rational(r1, z) + eval_rational(r2, z)
+        got = evaluate(rsum, z)
+        want = evaluate(r1, z) + evaluate(r2, z)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_analyticity_gate(self):
@@ -113,7 +122,7 @@ class TestRealize:
         real = realize_state_space(r)
         for omega in np.logspace(-2, 2, 32):
             s = 1j * omega + 0.17
-            want = eval_rational(r, 1.0 / s)[0, 0]
+            want = horner_per_point(r, 1.0 / s)[0, 0]
             got = real.transfer(s)[0, 0]
             assert abs(got - want) <= 1e-9 * max(abs(want), 1.0)
 
@@ -125,7 +134,7 @@ class TestRealize:
             assert real.a[0, 0] == pytest.approx(-1.0 / n2, rel=1e-12)
 
     def test_integration_symbol_realizes_as_integrator(self):
-        real = realize_state_space(RationalMatrixFunction.variable())
+        real = realize_state_space(VARIABLE)
         assert real.n_states == 1
         assert real.a[0, 0] == 0.0
         assert real.d[0, 0] == 0.0
@@ -168,7 +177,7 @@ class TestValidate:
         c, n0 = 1.0, 2.0
         r = scalar_rational([c], [n0, 1.0])
         z = 0.3
-        want = eval_rational(r, z)[0, 0]
+        want = horner_per_point(r, z)[0, 0]
         partial = 0.0
         errors = []
         for j in range(40):
@@ -334,5 +343,5 @@ class TestPoleMessage:
     def test_names_the_first_offending_point(self):
         r = scalar_rational([1.0], [1.0, 1.0])  # pole at z = -1
         with pytest.raises(PoleProximityError) as info:
-            eval_rational(r, np.array([[0.5, -1.0], [2.0, -1.0]]))
+            evaluate(r, np.array([[0.5, -1.0], [2.0, -1.0]]))
         assert str(info.value) == "denominator nearly vanishes at z = -1.0"

@@ -124,12 +124,9 @@ class TestOperators:
 class TestModeDecomposition:
     def test_triplet_consistency(self):
         op = build_operators(Grid1D(1.0, 32))
-        s, node_vecs, face_vecs, face_null = mode_decomposition(op)
+        s, node_vecs, face_vecs = mode_decomposition(op)
         residual = op.grad(node_vecs.T).T - face_vecs * s[None, :]
         assert np.max(np.abs(residual)) <= 1e-13 * s[-1]
-        assert face_null.shape == (32, 1)
-        d_grad = operators_per_cell(op.grid)[0]
-        assert np.max(np.abs(d_grad.T @ face_null)) <= 1e-13 * s[-1]
 
     def test_singular_values_approach_continuum(self):
         # discrete values (2/h) sin(k pi h / 2L) approximate k pi / L at O(h^2)
@@ -138,7 +135,7 @@ class TestModeDecomposition:
             errors = []
             for n in (32, 64, 128):
                 op = build_operators(Grid1D(length, n))
-                s, _, _, _ = mode_decomposition(op)
+                s, _, _ = mode_decomposition(op)
                 errors.append(abs(s[k - 1] - k * np.pi / length))
             orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
             assert np.all(orders >= 1.9)
@@ -146,7 +143,7 @@ class TestModeDecomposition:
     @pytest.mark.parametrize("n_cells", [2, 3, 12, 64])
     def test_closed_form_matches_dense_svd(self, n_cells):
         op = build_operators(Grid1D(1.0, n_cells))
-        s, node_vecs, face_vecs, face_null = mode_decomposition(op)
+        s, node_vecs, face_vecs = mode_decomposition(op)
         w_mat, s_desc, vt = np.linalg.svd(operators_per_cell(op.grid)[0].toarray())
         order = np.argsort(s_desc)
         np.testing.assert_allclose(s, s_desc[order], rtol=1e-13)
@@ -154,14 +151,12 @@ class TestModeDecomposition:
         sign = np.sign(np.sum(node_vecs * vt[order].T, axis=0))
         assert np.max(np.abs(node_vecs - sign * vt[order].T)) <= 1e-12
         assert np.max(np.abs(face_vecs - sign * w_mat[:, order])) <= 1e-12
-        null_ref = w_mat[:, n_cells - 1:]
-        assert np.max(np.abs(face_null - np.sign(null_ref[0]) * null_ref)) <= 1e-13
         assert np.all(node_vecs[0] > 0)
 
     def test_exact_discrete_formula(self):
         n = 64
         op = build_operators(Grid1D(1.0, n))
-        s, _, _, _ = mode_decomposition(op)
+        s, _, _ = mode_decomposition(op)
         k = np.arange(1, n)
         want = 2 * n * np.sin(k * np.pi / (2 * n))
         np.testing.assert_allclose(s, want, rtol=1e-13)

@@ -10,6 +10,7 @@ from conftest import (
     classify_per_cell,
     condition_rho_per_cell,
     dense_line_minimum,
+    horner_per_point,
     negated_law,
     per_cell_law,
     spec_with,
@@ -76,14 +77,23 @@ class TestConditionRho:
             check_condition_rho(unit_classical(), 0.0)
 
 
+def custom_law(**coefficients):
+    """Custom law with unit density, stiffness and heat capacity, uncoupled,
+    plus ``coefficients``."""
+    return assemble_material_law(ModelSpec(ModelFamily.CUSTOM, dict(
+        {"rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0}, **coefficients)))
+
+
 class TestSymbolBoundary:
     def test_identity_bounded_below_by_rho0(self):
-        min_eig, worst = check_symbol_boundary(RationalMatrixFunction.identity(3), 1.0)
+        min_eig, worst = check_symbol_boundary(custom_law(a0=1.0), 1.0)  # M(z) = I
         assert min_eig >= 1.0
         assert worst is not None
 
     def test_sign_flip_detected(self):
-        min_eig, _ = check_symbol_boundary(RationalMatrixFunction.identity(2).scaled(-1.0), 1.0)
+        # a negative temperature damping a1 = -2 makes rho0 M(0) + Re M1 = 1 - 2
+        # on the temperature row: a finite negative minimum, not a guard
+        min_eig, _ = check_symbol_boundary(custom_law(a0=1.0, a1=-2.0), 1.0)
         assert min_eig < 0.0
 
     def test_unit_classical_positive(self):
@@ -98,17 +108,14 @@ class TestSymbolBoundary:
         # for this block structure the sampled quantity collapses to
         # rho * M0 + Herm(M1(z)): verify the literal evaluation against that
         # closed form at a z-dependent law
-        from thermoevo import ModelFamily, assemble_material_law, canonical_spec
-        from thermoevo.rational import eval_rational
-
         law = assemble_material_law(canonical_spec(ModelFamily.GREEN_NAGHDI_III))
         cell = law.cells[0]
         symbol = cell.symbol()
         for t, rho in ((0.0, 1.5), (2.7, 1.03), (40.0, 2.0)):
             z_inv = 1j * t + rho
-            value = z_inv * eval_rational(symbol, 1.0 / z_inv)
+            value = z_inv * horner_per_point(symbol, 1.0 / z_inv)
             herm = 0.5 * (value + value.conj().T)
-            m1_val = eval_rational(cell.dissipation(), 1.0 / z_inv)
+            m1_val = horner_per_point(cell.dissipation(), 1.0 / z_inv)
             want = rho * cell.mass() + 0.5 * (m1_val + m1_val.conj().T)
             assert np.max(np.abs(herm - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -139,9 +146,9 @@ class TestBatchedSymbolBoundary:
     def test_ties_resolve_to_first_sample(self):
         # every sample of the line ties for the identity: the witness is the
         # first one, t = 0
-        identity = RationalMatrixFunction.identity(2)
-        want = symbol_boundary_per_point([identity], 2.0)
-        assert check_symbol_boundary(identity, 2.0) == want
+        law = custom_law(a0=1.0)  # M(z) = I
+        want = symbol_boundary_per_point([cell.symbol() for cell in law.cells], 2.0)
+        assert check_symbol_boundary(law, 2.0) == want
         assert want[1] == 1.0 / 2.0
 
     def test_negated_law_same_witness(self):
@@ -192,18 +199,19 @@ class TestLineConstant:
         assert abs(got - want) <= 1e-6 * abs(want)
 
     def test_complex_symbol_sampled_on_both_half_lines(self):
-        # complex coefficients break the conjugate symmetry of the line: this
-        # minimum lies at t < 0, i.e. Im z > 0
-        sym = RationalMatrixFunction((np.eye(2), np.array([[0.0, -0.5j], [-0.5j, -1.0j]])),
-                                     np.array([1.0, 0.5]))
-        want = symbol_boundary_per_point([sym], 1.0)
-        assert check_symbol_boundary(sym, 1.0) == want
-        assert want[1].imag > 0.0
+        # complex coefficients break the conjugate symmetry of the line: with
+        # a2(z) = 1 + i z, Re a2 = 1 + t / (rho0^2 + t^2) on 1/z = rho0 + i t,
+        # least at t < 0, i.e. Im z > 0
+        law = custom_resistance(RationalMatrixFunction((np.array([[1.0 + 0j]]), np.array([[1j]])),
+                                                       np.array([1.0])))
+        want = symbol_boundary_per_point([cell.symbol() for cell in law.cells], 1.0)
+        assert check_symbol_boundary(law, 1.0) == want
+        assert want[0] < 1.0 and want[1].imag > 0.0
 
-    def test_cached_by_weight_and_sample_count(self):
+    def test_cached_by_weight(self):
         law = assemble_material_law(canonical_spec(ModelFamily.DPL_I))
         check_symbol_boundary(law, 1)
-        assert list(law.boundary_minima) == [(1.0, 257)]
+        assert list(law.boundary_minima) == [1.0]
 
     def test_pole_inside_half_plane_unbounded(self):
         law = pole_at_two()
@@ -213,8 +221,7 @@ class TestLineConstant:
         assert np.isfinite(min_eig) and min_eig > 0.0
 
     def test_indefinite_value_at_zero_unbounded(self):
-        negated = RationalMatrixFunction.identity(2).scaled(-1.0)
-        assert check_symbol_boundary(negated, 1.0) == (-np.inf, 0j)
+        assert check_symbol_boundary(custom_law(a0=-1.0), 1.0) == (-np.inf, 0j)
 
 
 class TestCertification:
