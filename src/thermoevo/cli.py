@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -40,7 +41,7 @@ from .evolution import (
     solution_bound_check,
     solve,
 )
-from .forcing import assemble_forcing, time_grid
+from .forcing import assemble_forcing, step_count, time_grid
 from .models import (
     ModelFamily,
     ModelSpec,
@@ -50,6 +51,7 @@ from .models import (
 )
 from .oracle import compare, spectral_solve
 from .rational import RationalMatrixFunction
+from .signals import WeightedSignal, weighted_norm
 from .spatial import Grid1D, build_operators
 from .wellposed import certify_wellposedness
 
@@ -240,8 +242,30 @@ def _emit(path: Path, text: str, written: list) -> None:
     written.append(path)
 
 
+def _check_size(law, grid: Grid1D, n_steps: int) -> None:
+    """Refuse a run whose arrays would not fit in physical memory, before any
+    of them is allocated: per time step, the forcing, the states and the
+    derived export fields hold about ``n_dof`` values each, and the memory
+    states at most one per denominator degree of their law and owner."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # a platform without these
+        return
+    n_dof = 2 * (grid.n_nodes + grid.n_faces)
+    n_aux = sum(count * max(getattr(cell, name).den.size - 1 for cell in law.cells)
+                for name, count in (("flux_resistance", grid.n_faces),
+                                    ("theta_damping", grid.n_nodes)))
+    need = 8 * (n_steps + 1) * (3 * n_dof + n_aux)
+    if need > memory:
+        raise InputError(
+            f"the run needs about {need / 2**30:.3g} GiB of arrays ({n_steps + 1} time steps, "
+            f"{n_dof} unknowns, up to {n_aux} memory states), more than the "
+            f"{memory / 2**30:.3g} GiB of physical memory")
+
+
 def _build_problem(config: RunConfig):
     law = assemble_material_law(config.spec)
+    _check_size(law, config.grid, step_count(config.time["t_max"], config.time["dt"]))
     op = build_operators(config.grid)
     t = time_grid(config.time["t_max"], config.time["dt"])
     forcing = assemble_forcing(
@@ -311,10 +335,18 @@ def run(config: RunConfig, stream=None) -> int:
     return _verify(config, problem, report, trajectory, written, stream)
 
 
-def _underflows(trajectory) -> bool:
-    """Whether a nonzero trajectory has a zero rho-weighted norm: exp(-rho t)
-    underflowed past t = 0, so nothing weighted can be compared or bounded."""
-    return trajectory.space_time_norm() == 0.0 and bool(np.any(trajectory.states))
+def _underflow(trajectory) -> str:
+    """Why a nonzero trajectory has a zero weighted space-time norm, so that
+    nothing weighted can be compared or bounded, or '' when it has not:
+    exp(-rho t) underflowed past t = 0, or the norm is below the float range
+    once weighted by the cell size h."""
+    if trajectory.space_time_norm() != 0.0 or not np.any(trajectory.states):
+        return ""
+    rho = trajectory.problem.rho
+    if weighted_norm(WeightedSignal(trajectory.t, trajectory.states, rho)) == 0.0:
+        return _UNDERFLOW.format(rho)
+    return ("the h-weighted norm of a nonzero trajectory underflows to 0 at "
+            f"h={trajectory.problem.op.grid.h:g}")
 
 
 def _over(name: str, value: float, tol: dict) -> list:
@@ -328,8 +360,9 @@ def _comparison(config, problem, report, trajectory):
     except OracleRejectionError as exc:
         return {"status": "skipped", "reason": str(exc)}, []
     result = compare(trajectory, reference)
-    if result.overall == 0.0 and _underflows(reference):
-        return {"status": "skipped", "reason": _UNDERFLOW.format(problem.rho)}, []
+    reason = _underflow(reference) if result.overall == 0.0 else ""
+    if reason:
+        return {"status": "skipped", "reason": reason}, []
     entry = {"status": "ok", "per_field": result.per_field, "overall": result.overall}
     return entry, _over("solver_vs_oracle", result.overall, config.tolerances)
 
@@ -350,8 +383,9 @@ def _bound_check(config, problem, report, trajectory):
         check = solution_bound_check(problem, report, trajectory)
     except (InputError, PoleProximityError) as exc:
         return {"status": "skipped", "reason": str(exc)}, []
-    if check.lhs == 0.0 and _underflows(trajectory):
-        return {"status": "skipped", "reason": _UNDERFLOW.format(problem.rho)}, []
+    reason = _underflow(trajectory) if check.lhs == 0.0 else ""
+    if reason:
+        return {"status": "skipped", "reason": reason}, []
     entry = {"status": "ok", "lhs": check.lhs, "rhs": check.rhs, "c_used": check.c_used,
              "tail_ratio": check.tail_ratio}
     slack = config.tolerances["bound_slack"]

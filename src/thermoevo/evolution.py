@@ -25,9 +25,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from . import _lapack
 from .errors import ArtifactWriteError, InputError, SingularSystemError
 from .models import MaterialLaw, compute_entropy, recover_theta
 from .rational import realize_state_space
@@ -61,7 +60,7 @@ FIELD_BLOCKS = ("v", "sigma", "theta_big", "q")
 def __getattr__(name):
     # bench/tracer.py still wraps ``evolution.splu`` as its factorization span
     # until the benchmark moves that hook (ROADMAP item 6); import it only
-    # when looked up, so that no run loads scipy.sparse
+    # when looked up, so that no untraced run loads scipy
     if name == "splu":
         from scipy.sparse.linalg import splu
         return splu
@@ -266,9 +265,13 @@ class _ImplicitStepper:
     Both matrices are written as bands in cell order (:func:`_cell_positions`);
     ``perm`` lists the block-order dof at each cell-order position and
     ``inv`` is its inverse.  The step matrix is factorized once with
-    ``dgbtrf``, and the right-hand side is one ``dgbmv`` product on a
-    Fortran-ordered band.  :meth:`advance` works in cell order; :meth:`step`
-    takes and returns block order.
+    ``gbtrf``, and the right-hand side is one ``gbmv`` product on a
+    Fortran-ordered band.  The product and the solve are bound here, once,
+    to two work vectors (:mod:`thermoevo._lapack`): ``u_work`` holds the
+    state a step starts from, and ``rhs_work`` the right-hand side, which
+    the solve overwrites with the new state; so a stepper takes one step at
+    a time, never two at once from different threads.  :meth:`advance` works
+    in cell order; :meth:`step` takes and returns block order.
     """
 
     def __init__(self, problem: EvolutionProblem):
@@ -278,9 +281,6 @@ class _ImplicitStepper:
         # inv maps each block-order dof to its cell-order position
         self.inv = np.concatenate(_cell_positions(problem.op))
         self.perm = np.argsort(self.inv)
-        # scipy's dgbmv asks for at least 2 _BAND + 1 rows; on the 2-cell grid
-        # the product runs over zero rows past the 6 unknowns
-        self.rows = max(self.perm.size, 2 * _BAND + 1)
         self.owner = self.inv[chain.owner]
         self.aux_decay = 1.0 / (1.0 - theta * dt * chain.poles)
         self.aux_grow = 1.0 + (1.0 - theta) * dt * chain.poles
@@ -292,31 +292,31 @@ class _ImplicitStepper:
             minlength=self.perm.size)
         mass = problem.mass_band / dt
         self.rhs_band = mass - ((1.0 - theta) / theta) * k_theta
-        band = np.zeros((3 * _BAND + 1, self.perm.size))
+        self.u_work, self.rhs_work = np.zeros(self.perm.size), np.zeros(self.perm.size)
+        self.rhs_product = _lapack.gbmv(self.rhs_band, _BAND, _BAND, self.u_work, self.rhs_work)
+        band = np.zeros((3 * _BAND + 1, self.perm.size), order="F")
         band[_BAND:] = mass + k_theta
-        self.lu, self.piv, info = dgbtrf(band, _BAND, _BAND)
+        lu, piv, info = _lapack.gbtrf(band, _BAND, _BAND)
         if info > 0:
             raise SingularSystemError(
                 f"step matrix not invertible at dt={dt:g}: zero pivot {info}"
             )
+        self.solve = _lapack.gbtrs(lu, piv, _BAND, _BAND, self.rhs_work)
 
-    def forcing_mix(self, f_next, f_n):
-        """theta f+ + (1 - theta) f in a new array (f+ itself for backward Euler)."""
+    def advance(self, u_n, x_n, f_next, f_n):
+        """One step in cell order, from the forcing at both ends of the step
+        (``f_n`` is not read by backward Euler); returns new arrays."""
+        rhs = self.rhs_work
+        self.u_work[:] = u_n
         if self.theta == 1.0:
-            return f_next.copy()
-        mix = self.theta * f_next
-        mix += (1.0 - self.theta) * f_n
-        return mix
-
-    def advance(self, u_n, x_n, mix):
-        """One step in cell order from the forcing mix ``mix``, which it may overwrite."""
-        n = u_n.size
-        if self.rows > n:
-            mix = np.concatenate([mix, np.zeros(self.rows - n)])
-        rhs = dgbmv(self.rows, n, _BAND, _BAND, 1.0, self.rhs_band, u_n, beta=1.0, y=mix,
-                    overwrite_y=1)[:n]
-        rhs -= np.bincount(self.owner, self.aux_out * x_n, minlength=n)
-        u_next = dgbtrs(self.lu, _BAND, _BAND, rhs, self.piv, overwrite_b=1)[0]
+            rhs[:] = f_next
+        else:
+            np.multiply(f_next, self.theta, out=rhs)
+            rhs += (1.0 - self.theta) * f_n
+        self.rhs_product()
+        rhs -= np.bincount(self.owner, self.aux_out * x_n, minlength=rhs.size)
+        self.solve()
+        u_next = rhs.copy()
         mixed = u_next[self.owner]
         if self.theta != 1.0:
             mixed = self.theta * mixed + (1.0 - self.theta) * u_n[self.owner]
@@ -324,8 +324,7 @@ class _ImplicitStepper:
 
     def step(self, u_n, x_n, f_next, f_n):
         perm = self.perm
-        u_next, x_next = self.advance(u_n[perm], x_n,
-                                      self.forcing_mix(f_next[perm], f_n[perm]))
+        u_next, x_next = self.advance(u_n[perm], x_n, f_next[perm], f_n[perm])
         return u_next[self.inv], x_next
 
 
@@ -518,7 +517,7 @@ def solve(problem: EvolutionProblem) -> Trajectory:
     f_next = f[0][perm]
     for k in range(n_t - 1):
         f_n, f_next = f_next, f[k + 1][perm]
-        u, x = stepper.advance(u, x, stepper.forcing_mix(f_next, f_n))
+        u, x = stepper.advance(u, x, f_next, f_n)
         states[k + 1] = u[stepper.inv]
         aux[k + 1] = x
     if not (np.isfinite(states.max()) and np.isfinite(states.min())):

@@ -19,17 +19,23 @@ __all__ = [
     "delayed_step",
     "spatial_profile",
     "assemble_forcing",
+    "step_count",
     "time_grid",
 ]
 
 
-def time_grid(t_max: float, dt: float) -> np.ndarray:
+def step_count(t_max: float, dt: float) -> int:
+    """The number of steps of length ``dt`` that make up ``t_max``."""
     if dt <= 0 or t_max <= dt:
         raise InputError("need 0 < dt < t_max")
     n_steps = int(round(t_max / dt))
     if abs(t_max - n_steps * dt) > 1e-9 * t_max:
         raise InputError(f"t_max={t_max:g} is not a multiple of dt={dt:g}")
-    return dt * np.arange(n_steps + 1)
+    return n_steps
+
+
+def time_grid(t_max: float, dt: float) -> np.ndarray:
+    return dt * np.arange(step_count(t_max, dt) + 1)
 
 
 def gaussian_pulse(t: np.ndarray, center: float, width: float) -> np.ndarray:

@@ -254,7 +254,7 @@ def _dissipation(cells) -> tuple:
     (_, th, th_den), = _stack_groups([cell.theta_damping for cell in cells])
     (_, fl, fl_den), = _stack_groups([cell.flux_resistance for cell in cells])
     th_num, q_num = _poly_mul(th, fl_den), _poly_mul(fl, th_den)
-    dtype = np.result_type(th_num[0].dtype, q_num[0].dtype, float)
+    dtype = np.result_type(*(m.dtype for m in th_num + q_num), float)
     mats = [np.zeros((len(cells), n, n), dtype=dtype)
             for _ in range(max(len(th_num), len(q_num)))]
     for block, nums in ((sl[2], th_num), (sl[3], q_num)):
@@ -279,7 +279,7 @@ def _symbol_num(mass: np.ndarray, nums: list, den: np.ndarray) -> list:
 def _poly_mul(mats: list, scalars: np.ndarray) -> list:
     """Stacked coefficients of a matrix polynomial (``mats[k]`` of shape
     (G, a, b)) times a scalar one (``scalars`` of shape (G, D))."""
-    dtype = np.result_type(mats[0].dtype, scalars.dtype, float)
+    dtype = np.result_type(*(m.dtype for m in mats), scalars.dtype, float)
     out = [np.zeros(mats[0].shape, dtype=dtype)
            for _ in range(len(mats) + scalars.shape[1] - 1)]
     for i, m in enumerate(mats):

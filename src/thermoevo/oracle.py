@@ -9,7 +9,7 @@ mode, and the modes differ only by their wavenumber.  The source enters
 the balance equations alone (forcing on the sigma or q rows is rejected),
 so only the v and theta mode coefficients of the forcing are interpolated
 in time, by the not-a-knot cubic spline built in this module with one
-``solve_banded`` call.  Every mode takes one exponential step per marching
+tridiagonal ``gtsv`` solve.  Every mode takes one exponential step per marching
 step that integrates that cubic exactly (phi-function weights on the
 spline's polynomial coefficients, all modes from one batched ``expm``), so
 the reference is exact in time up to round-off for its interpolant while
@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
 
 from ._integrators import phi_matrices
+from ._lapack import gtsv
 from .errors import InputError, OracleRejectionError
 from .evolution import FIELD_BLOCKS, EvolutionProblem, Trajectory
 from .models import SPECTRAL_CUTOFF
@@ -99,8 +99,10 @@ def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     ``c[3 - j, i]`` is the ``(x - x[i])**j`` coefficient on interval ``i``
     (de Boor, *A Practical Guide to Splines*).  The node slopes solve one
-    tridiagonal system; the arithmetic follows SciPy's ``CubicSpline``
-    operation for operation, so ``c`` equals ``CubicSpline(x, y).c`` bitwise.
+    tridiagonal system (``gtsv``, the LAPACK routine SciPy's
+    ``solve_banded`` takes for it); the arithmetic follows SciPy's
+    ``CubicSpline`` operation for operation, so ``c`` equals
+    ``CubicSpline(x, y).c`` bitwise.
     """
     n = x.size
     dx = np.diff(x)
@@ -111,22 +113,21 @@ def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     elif n == 3:  # both end conditions coincide: the parabola through the nodes
         a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
         b = np.stack((2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]), 2 * slope[1]))
-        s = solve(a, b, overwrite_a=True, overwrite_b=True, check_finite=False)
+        s = np.linalg.solve(a, b)
     else:
-        ab = np.zeros((3, n))  # banded: upper, main and lower diagonals
-        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        ab[0, 2:] = dx[:-1]
-        ab[-1, :-2] = dx[1:]
+        upper, main, lower = np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)
+        main[1:-1] = 2 * (dx[:-1] + dx[1:])
+        upper[1:] = dx[:-1]
+        lower[:-1] = dx[1:]
         b = np.empty_like(y)
         b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
         d = x[2] - x[0]
-        ab[1, 0], ab[0, 1] = dx[1], d
+        main[0], upper[0] = dx[1], d
         b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
         d = x[-1] - x[-3]
-        ab[1, -1], ab[-1, -2] = dx[-2], d
+        main[-1], lower[-1] = dx[-2], d
         b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
+        s = gtsv(lower, main, upper, b)
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
 
@@ -136,7 +137,7 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
 
     The forcing must live in the v and theta blocks only (the canonical
     right-hand side shape); those two per-mode coefficient columns alone are
-    interpolated in time by the not-a-knot cubic spline (one ``solve_banded``
+    interpolated in time by the not-a-knot cubic spline (one ``gtsv``
     call, see :func:`_not_a_knot_coefficients`), which every step integrates
     exactly.  Algebraic unknowns (null rows of the diagonal instantaneous
     block) are eliminated by one per-mode map folded into the phi weights

@@ -93,10 +93,17 @@ def weighted_norm(f: WeightedSignal) -> float:
     """Exponentially weighted L2 norm over the sampled window.
 
     Trapezoidal quadrature of ``exp(-2*rho*t) |f(t)|^2`` followed by a
-    square root; exact up to O(dt^2) for smooth integrands.
+    square root; exact up to O(dt^2) for smooth integrands.  The samples are
+    squared after scaling by the power of two that brings their peak into
+    [1/2, 1), and the root is scaled back: states near the ends of the float
+    range neither underflow to 0 nor overflow when squared, and the result
+    is otherwise the same to the bit.
     """
-    density = np.exp(-2.0 * f.rho * f.t) * np.sum(np.abs(f.samples) ** 2, axis=1)
-    return float(np.sqrt(np.trapezoid(density, dx=f.dt)))
+    magnitude = np.abs(f.samples)
+    _, exponent = np.frexp(np.max(magnitude, initial=0.0))
+    unit = np.ldexp(magnitude, -exponent)
+    density = np.exp(-2.0 * f.rho * f.t) * np.sum(unit ** 2, axis=1)
+    return float(np.ldexp(np.sqrt(np.trapezoid(density, dx=f.dt)), exponent))
 
 
 def antiderivative(f: WeightedSignal) -> WeightedSignal:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import thermoevo
-from thermoevo import assemble_material_law, cli, evolution, pattern_table
+from thermoevo import _lapack, assemble_material_law, cli, evolution, pattern_table
 from thermoevo.cli import RunConfig, main, run
 from thermoevo.errors import ConfigError
 
@@ -317,6 +317,17 @@ class TestVerifyMode:
             "status": "skipped",
             "reason": "spectral reference is not finite: its mode systems overflow"}
 
+    def test_underflowing_space_time_norm_names_h(self, tmp_path):
+        # on a grid of length 1e-300 the states are about 1e-301 and sqrt(h)
+        # about 2.5e-151: their product is below the float range, whatever rho
+        payload = sim_payload()
+        payload["grid"]["L"] = 1e-300
+        assert run(RunConfig.from_dict(payload, "verify", out_dir=tmp_path), io.StringIO()) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["bound_check"] == {
+            "status": "skipped",
+            "reason": "the h-weighted norm of a nonzero trajectory underflows to 0 at h=6.25e-302"}
+
     def test_short_window_bound_is_judged(self, tmp_path):
         # the weighted solution is still near its peak at the window end
         # (tail_ratio about 0.5), and the bound is judged all the same
@@ -463,6 +474,12 @@ def _t_max_off_grid():
     return payload
 
 
+def _steps(n_steps):
+    payload = sim_payload()
+    payload["time"]["t_max"] = n_steps * payload["time"]["dt"]
+    return payload
+
+
 def _march_overflow():
     # a negative conductivity makes the heat equation run backward in time
     payload = sim_payload(model={"family": "classical", "coefficients": {
@@ -512,6 +529,9 @@ CONFIG_HOLES = {
     "pulse_center_overflows": (_with("forcing", "center", 1e308), "pulse center 1e+308"),
     "pulse_width_overflows": (_with("forcing", "width", 1e-310), "pulse width 1e-310"),
     "output_not_string": (sim_payload(output=3), "'output'"),
+    # arrays past physical memory: refused before any of them is allocated
+    "cells_past_memory": (_with("grid", "n_cells", 10**12), "GiB of physical memory"),
+    "steps_past_memory": (_steps(10**12), "GiB of physical memory"),
 }
 
 
@@ -566,42 +586,43 @@ def test_cli_verify_run_leaves_interpolate_unloaded(tmp_path):
     assert json.loads((out / "verify.json").read_text())["comparison"]["status"] == "ok"
 
 
-SPARSE = ("scipy.sparse", "scipy.sparse.linalg")
-
-
-def sparse_loaded(code: str) -> list:
-    """The scipy.sparse modules in ``sys.modules`` after running ``code`` in
-    a fresh interpreter."""
-    code += f"; import json, sys; print(json.dumps([m for m in {SPARSE!r} if m in sys.modules]))"
+def scipy_loaded(code: str) -> list:
+    """The scipy modules in ``sys.modules`` after running ``code`` in a fresh
+    interpreter."""
+    code += ("; import json, sys; print(); print(json.dumps(sorted("
+             "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
     out = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
                          text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_runs_leave_scipy_sparse_unloaded(tmp_path):
-    # a run needs numpy and scipy.linalg only; the baseline is what those two
-    # load by themselves on the installed scipy
-    baseline = sparse_loaded("import numpy, scipy.linalg")
+@pytest.mark.skipif(_lapack._openblas64() is None,
+                    reason="numpy's LAPACK is not scipy-openblas: runs bind scipy's wrappers")
+def test_runs_leave_scipy_unloaded(tmp_path):
+    # where numpy links scipy-openblas, a run of every mode needs numpy alone;
+    # the law is uncoupled, so verify runs the oracle and simulate the entropy
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(sim_payload(
         model={"family": "dpl_i", "coefficients": {
-            "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.5, "kappa": 1.0,
+            "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "kappa": 1.0,
             "n1": 0.5, "n2": 0.25}},
         grid={"L": 1.0, "n_cells": 8},
         time={"t_max": 0.0625, "dt": 2**-8, "rho": 1.0, "scheme": "trapezoidal"},
         forcing={"kind": "delayed_step", "delay": 2**-5, "block": "f",
                  "spatial_profile": "bump"})))
-    assert sparse_loaded("import thermoevo") == baseline
-    for mode in ("simulate", "verify"):
-        code = ("import thermoevo.cli; "
-                f"assert thermoevo.cli.main([{mode!r}, '--config', {str(config_path)!r}, "
-                f"'--out', {str(tmp_path / mode)!r}]) == 0")
-        assert sparse_loaded(code) == baseline
-    assert (tmp_path / "verify" / "verify.json").exists()
+    assert scipy_loaded("import thermoevo") == []
+    runs = [[mode, "--config", str(config_path), "--out", str(tmp_path / mode)]
+            for mode in ("simulate", "verify", "check")] + [["patterns", "--all"]]
+    for argv in runs:
+        code = f"import thermoevo.cli; assert thermoevo.cli.main({argv!r}) == 0"
+        assert scipy_loaded(code) == [], argv[0]
+    assert (tmp_path / "simulate" / "eta.csv").exists()
+    assert json.loads((tmp_path / "verify" / "verify.json").read_text())[
+        "comparison"]["status"] == "ok"
 
 
 def test_splu_name_loads_scipy_sparse_on_lookup():
-    baseline = sparse_loaded("import numpy, scipy.linalg")
+    baseline = scipy_loaded("import numpy, scipy.linalg")
     code = ("import sys, thermoevo.evolution as evolution; "
             "before = 'scipy.sparse.linalg' in sys.modules; "
             "found = evolution.splu; "

@@ -32,7 +32,7 @@ from thermoevo import (
     step_implicit,
     time_grid,
 )
-from thermoevo import evolution, rational
+from thermoevo import _lapack, evolution, rational
 from thermoevo._integrators import exp_march_linear
 from thermoevo.errors import ArtifactWriteError, InputError, SingularSystemError
 
@@ -288,6 +288,61 @@ class TestBandedStep:
         # M/dt cancels theta (diag(D) + A_h) exactly at theta = 1 and dt = 2^-7
         zero_order = sp.diags(problem.feedthrough) + skew_operator(problem.op.grid)
         problem.mass_band = -problem.dt * band_of(zero_order, cell_order(problem.op))
+        with pytest.raises(SingularSystemError, match="zero pivot 1"):
+            problem._stepper
+
+
+needs_numpy_openblas = pytest.mark.skipif(
+    _lapack._openblas64() is None,
+    reason="numpy's LAPACK is not scipy-openblas: the march binds scipy's wrappers only")
+
+
+@needs_numpy_openblas
+class TestLapackBinding:
+    """The march through numpy's own scipy-openblas (ctypes) and through
+    scipy's wrappers, which a patched detection forces."""
+
+    @pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
+    @pytest.mark.parametrize("name, n_cells, seed", [("sweep", 32, 3), ("sweep", 32, 7),
+                                                     (ModelFamily.DPL_II.value, 2, None)])
+    def test_scipy_binding_marches_bitwise_alike(self, monkeypatch, name, n_cells, seed,
+                                                 scheme):
+        law = (sweep_law(n_cells, seed) if name == "sweep"
+               else assemble_material_law(canonical_spec(ModelFamily(name))))
+
+        def march():
+            return solve(pulse_problem(law, n_cells=n_cells, dt=2**-8, t_max=0.25,
+                                       scheme=scheme))
+
+        native = march()
+        monkeypatch.setattr(_lapack, "_openblas64", lambda: None)
+        fallback = march()
+        assert np.any(native.states)
+        np.testing.assert_array_equal(fallback.states, native.states)
+        np.testing.assert_array_equal(fallback.aux, native.aux)
+
+    def test_work_vectors_are_checked_when_bound(self):
+        band = np.zeros((13, 6), order="F")
+        band[8] = 2.0
+        lu, piv, info = _lapack.gbtrf(band, 4, 4)
+        read_only = np.ones(6)
+        read_only.flags.writeable = False
+        for bad in (np.ones(6, dtype=np.float32), np.ones(5), np.ones(12)[::2], read_only):
+            with pytest.raises(ValueError, match="work vector"):
+                _lapack.gbtrs(lu, piv, 4, 4, bad)
+            with pytest.raises(ValueError, match="work vector"):
+                _lapack.gbmv(band[4:], 4, 4, np.ones(6), bad)
+        b = np.full(6, 4.0)
+        _lapack.gbtrs(lu, piv, 4, 4, b)()
+        np.testing.assert_array_equal(b, np.full(6, 2.0))
+
+    def test_zero_pivot_raises(self):
+        problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.CLASSICAL)),
+                                n_cells=8, dt=2**-7, t_max=0.25)
+        zero_order = sp.diags(problem.feedthrough) + skew_operator(problem.op.grid)
+        problem.mass_band = -problem.dt * band_of(zero_order, cell_order(problem.op))
+        band = np.zeros((13, problem.op.n_dof), order="F")
+        assert _lapack.gbtrf(band, 4, 4)[2] == 1
         with pytest.raises(SingularSystemError, match="zero pivot 1"):
             problem._stepper
 

@@ -323,6 +323,16 @@ class TestCustomLaws:
         assert mass.shape == (5, 5)
         assert np.max(np.abs(mass - mass.conj().T)) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_complex_higher_term_keeps_imaginary_part(self):
+        # a real constant term and a complex z term: the zero-order block is complex
+        a2 = RationalMatrixFunction((np.eye(2), np.array([[0, -0.5j], [-0.5j, -1j]])), [1, 0.5])
+        law = assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
+            "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "a2": a2}))
+        num = law.cells[0].dissipation().num
+        np.testing.assert_array_equal(num[1][3:, 3:], a2.num[1])
+        assert np.any(num[1].imag)
+
     def test_custom_requires_positive_density(self):
         with pytest.raises(InputError):
             assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {

@@ -25,6 +25,7 @@ from thermoevo import (
 from thermoevo.errors import OracleRejectionError
 from thermoevo.forcing import spatial_profile
 from thermoevo import oracle
+from thermoevo import _integrators
 from thermoevo._integrators import phi_matrices
 from thermoevo.oracle import _mode_systems, _not_a_knot_coefficients
 
@@ -227,6 +228,32 @@ class TestPhiMatrices:
         for m in range(a.shape[0]):
             for got, want in zip(stacked, phi_matrices(a[m], order)):
                 assert np.array_equal(got[m], want)
+
+
+class TestExpm:
+    @pytest.mark.parametrize("scale, tol", [(1e-3, 1e-15), (1.0, 1e-14), (8.0, 1e-13)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_scipy(self, scale, tol, dtype, rng):
+        a = scale * rng.standard_normal((6, 7, 7))
+        if dtype is complex:
+            a = a + 1j * scale * rng.standard_normal((6, 7, 7))
+        got, want = _integrators.expm(a), expm(a)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    def test_upper_triangular_diagonal_is_exp(self, rng):
+        # a march multiplies by this diagonal once per step
+        a = np.triu(rng.standard_normal((4, 5, 5)))
+        a[:, 0, 0] = -2.0**-12 / 1e4
+        a[1] *= 40.0
+        got = _integrators.expm(a)
+        np.testing.assert_array_equal(np.diagonal(got, axis1=1, axis2=2),
+                                      np.exp(np.diagonal(a, axis1=1, axis2=2)))
+        assert np.max(np.abs(got - expm(a))) <= 1e-13 * np.max(np.abs(expm(a)))
+
+    def test_empty_and_zero(self):
+        assert _integrators.expm(np.zeros((3, 0, 0))).shape == (3, 0, 0)
+        np.testing.assert_array_equal(_integrators.expm(np.zeros((2, 2))), np.eye(2))
 
 
 class TestExactness:

@@ -67,6 +67,23 @@ class TestWeightedNorm:
         g = f.with_samples(3.0 * f.samples)
         assert weighted_norm(g) == pytest.approx(3.0 * weighted_norm(f), rel=1e-13)
 
+    @pytest.mark.parametrize("scale", [1e-301, 1e200])
+    def test_extreme_magnitudes_neither_underflow_nor_overflow(self, scale, rng):
+        # squared as they are, these samples underflow to 0 or overflow to inf
+        t = uniform(0.0, 1.0, 0.01)
+        unit = rng.uniform(-1.0, 1.0, (t.size, 3))
+        got = weighted_norm(WeightedSignal(t, scale * unit, 1.0))
+        want = scale * weighted_norm(WeightedSignal(t, unit, 1.0))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_normal_range_equals_unscaled_formula_bitwise(self, rng):
+        t = uniform(0.0, 2.0, 1e-3)
+        for _ in range(10):
+            f = WeightedSignal(t, rng.standard_normal((t.size, 4)) * 10.0 ** rng.uniform(-50, 50),
+                               1.5)
+            density = np.exp(-2.0 * f.rho * f.t) * np.sum(np.abs(f.samples) ** 2, axis=1)
+            assert weighted_norm(f) == float(np.sqrt(np.trapezoid(density, dx=f.dt)))
+
     def test_positive_for_any_nonzero_sample(self, rng):
         t = uniform(0.0, 1.0, 0.05)
         for _ in range(10):
