@@ -258,7 +258,7 @@ def _check_size(law, grid: Grid1D, n_steps: int) -> None:
     need = 8 * (n_steps + 1) * (3 * n_dof + n_aux)
     if need > memory:
         raise InputError(
-            f"the run needs about {need / 2**30:.3g} GiB of arrays ({n_steps + 1} time steps, "
+            f"the run needs about {need / 2**30:.3g} GiB of arrays ({n_steps + 1:.3g} time steps, "
             f"{n_dof} unknowns, up to {n_aux} memory states), more than the "
             f"{memory / 2**30:.3g} GiB of physical memory")
 

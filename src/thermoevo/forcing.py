@@ -28,7 +28,10 @@ def step_count(t_max: float, dt: float) -> int:
     """The number of steps of length ``dt`` that make up ``t_max``."""
     if dt <= 0 or t_max <= dt:
         raise InputError("need 0 < dt < t_max")
-    n_steps = int(round(t_max / dt))
+    ratio = t_max / dt
+    if ratio == float("inf"):
+        raise InputError(f"t_max={t_max:g} over dt={dt:g} is past the float range")
+    n_steps = int(round(ratio))
     if abs(t_max - n_steps * dt) > 1e-9 * t_max:
         raise InputError(f"t_max={t_max:g} is not a multiple of dt={dt:g}")
     return n_steps

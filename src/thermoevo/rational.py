@@ -318,7 +318,7 @@ def _check_transfer_match(nums: list, den: np.ndarray, reals: list,
     want = _evaluate(nums, den, 1.0 / freqs)
     got = np.zeros_like(want)
     sizes = np.array([real.n_states for real in reals])
-    for n in np.unique(sizes):
+    for n in sorted(set(sizes.tolist())):
         index = np.flatnonzero(sizes == n)
         stacked = StateSpaceRealization(*(np.stack([getattr(reals[i], f) for i in index])[:, None]
                                           for f in "dabc"))

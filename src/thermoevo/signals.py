@@ -89,6 +89,27 @@ class WeightedSignal:
         )
 
 
+#: values per row chunk of a reduction over a whole trajectory
+#: (:func:`map_row_chunks`): each chunk's temporaries stay in cache and none is
+#: the size of the trajectory
+CHUNK_VALUES = 2 ** 15
+
+
+def map_row_chunks(samples: np.ndarray, per_row) -> np.ndarray:
+    """One float per row of the 2-d ``samples``: ``per_row(chunk)`` of each
+    run of consecutive rows holding about :data:`CHUNK_VALUES` values."""
+    out = np.empty(samples.shape[0])
+    rows = max(1, CHUNK_VALUES // max(1, samples.shape[1]))
+    for start in range(0, out.size, rows):
+        out[start:start + rows] = per_row(samples[start:start + rows])
+    return out
+
+
+def row_peaks(samples: np.ndarray) -> np.ndarray:
+    """``max |x|`` of each row of ``samples`` (0 for rows with no columns)."""
+    return map_row_chunks(samples, lambda chunk: np.max(np.abs(chunk), axis=1, initial=0.0))
+
+
 def weighted_norm(f: WeightedSignal) -> float:
     """Exponentially weighted L2 norm over the sampled window.
 
@@ -97,12 +118,18 @@ def weighted_norm(f: WeightedSignal) -> float:
     squared after scaling by the power of two that brings their peak into
     [1/2, 1), and the root is scaled back: states near the ends of the float
     range neither underflow to 0 nor overflow when squared, and the result
-    is otherwise the same to the bit.
+    is otherwise the same to the bit.  Two passes of :func:`map_row_chunks`
+    take the row peaks and then the scaled row sums of squares, so no
+    temporary is larger than a chunk; each row's arithmetic is that of the
+    whole-array formula, and so is every bit of the result.
     """
-    magnitude = np.abs(f.samples)
-    _, exponent = np.frexp(np.max(magnitude, initial=0.0))
-    unit = np.ldexp(magnitude, -exponent)
-    density = np.exp(-2.0 * f.rho * f.t) * np.sum(unit ** 2, axis=1)
+    _, exponent = np.frexp(np.max(row_peaks(f.samples), initial=0.0))
+
+    def scaled_squares(chunk):
+        unit = np.ldexp(np.abs(chunk), -exponent)
+        return np.sum(np.square(unit, out=unit), axis=1)
+
+    density = np.exp(-2.0 * f.rho * f.t) * map_row_chunks(f.samples, scaled_squares)
     return float(np.ldexp(np.sqrt(np.trapezoid(density, dx=f.dt)), exponent))
 
 

@@ -256,7 +256,7 @@ def _structural_witnesses(stack) -> tuple:
     re_a2 = _herm(nums[0] / den[:, :1, None])
     a2_scale = np.max(np.abs(np.linalg.eigvalsh(re_a2)), axis=1)
     n_kernel = np.sum(~on_range, axis=1)
-    for k in np.unique(n_kernel[n_kernel > 0]):
+    for k in sorted(set(n_kernel[n_kernel > 0].tolist())):
         cells = np.flatnonzero(n_kernel == k)
         # the kernel columns, in ascending order
         order = np.argsort(on_range[cells], axis=1, kind="stable")[:, None, :k]

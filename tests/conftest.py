@@ -8,7 +8,9 @@ the entry-by-entry congruence factor of the assembled mass matrix, the
 per-cell loops of the difference and averaging matrices and the block
 operator assembled from them (all as ``scipy.sparse`` matrices), and the
 two-branch backward-Euler / trapezoidal stepper with its displacement rule,
-factorized through its own per-cell loop of the band order."""
+factorized through its own per-cell loop of the band order, and the
+whole-array formulas of the weighted norm, the bound check's numbers and the
+causality leakage, which the library takes in row chunks."""
 
 from __future__ import annotations
 
@@ -638,3 +640,32 @@ def displacement_two_branch(problem, v):
     u = np.zeros_like(v)
     u[1:] = 0.5 * dt * np.cumsum(v[1:] + v[:-1], axis=0)
     return u
+
+
+def weighted_norm_whole(f: WeightedSignal) -> float:
+    """The weighted norm as one whole-array formula: every sample scaled by
+    the power of two of the peak, squared, summed per row."""
+    magnitude = np.abs(f.samples)
+    _, exponent = np.frexp(np.max(magnitude, initial=0.0))
+    unit = np.ldexp(magnitude, -exponent)
+    density = np.exp(-2.0 * f.rho * f.t) * np.sum(unit ** 2, axis=1)
+    return float(np.ldexp(np.sqrt(np.trapezoid(density, dx=f.dt)), exponent))
+
+
+def bound_numbers_whole(problem, trajectory, c_used: float) -> tuple:
+    """``(lhs, rhs, tail_ratio)`` of the bound check from whole-array
+    formulas: the envelope is the row peak of the weighted states."""
+    h = problem.op.grid.h
+    lhs = float(np.sqrt(h) * weighted_norm_whole(
+        WeightedSignal(trajectory.t, trajectory.states, problem.rho)))
+    rhs = float(np.sqrt(h) * weighted_norm_whole(problem.forcing)) / c_used
+    weighted = np.exp(-problem.rho * trajectory.t)[:, None] * trajectory.states
+    envelope = np.max(np.abs(weighted), axis=1)
+    return lhs, rhs, float(envelope[-1]) / float(np.max(envelope))
+
+
+def leakage_whole(problem, t0: float, trajectory) -> float:
+    """The causality leakage from the whole-array magnitude of the states."""
+    magnitude = np.max(np.abs(trajectory.states), axis=1)
+    before = magnitude[trajectory.t < t0 - 2.0 * problem.dt]
+    return float(np.max(before)) / float(np.max(magnitude))

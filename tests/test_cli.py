@@ -480,6 +480,12 @@ def _steps(n_steps):
     return payload
 
 
+def _steps_past_float_range():
+    payload = _with("time", "dt", 1e-300)
+    payload["time"]["t_max"] = 1e10
+    return payload
+
+
 def _march_overflow():
     # a negative conductivity makes the heat equation run backward in time
     payload = sim_payload(model={"family": "classical", "coefficients": {
@@ -532,6 +538,9 @@ CONFIG_HOLES = {
     # arrays past physical memory: refused before any of them is allocated
     "cells_past_memory": (_with("grid", "n_cells", 10**12), "GiB of physical memory"),
     "steps_past_memory": (_steps(10**12), "GiB of physical memory"),
+    # the step count in the error line as compactly as the bytes
+    "steps_past_memory_compact": (_with("time", "dt", 1e-300), "(5e+299 time steps, 62 unknowns"),
+    "steps_past_float_range": (_steps_past_float_range(), "t_max=1e+10 over dt=1e-300"),
 }
 
 
@@ -586,21 +595,19 @@ def test_cli_verify_run_leaves_interpolate_unloaded(tmp_path):
     assert json.loads((out / "verify.json").read_text())["comparison"]["status"] == "ok"
 
 
-def scipy_loaded(code: str) -> list:
-    """The scipy modules in ``sys.modules`` after running ``code`` in a fresh
-    interpreter."""
+def modules_loaded(code: str, package: str) -> list:
+    """The modules of ``package`` (it or its submodules) in ``sys.modules``
+    after running ``code`` in a fresh interpreter."""
     code += ("; import json, sys; print(); print(json.dumps(sorted("
-             "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+             f"m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r}))))")
     out = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
                          text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
-@pytest.mark.skipif(_lapack._openblas64() is None,
-                    reason="numpy's LAPACK is not scipy-openblas: runs bind scipy's wrappers")
-def test_runs_leave_scipy_unloaded(tmp_path):
-    # where numpy links scipy-openblas, a run of every mode needs numpy alone;
-    # the law is uncoupled, so verify runs the oracle and simulate the entropy
+def every_mode(tmp_path) -> list:
+    """The argv of a run of each CLI mode; the law is uncoupled, so verify
+    runs the oracle and simulate the entropy."""
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(sim_payload(
         model={"family": "dpl_i", "coefficients": {
@@ -610,19 +617,34 @@ def test_runs_leave_scipy_unloaded(tmp_path):
         time={"t_max": 0.0625, "dt": 2**-8, "rho": 1.0, "scheme": "trapezoidal"},
         forcing={"kind": "delayed_step", "delay": 2**-5, "block": "f",
                  "spatial_profile": "bump"})))
-    assert scipy_loaded("import thermoevo") == []
-    runs = [[mode, "--config", str(config_path), "--out", str(tmp_path / mode)]
+    return [[mode, "--config", str(config_path), "--out", str(tmp_path / mode)]
             for mode in ("simulate", "verify", "check")] + [["patterns", "--all"]]
-    for argv in runs:
+
+
+def assert_runs_leave_unloaded(tmp_path, package: str) -> None:
+    for argv in every_mode(tmp_path):
         code = f"import thermoevo.cli; assert thermoevo.cli.main({argv!r}) == 0"
-        assert scipy_loaded(code) == [], argv[0]
+        assert modules_loaded(code, package) == [], argv[0]
     assert (tmp_path / "simulate" / "eta.csv").exists()
     assert json.loads((tmp_path / "verify" / "verify.json").read_text())[
         "comparison"]["status"] == "ok"
 
 
+@pytest.mark.skipif(_lapack._openblas64() is None,
+                    reason="numpy's LAPACK is not scipy-openblas: runs bind scipy's wrappers")
+def test_runs_leave_scipy_unloaded(tmp_path):
+    # where numpy links scipy-openblas, a run of every mode needs numpy alone
+    assert modules_loaded("import thermoevo", "scipy") == []
+    assert_runs_leave_unloaded(tmp_path, "scipy")
+
+
+def test_runs_leave_numpy_ma_unloaded(tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma (11-17 ms) on its first call
+    assert_runs_leave_unloaded(tmp_path, "numpy.ma")
+
+
 def test_splu_name_loads_scipy_sparse_on_lookup():
-    baseline = scipy_loaded("import numpy, scipy.linalg")
+    baseline = modules_loaded("import numpy, scipy.linalg", "scipy")
     code = ("import sys, thermoevo.evolution as evolution; "
             "before = 'scipy.sparse.linalg' in sys.modules; "
             "found = evolution.splu; "

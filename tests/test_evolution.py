@@ -1,14 +1,16 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from conftest import (ALL_FAMILIES, apply_symbol_fl, band_of, bandwidth, cell_order,
-                      displacement_two_branch, from_band, march_two_branch, mass_matrix_lil,
-                      operators_per_cell, per_cell_law, simpson_weights, skew_operator,
-                      spec_with, two_branch_system, uncoupled_law)
+from conftest import (ALL_FAMILIES, apply_symbol_fl, band_of, bandwidth, bound_numbers_whole,
+                      cell_order, displacement_two_branch, from_band, leakage_whole,
+                      march_two_branch, mass_matrix_lil, operators_per_cell, per_cell_law,
+                      simpson_weights, skew_operator, spec_with, two_branch_system,
+                      uncoupled_law, weighted_norm_whole)
 from thermoevo import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
@@ -25,6 +27,7 @@ from thermoevo import (
     canonical_spec,
     causality_test,
     certify_wellposedness,
+    check_symbol_boundary,
     energy_functional,
     realize_state_space,
     solution_bound_check,
@@ -762,6 +765,63 @@ class TestBoundCheck:
         res2 = solution_bound_check(doubled, report)
         assert res2.lhs == pytest.approx(2.0 * res1.lhs, rel=1e-12)
         assert res2.rhs == pytest.approx(2.0 * res1.rhs, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def chunked_run():
+    """A sweep-law march of 4097 x 126 states (16 row chunks) under a
+    delayed step, and the same trajectory with noise before the step."""
+    law = sweep_law(32)
+    op = build_operators(Grid1D(1.0, 32))
+    forcing = assemble_forcing(op, time_grid(4.0, 2**-10), 1.0, "delayed_step", "f", "bump",
+                               delay=0.5)
+    problem = EvolutionProblem(law, op, forcing, BACKWARD_EULER)
+    trajectory = solve(problem)
+    noise = 1e-3 * np.random.default_rng(5).standard_normal(trajectory.states.shape)
+    noisy = Trajectory(problem, trajectory.states + noise, trajectory.aux)
+    return problem, certify_wellposedness(law), trajectory, noisy
+
+
+class TestRowChunkedChecks:
+    """Norms, envelope and leakage taken in row chunks equal the whole-array
+    formulas to the bit and need no trajectory-sized temporary."""
+
+    def test_space_time_norms_bitwise(self, chunked_run):
+        problem, _, trajectory, noisy = chunked_run
+        h = problem.op.grid.h
+        for traj in (trajectory, noisy):
+            whole = WeightedSignal(traj.t, traj.states, problem.rho)
+            assert traj.space_time_norm() == float(np.sqrt(h) * weighted_norm_whole(whole))
+            for name in ("sigma", "q"):  # column-sliced views of the states
+                assert traj.space_time_norm(name) == float(
+                    np.sqrt(h) * weighted_norm_whole(traj.block(name)))
+
+    def test_bound_numbers_bitwise(self, chunked_run):
+        problem, report, trajectory, noisy = chunked_run
+        for traj in (trajectory, noisy):
+            result = solution_bound_check(problem, report, traj)
+            assert (result.lhs, result.rhs, result.tail_ratio) == bound_numbers_whole(
+                problem, traj, result.c_used)
+            assert result.tail_ratio > 0.0
+
+    def test_leakage_bitwise(self, chunked_run):
+        problem, _, trajectory, noisy = chunked_run
+        assert causality_test(problem, 0.5, trajectory).leakage == 0.0
+        result = causality_test(problem, 0.5, noisy)
+        assert result.leakage > 0.0
+        assert result.leakage == leakage_whole(problem, 0.5, noisy)
+
+    def test_bound_check_allocates_under_half_the_states(self, chunked_run):
+        # the whole-array formulas held about three copies of the states
+        problem, report, trajectory, _ = chunked_run
+        check_symbol_boundary(problem.law, problem.rho)
+        tracemalloc.start()
+        try:
+            solution_bound_check(problem, report, trajectory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * trajectory.states.nbytes
 
 
 class TestValidation:

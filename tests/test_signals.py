@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import WindowDecayError, apply_symbol_fl, make_probe, random_smooth
+from conftest import (WindowDecayError, apply_symbol_fl, make_probe, random_smooth,
+                      weighted_norm_whole)
 from thermoevo import RationalMatrixFunction, WeightedSignal, antiderivative, weighted_norm
-from thermoevo.signals import write_csv
+from thermoevo.signals import CHUNK_VALUES, map_row_chunks, row_peaks, write_csv
 from thermoevo.errors import InputError, PoleProximityError
 
 
@@ -83,6 +84,25 @@ class TestWeightedNorm:
                                1.5)
             density = np.exp(-2.0 * f.rho * f.t) * np.sum(np.abs(f.samples) ** 2, axis=1)
             assert weighted_norm(f) == float(np.sqrt(np.trapezoid(density, dx=f.dt)))
+
+    @pytest.mark.parametrize("columns", [1, 40, 1000])
+    def test_row_chunks_equal_whole_array_formula_bitwise(self, columns, rng):
+        # at least 8 chunks; a column-sliced view and its complex counterpart too
+        t = uniform(0.0, 1.0, 1.0 / (8 * (CHUNK_VALUES // columns) + 4))
+        samples = rng.standard_normal((t.size, columns + 2))
+        chunks = []
+        map_row_chunks(samples[:, 1:-1], lambda chunk: chunks.append(len(chunk)) or 0.0)
+        assert len(chunks) >= 9 and sum(chunks) == t.size
+        for values in (samples, samples[:, 1:-1], samples[:, 1:-1] * (1.0 - 2.0j)):
+            f = WeightedSignal(t, values, 1.5)
+            assert weighted_norm(f) == weighted_norm_whole(f)
+            assert np.array_equal(row_peaks(values), np.max(np.abs(values), axis=1))
+
+    def test_zero_columns(self):
+        t = uniform(0.0, 1.0, 0.01)
+        f = WeightedSignal(t, np.zeros((t.size, 0)), 1.0)
+        assert weighted_norm(f) == weighted_norm_whole(f) == 0.0
+        assert np.array_equal(row_peaks(f.samples), np.zeros(t.size))
 
     def test_positive_for_any_nonzero_sample(self, rng):
         t = uniform(0.0, 1.0, 0.05)
