@@ -11,7 +11,10 @@ antiderivative acts componentwise on the sample columns.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -145,16 +148,242 @@ def antiderivative(f: WeightedSignal) -> WeightedSignal:
     return f.with_samples(np.concatenate([np.zeros_like(g[:1]), g]))
 
 
+#: values per chunk of :func:`write_csv`: each chunk of rows is formatted by
+#: one set of numpy operations and written by one ``write``; its temporaries
+#: (about 170 bytes a value) stay in cache.  Of 2**10 to 2**14, 2**12 wrote
+#: the benchmark's tables fastest
+CSV_CHUNK_VALUES = 2 ** 12
+
+#: bytes of a value's cell in the encoder: its sign, at most 23 bytes of
+#: digits and notation, its separator
+_CELL = 25
+
+#: the decimal exponents k of the powers of ten 10**k the encoder scales by
+_K_MIN, _K_MAX = -275, 267
+
+#: Dekker's splitter: 2**27 + 1 cuts a double into two 26-bit halves
+_SPLIT = 134217729.0
+
+#: a scaled value's distance from a power of ten, or its fraction's from 1/2,
+#: below which the encoder does not decide (the double-double errs by < 1e-13)
+_MARGIN = 1e-6
+
+#: '%.17g' layouts of a mantissa of 17 digits ('d') with decimal exponent X:
+#: fixed notation for X in -4..16 (layout X + 4), then scientific with a two-
+#: and a three-digit exponent ('x'), whose sign is written over the '+'
+_LAYOUTS = (["0." + "0" * (-x - 1) + "d" * 17 for x in range(-4, 0)]
+            + ["d" * (x + 1) + "." + "d" * (16 - x) for x in range(16)]
+            + ["d" * 17, "d." + "d" * 16 + "e+xx", "d." + "d" * 16 + "e+xxx"])
+
+#: the zero cell's row of the keep table, after 17 rows per layout (one per
+#: count of trailing zeros)
+_ZERO = len(_LAYOUTS) * 17
+
+
+@cache
+def _tables() -> SimpleNamespace:
+    """The encoder's tables, built on its first use.
+
+    ``powers``: rows hi, lo, head, tail over k in [_K_MIN, _K_MAX]: hi is
+    10**k and lo is 10**k - hi, each correctly rounded (int / int true
+    division rounds correctly and ``as_integer_ratio`` is exact), head + tail
+    is hi cut into two 26-bit halves.  ``layout_of``: the layout of each
+    decimal exponent from 16 - _K_MAX on.  ``digits``: the four ASCII digits
+    of 0..9999 as one little-endian uint32; ``zeros``: their trailing zeros
+    (4 for 0).  ``cells``: each layout's bytes after a '-' and before a ',',
+    its digits to be written over, then the zero cell; ``runs``: per
+    layout, (cell position, first digit, end digit) of each run of
+    mantissa digits.  ``keep``: per layout and count of trailing zeros, then
+    the zero cell, the bytes to keep (the sign's is set per value): the
+    trailing zeros after the point are dropped, and the point when no digit
+    is left after it."""
+    powers = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        powers.append((hi, (num * q - p * den) / (den * q)))
+    hi, lo = np.array(powers).T
+    split = _SPLIT * hi
+    head = split - (split - hi)
+    exponents = np.arange(16 - _K_MAX, 17 - _K_MIN)
+    fixed = np.abs(exponents - 6) <= 10
+
+    g = np.arange(10_000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
+
+    cells = np.full((len(_LAYOUTS) + 1, _CELL), ord("-"), np.uint8)
+    cells[:, -1] = ord(",")
+    cells[-1, 1] = ord("0")
+    keep = np.zeros((len(_LAYOUTS), 17, _CELL), bool)
+    runs = []
+    for i, layout in enumerate(_LAYOUTS):
+        cells[i, 1:1 + len(layout)] = np.frombuffer(layout.encode(), np.uint8)
+        keep[i, :, 1:1 + len(layout)] = True
+        runs.append([])
+        for part in re.finditer("d+", layout):
+            first = runs[-1][-1][2] if runs[-1] else 0
+            runs[-1].append((1 + part.start(), first, first + len(part[0])))
+        point = layout.find(".")
+        if point >= 0:
+            fraction = 1 + point + np.flatnonzero(np.array(list(layout[point:])) == "d")
+            # the j-th of m fraction digits is dropped when at least m - j zeros trail
+            dropped = np.arange(17)[:, None] >= fraction.size - np.arange(fraction.size)
+            keep[i, :, fraction] = ~dropped.T
+            keep[i, dropped.all(axis=1), 1 + point] = False
+    keep = np.concatenate([keep.reshape(-1, _CELL), [np.arange(_CELL) == 1]])
+    keep[:, -1] = True
+    return SimpleNamespace(
+        powers=np.stack([hi, lo, head, hi - head]),
+        layout_of=np.where(fixed, exponents + 4, 21 + (np.abs(exponents) >= 100)),
+        digits=digits.astype(np.uint8).view("<u4")[:, 0],
+        zeros=sum(g % 10 ** j == 0 for j in range(1, 5)),
+        cells=cells, runs=runs, keep=keep)
+
+
+def _scale(x, e):
+    """``x * 10**(16 - e)`` as a double-double hi + lo with ``|lo| <= ulp(hi)/2``:
+    Dekker's exact product of x and hi of the power, plus x times its lo."""
+    hi_p, lo_p, head_p, tail_p = np.take(_tables().powers, 16 - _K_MIN - e, axis=1)
+    hi = x * hi_p
+    split = _SPLIT * x
+    head = split - (split - x)
+    tail = x - head
+    lo = ((head * head_p - hi) + head * tail_p + tail * head_p) + tail * tail_p + x * lo_p
+    total = hi + lo
+    return total, lo - (total - hi)
+
+
+def _decimal(x):
+    """For positive ``x`` in [1e-250, 1e290]: the 17-digit integer n in
+    [10**16, 10**17) and exponent e such that n * 10**(e - 16) is ``x``
+    rounded to 17 significant digits, and where that rounding is undecided
+    here: the fraction dropped lies within :data:`_MARGIN` of 1/2 (exact ties
+    round half to even in ``'%.17g'``)."""
+    e = np.floor(np.log10(x)).astype(np.int64)
+    hi, lo = _scale(x, e)
+    while True:  # log10 is one off next to a power of ten
+        # hi - 1e16 and hi - 1e17 are exact where the sign of the sum is close
+        above = (hi - 1e17) + lo >= -_MARGIN
+        moved = np.flatnonzero(above | ((hi - 1e16) + lo < -_MARGIN))
+        if not moved.size:
+            break
+        e[moved] += np.where(above[moved], 1, -1)
+        hi[moved], lo[moved] = _scale(x[moved], e[moved])
+    whole = np.floor(lo)
+    fraction = lo - whole
+    n = hi.astype(np.int64) + whole.astype(np.int64) + (fraction > 0.5)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    return n, e + carry, np.abs(fraction - 0.5) < _MARGIN
+
+
+def _digits(n):
+    """The 17 ASCII digits of each integer of ``n`` in [10**16, 10**17), as
+    an (n.size, 17) uint8 view, and the count of its trailing zeros."""
+    tables = _tables()
+    high, low = np.divmod(n, 10 ** 8)  # the rest in doubles, exact below 2**53
+    high, low = high.astype(float), low.astype(float)
+    lead = np.floor(high / 1e8)
+    high -= lead * 1e8
+    groups = [np.floor(high / 1e4), None, np.floor(low / 1e4), None]
+    groups[1], groups[3] = high - groups[0] * 1e4, low - groups[2] * 1e4
+    groups = [group.astype(np.intp) for group in groups]
+    words = np.empty((n.size, 5), "<u4")
+    words[:, 0] = (lead.astype(np.uint32) + ord("0")) << 24
+    for j, group in enumerate(groups, 1):
+        words[:, j] = tables.digits[group]
+    count = tables.zeros[groups[3]]
+    for j, group in enumerate(groups[2::-1], 1):
+        count += (count == 4 * j) * tables.zeros[group]
+    return words.view(np.uint8)[:, 3:], count
+
+
+def _layout(x):
+    """Cells of the positive ``x`` (each in [1e-250, 1e290]), sorted by layout
+    so that each layout's digits are written by slices: the permutation that
+    sorts ``x``; the cells in that order, then the zero cell; their keys in
+    the keep table; and whether :func:`_decimal` left their rounding
+    undecided."""
+    tables = _tables()
+    n, e, undecided = _decimal(x)
+    layout = np.take(tables.layout_of, e - (16 - _K_MAX))
+    # integers stay int64 but for the sort's radix key: with uint8 and int16
+    # arithmetic and searchsorted, a verify run peaked about 0.4 MB higher
+    # (its peak, in the oracle, comes after the export)
+    order = np.argsort(layout.astype(np.uint8), kind="stable")
+    n, e, layout = n[order], e[order], layout[order]
+    digits, zeros = _digits(n)
+    built = np.empty((x.size + 1, _CELL), np.uint8)
+    built[-1] = tables.cells[-1]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(layout, minlength=len(_LAYOUTS)))])
+    for i in np.flatnonzero(np.diff(bounds)):
+        rows = slice(bounds[i], bounds[i + 1])
+        block = built[rows]
+        block[:] = tables.cells[i]
+        for at, first, end in tables.runs[i]:
+            block[:, at:at + end - first] = digits[rows, first:end]
+        width = _LAYOUTS[i].count("x")
+        if width:
+            block[e[rows] < 0, 20] = ord("-")
+            block[:, 21:21 + width] = (
+                tables.digits[np.abs(e[rows])].view(np.uint8).reshape(-1, 4)[:, 4 - width:])
+    return order, built, 17 * layout + zeros, undecided[order]
+
+
+def _encode(table):
+    """The CSV bytes of the rows of the 2-d float ``table``: each value as
+    ``'%.17g' % v``, a ',' after each but the last of a row and a newline
+    after that.
+
+    Each value gets a cell of :data:`_CELL` bytes, and one boolean mask then
+    drops the bytes no value uses.  A zero's cell is '0'.  Every other
+    value in [1e-250, 1e290] is rounded by :func:`_decimal` and laid out by
+    :func:`_layout`, by numpy operations on all of them at once.  Values
+    outside that range, infinities, NaN and the values whose rounding is
+    undecided are formatted by ``'%.17g'`` itself into their cells."""
+    tables = _tables()
+    rows, cols = table.shape
+    v = table.ravel()
+    magnitude = np.abs(v)
+    in_range = (magnitude >= 1e-250) & (magnitude <= 1e290)
+    main = np.flatnonzero(in_range)
+    fallback = np.flatnonzero(~in_range & (magnitude != 0))
+    source = np.full(v.size, main.size)  # the zero cell, last of ``built``
+    key = np.full(v.size, _ZERO)
+    built = tables.cells[-1:]
+    if main.size:
+        order, built, keys, undecided = _layout(magnitude[main])
+        main = main[order]
+        source[main] = np.arange(main.size)
+        key[main] = keys
+        fallback = np.concatenate([fallback, main[undecided]])
+    out = np.take(built.view(f"V{_CELL}")[:, 0], source).view(np.uint8).reshape(-1, _CELL)
+    mask = np.take(tables.keep.view(f"V{_CELL}")[:, 0], key).view(bool).reshape(-1, _CELL)
+    mask[:, 0] = np.signbit(v)
+    out.reshape(rows, cols, _CELL)[:, -1, -1] = ord("\n")
+    for i in fallback.tolist():
+        text = b"%.17g" % v[i]
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+        mask[i, :-1] = np.arange(_CELL - 1) < len(text)
+    return out[mask]
+
+
 def write_csv(path, columns, t: np.ndarray, values: np.ndarray) -> None:
     """Write to ``path`` a header of ``columns`` names, then one row per
     sample: ``t[k]`` followed by ``values[k]`` (a 1-d ``values`` is one
-    column), each at 17 significant digits (``%.17g``, the bytes of
-    ``format(v, '.17g')``), formatted and written one row at a time, never
-    as one whole-file string or a stacked copy of the table."""
+    column), each value as the bytes of Python's ``'%.17g' % v``.
+
+    The rows are formatted in chunks of about :data:`CSV_CHUNK_VALUES`
+    values, never as one whole-file string or a stacked copy of the table,
+    by :func:`_encode`."""
     if values.ndim == 1:
         values = values[:, None]
-    line = ",".join(["%.17g"] * (1 + values.shape[1])) + "\n"
+    if len(t) != len(values):
+        raise ValueError(f"{len(t)} times for {len(values)} rows")
+    rows = max(1, CSV_CHUNK_VALUES // (1 + values.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for t_k, row in zip(t.tolist(), values, strict=True):
-            fh.write(line % (t_k, *row.tolist()))
+        for start in range(0, len(t), rows):
+            chunk = np.column_stack([t[start:start + rows], values[start:start + rows]])
+            fh.write(str(_encode(chunk).data, "ascii"))

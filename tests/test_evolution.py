@@ -525,7 +525,7 @@ class TestParallelExport:
         assert zero == {"theta_big", "q", "theta", "eta"}
         heavy = {"v", "sigma", "u", "epsilon"}
         assert len(shares) == 2 and sorted(i for s in shares for i in s) == list(range(len(jobs)))
-        # the all-zero tables still cost a quarter of a nonzero one: two go to each share
+        # the all-zero tables still cost half a nonzero one: two go to each share
         assert [len(heavy & {names[i] for i in share}) for share in shares] == [2, 2]
         assert [len(zero & {names[i] for i in share}) for share in shares] == [2, 2]
 

@@ -1,10 +1,14 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import (WindowDecayError, apply_symbol_fl, make_probe, random_smooth,
                       weighted_norm_whole)
 from thermoevo import RationalMatrixFunction, WeightedSignal, antiderivative, weighted_norm
-from thermoevo.signals import CHUNK_VALUES, map_row_chunks, row_peaks, write_csv
+from thermoevo.signals import (CHUNK_VALUES, CSV_CHUNK_VALUES, map_row_chunks, row_peaks,
+                               write_csv)
 from thermoevo.errors import InputError, PoleProximityError
 
 
@@ -32,6 +36,49 @@ def per_value_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def assert_bytes_match(tmp_path, values):
+    """Write ``values`` (a 1-d one is one column) under a time column and
+    compare the file byte for byte with the per-value writer, with every
+    floating-point error raising."""
+    t = np.arange(len(values)) * 2.0 ** -10
+    rows = np.column_stack([t, values])
+    columns = ["t"] + [f"x_{i}" for i in range(rows.shape[1] - 1)]
+    with np.errstate(all="raise"):
+        write_csv(tmp_path / "out.csv", columns, t, values)
+    expected = per_value_csv(",".join(columns), rows).replace("\n", os.linesep)
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
+def ulps_around(values, steps=3):
+    """``values`` and the doubles 1 to ``steps`` ulp either side of each."""
+    out = [values]
+    down = up = values
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
+#: value families where a formatter is likely to slip, each as a 1-d array
+CSV_FAMILIES = {
+    # exact ties at 17 digits: '%.17g' rounds half to even
+    "ties": lambda: 12345678 + np.arange(-4096, 4096) / 1024,
+    "powers_of_ten": lambda: ulps_around(np.array([float(f"1e{k}") for k in range(-323, 309)])),
+    "near_2_53": lambda: ulps_around(2.0 ** 53 + np.arange(-64.0, 64.0)),
+    # the switch between fixed and scientific notation
+    "notation_switch": lambda: ulps_around(np.array([1e-5, 1e-4, 1e16, 1e17]), steps=40),
+    # each of the 2048 exponent fields, subnormals, infinities and NaN included
+    "every_exponent": lambda: (np.arange(2048, dtype=np.uint64).repeat(4) << np.uint64(52) | (
+        np.random.default_rng(53).integers(0, 2 ** 52, 8192, dtype=np.uint64))).view(float),
+    "three_digit_exponents": lambda: ulps_around(
+        np.ldexp(1.0, np.arange(-1022, 1024, 7)) * 1.2345678901234567),
+}
+
+#: +-0, +-inf, quiet and signalling NaN, the smallest and largest subnormal
+#: and the smallest and largest normal double
+SPECIAL_BITS = [0, 1 << 63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48, 0x7FF0_0000_0000_0001,
+                1, 0x000F_FFFF_FFFF_FFFF, 0x0010 << 48, 0x7FEF_FFFF_FFFF_FFFF]
+
 EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, 1e-300,
                -1e300, 0.1, 1.0 / 3.0, 2.0 ** -1074 * 3, np.finfo(float).max]
 
@@ -46,6 +93,53 @@ class TestCsvWriter:
         write_csv(tmp_path / "out.csv", columns, rows[:, 0], rows[:, 1:])
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") == \
             per_value_csv(",".join(columns), rows)
+
+    @pytest.mark.parametrize("family", sorted(CSV_FAMILIES))
+    def test_families_match_per_value_format(self, family, tmp_path):
+        values = CSV_FAMILIES[family]()
+        values = np.concatenate([values, -values, np.zeros(-2 * values.size % 3)]).reshape(-1, 3)
+        assert_bytes_match(tmp_path, values)
+
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
+    @pytest.mark.parametrize("columns", [3, None], ids=["table", "energy"])
+    def test_chunk_edges(self, columns, extra, rng, tmp_path):
+        # None: one row; else the rows of one chunk and one less or one more
+        per_chunk = CSV_CHUNK_VALUES // (1 + (columns or 1))
+        n_rows = 1 if extra is None else per_chunk + extra
+        shape = (n_rows,) if columns is None else (n_rows, columns)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 20, shape)
+        values.flat[::5] = 0.0
+        assert_bytes_match(tmp_path, values)
+
+    def test_any_bit_pattern(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        # sign, exponent and mantissa fields drawn apart, so that every exponent is likely
+        fields = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+                           st.integers(0, 1), st.integers(0, 2047), st.integers(0, 2 ** 52 - 1))
+        patterns = st.one_of(fields, st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS))
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(bits=st.lists(patterns, min_size=1, max_size=200), columns=st.integers(1, 4))
+        def check(bits, columns):
+            values = np.array(bits + [0] * (-len(bits) % columns), np.uint64).view(float)
+            assert_bytes_match(tmp_path, values.reshape(-1, columns))
+
+        check()
+
+    def test_memory_does_not_grow_with_the_table(self, rng, tmp_path):
+        # 2049 x 511, about 8 MB: only a chunk's temporaries (about 0.7 MB) at once
+        values = rng.standard_normal((2049, 511))
+        t = np.arange(2049) * 2.0 ** -10
+        columns = ["t"] + [f"x_{i}" for i in range(511)]
+        write_csv(tmp_path / "warm.csv", columns, t[:2], values[:2])
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "out.csv", columns, t, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 8
 
 
 class TestWeightedNorm:
