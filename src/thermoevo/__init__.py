@@ -26,7 +26,7 @@ from .evolution import (
     solve,
     step_implicit,
 )
-from .forcing import assemble_forcing, time_grid
+from .forcing import Forcing, assemble_forcing, time_grid
 from .models import (
     CellLaw,
     MaterialLaw,

@@ -244,9 +244,9 @@ def _emit(path: Path, text: str, written: list) -> None:
 
 def _check_size(law, grid: Grid1D, n_steps: int) -> None:
     """Refuse a run whose arrays would not fit in physical memory, before any
-    of them is allocated: per time step, the forcing, the states and the
-    derived export fields hold about ``n_dof`` values each, and the memory
-    states at most one per denominator degree of their law and owner."""
+    of them is allocated: per time step, the states and the derived export
+    fields count ``3 n_dof`` values (the factored forcing is not counted), and
+    the memory states at most one per denominator degree of their law and owner."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):  # a platform without these
@@ -406,6 +406,8 @@ def _verify(config, problem, report, trajectory, written, stream) -> int:
     payload, failures = {}, []
     for name, check in _CHECKS:
         payload[name], lines = check(config, problem, report, trajectory)
+        if lines:
+            payload[name]["status"] = "failed"
         failures += lines
     payload.update(tolerances=config.tolerances, failures=failures)
     _emit(config.output / "verify.json", _json.dumps(payload), written)

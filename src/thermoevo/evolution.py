@@ -22,15 +22,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
 from . import _lapack
 from .errors import ArtifactWriteError, InputError, SingularSystemError
+from .forcing import Forcing
 from .models import MaterialLaw, compute_entropy, recover_theta
 from .rational import realize_state_space
-from .signals import WeightedSignal, map_row_chunks, row_peaks, weighted_norm, write_csv
+from .signals import (CHUNK_VALUES, WeightedSignal, _tables, map_row_chunks, row_peaks,
+                      weighted_norm, write_csv)
 from .spatial import DiscreteSpatialOperator
 from .wellposed import WellPosednessReport, check_symbol_boundary
 
@@ -85,14 +88,14 @@ class _AuxChain:
 class EvolutionProblem:
     """Material law, spatial operator, forcing and scheme for one run.
 
-    The forcing signal spans all block unknowns (components ordered v,
-    sigma, theta_big, q) on a uniform grid starting at t = 0; its weight is
-    the run weight used for all norm accounting.
+    The forcing's profiles span all block unknowns (components ordered v,
+    sigma, theta_big, q); its amplitudes' uniform grid, starting at t = 0, is
+    the run's, and their weight the run weight used for all norm accounting.
     """
 
     law: MaterialLaw
     op: DiscreteSpatialOperator
-    forcing: WeightedSignal
+    forcing: Forcing
     scheme: str = BACKWARD_EULER
 
     def __post_init__(self):
@@ -100,12 +103,12 @@ class EvolutionProblem:
             raise InputError(f"unknown scheme '{self.scheme}'")
         if not self.law.is_scalar:
             raise InputError("time integration requires scalar material blocks")
-        if self.forcing.n_components != self.op.n_dof:
+        if self.forcing.profiles.shape[1] != self.op.n_dof:
             raise InputError(
-                f"forcing has {self.forcing.n_components} components, "
+                f"forcing has {self.forcing.profiles.shape[1]} components, "
                 f"operator has {self.op.n_dof} unknowns"
             )
-        if abs(self.forcing.t_min) > 0:
+        if self.forcing.amplitudes.t[0] != 0:
             raise InputError("the time grid must start at t = 0 (zero history)")
         n = self.op.grid.n_cells
         if self.law.n_cells not in (1, n):
@@ -120,11 +123,11 @@ class EvolutionProblem:
 
     @property
     def dt(self) -> float:
-        return self.forcing.dt
+        return self.forcing.amplitudes.dt
 
     @property
     def rho(self) -> float:
-        return self.forcing.rho
+        return self.forcing.amplitudes.rho
 
     @property
     def theta(self) -> float:
@@ -133,7 +136,7 @@ class EvolutionProblem:
 
     @property
     def n_steps(self) -> int:
-        return self.forcing.t.size - 1
+        return self.forcing.amplitudes.t.size - 1
 
     # -- assembled pieces ---------------------------------------------------
 
@@ -271,7 +274,7 @@ class _ImplicitStepper:
     state a step starts from, and ``rhs_work`` the right-hand side, which
     the solve overwrites with the new state; so a stepper takes one step at
     a time, never two at once from different threads.  :meth:`advance` works
-    in cell order; :meth:`step` takes and returns block order.
+    in cell order.
     """
 
     def __init__(self, problem: EvolutionProblem):
@@ -322,20 +325,14 @@ class _ImplicitStepper:
             mixed = self.theta * mixed + (1.0 - self.theta) * u_n[self.owner]
         return u_next, self.aux_decay * (self.aux_grow * x_n + self.aux_in * mixed)
 
-    def step(self, u_n, x_n, f_next, f_n):
-        perm = self.perm
-        u_next, x_next = self.advance(u_n[perm], x_n, f_next[perm], f_n[perm])
-        return u_next[self.inv], x_next
 
-
-def step_implicit(problem: EvolutionProblem, u_n, x_n, f_next, f_n=None):
-    """Advance one implicit step; the factorization is cached on the problem.
-    Backward Euler may omit ``f_n``, the trapezoidal rule needs it."""
-    if f_n is None:
-        if problem.theta != 1.0:
-            raise InputError("trapezoidal stepping needs the forcing at both ends")
-        f_n = f_next
-    return problem._stepper.step(*(np.asarray(a, dtype=float) for a in (u_n, x_n, f_next, f_n)))
+def step_implicit(problem: EvolutionProblem, u_n, x_n, f_next, f_n):
+    """Advance one implicit step in block order from the forcing at both ends
+    (backward Euler does not read ``f_n``); the factorization is cached."""
+    stepper = problem._stepper
+    u_n, f_next, f_n = (np.asarray(a, dtype=float)[stepper.perm] for a in (u_n, f_next, f_n))
+    u_next, x_next = stepper.advance(u_n, np.asarray(x_n, dtype=float), f_next, f_n)
+    return u_next[stepper.inv], x_next
 
 
 @dataclass(frozen=True)
@@ -348,7 +345,7 @@ class Trajectory:
 
     @property
     def t(self) -> np.ndarray:
-        return self.problem.forcing.t
+        return self.problem.forcing.amplitudes.t
 
     def block(self, name: str) -> WeightedSignal:
         sl = self.problem.op.block_slices()[FIELD_BLOCKS.index(name)]
@@ -386,14 +383,10 @@ class Trajectory:
             WeightedSignal(self.t, q_nodes, rho),
         )
 
-    def space_time_norm(self, name: str = None) -> float:
-        """Weighted space-time norm (h-weighted in space) of a block or of all."""
-        h = self.problem.op.grid.h
-        if name is None:
-            sig = WeightedSignal(self.t, self.states, self.problem.rho)
-        else:
-            sig = self.block(name)
-        return float(np.sqrt(h) * weighted_norm(sig))
+    def space_time_norm(self) -> float:
+        """Weighted space-time norm (h-weighted in space) of the states."""
+        sig = WeightedSignal(self.t, self.states, self.problem.rho)
+        return float(np.sqrt(self.problem.op.grid.h) * weighted_norm(sig))
 
     def export_csv(self, directory) -> list:
         """One CSV per field (primary and derived) plus the energy series.
@@ -458,6 +451,7 @@ def _write_shares(t, jobs, shares) -> None:
     """Write the ``jobs`` of ``shares[0]`` here and each other share in a
     forked writer; return, or raise the first writer's failure, only after
     every writer has been reaped."""
+    _tables()  # the CSV encoder's tables, built here once for every writer to inherit
     local = list(shares[0])
     writers = []  # (pid, read end of the pipe carrying its failure, its share)
     try:
@@ -503,27 +497,28 @@ def _reap(pid: int, read_end: int, paths) -> str:
 def solve(problem: EvolutionProblem) -> Trajectory:
     """March the implicit scheme from zero initial data over the grid.
 
-    The march runs in cell order; each step is stored in block order.  A
-    march whose state overflows raises :class:`InputError` naming the first
-    step that is not finite."""
-    n_t = problem.forcing.t.size
+    The march runs in cell order on forcing rows ``a[chunk] @ P[:, perm]``; each
+    step is stored in block order.  A march whose state overflows raises
+    :class:`InputError` naming the first step that is not finite."""
+    t = problem.forcing.amplitudes.t
     stepper = problem._stepper
     perm = stepper.perm
-    states = np.zeros((n_t, problem.op.n_dof))
-    aux = np.zeros((n_t, problem.aux_chain.n_aux))
-    f = problem.forcing.samples
+    states = np.zeros((t.size, problem.op.n_dof))
+    aux = np.zeros((t.size, problem.aux_chain.n_aux))
+    amplitudes, profiles = problem.forcing.amplitudes.samples, problem.forcing.profiles[:, perm]
+    chunk = max(1, CHUNK_VALUES // perm.size)
+    forcing = (f for start in range(0, t.size, chunk)
+               for f in amplitudes[start:start + chunk] @ profiles)
     u = states[0][perm]
     x = aux[0]
-    f_next = f[0][perm]
-    for k in range(n_t - 1):
-        f_n, f_next = f_next, f[k + 1][perm]
+    for k, (f_n, f_next) in enumerate(pairwise(forcing)):
         u, x = stepper.advance(u, x, f_next, f_n)
         states[k + 1] = u[stepper.inv]
         aux[k + 1] = x
     if not (np.isfinite(states.max()) and np.isfinite(states.min())):
         k = int(np.argmin(np.all(np.isfinite(states), axis=1)))
         raise InputError(f"the march overflows: the state is not finite from step {k} "
-                         f"(t = {problem.forcing.t[k]:g})")
+                         f"(t = {t[k]:g})")
     return Trajectory(problem, states, aux)
 
 
@@ -555,15 +550,6 @@ def energy_functional(trajectory: Trajectory) -> np.ndarray:
     return problem.op.grid.h * map_row_chunks(trajectory.states, energy)
 
 
-def _trajectory_of(problem: EvolutionProblem, trajectory: Trajectory = None) -> Trajectory:
-    """The given trajectory, which must belong to ``problem``, or a new march."""
-    if trajectory is None:
-        return solve(problem)
-    if trajectory.problem is not problem:
-        raise InputError("trajectory does not belong to the problem")
-    return trajectory
-
-
 @dataclass(frozen=True)
 class CausalityResult:
     leakage: float
@@ -572,17 +558,17 @@ class CausalityResult:
 
 
 def causality_test(problem: EvolutionProblem, t0: float,
-                   trajectory: Trajectory = None) -> CausalityResult:
-    """Pre-support leakage ratio of the marched solution.
+                   trajectory: Trajectory) -> CausalityResult:
+    """Pre-support leakage ratio of the marched ``trajectory`` of ``problem``.
 
     Requires the forcing to vanish for t < t0 with t0 strictly inside the
     window; when the forcing support touches the window start the check is
-    skipped with a diagnostic instead of reporting a meaningless ratio.
-    A given ``trajectory`` of ``problem`` is used instead of marching again.
+    skipped with a diagnostic instead of reporting a meaningless ratio.  The
+    support is where an amplitude of a nonzero profile is nonzero.
     """
-    t = problem.forcing.t
-    f = problem.forcing.samples
-    active = np.flatnonzero(np.any(f != 0.0, axis=1))
+    t = problem.forcing.amplitudes.t
+    forced = np.any(problem.forcing.profiles != 0.0, axis=1)
+    active = np.flatnonzero(np.any(problem.forcing.amplitudes.samples[:, forced] != 0.0, axis=1))
     if active.size == 0:
         return CausalityResult(0.0)
     t_first = float(t[active[0]])
@@ -592,7 +578,8 @@ def causality_test(problem: EvolutionProblem, t0: float,
     if t_first < t0:
         return CausalityResult(float("nan"), skipped=True,
                                reason=f"forcing is nonzero before t0={t0:g}")
-    trajectory = _trajectory_of(problem, trajectory)
+    if trajectory.problem is not problem:
+        raise InputError("trajectory does not belong to the problem")
     magnitude = row_peaks(trajectory.states)
     peak = float(np.max(magnitude))
     if peak == 0.0:
@@ -627,16 +614,17 @@ class BoundCheckResult:
 def solution_bound_check(
     problem: EvolutionProblem,
     report: WellPosednessReport,
-    trajectory: Trajectory = None,
+    trajectory: Trajectory,
 ) -> BoundCheckResult:
-    """A-priori bound check: solution norm against forcing norm over c.
+    """A-priori bound check: norm of ``trajectory`` against forcing norm over c.
 
     The constant is the infimum of the Hermitian part of the weighted
     symbol over Re s >= rho, taken on the line Re s = rho at the run weight
     (:func:`~thermoevo.wellposed.check_symbol_boundary`), the quantity the
     solution theory inverts.  The weighted tail of the solution at the
-    window end over its peak is reported as ``tail_ratio``.  Both norms and
-    the weighted envelope ``exp(-rho t) max |u(t)|`` are taken in row chunks
+    window end over its peak is reported as ``tail_ratio``.  The forcing norm
+    is ``||a R^T||_rho`` with ``P^T = Q R``; the solution norm and the weighted
+    envelope ``exp(-rho t) max |u(t)|`` are taken in row chunks
     (:func:`~thermoevo.signals.map_row_chunks`): the check adds no temporary
     the size of the trajectory.
     """
@@ -646,7 +634,8 @@ def solution_bound_check(
         raise InputError(
             f"run weight rho={problem.rho:g} below certified rho_min={report.rho_min:g}"
         )
-    trajectory = _trajectory_of(problem, trajectory)
+    if trajectory.problem is not problem:
+        raise InputError("trajectory does not belong to the problem")
     c_used, _ = check_symbol_boundary(problem.law, problem.rho)
     if c_used <= 0:
         raise InputError(
@@ -655,7 +644,8 @@ def solution_bound_check(
 
     h = problem.op.grid.h
     lhs = trajectory.space_time_norm()
-    rhs = float(np.sqrt(h) * weighted_norm(problem.forcing)) / c_used
+    a, r = problem.forcing.amplitudes, np.linalg.qr(problem.forcing.profiles.T, mode="r")
+    rhs = float(np.sqrt(h) * weighted_norm(a.with_samples(a.samples @ r.T))) / c_used
 
     # max |c u_k| = c max |u_k| to the bit for c > 0: rounding is monotone
     envelope = np.exp(-problem.rho * trajectory.t) * row_peaks(trajectory.states)

@@ -1,12 +1,14 @@
 """Parameterized forcing library for simulation runs.
 
-Two time profiles (a Gaussian pulse and a delayed unit step) combined with
-two spatial profiles over the interior nodes (a smooth bump or a single
-discrete mode), targeting either the momentum block ("f") or the heat
-block ("h").
+A :class:`Forcing` is r amplitude columns times r spatial profiles.  The
+library builds one of two amplitudes (a Gaussian pulse or a delayed unit
+step) times one spatial profile over the interior nodes (a smooth bump or a
+single discrete mode), in the momentum block ("f") or the heat block ("h").
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,13 +17,37 @@ from .signals import WeightedSignal
 from .spatial import DiscreteSpatialOperator, node_modes
 
 __all__ = [
+    "Forcing",
     "gaussian_pulse",
-    "delayed_step",
     "spatial_profile",
     "assemble_forcing",
     "step_count",
     "time_grid",
 ]
+
+
+@dataclass(frozen=True)
+class Forcing:
+    """The source ``F(t) = a(t) P``: the r columns of ``amplitudes`` a(t), on
+    the run's time grid and weight, times the r rows of ``profiles`` P, shape
+    ``(r, n_dof)``.  A sampled field is the identity's rows times its samples:
+    ``Forcing(WeightedSignal(t, f, rho), np.eye(n_dof))``."""
+
+    amplitudes: WeightedSignal
+    profiles: np.ndarray
+
+    def __post_init__(self):
+        profiles = np.array(self.profiles, dtype=float)
+        r = self.amplitudes.n_components
+        if profiles.ndim != 2 or profiles.shape[0] != r or not np.all(np.isfinite(profiles)):
+            raise InputError(f"profiles must be a finite array of {r} rows, got {profiles.shape}")
+        profiles.flags.writeable = False
+        object.__setattr__(self, "profiles", profiles)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The dense ``(n_t, n_dof)`` field a(t) P, built anew on each access."""
+        return self.amplitudes.samples @ self.profiles
 
 
 def step_count(t_max: float, dt: float) -> int:
@@ -56,10 +82,6 @@ def gaussian_pulse(t: np.ndarray, center: float, width: float) -> np.ndarray:
         return np.exp(-(offset ** 2))
 
 
-def delayed_step(t: np.ndarray, delay: float) -> np.ndarray:
-    return (t >= delay).astype(float)
-
-
 def spatial_profile(op: DiscreteSpatialOperator, name: str) -> np.ndarray:
     """Interior-node profile: 'bump' or 'mode_<k>' (k-th discrete mode)."""
     grid = op.grid
@@ -88,8 +110,8 @@ def assemble_forcing(
     center: float = None,
     width: float = None,
     delay: float = None,
-) -> WeightedSignal:
-    """Forcing signal over the full block unknowns (v, sigma, theta, q)."""
+) -> Forcing:
+    """One amplitude column times one profile over the block unknowns."""
     if kind == "gaussian_pulse":
         if center is None or width is None:
             raise InputError("gaussian_pulse needs 'center' and 'width'")
@@ -101,17 +123,13 @@ def assemble_forcing(
             raise InputError("delayed_step needs 'delay'")
         if center is not None or width is not None:
             raise InputError("delayed_step takes only 'delay'")
-        amplitude = delayed_step(t, delay)
+        amplitude = (t >= delay).astype(float)
     else:
         raise InputError(f"unknown forcing kind '{kind}'")
 
     space = spatial_profile(op, profile)
-    samples = np.zeros((t.size, op.n_dof))
-    slices = op.block_slices()
-    if block == "f":
-        samples[:, slices[0]] = amplitude[:, None] * space[None, :]
-    elif block == "h":
-        samples[:, slices[2]] = amplitude[:, None] * space[None, :]
-    else:
+    if block not in ("f", "h"):
         raise InputError(f"forcing block must be 'f' or 'h', got '{block}'")
-    return WeightedSignal(t, samples, rho)
+    profiles = np.zeros((1, op.n_dof))
+    profiles[0, op.block_slices()[0 if block == "f" else 2]] = space
+    return Forcing(WeightedSignal(t, amplitude, rho), profiles)

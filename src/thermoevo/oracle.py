@@ -6,18 +6,19 @@ for laws whose instantaneous block does not couple unknowns across the two
 staggered location sets (no thermoelastic coupling, no flux-temperature
 coupling), the semidiscrete system splits into one small dense system per
 mode, and the modes differ only by their wavenumber.  The source enters
-the balance equations alone (forcing on the sigma or q rows is rejected),
-so only the v and theta mode coefficients of the forcing are interpolated
-in time, by the not-a-knot cubic spline built in this module with one
-tridiagonal ``gtsv`` solve.  Every mode takes one exponential step per marching
-step that integrates that cubic exactly (phi-function weights on the
-spline's polynomial coefficients, all modes from one batched ``expm``), so
-the reference is exact in time up to round-off for its interpolant while
-sharing the spatial discretization exactly.  Without couplings the
+the balance equations alone (profiles with sigma or q entries are rejected),
+so each profile enters through its v and theta mode coefficients; only
+the forcing's amplitudes are interpolated in time, by the not-a-knot cubic
+spline built in this module with one tridiagonal ``gtsv`` solve.  Every
+mode takes one exponential step per marching step that integrates that
+cubic exactly (phi-function weights on the spline's polynomial
+coefficients, all modes from one batched ``expm``), so the reference is
+exact in time up to round-off for its interpolant while sharing the
+spatial discretization exactly.  Without couplings the
 instantaneous block M(0) = diag(rho0, 1/C, nu, a0) is diagonal; its
 vanishing entries mark the index-1 algebraic rows, whose elimination (one
 stacked inverse over the modes) is folded into the phi weights; they are
-recovered from the same two forcing columns.
+recovered from the same mode coefficients of the forcing.
 """
 
 from __future__ import annotations
@@ -36,23 +37,7 @@ from .rational import realize_state_space
 from .signals import WeightedSignal, weighted_norm
 from .spatial import mode_decomposition
 
-__all__ = ["ModeSystems", "spectral_solve", "compare", "ComparisonResult"]
-
-@dataclass(frozen=True)
-class ModeSystems:
-    """Dense per-mode systems E y' + K_k y = g, stacked over the modes.
-
-    ``y`` holds the four field coefficients, then ``aux_sizes[0]``
-    temperature-damping and ``aux_sizes[1]`` flux-resistance states.  All
-    modes share ``e_matrix`` (d, d); ``k_matrix`` (n_modes, d, d) differs
-    between modes only by ``wavenumbers[k]`` times a fixed skew pattern in
-    the field block.
-    """
-
-    wavenumbers: np.ndarray
-    e_matrix: np.ndarray
-    k_matrix: np.ndarray
-    aux_sizes: tuple
+__all__ = ["spectral_solve", "compare", "ComparisonResult"]
 
 
 def _uniform_cell(problem: EvolutionProblem):
@@ -68,8 +53,11 @@ def _uniform_cell(problem: EvolutionProblem):
     return cell
 
 
-def _mode_systems(problem: EvolutionProblem, s: np.ndarray) -> ModeSystems:
-    """The dense DAE of every discrete mode of wavenumber in ``s``."""
+def _mode_systems(problem: EvolutionProblem, s: np.ndarray) -> tuple:
+    """``(e_matrix, k_matrix, aux_sizes)`` of the systems E y' + K_k y = g of the
+    modes of wavenumber in ``s``: y holds the four field coefficients, then
+    ``aux_sizes`` temperature-damping and flux-resistance states; K_k differs
+    between modes only by ``s[k]`` times a fixed skew pattern."""
     cell = _uniform_cell(problem)
     r1 = realize_state_space(cell.theta_damping)
     r2 = realize_state_space(cell.flux_resistance)
@@ -90,7 +78,7 @@ def _mode_systems(problem: EvolutionProblem, s: np.ndarray) -> ModeSystems:
     skew = np.zeros((d, d))  # the mode's difference symbol on (v, sigma) and (theta, q)
     skew[0, 1] = skew[3, 2] = 1.0
     skew[1, 0] = skew[2, 3] = -1.0
-    return ModeSystems(s, e_mat, k_mat + s[:, None, None] * skew, (p1, p2))
+    return e_mat, k_mat + s[:, None, None] * skew, (p1, p2)
 
 
 def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -135,13 +123,14 @@ def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def spectral_solve(problem: EvolutionProblem) -> Trajectory:
     """Reference trajectory by exponential integration of all modes at once.
 
-    The forcing must live in the v and theta blocks only (the canonical
-    right-hand side shape); those two per-mode coefficient columns alone are
-    interpolated in time by the not-a-knot cubic spline (one ``gtsv``
-    call, see :func:`_not_a_knot_coefficients`), which every step integrates
-    exactly.  Algebraic unknowns (null rows of the diagonal instantaneous
-    block) are eliminated by one per-mode map folded into the phi weights
-    and recovered from the same two columns after the march.  The reference
+    The profiles of nonzero amplitudes must live in the v and theta blocks
+    only (the canonical right-hand side shape); the profiles are projected
+    onto the modes once, and the amplitude columns alone are interpolated in
+    time by the not-a-knot cubic spline (one ``gtsv`` call, see
+    :func:`_not_a_knot_coefficients`), which every step integrates exactly.
+    Algebraic unknowns (null rows of the diagonal instantaneous block) are
+    eliminated by one per-mode map folded into the phi weights and recovered
+    from the amplitudes and projected profiles after the march.  The reference
     is computed with floating-point warnings off; one that is not finite
     (its systems overflow, as wavenumbers near the float range make them)
     raises :class:`OracleRejectionError`.
@@ -157,37 +146,36 @@ def _reference(problem: EvolutionProblem) -> Trajectory:
     """The trajectory of :func:`spectral_solve`, unchecked."""
     op = problem.op
     wavenumbers, node_vecs, face_vecs = mode_decomposition(op)
-    systems = _mode_systems(problem, wavenumbers)
+    e_matrix, k_matrix, (p1, p2) = _mode_systems(problem, wavenumbers)
     slices = op.block_slices()
-    f_all = problem.forcing.samples
-    if np.any(f_all[:, slices[1]] != 0.0) or np.any(f_all[:, slices[3]] != 0.0):
+    t, amplitudes = problem.forcing.amplitudes.t, problem.forcing.amplitudes.samples
+    profiles = problem.forcing.profiles
+    driven = profiles[np.any(amplitudes != 0.0, axis=0)]
+    if np.any(driven[:, slices[1]] != 0.0) or np.any(driven[:, slices[3]] != 0.0):
         raise OracleRejectionError(
             "spectral reference supports forcing in the v and theta blocks only"
         )
-
-    p1, p2 = systems.aux_sizes
     d = 4 + p1 + p2
 
-    # the v and theta mode coefficients of the forcing; unforced modes stay
-    # identically zero (zero history), so march only the modes carrying more
-    # than projection round-off
-    t = problem.forcing.t
-    forcing = np.stack((f_all[:, slices[0]] @ node_vecs,
-                        f_all[:, slices[2]] @ node_vecs), axis=-1)
-    peak = np.max(np.abs(forcing), axis=(0, 2))
+    # the v and theta mode coefficients of each profile, (r, n_modes, 2);
+    # unforced modes stay identically zero (zero history), so march only the
+    # modes whose forcing can carry more than projection round-off
+    modal = np.stack((profiles[:, slices[0]] @ node_vecs,
+                      profiles[:, slices[2]] @ node_vecs), axis=-1)
+    peak = np.max(np.abs(amplitudes), axis=0) @ np.max(np.abs(modal), axis=2)
     active = np.flatnonzero(peak > 1e-14 * np.max(peak, initial=0.0))
     n_modes = active.size
     if n_modes == 0:
         return Trajectory(problem, np.zeros((t.size, op.n_dof)),
                           np.zeros((t.size, problem.aux_chain.n_aux)))
-    forcing = forcing[:, active]
+    modal = modal[:, active]
     node_vecs = node_vecs[:, active]
     face_vecs = face_vecs[:, active]
-    k_all = systems.k_matrix[active]
+    k_all = k_matrix[active]
 
     # the uncoupled instantaneous block is diagonal, so its null rows are
     # the field unknowns with a vanishing diagonal entry (aux rows never are)
-    lam = np.diag(systems.e_matrix)
+    lam = np.diag(e_matrix)
     null = np.zeros(d, dtype=bool)
     null[:4] = lam[:4] <= SPECTRAL_CUTOFF * lam[:4].max()
     diff = ~null
@@ -217,11 +205,12 @@ def _reference(problem: EvolutionProblem) -> Trajectory:
     weights = np.stack([math.factorial(j) * h ** (j + 1) * phi @ reduce
                         for j, phi in enumerate(phis)], axis=1)
 
-    # spline_c[3 - j] holds every interval's tau^j coefficient
+    # spline_c[3 - j] holds every interval's tau^j coefficient of the
+    # amplitudes; through the projected profiles, weights_j take it to a drive
     n_t = t.size
-    spline_c = _not_a_knot_coefficients(t, forcing.reshape(n_t, -1))
-    drive = np.einsum("mjic,jkmc->kmi", weights,
-                      spline_c[::-1].reshape(4, n_t - 1, n_modes, 2))
+    spline_c = _not_a_knot_coefficients(t, amplitudes)
+    drive = np.tensordot(spline_c[::-1].transpose(1, 0, 2),
+                         np.einsum("mjic,rmc->jrmi", weights, modal), axes=2)
     w_coarse = np.zeros((n_t, n_modes, m_red_inv.size))
     for k in range(n_t - 1):
         w_coarse[k + 1] = np.einsum("mij,mj->mi", e_step, w_coarse[k]) + drive[k]
@@ -230,7 +219,8 @@ def _reference(problem: EvolutionProblem) -> Trajectory:
     y = np.empty((n_t, n_modes, d))
     y[..., diff] = w_coarse
     y[..., null] = np.einsum("mij,tmj->tmi", k_nn_inv,
-                             forcing @ inject[null].T - np.einsum("mij,tmj->tmi", k_nr, w_coarse))
+                             np.tensordot(amplitudes, modal @ inject[null].T, axes=1)
+                             - np.einsum("mij,tmj->tmi", k_nr, w_coarse))
 
     states = np.zeros((n_t, op.n_dof))
     states[:, slices[0]] = y[:, :, 0] @ node_vecs.T

@@ -76,10 +76,6 @@ class WeightedSignal:
     def n_components(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def t_min(self) -> float:
-        return float(self.t[0])
-
     def with_samples(self, samples: np.ndarray) -> "WeightedSignal":
         """Same grid and weight, new sample values."""
         return WeightedSignal(self.t, samples, self.rho)

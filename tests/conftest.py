@@ -22,6 +22,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from thermoevo import (
     BACKWARD_EULER,
+    Forcing,
     ModelFamily,
     ModelSpec,
     WeightedSignal,
@@ -84,6 +85,12 @@ def uncoupled_law(family):
 
 def negated_law(family):
     return assemble_material_law(spec_with(family, **NEGATED_COEFFS[family]))
+
+
+def sampled_forcing(t: np.ndarray, samples: np.ndarray, rho: float = 1.0) -> Forcing:
+    """The sampled field ``samples`` (one column per unknown) as a forcing:
+    the field is the amplitudes and the profiles are the identity."""
+    return Forcing(WeightedSignal(t, samples, rho), np.eye(np.shape(samples)[1]))
 
 
 def make_probe(dt: float = 5e-4, rho: float = 1.0) -> WeightedSignal:
@@ -658,7 +665,10 @@ def bound_numbers_whole(problem, trajectory, c_used: float) -> tuple:
     h = problem.op.grid.h
     lhs = float(np.sqrt(h) * weighted_norm_whole(
         WeightedSignal(trajectory.t, trajectory.states, problem.rho)))
-    rhs = float(np.sqrt(h) * weighted_norm_whole(problem.forcing)) / c_used
+    amplitudes = problem.forcing.amplitudes
+    r = np.linalg.qr(problem.forcing.profiles.T, mode="r")
+    rhs = float(np.sqrt(h) * weighted_norm_whole(
+        amplitudes.with_samples(amplitudes.samples @ r.T))) / c_used
     weighted = np.exp(-problem.rho * trajectory.t)[:, None] * trajectory.states
     envelope = np.max(np.abs(weighted), axis=1)
     return lhs, rhs, float(envelope[-1]) / float(np.max(envelope))

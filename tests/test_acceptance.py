@@ -28,6 +28,7 @@ from thermoevo import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
     EvolutionProblem,
+    Forcing,
     Grid1D,
     ModelFamily,
     ModelSpec,
@@ -193,9 +194,9 @@ def test_criterion_06_solver_vs_oracle():
             errors = []
             for stride in (4, 2, 1):
                 t = t_fine[::stride]
+                amplitudes = WeightedSignal(t, forcing_fine.amplitudes.samples[::stride], 1.0)
                 problem = EvolutionProblem(
-                    law, op, WeightedSignal(t, forcing_fine.samples[::stride], 1.0),
-                    scheme)
+                    law, op, Forcing(amplitudes, forcing_fine.profiles), scheme)
                 sub = Trajectory(problem, reference.states[::stride],
                                  reference.aux[::stride])
                 errors.append(compare(solve(problem), sub).overall)
@@ -214,8 +215,9 @@ def test_criterion_07_causality():
     op = build_operators(Grid1D(1.0, 16))
     t = time_grid(2.0, 2**-8)
     forcing = assemble_forcing(op, t, 1.0, "delayed_step", "h", "bump", delay=0.5)
-    marching = [causality_test(EvolutionProblem(law, op, forcing, scheme), 0.5)
+    problems = [EvolutionProblem(law, op, forcing, scheme)
                 for scheme in (BACKWARD_EULER, TRAPEZOIDAL)]
+    marching = [causality_test(problem, 0.5, solve(problem)) for problem in problems]
     marching_ok = all((not r.skipped) and r.leakage == 0.0 for r in marching)
 
     # frequency-domain path on the scalar relaxed flux law
@@ -250,7 +252,7 @@ def test_criterion_08_a_priori_bound():
         forcing = assemble_forcing(op, t, 4.0, "gaussian_pulse", "h", "bump",
                                    center=0.2, width=0.05)
         problem = EvolutionProblem(law, op, forcing, BACKWARD_EULER)
-        result = solution_bound_check(problem, report_wp)
+        result = solution_bound_check(problem, report_wp, solve(problem))
         margin = result.rhs * 1.05 - result.lhs
         if not (result.window_ok and margin >= 0.0):
             ok = False
@@ -270,9 +272,10 @@ def test_criterion_09_energy_laws():
     def cutoff_problem(law, scheme):
         forcing = assemble_forcing(op, t, 1.0, "gaussian_pulse", "h", "bump",
                                    center=0.25, width=0.05)
-        samples = forcing.samples.copy()
+        samples = forcing.amplitudes.samples.copy()
         samples[t > t_cut] = 0.0
-        return EvolutionProblem(law, op, WeightedSignal(t, samples, 1.0), scheme)
+        return EvolutionProblem(law, op, Forcing(WeightedSignal(t, samples, 1.0),
+                                                 forcing.profiles), scheme)
 
     gn2 = cutoff_problem(assemble_material_law(canonical_spec(ModelFamily.GREEN_NAGHDI_II)),
                          TRAPEZOIDAL)

@@ -188,6 +188,17 @@ class TestVerifyMode:
         assert run(config, stream) == 3
         assert "solver_vs_oracle" in stream.getvalue()
 
+    def test_failed_check_reads_failed(self, tmp_path):
+        payload = sim_payload(tolerances={"solver_vs_oracle": 1e-12})
+        stream = io.StringIO()
+        assert run(RunConfig.from_dict(payload, "verify", out_dir=tmp_path), stream) == 3
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["comparison"]["status"] == "failed"
+        assert report["comparison"]["overall"] > 1e-12
+        assert report["bound_check"]["status"] == "ok"
+        assert [line.split()[0] for line in report["failures"]] == ["solver_vs_oracle"]
+        assert stream.getvalue().startswith("FAIL solver_vs_oracle")
+
     def test_delayed_step_exercises_causality(self, tmp_path):
         payload = sim_payload()
         payload["forcing"] = {"kind": "delayed_step", "delay": 0.25,
@@ -336,7 +347,7 @@ class TestVerifyMode:
         payload["time"].update(t_max=0.25, rho=1.0)
         assert run(RunConfig.from_dict(payload, "verify", out_dir=tmp_path), io.StringIO()) == 3
         report = json.loads((tmp_path / "verify.json").read_text())
-        assert report["bound_check"]["status"] == "ok"
+        assert report["bound_check"]["status"] == "failed"
         assert report["bound_check"]["tail_ratio"] > 1e-6
         assert report["bound_check"]["lhs"] <= report["bound_check"]["rhs"]
         assert [line.split()[0] for line in report["failures"]] == ["a_priori_bound"]
@@ -367,7 +378,7 @@ class TestVerifyMode:
         assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
         report = json.loads((out / "verify.json").read_text())
         assert report["comparison"]["status"] == "ok"
-        assert report["bound_check"]["status"] == "ok"
+        assert report["bound_check"]["status"] == "failed"
         assert report["bound_check"]["lhs"] <= report["bound_check"]["rhs"] * 1.05
         assert len(report["failures"]) == 1
         assert report["failures"][0].startswith("a_priori_bound")

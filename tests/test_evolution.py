@@ -9,12 +9,13 @@ from scipy.sparse.linalg import splu
 from conftest import (ALL_FAMILIES, apply_symbol_fl, band_of, bandwidth, bound_numbers_whole,
                       cell_order, displacement_two_branch, from_band, leakage_whole,
                       march_two_branch, mass_matrix_lil, operators_per_cell, per_cell_law,
-                      simpson_weights, skew_operator, spec_with, two_branch_system,
-                      uncoupled_law, weighted_norm_whole)
+                      sampled_forcing, simpson_weights, skew_operator, spec_with,
+                      two_branch_system, uncoupled_law, weighted_norm_whole)
 from thermoevo import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
     EvolutionProblem,
+    Forcing,
     Grid1D,
     ModelFamily,
     ModelSpec,
@@ -32,10 +33,11 @@ from thermoevo import (
     realize_state_space,
     solution_bound_check,
     solve,
+    spectral_solve,
     step_implicit,
     time_grid,
 )
-from thermoevo import _lapack, evolution, rational
+from thermoevo import _lapack, evolution, rational, signals
 from thermoevo._integrators import exp_march_linear
 from thermoevo.errors import ArtifactWriteError, InputError, SingularSystemError
 
@@ -51,10 +53,16 @@ def pulse_problem(law, n_cells=16, dt=2**-9, t_max=1.0, rho=1.0,
 
 
 def cutoff_forcing(problem, t_cut):
-    samples = problem.forcing.samples.copy()
-    samples[problem.forcing.t > t_cut] = 0.0
-    forcing = WeightedSignal(problem.forcing.t, samples, problem.rho)
+    amplitudes = problem.forcing.amplitudes
+    samples = amplitudes.samples.copy()
+    samples[amplitudes.t > t_cut] = 0.0
+    forcing = Forcing(amplitudes.with_samples(samples), problem.forcing.profiles)
     return EvolutionProblem(problem.law, problem.op, forcing, problem.scheme)
+
+
+def rows(forcing):
+    """The forcing at each grid time, from its factors."""
+    return forcing.amplitudes.samples @ forcing.profiles
 
 
 class TestStepping:
@@ -62,7 +70,7 @@ class TestStepping:
         law = assemble_material_law(canonical_spec(ModelFamily.LORD_SHULMAN))
         op = build_operators(Grid1D(1.0, 8))
         t = time_grid(0.5, 2**-7)
-        forcing = WeightedSignal(t, np.zeros((t.size, op.n_dof)), 1.0)
+        forcing = sampled_forcing(t, np.zeros((t.size, op.n_dof)))
         for scheme in (BACKWARD_EULER, TRAPEZOIDAL):
             traj = solve(EvolutionProblem(law, op, forcing, scheme))
             assert np.all(traj.states == 0.0)
@@ -83,18 +91,14 @@ class TestStepping:
             h_fine = dt / 64.0
             prop, w0, wm, w1 = simpson_weights(flow, h_fine)
             mass_inv = np.linalg.inv(mass)
-            space = problem.forcing.samples[np.argmax(
-                np.abs(problem.forcing.samples).sum(axis=1))]
-            peak_amp = np.exp(-(((problem.forcing.t[np.argmax(
-                np.abs(problem.forcing.samples).sum(axis=1))] - 0.25) / 0.06) ** 2))
-            base = mass_inv @ (space / peak_amp)
+            base = mass_inv @ problem.forcing.profiles[0]
 
             def g(tv):
                 return np.exp(-(((tv - 0.25) / 0.06) ** 2)) * base
 
             y = np.zeros(problem.op.n_dof)
             reference = np.zeros_like(traj.states)
-            for k in range(64 * (problem.forcing.t.size - 1)):
+            for k in range(64 * problem.n_steps):
                 tk = k * h_fine
                 y = prop @ y + w0 @ g(tk) + wm @ g(tk + 0.5 * h_fine) + w1 @ g(tk + h_fine)
                 if (k + 1) % 64 == 0:
@@ -108,8 +112,8 @@ class TestStepping:
         law = assemble_material_law(canonical_spec(ModelFamily.DPL_I))
         problem = pulse_problem(law, n_cells=8, dt=2**-7, t_max=0.25)
         traj = solve(problem)
-        u1, x1 = step_implicit(problem, traj.states[0], traj.aux[0],
-                               problem.forcing.samples[1], problem.forcing.samples[0])
+        f = rows(problem.forcing)
+        u1, x1 = step_implicit(problem, traj.states[0], traj.aux[0], f[1], f[0])
         np.testing.assert_array_equal(u1, traj.states[1])
         np.testing.assert_array_equal(x1, traj.aux[1])
 
@@ -117,10 +121,12 @@ class TestStepping:
         law = uncoupled_law(ModelFamily.GREEN_NAGHDI_III)
         base = pulse_problem(law, n_cells=8, dt=2**-8, t_max=0.5)
         f1 = base.forcing
+        t, samples = f1.amplitudes.t, rows(f1)
         rng = np.random.default_rng(7)
-        f2 = WeightedSignal(f1.t, rng.standard_normal(f1.samples.shape) * 0.1, f1.rho)
+        f2 = rng.standard_normal(samples.shape) * 0.1
         alpha, beta = 2.0, -0.7
-        combo = WeightedSignal(f1.t, alpha * f1.samples + beta * f2.samples, f1.rho)
+        combo = sampled_forcing(t, alpha * samples + beta * f2)
+        f2 = sampled_forcing(t, f2)
         sol_combo = solve(EvolutionProblem(law, base.op, combo, base.scheme))
         sol_1 = solve(EvolutionProblem(law, base.op, f1, base.scheme))
         sol_2 = solve(EvolutionProblem(law, base.op, f2, base.scheme))
@@ -135,7 +141,7 @@ class TestStepping:
         for exponent in range(6, 13):
             dt = 2.0**-exponent
             t = time_grid(4 * dt, dt)
-            forcing = WeightedSignal(t, np.zeros((t.size, op.n_dof)), 1.0)
+            forcing = sampled_forcing(t, np.zeros((t.size, op.n_dof)))
             for scheme in (BACKWARD_EULER, TRAPEZOIDAL):
                 problem = EvolutionProblem(law, op, forcing, scheme)
                 problem._stepper  # factorization must succeed
@@ -216,8 +222,8 @@ class TestThetaScheme:
         problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.DPL_II)),
                                 n_cells=8, dt=2**-7, t_max=0.25)
         traj = solve(problem)
-        f = problem.forcing.samples
-        u1, x1 = step_implicit(problem, traj.states[1], traj.aux[1], f[2])
+        f = rows(problem.forcing)
+        u1, x1 = step_implicit(problem, traj.states[1], traj.aux[1], f[2], f[1])
         u2, x2 = step_implicit(problem, traj.states[1], traj.aux[1], f[2], f[2])
         np.testing.assert_array_equal(u1, u2)
         np.testing.assert_array_equal(x1, x2)
@@ -226,10 +232,12 @@ class TestThetaScheme:
     def test_trapezoidal_step_needs_previous_forcing(self):
         problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.DPL_II)),
                                 n_cells=8, dt=2**-7, t_max=0.25, scheme=TRAPEZOIDAL)
-        f = problem.forcing.samples
-        with pytest.raises(InputError, match="forcing at both ends"):
-            step_implicit(problem, np.zeros(problem.op.n_dof),
-                          np.zeros(problem.aux_chain.n_aux), f[1])
+        traj = solve(problem)
+        f = rows(problem.forcing)
+        u1, _ = step_implicit(problem, traj.states[1], traj.aux[1], f[2], f[1])
+        u2, _ = step_implicit(problem, traj.states[1], traj.aux[1], f[2], f[2])
+        np.testing.assert_array_equal(u1, traj.states[2])
+        assert not np.array_equal(u2, u1)
 
     def test_empty_aux_chain_stays_float(self):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
@@ -280,7 +288,7 @@ class TestBandedStep:
         n = problem.op.n_dof
         b = np.random.default_rng(n_cells).standard_normal(n)
         # from zero states the right-hand side is theta b + (1 - theta) b == b
-        got, _ = problem._stepper.step(np.zeros(n), np.zeros(problem.aux_chain.n_aux), b, b)
+        got, _ = step_implicit(problem, np.zeros(n), np.zeros(problem.aux_chain.n_aux), b, b)
         want = splu(sp.csc_matrix(two_branch_system(problem)[0])).solve(b)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -357,7 +365,7 @@ class TestEnergy:
             pulse_problem(law, n_cells=16, dt=2**-9, t_max=2.0, scheme=TRAPEZOIDAL),
             t_cut=0.5)
         energy = energy_functional(solve(problem))
-        start = np.searchsorted(problem.forcing.t, 0.5) + 1
+        start = np.searchsorted(problem.forcing.amplitudes.t, 0.5) + 1
         drift = np.max(np.abs(energy[start:] - energy[start])) / energy[start]
         assert drift <= 1e-10
 
@@ -369,7 +377,7 @@ class TestEnergy:
         problem = cutoff_forcing(
             pulse_problem(law, n_cells=16, dt=2**-9, t_max=2.0), t_cut=0.5)
         energy = energy_functional(solve(problem))
-        start = np.searchsorted(problem.forcing.t, 0.5) + 1
+        start = np.searchsorted(problem.forcing.amplitudes.t, 0.5) + 1
         increases = np.diff(energy[start:])
         assert np.all(increases <= 64 * np.finfo(float).eps * np.max(energy))
 
@@ -384,7 +392,7 @@ class TestEnergy:
         h = problem.op.grid.h
         m = mass_matrix_lil(problem).toarray()
         d = problem.feedthrough
-        start = np.searchsorted(problem.forcing.t, 0.3) + 1
+        start = np.searchsorted(problem.forcing.amplitudes.t, 0.3) + 1
         for k in range(start, traj.states.shape[0] - 1):
             u_next = traj.states[k + 1]
             du = u_next - traj.states[k]
@@ -396,7 +404,7 @@ class TestEnergy:
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         op = build_operators(Grid1D(1.0, 8))
         t = time_grid(0.25, 2**-7)
-        forcing = WeightedSignal(t, np.zeros((t.size, op.n_dof)), 1.0)
+        forcing = sampled_forcing(t, np.zeros((t.size, op.n_dof)))
         energy = energy_functional(solve(EvolutionProblem(law, op, forcing)))
         assert np.all(energy == 0.0)
 
@@ -422,7 +430,7 @@ class TestDerivedFields:
         law = assemble_material_law(canonical_spec(ModelFamily.GREEN_LINDSAY))
         problem = pulse_problem(law, n_cells=8, dt=2**-8, t_max=0.5)
         eta = solve(problem).entropy()
-        assert eta.samples.shape == (problem.forcing.t.size, 7)
+        assert eta.samples.shape == (problem.n_steps + 1, 7)
         assert np.all(np.isfinite(eta.samples))
 
     def test_csv_export(self, tmp_path):
@@ -547,6 +555,22 @@ class TestParallelExport:
         written = traj.export_csv(tmp_path)
         assert all(p.stat().st_size > 0 for p in written) and len(written) == 9
 
+    def test_encoder_tables_are_built_before_the_fork(self, tmp_path, monkeypatch):
+        law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
+        traj = solve(pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25))
+        built, fork = [], os.fork
+
+        def recording():
+            built.append(signals._tables.cache_info().currsize)
+            return fork()
+
+        signals._tables.cache_clear()
+        with_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", recording)
+        traj.export_csv(tmp_path)
+        assert built == [1]  # the writer inherits the tables instead of building them
+        assert_no_child_left()
+
     def test_failed_fork_writes_the_share_here(self, tmp_path, monkeypatch):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         traj = solve(pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25))
@@ -621,8 +645,7 @@ def closed_form_problem(name, n_cells, length, scheme=BACKWARD_EULER):
         law = assemble_material_law(canonical_spec(ModelFamily(name)))
     op = build_operators(Grid1D(length, n_cells))
     t = time_grid(4 * 2**-8, 2**-8)
-    return EvolutionProblem(law, op, WeightedSignal(t, np.zeros((t.size, op.n_dof)), 1.0),
-                            scheme)
+    return EvolutionProblem(law, op, sampled_forcing(t, np.zeros((t.size, op.n_dof))), scheme)
 
 
 class TestClosedForms:
@@ -665,7 +688,8 @@ class TestCausality:
         t = time_grid(2.0, 2**-8)
         forcing = assemble_forcing(op, t, 1.0, "delayed_step", "h", "bump", delay=0.5)
         for scheme in (BACKWARD_EULER, TRAPEZOIDAL):
-            result = causality_test(EvolutionProblem(law, op, forcing, scheme), 0.5)
+            problem = EvolutionProblem(law, op, forcing, scheme)
+            result = causality_test(problem, 0.5, solve(problem))
             assert not result.skipped
             assert result.leakage == 0.0
 
@@ -676,10 +700,9 @@ class TestCausality:
                                    "bump", delay=0.5)
         problem = EvolutionProblem(law, op, forcing, TRAPEZOIDAL)
         trajectory = solve(problem)
-        marched = causality_test(problem, 0.5)
         calls = []
         monkeypatch.setattr(evolution, "solve", lambda p: calls.append(p))
-        assert causality_test(problem, 0.5, trajectory) == marched
+        assert causality_test(problem, 0.5, trajectory) == evolution.CausalityResult(0.0)
         assert calls == []
         other = EvolutionProblem(law, op, forcing, TRAPEZOIDAL)
         with pytest.raises(InputError, match="does not belong"):
@@ -689,7 +712,7 @@ class TestCausality:
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         problem = pulse_problem(law, n_cells=8, dt=2**-7, t_max=0.5,
                                 center=0.1, width=0.05)
-        result = causality_test(problem, 0.1)
+        result = causality_test(problem, 0.1, solve(problem))
         assert result.skipped
         assert "window start" in result.reason
 
@@ -721,7 +744,7 @@ class TestBoundCheck:
         problem = pulse_problem(law, n_cells=32, dt=2**-9, t_max=4.0, rho=4.0,
                                 center=0.2, width=0.05)
         report = certify_wellposedness(law)
-        result = solution_bound_check(problem, report)
+        result = solution_bound_check(problem, report, solve(problem))
         assert result.window_ok
         assert result.lhs <= result.rhs * 1.05
 
@@ -731,16 +754,16 @@ class TestBoundCheck:
         law = negated_law(ModelFamily.DPL_I)
         problem = pulse_problem(law, n_cells=8, dt=2**-7, t_max=0.5)
         report = certify_wellposedness(law)
-        with pytest.raises(InputError):
-            solution_bound_check(problem, report)
+        trajectory = solve(problem)
+        with pytest.raises(InputError, match="satisfied well-posedness verdict"):
+            solution_bound_check(problem, report, trajectory)
 
     def test_zero_forcing_gives_zero_on_both_sides(self):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         op = build_operators(Grid1D(1.0, 8))
         t = time_grid(1.0, 2**-7)
-        problem = EvolutionProblem(
-            law, op, WeightedSignal(t, np.zeros((t.size, op.n_dof)), 2.0))
-        result = solution_bound_check(problem, certify_wellposedness(law))
+        problem = EvolutionProblem(law, op, sampled_forcing(t, np.zeros((t.size, op.n_dof)), 2.0))
+        result = solution_bound_check(problem, certify_wellposedness(law), solve(problem))
         assert result.lhs == 0.0 and result.rhs == 0.0
         assert result.ok
 
@@ -757,12 +780,13 @@ class TestBoundCheck:
         problem = pulse_problem(law, n_cells=8, dt=2**-8, t_max=4.0, rho=4.0,
                                 center=0.2, width=0.05)
         report = certify_wellposedness(law)
-        res1 = solution_bound_check(problem, report)
+        res1 = solution_bound_check(problem, report, solve(problem))
+        amplitudes = problem.forcing.amplitudes
         doubled = EvolutionProblem(
             law, problem.op,
-            WeightedSignal(problem.forcing.t, 2.0 * problem.forcing.samples, problem.rho),
+            Forcing(amplitudes.with_samples(2.0 * amplitudes.samples), problem.forcing.profiles),
             problem.scheme)
-        res2 = solution_bound_check(doubled, report)
+        res2 = solution_bound_check(doubled, report, solve(doubled))
         assert res2.lhs == pytest.approx(2.0 * res1.lhs, rel=1e-12)
         assert res2.rhs == pytest.approx(2.0 * res1.rhs, rel=1e-12)
 
@@ -792,9 +816,6 @@ class TestRowChunkedChecks:
         for traj in (trajectory, noisy):
             whole = WeightedSignal(traj.t, traj.states, problem.rho)
             assert traj.space_time_norm() == float(np.sqrt(h) * weighted_norm_whole(whole))
-            for name in ("sigma", "q"):  # column-sliced views of the states
-                assert traj.space_time_norm(name) == float(
-                    np.sqrt(h) * weighted_norm_whole(traj.block(name)))
 
     def test_bound_numbers_bitwise(self, chunked_run):
         problem, report, trajectory, noisy = chunked_run
@@ -824,20 +845,89 @@ class TestRowChunkedChecks:
         assert peak < 0.5 * trajectory.states.nbytes
 
 
+def dense_free_problem(scheme=BACKWARD_EULER):
+    """An uncoupled law under a delayed step on f: every check applies."""
+    law = uncoupled_law(ModelFamily.DPL_I)
+    op = build_operators(Grid1D(1.0, 16))
+    forcing = assemble_forcing(op, time_grid(0.5, 2**-8), 1.0, "delayed_step", "f", "bump",
+                               delay=0.125)
+    return EvolutionProblem(law, op, forcing, scheme)
+
+
+class TestFactoredForcing:
+    def test_assemble_forcing_holds_no_dense_array(self):
+        op = build_operators(Grid1D(1.0, 64))
+        t = time_grid(1.0, 2**-10)
+        tracemalloc.start()
+        try:
+            forcing = assemble_forcing(op, t, 1.0, "gaussian_pulse", "h", "mode_3",
+                                       center=0.1, width=0.03)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forcing.amplitudes.samples.shape == (t.size, 1)
+        assert forcing.profiles.shape == (1, op.n_dof)
+        assert peak < 0.1 * 8 * t.size * op.n_dof
+
+    def test_no_consumer_reads_the_dense_field(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the dense forcing was built")
+
+        problem = dense_free_problem()
+        monkeypatch.setattr(Forcing, "samples", property(refuse))
+        trajectory = solve(problem)
+        assert spectral_solve(problem).states.shape == trajectory.states.shape
+        assert causality_test(problem, 0.125, trajectory).leakage == 0.0
+        assert solution_bound_check(problem, certify_wellposedness(problem.law),
+                                    trajectory).ok
+
+    @pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
+    def test_identity_profiles_march_bitwise_as_factors(self, scheme):
+        problem = dense_free_problem(scheme)
+        amplitudes = problem.forcing.amplitudes
+        sampled = EvolutionProblem(problem.law, problem.op,
+                                   sampled_forcing(amplitudes.t, rows(problem.forcing)), scheme)
+        got, want = solve(sampled), solve(problem)
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.aux.tobytes() == want.aux.tobytes()
+
+    def test_forcing_norm_equals_the_dense_norm(self):
+        problem = dense_free_problem()
+        rng = np.random.default_rng(11)
+        t = problem.forcing.amplitudes.t
+        wide = Forcing(WeightedSignal(t, rng.standard_normal((t.size, 3)), 1.0),
+                       np.vstack([problem.forcing.profiles,
+                                  rng.standard_normal((2, problem.op.n_dof))]))
+        report = certify_wellposedness(problem.law)
+        for forcing in (problem.forcing, wide):
+            other = EvolutionProblem(problem.law, problem.op, forcing)
+            result = solution_bound_check(other, report, solve(other))
+            dense = np.sqrt(other.op.grid.h) * weighted_norm_whole(
+                WeightedSignal(t, rows(forcing), 1.0)) / result.c_used
+            assert result.rhs == pytest.approx(dense, rel=1e-14)
+
+    def test_profiles_are_checked(self):
+        amplitudes = WeightedSignal(time_grid(0.25, 2**-6), np.ones((17, 2)), 1.0)
+        with pytest.raises(InputError, match=r"array of 2 rows, got \(3, 5\)"):
+            Forcing(amplitudes, np.ones((3, 5)))
+        with pytest.raises(InputError, match="must be a finite array"):
+            Forcing(amplitudes, np.full((2, 5), np.inf))
+
+
 class TestValidation:
     def test_component_count_checked(self):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         op = build_operators(Grid1D(1.0, 8))
         t = time_grid(0.25, 2**-6)
         with pytest.raises(InputError):
-            EvolutionProblem(law, op, WeightedSignal(t, np.zeros((t.size, 3)), 1.0))
+            EvolutionProblem(law, op, sampled_forcing(t, np.zeros((t.size, 3))))
 
     def test_grid_must_start_at_zero(self):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         op = build_operators(Grid1D(1.0, 8))
         t = 1.0 + 2**-6 * np.arange(17)
         with pytest.raises(InputError):
-            EvolutionProblem(law, op, WeightedSignal(t, np.zeros((t.size, op.n_dof)), 1.0))
+            EvolutionProblem(law, op, sampled_forcing(t, np.zeros((t.size, op.n_dof))))
 
     def test_cell_count_mismatch(self):
         spec = ModelSpec(ModelFamily.CLASSICAL, {
@@ -846,4 +936,4 @@ class TestValidation:
         op = build_operators(Grid1D(1.0, 8))
         t = time_grid(0.25, 2**-6)
         with pytest.raises(InputError):
-            EvolutionProblem(law, op, WeightedSignal(t, np.zeros((t.size, op.n_dof)), 1.0))
+            EvolutionProblem(law, op, sampled_forcing(t, np.zeros((t.size, op.n_dof))))

@@ -3,10 +3,12 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
-from conftest import mass_matrix_lil, simpson_weights, skew_operator, spec_with, uncoupled_law
+from conftest import (mass_matrix_lil, sampled_forcing, simpson_weights, skew_operator, spec_with,
+                      uncoupled_law)
 from thermoevo import (
     BACKWARD_EULER,
     EvolutionProblem,
+    Forcing,
     Grid1D,
     ModelFamily,
     ModelSpec,
@@ -62,7 +64,8 @@ def simpson_march(problem, substeps):
     lam = np.diag(e_mat)
     null = lam == 0.0
     n = problem.op.n_dof
-    t = problem.forcing.t
+    t = problem.forcing.amplitudes.t
+    profiles = problem.forcing.profiles
     k_nn_inv = np.linalg.inv(k_mat[np.ix_(null, null)])
     k_rn = k_mat[np.ix_(~null, null)]
     k_nr = k_mat[np.ix_(null, ~null)]
@@ -79,8 +82,8 @@ def simpson_march(problem, substeps):
 
     h = problem.dt / substeps
     n_fine = substeps * (t.size - 1)
-    spline = CubicSpline(t, problem.forcing.samples, axis=0)
-    g_fine = reduced(spline(t[0] + h * np.arange(2 * n_fine + 1) / 2.0))
+    spline = CubicSpline(t, problem.forcing.amplitudes.samples, axis=0)
+    g_fine = reduced(spline(t[0] + h * np.arange(2 * n_fine + 1) / 2.0) @ profiles)
     prop, w0, wm, w1 = simpson_weights(flow, h)
     w = np.zeros(flow.shape[0])
     w_coarse = np.zeros((t.size, w.size))
@@ -90,7 +93,8 @@ def simpson_march(problem, substeps):
             w_coarse[(j + 1) // substeps] = w
     z = np.zeros((t.size, lam.size))
     z[:, ~null] = w_coarse
-    z[:, null] = (full(problem.forcing.samples)[:, null] - w_coarse @ k_nr.T) @ k_nn_inv.T
+    z[:, null] = (full(problem.forcing.amplitudes.samples @ profiles)[:, null]
+                  - w_coarse @ k_nr.T) @ k_nn_inv.T
     return z[:, :n]
 
 
@@ -119,10 +123,13 @@ class TestRejections:
     def test_flux_block_forcing_rejected(self):
         law = uncoupled_law(ModelFamily.CLASSICAL)
         problem = mode_problem(law, n_cells=8)
-        samples = problem.forcing.samples.copy()
-        samples[:, problem.op.block_slices()[3]] = 1e-3
-        bad = EvolutionProblem(law, problem.op,
-                               WeightedSignal(problem.forcing.t, samples, 1.0))
+        amplitudes = problem.forcing.amplitudes
+        flux = np.zeros((1, problem.op.n_dof))
+        flux[0, problem.op.block_slices()[3]] = 1e-3
+        # the pulse on theta_big plus 1e-3 on every q unknown at all times
+        two = np.column_stack([amplitudes.samples, np.ones_like(amplitudes.t)])
+        bad = EvolutionProblem(law, problem.op, Forcing(
+            amplitudes.with_samples(two), np.vstack([problem.forcing.profiles, flux])))
         with pytest.raises(OracleRejectionError):
             spectral_solve(bad)
 
@@ -140,20 +147,19 @@ class TestModeSystems:
     def test_structure(self):
         law = uncoupled_law(ModelFamily.DPL_I)
         problem = mode_problem(law, n_cells=8)
-        systems = _mode_systems(problem, mode_decomposition(problem.op)[0])
-        assert systems.wavenumbers.shape == (7,)
-        assert systems.k_matrix.shape[0] == 7
-        for k_mat in systems.k_matrix:
+        e_matrix, k_matrix, (p1, p2) = _mode_systems(problem,
+                                                     mode_decomposition(problem.op)[0])
+        assert k_matrix.shape == (7, 4 + p1 + p2, 4 + p1 + p2) and p1 + p2 > 0
+        for k_mat in k_matrix:
             a_part = k_mat[:4, :4] - np.diag(np.diag(k_mat[:4, :4]))
             assert np.max(np.abs(a_part + a_part.T)) == 0.0
-        assert np.max(np.abs(systems.e_matrix - systems.e_matrix.T)) == 0.0
+        assert np.max(np.abs(e_matrix - e_matrix.T)) == 0.0
 
     def test_zero_forcing_zero_output(self):
         law = uncoupled_law(ModelFamily.CLASSICAL)
         op = build_operators(Grid1D(1.0, 8))
         t = time_grid(0.25, 2**-7)
-        problem = EvolutionProblem(law, op,
-                                   WeightedSignal(t, np.zeros((t.size, op.n_dof)), 1.0))
+        problem = EvolutionProblem(law, op, sampled_forcing(t, np.zeros((t.size, op.n_dof))))
         traj = spectral_solve(problem)
         assert np.all(traj.states == 0.0)
 
@@ -190,9 +196,9 @@ class TestModeSystems:
         assert len(calls) == 1
         assert len(calls[0]) == 3  # one stack over the modes
 
-    def test_spline_carries_two_columns_per_active_mode(self, monkeypatch):
-        # only the v and theta mode coefficients are splined; the symmetric
-        # bump excites the 4 odd modes of the 7
+    def test_spline_carries_the_amplitude_columns(self, monkeypatch):
+        # only the forcing's one amplitude column is splined, whatever the
+        # number of modes its profile excites
         widths = []
 
         def recording(x, y):
@@ -202,7 +208,7 @@ class TestModeSystems:
         monkeypatch.setattr(oracle, "_not_a_knot_coefficients", recording)
         spectral_solve(mode_problem(uncoupled_law(ModelFamily.DPL_I), n_cells=8,
                                     profile="bump"))
-        assert widths == [2 * 4]
+        assert widths == [1]
 
     @pytest.mark.parametrize("spec", [
         spec_with(ModelFamily.GREEN_NAGHDI_III, Gamma=0.0),
@@ -269,7 +275,8 @@ class TestExactness:
         space = np.zeros(op.n_dof)
         space[op.block_slices()[2]] = spatial_profile(op, "mode_2")
         amplitude = sum(c * t**j for j, c in enumerate(poly))
-        problem = EvolutionProblem(law, op, WeightedSignal(t, np.outer(amplitude, space), 1.0))
+        problem = EvolutionProblem(law, op,
+                                   Forcing(WeightedSignal(t, amplitude, 1.0), space[None]))
         traj = spectral_solve(problem)
 
         e_mat, k_mat = physical_system(problem)
@@ -342,10 +349,12 @@ class TestAgainstSolver:
         reference = spectral_solve(fine)
         errors = []
         for stride in (4, 2, 1):
-            t = fine.forcing.t[::stride]
+            amplitudes = fine.forcing.amplitudes
+            t = amplitudes.t[::stride]
             problem = EvolutionProblem(
                 law, fine.op,
-                WeightedSignal(t, fine.forcing.samples[::stride], 1.0))
+                Forcing(WeightedSignal(t, amplitudes.samples[::stride], 1.0),
+                        fine.forcing.profiles))
             sub = Trajectory(problem, reference.states[::stride], reference.aux[::stride])
             errors.append(compare(solve(problem), sub).overall)
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))

@@ -165,7 +165,8 @@ class TestBatchedSymbolBoundary:
         forcing = assemble_forcing(op, t, 1.0, "gaussian_pulse", "f", "bump",
                                    center=0.05, width=0.02)
         report = certify_wellposedness(law)
-        first = solution_bound_check(EvolutionProblem(law, op, forcing), report)
+        problem = EvolutionProblem(law, op, forcing)
+        first = solution_bound_check(problem, report, solve(problem))
 
         calls = []
 
