@@ -1,8 +1,9 @@
 """Catalog of thermoelastic material laws.
 
 Every supported model is reduced to the same two-part law: an instantaneous
-Hermitian block ``mass`` acting under the time derivative, plus a rational
-zero-order block ``dissipation(z)`` that carries relaxation and lag effects.
+Hermitian block ``mass`` acting under the time derivative, plus two rational
+zero-order parts, the temperature damping a1(z) and the flux resistance
+a2(z), that carry relaxation and lag effects on the theta and q blocks.
 The block structure is fixed over the unknowns (v, sigma, theta_big, q):
 velocity, stress, (possibly lag-relaxed) temperature, and heat flux.
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from ._integrators import exp_march_linear
 from .errors import InputError
-from .rational import RationalMatrixFunction, _stack_groups, realize_state_space
+from .rational import RationalMatrixFunction, _live_poles, _stack_groups, realize_state_space
 from .signals import WeightedSignal, antiderivative
 
 __all__ = [
@@ -171,8 +172,10 @@ class CellLaw:
     """Material data of one spatial cell, in block form.
 
     ``mass`` couples (sigma, theta) through the thermoelastic tensor and
-    (theta, q) through the flux-temperature coupling; ``dissipation`` is the
-    zero-order rational part, block diagonal over (theta, q).
+    (theta, q) through the flux-temperature coupling.  The zero-order parts
+    ``theta_damping`` (a1) and ``flux_resistance`` (a2) act on the theta and
+    q blocks alone, so the symbol is M(z) = mass + z * diag(0, 0, a1(z),
+    a2(z)).
     """
 
     rho0: np.ndarray
@@ -202,17 +205,6 @@ class CellLaw:
         """Hermitian instantaneous block over (v, sigma, theta, q)."""
         m = _masses([self])[0]
         return m.real if np.max(np.abs(m.imag)) == 0.0 else m
-
-    def dissipation(self) -> RationalMatrixFunction:
-        """Zero-order rational block, nonzero only at (theta, theta) and (q, q)."""
-        nums, den = _dissipation([self])
-        return RationalMatrixFunction(tuple(m[0] for m in nums), den[0])
-
-    def symbol(self) -> RationalMatrixFunction:
-        """The full material symbol mass + z * dissipation(z)."""
-        nums, den = _dissipation([self])
-        return RationalMatrixFunction(
-            tuple(m[0] for m in _symbol_num(self.mass()[None], nums, den)), den[0])
 
 
 def _stack(cells, attr: str) -> np.ndarray:
@@ -246,48 +238,6 @@ def _masses(cells) -> np.ndarray:
     return 0.5 * (m + np.conj(m).swapaxes(-1, -2))
 
 
-def _dissipation(cells) -> tuple:
-    """Stacked numerator coefficients and denominators of the cells'
-    zero-order blocks (cells of one rational shape and dtype)."""
-    sl = _block_slices(cells[0].block_dims)
-    n = sl[-1].stop
-    (_, th, th_den), = _stack_groups([cell.theta_damping for cell in cells])
-    (_, fl, fl_den), = _stack_groups([cell.flux_resistance for cell in cells])
-    th_num, q_num = _poly_mul(th, fl_den), _poly_mul(fl, th_den)
-    dtype = np.result_type(*(m.dtype for m in th_num + q_num), float)
-    mats = [np.zeros((len(cells), n, n), dtype=dtype)
-            for _ in range(max(len(th_num), len(q_num)))]
-    for block, nums in ((sl[2], th_num), (sl[3], q_num)):
-        for m, coeff in zip(mats, nums):
-            m[:, block, block] = coeff
-    return mats, np.stack([np.convolve(a, b) for a, b in zip(th_den, fl_den)])
-
-
-def _symbol_num(mass: np.ndarray, nums: list, den: np.ndarray) -> list:
-    """Stacked numerator coefficients of mass + z * dissipation(z) over the
-    dissipation's denominator."""
-    num = [np.zeros_like(nums[0])] + list(nums)
-    for k in range(den.shape[1]):
-        term = den[:, k, None, None] * mass
-        if k < len(num):
-            num[k] = num[k] + term
-        else:
-            num.append(term)
-    return num
-
-
-def _poly_mul(mats: list, scalars: np.ndarray) -> list:
-    """Stacked coefficients of a matrix polynomial (``mats[k]`` of shape
-    (G, a, b)) times a scalar one (``scalars`` of shape (G, D))."""
-    dtype = np.result_type(*(m.dtype for m in mats), scalars.dtype, float)
-    out = [np.zeros(mats[0].shape, dtype=dtype)
-           for _ in range(len(mats) + scalars.shape[1] - 1)]
-    for i, m in enumerate(mats):
-        for j in range(scalars.shape[1]):
-            out[i + j] = out[i + j] + scalars[:, j, None, None] * m
-    return out
-
-
 def _block_slices(dims) -> list:
     offsets = np.concatenate([[0], np.cumsum(dims)])
     return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(len(dims))]
@@ -295,19 +245,32 @@ def _block_slices(dims) -> list:
 
 @dataclass(frozen=True)
 class _CellStack:
-    """Cells of a law stacked on a leading axis, all arrays of one dtype:
-    the cells' indices in the law, their instantaneous blocks, and the
-    numerator coefficients and denominators of their zero-order blocks."""
+    """Cells of a law stacked on a leading axis: the cells' indices in the
+    law, their instantaneous blocks, and ``parts``, the stacked numerator
+    coefficients and denominators ``(nums, den)`` of their zero-order parts
+    ``theta_damping`` and ``flux_resistance``, which act on the theta and q
+    blocks."""
 
     index: np.ndarray
     cells: tuple
     mass: np.ndarray
-    dissipation_num: list
-    dissipation_den: np.ndarray
+    parts: tuple
+
+    @cached_property
+    def poles(self) -> tuple:
+        """``(poles, live)`` of the parts (see
+        :func:`thermoevo.rational._live_poles`), a1's columns first."""
+        found = [_live_poles(nums, den)[:2] for nums, den in self.parts]
+        return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*found))
 
     @cached_property
     def dissipation_at_zero(self) -> np.ndarray:
-        return self.dissipation_num[0] / self.dissipation_den[:, :1, None]
+        """The parts at z = 0 on their diagonal blocks, zero elsewhere."""
+        values = [nums[0] / den[:, :1, None] for nums, den in self.parts]
+        out = np.zeros(self.mass.shape, dtype=np.result_type(*values))
+        for block, value in zip(_block_slices(self.cells[0].block_dims)[2:], values):
+            out[:, block, block] = value
+        return out
 
 
 def _cell_stacks(cells) -> tuple:
@@ -324,14 +287,15 @@ def _cell_stacks(cells) -> tuple:
     for index in groups.values():
         group = [cells[i] for i in index]
         mass = _masses(group)
-        nums, den = _dissipation(group)
+        parts = [_stack_groups([getattr(cell, attr) for cell in group])[0][1:]
+                 for attr in ("theta_damping", "flux_resistance")]
         real = np.max(np.abs(mass.imag), axis=(1, 2)) == 0.0
         for part in (np.flatnonzero(real), np.flatnonzero(~real)):
             if part.size:
                 stacks.append(_CellStack(
                     np.asarray(index)[part], tuple(group[j] for j in part),
                     mass[part].real if real[part[0]] else mass[part],
-                    [m[part] for m in nums], den[part]))
+                    tuple(([m[part] for m in nums], den[part]) for nums, den in parts)))
     return tuple(stacks)
 
 

@@ -39,7 +39,7 @@ class WeightedSignal:
     samples : array, shape (n,) or (n, m)
         Signal values; a 1-d array is treated as a single component.
     rho : float
-        Positive exponential weight of the ambient space.
+        Positive, finite exponential weight of the ambient space.
     """
 
     t: np.ndarray
@@ -49,6 +49,8 @@ class WeightedSignal:
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
+        if t.ndim != 1 or t.size < 2:
+            raise InputError("time grid needs at least 2 points")
         samples = np.asarray(self.samples)
         if samples.ndim == 1:
             samples = samples[:, None]
@@ -56,14 +58,12 @@ class WeightedSignal:
             raise InputError(
                 f"samples shape {samples.shape} does not match grid of length {t.size}"
             )
-        if t.ndim != 1 or t.size < 2:
-            raise InputError("time grid needs at least 2 points")
         steps = np.diff(t)
         dt = steps[0]
         if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
             raise InputError("time grid must be uniform with positive step")
-        if not (self.rho > 0):
-            raise InputError(f"rho must be positive, got {self.rho}")
+        if not 0 < self.rho < np.inf:
+            raise InputError(f"rho must be positive and finite, got {self.rho}")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(samples)):
             raise InputError("non-finite values in signal")
         t.flags.writeable = False

@@ -9,7 +9,9 @@ Three layers of checking, from cheap to thorough:
   of a law on the boundary line ``Re 1/z = rho0`` of the admissibility
   ball, where the maximum principle puts its infimum over the ball once
   poles and an indefinite ``M(0)`` are ruled out (a sampling of the line,
-  not a proof).
+  not a proof).  On that line the sampled matrix is ``rho0 * M(0)`` plus
+  the Hermitian parts of the two zero-order parts a1(z) and a2(z) on their
+  diagonal blocks, evaluated from the parts themselves.
 * :func:`certify_wellposedness` runs the structural range/kernel conditions
   that guarantee a causal bounded inverse and combines everything into a
   :class:`WellPosednessReport`; its weight search stays strictly above the
@@ -24,8 +26,8 @@ import numpy as np
 
 from . import _json
 from .errors import InputError
-from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, _stack, _symbol_num
-from .rational import _evaluate, _live_poles, _stack_groups
+from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, _stack
+from .rational import _evaluate
 
 __all__ = [
     "Witness",
@@ -46,7 +48,8 @@ RHO_GRID_PER_DECADE = 20
 #: sample points on the boundary line Re 1/z = rho0
 LINE_SAMPLES = 257
 #: symbols sampled per stacked evaluation of the boundary line: bounds its
-#: arrays (about 8 MB for 4x4 blocks) on laws with thousands of cells
+#: arrays on laws with thousands of cells (a tracemalloc peak of about 5 MB
+#: for 4x4 real blocks, whose line is halved, and 9 MB for complex ones)
 LINE_CHUNK = 128
 
 
@@ -97,8 +100,8 @@ def check_condition_rho(law: MaterialLaw, rho: float) -> tuple:
     Returns ``(min_eigenvalue, witness)`` where the witness records the cell
     and eigenvector attaining the minimum, the first such cell on ties.
     """
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    if not 0 < rho < np.inf:
+        raise InputError("rho must be positive and finite")
     found = []
     for stack in law.stacks:
         eigvals, eigvecs = np.linalg.eigh(rho * stack.mass + _herm(stack.dissipation_at_zero))
@@ -113,55 +116,54 @@ def check_symbol_boundary(law: MaterialLaw, rho0: float) -> tuple:
     boundary line, over every cell of ``law``.
 
     With s = 1/z the ball is the half-plane Re s >= rho0.  Where every cell
-    symbol is analytic there and Herm M(0) is positive semidefinite, the
-    infimum over the half-plane lies on the line Re s = rho0 (maximum
-    principle), so only 1/z = rho0 + i t is sampled, at ``LINE_SAMPLES``
-    values of t on a symmetric log-spaced grid plus t = 0.  A symbol that
-    fails either condition is unbounded below: a pole p with Re p >= rho0
-    (one the numerator does not cancel) gives ``(-inf, 1/p)``, an
-    indefinite Herm M(0) gives ``(-inf, 0j)``.  Returns
+    symbol is analytic there and M(0) is positive semidefinite, the infimum
+    over the half-plane lies on the line Re s = rho0 (maximum principle), so
+    only 1/z = rho0 + i t is sampled, at ``LINE_SAMPLES`` values of t on a
+    symmetric log-spaced grid plus t = 0.  On that line the Hermitian part
+    of z^{-1} M(z) = z^{-1} M(0) + diag(0, 0, a1(z), a2(z)) is
+    ``rho0 * M(0)`` plus the Hermitian parts of a1(z) and a2(z) on the theta
+    and q blocks, which is the matrix sampled.  A symbol that fails either
+    condition is unbounded below: a live pole p of a1 or a2 (one the
+    numerator does not cancel) with Re p >= rho0 gives ``(-inf, 1/p)``, a1's
+    poles before a2's, an indefinite M(0) gives ``(-inf, 0j)``.  Returns
     ``(min_eigenvalue, worst_z)``, the first occurrence in cell and then t
     order; a sampling of the line, not a proof.  The cells are evaluated
     stacked, one group of equal shapes and dtypes at a time.  The result is
     kept on the law by ``rho0``, so a repeated call evaluates nothing again.
     """
-    if rho0 <= 0:
-        raise InputError("rho0 must be positive")
+    if not 0 < rho0 < np.inf:
+        raise InputError("rho0 must be positive and finite")
     rho0 = float(rho0)
     found = law.boundary_minima
     if rho0 not in found:
-        found[rho0] = _line_minimum([
-            (st.index, _symbol_num(st.mass, st.dissipation_num, st.dissipation_den),
-             st.dissipation_den) for st in law.stacks], rho0)
+        found[rho0] = _line_minimum(law.stacks, rho0)
     return found[rho0]
 
 
-def _line_minimum(groups: list, rho0: float) -> tuple:
-    """Smallest of the symbols' line minima, at its first symbol; ``groups``
-    holds ``(indices, numerators, denominators)`` of stacked symbols."""
-    unbounded = [(index[k], z) for index, nums, den in groups
-                 for k, z in [_unbounded_witness(nums, den, rho0)] if k is not None]
+def _line_minimum(stacks: tuple, rho0: float) -> tuple:
+    """Smallest of the cells' line minima, at its first cell."""
+    unbounded = [(stack.index[k], z) for stack in stacks
+                 for k, z in [_unbounded_witness(stack, rho0)] if k is not None]
     if unbounded:
         return -np.inf, min(unbounded, key=lambda entry: entry[0])[1]
-    z_inv = _boundary_samples(rho0)
     found = []
-    for index, nums, den in groups:
-        for start in range(0, len(den), LINE_CHUNK):
+    for stack in stacks:
+        for start in range(0, len(stack.index), LINE_CHUNK):
             part = slice(start, start + LINE_CHUNK)
-            lowest, z = _symbol_minima([m[part] for m in nums], den[part], z_inv)
+            lowest, z = _symbol_minima(stack, part, rho0)
             k, t = np.unravel_index(np.argmin(lowest), lowest.shape)
-            found.append((float(lowest[k, t]), index[start + k], complex(z[t])))
+            found.append((float(lowest[k, t]), stack.index[start + k], complex(z[t])))
     return min(found, key=lambda entry: entry[:2], default=(np.inf, None, None))[::2]
 
 
-def _unbounded_witness(nums: list, den: np.ndarray, rho0: float):
-    """``(k, z)`` for the first stacked symbol k that the line does not bound
-    from below on Re s >= rho0: a live pole there (z = 1/p, its first such
-    pole), or Herm M(0) not positive semidefinite (z = 0); (None, None) if
-    every symbol is bounded."""
-    poles, live = _live_poles(nums, den)[:2]
+def _unbounded_witness(stack, rho0: float):
+    """``(k, z)`` for the first stacked cell k whose symbol the line does
+    not bound from below on Re s >= rho0: a live pole of a1 or a2 there
+    (z = 1/p, its first such pole, a1's before a2's), or M(0) not positive
+    semidefinite (z = 0); (None, None) if every symbol is bounded."""
+    poles, live = stack.poles
     inside = live & (poles.real >= rho0)
-    eigvals = np.linalg.eigvalsh(_herm(nums[0] / den[:, :1, None]))
+    eigvals = np.linalg.eigvalsh(stack.mass)
     scale = np.maximum(np.max(np.abs(eigvals), axis=1), 1e-300)
     failed = np.flatnonzero(np.any(inside, axis=1) | (eigvals[:, 0] < -SPECTRAL_CUTOFF * scale))
     if failed.size == 0:
@@ -180,21 +182,23 @@ def _boundary_samples(rho0: float) -> np.ndarray:
     return 1j * t_grid + rho0
 
 
-def _symbol_minima(nums: list, den: np.ndarray, z_inv: np.ndarray) -> tuple:
-    """Smallest eigenvalue of the Hermitian part of z^{-1} M(z) per stacked
-    symbol and sample, with the sampled z."""
-    if not (any(np.iscomplexobj(m) for m in nums) or np.iscomplexobj(den)):
+def _symbol_minima(stack, cells: slice, rho0: float) -> tuple:
+    """Smallest eigenvalue of the Hermitian part of z^{-1} M(z) per cell of
+    ``stack[cells]`` and sample of the line Re 1/z = rho0, with the sampled
+    z."""
+    z_inv = _boundary_samples(rho0)
+    arrays = [stack.mass] + [a for nums, den in stack.parts for a in nums + [den]]
+    if not any(np.iscomplexobj(a) for a in arrays):
         # M(conj z) = conj M(z): the samples at -t, which follow those at
         # t, repeat their eigenvalues
         z_inv = z_inv[:(z_inv.size + 1) // 2]
     z = 1.0 / z_inv
-    mats = _evaluate(nums, den, np.broadcast_to(z, (den.shape[0], z.size)))
-    # z_inv * mats in place, in that operand order: numpy's complex product
-    # is not bitwise commutative
-    np.multiply(z_inv[..., None, None], mats, out=mats)
-    herm = np.conj(np.swapaxes(mats, -1, -2))
-    herm += mats
-    herm *= 0.5
+    mass = stack.mass[cells]
+    herm = np.empty((len(mass), z.size) + mass.shape[1:], dtype=complex)
+    herm[...] = rho0 * mass[:, None]
+    for block, (nums, den) in zip(_block_slices(stack.cells[0].block_dims)[2:], stack.parts):
+        herm[..., block, block] += _herm(_evaluate(
+            [m[cells] for m in nums], den[cells], np.broadcast_to(z, (len(mass), z.size))))
     return np.linalg.eigvalsh(herm)[..., 0], z
 
 
@@ -211,11 +215,9 @@ def _pole_floor(law: MaterialLaw) -> float:
     an admissible weight rho lies strictly above.  -inf without poles."""
     floor = -np.inf
     for stack in law.stacks:
-        for attr in ("theta_damping", "flux_resistance"):
-            (_, nums, den), = _stack_groups([getattr(cell, attr) for cell in stack.cells])
-            poles, live = _live_poles(nums, den)[:2]
-            if np.any(live):
-                floor = max(floor, float(np.max(poles.real[live])))
+        poles, live = stack.poles
+        if np.any(live):
+            floor = max(floor, float(np.max(poles.real[live])))
     return floor
 
 
@@ -252,7 +254,7 @@ def _structural_witnesses(stack) -> tuple:
     cells, sub = np.nonzero(on_range & (eigvals < 0))
     add(3, cells, eigvals[cells, sub], eigvecs[cells, :, sub], 3, sub)
 
-    (_, nums, den), = _stack_groups([cell.flux_resistance for cell in stack.cells])
+    nums, den = stack.parts[1]
     re_a2 = _herm(nums[0] / den[:, :1, None])
     a2_scale = np.max(np.abs(np.linalg.eigvalsh(re_a2)), axis=1)
     n_kernel = np.sum(~on_range, axis=1)

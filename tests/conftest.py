@@ -1,6 +1,6 @@
 """Shared fixtures: the standard probe pulse, catalog law builders, the FFT
-application of a rational symbol, the realization and skew-adjointness
-checks, and the former one-at-a-time versions of batched computations, kept
+application of a rational symbol, the full material symbol of a cell built
+from its parts, the realization and skew-adjointness checks, and the former one-at-a-time versions of batched computations, kept
 as references: the Simpson exponential step, the per-frequency realization
 check, the per-point symbol sampling on the boundary line, the per-cell
 certification, condition and classification loops, the per-pole realization,
@@ -282,44 +282,65 @@ def transfer_mismatch_per_frequency(r, real):
     return worst, scale
 
 
-def symbol_boundary_per_point(symbols, rho0, n_samples=257):
-    """(min_eigenvalue, worst_z) of the symbol sampling on the line
-    Re 1/z = rho0, one point at a time, after the same guards: a pole p
-    with Re p >= rho0 that the numerator does not cancel gives (-inf, 1/p),
-    an indefinite Herm M(0) (-inf, 0j)."""
+def full_symbol(cell, z):
+    """The full material symbol M(z) = mass + z * diag(0, 0, a1(z), a2(z))
+    of ``cell`` at the points z, built from ``mass()``, ``theta_damping``
+    and ``flux_resistance``."""
+    z = np.asarray(z)
+    mats = np.zeros(z.shape + cell.mass().shape, dtype=complex) + cell.mass()
+    for block, part in zip(_block_slices(cell.block_dims)[2:],
+                           (cell.theta_damping, cell.flux_resistance)):
+        mats[..., block, block] += z[..., None, None] * horner_per_point(part, z)
+    return mats
+
+
+def line_samples(rho0, n_samples=257, decades=(-3, 6)):
+    """Points 1/z = rho0 + i t of the line, t = 0 first, then a log-spaced
+    positive half and its negative."""
     half = max((n_samples - 1) // 2, 1)
-    t_pos = rho0 * np.logspace(-3, 6, half)
-    t_grid = np.concatenate([[0.0], t_pos, -t_pos])
-    z_inv = 1j * t_grid + rho0
+    t_pos = rho0 * np.logspace(*decades, half)
+    return 1j * np.concatenate([[0.0], t_pos, -t_pos]) + rho0
+
+
+def symbol_boundary_per_point(cells, rho0, n_samples=257):
+    """(min_eigenvalue, worst_z) of the symbol sampling on the line
+    Re 1/z = rho0, one cell and point at a time, after the same guards: a
+    live pole p of a1 or a2 with Re p >= rho0 gives (-inf, 1/p), a1's
+    before a2's, an indefinite M(0) (-inf, 0j).  Each point's matrix is
+    rho0 * M(0) plus the Hermitian parts of a1(z) and a2(z) on their
+    blocks."""
+    z_inv = line_samples(rho0, n_samples)
     z = 1.0 / z_inv
     min_eig = np.inf
     worst_z = None
-    for sym in symbols:
-        poles = [p for p in live_poles_per_pole(sym) if p.real >= rho0]
+    for cell in cells:
+        parts = (cell.theta_damping, cell.flux_resistance)
+        poles = [p for part in parts for p in live_poles_per_pole(part) if p.real >= rho0]
         if poles:
             return -np.inf, complex(1.0 / poles[0])
-        m0 = sym.num[0] / sym.den[0]
-        eigs = np.linalg.eigvalsh(0.5 * (m0 + m0.conj().T))
+        eigs = np.linalg.eigvalsh(cell.mass())
         if eigs[0] < -1e-10 * max(np.max(np.abs(eigs)), 1e-300):
             return -np.inf, 0j
-        for k in range(t_grid.size):
-            mat = z_inv[k] * horner_per_point(sym, z[k])
-            lowest = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0]
+        blocks = _block_slices(cell.block_dims)[2:]
+        for k in range(z.size):
+            mat = (rho0 * cell.mass()).astype(complex)
+            for block, part in zip(blocks, parts):
+                mat[block, block] += _herm(horner_per_point(part, z[k]))
+            lowest = np.linalg.eigvalsh(mat)[0]
             if lowest < min_eig:
                 min_eig = float(lowest)
                 worst_z = complex(z[k])
     return min_eig, worst_z
 
 
-def dense_line_minimum(symbols, rho0, n_points=20001):
-    """Smallest eigenvalue of the Hermitian part of z^{-1} M(z) over
-    ``n_points`` points of the line Re 1/z = rho0, t over eleven decades."""
-    half = (n_points - 1) // 2
-    t_pos = rho0 * np.logspace(-4, 7, half)
-    z_inv = 1j * np.concatenate([[0.0], t_pos, -t_pos]) + rho0
+def dense_line_minimum(cells, rho0, n_points=20001, decades=(-4, 7)):
+    """Smallest eigenvalue of the Hermitian part of z^{-1} M(z), the full
+    symbol evaluated densely, over ``n_points`` points of the line
+    Re 1/z = rho0, t over eleven decades by default."""
+    z_inv = line_samples(rho0, n_points, decades)
     lowest = np.inf
-    for sym in symbols:
-        mats = z_inv[:, None, None] * horner_per_point(sym, 1.0 / z_inv)
+    for cell in cells:
+        mats = z_inv[:, None, None] * full_symbol(cell, 1.0 / z_inv)
         herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
         lowest = min(lowest, float(np.min(np.linalg.eigvalsh(herm)[:, 0])))
     return lowest
@@ -392,11 +413,15 @@ def classify_per_cell(law):
 
 
 def condition_rho_per_cell(law, rho):
-    """(min_eigenvalue, witness) of rho * M(0) + Re M'(0), one cell at a time."""
+    """(min_eigenvalue, witness) of rho * M(0) + Re M'(0), one cell at a
+    time, M'(0) = diag(0, 0, a1(0), a2(0))."""
     best = None
     for index, cell in enumerate(law.cells):
-        m1 = cell.dissipation()
-        eigvals, eigvecs = np.linalg.eigh(rho * cell.mass() + _herm(m1.num[0] / m1.den[0]))
+        values = [r.num[0] / r.den[0] for r in (cell.theta_damping, cell.flux_resistance)]
+        m1 = np.zeros(cell.mass().shape, dtype=np.result_type(*values))
+        for block, value in zip(_block_slices(cell.block_dims)[2:], values):
+            m1[block, block] = value
+        eigvals, eigvecs = np.linalg.eigh(rho * cell.mass() + _herm(m1))
         if best is None or eigvals[0] < best.eigenvalue:
             best = Witness(index, float(eigvals[0]), eigvecs[:, 0])
     return best.eigenvalue, best

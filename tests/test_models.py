@@ -55,14 +55,15 @@ class TestAssembly:
         mass = law.cells[0].mass()
         assert mass[2, 3] == 0.0 and mass[3, 2] == 0.0
         assert mass[3, 3] == 1.0
-        m1 = law.cells[0].dissipation()
-        np.testing.assert_array_equal(m1.num[0] / m1.den[0], np.diag([0.0, 0.0, 0.0, 1.0]))
-        assert m1.den.size == 1 and len(m1.num) == 1  # constant law
+        np.testing.assert_array_equal(law.stacks[0].dissipation_at_zero[0],
+                                      np.diag([0.0, 0.0, 0.0, 1.0]))
+        for part in (law.cells[0].theta_damping, law.cells[0].flux_resistance):
+            assert part.den.size == 1 and len(part.num) == 1  # constant law
 
     def test_conservative_flux_law_has_no_zero_order_part(self):
         law = assemble_material_law(spec_with(ModelFamily.GREEN_NAGHDI_II, k_star=1.0))
-        m1 = law.cells[0].dissipation()
-        assert all(np.all(np.asarray(c) == 0.0) for c in m1.num)
+        for part in (law.cells[0].theta_damping, law.cells[0].flux_resistance):
+            assert all(np.all(np.asarray(c) == 0.0) for c in part.num)
 
     def test_classical_reduction(self):
         law = assemble_material_law(ModelSpec(ModelFamily.CLASSICAL, {
@@ -75,8 +76,8 @@ class TestAssembly:
             [0.0, 0.25, 0.25],
             [0.0, 0.25, 0.5 + 0.25],
         ]), atol=1e-15)
-        m1 = law.cells[0].dissipation()
-        np.testing.assert_array_equal(m1.num[0] / m1.den[0], np.diag([0.0, 0.0, 0.0, 0.5]))
+        np.testing.assert_array_equal(law.stacks[0].dissipation_at_zero[0],
+                                      np.diag([0.0, 0.0, 0.0, 0.5]))
 
     def test_relaxed_temperature_maps(self):
         # nu, a0, zeta0 and the damping gain all derive from the lag primitives
@@ -329,9 +330,9 @@ class TestCustomLaws:
         a2 = RationalMatrixFunction((np.eye(2), np.array([[0, -0.5j], [-0.5j, -1j]])), [1, 0.5])
         law = assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
             "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "a2": a2}))
-        num = law.cells[0].dissipation().num
-        np.testing.assert_array_equal(num[1][3:, 3:], a2.num[1])
-        assert np.any(num[1].imag)
+        nums, _ = law.stacks[0].parts[1]
+        np.testing.assert_array_equal(nums[1][0], a2.num[1])
+        assert np.any(nums[1].imag)
 
     def test_custom_requires_positive_density(self):
         with pytest.raises(InputError):

@@ -27,6 +27,15 @@ class TestWeightedSignal:
         with pytest.raises(InputError):
             WeightedSignal(np.array([0.0, 0.1]), np.array([1.0, np.nan]), 1.0)
 
+    def test_rejects_zero_dimensional_grid(self):
+        with pytest.raises(InputError, match="at least 2 points"):
+            WeightedSignal(np.array(0.0), np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("rho", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite_weight(self, rho):
+        with pytest.raises(InputError, match="positive and finite"):
+            WeightedSignal(np.array([0.0, 0.1]), np.zeros(2), rho)
+
 
 def per_value_csv(header, rows):
     """The former writer: one format(v, '.17g') call per value."""

@@ -10,6 +10,7 @@ from conftest import (
     classify_per_cell,
     condition_rho_per_cell,
     dense_line_minimum,
+    full_symbol,
     horner_per_point,
     negated_law,
     per_cell_law,
@@ -36,6 +37,7 @@ from thermoevo import (
     wellposed,
 )
 from thermoevo.errors import InputError
+from thermoevo.models import _block_slices
 from thermoevo.rational import _evaluate
 
 
@@ -76,6 +78,11 @@ class TestConditionRho:
         with pytest.raises(InputError):
             check_condition_rho(unit_classical(), 0.0)
 
+    @pytest.mark.parametrize("rho", [np.nan, np.inf])
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(InputError, match="positive and finite"):
+            check_condition_rho(unit_classical(), rho)
+
 
 def custom_law(**coefficients):
     """Custom law with unit density, stiffness and heat capacity, uncoupled,
@@ -110,13 +117,15 @@ class TestSymbolBoundary:
         # closed form at a z-dependent law
         law = assemble_material_law(canonical_spec(ModelFamily.GREEN_NAGHDI_III))
         cell = law.cells[0]
-        symbol = cell.symbol()
+        blocks = _block_slices(cell.block_dims)[2:]
         for t, rho in ((0.0, 1.5), (2.7, 1.03), (40.0, 2.0)):
             z_inv = 1j * t + rho
-            value = z_inv * horner_per_point(symbol, 1.0 / z_inv)
+            value = z_inv * full_symbol(cell, 1.0 / z_inv)
             herm = 0.5 * (value + value.conj().T)
-            m1_val = horner_per_point(cell.dissipation(), 1.0 / z_inv)
-            want = rho * cell.mass() + 0.5 * (m1_val + m1_val.conj().T)
+            want = (rho * cell.mass()).astype(complex)
+            for block, part in zip(blocks, (cell.theta_damping, cell.flux_resistance)):
+                part_val = horner_per_point(part, 1.0 / z_inv)
+                want[block, block] += 0.5 * (part_val + part_val.conj().T)
             assert np.max(np.abs(herm - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -129,7 +138,7 @@ class TestBatchedSymbolBoundary:
     @pytest.mark.parametrize("rho0", [0.3, 1.0, 4.0])
     def test_bitwise_equal_to_per_shell_loop(self, name, rho0):
         law = assemble_material_law(self.LAWS[name])
-        want = symbol_boundary_per_point([cell.symbol() for cell in law.cells], rho0)
+        want = symbol_boundary_per_point(law.cells, rho0)
         got = check_symbol_boundary(law, rho0)
         assert got == want
         assert np.signbit(got[0]) == np.signbit(want[0])
@@ -140,20 +149,20 @@ class TestBatchedSymbolBoundary:
         monkeypatch.setattr(wellposed, "LINE_CHUNK", 3)
         law = per_cell_law(family)
         for rho0 in (0.3, 1.0):
-            want = symbol_boundary_per_point([cell.symbol() for cell in law.cells], rho0)
+            want = symbol_boundary_per_point(law.cells, rho0)
             assert check_symbol_boundary(law, rho0) == want
 
     def test_ties_resolve_to_first_sample(self):
         # every sample of the line ties for the identity: the witness is the
         # first one, t = 0
         law = custom_law(a0=1.0)  # M(z) = I
-        want = symbol_boundary_per_point([cell.symbol() for cell in law.cells], 2.0)
+        want = symbol_boundary_per_point(law.cells, 2.0)
         assert check_symbol_boundary(law, 2.0) == want
         assert want[1] == 1.0 / 2.0
 
     def test_negated_law_same_witness(self):
         law = negated_law(ModelFamily.DPL_I)
-        want = symbol_boundary_per_point([cell.symbol() for cell in law.cells], 1.0)
+        want = symbol_boundary_per_point(law.cells, 1.0)
         assert check_symbol_boundary(law, 1.0) == want
         assert want[0] < 0.0
 
@@ -188,6 +197,17 @@ def pole_at_two():
         "a2": RationalMatrixFunction((np.eye(1),), np.array([1.0, -2.0]))}))
 
 
+#: custom laws with matrix-valued zero-order parts: a flux inertia and a
+#: resistance on complementary components, and a complex 2x2 resistance
+#: with a pole at s = -1/2
+MATRIX_LAWS = {
+    "complementary_diagonal": lambda: custom_law(
+        a0=np.diag([1.0, 0.0]), a2=RationalMatrixFunction.constant(np.diag([0.0, 1.0]))),
+    "complex_higher_term": lambda: custom_law(a2=RationalMatrixFunction(
+        (np.eye(2), np.array([[0, -0.5j], [-0.5j, -1j]])), [1, 0.5])),
+}
+
+
 class TestLineConstant:
     LAWS = TestBatchedSymbolBoundary.LAWS
 
@@ -195,7 +215,7 @@ class TestLineConstant:
     @pytest.mark.parametrize("rho0", [0.3, 1.0, 4.0])
     def test_matches_dense_line(self, name, rho0):
         law = assemble_material_law(self.LAWS[name])
-        want = dense_line_minimum([cell.symbol() for cell in law.cells], rho0)
+        want = dense_line_minimum(law.cells, rho0)
         got, _ = check_symbol_boundary(law, rho0)
         assert abs(got - want) <= 1e-6 * abs(want)
 
@@ -205,9 +225,27 @@ class TestLineConstant:
         # least at t < 0, i.e. Im z > 0
         law = custom_resistance(RationalMatrixFunction((np.array([[1.0 + 0j]]), np.array([[1j]])),
                                                        np.array([1.0])))
-        want = symbol_boundary_per_point([cell.symbol() for cell in law.cells], 1.0)
+        want = symbol_boundary_per_point(law.cells, 1.0)
         assert check_symbol_boundary(law, 1.0) == want
         assert want[0] < 1.0 and want[1].imag > 0.0
+
+    @pytest.mark.parametrize("rho0", [np.nan, np.inf, 0.0])
+    def test_rejects_non_finite_or_nonpositive_weight(self, rho0):
+        law = assemble_material_law(canonical_spec(ModelFamily.DPL_I))
+        with pytest.raises(InputError, match="positive and finite"):
+            check_symbol_boundary(law, rho0)
+        assert law.boundary_minima == {}
+
+    @pytest.mark.parametrize("name", sorted(MATRIX_LAWS))
+    @pytest.mark.parametrize("rho0", [0.3, 1.0, 4.0])
+    def test_matrix_parts_match_full_symbol(self, name, rho0):
+        # the sampled rho0 * M(0) + Herm a1, Herm a2 on their blocks equals
+        # the Hermitian part of z^{-1} M(z) of the full symbol, sample by sample
+        law = MATRIX_LAWS[name]()
+        got = check_symbol_boundary(law, rho0)
+        want = dense_line_minimum(law.cells, rho0, wellposed.LINE_SAMPLES, (-3, 6))
+        assert abs(got[0] - want) <= 1e-12 * abs(want)
+        assert got == symbol_boundary_per_point(law.cells, rho0)
 
     def test_cached_by_weight(self):
         law = assemble_material_law(canonical_spec(ModelFamily.DPL_I))
