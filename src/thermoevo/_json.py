@@ -7,6 +7,8 @@ dictionaries keep insertion order.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -26,7 +28,7 @@ def _emit(obj, out, level):
             return
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(f'{pad_in}"{key}": ')
+            out.append(f"{pad_in}{json.dumps(str(key), ensure_ascii=False)}: ")
             _emit(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
@@ -50,7 +52,7 @@ def _emit(obj, out, level):
     elif obj is None:
         out.append("null")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     else:
         raise TypeError(f"cannot serialize {type(obj)} deterministically")
 

@@ -18,7 +18,8 @@ class PoleProximityError(ThermoevoError):
 
 
 class RealizationError(ThermoevoError):
-    """A rational function cannot be realized (improper form, repeated poles)."""
+    """A rational function cannot be realized: it is not a real scalar law, or
+    it has a complex or a repeated pole."""
 
 
 class SingularSystemError(ThermoevoError):

@@ -5,9 +5,10 @@ polynomial denominator, both with ascending coefficients in z.  The
 denominator must not vanish at z = 0 so that the function is analytic
 there (the admissibility requirement for causal material symbols).
 
-State-space realizations translate such a function into a time-domain
-update ``y = D u + C x``, ``x' = A x + B u`` via partial fractions in the
-variable s = 1/z, which is what the time steppers consume.
+State-space realizations translate a real scalar function with real
+simple poles into a time-domain update ``y = D u + C x``, ``x' = A x + B u``
+via partial fractions in the variable s = 1/z, one state per pole, which is
+what the time steppers consume.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ __all__ = [
 EVAL_POLE_TOL = 1e-14
 #: relative tolerance of the transfer-match self check after realization
 TRANSFER_MATCH_TOL = 1e-9
-#: realizations the memo keeps; a 128-cell per-cell law (the largest
-#: measured, the api_sweep benchmark) realizes 128 distinct laws
-REALIZATION_MEMO_SIZE = 256
 
 
 def _as_coeff_matrices(num) -> list[np.ndarray]:
@@ -91,12 +89,6 @@ class RationalMatrixFunction:
     def zero(cls, dim: int) -> "RationalMatrixFunction":
         return cls((np.zeros((dim, dim)),), np.array([1.0]))
 
-    @property
-    def is_real(self) -> bool:
-        return not (
-            any(np.iscomplexobj(m) for m in self.num) or np.iscomplexobj(self.den)
-        )
-
     def key(self) -> tuple:
         """Hashable identity of the coefficients; adding 0.0 maps integers to
         floats and -0.0 to 0.0, and the dtype tells a complex coefficient from
@@ -153,8 +145,8 @@ def _stack_groups(laws) -> list:
 class StateSpaceRealization:
     """Time-domain realization y = D u + C x with x' = A x + B u.
 
-    A is diagonal: every state belongs to one simple pole (the partial
-    fractions of :func:`realize_state_space`)."""
+    The arrays are real and A is diagonal: every state belongs to one real
+    simple pole (the partial fractions of :func:`realize_state_space`)."""
 
     d: np.ndarray
     a: np.ndarray
@@ -227,45 +219,41 @@ def _live_poles(nums: list, den: np.ndarray) -> tuple:
     return poles, live, phi_val, dpsi
 
 
-#: realizations by ``RationalMatrixFunction.key()``, shared by every caller;
-#: past ``REALIZATION_MEMO_SIZE`` entries the oldest is dropped
-_REALIZATIONS: dict = {}
-
-
 def realize_state_space(laws):
     """Partial-fraction state-space realization of y = R(inverse-derivative) u.
 
-    The feedthrough is R(0); each simple pole of R(1/s) contributes a state
-    block whose size is the rank of the matrix residue.  Repeated poles are
-    rejected.  The result is checked against direct evaluation at 32 sampled
-    frequencies and must match to ``TRANSFER_MATCH_TOL`` relative.
+    Realizes real scalar laws with real simple poles in s = 1/z: the
+    feedthrough is R(0), and each live pole p with residue r gets one state,
+    a = p, b = sqrt|r|, c = sign(r) sqrt|r|.  Other laws raise
+    :class:`RealizationError`.  The result is checked against direct
+    evaluation at 32 sampled frequencies to ``TRANSFER_MATCH_TOL`` relative.
 
     ``laws`` is one :class:`RationalMatrixFunction`, for which one
     realization is returned, or a sequence of them, for which a tuple in the
-    same order is returned.  Realizations are memoized on ``r.key()``, so
-    equal laws share one realization, and its arrays are read-only; the
-    distinct laws the memo does not hold are realized together, one stacked
-    pass per group of equal dims, degrees and dtypes.
+    same order is returned.  Each law keeps its realization (read-only
+    arrays), and equal laws in one call share one; the laws not yet realized
+    are realized together, one stacked pass per group of equal degrees and
+    dtypes.
     """
     single = isinstance(laws, RationalMatrixFunction)
     laws = [laws] if single else list(laws)
-    keys = [r.key() for r in laws]
-    fresh = {k: r for k, r in zip(keys, laws) if k not in _REALIZATIONS}
-    found = {k: _REALIZATIONS[k] for k in keys if k in _REALIZATIONS}
+    found = {r.key(): vars(r)["_realization"] for r in laws if "_realization" in vars(r)}
+    fresh = {r.key(): r for r in laws if r.key() not in found}
     order = list(fresh)
     for index, nums, den in _stack_groups(list(fresh.values())):
-        group = [order[i] for i in index]
-        found.update(zip(group, _realize([fresh[k] for k in group], nums, den)))
-    for key in fresh:
-        if len(_REALIZATIONS) >= REALIZATION_MEMO_SIZE:
-            del _REALIZATIONS[next(iter(_REALIZATIONS))]
-        _REALIZATIONS[key] = found[key]
-    return found[keys[0]] if single else tuple(found[k] for k in keys)
+        found.update(zip([order[i] for i in index], _realize(nums, den)))
+    reals = tuple(vars(r).setdefault("_realization", found[r.key()]) for r in laws)
+    return reals[0] if single else reals
 
 
-def _realize(laws: list, nums: list, den: np.ndarray) -> list:
+def _realize(nums: list, den: np.ndarray) -> list:
     """Realizations of laws of one dims, degrees and dtypes, stacked as
-    ``nums``/``den``."""
+    ``nums``/``den``; only real scalar laws with real simple poles."""
+    if nums[0].shape[1:] != (1, 1):
+        rows, cols = nums[0].shape[1:]
+        raise RealizationError(f"{rows}x{cols} law; only scalar laws are realized")
+    if any(np.iscomplexobj(x) for x in (*nums, den)):
+        raise RealizationError("complex coefficient; only real laws are realized")
     poles, live, phi_val, dpsi = _live_poles(nums, den)
     spread = np.max(np.abs(poles), axis=1, initial=1.0)[:, None, None]
     close = np.abs(poles[:, :, None] - poles[:, None, :]) <= 1e-8 * spread
@@ -274,33 +262,19 @@ def _realize(laws: list, nums: list, den: np.ndarray) -> list:
         g, i, _ = np.argwhere(close)[0]
         raise RealizationError(
             f"repeated pole near s = {poles[g, i]:.6g}; only simple poles are supported")
-    d_all = nums[0] / den[:, :1, None]
-    rows, cols = nums[0].shape[1:]
-    rank = min(rows, cols)
-    u, s, vh = np.linalg.svd(phi_val / dpsi[..., None, None])
-    # per live pole the leading singular values above the rank cutoff; an
-    # exactly cancelling factor (e.g. identical lag times) keeps none
-    keep = live[..., None] & (s > 1e-12 * s[..., :1])
-    counts = np.sum(keep, axis=(1, 2))
-    root = np.sqrt(s[keep])
-    a_flat = np.broadcast_to(poles[..., None], keep.shape)[keep]
-    b_flat = root[:, None] * vh[..., :rank, :][keep]
-    c_flat = np.swapaxes(u[..., :rank], -1, -2)[keep] * root[:, None]
-    # a law whose states are real to rounding gets real arrays
-    fuzzy = ~((np.abs(a_flat.imag) < 1e-14) & np.all(np.abs(b_flat.imag) < 1e-12, axis=1)
-              & np.all(np.abs(c_flat.imag) < 1e-12, axis=1))
-    is_real = laws[0].is_real & (np.bincount(np.repeat(np.arange(len(laws)), counts)[fuzzy],
-                                             minlength=len(laws)) == 0)
-    parts = np.cumsum(counts)[:-1]
-    reals = []
-    for g, (d, a, b, c) in enumerate(zip(d_all, *(np.split(x, parts)
-                                                  for x in (a_flat, b_flat, c_flat)))):
-        a, c = np.diag(a), c.T
-        if not a.size:
-            a, b, c = np.zeros((0, 0)), np.zeros((0, cols)), np.zeros((rows, 0))
-        if is_real[g]:
-            a, b, c, d = a.real, b.real, c.real, d.real
-        reals.append(StateSpaceRealization(np.atleast_2d(d), a, b, c))
+    residue = phi_val[..., 0, 0] / dpsi
+    # an exactly cancelling factor (e.g. identical lag times) keeps no state
+    keep = live & (residue != 0)
+    root = np.sqrt(np.abs(residue))
+    complex_pole = keep & ((np.abs(poles.imag) >= 1e-14) | (np.abs(residue.imag) >= 1e-12 * root))
+    if np.any(complex_pole):
+        g, i = np.argwhere(complex_pole)[0]
+        raise RealizationError(
+            f"complex pole s = {poles[g, i]:.6g}; only real poles are realized")
+    parts = np.cumsum(np.sum(keep, axis=1))[:-1]
+    a, b, c = (np.split(x[keep], parts) for x in (poles.real, root, np.sign(residue.real) * root))
+    reals = [StateSpaceRealization(d, np.diag(a_g), b_g[:, None], c_g[None])
+             for d, a_g, b_g, c_g in zip(nums[0] / den[:, :1, None], a, b, c)]
     _check_transfer_match(nums, den, reals, poles)
     for real in reals:
         for arr in (real.d, real.a, real.b, real.c):

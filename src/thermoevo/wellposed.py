@@ -130,6 +130,8 @@ def check_symbol_boundary(law: MaterialLaw, rho0: float) -> tuple:
     order; a sampling of the line, not a proof.  The cells are evaluated
     stacked, one group of equal shapes and dtypes at a time.  The result is
     kept on the law by ``rho0``, so a repeated call evaluates nothing again.
+    A ``rho0`` whose largest line sample is past the float range raises
+    :class:`InputError` and keeps nothing.
     """
     if not 0 < rho0 < np.inf:
         raise InputError("rho0 must be positive and finite")
@@ -142,6 +144,7 @@ def check_symbol_boundary(law: MaterialLaw, rho0: float) -> tuple:
 
 def _line_minimum(stacks: tuple, rho0: float) -> tuple:
     """Smallest of the cells' line minima, at its first cell."""
+    z_inv = _boundary_samples(rho0)
     unbounded = [(stack.index[k], z) for stack in stacks
                  for k, z in [_unbounded_witness(stack, rho0)] if k is not None]
     if unbounded:
@@ -150,7 +153,7 @@ def _line_minimum(stacks: tuple, rho0: float) -> tuple:
     for stack in stacks:
         for start in range(0, len(stack.index), LINE_CHUNK):
             part = slice(start, start + LINE_CHUNK)
-            lowest, z = _symbol_minima(stack, part, rho0)
+            lowest, z = _symbol_minima(stack, part, rho0, z_inv)
             k, t = np.unravel_index(np.argmin(lowest), lowest.shape)
             found.append((float(lowest[k, t]), stack.index[start + k], complex(z[t])))
     return min(found, key=lambda entry: entry[:2], default=(np.inf, None, None))[::2]
@@ -175,18 +178,22 @@ def _unbounded_witness(stack, rho0: float):
 
 
 def _boundary_samples(rho0: float) -> np.ndarray:
-    """Sample points 1/z = rho0 + i t on the boundary line."""
+    """Sample points 1/z = rho0 + i t on the boundary line; InputError if
+    the largest t is past the float range."""
     half = (LINE_SAMPLES - 1) // 2
-    t_pos = rho0 * np.logspace(-3, 6, half)
+    with np.errstate(over="ignore"):
+        t_pos = rho0 * np.logspace(-3, 6, half)
+    if not np.isfinite(t_pos[-1]):
+        raise InputError(f"rho0={rho0:g} is too large: the largest sample of the line "
+                         "Re 1/z = rho0 is not finite")
     t_grid = np.concatenate([[0.0], t_pos, -t_pos])
     return 1j * t_grid + rho0
 
 
-def _symbol_minima(stack, cells: slice, rho0: float) -> tuple:
+def _symbol_minima(stack, cells: slice, rho0: float, z_inv: np.ndarray) -> tuple:
     """Smallest eigenvalue of the Hermitian part of z^{-1} M(z) per cell of
-    ``stack[cells]`` and sample of the line Re 1/z = rho0, with the sampled
-    z."""
-    z_inv = _boundary_samples(rho0)
+    ``stack[cells]`` and sample ``z_inv`` of the line Re 1/z = rho0, with
+    the sampled z."""
     arrays = [stack.mass] + [a for nums, den in stack.parts for a in nums + [den]]
     if not any(np.iscomplexobj(a) for a in arrays):
         # M(conj z) = conj M(z): the samples at -t, which follow those at

@@ -197,13 +197,18 @@ def apply_symbol_fl(matrix_function, f: WeightedSignal) -> WeightedSignal:
     out = np.fft.ifft(out_spec, axis=0)[:n]
 
     real_input = not np.iscomplexobj(f.samples)
-    real_symbol = matrix_function.is_real
+    real_symbol = has_real_coefficients(matrix_function)
     if real_input and real_symbol:
         out = out.real
     out = np.exp(f.rho * f.t)[:, None] * out
     if rows == f.n_components:
         return f.with_samples(out)
     return WeightedSignal(f.t, out, f.rho)
+
+
+def has_real_coefficients(r: RationalMatrixFunction) -> bool:
+    """Whether no coefficient of ``r`` has a complex dtype."""
+    return not any(np.iscomplexobj(c) for c in (*r.num, r.den))
 
 
 def validate_realization(
@@ -394,7 +399,7 @@ def realize_per_pole(r):
         a, b, c = np.zeros((0, 0)), np.zeros((0, cols)), np.zeros((rows, 0))
     if (np.max(np.abs(a.imag)) if a.size else 0.0) < 1e-14 and \
             (np.max(np.abs(b.imag)) if b.size else 0.0) < 1e-12 and \
-            (np.max(np.abs(c.imag)) if c.size else 0.0) < 1e-12 and r.is_real:
+            (np.max(np.abs(c.imag)) if c.size else 0.0) < 1e-12 and has_real_coefficients(r):
         a, b, c, d = a.real, b.real, c.real, np.asarray(d).real
     return StateSpaceRealization(np.atleast_2d(d), a, b, c)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import thermoevo
-from thermoevo import _lapack, assemble_material_law, cli, evolution, pattern_table
+from thermoevo import _json, _lapack, assemble_material_law, cli, evolution, pattern_table
 from thermoevo.cli import RunConfig, main, run
 from thermoevo.errors import ConfigError
 
@@ -287,6 +287,20 @@ class TestVerifyMode:
         assert "verify: all checks within tolerance (skipped: causality)" in \
             stream.getvalue().splitlines()
 
+    def test_weight_past_line_range_skips_bound(self, tmp_path):
+        # the largest line sample, rho * 1e6, overflows past rho ~1.8e302
+        payload = json.loads(readme_config(tmp_path).read_text())
+        payload["time"]["rho"] = 1e305
+        config_path = tmp_path / "far.json"
+        config_path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 0
+        report = json.loads((out / "verify.json").read_text())
+        assert report["bound_check"] == {
+            "status": "skipped",
+            "reason": "rho0=1e+305 is too large: the largest sample of the line "
+                      "Re 1/z = rho0 is not finite"}
+
     def test_underflowing_weight_skips_comparison_and_bound(self, tmp_path):
         # exp(-2 rho t) is 0 past t = 0 at rho = 1e300: nothing can be compared
         payload = sim_payload()
@@ -426,6 +440,28 @@ def readme_config(tmp_path):
     return config_path
 
 
+#: strings that JSON must escape (control characters, quote, backslash) and one it keeps
+AWKWARD_STRINGS = ["tab\there", "line\nbreak", 'say "hi"', "back\\slash", "caf\u00e9"]
+
+
+class TestJsonStrings:
+    def test_strings_and_keys_round_trip(self):
+        obj = {text: [text, {text: text}] for text in AWKWARD_STRINGS}
+        assert json.loads(_json.dumps(obj)) == obj
+
+    def test_plain_strings_keep_their_bytes(self):
+        # escaped as before: the quote and the backslash only
+        assert _json.dumps({"key": 'a"b\\c\u00e9'}) == '{\n  "key": "a\\"b\\\\c\u00e9"\n}\n'
+
+    def test_output_path_with_control_characters_gives_valid_manifest(self, tmp_path):
+        output = str(tmp_path / "out\tdir\nnext")
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(sim_payload(output=output)))
+        assert main(["simulate", "--config", str(config_path)]) == 0
+        manifest = json.loads(Path(output, "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["output"] == output
+
+
 class TestArtifactWrites:
     def test_out_is_an_existing_file(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -545,6 +581,9 @@ CONFIG_HOLES = {
     # (t - center) / width overflows: the pulse would be zero at every step
     "pulse_center_overflows": (_with("forcing", "center", 1e308), "pulse center 1e+308"),
     "pulse_width_overflows": (_with("forcing", "width", 1e-310), "pulse width 1e-310"),
+    # a2 = 1 / (1 + 0.2 z + z^2) certifies, but its poles s = -0.1 +- 0.994987j are not marched
+    "custom_complex_pole_pair": (_custom_a2({"num": [1.0], "den": [1.0, 0.2, 1.0]}),
+                                 "complex pole s = -0.1+0.994987j"),
     "output_not_string": (sim_payload(output=3), "'output'"),
     # arrays past physical memory: refused before any of them is allocated
     "cells_past_memory": (_with("grid", "n_cells", 10**12), "GiB of physical memory"),
@@ -565,6 +604,14 @@ def test_config_hole_exits_one_with_error_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+def test_complex_pole_pair_still_certifies(tmp_path, capsys):
+    payload, _ = CONFIG_HOLES["custom_complex_pole_pair"]
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(payload))
+    assert main(["check", "--config", str(config_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "satisfied"
 
 
 def package_env():

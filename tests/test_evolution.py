@@ -616,18 +616,22 @@ class TestPerCellLaws:
             calls.append(laws)
             return realize_state_space(laws)
 
-        def realizing(laws, *stacked):
-            realized.extend(r.key() for r in laws)
-            return realize(laws, *stacked)
+        def realizing(nums, den):
+            realized.extend((tuple(m[g].tobytes() for m in nums), den[g].tobytes())
+                            for g in range(len(den)))
+            return realize(nums, den)
 
         monkeypatch.setattr(evolution, "realize_state_space", counting)
-        monkeypatch.setattr(rational, "_REALIZATIONS", {})
         monkeypatch.setattr(rational, "_realize", realizing)
         assert problem.aux_chain.n_aux > 0
         # one call for the problem; two distinct flux resistances plus the
         # shared temperature damping, each realized once
         assert len(calls) == 1
         assert len(realized) == len(set(realized)) == 3
+        # each law keeps its realization: a second problem realizes nothing
+        again = pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25)
+        assert np.array_equal(again.aux_chain.poles, problem.aux_chain.poles)
+        assert len(calls) == 2 and len(realized) == 3
 
 
 #: (law name, n_cells, length): the 8 catalog families and a per-cell dpl_i law

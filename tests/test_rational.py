@@ -284,26 +284,28 @@ def same_arrays(got, want) -> bool:
                and np.array_equal(getattr(got, f), getattr(want, f)) for f in "dabc")
 
 
+def fresh_copy(r):
+    """A new law object equal to ``r``, which holds no realization yet."""
+    return RationalMatrixFunction(r.num, r.den)
+
+
 class TestStackedRealization:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_stacked_call_equals_per_law_calls(self, family, monkeypatch):
+    def test_stacked_call_equals_per_law_calls(self, family):
         law = per_cell_law(family)
         laws = [r for cell in law.cells for r in (cell.theta_damping, cell.flux_resistance)]
-        monkeypatch.setattr(rational, "_REALIZATIONS", {})
         stacked = realize_state_space(laws)
         assert len(stacked) == len(laws)
         for r, got in zip(laws, stacked):
-            monkeypatch.setattr(rational, "_REALIZATIONS", {})
-            assert same_arrays(got, realize_state_space(r))
+            assert same_arrays(got, realize_state_space(fresh_copy(r)))
             assert same_arrays(got, realize_per_pole(r))
 
-    def test_equal_laws_share_one_entry(self, monkeypatch):
-        monkeypatch.setattr(rational, "_REALIZATIONS", {})
+    def test_equal_laws_share_one_entry(self):
         laws = [scalar_rational([1.0], [1.0, lag]) for lag in (0.1, 0.2, 0.1)]
         reals = realize_state_space(laws)
         assert reals[0] is reals[2] and reals[0] is not reals[1]
-        assert len(rational._REALIZATIONS) == 2
         assert realize_state_space(laws[1]) is reals[1]
+        assert same_arrays(realize_state_space(fresh_copy(laws[1])), reals[1])
 
     def test_repeated_pole_rejected_in_a_stack(self):
         with pytest.raises(RealizationError, match="repeated pole"):
@@ -315,20 +317,15 @@ class TestRealizationMemo:
     def test_equal_laws_share_one_read_only_realization(self):
         r = scalar_rational([0.5, 1.0], [0.37, 1.0])
         real = realize_state_space(r)
-        assert realize_state_space(scalar_rational([0.5, 1.0], [0.37, 1.0])) is real
+        assert realize_state_space(r) is real
+        twins = realize_state_space([scalar_rational([0.5, 1.0], [0.37, 1.0]),
+                                     scalar_rational([0.5, 1.0], [0.37, 1.0])])
+        assert twins[0] is twins[1]
+        assert same_arrays(twins[0], real)
         for arr in (real.d, real.a, real.b, real.c):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0.0
-
-    def test_memo_drops_the_oldest_past_its_size(self, monkeypatch):
-        monkeypatch.setattr(rational, "REALIZATION_MEMO_SIZE", 2)
-        monkeypatch.setattr(rational, "_REALIZATIONS", {})
-        laws = [scalar_rational([1.0], [1.0, lag]) for lag in (0.1, 0.2, 0.3)]
-        first = [realize_state_space(r) for r in laws]
-        assert realize_state_space(laws[2]) is first[2]
-        assert realize_state_space(laws[0]) is not first[0]
-        assert len(rational._REALIZATIONS) == 2
 
     def test_key_tells_complex_from_real_coefficients(self):
         # 1/(2 + 3z) and 1/(2 + 3j) hold the same bytes in their denominators
@@ -336,7 +333,54 @@ class TestRealizationMemo:
         complex_den = RationalMatrixFunction((np.ones((1, 1)),), np.array([2.0 + 3.0j]))
         assert real_den.key() != complex_den.key()
         assert realize_state_space(real_den).n_states == 1
-        assert realize_state_space(complex_den).n_states == 0
+        with pytest.raises(RealizationError, match="complex coefficient"):
+            realize_state_space(complex_den)
+
+
+class TestRealizedLaws:
+    """Only real scalar laws with real simple poles are realized."""
+
+    def test_matrix_law_rejected(self):
+        r = RationalMatrixFunction((np.eye(2), 0.5 * np.eye(2)), np.array([1.0, 0.4]))
+        with pytest.raises(RealizationError, match="2x2 law; only scalar laws"):
+            realize_state_space(r)
+
+    def test_complex_coefficient_rejected(self):
+        r = RationalMatrixFunction((np.array([[1.0 + 0.5j]]),), np.array([1.0, 0.4]))
+        with pytest.raises(RealizationError, match="complex coefficient"):
+            realize_state_space(r)
+
+    def test_complex_pole_pair_rejected(self):
+        # 1 / (1 + 0.2 z + z^2): poles s = -0.1 +- 0.994987j
+        r = scalar_rational([1.0], [1.0, 0.2, 1.0])
+        with pytest.raises(RealizationError) as info:
+            realize_state_space(r)
+        assert str(info.value) == "complex pole s = -0.1+0.994987j; only real poles are realized"
+        assert "_realization" not in vars(r)
+
+    def test_equals_per_pole_svd_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        # distinct real denominator roots in z, 1/20 to 20 in size and apart
+        # by a quarter of the larger: simple real poles 1/root in s, far
+        # enough apart for the partial fractions to pass the transfer check
+        roots = st.lists(st.floats(0.05, 20.0) | st.floats(-20.0, -0.05), min_size=1,
+                         max_size=4).filter(lambda r: all(
+                             abs(a - b) > 0.25 * max(abs(a), abs(b)) for i, a in enumerate(r)
+                             for b in r[:i]))
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(roots=roots, extra=st.integers(0, 2),
+                          num=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+        def check(roots, extra, num):
+            # a numerator up to one degree above the denominator adds a pole at s = 0
+            den = np.polynomial.polynomial.polyfromroots(roots)
+            r = scalar_rational(num[:len(roots) + extra], den)
+            got = realize_state_space(r)
+            assert same_arrays(got, realize_per_pole(fresh_copy(r)))
+            assert all(getattr(got, f).dtype == np.float64 for f in "dabc")
+
+        check()
 
 
 class TestPoleMessage:

@@ -236,6 +236,15 @@ class TestLineConstant:
             check_symbol_boundary(law, rho0)
         assert law.boundary_minima == {}
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_weight_whose_line_overflows(self):
+        # the largest line sample is rho0 * 1e6: finite at 1.7e302, not at 1.8e302
+        law = assemble_material_law(canonical_spec(ModelFamily.DPL_I))
+        with pytest.raises(InputError, match=r"rho0=1\.8e\+302 is too large"):
+            check_symbol_boundary(law, 1.8e302)
+        assert law.boundary_minima == {}
+        assert np.isfinite(check_symbol_boundary(law, 1.7e302)[0])
+
     @pytest.mark.parametrize("name", sorted(MATRIX_LAWS))
     @pytest.mark.parametrize("rho0", [0.3, 1.0, 4.0])
     def test_matrix_parts_match_full_symbol(self, name, rho0):
