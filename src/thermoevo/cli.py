@@ -30,7 +30,6 @@ from .errors import (
     ConfigError,
     InputError,
     OracleRejectionError,
-    PoleProximityError,
     ThermoevoError,
 )
 from .evolution import (
@@ -381,7 +380,7 @@ def _causality(config, problem, report, trajectory):
 def _bound_check(config, problem, report, trajectory):
     try:
         check = solution_bound_check(problem, report, trajectory)
-    except (InputError, PoleProximityError) as exc:
+    except InputError as exc:
         return {"status": "skipped", "reason": str(exc)}, []
     reason = _underflow(trajectory) if check.lhs == 0.0 else ""
     if reason:

@@ -618,13 +618,13 @@ def solution_bound_check(
 ) -> BoundCheckResult:
     """A-priori bound check: norm of ``trajectory`` against forcing norm over c.
 
-    The constant is the infimum of the Hermitian part of the weighted
-    symbol over Re s >= rho, taken on the line Re s = rho at the run weight
-    (:func:`~thermoevo.wellposed.check_symbol_boundary`), the quantity the
-    solution theory inverts.  The weighted tail of the solution at the
-    window end over its peak is reported as ``tail_ratio``.  The forcing norm
-    is ``||a R^T||_rho`` with ``P^T = Q R``; the solution norm and the weighted
-    envelope ``exp(-rho t) max |u(t)|`` are taken in row chunks
+    The constant is a closed-form lower bound of the Hermitian part of the
+    weighted symbol over Re s >= rho at the run weight, exact for every
+    catalog family (:func:`~thermoevo.wellposed.check_symbol_boundary`).
+    The weighted tail of the solution at the window end over its peak is
+    reported as ``tail_ratio``.  The forcing norm is ``||a R^T||_rho`` with
+    ``P^T = Q R``; the solution norm and the weighted envelope
+    ``exp(-rho t) max |u(t)|`` are taken in row chunks
     (:func:`~thermoevo.signals.map_row_chunks`): the check adds no temporary
     the size of the trajectory.
     """
@@ -636,7 +636,7 @@ def solution_bound_check(
         )
     if trajectory.problem is not problem:
         raise InputError("trajectory does not belong to the problem")
-    c_used, _ = check_symbol_boundary(problem.law, problem.rho)
+    c_used = check_symbol_boundary(problem.law, problem.rho)
     if c_used <= 0:
         raise InputError(
             f"positivity constant on Re s = {problem.rho:g} is not positive ({c_used:.6g})"

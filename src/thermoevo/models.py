@@ -233,9 +233,10 @@ def _masses(cells) -> np.ndarray:
     lmat, core = _congruence(cells)
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.conj(lmat).swapaxes(-1, -2) @ core @ lmat
+        m = 0.5 * (m + np.conj(m).swapaxes(-1, -2))
     if not np.all(np.isfinite(m)):
         raise InputError("instantaneous block is not finite: coefficient products overflow")
-    return 0.5 * (m + np.conj(m).swapaxes(-1, -2))
+    return m
 
 
 def _block_slices(dims) -> list:
@@ -338,12 +339,6 @@ class MaterialLaw:
         """The cells stacked for one LAPACK call per cell group (one group
         unless cells differ in dtypes or rational shapes)."""
         return _cell_stacks(self.cells)
-
-    @cached_property
-    def boundary_minima(self) -> dict:
-        """Symbol minima on the boundary line of this law by ``rho0``,
-        filled by :func:`thermoevo.wellposed.check_symbol_boundary`."""
-        return {}
 
     def is_uniform(self) -> bool:
         if self.n_cells == 1:

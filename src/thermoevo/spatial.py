@@ -37,6 +37,10 @@ class Grid1D:
             raise InputError("domain length must be positive")
         if self.n_cells < 2:
             raise InputError("need at least 2 cells")
+        # 1/h rounds to inf exactly when h <= 2**-1024
+        if not self.h > 2.0**-1024:
+            raise InputError(f"cell size L/n_cells = {self.length:g}/{self.n_cells} "
+                             "is too small: its inverse is not finite")
 
     @property
     def h(self) -> float:

@@ -5,13 +5,11 @@ Three layers of checking, from cheap to thorough:
 * :func:`check_condition_rho` evaluates the Hermitian matrix
   ``rho * M(0) + Re M'(0)`` cellwise and reports its smallest eigenvalue,
   the rational-law simplification of the positivity condition.
-* :func:`check_symbol_boundary` samples ``Re z^{-1} M(z)`` of every cell
-  of a law on the boundary line ``Re 1/z = rho0`` of the admissibility
-  ball, where the maximum principle puts its infimum over the ball once
-  poles and an indefinite ``M(0)`` are ruled out (a sampling of the line,
-  not a proof).  On that line the sampled matrix is ``rho0 * M(0)`` plus
-  the Hermitian parts of the two zero-order parts a1(z) and a2(z) on their
-  diagonal blocks, evaluated from the parts themselves.
+* :func:`check_symbol_boundary` bounds ``Re z^{-1} M(z)`` of every cell
+  of a scalar law from below on the admissibility ball: the smallest
+  eigenvalue of ``rho0 * M(0)`` plus the infima of the zero-order parts
+  a1(z), a2(z) on the boundary line ``Re 1/z = rho0``, in closed form from
+  their partial fractions.
 * :func:`certify_wellposedness` runs the structural range/kernel conditions
   that guarantee a causal bounded inverse and combines everything into a
   :class:`WellPosednessReport`; its weight search stays strictly above the
@@ -27,7 +25,7 @@ import numpy as np
 from . import _json
 from .errors import InputError
 from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, _stack
-from .rational import _evaluate
+from .rational import realize_state_space
 
 __all__ = [
     "Witness",
@@ -45,12 +43,6 @@ INCONCLUSIVE = "inconclusive"
 RHO_RANGE = (1e-3, 1e6)
 #: log-spaced rho search grid resolution (points per decade)
 RHO_GRID_PER_DECADE = 20
-#: sample points on the boundary line Re 1/z = rho0
-LINE_SAMPLES = 257
-#: symbols sampled per stacked evaluation of the boundary line: bounds its
-#: arrays on laws with thousands of cells (a tracemalloc peak of about 5 MB
-#: for 4x4 real blocks, whose line is halved, and 9 MB for complex ones)
-LINE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -111,102 +103,79 @@ def check_condition_rho(law: MaterialLaw, rho: float) -> tuple:
     return value, Witness(cell, value, vector)
 
 
-def check_symbol_boundary(law: MaterialLaw, rho0: float) -> tuple:
-    """Minimum of the Hermitian part of z^{-1} M(z) on the ball, from its
-    boundary line, over every cell of ``law``.
+def check_symbol_boundary(law: MaterialLaw, rho0: float) -> float:
+    """Lower bound of the Hermitian part of z^{-1} M(z) of the scalar
+    ``law`` over the ball Re s >= rho0, s = 1/z, in closed form.
 
-    With s = 1/z the ball is the half-plane Re s >= rho0.  Where every cell
-    symbol is analytic there and M(0) is positive semidefinite, the infimum
-    over the half-plane lies on the line Re s = rho0 (maximum principle), so
-    only 1/z = rho0 + i t is sampled, at ``LINE_SAMPLES`` values of t on a
-    symmetric log-spaced grid plus t = 0.  On that line the Hermitian part
-    of z^{-1} M(z) = z^{-1} M(0) + diag(0, 0, a1(z), a2(z)) is
-    ``rho0 * M(0)`` plus the Hermitian parts of a1(z) and a2(z) on the theta
-    and q blocks, which is the matrix sampled.  A symbol that fails either
-    condition is unbounded below: a live pole p of a1 or a2 (one the
-    numerator does not cancel) with Re p >= rho0 gives ``(-inf, 1/p)``, a1's
-    poles before a2's, an indefinite M(0) gives ``(-inf, 0j)``.  Returns
-    ``(min_eigenvalue, worst_z)``, the first occurrence in cell and then t
-    order; a sampling of the line, not a proof.  The cells are evaluated
-    stacked, one group of equal shapes and dtypes at a time.  The result is
-    kept on the law by ``rho0``, so a repeated call evaluates nothing again.
-    A ``rho0`` whose largest line sample is past the float range raises
-    :class:`InputError` and keeps nothing.
+    A pole p >= rho0 of a1 or a2, or an indefinite M(0), gives -inf.  Else
+    the infimum lies on the line s = rho0 + i t (maximum principle), where
+    the matrix is rho0 M(0) + diag(0, 0, Re a1, Re a2).  In the partial
+    fractions a(1/s) = d + sum_k r_k / (s - p_k) of each part (its
+    :func:`~thermoevo.rational.realize_state_space`), Re a = d + sum_k w_k /
+    (alpha_k + t^2), w_k = r_k (rho0 - p_k), alpha_k = (rho0 - p_k)^2, is
+    least at t = 0, at t = inf or at a stationary point, which only residues
+    of both signs give.  The constant is the least over cells of
+    lambda_min(rho0 M(0) + diag(0, 0, inf Re a1, inf Re a2)): a lower bound
+    of the infimum (Weyl's monotonicity theorem), equal to it when at most
+    one part varies, as for every catalog family.  A matrix law, or a rho0
+    M(0) past the float range, raises :class:`InputError`; a part the march
+    cannot take raises :class:`~thermoevo.errors.RealizationError`.
     """
     if not 0 < rho0 < np.inf:
         raise InputError("rho0 must be positive and finite")
-    rho0 = float(rho0)
-    found = law.boundary_minima
-    if rho0 not in found:
-        found[rho0] = _line_minimum(law.stacks, rho0)
-    return found[rho0]
+    if not law.is_scalar:
+        raise InputError("the bound constant is computed for scalar laws only")
+    # slot k holds a1 (k even) or a2 (k odd) of cell k // 2; a zero part is not realized
+    parts = [part for cell in law.cells for part in (cell.theta_damping, cell.flux_resistance)]
+    slots = [k for k, part in enumerate(parts) if any(np.any(c != 0) for c in part.num)]
+    reals = realize_state_space([parts[k] for k in slots])
+    owner = np.repeat(np.asarray(slots, dtype=int), [real.n_states for real in reals])
+    poles = np.concatenate([np.diagonal(real.a) for real in reals] + [np.zeros(0)])
+    if np.any(poles >= rho0):
+        return -np.inf
+    residues = np.concatenate([real.b[:, 0] * real.c[0] for real in reals] + [np.zeros(0)])
+    feed = np.zeros(len(parts))
+    feed[slots] = [real.d[0, 0] for real in reals]
+    beta = rho0 - poles
+    lowest = np.minimum(feed, feed + np.bincount(owner, residues / beta, minlength=feed.size))
+    mixed = (np.bincount(owner, residues > 0, minlength=feed.size)
+             * np.bincount(owner, residues < 0, minlength=feed.size))
+    for slot in np.flatnonzero(mixed):
+        at = owner == slot
+        lowest[slot] = min(lowest[slot], _stationary_minimum(feed[slot], residues[at], beta[at]))
 
-
-def _line_minimum(stacks: tuple, rho0: float) -> tuple:
-    """Smallest of the cells' line minima, at its first cell."""
-    z_inv = _boundary_samples(rho0)
-    unbounded = [(stack.index[k], z) for stack in stacks
-                 for k, z in [_unbounded_witness(stack, rho0)] if k is not None]
-    if unbounded:
-        return -np.inf, min(unbounded, key=lambda entry: entry[0])[1]
     found = []
-    for stack in stacks:
-        for start in range(0, len(stack.index), LINE_CHUNK):
-            part = slice(start, start + LINE_CHUNK)
-            lowest, z = _symbol_minima(stack, part, rho0, z_inv)
-            k, t = np.unravel_index(np.argmin(lowest), lowest.shape)
-            found.append((float(lowest[k, t]), stack.index[start + k], complex(z[t])))
-    return min(found, key=lambda entry: entry[:2], default=(np.inf, None, None))[::2]
+    too_large = InputError(f"rho0={rho0:g} is too large: rho0 * M(0) is past the float range")
+    for stack in law.stacks:
+        eigvals = np.linalg.eigvalsh(stack.mass)
+        scale = np.maximum(np.max(np.abs(eigvals), axis=1), 1e-300)
+        if np.any(eigvals[:, 0] < -SPECTRAL_CUTOFF * scale):
+            return -np.inf
+        with np.errstate(over="ignore"):
+            mats = rho0 * stack.mass
+            mats[:, (2, 3), (2, 3)] += lowest.reshape(-1, 2)[stack.index]
+        if not np.all(np.isfinite(mats)):
+            raise too_large
+        try:
+            found.append(np.min(np.linalg.eigvalsh(mats)[:, 0]))
+        except np.linalg.LinAlgError:
+            raise too_large from None
+    return float(min(found))
 
 
-def _unbounded_witness(stack, rho0: float):
-    """``(k, z)`` for the first stacked cell k whose symbol the line does
-    not bound from below on Re s >= rho0: a live pole of a1 or a2 there
-    (z = 1/p, its first such pole, a1's before a2's), or M(0) not positive
-    semidefinite (z = 0); (None, None) if every symbol is bounded."""
-    poles, live = stack.poles
-    inside = live & (poles.real >= rho0)
-    eigvals = np.linalg.eigvalsh(stack.mass)
-    scale = np.maximum(np.max(np.abs(eigvals), axis=1), 1e-300)
-    failed = np.flatnonzero(np.any(inside, axis=1) | (eigvals[:, 0] < -SPECTRAL_CUTOFF * scale))
-    if failed.size == 0:
-        return None, None
-    k = failed[0]
-    if np.any(inside[k]):
-        return k, complex(1.0 / poles[k, np.argmax(inside[k])])
-    return k, 0j
-
-
-def _boundary_samples(rho0: float) -> np.ndarray:
-    """Sample points 1/z = rho0 + i t on the boundary line; InputError if
-    the largest t is past the float range."""
-    half = (LINE_SAMPLES - 1) // 2
-    with np.errstate(over="ignore"):
-        t_pos = rho0 * np.logspace(-3, 6, half)
-    if not np.isfinite(t_pos[-1]):
-        raise InputError(f"rho0={rho0:g} is too large: the largest sample of the line "
-                         "Re 1/z = rho0 is not finite")
-    t_grid = np.concatenate([[0.0], t_pos, -t_pos])
-    return 1j * t_grid + rho0
-
-
-def _symbol_minima(stack, cells: slice, rho0: float, z_inv: np.ndarray) -> tuple:
-    """Smallest eigenvalue of the Hermitian part of z^{-1} M(z) per cell of
-    ``stack[cells]`` and sample ``z_inv`` of the line Re 1/z = rho0, with
-    the sampled z."""
-    arrays = [stack.mass] + [a for nums, den in stack.parts for a in nums + [den]]
-    if not any(np.iscomplexobj(a) for a in arrays):
-        # M(conj z) = conj M(z): the samples at -t, which follow those at
-        # t, repeat their eigenvalues
-        z_inv = z_inv[:(z_inv.size + 1) // 2]
-    z = 1.0 / z_inv
-    mass = stack.mass[cells]
-    herm = np.empty((len(mass), z.size) + mass.shape[1:], dtype=complex)
-    herm[...] = rho0 * mass[:, None]
-    for block, (nums, den) in zip(_block_slices(stack.cells[0].block_dims)[2:], stack.parts):
-        herm[..., block, block] += _herm(_evaluate(
-            [m[cells] for m in nums], den[cells], np.broadcast_to(z, (len(mass), z.size))))
-    return np.linalg.eigvalsh(herm)[..., 0], z
+def _stationary_minimum(d: float, residues: np.ndarray, beta: np.ndarray) -> float:
+    """Least value of d + sum_k r_k beta_k / (beta_k^2 + u) at the real parts,
+    clipped at 0, of the roots of its derivative's numerator sum_k w_k
+    prod_{j != k} (alpha_j + u)^2, in units of max(beta)^2 so that no power
+    of rho0 overflows."""
+    scale = np.max(beta)
+    unit = beta / scale
+    weights, alpha = residues * unit, unit * unit
+    numerator = sum(w * np.poly(np.repeat(-np.delete(alpha, k), 2))
+                    for k, w in enumerate(weights))
+    u = np.maximum(np.roots(numerator).real, 0.0)
+    values = d + np.sum(weights / (alpha + u[:, None]), axis=1) / scale
+    return float(np.min(values, initial=np.inf))
 
 
 def _rho_grid() -> np.ndarray:

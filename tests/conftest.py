@@ -307,47 +307,57 @@ def line_samples(rho0, n_samples=257, decades=(-3, 6)):
     return 1j * np.concatenate([[0.0], t_pos, -t_pos]) + rho0
 
 
-def symbol_boundary_per_point(cells, rho0, n_samples=257):
-    """(min_eigenvalue, worst_z) of the symbol sampling on the line
-    Re 1/z = rho0, one cell and point at a time, after the same guards: a
-    live pole p of a1 or a2 with Re p >= rho0 gives (-inf, 1/p), a1's
-    before a2's, an indefinite M(0) (-inf, 0j).  Each point's matrix is
-    rho0 * M(0) plus the Hermitian parts of a1(z) and a2(z) on their
-    blocks."""
-    z_inv = line_samples(rho0, n_samples)
-    z = 1.0 / z_inv
-    min_eig = np.inf
-    worst_z = None
-    for cell in cells:
-        parts = (cell.theta_damping, cell.flux_resistance)
-        poles = [p for part in parts for p in live_poles_per_pole(part) if p.real >= rho0]
-        if poles:
-            return -np.inf, complex(1.0 / poles[0])
-        eigs = np.linalg.eigvalsh(cell.mass())
-        if eigs[0] < -1e-10 * max(np.max(np.abs(eigs)), 1e-300):
-            return -np.inf, 0j
-        blocks = _block_slices(cell.block_dims)[2:]
-        for k in range(z.size):
-            mat = (rho0 * cell.mass()).astype(complex)
-            for block, part in zip(blocks, parts):
-                mat[block, block] += _herm(horner_per_point(part, z[k]))
-            lowest = np.linalg.eigvalsh(mat)[0]
-            if lowest < min_eig:
-                min_eig = float(lowest)
-                worst_z = complex(z[k])
-    return min_eig, worst_z
+def simple_real_roots(min_size, max_size):
+    """Hypothesis strategy: distinct real denominator roots in z, 1/20 to 20
+    in size and apart by a quarter of the larger, so simple real poles
+    1/root in s, far enough apart for the partial fractions to pass the
+    transfer check."""
+    import hypothesis.strategies as st
+    return st.lists(st.floats(0.05, 20.0) | st.floats(-20.0, -0.05), min_size=min_size,
+                    max_size=max_size).filter(lambda r: all(
+                        abs(a - b) > 0.25 * max(abs(a), abs(b)) for i, a in enumerate(r)
+                        for b in r[:i]))
+
+
+def line_lowest(cell, rho0, t):
+    """Smallest eigenvalue of the Hermitian part of z^{-1} M(z), the full
+    symbol of ``cell``, at the points 1/z = rho0 + i t."""
+    z_inv = 1j * np.asarray(t, dtype=float) + rho0
+    mats = z_inv[:, None, None] * full_symbol(cell, 1.0 / z_inv)
+    herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
+    return np.linalg.eigvalsh(herm)[:, 0]
 
 
 def dense_line_minimum(cells, rho0, n_points=20001, decades=(-4, 7)):
     """Smallest eigenvalue of the Hermitian part of z^{-1} M(z), the full
     symbol evaluated densely, over ``n_points`` points of the line
     Re 1/z = rho0, t over eleven decades by default."""
-    z_inv = line_samples(rho0, n_points, decades)
+    t = line_samples(rho0, n_points, decades).imag
+    return min(float(np.min(line_lowest(cell, rho0, t))) for cell in cells)
+
+
+def refined_line_minimum(cells, rho0, n_points=20001, decades=(-4, 7), steps=120):
+    """:func:`dense_line_minimum` of real laws (whose line is symmetric in
+    t), refined by golden-section search between the neighbours of each
+    cell's least sample with t >= 0, and with the limit t -> inf,
+    rho0 * M(0) plus the parts at z = 0 on their blocks."""
+    t = line_samples(rho0, n_points, decades).imag[:(n_points + 1) // 2]
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
     lowest = np.inf
     for cell in cells:
-        mats = z_inv[:, None, None] * full_symbol(cell, 1.0 / z_inv)
-        herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
-        lowest = min(lowest, float(np.min(np.linalg.eigvalsh(herm)[:, 0])))
+        values = line_lowest(cell, rho0, t)
+        k = int(np.argmin(values))
+        lo, hi = t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]
+        for _ in range(steps):
+            a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+            f_a, f_b = line_lowest(cell, rho0, [a, b])
+            lo, hi = (lo, b) if f_a < f_b else (a, hi)
+        limit = (rho0 * cell.mass()).astype(complex)
+        for block, part in zip(_block_slices(cell.block_dims)[2:],
+                               (cell.theta_damping, cell.flux_resistance)):
+            limit[block, block] += _herm(horner_per_point(part, 0.0))
+        lowest = min(lowest, float(values[k]), float(np.min(line_lowest(cell, rho0, [lo, hi]))),
+                     float(np.linalg.eigvalsh(limit)[0]))
     return lowest
 
 

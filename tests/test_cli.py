@@ -288,7 +288,8 @@ class TestVerifyMode:
             stream.getvalue().splitlines()
 
     def test_weight_past_line_range_skips_bound(self, tmp_path):
-        # the largest line sample, rho * 1e6, overflows past rho ~1.8e302
+        # the bound constant is finite at rho = 1e305, but exp(-rho t) is 0
+        # past t = 0: the check is skipped for the underflow
         payload = json.loads(readme_config(tmp_path).read_text())
         payload["time"]["rho"] = 1e305
         config_path = tmp_path / "far.json"
@@ -298,8 +299,8 @@ class TestVerifyMode:
         report = json.loads((out / "verify.json").read_text())
         assert report["bound_check"] == {
             "status": "skipped",
-            "reason": "rho0=1e+305 is too large: the largest sample of the line "
-                      "Re 1/z = rho0 is not finite"}
+            "reason": "the rho-weighted norm of a nonzero trajectory underflows to 0 "
+                      "at rho=1e+305"}
 
     def test_underflowing_weight_skips_comparison_and_bound(self, tmp_path):
         # exp(-2 rho t) is 0 past t = 0 at rho = 1e300: nothing can be compared
@@ -542,6 +543,12 @@ def _march_overflow():
     return payload
 
 
+def _huge_heat_capacity():
+    model = ls_model()
+    model["coefficients"]["nu"] = 9e307
+    return model
+
+
 CONFIG_HOLES = {
     "rational_without_den": (_custom_a2({"num": [1.0]}), "and 'den'"),
     "rational_scalar_num": (_custom_a2({"num": 1.0, "den": [1.0]}), "'num' (a list)"),
@@ -575,6 +582,11 @@ CONFIG_HOLES = {
                          "bad spatial profile 'mode_ 1'"),
     "coefficient_products_overflow": (sim_payload(model=ls_model(gamma=1e160)),
                                       "instantaneous block is not finite"),
+    # M + M^T overflows past 9e307, after the finiteness check of M alone
+    "symmetrization_overflows": (sim_payload(model=_huge_heat_capacity()),
+                                 "instantaneous block is not finite"),
+    # h = 5e-324 / 8 underflows to 0
+    "cell_size_underflows": (_with("grid", "L", 5e-324), "cell size L/n_cells"),
     "march_overflows": (_march_overflow(),
                         "the march overflows: the state is not finite from step 724 "
                         "(t = 2.82812)"),
@@ -612,6 +624,15 @@ def test_complex_pole_pair_still_certifies(tmp_path, capsys):
     config_path.write_text(json.dumps(payload))
     assert main(["check", "--config", str(config_path)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "satisfied"
+
+
+def test_overflowing_symmetrization_check_exits_one(tmp_path, capsys):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"model": _huge_heat_capacity()}))
+    assert main(["check", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "instantaneous block is not finite" in err
+    assert len(err.splitlines()) == 1
 
 
 def package_env():

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from conftest import (
@@ -14,13 +15,15 @@ from conftest import (
     horner_per_point,
     negated_law,
     per_cell_law,
+    refined_line_minimum,
+    simple_real_roots,
     spec_with,
-    symbol_boundary_per_point,
 )
 from thermoevo import (
     CellLaw,
     EvolutionProblem,
     Grid1D,
+    MaterialLaw,
     ModelFamily,
     ModelSpec,
     RationalMatrixFunction,
@@ -33,12 +36,12 @@ from thermoevo import (
     certify_wellposedness,
     solution_bound_check,
     solve,
+    rational,
     time_grid,
     wellposed,
 )
-from thermoevo.errors import InputError
+from thermoevo.errors import InputError, RealizationError
 from thermoevo.models import _block_slices
-from thermoevo.rational import _evaluate
 
 
 def unit_classical(gamma=0.0):
@@ -93,18 +96,15 @@ def custom_law(**coefficients):
 
 class TestSymbolBoundary:
     def test_identity_bounded_below_by_rho0(self):
-        min_eig, worst = check_symbol_boundary(custom_law(a0=1.0), 1.0)  # M(z) = I
-        assert min_eig >= 1.0
-        assert worst is not None
+        assert check_symbol_boundary(custom_law(a0=1.0), 1.0) >= 1.0  # M(z) = I
 
     def test_sign_flip_detected(self):
         # a negative temperature damping a1 = -2 makes rho0 M(0) + Re M1 = 1 - 2
         # on the temperature row: a finite negative minimum, not a guard
-        min_eig, _ = check_symbol_boundary(custom_law(a0=1.0, a1=-2.0), 1.0)
-        assert min_eig < 0.0
+        assert check_symbol_boundary(custom_law(a0=1.0, a1=-2.0), 1.0) < 0.0
 
     def test_unit_classical_positive(self):
-        min_eig, _ = check_symbol_boundary(unit_classical(), 1.0)
+        min_eig = check_symbol_boundary(unit_classical(), 1.0)
         assert min_eig > 0.0
         # consistency with the rational simplification at large rho: the
         # boundary values approach rho*M(0) + Re M'(0) as |z| -> 0
@@ -112,7 +112,7 @@ class TestSymbolBoundary:
         assert min_eig == pytest.approx(min(cond, 1.0), rel=1e-6)
 
     def test_hermitian_part_identity(self):
-        # for this block structure the sampled quantity collapses to
+        # for this block structure the bounded quantity collapses to
         # rho * M0 + Herm(M1(z)): verify the literal evaluation against that
         # closed form at a z-dependent law
         law = assemble_material_law(canonical_spec(ModelFamily.GREEN_NAGHDI_III))
@@ -129,6 +129,12 @@ class TestSymbolBoundary:
             assert np.max(np.abs(herm - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def least_one_cell_constant(law, rho0):
+    """The least constant of the one-cell laws of ``law``'s cells."""
+    return min(check_symbol_boundary(MaterialLaw(law.family, (cell,)), rho0)
+               for cell in law.cells)
+
+
 class TestBatchedSymbolBoundary:
     LAWS = {family.value: canonical_spec(family) for family in ALL_FAMILIES}
     LAWS["dpl_i_per_cell"] = spec_with(ModelFamily.DPL_I, C=[0.9, 1.1, 1.2],
@@ -138,35 +144,25 @@ class TestBatchedSymbolBoundary:
     @pytest.mark.parametrize("rho0", [0.3, 1.0, 4.0])
     def test_bitwise_equal_to_per_shell_loop(self, name, rho0):
         law = assemble_material_law(self.LAWS[name])
-        want = symbol_boundary_per_point(law.cells, rho0)
-        got = check_symbol_boundary(law, rho0)
+        got, want = check_symbol_boundary(law, rho0), least_one_cell_constant(law, rho0)
         assert got == want
-        assert np.signbit(got[0]) == np.signbit(want[0])
+        assert np.signbit(got) == np.signbit(want)
 
-    @pytest.mark.parametrize("family", [ModelFamily.DPL_I, ModelFamily.GREEN_LINDSAY])
-    def test_chunked_cells_equal_per_point(self, family, monkeypatch):
-        # four cells in chunks of three: the minimum is taken across chunks
-        monkeypatch.setattr(wellposed, "LINE_CHUNK", 3)
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_per_cell_law_equals_least_cell(self, family):
         law = per_cell_law(family)
-        for rho0 in (0.3, 1.0):
-            want = symbol_boundary_per_point(law.cells, rho0)
-            assert check_symbol_boundary(law, rho0) == want
+        for rho0 in (0.3, 1.0, 4.0):
+            assert check_symbol_boundary(law, rho0) == least_one_cell_constant(law, rho0)
 
-    def test_ties_resolve_to_first_sample(self):
-        # every sample of the line ties for the identity: the witness is the
-        # first one, t = 0
-        law = custom_law(a0=1.0)  # M(z) = I
-        want = symbol_boundary_per_point(law.cells, 2.0)
-        assert check_symbol_boundary(law, 2.0) == want
-        assert want[1] == 1.0 / 2.0
-
-    def test_negated_law_same_witness(self):
+    def test_negated_law_negative(self):
         law = negated_law(ModelFamily.DPL_I)
-        want = symbol_boundary_per_point(law.cells, 1.0)
-        assert check_symbol_boundary(law, 1.0) == want
-        assert want[0] < 0.0
+        got = check_symbol_boundary(law, 1.0)
+        assert got == least_one_cell_constant(law, 1.0)
+        assert got < 0.0
 
     def test_repeated_bound_check_evaluates_once(self, monkeypatch):
+        # the march realizes every part of the law, and the law keeps its
+        # realizations: the bound checks realize nothing again
         law = assemble_material_law(spec_with(ModelFamily.DPL_I, C=[0.95, 1.05, 1.15, 0.85],
                                               kappa=[0.6, 1.7, 1.1, 0.9]))
         op = build_operators(Grid1D(1.0, 4))
@@ -175,15 +171,17 @@ class TestBatchedSymbolBoundary:
                                    center=0.05, width=0.02)
         report = certify_wellposedness(law)
         problem = EvolutionProblem(law, op, forcing)
-        first = solution_bound_check(problem, report, solve(problem))
+        trajectory = solve(problem)
 
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return _evaluate(*args)
+            return realize(*args)
 
-        monkeypatch.setattr(wellposed, "_evaluate", counting)
+        realize = rational._realize
+        monkeypatch.setattr(rational, "_realize", counting)
+        first = solution_bound_check(problem, report, trajectory)
         problem = EvolutionProblem(law, op, forcing, "trapezoidal")
         second = solution_bound_check(problem, report, solve(problem))
         assert calls == []
@@ -208,6 +206,11 @@ MATRIX_LAWS = {
 }
 
 
+def custom_resistance(a2):
+    return assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
+        "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "a2": a2}))
+
+
 class TestLineConstant:
     LAWS = TestBatchedSymbolBoundary.LAWS
 
@@ -216,60 +219,110 @@ class TestLineConstant:
     def test_matches_dense_line(self, name, rho0):
         law = assemble_material_law(self.LAWS[name])
         want = dense_line_minimum(law.cells, rho0)
-        got, _ = check_symbol_boundary(law, rho0)
-        assert abs(got - want) <= 1e-6 * abs(want)
+        got = check_symbol_boundary(law, rho0)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
-    def test_complex_symbol_sampled_on_both_half_lines(self):
-        # complex coefficients break the conjugate symmetry of the line: with
-        # a2(z) = 1 + i z, Re a2 = 1 + t / (rho0^2 + t^2) on 1/z = rho0 + i t,
-        # least at t < 0, i.e. Im z > 0
-        law = custom_resistance(RationalMatrixFunction((np.array([[1.0 + 0j]]), np.array([[1j]])),
-                                                       np.array([1.0])))
-        want = symbol_boundary_per_point(law.cells, 1.0)
-        assert check_symbol_boundary(law, 1.0) == want
-        assert want[0] < 1.0 and want[1].imag > 0.0
+    @pytest.mark.parametrize("a2", [
+        RationalMatrixFunction((np.array([[1.0 + 0j]]), np.array([[1j]])), np.array([1.0])),
+        RationalMatrixFunction((np.array([[1.0]]),), np.array([1.0, 0.2, 1.0]))],
+        ids=["complex_coefficient", "complex_pole_pair"])
+    def test_complex_part_rejected(self, a2):
+        # the march takes real laws with real poles only, and so does the bound
+        with pytest.raises(RealizationError, match="complex"):
+            check_symbol_boundary(custom_resistance(a2), 1.0)
 
     @pytest.mark.parametrize("rho0", [np.nan, np.inf, 0.0])
     def test_rejects_non_finite_or_nonpositive_weight(self, rho0):
         law = assemble_material_law(canonical_spec(ModelFamily.DPL_I))
         with pytest.raises(InputError, match="positive and finite"):
             check_symbol_boundary(law, rho0)
-        assert law.boundary_minima == {}
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_weight_whose_line_overflows(self):
-        # the largest line sample is rho0 * 1e6: finite at 1.7e302, not at 1.8e302
-        law = assemble_material_law(canonical_spec(ModelFamily.DPL_I))
-        with pytest.raises(InputError, match=r"rho0=1\.8e\+302 is too large"):
-            check_symbol_boundary(law, 1.8e302)
-        assert law.boundary_minima == {}
-        assert np.isfinite(check_symbol_boundary(law, 1.7e302)[0])
+        # rho0 M(0) has the entry rho0 * (1 + Gamma^2 / nu) = 1.25 rho0
+        law = assemble_material_law(canonical_spec(ModelFamily.LORD_SHULMAN))
+        with pytest.raises(InputError, match=r"rho0=1\.7e\+308 is too large"):
+            check_symbol_boundary(law, 1.7e308)
+        assert np.isfinite(check_symbol_boundary(law, 1e305))
 
     @pytest.mark.parametrize("name", sorted(MATRIX_LAWS))
     @pytest.mark.parametrize("rho0", [0.3, 1.0, 4.0])
-    def test_matrix_parts_match_full_symbol(self, name, rho0):
-        # the sampled rho0 * M(0) + Herm a1, Herm a2 on their blocks equals
-        # the Hermitian part of z^{-1} M(z) of the full symbol, sample by sample
-        law = MATRIX_LAWS[name]()
-        got = check_symbol_boundary(law, rho0)
-        want = dense_line_minimum(law.cells, rho0, wellposed.LINE_SAMPLES, (-3, 6))
-        assert abs(got[0] - want) <= 1e-12 * abs(want)
-        assert got == symbol_boundary_per_point(law.cells, rho0)
-
-    def test_cached_by_weight(self):
-        law = assemble_material_law(canonical_spec(ModelFamily.DPL_I))
-        check_symbol_boundary(law, 1)
-        assert list(law.boundary_minima) == [1.0]
+    def test_matrix_law_rejected(self, name, rho0):
+        # matrix-valued laws are certified by certify_wellposedness only
+        with pytest.raises(InputError, match="scalar laws only"):
+            check_symbol_boundary(MATRIX_LAWS[name](), rho0)
 
     def test_pole_inside_half_plane_unbounded(self):
         law = pole_at_two()
-        assert check_symbol_boundary(law, 1.0) == (-np.inf, 0.5 + 0j)
-        assert check_symbol_boundary(law, 2.0)[0] == -np.inf
-        min_eig, _ = check_symbol_boundary(law, 3.0)
+        assert check_symbol_boundary(law, 1.0) == -np.inf
+        assert check_symbol_boundary(law, 2.0) == -np.inf
+        min_eig = check_symbol_boundary(law, 3.0)
         assert np.isfinite(min_eig) and min_eig > 0.0
 
     def test_indefinite_value_at_zero_unbounded(self):
-        assert check_symbol_boundary(custom_law(a0=-1.0), 1.0) == (-np.inf, 0j)
+        assert check_symbol_boundary(custom_law(a0=-1.0), 1.0) == -np.inf
+
+
+def from_partial_fractions(d, poles, residues):
+    """The scalar law d + sum_k r_k / (1/z - p_k), over the denominator
+    prod_k (1 - p_k z)."""
+    den = P.polyfromroots(1.0 / np.asarray(poles)) * np.prod(-np.asarray(poles))
+    num = d * den
+    for k, r in enumerate(residues):
+        rest = np.delete(np.asarray(poles), k)
+        num = P.polyadd(num, r * P.polymulx(P.polyfromroots(1.0 / rest) * np.prod(-rest)))
+    return RationalMatrixFunction(tuple(np.array([[c]]) for c in num), den)
+
+
+class TestClosedFormConstant:
+    #: a2 = (0.27 - 0.98 z) / (0.3496 + 1.75 z + z^2): poles s = -0.658 and
+    #: -4.35 with residues of both signs, so Re a2 on the line is least at
+    #: a stationary point between t = 0 and t = inf, which samples can miss
+    TWO_POLE = RationalMatrixFunction((np.array([[0.27]]), np.array([[-0.98]])),
+                                      np.array([0.3496, 1.75, 1.0]))
+
+    def test_two_pole_law_not_above_dense_line(self):
+        law = custom_law(a0=1.0, a2=self.TWO_POLE)
+        got = check_symbol_boundary(law, 1.0)
+        assert got <= dense_line_minimum(law.cells, 1.0)
+        assert got == pytest.approx(refined_line_minimum(law.cells, 1.0), rel=1e-12)
+        assert certify_wellposedness(law).verdict == "satisfied"
+
+    def test_realizable_laws_bounded_by_line(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        residue = st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(roots_a1=simple_real_roots(0, 2), roots_a2=simple_real_roots(1, 3),
+                          residues=st.lists(residue, min_size=5, max_size=5),
+                          feed=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+                          gamma=st.floats(-1.0, 1.0), zeta0=st.just(0.0) | st.floats(-1.0, 1.0),
+                          inertia=st.floats(0.2, 2.0), offset=st.floats(0.1, 3.0))
+        def check(roots_a1, roots_a2, residues, feed, gamma, zeta0, inertia, offset):
+            # poles 1/root in s, with residues of both signs where a part has two
+            poles = [1.0 / np.asarray(roots_a1), 1.0 / np.asarray(roots_a2)]
+            residues = [residues[:len(roots_a1)], residues[2:2 + len(roots_a2)]]
+            for r in residues:
+                if len(r) > 1:
+                    r[-1] = -np.sign(r[0]) * abs(r[-1])
+            parts = [from_partial_fractions(d, p, r) if len(p) else d
+                     for d, p, r in zip(feed, poles, residues)]
+            law = custom_law(Gamma=gamma, zeta0=zeta0, a0=inertia, a1=parts[0], a2=parts[1])
+            # rho0 above the largest pole by a share of its size: a pole p near
+            # rho0 enters the line through 1 / (rho0 - p), which magnifies the
+            # rounding of the realized p by |p| / (rho0 - p)
+            top = max(0.0, *poles[0], *poles[1])
+            rho0 = top + offset * max(1.0, top)
+            got = check_symbol_boundary(law, rho0)
+            scale = max(1.0, abs(got))
+            assert got <= dense_line_minimum(law.cells, rho0) + 1e-12 * scale
+            if zeta0 == 0.0 or not len(roots_a1):
+                # a1 and a2 uncoupled in M(0), or a1 constant: the bound is the
+                # infimum, which the dense line can miss by 1e-6 at a sharp minimum
+                assert abs(got - refined_line_minimum(law.cells, rho0)) <= 1e-12 * scale
+
+        check()
 
 
 class TestCertification:
@@ -417,13 +470,8 @@ class TestStackedAgainstPerCell:
 
         monkeypatch.setattr(CellLaw, "mass", counting)
         assert certify_wellposedness(law).verdict == "satisfied"
-        assert np.isfinite(check_symbol_boundary(law, 1.0)[0])
+        assert np.isfinite(check_symbol_boundary(law, 1.0))
         assert len(calls) <= law.n_cells
-
-
-def custom_resistance(a2):
-    return assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
-        "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "a2": a2}))
 
 
 class TestCancelledFactors:
@@ -438,7 +486,7 @@ class TestCancelledFactors:
         assert got.c_estimate == pytest.approx(want.c_estimate, rel=1e-12)
 
     def test_boundary_constant_finite(self):
-        got, _ = check_symbol_boundary(custom_resistance(self.CANCELLED), 1.0)
-        want, _ = check_symbol_boundary(custom_resistance(1.0), 1.0)
+        got = check_symbol_boundary(custom_resistance(self.CANCELLED), 1.0)
+        want = check_symbol_boundary(custom_resistance(1.0), 1.0)
         assert np.isfinite(got)
         assert got == pytest.approx(want, rel=1e-12)
