@@ -285,6 +285,7 @@ class _ImplicitStepper:
         self.inv = np.concatenate(_cell_positions(problem.op))
         self.perm = np.argsort(self.inv)
         self.owner = self.inv[chain.owner]
+        self.block_owner = chain.owner
         self.aux_decay = 1.0 / (1.0 - theta * dt * chain.poles)
         self.aux_grow = 1.0 + (1.0 - theta) * dt * chain.poles
         self.aux_in = dt * chain.gain_in
@@ -320,10 +321,25 @@ class _ImplicitStepper:
         rhs -= np.bincount(self.owner, self.aux_out * x_n, minlength=rhs.size)
         self.solve()
         u_next = rhs.copy()
-        mixed = u_next[self.owner]
+        return u_next, self.next_aux(x_n, u_next, u_n, self.owner)
+
+    def next_aux(self, x_n, u_next, u_n, owner):
+        """The memory states after a step from ``x_n``, given the states at
+        both ends of the step, in which ``owner`` locates the owner dofs
+        (backward Euler does not read ``u_n``)."""
+        mixed = u_next[owner]
         if self.theta != 1.0:
-            mixed = self.theta * mixed + (1.0 - self.theta) * u_n[self.owner]
-        return u_next, self.aux_decay * (self.aux_grow * x_n + self.aux_in * mixed)
+            mixed = self.theta * mixed + (1.0 - self.theta) * u_n[owner]
+        return self.aux_decay * (self.aux_grow * x_n + self.aux_in * mixed)
+
+    def aux_history(self, states) -> np.ndarray:
+        """The memory states along the block-order ``states`` of a march from
+        zero history: :meth:`next_aux` replayed row by row, so equal to the
+        march's own to the bit."""
+        aux = np.zeros((states.shape[0], self.aux_decay.size))
+        for k in range(1, states.shape[0]):
+            aux[k] = self.next_aux(aux[k - 1], states[k], states[k - 1], self.block_owner)
+        return aux
 
 
 def step_implicit(problem: EvolutionProblem, u_n, x_n, f_next, f_n):
@@ -335,13 +351,26 @@ def step_implicit(problem: EvolutionProblem, u_n, x_n, f_next, f_n):
     return u_next[stepper.inv], x_next
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Solved block states plus auxiliary realization states."""
+    """Solved block states plus the history of the auxiliary realization states.
 
-    problem: EvolutionProblem
-    states: np.ndarray  # (n_t, n_dof)
-    aux: np.ndarray     # (n_t, n_aux)
+    ``states`` is ``(n_t, n_dof)``.  ``aux``, the ``(n_t, n_aux)`` history, is
+    given either as an array or as a function of no arguments that returns
+    one; :func:`solve` and :func:`~thermoevo.oracle.spectral_solve` give a
+    function, so the history is built once, on its first read, and not at
+    all by a run that never reads it.
+    """
+
+    def __init__(self, problem: EvolutionProblem, states: np.ndarray, aux):
+        self.problem = problem
+        self.states = states
+        self._aux = aux
+
+    @property
+    def aux(self) -> np.ndarray:
+        if callable(self._aux):
+            self._aux = self._aux()
+        return self._aux
 
     @property
     def t(self) -> np.ndarray:
@@ -403,10 +432,8 @@ class Trajectory:
         fields["u"] = self.displacement()
         fields["epsilon"] = self.strain()
         fields["theta"] = self.theta()
-        try:
+        if self.problem.law.is_uniform():
             fields["eta"] = self.entropy()
-        except InputError:
-            pass
         jobs = [(directory / f"{name}.csv",
                  ["t", *(f"x_{i}" for i in range(signal.n_components))], signal.samples)
                 for name, signal in fields.items()]
@@ -498,28 +525,31 @@ def solve(problem: EvolutionProblem) -> Trajectory:
     """March the implicit scheme from zero initial data over the grid.
 
     The march runs in cell order on forcing rows ``a[chunk] @ P[:, perm]``; each
-    step is stored in block order.  A march whose state overflows raises
-    :class:`InputError` naming the first step that is not finite."""
+    step is stored in block order, in ``states``, which is read-only.  Only
+    the current memory states are carried through the march; the
+    trajectory's ``aux`` replays their update over the stored states on its
+    first read (:meth:`_ImplicitStepper.aux_history`).  A march whose state
+    overflows raises :class:`InputError` naming the first step that is not
+    finite."""
     t = problem.forcing.amplitudes.t
     stepper = problem._stepper
     perm = stepper.perm
     states = np.zeros((t.size, problem.op.n_dof))
-    aux = np.zeros((t.size, problem.aux_chain.n_aux))
     amplitudes, profiles = problem.forcing.amplitudes.samples, problem.forcing.profiles[:, perm]
     chunk = max(1, CHUNK_VALUES // perm.size)
     forcing = (f for start in range(0, t.size, chunk)
                for f in amplitudes[start:start + chunk] @ profiles)
     u = states[0][perm]
-    x = aux[0]
+    x = np.zeros(problem.aux_chain.n_aux)
     for k, (f_n, f_next) in enumerate(pairwise(forcing)):
         u, x = stepper.advance(u, x, f_next, f_n)
         states[k + 1] = u[stepper.inv]
-        aux[k + 1] = x
     if not (np.isfinite(states.max()) and np.isfinite(states.min())):
         k = int(np.argmin(np.all(np.isfinite(states), axis=1)))
         raise InputError(f"the march overflows: the state is not finite from step {k} "
                          f"(t = {t[k]:g})")
-    return Trajectory(problem, states, aux)
+    states.flags.writeable = False
+    return Trajectory(problem, states, lambda: stepper.aux_history(states))
 
 
 def energy_functional(trajectory: Trajectory) -> np.ndarray:

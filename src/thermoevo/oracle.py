@@ -133,7 +133,8 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
     from the amplitudes and projected profiles after the march.  The reference
     is computed with floating-point warnings off; one that is not finite
     (its systems overflow, as wavenumbers near the float range make them)
-    raises :class:`OracleRejectionError`.
+    raises :class:`OracleRejectionError`.  The reference's ``aux`` is built
+    from a copy of the memory states' mode coefficients on its first read.
     """
     with np.errstate(all="ignore"):
         reference = _reference(problem)
@@ -144,6 +145,34 @@ def spectral_solve(problem: EvolutionProblem) -> Trajectory:
 
 def _reference(problem: EvolutionProblem) -> Trajectory:
     """The trajectory of :func:`spectral_solve`, unchecked."""
+    op = problem.op
+    y, node_vecs, face_vecs, p1 = _mode_history(problem)
+    n_t = y.shape[0]
+    slices = op.block_slices()
+    states = np.zeros((n_t, op.n_dof))
+    states[:, slices[0]] = y[:, :, 0] @ node_vecs.T
+    states[:, slices[1]] = y[:, :, 1] @ face_vecs.T
+    states[:, slices[2]] = y[:, :, 2] @ node_vecs.T
+    states[:, slices[3]] = y[:, :, 3] @ face_vecs.T
+    aux_modes = y[..., 4:].copy()  # not all of y stays alive with the trajectory
+
+    def aux():
+        history = np.zeros((n_t, problem.aux_chain.n_aux))
+        split = op.grid.n_faces * (aux_modes.shape[2] - p1)
+        history[:, :split] = np.einsum("tmp,fm->tfp", aux_modes[..., p1:],
+                                       face_vecs).reshape(n_t, -1)
+        history[:, split:] = np.einsum("tmp,nm->tnp", aux_modes[..., :p1],
+                                       node_vecs).reshape(n_t, -1)
+        return history
+
+    return Trajectory(problem, states, aux)
+
+
+def _mode_history(problem: EvolutionProblem) -> tuple:
+    """``(y, node_vecs, face_vecs, p1)`` of the marched modes: ``y`` is
+    ``(n_t, n_modes, d)``, each mode's four field coefficients, then its
+    ``p1`` temperature-damping and its flux-resistance states, with the
+    node and face vectors of those modes; only modes with forcing are kept."""
     op = problem.op
     wavenumbers, node_vecs, face_vecs = mode_decomposition(op)
     e_matrix, k_matrix, (p1, p2) = _mode_systems(problem, wavenumbers)
@@ -165,12 +194,11 @@ def _reference(problem: EvolutionProblem) -> Trajectory:
     peak = np.max(np.abs(amplitudes), axis=0) @ np.max(np.abs(modal), axis=2)
     active = np.flatnonzero(peak > 1e-14 * np.max(peak, initial=0.0))
     n_modes = active.size
-    if n_modes == 0:
-        return Trajectory(problem, np.zeros((t.size, op.n_dof)),
-                          np.zeros((t.size, problem.aux_chain.n_aux)))
-    modal = modal[:, active]
     node_vecs = node_vecs[:, active]
     face_vecs = face_vecs[:, active]
+    if n_modes == 0:
+        return np.zeros((t.size, 0, d)), node_vecs, face_vecs, p1
+    modal = modal[:, active]
     k_all = k_matrix[active]
 
     # the uncoupled instantaneous block is diagonal, so its null rows are
@@ -221,19 +249,7 @@ def _reference(problem: EvolutionProblem) -> Trajectory:
     y[..., null] = np.einsum("mij,tmj->tmi", k_nn_inv,
                              np.tensordot(amplitudes, modal @ inject[null].T, axes=1)
                              - np.einsum("mij,tmj->tmi", k_nr, w_coarse))
-
-    states = np.zeros((n_t, op.n_dof))
-    states[:, slices[0]] = y[:, :, 0] @ node_vecs.T
-    states[:, slices[1]] = y[:, :, 1] @ face_vecs.T
-    states[:, slices[2]] = y[:, :, 2] @ node_vecs.T
-    states[:, slices[3]] = y[:, :, 3] @ face_vecs.T
-
-    aux = np.zeros((n_t, problem.aux_chain.n_aux))
-    n_faces = op.grid.n_faces
-    aux[:, :n_faces * p2] = np.einsum("tmp,fm->tfp", y[..., 4 + p1:], face_vecs).reshape(n_t, -1)
-    aux[:, n_faces * p2:] = np.einsum("tmp,nm->tnp", y[..., 4:4 + p1], node_vecs).reshape(n_t, -1)
-
-    return Trajectory(problem, states, aux)
+    return y, node_vecs, face_vecs, p1
 
 
 @dataclass(frozen=True)

@@ -194,8 +194,9 @@ def _live_poles(nums: list, den: np.ndarray) -> tuple:
     """``(poles, live, phi(p), psi'(p))`` of stacked laws, R(1/s) =
     phi(s) / psi(s) with cleared denominators, so that phi(p) / psi'(p) is
     the residue at a simple pole p.  A pole is live unless the numerator
-    cancels it (its residue vanishes against the law's scale, e.g. for
-    identical lag times) or psi' vanishes there (a repeated pole)."""
+    cancels it (phi(p) vanishes against the largest numerator coefficient,
+    e.g. for identical lag times; a law scaled by any factor keeps its
+    poles) or psi' vanishes there (a repeated pole)."""
     poles = _poles(len(nums), den)
     count, size = den.shape
     deg = max(len(nums), size) - 1
@@ -212,9 +213,8 @@ def _live_poles(nums: list, den: np.ndarray) -> tuple:
     powers = poles[..., None] ** np.arange(deg + 1)
     phi_val = (powers[:, :, None, :] @ phi.reshape(count, 1, deg + 1, rows * cols)
                ).reshape(poles.shape + (rows, cols))
-    scale = np.maximum(np.max(np.abs(nums[0]), axis=(1, 2)),
-                       np.max(np.abs(nums[0] / den[:, :1, None]), axis=(1, 2)))
-    tol = 1e-12 * np.maximum(scale, 1.0)[:, None] * np.abs(dpsi)
+    scale = np.max(np.abs(np.stack(nums, axis=1)), axis=(1, 2, 3))
+    tol = 1e-12 * scale[:, None] * np.abs(dpsi)
     live = (np.max(np.abs(phi_val), axis=(2, 3)) > tol) | (dpsi == 0)
     return poles, live, phi_val, dpsi
 

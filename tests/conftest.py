@@ -382,7 +382,7 @@ def _pole_terms(r):
 def _live_terms(r):
     """(pole, phi(p), psi'(p)) of the poles whose residue the numerator does
     not cancel (or where psi' vanishes), one pole at a time."""
-    scale = max(float(np.max(np.abs(r.num[0]))), float(np.max(np.abs(r.num[0] / r.den[0]))), 1.0)
+    scale = max(float(np.max(np.abs(c))) for c in r.num)
     return [(p, phi, slope) for p, phi, slope in zip(*_pole_terms(r))
             if slope == 0 or np.max(np.abs(phi)) > 1e-12 * scale * abs(slope)]
 

@@ -258,6 +258,67 @@ def sweep_law(n_cells, seed=3):
         "kappa": rng.uniform(0.5, 2.0, n_cells).tolist()}))
 
 
+class TestAuxOnRead:
+    """The march carries only the current memory states; ``aux`` replays
+    their update over the stored states when it is first read."""
+
+    @staticmethod
+    def step_chain(problem):
+        """``(states, aux)`` of ``step_implicit`` taken step by step."""
+        f = rows(problem.forcing)
+        u, x = np.zeros(problem.op.n_dof), np.zeros(problem.aux_chain.n_aux)
+        states, aux = [u], [x]
+        for k in range(problem.n_steps):
+            u, x = step_implicit(problem, u, x, f[k + 1], f[k])
+            states.append(u)
+            aux.append(x)
+        return np.array(states), np.array(aux)
+
+    @pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
+    @pytest.mark.parametrize("family, n_t", [
+        (ModelFamily.DPL_I, None), ("two_pole", None), (ModelFamily.CLASSICAL, None),
+        (ModelFamily.DPL_I, 2)], ids=["dpl_i", "two_pole_owner", "no_aux", "one_step"])
+    def test_equals_the_step_chain_bitwise(self, family, n_t, scheme):
+        law = (two_pole_resistance_law() if family == "two_pole"
+               else assemble_material_law(canonical_spec(family)))
+        problem = pulse_problem(law, n_cells=8, dt=2**-7, t_max=0.25, scheme=scheme,
+                                center=0.1, width=0.03)
+        if n_t is not None:  # the grid's first n_t times
+            amplitudes = problem.forcing.amplitudes
+            forcing = Forcing(WeightedSignal(amplitudes.t[:n_t], amplitudes.samples[:n_t],
+                                             amplitudes.rho), problem.forcing.profiles)
+            problem = EvolutionProblem(law, problem.op, forcing, scheme)
+        trajectory = solve(problem)
+        states, aux = self.step_chain(problem)
+        assert trajectory.aux.shape == (problem.n_steps + 1, problem.aux_chain.n_aux)
+        assert trajectory.aux.tobytes() == aux.tobytes()
+        assert trajectory.states.tobytes() == states.tobytes()
+        assert trajectory.aux is trajectory.aux
+        if problem.aux_chain.n_aux:
+            assert np.max(np.abs(aux[-1])) > 0.0
+
+    def test_march_holds_no_aux_history(self):
+        problem = pulse_problem(sweep_law(128), n_cells=128, dt=2**-10, t_max=4.0)
+        assert problem.aux_chain.n_aux >= 128
+        problem._stepper  # realized and factorized before the march is traced
+        tracemalloc.start()
+        try:
+            trajectory = solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        history = trajectory.aux.nbytes
+        assert peak - trajectory.states.nbytes < history / 4
+
+    def test_states_are_read_only(self):
+        trajectory = solve(pulse_problem(assemble_material_law(
+            canonical_spec(ModelFamily.DPL_I)), n_cells=8, dt=2**-7, t_max=0.25))
+        with pytest.raises(ValueError, match="read-only"):
+            trajectory.states[1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            trajectory.states[:, 0] += 1.0
+
+
 #: (catalog family or "sweep", n_cells) under both schemes
 BANDED_CASES = [(name, n, scheme)
                 for name, n in [*((f.value, 16) for f in ALL_FAMILIES), ("sweep", 32),

@@ -12,6 +12,7 @@ from thermoevo import (
     Grid1D,
     ModelFamily,
     ModelSpec,
+    RationalMatrixFunction,
     Trajectory,
     WeightedSignal,
     assemble_forcing,
@@ -291,6 +292,32 @@ class TestExactness:
         exact = np.array([expm(tk * aug) @ start for tk in t])[:, :size]
         got = np.hstack([traj.states, traj.aux])
         assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def damped_two_pole_law():
+    """Uncoupled custom law with one temperature-damping pole and a two-pole
+    flux resistance: every mode carries both kinds of memory state."""
+    return assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
+        "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "a0": 1.0,
+        "a1": RationalMatrixFunction((np.array([[0.3]]),), np.array([1.0, 0.5])),
+        "a2": RationalMatrixFunction((np.eye(1), 0.5 * np.eye(1)), np.array([1.0, 3.0, 2.0]))}))
+
+
+class TestAuxOnRead:
+    @pytest.mark.parametrize("law", [lambda: uncoupled_law(ModelFamily.DPL_I),
+                                     damped_two_pole_law], ids=["dpl_i", "damped_two_pole"])
+    def test_equals_the_eager_synthesis_bitwise(self, law):
+        problem = mode_problem(law(), n_cells=16, dt=2**-7, t_max=0.25)
+        y, node_vecs, face_vecs, p1 = oracle._mode_history(problem)
+        n_t = y.shape[0]
+        eager = np.hstack([np.einsum("tmp,fm->tfp", y[..., 4 + p1:], face_vecs).reshape(n_t, -1),
+                           np.einsum("tmp,nm->tnp", y[..., 4:4 + p1], node_vecs).reshape(n_t, -1)])
+        reference = spectral_solve(problem)
+        assert np.max(np.abs(eager)) > 0.0
+        # the synthesis reads a contiguous copy of the aux coefficients;
+        # einsum gives it the bits it gives the views of y
+        np.testing.assert_array_equal(reference.aux, eager)
+        assert reference.aux is reference.aux
 
 
 class TestCompare:

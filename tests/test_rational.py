@@ -358,6 +358,26 @@ class TestRealizedLaws:
         assert str(info.value) == "complex pole s = -0.1+0.994987j; only real poles are realized"
         assert "_realization" not in vars(r)
 
+    @pytest.mark.parametrize("num, den", [
+        ([1.0], [-1.0, 1.0]),                     # 1 / (z - 1)
+        ([1.0, 0.5], [1.0, 3.0, 2.0]),            # two poles
+        ([0.27, -0.98], [0.3496, 1.75, 1.0]),     # residues of both signs
+        ([1.0, 0.25, 0.5], [1.0, 0.5]),           # a pole at s = 0 as well
+        ([1.0, 0.5], [1.0, 0.5]),                 # identical lag times: no state
+    ])
+    def test_numerator_scale_keeps_the_states(self, num, den):
+        base = realize_state_space(scalar_rational(num, den))
+        for k in (-14, -12, -6, 6, 12):
+            gain = 10.0 ** k
+            got = realize_state_space(scalar_rational([gain * c for c in num], den))
+            assert got.n_states == base.n_states
+            np.testing.assert_array_equal(got.a, base.a)
+            np.testing.assert_allclose(got.d, gain * base.d, rtol=1e-14)
+            np.testing.assert_allclose(got.b[:, 0] * got.c[0], gain * (base.b[:, 0] * base.c[0]),
+                                       rtol=1e-13)
+        if num == den:
+            assert base.n_states == 0
+
     def test_equals_per_pole_svd_reference(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
