@@ -1,5 +1,5 @@
 """The band and tridiagonal LAPACK/BLAS routines of the march and of the
-oracle's spline: ``gbtrf``, ``gbtrs``, ``gbmv`` and ``gtsv``.
+oracle's spline: ``gbtrf``, ``gbtrs``, ``gbmv``, ``tbsv`` and ``gtsv``.
 
 numpy 2 wheels link scipy-openblas, built with 64-bit integers
 (``USE64BITINT``) and its symbols renamed ``scipy_<routine>_64_``.  Where
@@ -9,11 +9,11 @@ int64 sizes and pivots, and no further library loads.  Other builds (MKL,
 Accelerate, conda) take them from ``scipy.linalg.lapack`` and
 ``scipy.linalg.blas``.
 
-:func:`gbtrs` and :func:`gbmv` bind one matrix and the work vectors they
-read and write, checked once for dtype, length, contiguity and
-writability; the call they return takes no argument.  A march thus makes
-every argument once per factorization, and each step passes ready pointers
-only.
+:func:`gbtrs`, :func:`gbmv` and :func:`tbsv` bind one matrix and the work
+vectors they read and write, checked once for dtype, length, contiguity
+and writability; the call they return takes no argument.  A march thus
+makes every argument once per factorization, and each step passes ready
+pointers only.
 """
 
 from __future__ import annotations
@@ -26,20 +26,24 @@ import numpy as np
 
 from .errors import SingularSystemError
 
-__all__ = ["gbtrf", "gbtrs", "gbmv", "gtsv"]
+__all__ = ["gbtrf", "gbtrs", "gbmv", "tbsv", "gtsv"]
 
 #: argument types of each routine: Fortran takes every argument by
 #: reference, and ``c_size_t`` is the hidden length of the one-character
-#: ``trans`` argument
+#: ``trans``, ``uplo`` or ``diag`` argument
 _SIGNATURES = {
     "dgbtrf": [c_void_p] * 8,
     "dgbtrs": [c_char_p, *[c_void_p] * 10, c_size_t],
     "dgbmv": [c_char_p, *[c_void_p] * 12, c_size_t],
+    "dtbsv": [c_char_p, c_char_p, c_char_p, *[c_void_p] * 6, *[c_size_t] * 3],
     "dgtsv": [c_void_p] * 8,
 }
 
-#: the ``trans`` argument "N" (no transpose) and its hidden length
+#: the one-character arguments and their hidden length: "N" is no transpose
+#: (``trans``) or a non-unit diagonal (``diag``), "U" upper (``uplo``) or a
+#: unit diagonal (``diag``), "L" lower (``uplo``)
 _NO_TRANSPOSE, _ONE_CHARACTER = c_char_p(b"N"), c_size_t(1)
+_UPPER, _LOWER = c_char_p(b"U"), c_char_p(b"L")
 
 
 @cache
@@ -93,13 +97,14 @@ def gbtrf(ab: np.ndarray, kl: int, ku: int) -> tuple:
     """LU factorization with partial pivoting of the n x n band matrix held
     in rows ``kl:`` of ``ab`` (LAPACK band storage with ``2 kl + ku + 1``
     rows, Fortran order), overwriting ``ab``: ``(lu, piv, info)``, where
-    ``info > 0`` is the position of a zero pivot.  ``lu`` and ``piv`` are for
-    :func:`gbtrs` of the same binding."""
+    ``piv`` are LAPACK's pivots, 1-based, and ``info > 0`` is the position of
+    a zero pivot."""
     routines = _openblas64()
     ab = _band(ab, 2 * kl + ku + 1)
     if routines is None:
         from scipy.linalg.lapack import dgbtrf
-        return dgbtrf(ab, kl, ku, overwrite_ab=1)
+        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        return lu, piv + 1, info
     n = ab.shape[1]
     piv = np.zeros(n, dtype=np.int64)
     info = c_int64()
@@ -117,6 +122,7 @@ def gbtrs(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, b: np.ndarray):
     routines = _openblas64()
     if routines is None:
         from scipy.linalg.lapack import dgbtrs
+        piv = piv - 1  # scipy's wrappers count from 0
 
         def solve():
             b[:] = dgbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0]
@@ -156,6 +162,38 @@ def gbmv(a: np.ndarray, kl: int, ku: int, x: np.ndarray, y: np.ndarray):
     one, increment = _reference(c_double(1.0)), _ints(1)[0]
     args = (_NO_TRANSPOSE, *_ints(n, n, kl, ku), one, _address(a), *_ints(a.shape[0]),
             _address(x), increment, one, _address(y), increment, _ONE_CHARACTER)
+    return lambda: routine(*args)
+
+
+def tbsv(a: np.ndarray, k: int, lower: bool, x: np.ndarray):
+    """The solve ``x <- T^-1 x`` of the n x n triangular band matrix T with
+    ``k`` sub-diagonals and a unit diagonal (``lower``), or ``k``
+    super-diagonals, bound to the work vector ``x``.
+
+    ``a`` holds T's ``k + 1`` diagonals in BLAS band storage: T's diagonal
+    in its first row (lower, not read) or its last (upper).  It may be a
+    view of consecutive rows of a Fortran-ordered band, such as one factor of
+    an LU held in one band."""
+    if (a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != k + 1
+            or a.strides[0] != a.itemsize or a.strides[1] < (k + 1) * a.itemsize
+            or a.strides[1] % a.itemsize):
+        raise ValueError(f"a triangular band needs {k + 1} float64 rows of a Fortran-ordered "
+                         f"band, got {a.dtype} of shape {a.shape}")
+    n = a.shape[1]
+    _check_work(x, n)
+    routines = _openblas64()
+    if routines is None:
+        from scipy.linalg.blas import dtbsv
+        a = np.asfortranarray(a)
+
+        def sweep():
+            x[:] = dtbsv(k, a, x, lower=int(lower), diag=int(lower), overwrite_x=1)
+
+        return sweep
+    routine = routines["dtbsv"]
+    uplo, diag = (_LOWER, _UPPER) if lower else (_UPPER, _NO_TRANSPOSE)
+    args = (uplo, _NO_TRANSPOSE, diag, *_ints(n, k), _address(a),
+            *_ints(a.strides[1] // a.itemsize), _address(x), *_ints(1), *[_ONE_CHARACTER] * 3)
     return lambda: routine(*args)
 
 

@@ -7,14 +7,16 @@ states, and the antisymmetric spatial operator:
     M_h dU/dt + D_h U + C x + A_h U = F(t),      dx/dt = P x + B U,
 
 marched from zero history by one theta-scheme step (Hairer & Wanner,
-Solving ODEs II, IV.3): backward Euler is theta = 1, the trapezoidal rule
-theta = 1/2.  Every block couples only neighbouring cells, so with the
-unknowns ordered cell by cell each matrix of the step is a band with 4 sub-
-and 4 super-diagonals, written entry by entry from closed forms: one banded
-LU of the step matrix is reused across steps, and the right-hand side is one
-banded product.  Auxiliary dynamics are diagonal (one simple pole per
-state), so their elimination adds only a diagonal correction to the step
-matrix.
+Solving ODEs II, IV.3) of the augmented state z = (U, x): backward Euler is
+theta = 1, the trapezoidal rule theta = 1/2.  Every block couples only
+neighbouring cells, and each auxiliary state (one simple pole) only its
+owner unknown, so with the unknowns ordered cell by cell and each auxiliary
+state placed just before its owner, both matrices of the step are bands,
+written entry by entry from closed forms.  One banded LU of the step matrix
+is reused across steps: without pivoting where the step matrix is certified
+for it (:class:`_ImplicitStepper`), so a solve is two triangular sweeps,
+and with partial pivoting otherwise.  The right-hand side is one banded
+product.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -257,88 +258,213 @@ def skew_band(op: DiscreteSpatialOperator) -> np.ndarray:
     return _band(op.n_dof, [*node_rows, *((col, row, -val) for row, col, val in node_rows)])
 
 
+#: the exponent budget of :func:`_lu_unpivoted`: no entry is scaled by more
+#: than 2^256 either way
+_SCALE_BUDGET = 256
+
+
+def _lu_unpivoted(ab: np.ndarray, k: int):
+    """The LU factorization without pivoting of the band matrix held in rows
+    ``k:`` of ``ab`` (``gbtrf`` layout: ``3k + 1`` rows, k sub- and
+    super-diagonals), which it overwrites: U in rows ``k:2k + 1`` and the
+    multipliers of the unit lower factor in rows ``2k + 1:``.  None, with
+    ``ab`` spoiled, where partial pivoting would swap rows, a pivot is zero
+    or an entry is not finite.
+
+    ``gbtrf`` factorizes D A D^-1 with D = diag(2^(-s i)), whose entry
+    (i, j) is a_ij 2^(-s (i - j)), exact for a normal result.  Partial
+    pivoting then keeps each diagonal pivot unless a multiplier l_ij of A's
+    own unpivoted LU exceeds 2^(s (i - j)) in magnitude.  Where no row is
+    swapped, the factors are D L D^-1 and D U D^-1, and scaling them back
+    is exact too.  With ``max |a_ij|`` within 2^(+-512), no entry overflows,
+    and one that underflows is changed by less than 2^-300 ``max |a_ij|``.
+    """
+    n = ab.shape[1]
+    if not 2.0 ** -512 < max(ab.max(), -ab.min()) < 2.0 ** 512:
+        return None
+    exponents = max(1, _SCALE_BUDGET // k) * (np.arange(3 * k + 1) - 2 * k)[:, None]
+    np.ldexp(ab, -exponents, out=ab)  # row r holds the offset i - j = r - 2k
+    lu, piv, info = _lapack.gbtrf(ab, k, k)
+    if info or not np.array_equal(piv, np.arange(1, n + 1)):
+        return None
+    np.ldexp(lu, exponents, out=lu)
+    return lu if np.all(np.isfinite(lu)) else None
+
+
 class _ImplicitStepper:
-    """One factorized theta-scheme step matrix, reused across the march.
+    """One factorized theta-scheme step of the augmented state z = (u, x),
+    reused across the march.
 
-    Eliminating x+ = (I - theta dt P)^-1 ((I + (1-theta) dt P) x + dt B (theta u+ + (1-theta) u))
-    leaves (M/dt + K_theta) u+ = theta f+ + (1-theta) f + (M/dt - (1-theta)/theta K_theta) u
-    - C (I - theta dt P)^-1 x, with K_theta = theta (diag(D) + A_h) + diag(theta^2 dt C
-    (I - theta dt P)^-1 B).  An owner dof repeats when its law has several poles.
+    The memory states x are unknowns of the band: with E = blockdiag(M, I)
+    and J = [[A_h + diag(D), C], [-B, -P]], a step solves
 
-    Both matrices are written as bands in cell order (:func:`_cell_positions`);
-    ``perm`` lists the block-order dof at each cell-order position and
-    ``inv`` is its inverse.  The step matrix is factorized once with
-    ``gbtrf``, and the right-hand side is one ``gbmv`` product on a
-    Fortran-ordered band.  The product and the solve are bound here, once,
-    to two work vectors (:mod:`thermoevo._lapack`): ``u_work`` holds the
-    state a step starts from, and ``rhs_work`` the right-hand side, which
-    the solve overwrites with the new state; so a stepper takes one step at
-    a time, never two at once from different threads.  :meth:`advance` works
-    in cell order.
+        (E/dt + theta J) z+ = (E/dt - (1-theta) J) z + theta f+ + (1-theta) f,
+
+    its x rows multiplied by dt, so that the row of state i reads
+    (1 - theta dt p_i) x_i+ - theta dt b_i u+ = (1 + (1-theta) dt p_i) x_i
+    + (1-theta) dt b_i u at its owner dof.  Eliminating x gives the step
+    matrix M/dt + K_theta, K_theta = theta (A_h + diag(D)) + diag(theta^2 dt
+    C (I - theta dt P)^-1 B), and its right-hand side.
+
+    z runs in the cell order of :func:`_cell_positions` with each memory
+    state placed just before its owner dof (an owner repeats when its law has
+    several poles): ``u_at`` and ``x_at`` give the z position of each
+    block-order dof and of each memory state; ``perm`` lists the block-order
+    dof at each cell-order position and ``inv`` is its inverse.  Both
+    matrices are bands with ``band`` sub- and super-diagonals.
+
+    The step matrix is factorized once.  Where every x pivot
+    ``1 - theta dt p_i`` is positive and the symmetric part of the step
+    matrix on u, ``M/dt + theta (diag(D) + the memory states' diagonal)``,
+    is positive definite (:meth:`_positive_definite`), an LU without
+    pivoting is stable (Golub & Van Loan, on matrices with a positive
+    definite symmetric part): the x columns come first, so it leaves the step
+    matrix M/dt + K_theta, and each solve is two triangular sweeps (``tbsv``)
+    on the factors (:func:`_lu_unpivoted`).  Otherwise, or where that LU
+    meets a zero or non-finite pivot, ``gbtrf`` factorizes the same band with
+    partial pivoting (``pivoted``) and ``gbtrs`` solves.
+
+    The right-hand side is one ``gbmv`` product.  The product and the solve
+    are bound here, once, to two work vectors (:mod:`thermoevo._lapack`):
+    ``z`` holds the state a step starts from, and ``rhs`` the right-hand
+    side, which the solve overwrites with the new state; so a stepper takes
+    one step at a time, never two at once from different threads.
     """
 
     def __init__(self, problem: EvolutionProblem):
         self.theta = theta = problem.theta
-        dt = problem.dt
-        chain = problem.aux_chain
+        self.dt = dt = problem.dt
+        self.chain = chain = problem.aux_chain
         # inv maps each block-order dof to its cell-order position
         self.inv = np.concatenate(_cell_positions(problem.op))
         self.perm = np.argsort(self.inv)
-        self.owner = self.inv[chain.owner]
-        self.block_owner = chain.owner
-        self.aux_decay = 1.0 / (1.0 - theta * dt * chain.poles)
-        self.aux_grow = 1.0 + (1.0 - theta) * dt * chain.poles
-        self.aux_in = dt * chain.gain_in
-        self.aux_out = chain.gain_out * self.aux_decay
-        k_theta = theta * skew_band(problem.op)
-        k_theta[_BAND] = theta * problem.feedthrough[self.perm] + np.bincount(
-            self.owner, theta * theta * dt * chain.gain_out * chain.gain_in * self.aux_decay,
-            minlength=self.perm.size)
-        mass = problem.mass_band / dt
-        self.rhs_band = mass - ((1.0 - theta) / theta) * k_theta
-        self.u_work, self.rhs_work = np.zeros(self.perm.size), np.zeros(self.perm.size)
-        self.rhs_product = _lapack.gbmv(self.rhs_band, _BAND, _BAND, self.u_work, self.rhs_work)
-        band = np.zeros((3 * _BAND + 1, self.perm.size), order="F")
-        band[_BAND:] = mass + k_theta
-        lu, piv, info = _lapack.gbtrf(band, _BAND, _BAND)
-        if info > 0:
-            raise SingularSystemError(
-                f"step matrix not invertible at dt={dt:g}: zero pivot {info}"
-            )
-        self.solve = _lapack.gbtrs(lu, piv, _BAND, _BAND, self.rhs_work)
+        n_u, n_z = self.perm.size, self.perm.size + chain.n_aux
+        # the z position of each cell-order dof and each memory state: the
+        # states of an owner, consecutive in the chain, sit just before it
+        owner = self.inv[chain.owner]
+        counts = np.bincount(owner, minlength=n_u)
+        cell_at = np.arange(n_u) + np.cumsum(counts)
+        index = np.arange(chain.n_aux)
+        first = np.maximum.accumulate(
+            np.where(np.concatenate([[True], owner[1:] != owner[:-1]]), index, 0))
+        self.x_at = cell_at[owner] - counts[owner] + index - first
+        self.u_at = cell_at[self.inv]
+        owner = cell_at[owner]
 
-    def advance(self, u_n, x_n, f_next, f_n):
-        """One step in cell order, from the forcing at both ends of the step
-        (``f_n`` is not read by backward Euler); returns new arrays."""
-        rhs = self.rhs_work
-        self.u_work[:] = u_n
-        if self.theta == 1.0:
-            rhs[:] = f_next
+        mass, zero_order = problem.mass_band, skew_band(problem.op)
+        feed = problem.feedthrough[self.perm]
+        zero_order[_BAND] = feed  # A_h + diag(D): A_h has a zero diagonal
+
+        def cell_entries():
+            """(z rows, z cols, M/dt, A_h + diag(D)) of the stored entries
+            (j + d, j) of the cell-order bands, one band offset d at a time."""
+            for d in range(-_BAND, _BAND + 1):
+                j = np.arange(max(0, -d), n_u - max(0, d))
+                j = j[(mass[_BAND + d, j] != 0.0) | (zero_order[_BAND + d, j] != 0.0) | (d == 0)]
+                yield (cell_at[j + d], cell_at[j], mass[_BAND + d, j] / dt,
+                       zero_order[_BAND + d, j])
+
+        # A_h and M are structurally symmetric: the lower band is the upper's
+        self.band = band = max(int(np.max(owner - self.x_at, initial=0)),
+                               *(int(np.max(r - c, initial=0)) for r, c, _, _ in cell_entries()))
+        x_diagonal, x_input, x_output = dt * chain.poles, dt * chain.gain_in, chain.gain_out
+
+        def matrix(weight, out):
+            """E/dt + weight J over z, its x rows times dt, into the band
+            storage ``out`` with ``band`` sub- and super-diagonals."""
+            for rows, cols, m, a in cell_entries():
+                out[band + rows - cols, cols] = m + weight * a
+            out[band, self.x_at] = 1.0 - weight * x_diagonal
+            out[band + self.x_at - owner, owner] = -weight * x_input
+            out[band + owner - self.x_at, self.x_at] = weight * x_output
+            return out
+
+        self.z, self.rhs = np.zeros(n_z), np.zeros(n_z)
+        self.rhs_band = matrix(theta - 1.0, np.zeros((2 * band + 1, n_z), order="F"))
+        self.product = _lapack.gbmv(self.rhs_band, band, band, self.z, self.rhs)
+        ab = np.zeros((3 * band + 1, n_z), order="F")
+        lu = None
+        if np.all(theta * x_diagonal < 1.0) and self._positive_definite(problem, feed):
+            matrix(theta, ab[band:])
+            lu = _lu_unpivoted(ab, band)
+        self.pivoted = lu is None
+        if self.pivoted:
+            ab[:] = 0.0
+            matrix(theta, ab[band:])
+            lu, piv, info = _lapack.gbtrf(ab, band, band)
+            if info > 0:
+                raise SingularSystemError(
+                    f"step matrix not invertible at dt={dt:g}: zero pivot {info}"
+                )
+            self.solve = _lapack.gbtrs(lu, piv, band, band, self.rhs)
         else:
-            np.multiply(f_next, self.theta, out=rhs)
-            rhs += (1.0 - self.theta) * f_n
-        self.rhs_product()
-        rhs -= np.bincount(self.owner, self.aux_out * x_n, minlength=rhs.size)
-        self.solve()
-        u_next = rhs.copy()
-        return u_next, self.next_aux(x_n, u_next, u_n, self.owner)
+            lower = _lapack.tbsv(lu[2 * band:], band, True, self.rhs)
+            upper = _lapack.tbsv(lu[band:2 * band + 1], band, False, self.rhs)
 
-    def next_aux(self, x_n, u_next, u_n, owner):
-        """The memory states after a step from ``x_n``, given the states at
-        both ends of the step, in which ``owner`` locates the owner dofs
-        (backward Euler does not read ``u_n``)."""
-        mixed = u_next[owner]
+            def solve():
+                lower()
+                upper()
+
+            self.solve = solve
+
+    def _positive_definite(self, problem, feed) -> bool:
+        """Whether ``M/dt + theta (diag(D) + the memory states' diagonal)``,
+        the symmetric part of the step matrix on u, is positive definite: a
+        symmetric matrix is where its LU without pivoting has positive
+        pivots only (:func:`_lu_unpivoted`, which reuses ``gbtrf``)."""
+        theta, dt, chain = self.theta, self.dt, self.chain
+        memory = theta * dt * chain.gain_out * chain.gain_in / (1.0 - theta * dt * chain.poles)
+        symmetric = np.zeros((3 * _BAND + 1, self.perm.size), order="F")
+        symmetric[_BAND:] = problem.mass_band / dt  # M is symmetric
+        symmetric[2 * _BAND] += theta * (feed + np.bincount(self.inv[chain.owner], memory,
+                                                            minlength=self.perm.size))
+        lu = _lu_unpivoted(symmetric, _BAND)
+        return lu is not None and bool(np.all(lu[2 * _BAND] > 0.0))
+
+    def advance(self, forcing) -> np.ndarray:
+        """One step from the state in ``z`` under ``forcing``, the z-order
+        ``theta f+ + (1-theta) f``; the new state replaces ``z`` and is
+        returned (``z`` itself)."""
+        self.rhs[:] = forcing
+        self.product()
+        self.solve()
+        self.z[:] = self.rhs
+        return self.z
+
+    def mix(self, f_next, f_n) -> np.ndarray:
+        """``theta f+ + (1-theta) f`` of block-order or row-stacked forcing;
+        backward Euler does not read ``f_n``."""
+        if self.theta == 1.0:
+            return f_next
+        mixed = self.theta * f_next
+        mixed += (1.0 - self.theta) * f_n
+        return mixed
+
+    @cached_property
+    def _aux_update(self) -> tuple:
+        """(decay, growth, input) of :meth:`next_aux`."""
+        theta, dt, chain = self.theta, self.dt, self.chain
+        return (1.0 / (1.0 - theta * dt * chain.poles), 1.0 + (1.0 - theta) * dt * chain.poles,
+                dt * chain.gain_in)
+
+    def next_aux(self, x_n, u_next, u_n):
+        """The memory states after a step from ``x_n``, given the block-order
+        states at both ends of the step (backward Euler does not read
+        ``u_n``): the x rows of the step solved for x+ alone."""
+        decay, grow, gain = self._aux_update
+        mixed = u_next[self.chain.owner]
         if self.theta != 1.0:
-            mixed = self.theta * mixed + (1.0 - self.theta) * u_n[owner]
-        return self.aux_decay * (self.aux_grow * x_n + self.aux_in * mixed)
+            mixed = self.theta * mixed + (1.0 - self.theta) * u_n[self.chain.owner]
+        return decay * (grow * x_n + gain * mixed)
 
     def aux_history(self, states) -> np.ndarray:
         """The memory states along the block-order ``states`` of a march from
-        zero history: :meth:`next_aux` replayed row by row, so equal to the
-        march's own to the bit."""
-        aux = np.zeros((states.shape[0], self.aux_decay.size))
+        zero history: :meth:`next_aux` replayed row by row.  The march solves
+        them inside the band, in another order of operations, so the two
+        agree to rounding, not to the bit."""
+        aux = np.zeros((states.shape[0], self.chain.n_aux))
         for k in range(1, states.shape[0]):
-            aux[k] = self.next_aux(aux[k - 1], states[k], states[k - 1], self.block_owner)
+            aux[k] = self.next_aux(aux[k - 1], states[k], states[k - 1])
         return aux
 
 
@@ -346,9 +472,13 @@ def step_implicit(problem: EvolutionProblem, u_n, x_n, f_next, f_n):
     """Advance one implicit step in block order from the forcing at both ends
     (backward Euler does not read ``f_n``); the factorization is cached."""
     stepper = problem._stepper
-    u_n, f_next, f_n = (np.asarray(a, dtype=float)[stepper.perm] for a in (u_n, f_next, f_n))
-    u_next, x_next = stepper.advance(u_n, np.asarray(x_n, dtype=float), f_next, f_n)
-    return u_next[stepper.inv], x_next
+    forcing = np.zeros(stepper.rhs.size)
+    forcing[stepper.u_at] = stepper.mix(np.asarray(f_next, dtype=float),
+                                        np.asarray(f_n, dtype=float))
+    stepper.z[stepper.u_at] = u_n
+    stepper.z[stepper.x_at] = x_n
+    z = stepper.advance(forcing)
+    return z[stepper.u_at], z[stepper.x_at]
 
 
 class Trajectory:
@@ -358,7 +488,9 @@ class Trajectory:
     given either as an array or as a function of no arguments that returns
     one; :func:`solve` and :func:`~thermoevo.oracle.spectral_solve` give a
     function, so the history is built once, on its first read, and not at
-    all by a run that never reads it.
+    all by a run that never reads it.  A marched trajectory's history is a
+    replay over ``states`` (:meth:`_ImplicitStepper.aux_history`): equal to
+    the memory states of the march to rounding, not to the bit.
     """
 
     def __init__(self, problem: EvolutionProblem, states: np.ndarray, aux):
@@ -524,26 +656,28 @@ def _reap(pid: int, read_end: int, paths) -> str:
 def solve(problem: EvolutionProblem) -> Trajectory:
     """March the implicit scheme from zero initial data over the grid.
 
-    The march runs in cell order on forcing rows ``a[chunk] @ P[:, perm]``; each
+    The forcing enters in row chunks, each mixed as ``theta f+ + (1-theta) f``
+    and spread to the z order of :class:`_ImplicitStepper` at once; each
     step is stored in block order, in ``states``, which is read-only.  Only
-    the current memory states are carried through the march; the
+    the current memory states are carried through the march, inside z; the
     trajectory's ``aux`` replays their update over the stored states on its
     first read (:meth:`_ImplicitStepper.aux_history`).  A march whose state
     overflows raises :class:`InputError` naming the first step that is not
     finite."""
     t = problem.forcing.amplitudes.t
     stepper = problem._stepper
-    perm = stepper.perm
     states = np.zeros((t.size, problem.op.n_dof))
-    amplitudes, profiles = problem.forcing.amplitudes.samples, problem.forcing.profiles[:, perm]
-    chunk = max(1, CHUNK_VALUES // perm.size)
-    forcing = (f for start in range(0, t.size, chunk)
-               for f in amplitudes[start:start + chunk] @ profiles)
-    u = states[0][perm]
-    x = np.zeros(problem.aux_chain.n_aux)
-    for k, (f_n, f_next) in enumerate(pairwise(forcing)):
-        u, x = stepper.advance(u, x, f_next, f_n)
-        states[k + 1] = u[stepper.inv]
+    amplitudes = problem.forcing.amplitudes.samples
+    profiles = np.zeros((amplitudes.shape[1], stepper.rhs.size))
+    profiles[:, stepper.u_at] = problem.forcing.profiles
+    # a chunk's forcing, its mix and one temporary of the mix take CHUNK_VALUES
+    chunk = max(1, CHUNK_VALUES // (3 * stepper.rhs.size))
+    stepper.z[:] = 0.0
+    for start in range(0, t.size - 1, chunk):
+        f = amplitudes[start:start + chunk + 1] @ profiles
+        f[:, stepper.x_at] = 0.0  # exact zeros, as step_implicit gives the memory states
+        for k, row in enumerate(stepper.mix(f[1:], f[:-1]), start + 1):
+            stepper.advance(row).take(stepper.u_at, out=states[k])
     if not (np.isfinite(states.max()) and np.isfinite(states.min())):
         k = int(np.argmin(np.all(np.isfinite(states), axis=1)))
         raise InputError(f"the march overflows: the state is not finite from step {k} "

@@ -130,20 +130,21 @@ class ModelSpec:
         return n
 
 
-def _cell_value(value, index: int, n_cells: int):
+def _cell_values(value, n_cells: int) -> list:
+    """``value`` in each of ``n_cells`` cells, converted once."""
     if isinstance(value, RationalMatrixFunction):
-        return value
+        return [value] * n_cells
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        return float(arr)
+        return [float(arr)] * n_cells
     if arr.ndim == 1:
         if arr.size == n_cells:
-            return float(arr[index])
+            return arr.tolist()
         if arr.size == 1:
-            return float(arr[0])
+            return [float(arr[0])] * n_cells
         raise InputError("per-cell coefficient length mismatch")
     if arr.ndim == 2:
-        return arr  # matrix block, single cell
+        return [arr] * n_cells  # matrix block, single cell
     raise InputError("coefficient arrays must be scalar, per-cell vector, or matrix")
 
 
@@ -385,10 +386,9 @@ def assemble_material_law(spec: ModelSpec) -> MaterialLaw:
     them.
     """
     n = spec.n_cells
-    cells = []
-    for i in range(n):
-        values = {name: _cell_value(v, i, n) for name, v in spec.coefficients.items()}
-        cells.append(_assemble_cell(spec.family, values))
+    columns = {name: _cell_values(v, n) for name, v in spec.coefficients.items()}
+    cells = [_assemble_cell(spec.family, {name: column[i] for name, column in columns.items()})
+             for i in range(n)]
     return MaterialLaw(spec.family, tuple(cells))
 
 

@@ -117,9 +117,14 @@ def check_symbol_boundary(law: MaterialLaw, rho0: float) -> float:
     of both signs give.  The constant is the least over cells of
     lambda_min(rho0 M(0) + diag(0, 0, inf Re a1, inf Re a2)): a lower bound
     of the infimum (Weyl's monotonicity theorem), equal to it when at most
-    one part varies, as for every catalog family.  A matrix law, or a rho0
-    M(0) past the float range, raises :class:`InputError`; a part the march
-    cannot take raises :class:`~thermoevo.errors.RealizationError`.
+    one part varies, as for every catalog family.  It is a lower bound only
+    up to the accuracy of the realized partial fractions, a relative error
+    of about eps |p| / (rho0 - p) near a pole p just below rho0: for a2 =
+    -2/(s - 20) + 1/(s - 0.125) at rho0 = 20.25 it lies 4.1e-12 relative
+    above the minimum found by refining a dense scan of the line.  A matrix
+    law, or a rho0 M(0) past the float range, raises :class:`InputError`; a
+    part the march cannot take raises
+    :class:`~thermoevo.errors.RealizationError`.
     """
     if not 0 < rho0 < np.inf:
         raise InputError("rho0 must be positive and finite")

@@ -124,6 +124,29 @@ class TestAssembly:
                 "rho0": [1.0, 2.0], "nu": [1.0, 1.0, 1.0], "C": 1.0,
                 "Gamma": 0.0, "kappa": 1.0}).n_cells
 
+    def test_per_cell_lists_are_converted_per_coefficient(self, monkeypatch):
+        # converting a whole per-cell list once per cell made assembly
+        # quadratic in the cell count
+        asarray, conversions = np.asarray, []
+
+        def counted(value, *args, **kwargs):
+            if isinstance(value, list) and len(value) > 1:
+                conversions.append(len(value))
+            return asarray(value, *args, **kwargs)
+
+        monkeypatch.setattr(np, "asarray", counted)
+        counts = []
+        for n in (8, 64):
+            conversions.clear()
+            rng = np.random.default_rng(n)
+            law = assemble_material_law(ModelSpec(ModelFamily.DPL_I, {
+                "rho0": 1.0, "nu": 1.0, "Gamma": 0.5, "n1": 0.5, "n2": 0.25,
+                "C": rng.uniform(0.8, 1.25, n).tolist(),
+                "kappa": rng.uniform(0.5, 2.0, n).tolist()}))
+            assert law.n_cells == n
+            counts.append(len(conversions))
+        assert counts[0] == counts[1]
+
 
 class TestPatternsAndClassification:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
