@@ -28,7 +28,6 @@ from .evolution import (
 )
 from .forcing import Forcing, assemble_forcing, time_grid
 from .models import (
-    CellLaw,
     MaterialLaw,
     ModelFamily,
     ModelSpec,

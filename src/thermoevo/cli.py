@@ -105,7 +105,7 @@ def _numeric_array(value, context: str, ndims: tuple) -> np.ndarray:
         arr = np.asarray(None)
     if (arr.dtype.kind not in "iuf" or arr.ndim not in ndims or arr.size == 0
             or not np.all(np.isfinite(arr))):
-        shapes = " or ".join(("a number", "a list", "a matrix")[d] for d in ndims)
+        shapes = " or ".join(("a number", "a list")[d] for d in ndims)
         raise ConfigError(f"'{context}' must be {shapes} of finite numbers")
     return arr.astype(float)
 
@@ -117,12 +117,11 @@ def _parse_coefficient(name, value):
         if set(value) != {"num", "den"} or not isinstance(value["num"], list):
             raise ConfigError(f"'{context}' needs both 'num' (a list) and 'den'")
         return RationalMatrixFunction(
-            tuple(np.atleast_2d(_numeric_array(m, f"{context}.num", (0, 2)))
-                  for m in value["num"]),
+            tuple(_numeric_array(value["num"], f"{context}.num", (1,))),
             _numeric_array(value["den"], f"{context}.den", (0, 1)),
         )
     if isinstance(value, list):
-        return _numeric_array(value, context, (1, 2))
+        return _numeric_array(value, context, (0, 1))
     return _finite(value, context)
 
 
@@ -251,9 +250,8 @@ def _check_size(law, grid: Grid1D, n_steps: int) -> None:
     except (AttributeError, OSError, ValueError):  # a platform without these
         return
     n_dof = 2 * (grid.n_nodes + grid.n_faces)
-    n_aux = sum(count * max(getattr(cell, name).den.size - 1 for cell in law.cells)
-                for name, count in (("flux_resistance", grid.n_faces),
-                                    ("theta_damping", grid.n_nodes)))
+    n_aux = sum(count * max(r.den.size - 1 for r in laws)
+                for laws, count in ((law.a2, grid.n_faces), (law.a1, grid.n_nodes)))
     need = 8 * (n_steps + 1) * (3 * n_dof + n_aux)
     if need > memory:
         raise InputError(

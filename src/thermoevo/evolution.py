@@ -31,7 +31,7 @@ import numpy as np
 from . import _lapack
 from .errors import ArtifactWriteError, InputError, SingularSystemError
 from .forcing import Forcing
-from .models import MaterialLaw, compute_entropy, recover_theta
+from .models import COEFFICIENTS, MaterialLaw, compute_entropy, recover_theta
 from .rational import realize_state_space
 from .signals import (CHUNK_VALUES, WeightedSignal, _tables, map_row_chunks, row_peaks,
                       weighted_norm, write_csv)
@@ -102,8 +102,6 @@ class EvolutionProblem:
     def __post_init__(self):
         if self.scheme not in (BACKWARD_EULER, TRAPEZOIDAL):
             raise InputError(f"unknown scheme '{self.scheme}'")
-        if not self.law.is_scalar:
-            raise InputError("time integration requires scalar material blocks")
         if self.forcing.profiles.shape[1] != self.op.n_dof:
             raise InputError(
                 f"forcing has {self.forcing.profiles.shape[1]} components, "
@@ -114,10 +112,8 @@ class EvolutionProblem:
         n = self.op.grid.n_cells
         if self.law.n_cells not in (1, n):
             raise InputError(f"law has {self.law.n_cells} cells, grid has {n}")
-        first = self.law.cells[0]
-        if any(cell.theta_lag != first.theta_lag
-               or cell.theta_damping.key() != first.theta_damping.key()
-               for cell in self.law.cells[1:]):
+        law = self.law
+        if np.any(law.n0 != law.n0[0]) or np.any(law.a1_index != law.a1_index[0]):
             raise InputError(
                 "per-cell variation of the temperature damping term is not supported"
             )
@@ -144,12 +140,14 @@ class EvolutionProblem:
     @cached_property
     def node_coeffs(self) -> dict:
         """Cellwise coefficients sampled at node dofs (adjacent-cell mean)."""
-        per_cell = self.law.scalar_arrays(self.op.grid.n_cells)
-        return {k: 0.5 * (v[:-1] + v[1:]) for k, v in per_cell.items()}
+        return {k: 0.5 * (v[:-1] + v[1:]) for k, v in self.face_coeffs.items()}
 
     @cached_property
     def face_coeffs(self) -> dict:
-        return self.law.scalar_arrays(self.op.grid.n_cells)
+        """The law's coefficient arrays (:data:`~thermoevo.models.COEFFICIENTS`)
+        over the grid's cells, that is at the face dofs."""
+        return {name: np.broadcast_to(getattr(self.law, name), self.op.grid.n_cells)
+                for name in COEFFICIENTS}
 
     @cached_property
     def mass_band(self) -> np.ndarray:
@@ -163,8 +161,8 @@ class EvolutionProblem:
         wherever D is nonnegative; its entries are written in closed form.
         """
         face, node = self.face_coeffs, self.node_coeffs
-        inv_c, inertia = 1.0 / face["stiffness"], face["flux_inertia"]
-        half_gamma, half_zeta = 0.5 * face["coupling"], 0.5 * face["flux_coupling"]
+        inv_c, inertia = 1.0 / face["C"], face["a0"]
+        half_gamma, half_zeta = 0.5 * face["Gamma"], 0.5 * face["zeta0"]
         sigma_theta = inv_c * half_gamma   # M[sigma_f, theta] on both nodes of face f
         q_theta = inertia * half_zeta      # M[q_f, theta] likewise
         sigma_shared = sigma_theta * half_gamma  # theta-theta through sigma_f
@@ -172,7 +170,7 @@ class EvolutionProblem:
         v, sigma, theta, q = _cell_positions(self.op)
         # a theta diagonal sums its left and right sigma faces, its own
         # capacity, then its q faces: the block order of the row of L^T D
-        theta_diagonal = (sigma_shared[:-1] + sigma_shared[1:] + node["heat_capacity"]
+        theta_diagonal = (sigma_shared[:-1] + sigma_shared[1:] + node["nu"]
                           + q_shared[:-1] + q_shared[1:])
         diagonal = [(sigma, inv_c), (q, inertia), (v, node["rho0"]), (theta, theta_diagonal)]
         # node c has face c on its left and face c + 1 on its right
@@ -184,17 +182,19 @@ class EvolutionProblem:
 
     @cached_property
     def _realizations(self) -> tuple:
-        """Feedthrough diagonal and aux chains for the zero-order block."""
-        op = self.op
+        """Feedthrough diagonal and aux chains for the zero-order block; each
+        distinct law is realized once."""
+        op, law = self.op, self.law
         sl = op.block_slices()
         # owner dofs and laws: flux resistance per face, then temperature damping per node
         owner = sl[3].start + np.arange(op.grid.n_cells)
-        laws = [self.law.cell(f).flux_resistance for f in range(op.grid.n_cells)]
-        damping = self.law.cells[0].theta_damping
-        if any(np.any(np.asarray(c) != 0) for c in damping.num):
+        damping = law.a1[law.a1_index[0]]
+        damped = any(np.any(c != 0) for c in damping.num)
+        distinct = realize_state_space(law.a2 + ((damping,) if damped else ()))
+        reals = [distinct[k] for k in np.broadcast_to(law.a2_index, owner.size)]
+        if damped:
             owner = np.concatenate([owner, sl[2].start + np.arange(op.grid.n_nodes)])
-            laws += [damping] * op.grid.n_nodes
-        reals = realize_state_space(laws)
+            reals += [distinct[-1]] * op.grid.n_nodes
         feed = np.zeros(op.n_dof)
         feed[owner] = [real.d[0, 0] for real in reals]
         chain = _AuxChain(
@@ -525,7 +525,7 @@ class Trajectory:
         return WeightedSignal(self.t, eps, self.problem.rho)
 
     def theta(self) -> WeightedSignal:
-        return recover_theta(self.block("theta_big"), self.problem.law.theta_lag)
+        return recover_theta(self.block("theta_big"), float(self.problem.law.n0[0]))
 
     def entropy(self) -> WeightedSignal:
         """Entropy at the interior nodes (uniform laws only)."""
@@ -535,10 +535,9 @@ class Trajectory:
         face_to_node = self.problem.op.face_to_node
         eps_nodes = face_to_node(self.strain().samples)
         q_nodes = face_to_node(self.block("q").samples)
-        uniform = MaterialLaw(law.family, (law.cells[0],))
         rho = self.problem.rho
         return compute_entropy(
-            uniform,
+            law,
             WeightedSignal(self.t, eps_nodes, rho),
             self.block("theta_big"),
             WeightedSignal(self.t, q_nodes, rho),
@@ -701,14 +700,13 @@ def energy_functional(trajectory: Trajectory) -> np.ndarray:
     problem = trajectory.problem
     face, node = problem.face_coeffs, problem.node_coeffs
     sl = problem.op.block_slices()
-    weights = np.concatenate([node["rho0"], 1.0 / face["stiffness"], node["heat_capacity"],
-                              face["flux_inertia"]])
+    weights = np.concatenate([node["rho0"], 1.0 / face["C"], node["nu"], face["a0"]])
 
     def energy(chunk):
         lu = chunk.copy()
         theta_faces = problem.op.node_to_face(lu[:, sl[2]])
-        lu[:, sl[1]] += face["coupling"] * theta_faces
-        lu[:, sl[3]] += face["flux_coupling"] * theta_faces
+        lu[:, sl[1]] += face["Gamma"] * theta_faces
+        lu[:, sl[3]] += face["zeta0"] * theta_faces
         return np.einsum("ki,ki,i->k", lu, lu, weights)
 
     return problem.op.grid.h * map_row_chunks(trajectory.states, energy)

@@ -1,16 +1,19 @@
 """Catalog of thermoelastic material laws.
 
-Every supported model is reduced to the same two-part law: an instantaneous
-Hermitian block ``mass`` acting under the time derivative, plus two rational
-zero-order parts, the temperature damping a1(z) and the flux resistance
-a2(z), that carry relaxation and lag effects on the theta and q blocks.
-The block structure is fixed over the unknowns (v, sigma, theta_big, q):
-velocity, stress, (possibly lag-relaxed) temperature, and heat flux.
+Every supported model is reduced to the same rational material law
+M(z) = M0 + z * diag(0, 0, a1(z), a2(z)) over the unknowns (v, sigma,
+theta_big, q): velocity, stress, (possibly lag-relaxed) temperature, and
+heat flux.  The instantaneous block M0 acts under the time derivative; the
+scalar rational zero-order parts, the temperature damping a1(z) and the flux
+resistance a2(z), carry relaxation and lag effects on the theta and q
+unknowns.
 
-Coefficients are cellwise (piecewise constant in space); scalar input means
-a single uniform cell.  The catalog families are scalar-block; fully
-matrix-valued blocks are supported for custom laws at the certification
-level only.
+Coefficients are cellwise (piecewise constant in space): real finite
+numbers, or per-cell lists of them; scalar input means a single uniform
+cell.  Custom laws also take real 1x1 rational functions for a1 and a2.  A
+law holds one float array per coefficient over its cells, and for each
+zero-order part the tuple of its distinct rational laws with the index of
+each cell's law.
 """
 
 from __future__ import annotations
@@ -23,13 +26,12 @@ import numpy as np
 
 from ._integrators import exp_march_linear
 from .errors import InputError
-from .rational import RationalMatrixFunction, _live_poles, _stack_groups, realize_state_space
+from .rational import RationalMatrixFunction, realize_state_space
 from .signals import WeightedSignal, antiderivative
 
 __all__ = [
     "ModelFamily",
     "ModelSpec",
-    "CellLaw",
     "MaterialLaw",
     "assemble_material_law",
     "zero_pattern",
@@ -42,8 +44,9 @@ __all__ = [
 
 BLOCK_NAMES = ("v", "sigma", "theta", "q")
 
-#: the matrix coefficients of a cell law
-_BLOCKS = ("rho0", "stiffness", "coupling", "heat_capacity", "flux_coupling", "flux_inertia")
+#: the coefficient arrays of a law: density, stiffness, thermoelastic
+#: coupling, heat capacity, flux-temperature coupling and flux inertia
+COEFFICIENTS = ("rho0", "C", "Gamma", "nu", "zeta0", "a0")
 
 #: relative spectral cutoff separating "zero" from "positive" eigenvalues
 SPECTRAL_CUTOFF = 1e-10
@@ -89,10 +92,9 @@ _RATIONAL_COEFFS = {"a1", "a2"}
 class ModelSpec:
     """A named model family with its material coefficients.
 
-    Coefficient values may be scalars (uniform) or sequences of per-cell
-    values; all sequences must share one length.  Custom laws additionally
-    accept square matrices (single cell) and rational functions for the
-    zero-order entries.
+    Coefficient values are real finite numbers (uniform) or lists of per-cell
+    values; all lists must share one length.  Custom laws additionally
+    accept real 1x1 rational functions for the zero-order parts a1 and a2.
     """
 
     family: ModelFamily
@@ -130,413 +132,220 @@ class ModelSpec:
         return n
 
 
-def _cell_values(value, n_cells: int) -> list:
-    """``value`` in each of ``n_cells`` cells, converted once."""
+def _column(name: str, value, n_cells: int):
+    """Coefficient ``name`` converted once: a real 1x1 rational function as
+    given, else its float values over ``n_cells`` cells."""
     if isinstance(value, RationalMatrixFunction):
-        return [value] * n_cells
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return [float(arr)] * n_cells
-    if arr.ndim == 1:
-        if arr.size == n_cells:
-            return arr.tolist()
-        if arr.size == 1:
-            return [float(arr[0])] * n_cells
-        raise InputError("per-cell coefficient length mismatch")
-    if arr.ndim == 2:
-        return [arr] * n_cells  # matrix block, single cell
-    raise InputError("coefficient arrays must be scalar, per-cell vector, or matrix")
-
-
-def _as_block(value, rows: int, cols: int) -> np.ndarray:
-    """Normalize a scalar or matrix coefficient to a 2-d block."""
-    arr = np.atleast_2d(np.asarray(value, dtype=complex if np.iscomplexobj(value) else float))
-    if arr.shape != (rows, cols):
-        if arr.shape == (1, 1) and rows == cols:
-            return arr[0, 0] * np.eye(rows)
-        raise InputError(f"block of shape {arr.shape} where {(rows, cols)} expected")
-    return arr
-
-
-def _as_rational(value, dim: int) -> RationalMatrixFunction:
-    if value is None:
-        return RationalMatrixFunction.zero(dim)
-    if isinstance(value, RationalMatrixFunction):
-        if value.dims != (dim, dim):
-            raise InputError(f"rational block must be {dim}x{dim}, got {value.dims}")
+        if value.dims != (1, 1) or not all(
+                c.dtype.kind in "iuf" and np.all(np.isfinite(c)) for c in (*value.num, value.den)):
+            raise InputError(f"coefficient '{name}' must be a 1x1 rational function "
+                             "with real finite coefficients")
         return value
-    return RationalMatrixFunction.constant(_as_block(value, dim, dim))
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.ndim > 1 or not np.all(np.isfinite(arr)):
+        raise InputError(f"coefficient '{name}' must be a real finite number "
+                         "or a list of them")
+    if arr.size not in (1, n_cells):
+        raise InputError(f"coefficient '{name}' has {arr.size} values for {n_cells} cells")
+    return np.full(n_cells, arr, dtype=float)
 
 
-@dataclass(frozen=True)
-class CellLaw:
-    """Material data of one spatial cell, in block form.
+def _distinct_laws(num: list, den: list) -> tuple:
+    """The distinct scalar laws sum_k num[k] z^k / sum_k den[k] z^k among the
+    cells, given the per-cell arrays of their coefficients, one
+    :class:`RationalMatrixFunction` each in order of first appearance, and
+    the index of each cell's law.  Laws are told apart by the bytes of their
+    coefficients, with 0.0 added so that -0.0 and 0.0 agree."""
+    rows = np.stack(num + den, axis=1) + 0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0].tolist()
+    first = {}
+    for j, key in enumerate(keys):
+        first.setdefault(key, j)
+    slot = {key: k for k, key in enumerate(first)}
+    laws = tuple(RationalMatrixFunction(tuple(c[j] for c in num), np.array([c[j] for c in den]))
+                 for j in first.values())
+    return laws, np.array([slot[key] for key in keys], dtype=np.intp)
 
-    ``mass`` couples (sigma, theta) through the thermoelastic tensor and
-    (theta, q) through the flux-temperature coupling.  The zero-order parts
-    ``theta_damping`` (a1) and ``flux_resistance`` (a2) act on the theta and
-    q blocks alone, so the symbol is M(z) = mass + z * diag(0, 0, a1(z),
-    a2(z)).
+
+def _zero_part(n_cells: int) -> tuple:
+    return (RationalMatrixFunction.zero(1),), np.zeros(n_cells, dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class MaterialLaw:
+    """Assembled cellwise material law with its positivity classification.
+
+    ``rho0``, ``C``, ``Gamma``, ``nu``, ``zeta0``, ``a0`` and the temperature
+    lag time ``n0`` are float arrays over the cells.  Cell j's instantaneous
+    block is M0 = L^T diag(rho0, 1/C, nu, a0) L over (v, sigma, theta, q),
+    with L the unit lower triangular factor that holds Gamma at (sigma,
+    theta) and zeta0 at (q, theta) (:attr:`mass`).  ``a1`` and ``a2`` are
+    the distinct scalar laws of the temperature damping and the flux
+    resistance; cell j's are ``a1[a1_index[j]]`` and ``a2[a2_index[j]]``.
     """
 
-    rho0: np.ndarray
-    stiffness: np.ndarray
-    coupling: np.ndarray
-    heat_capacity: np.ndarray
-    flux_coupling: np.ndarray
-    flux_inertia: np.ndarray
-    theta_damping: RationalMatrixFunction
-    flux_resistance: RationalMatrixFunction
-    theta_lag: float = 0.0
-
-    @property
-    def block_dims(self) -> tuple:
-        return (
-            self.rho0.shape[0],
-            self.stiffness.shape[0],
-            self.heat_capacity.shape[0],
-            self.flux_inertia.shape[0],
-        )
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.block_dims == (1, 1, 1, 1)
-
-    def mass(self) -> np.ndarray:
-        """Hermitian instantaneous block over (v, sigma, theta, q)."""
-        m = _masses([self])[0]
-        return m.real if np.max(np.abs(m.imag)) == 0.0 else m
-
-
-def _stack(cells, attr: str) -> np.ndarray:
-    return np.stack([getattr(cell, attr) for cell in cells])
-
-
-def _congruence(cells) -> tuple:
-    """Stacked unit-triangular factors L and diagonal cores D of cells that
-    share block dims, L* D L = mass, both complex."""
-    sl = _block_slices(cells[0].block_dims)
-    n = sl[-1].stop
-    lmat = np.zeros((len(cells), n, n), dtype=complex)
-    lmat[:, range(n), range(n)] = 1.0
-    lmat[:, sl[1], sl[2]] = _stack(cells, "coupling")
-    lmat[:, sl[3], sl[2]] = _stack(cells, "flux_coupling")
-    core = np.zeros_like(lmat)
-    core[:, sl[0], sl[0]] = _stack(cells, "rho0")
-    core[:, sl[1], sl[1]] = np.linalg.inv(_stack(cells, "stiffness"))
-    core[:, sl[2], sl[2]] = _stack(cells, "heat_capacity")
-    core[:, sl[3], sl[3]] = _stack(cells, "flux_inertia")
-    return lmat, core
-
-
-def _masses(cells) -> np.ndarray:
-    """Stacked instantaneous blocks L* D L, Hermitian-symmetrized, complex."""
-    lmat, core = _congruence(cells)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = np.conj(lmat).swapaxes(-1, -2) @ core @ lmat
-        m = 0.5 * (m + np.conj(m).swapaxes(-1, -2))
-    if not np.all(np.isfinite(m)):
-        raise InputError("instantaneous block is not finite: coefficient products overflow")
-    return m
-
-
-def _block_slices(dims) -> list:
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(len(dims))]
-
-
-@dataclass(frozen=True)
-class _CellStack:
-    """Cells of a law stacked on a leading axis: the cells' indices in the
-    law, their instantaneous blocks, and ``parts``, the stacked numerator
-    coefficients and denominators ``(nums, den)`` of their zero-order parts
-    ``theta_damping`` and ``flux_resistance``, which act on the theta and q
-    blocks."""
-
-    index: np.ndarray
-    cells: tuple
-    mass: np.ndarray
-    parts: tuple
-
-    @cached_property
-    def poles(self) -> tuple:
-        """``(poles, live)`` of the parts (see
-        :func:`thermoevo.rational._live_poles`), a1's columns first."""
-        found = [_live_poles(nums, den)[:2] for nums, den in self.parts]
-        return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*found))
-
-    @cached_property
-    def dissipation_at_zero(self) -> np.ndarray:
-        """The parts at z = 0 on their diagonal blocks, zero elsewhere."""
-        values = [nums[0] / den[:, :1, None] for nums, den in self.parts]
-        out = np.zeros(self.mass.shape, dtype=np.result_type(*values))
-        for block, value in zip(_block_slices(self.cells[0].block_dims)[2:], values):
-            out[:, block, block] = value
-        return out
-
-
-def _cell_stacks(cells) -> tuple:
-    """The cells grouped by block dtypes, rational shapes and the realness
-    of their instantaneous block, each group stacked, so a stacked LAPACK
-    call sees every cell at the dtype it would have alone."""
-    groups = {}
-    for i, cell in enumerate(cells):
-        shape = [getattr(cell, attr).dtype.str for attr in _BLOCKS]
-        for r in (cell.theta_damping, cell.flux_resistance):
-            shape += [r.den.size, r.den.dtype.str] + [m.dtype.str for m in r.num]
-        groups.setdefault(tuple(shape), []).append(i)
-    stacks = []
-    for index in groups.values():
-        group = [cells[i] for i in index]
-        mass = _masses(group)
-        parts = [_stack_groups([getattr(cell, attr) for cell in group])[0][1:]
-                 for attr in ("theta_damping", "flux_resistance")]
-        real = np.max(np.abs(mass.imag), axis=(1, 2)) == 0.0
-        for part in (np.flatnonzero(real), np.flatnonzero(~real)):
-            if part.size:
-                stacks.append(_CellStack(
-                    np.asarray(index)[part], tuple(group[j] for j in part),
-                    mass[part].real if real[part[0]] else mass[part],
-                    tuple(([m[part] for m in nums], den[part]) for nums, den in parts)))
-    return tuple(stacks)
-
-
-@dataclass(frozen=True)
-class MaterialLaw:
-    """Assembled cellwise material law with its positivity classification."""
-
     family: ModelFamily
-    cells: tuple
+    rho0: np.ndarray
+    C: np.ndarray
+    Gamma: np.ndarray
+    nu: np.ndarray
+    zeta0: np.ndarray
+    a0: np.ndarray
+    n0: np.ndarray
+    a1: tuple
+    a1_index: np.ndarray
+    a2: tuple
+    a2_index: np.ndarray
     classification: str = field(init=False)
 
     def __post_init__(self):
-        dims = self.cells[0].block_dims
-        for cell in self.cells:
-            if cell.block_dims != dims:
-                raise InputError("all cells must share block dimensions")
-        object.__setattr__(self, "classification", _classify(self.stacks))
+        object.__setattr__(self, "classification", _classify(self.mass))
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
-
-    @property
-    def block_dims(self) -> tuple:
-        return self.cells[0].block_dims
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.cells[0].is_scalar
-
-    @property
-    def theta_lag(self) -> float:
-        return self.cells[0].theta_lag
-
-    def cell(self, index: int) -> CellLaw:
-        return self.cells[index if self.n_cells > 1 else 0]
+        return self.rho0.size
 
     @cached_property
-    def stacks(self) -> tuple:
-        """The cells stacked for one LAPACK call per cell group (one group
-        unless cells differ in dtypes or rational shapes)."""
-        return _cell_stacks(self.cells)
+    def mass(self) -> np.ndarray:
+        """The cells' instantaneous blocks, stacked (n_cells, 4, 4): L^T D L
+        by one stacked product, then symmetrized."""
+        n = self.n_cells
+        lmat = np.zeros((n, 4, 4))
+        lmat[:, range(4), range(4)] = 1.0
+        lmat[:, 1, 2] = self.Gamma
+        lmat[:, 3, 2] = self.zeta0
+        core = np.zeros((n, 4, 4))
+        core[:, range(4), range(4)] = np.stack([self.rho0, 1.0 / self.C, self.nu, self.a0],
+                                               axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = lmat.swapaxes(-1, -2) @ core @ lmat
+            m = 0.5 * (m + m.swapaxes(-1, -2))
+        if not np.all(np.isfinite(m)):
+            raise InputError("instantaneous block is not finite: coefficient products overflow")
+        return m
+
+    @cached_property
+    def at_zero(self) -> tuple:
+        """``(a1(0), a2(0))``, the zero-order parts at z = 0, over the cells."""
+        return tuple(np.array([r.num[0][0, 0] / r.den[0] for r in laws])[index]
+                     for laws, index in ((self.a1, self.a1_index), (self.a2, self.a2_index)))
 
     def is_uniform(self) -> bool:
-        if self.n_cells == 1:
-            return True
-        first = self.cells[0]
-        return all(_cells_equal(first, c) for c in self.cells[1:])
-
-    def scalar_arrays(self, n: int) -> dict:
-        """Per-cell scalar coefficients broadcast to n cells (scalar laws only)."""
-        if not self.is_scalar:
-            raise InputError("grid assembly requires scalar blocks")
-        if self.n_cells not in (1, n):
-            raise InputError(
-                f"law has {self.n_cells} cells, grid needs 1 or {n}"
-            )
-        idx = np.zeros(n, dtype=int) if self.n_cells == 1 else np.arange(n)
-        return {attr: _stack(self.cells, attr)[idx, 0, 0].real.astype(float)
-                for attr in _BLOCKS}
+        """Whether all cells share their coefficients and zero-order parts."""
+        return all(np.all(values == values[0]) for values in (
+            *(getattr(self, name) for name in COEFFICIENTS), self.n0,
+            self.a1_index, self.a2_index))
 
 
-def _cells_equal(a: CellLaw, b: CellLaw) -> bool:
-    if a.block_dims != b.block_dims or a.theta_lag != b.theta_lag:
-        return False
-    for attr in _BLOCKS:
-        if not np.array_equal(getattr(a, attr), getattr(b, attr)):
-            return False
-    return (a.theta_damping.key() == b.theta_damping.key()
-            and a.flux_resistance.key() == b.flux_resistance.key())
-
-
-def _classify(stacks) -> str:
-    eigs = [np.linalg.eigvalsh(stack.mass) for stack in stacks]
-    lam_min = min(float(np.min(e[:, 0])) for e in eigs)
-    lam_max = max(0.0, *(float(np.max(e[:, -1])) for e in eigs))
+def _classify(mass: np.ndarray) -> str:
+    eigs = np.linalg.eigvalsh(mass)
+    lam_min = float(np.min(eigs[:, 0]))
+    lam_max = max(0.0, float(np.max(eigs[:, -1])))
     return GENERIC if lam_min > SPECTRAL_CUTOFF * lam_max else DEGENERATE
 
 
 def assemble_material_law(spec: ModelSpec) -> MaterialLaw:
     """Map a model family onto the common two-part law.
 
-    Raises on structurally invalid coefficients (non-positive density,
-    vanishing lag times, singular conductivity); hypothesis violations that
-    merely break well-posedness assemble fine so the certifier can report
-    them.
+    Each coefficient is converted once, to a float array over the cells; a
+    value that is not a real finite number (or a list of them, or for a1
+    and a2 of a custom law a real 1x1 rational function) raises.  Raises on
+    structurally invalid coefficients (non-positive density, vanishing lag
+    times, singular conductivity); hypothesis violations that merely break
+    well-posedness assemble fine so the certifier can report them.
     """
     n = spec.n_cells
-    columns = {name: _cell_values(v, n) for name, v in spec.coefficients.items()}
-    cells = [_assemble_cell(spec.family, {name: column[i] for name, column in columns.items()})
-             for i in range(n)]
-    return MaterialLaw(spec.family, tuple(cells))
+    c = {name: _column(name, value, n) for name, value in spec.coefficients.items()}
+    if spec.family is ModelFamily.CUSTOM:
+        return _assemble_custom(c, n)
+    return _assemble_catalog(spec.family, c, n)
 
 
-def _require_nonzero(value: float, name: str) -> float:
-    if value == 0.0:
+def _nonzero(c: dict, name: str) -> np.ndarray:
+    if np.any(c[name] == 0.0):
         raise InputError(f"coefficient '{name}' must be non-zero")
-    return value
+    return c[name]
 
 
-def _scalar(c: dict, name: str) -> float:
-    value = c[name]
-    if isinstance(value, np.ndarray):
-        raise InputError(f"coefficient '{name}' must be scalar for catalog families")
-    return float(value)
-
-
-def _assemble_cell(family: ModelFamily, c: dict) -> CellLaw:
-    if family is ModelFamily.CUSTOM:
-        return _assemble_custom(c)
-
-    rho0 = _scalar(c, "rho0")
-    stiff = _scalar(c, "C")
-    gamma = _scalar(c, "Gamma")
-    if rho0 <= 0:
+def _assemble_catalog(family: ModelFamily, c: dict, n: int) -> MaterialLaw:
+    rho0, stiff = c["rho0"], c["C"]
+    if np.any(rho0 <= 0):
         raise InputError("rho0 must be positive cellwise")
-    if stiff <= 0:
+    if np.any(stiff <= 0):
         raise InputError("C must be positive definite cellwise")
-
-    nu = _scalar(c, "nu") if "nu" in c else None
-    if nu is not None and nu < 0:
+    nu = c.get("nu")
+    if nu is not None and np.any(nu < 0):
         raise InputError("nu must be non-negative cellwise")
 
-    zero = RationalMatrixFunction.zero(1)
-    a0 = 0.0
-    zeta0 = 0.0
-    n0 = 0.0
-    a1 = zero
-
-    if family is ModelFamily.CLASSICAL:
-        kappa = _require_nonzero(_scalar(c, "kappa"), "kappa")
-        a2 = RationalMatrixFunction.constant(1.0 / kappa)
-    elif family is ModelFamily.LORD_SHULMAN:
-        kappa = _require_nonzero(_scalar(c, "kappa"), "kappa")
-        a0 = _scalar(c, "a0")
-        a2 = RationalMatrixFunction.constant(1.0 / kappa)
+    zero, one = np.zeros(n), np.ones(n)
+    a0 = zeta0 = n0 = zero
+    a1 = _zero_part(n)
+    if family in (ModelFamily.CLASSICAL, ModelFamily.LORD_SHULMAN):
+        a2 = _distinct_laws([1.0 / _nonzero(c, "kappa")], [one])
+        if family is ModelFamily.LORD_SHULMAN:
+            a0 = c["a0"]
     elif family is ModelFamily.GREEN_NAGHDI_I:
-        k = _require_nonzero(_scalar(c, "k"), "k")
-        a2 = RationalMatrixFunction.constant(1.0 / k)
+        a2 = _distinct_laws([1.0 / _nonzero(c, "k")], [one])
     elif family is ModelFamily.GREEN_NAGHDI_II:
-        k_star = _require_nonzero(_scalar(c, "k_star"), "k_star")
-        a0 = 1.0 / k_star
-        a2 = zero
+        a0 = 1.0 / _nonzero(c, "k_star")
+        a2 = _zero_part(n)
     elif family is ModelFamily.GREEN_NAGHDI_III:
-        k = _require_nonzero(_scalar(c, "k"), "k")
-        k_star = _scalar(c, "k_star")
         # (z*k_star + k)^(-1): analytic at 0 because k != 0
-        a2 = RationalMatrixFunction((np.eye(1),), np.array([k, k_star]))
+        a2 = _distinct_laws([one], [_nonzero(c, "k"), c["k_star"]])
     elif family is ModelFamily.GREEN_LINDSAY:
-        kappa = _require_nonzero(_scalar(c, "kappa"), "kappa")
-        n0 = _scalar(c, "n0")
-        if n0 <= 0:
+        kappa = _nonzero(c, "kappa")
+        n0 = c["n0"]
+        if np.any(n0 <= 0):
             raise InputError("Green-Lindsay requires a positive lag time n0")
-        b = _scalar(c, "b")
-        d = _scalar(c, "d")
-        h = _scalar(c, "h")
+        b, d, h = c["b"], c["d"], c["h"]
         nu = h / n0
         a0 = n0 / kappa
         zeta0 = b / n0
-        a2 = RationalMatrixFunction.constant(1.0 / kappa)
-        a1_gain = d - (h + b * b / kappa) / n0
-        a1 = RationalMatrixFunction((np.array([[a1_gain]]),), np.array([n0, 1.0]))
+        a2 = _distinct_laws([1.0 / kappa], [one])
+        a1 = _distinct_laws([d - (h + b * b / kappa) / n0], [n0, one])
     elif family in (ModelFamily.DPL_I, ModelFamily.DPL_II):
-        kappa = _require_nonzero(_scalar(c, "kappa"), "kappa")
-        n1 = _scalar(c, "n1")
-        n2 = _scalar(c, "n2")
-        if n1 == 0.0 or n2 == 0.0:
+        kappa = _nonzero(c, "kappa")
+        n1, n2 = c["n1"], c["n2"]
+        if np.any(n1 == 0.0) or np.any(n2 == 0.0):
             raise InputError("dual-phase-lag families require non-zero n1 and n2")
         if family is ModelFamily.DPL_I:
-            a2 = RationalMatrixFunction(
-                (np.array([[n1 / kappa]]), np.array([[1.0 / kappa]])),
-                np.array([n2, 1.0]),
-            )
+            lead = n1
         else:
             a0 = 0.5 * n1 * n1 / (n2 * kappa)
             lead = n1 - 0.5 * n1 * n1 / n2
-            a2 = RationalMatrixFunction(
-                (np.array([[lead / kappa]]), np.array([[1.0 / kappa]])),
-                np.array([n2, 1.0]),
-            )
+        a2 = _distinct_laws([lead / kappa, 1.0 / kappa], [n2, one])
     else:  # pragma: no cover
         raise InputError(f"unhandled family {family}")
-
-    return CellLaw(
-        rho0=np.array([[rho0]]),
-        stiffness=np.array([[stiff]]),
-        coupling=np.array([[gamma]]),
-        heat_capacity=np.array([[nu]]),
-        flux_coupling=np.array([[zeta0]]),
-        flux_inertia=np.array([[a0]]),
-        theta_damping=a1,
-        flux_resistance=a2,
-        theta_lag=n0,
-    )
+    return MaterialLaw(family, rho0, stiff, c["Gamma"], nu, zeta0, a0, n0, *a1, *a2)
 
 
-def _assemble_custom(c: dict) -> CellLaw:
-    rho0, stiff, nu = (np.atleast_2d(np.asarray(c[name], dtype=float))
-                       for name in ("rho0", "C", "nu"))
-    for name, block in (("rho0", rho0), ("C", stiff), ("nu", nu)):
-        if block.shape[0] != block.shape[1]:
-            raise InputError(f"{name} must be a square matrix")
-    dv, ds, dth = rho0.shape[0], stiff.shape[0], nu.shape[0]
-    gamma = _as_block(c["Gamma"], ds, dth)
+def _part(value, n: int) -> tuple:
+    """A custom zero-order part: absent (zero), one rational law for every
+    cell, or constant per-cell values."""
+    if value is None:
+        return _zero_part(n)
+    if isinstance(value, RationalMatrixFunction):
+        return (value,), np.zeros(n, dtype=np.intp)
+    return _distinct_laws([value], [np.ones(n)])
 
-    dq = 1
-    for probe in (c.get("a0"), c.get("zeta0")):
-        if probe is not None and np.asarray(probe).ndim == 2:
-            dq = np.asarray(probe).shape[0]
-            break
-    else:
-        a2_probe = c.get("a2")
-        if isinstance(a2_probe, RationalMatrixFunction):
-            dq = a2_probe.dims[0]
 
-    a0_raw = c.get("a0")
-    a0 = _as_block(0.0 if a0_raw is None else a0_raw, dq, dq).astype(float)
-    zeta0_raw = c.get("zeta0")
-    zeta0 = _as_block(np.zeros((dq, dth)) if zeta0_raw is None else zeta0_raw, dq, dth)
-    if np.min(np.linalg.eigvalsh(rho0)) <= 0:
+def _assemble_custom(c: dict, n: int) -> MaterialLaw:
+    zero = np.zeros(n)
+    rho0, stiff, nu = c["rho0"], c["C"], c["nu"]
+    if np.any(rho0 <= 0):
         raise InputError("rho0 must be positive definite cellwise")
-    if np.min(np.linalg.eigvalsh(0.5 * (stiff + stiff.T))) <= 0:
+    if np.any(stiff <= 0):
         raise InputError("C must be positive definite cellwise")
-    if np.min(np.linalg.eigvalsh(0.5 * (nu + nu.T))) < 0:
+    if np.any(nu < 0):
         raise InputError("nu must be non-negative cellwise")
-    n0 = _scalar(c, "n0") if c.get("n0") is not None else 0.0
-    if n0 < 0:
+    n0 = c.get("n0", zero)
+    if np.any(n0 < 0):
         raise InputError("lag time n0 must be non-negative")
-    return CellLaw(
-        rho0=rho0,
-        stiffness=stiff,
-        coupling=gamma,
-        heat_capacity=nu,
-        flux_coupling=zeta0,
-        flux_inertia=0.5 * (a0 + a0.T),
-        theta_damping=_as_rational(c.get("a1"), dth),
-        flux_resistance=_as_rational(c.get("a2"), dq),
-        theta_lag=n0,
-    )
+    return MaterialLaw(ModelFamily.CUSTOM, rho0, stiff, c["Gamma"], nu, c.get("zeta0", zero),
+                       c.get("a0", zero), n0, *_part(c.get("a1"), n), *_part(c.get("a2"), n))
 
 
 def zero_pattern(law: MaterialLaw) -> tuple:
@@ -544,13 +353,9 @@ def zero_pattern(law: MaterialLaw) -> tuple:
 
     An entry is True when that block is not identically zero across cells.
     """
-    sl = _block_slices(law.block_dims)
-    stars = []
-    for blocks in ([st.mass for st in law.stacks],
-                   [st.dissipation_at_zero for st in law.stacks]):
-        stars.append(np.array([[any(np.any(m[:, sl[i], sl[j]] != 0) for m in blocks)
-                                for j in range(4)] for i in range(4)]))
-    return tuple(stars)
+    slope = np.zeros((4, 4), dtype=bool)
+    slope[2, 2], slope[3, 3] = (bool(np.any(values != 0)) for values in law.at_zero)
+    return np.any(law.mass != 0, axis=0), slope
 
 
 def recover_theta(theta_big: WeightedSignal, n0: float) -> WeightedSignal:
@@ -585,25 +390,23 @@ def compute_entropy(
         rho0 * eta = Gamma* eps + (nu + zeta0* a0 zeta0) Theta
                      + zeta0* a0 q + integral of (theta damping applied to Theta)
 
-    with cellwise coefficients broadcast over the signal components.  All
-    three fields must share the grid and component count.
+    with cellwise coefficients broadcast over the signal components: the law
+    has one cell per component, or is uniform.  All three fields must share
+    the grid and component count.
     """
-    if not law.is_scalar:
-        raise InputError("entropy recovery supports scalar-block laws only")
     if not (strain.same_grid(theta_big) and strain.same_grid(flux)):
         raise InputError("strain, temperature and flux must share grid and weight")
     m = strain.n_components
     if theta_big.n_components != m or flux.n_components != m:
         raise InputError("strain, temperature and flux must share component count")
-    if law.n_cells not in (1, m):
+    if law.n_cells == m:
+        cells = np.arange(m)
+    elif law.is_uniform():
+        cells = np.zeros(m, dtype=np.intp)
+    else:
         raise InputError(f"law has {law.n_cells} cells; fields have {m} components")
-
-    coeff = law.scalar_arrays(m)
-    gamma = coeff["coupling"]
-    nu = coeff["heat_capacity"]
-    zeta0 = coeff["flux_coupling"]
-    a0 = coeff["flux_inertia"]
-    rho0 = coeff["rho0"]
+    gamma, nu, zeta0, a0, rho0 = (getattr(law, name)[cells]
+                                  for name in ("Gamma", "nu", "zeta0", "a0", "rho0"))
 
     rho_eta = (
         gamma[None, :] * strain.samples
@@ -612,15 +415,13 @@ def compute_entropy(
     )
 
     # one realization and one march per distinct damping law
-    groups = {}
-    for j in range(m):
-        damping = law.cell(j).theta_damping
-        groups.setdefault(damping.key(), (damping, []))[1].append(j)
+    damping = law.a1_index[cells]
     memory = np.zeros_like(rho_eta)
-    for damping, cols in groups.values():
-        if all(np.all(np.asarray(c) == 0) for c in damping.num):
+    for k, law_k in enumerate(law.a1):
+        cols = np.flatnonzero(damping == k)
+        if cols.size == 0 or all(np.all(c == 0) for c in law_k.num):
             continue
-        real = realize_state_space(damping)
+        real = realize_state_space(law_k)
         theta = theta_big.samples[:, cols]
         states = exp_march_linear(real.a, real.b, theta[:, None, :], theta_big.dt)
         memory[:, cols] = theta * real.d[0, 0] + real.c[0] @ states

@@ -40,17 +40,16 @@ from .spatial import mode_decomposition
 __all__ = ["spectral_solve", "compare", "ComparisonResult"]
 
 
-def _uniform_cell(problem: EvolutionProblem):
+def _uniform_law(problem: EvolutionProblem):
     law = problem.law
     if not law.is_uniform():
         raise OracleRejectionError("spectral reference requires spatially constant coefficients")
-    cell = law.cells[0]
-    if float(cell.coupling[0, 0]) != 0.0 or float(cell.flux_coupling[0, 0]) != 0.0:
+    if float(law.Gamma[0]) != 0.0 or float(law.zeta0[0]) != 0.0:
         raise OracleRejectionError(
             "spectral reference requires an uncoupled instantaneous block "
             "(thermoelastic and flux-temperature couplings mix the staggered mode families)"
         )
-    return cell
+    return law
 
 
 def _mode_systems(problem: EvolutionProblem, s: np.ndarray) -> tuple:
@@ -58,14 +57,14 @@ def _mode_systems(problem: EvolutionProblem, s: np.ndarray) -> tuple:
     modes of wavenumber in ``s``: y holds the four field coefficients, then
     ``aux_sizes`` temperature-damping and flux-resistance states; K_k differs
     between modes only by ``s[k]`` times a fixed skew pattern."""
-    cell = _uniform_cell(problem)
-    r1 = realize_state_space(cell.theta_damping)
-    r2 = realize_state_space(cell.flux_resistance)
+    law = _uniform_law(problem)
+    r1 = realize_state_space(law.a1[law.a1_index[0]])
+    r2 = realize_state_space(law.a2[law.a2_index[0]])
     p1, p2 = r1.n_states, r2.n_states
     d = 4 + p1 + p2
 
     e_mat = np.eye(d)
-    e_mat[:4, :4] = cell.mass().real
+    e_mat[:4, :4] = law.mass[0]
     k_mat = np.zeros((d, d))
     k_mat[2, 2] = float(r1.d[0, 0])
     k_mat[3, 3] = float(r2.d[0, 0])

@@ -2,14 +2,14 @@
 
 Three layers of checking, from cheap to thorough:
 
-* :func:`check_condition_rho` evaluates the Hermitian matrix
+* :func:`check_condition_rho` evaluates the symmetric matrix
   ``rho * M(0) + Re M'(0)`` cellwise and reports its smallest eigenvalue,
   the rational-law simplification of the positivity condition.
 * :func:`check_symbol_boundary` bounds ``Re z^{-1} M(z)`` of every cell
-  of a scalar law from below on the admissibility ball: the smallest
-  eigenvalue of ``rho0 * M(0)`` plus the infima of the zero-order parts
-  a1(z), a2(z) on the boundary line ``Re 1/z = rho0``, in closed form from
-  their partial fractions.
+  from below on the admissibility ball: the smallest eigenvalue of
+  ``rho0 * M(0)`` plus the infima of the zero-order parts a1(z), a2(z) on
+  the boundary line ``Re 1/z = rho0``, in closed form from their partial
+  fractions.
 * :func:`certify_wellposedness` runs the structural range/kernel conditions
   that guarantee a causal bounded inverse and combines everything into a
   :class:`WellPosednessReport`; its weight search stays strictly above the
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import _json
 from .errors import InputError
-from .models import MaterialLaw, SPECTRAL_CUTOFF, _block_slices, _stack
-from .rational import realize_state_space
+from .models import MaterialLaw, SPECTRAL_CUTOFF
+from .rational import _live_poles, _stack_groups, realize_state_space
 
 __all__ = [
     "Witness",
@@ -81,11 +81,6 @@ class WellPosednessReport:
         })
 
 
-def _herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part of a matrix or of a stack of matrices."""
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
 def check_condition_rho(law: MaterialLaw, rho: float) -> tuple:
     """Smallest eigenvalue of rho * M(0) + Re M'(0) over all cells.
 
@@ -94,18 +89,17 @@ def check_condition_rho(law: MaterialLaw, rho: float) -> tuple:
     """
     if not 0 < rho < np.inf:
         raise InputError("rho must be positive and finite")
-    found = []
-    for stack in law.stacks:
-        eigvals, eigvecs = np.linalg.eigh(rho * stack.mass + _herm(stack.dissipation_at_zero))
-        k = int(np.argmin(eigvals[:, 0]))
-        found.append((float(eigvals[k, 0]), int(stack.index[k]), eigvecs[k, :, 0]))
-    value, cell, vector = min(found, key=lambda entry: entry[:2])
-    return value, Witness(cell, value, vector)
+    slope = np.zeros(law.mass.shape)
+    slope[:, 2, 2], slope[:, 3, 3] = law.at_zero
+    eigvals, eigvecs = np.linalg.eigh(rho * law.mass + slope)
+    cell = int(np.argmin(eigvals[:, 0]))
+    value = float(eigvals[cell, 0])
+    return value, Witness(cell, value, eigvecs[cell, :, 0])
 
 
 def check_symbol_boundary(law: MaterialLaw, rho0: float) -> float:
-    """Lower bound of the Hermitian part of z^{-1} M(z) of the scalar
-    ``law`` over the ball Re s >= rho0, s = 1/z, in closed form.
+    """Lower bound of the Hermitian part of z^{-1} M(z) of ``law`` over the
+    ball Re s >= rho0, s = 1/z, in closed form.
 
     A pole p >= rho0 of a1 or a2, or an indefinite M(0), gives -inf.  Else
     the infimum lies on the line s = rho0 + i t (maximum principle), where
@@ -121,17 +115,15 @@ def check_symbol_boundary(law: MaterialLaw, rho0: float) -> float:
     up to the accuracy of the realized partial fractions, a relative error
     of about eps |p| / (rho0 - p) near a pole p just below rho0: for a2 =
     -2/(s - 20) + 1/(s - 0.125) at rho0 = 20.25 it lies 4.1e-12 relative
-    above the minimum found by refining a dense scan of the line.  A matrix
-    law, or a rho0 M(0) past the float range, raises :class:`InputError`; a
-    part the march cannot take raises
+    above the minimum found by refining a dense scan of the line.  Each
+    distinct part is realized once.  A rho0 M(0) past the float range
+    raises :class:`InputError`; a part the march cannot take raises
     :class:`~thermoevo.errors.RealizationError`.
     """
     if not 0 < rho0 < np.inf:
         raise InputError("rho0 must be positive and finite")
-    if not law.is_scalar:
-        raise InputError("the bound constant is computed for scalar laws only")
-    # slot k holds a1 (k even) or a2 (k odd) of cell k // 2; a zero part is not realized
-    parts = [part for cell in law.cells for part in (cell.theta_damping, cell.flux_resistance)]
+    # slot k holds a1[k], slot len(a1) + k holds a2[k]; a zero part is not realized
+    parts = law.a1 + law.a2
     slots = [k for k, part in enumerate(parts) if any(np.any(c != 0) for c in part.num)]
     reals = realize_state_space([parts[k] for k in slots])
     owner = np.repeat(np.asarray(slots, dtype=int), [real.n_states for real in reals])
@@ -149,23 +141,21 @@ def check_symbol_boundary(law: MaterialLaw, rho0: float) -> float:
         at = owner == slot
         lowest[slot] = min(lowest[slot], _stationary_minimum(feed[slot], residues[at], beta[at]))
 
-    found = []
+    eigvals = np.linalg.eigvalsh(law.mass)
+    scale = np.maximum(np.max(np.abs(eigvals), axis=1), 1e-300)
+    if np.any(eigvals[:, 0] < -SPECTRAL_CUTOFF * scale):
+        return -np.inf
     too_large = InputError(f"rho0={rho0:g} is too large: rho0 * M(0) is past the float range")
-    for stack in law.stacks:
-        eigvals = np.linalg.eigvalsh(stack.mass)
-        scale = np.maximum(np.max(np.abs(eigvals), axis=1), 1e-300)
-        if np.any(eigvals[:, 0] < -SPECTRAL_CUTOFF * scale):
-            return -np.inf
-        with np.errstate(over="ignore"):
-            mats = rho0 * stack.mass
-            mats[:, (2, 3), (2, 3)] += lowest.reshape(-1, 2)[stack.index]
-        if not np.all(np.isfinite(mats)):
-            raise too_large
-        try:
-            found.append(np.min(np.linalg.eigvalsh(mats)[:, 0]))
-        except np.linalg.LinAlgError:
-            raise too_large from None
-    return float(min(found))
+    with np.errstate(over="ignore"):
+        mats = rho0 * law.mass
+        mats[:, 2, 2] += lowest[law.a1_index]
+        mats[:, 3, 3] += lowest[len(law.a1) + law.a2_index]
+    if not np.all(np.isfinite(mats)):
+        raise too_large
+    try:
+        return float(np.min(np.linalg.eigvalsh(mats)[:, 0]))
+    except np.linalg.LinAlgError:
+        raise too_large from None
 
 
 def _stationary_minimum(d: float, residues: np.ndarray, beta: np.ndarray) -> float:
@@ -191,64 +181,38 @@ def _rho_grid() -> np.ndarray:
 
 def _pole_floor(law: MaterialLaw) -> float:
     """Largest real part of a live pole in s (see
-    :func:`thermoevo.rational._live_poles`) of any cell's ``theta_damping``
-    or ``flux_resistance``; the law is analytic only for Re s above it, so
-    an admissible weight rho lies strictly above.  -inf without poles."""
+    :func:`thermoevo.rational._live_poles`) of the law's parts a1 and a2;
+    the law is analytic only for Re s above it, so an admissible weight rho
+    lies strictly above.  -inf without poles."""
     floor = -np.inf
-    for stack in law.stacks:
-        poles, live = stack.poles
+    for _, nums, den in _stack_groups(law.a1 + law.a2):
+        poles, live = _live_poles(nums, den)[:2]
         if np.any(live):
             floor = max(floor, float(np.max(poles.real[live])))
     return floor
 
 
-def _structural_witnesses(stack) -> tuple:
-    """``(cell, check, i, witness)`` for every failed structural check over a
-    stack of cells, and whether a singular heat capacity leaves the verdict
-    open."""
-    sl = _block_slices(stack.cells[0].block_dims)
-    found = []
-
-    def add(check, cells, eigvals, vecs, block, sub=None):
-        full = np.zeros((len(cells), sl[-1].stop), dtype=complex)
-        full[:, sl[block]] = vecs
-        for j, cell in enumerate(cells):
-            index = int(stack.index[cell])
-            found.append((index, check, 0 if sub is None else int(sub[j]),
-                          Witness(index, float(eigvals[j]), full[j])))
-
-    def eigh(attr):
-        return np.linalg.eigh(_herm(_stack(stack.cells, attr).astype(complex)))
-
-    for check, attr in enumerate(("rho0", "stiffness", "heat_capacity")):
-        eigvals, eigvecs = eigh(attr)
-        low = eigvals[:, 0]
-        tol = SPECTRAL_CUTOFF * np.maximum(np.max(np.abs(eigvals), axis=1), 1e-300)
-        failed = low < -tol if attr == "heat_capacity" else low <= tol
-        cells = np.flatnonzero(failed)
-        add(check, cells, low[cells], eigvecs[cells, :, 0], check)
+def _structural_witnesses(law: MaterialLaw) -> tuple:
+    """``(cell, check, witness)`` for every failed structural check, and
+    whether a singular heat capacity leaves the verdict open.  Each check
+    compares a value of each cell with a cutoff relative to that value; a
+    witness's vector is the unit vector of the block its check reads."""
+    checks = []
+    for block, values in enumerate((law.rho0, law.C, law.nu)):
+        tol = SPECTRAL_CUTOFF * np.maximum(np.abs(values), 1e-300)
+        checks.append((values, block, values < -tol if block == 2 else values <= tol))
     # a singular heat capacity (the last check) leaves the verdict open
-    undecided = bool(np.any(~failed & (low <= tol)))
-
-    eigvals, eigvecs = eigh("flux_inertia")
-    on_range = np.abs(eigvals) > SPECTRAL_CUTOFF * np.max(np.abs(eigvals), axis=1)[:, None]
-    cells, sub = np.nonzero(on_range & (eigvals < 0))
-    add(3, cells, eigvals[cells, sub], eigvecs[cells, :, sub], 3, sub)
-
-    nums, den = stack.parts[1]
-    re_a2 = _herm(nums[0] / den[:, :1, None])
-    a2_scale = np.max(np.abs(np.linalg.eigvalsh(re_a2)), axis=1)
-    n_kernel = np.sum(~on_range, axis=1)
-    for k in sorted(set(n_kernel[n_kernel > 0].tolist())):
-        cells = np.flatnonzero(n_kernel == k)
-        # the kernel columns, in ascending order
-        order = np.argsort(on_range[cells], axis=1, kind="stable")[:, None, :k]
-        kernel = np.take_along_axis(eigvecs[cells], order, axis=2)
-        projected = np.conj(kernel).swapaxes(-1, -2) @ re_a2[cells] @ kernel
-        k_eigvals, k_eigvecs = np.linalg.eigh(_herm(projected))
-        failed = (a2_scale[cells] == 0.0) | (k_eigvals[:, 0] <= SPECTRAL_CUTOFF * a2_scale[cells])
-        vecs = (kernel[failed] @ k_eigvecs[failed][:, :, :1])[..., 0]
-        add(4, cells[failed], k_eigvals[failed, 0], vecs, 3)
+    undecided = bool(np.any(~checks[-1][2] & (law.nu <= tol)))
+    on_range = np.abs(law.a0) > SPECTRAL_CUTOFF * np.abs(law.a0)
+    checks.append((law.a0, 3, on_range & (law.a0 < 0)))
+    # the flux resistance at zero must be positive where the inertia vanishes
+    resistance = law.at_zero[1]
+    scale = np.abs(resistance)
+    checks.append((resistance, 3,
+                   ~on_range & ((scale == 0.0) | (resistance <= SPECTRAL_CUTOFF * scale))))
+    found = [(int(cell), check, Witness(int(cell), float(values[cell]), np.eye(4)[block]))
+             for check, (values, block, failed) in enumerate(checks)
+             for cell in np.flatnonzero(failed)]
     return found, undecided
 
 
@@ -256,12 +220,11 @@ def certify_wellposedness(law: MaterialLaw) -> WellPosednessReport:
     """Certify the structural positivity hypotheses behind causal solvability.
 
     Per cell: density, stiffness and heat capacity must be strictly positive;
-    the flux inertia must be positive definite on its range; and the Hermitian
-    part of the flux resistance at zero must be strictly positive definite on
-    the inertia's kernel.  A singular (but non-negative) heat capacity makes
+    a non-zero flux inertia must be positive; and where the inertia vanishes
+    the flux resistance at zero must be strictly positive.  A singular (but non-negative) heat capacity makes
     the verdict inconclusive rather than violated, since a compensating
     zero-order term lies outside the certified conditions.  Each check runs
-    once over the stacked cells; the witnesses are listed by cell, then by
+    once over the cells' arrays; the witnesses are listed by cell, then by
     check, and stably sorted by eigenvalue.
     """
     checks = (
@@ -272,16 +235,11 @@ def certify_wellposedness(law: MaterialLaw) -> WellPosednessReport:
         "flux_resistance_pd_on_kernel",
         "condition_rho_search",
     )
-    entries = []
-    inconclusive = False
-    for stack in law.stacks:
-        found, undecided = _structural_witnesses(stack)
-        entries += found
-        inconclusive |= undecided
+    entries, inconclusive = _structural_witnesses(law)
     classification = law.classification
 
     if entries:
-        witnesses = [entry[3] for entry in sorted(entries, key=lambda entry: entry[:3])]
+        witnesses = [entry[2] for entry in sorted(entries, key=lambda entry: entry[:2])]
         witnesses.sort(key=lambda w: w.eigenvalue)
         return WellPosednessReport(
             VIOLATED, 0.0, float("inf"), classification, tuple(witnesses), checks

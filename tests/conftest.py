@@ -1,16 +1,18 @@
 """Shared fixtures: the standard probe pulse, catalog law builders, the FFT
-application of a rational symbol, the full material symbol of a cell built
-from its parts, the realization and skew-adjointness checks, and the former one-at-a-time versions of batched computations, kept
-as references: the Simpson exponential step, the per-frequency realization
-check, the per-point symbol sampling on the boundary line, the per-cell
-certification, condition and classification loops, the per-pole realization,
-the entry-by-entry congruence factor of the assembled mass matrix, the
-per-cell loops of the difference and averaging matrices and the block
-operator assembled from them (all as ``scipy.sparse`` matrices), and the
-two-branch backward-Euler / trapezoidal stepper with its displacement rule,
-factorized through its own per-cell loop of the band order, and the
-whole-array formulas of the weighted norm, the bound check's numbers and the
-causality leakage, which the library takes in row chunks."""
+application of a rational symbol, the instantaneous block and the full
+material symbol of a cell built from its coefficients and parts, the
+realization and skew-adjointness checks, and the former one-at-a-time
+versions of batched computations, kept as references: the Simpson
+exponential step, the per-frequency realization check, the per-point symbol
+sampling on the boundary line, the per-cell certification, condition and
+classification loops, the per-pole realization, the entry-by-entry
+congruence factor of the assembled mass matrix, the per-cell loops of the
+difference and averaging matrices and the block operator assembled from
+them (all as ``scipy.sparse`` matrices), and the two-branch backward-Euler
+/ trapezoidal stepper with its displacement rule, factorized through its
+own per-cell loop of the band order, and the whole-array formulas of the
+weighted norm, the bound check's numbers and the causality leakage, which
+the library takes in row chunks."""
 
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from thermoevo import (
 )
 from thermoevo._integrators import exp_march_linear, phi_matrices
 from thermoevo.errors import InputError, PoleProximityError
-from thermoevo.models import SPECTRAL_CUTOFF, _block_slices
+from thermoevo.models import SPECTRAL_CUTOFF
 from thermoevo.rational import RationalMatrixFunction, StateSpaceRealization
 from thermoevo.wellposed import Witness, WellPosednessReport, _rho_grid
 
@@ -287,15 +289,31 @@ def transfer_mismatch_per_frequency(r, real):
     return worst, scale
 
 
-def full_symbol(cell, z):
+def cell_parts(law, j):
+    """Cell j's temperature damping a1 and flux resistance a2."""
+    return law.a1[law.a1_index[j]], law.a2[law.a2_index[j]]
+
+
+def cell_mass(law, j):
+    """Cell j's instantaneous block L^T diag(rho0, 1/C, nu, a0) L over (v,
+    sigma, theta, q), L the unit triangular factor with Gamma at (sigma,
+    theta) and zeta0 at (q, theta), symmetrized; one cell at a time."""
+    lmat = np.eye(4)
+    lmat[1, 2], lmat[3, 2] = law.Gamma[j], law.zeta0[j]
+    core = np.diag([law.rho0[j], 1.0 / law.C[j], law.nu[j], law.a0[j]])
+    m = lmat.T @ core @ lmat
+    return 0.5 * (m + m.T)
+
+
+def full_symbol(law, j, z):
     """The full material symbol M(z) = mass + z * diag(0, 0, a1(z), a2(z))
-    of ``cell`` at the points z, built from ``mass()``, ``theta_damping``
-    and ``flux_resistance``."""
+    of cell j of ``law`` at the points z, built from :func:`cell_mass` and
+    :func:`cell_parts`."""
     z = np.asarray(z)
-    mats = np.zeros(z.shape + cell.mass().shape, dtype=complex) + cell.mass()
-    for block, part in zip(_block_slices(cell.block_dims)[2:],
-                           (cell.theta_damping, cell.flux_resistance)):
-        mats[..., block, block] += z[..., None, None] * horner_per_point(part, z)
+    mass = cell_mass(law, j)
+    mats = np.zeros(z.shape + mass.shape, dtype=complex) + mass
+    for k, part in zip((2, 3), cell_parts(law, j)):
+        mats[..., k, k] += z * horner_per_point(part, z)[..., 0, 0]
     return mats
 
 
@@ -319,24 +337,24 @@ def simple_real_roots(min_size, max_size):
                         for b in r[:i]))
 
 
-def line_lowest(cell, rho0, t):
+def line_lowest(law, j, rho0, t):
     """Smallest eigenvalue of the Hermitian part of z^{-1} M(z), the full
-    symbol of ``cell``, at the points 1/z = rho0 + i t."""
+    symbol of cell j of ``law``, at the points 1/z = rho0 + i t."""
     z_inv = 1j * np.asarray(t, dtype=float) + rho0
-    mats = z_inv[:, None, None] * full_symbol(cell, 1.0 / z_inv)
+    mats = z_inv[:, None, None] * full_symbol(law, j, 1.0 / z_inv)
     herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
     return np.linalg.eigvalsh(herm)[:, 0]
 
 
-def dense_line_minimum(cells, rho0, n_points=20001, decades=(-4, 7)):
+def dense_line_minimum(law, rho0, n_points=20001, decades=(-4, 7)):
     """Smallest eigenvalue of the Hermitian part of z^{-1} M(z), the full
     symbol evaluated densely, over ``n_points`` points of the line
-    Re 1/z = rho0, t over eleven decades by default."""
+    Re 1/z = rho0, t over eleven decades by default, least over the cells."""
     t = line_samples(rho0, n_points, decades).imag
-    return min(float(np.min(line_lowest(cell, rho0, t))) for cell in cells)
+    return min(float(np.min(line_lowest(law, j, rho0, t))) for j in range(law.n_cells))
 
 
-def refined_line_minimum(cells, rho0, n_points=20001, decades=(-4, 7), steps=120):
+def refined_line_minimum(law, rho0, n_points=20001, decades=(-4, 7), steps=120):
     """:func:`dense_line_minimum` of real laws (whose line is symmetric in
     t), refined by golden-section search between the neighbours of each
     cell's least sample with t >= 0, and with the limit t -> inf,
@@ -344,19 +362,19 @@ def refined_line_minimum(cells, rho0, n_points=20001, decades=(-4, 7), steps=120
     t = line_samples(rho0, n_points, decades).imag[:(n_points + 1) // 2]
     ratio = (np.sqrt(5.0) - 1.0) / 2.0
     lowest = np.inf
-    for cell in cells:
-        values = line_lowest(cell, rho0, t)
+    for j in range(law.n_cells):
+        values = line_lowest(law, j, rho0, t)
         k = int(np.argmin(values))
         lo, hi = t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]
         for _ in range(steps):
             a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
-            f_a, f_b = line_lowest(cell, rho0, [a, b])
+            f_a, f_b = line_lowest(law, j, rho0, [a, b])
             lo, hi = (lo, b) if f_a < f_b else (a, hi)
-        limit = (rho0 * cell.mass()).astype(complex)
-        for block, part in zip(_block_slices(cell.block_dims)[2:],
-                               (cell.theta_damping, cell.flux_resistance)):
-            limit[block, block] += _herm(horner_per_point(part, 0.0))
-        lowest = min(lowest, float(values[k]), float(np.min(line_lowest(cell, rho0, [lo, hi]))),
+        limit = (rho0 * cell_mass(law, j)).astype(complex)
+        for block, part in zip((2, 3), cell_parts(law, j)):
+            limit[block, block] += horner_per_point(part, 0.0)[0, 0].real
+        lowest = min(lowest, float(values[k]),
+                     float(np.min(line_lowest(law, j, rho0, [lo, hi]))),
                      float(np.linalg.eigvalsh(limit)[0]))
     return lowest
 
@@ -420,8 +438,8 @@ def _herm(a):
 
 def classify_per_cell(law):
     lam_min, lam_max = np.inf, 0.0
-    for cell in law.cells:
-        eigs = np.linalg.eigvalsh(cell.mass())
+    for j in range(law.n_cells):
+        eigs = np.linalg.eigvalsh(cell_mass(law, j))
         lam_min = min(lam_min, float(eigs[0]))
         lam_max = max(lam_max, float(eigs[-1]))
     return "generic" if lam_min > SPECTRAL_CUTOFF * lam_max else "degenerate"
@@ -431,20 +449,18 @@ def condition_rho_per_cell(law, rho):
     """(min_eigenvalue, witness) of rho * M(0) + Re M'(0), one cell at a
     time, M'(0) = diag(0, 0, a1(0), a2(0))."""
     best = None
-    for index, cell in enumerate(law.cells):
-        values = [r.num[0] / r.den[0] for r in (cell.theta_damping, cell.flux_resistance)]
-        m1 = np.zeros(cell.mass().shape, dtype=np.result_type(*values))
-        for block, value in zip(_block_slices(cell.block_dims)[2:], values):
-            m1[block, block] = value
-        eigvals, eigvecs = np.linalg.eigh(rho * cell.mass() + _herm(m1))
+    for index in range(law.n_cells):
+        m1 = np.zeros((4, 4))
+        for block, r in zip((2, 3), cell_parts(law, index)):
+            m1[block, block] = (r.num[0] / r.den[0])[0, 0]
+        eigvals, eigvecs = np.linalg.eigh(rho * cell_mass(law, index) + _herm(m1))
         if best is None or eigvals[0] < best.eigenvalue:
             best = Witness(index, float(eigvals[0]), eigvecs[:, 0])
     return best.eigenvalue, best
 
 
 def pole_floor_per_cell(law):
-    return max((float(p.real) for cell in law.cells
-                for r in (cell.theta_damping, cell.flux_resistance)
+    return max((float(p.real) for j in range(law.n_cells) for r in cell_parts(law, j)
                 for p in live_poles_per_pole(r)), default=-np.inf)
 
 
@@ -455,33 +471,34 @@ def certify_per_cell(law):
     checks = ("rho0_positive", "stiffness_positive", "heat_capacity_positive",
               "flux_inertia_pd_on_range", "flux_resistance_pd_on_kernel",
               "condition_rho_search")
-    for index, cell in enumerate(law.cells):
-        sl = _block_slices(cell.block_dims)
+    for index in range(law.n_cells):
 
         def embed(vec, block):
-            full = np.zeros(sl[-1].stop, dtype=complex)
-            full[sl[block]] = vec
+            full = np.zeros(4, dtype=complex)
+            full[block] = vec[0]
             return full
 
-        for attr, block in (("rho0", 0), ("stiffness", 1)):
-            block = np.asarray(getattr(cell, attr), dtype=complex)
-            eigvals, eigvecs = np.linalg.eigh(_herm(block))
+        def as_block(name):
+            return np.array([[getattr(law, name)[index]]], dtype=complex)
+
+        for attr, block in (("rho0", 0), ("C", 1)):
+            eigvals, eigvecs = np.linalg.eigh(_herm(as_block(attr)))
             scale = max(float(np.max(np.abs(eigvals))), 1e-300)
             if eigvals[0] <= SPECTRAL_CUTOFF * scale:
                 witnesses.append(Witness(index, float(eigvals[0]), embed(eigvecs[:, 0], block)))
-        eigvals, eigvecs = np.linalg.eigh(_herm(np.asarray(cell.heat_capacity, dtype=complex)))
+        eigvals, eigvecs = np.linalg.eigh(_herm(as_block("nu")))
         scale = max(float(np.max(np.abs(eigvals))), 1e-300)
         if eigvals[0] < -SPECTRAL_CUTOFF * scale:
             witnesses.append(Witness(index, float(eigvals[0]), embed(eigvecs[:, 0], 2)))
         elif eigvals[0] <= SPECTRAL_CUTOFF * scale:
             inconclusive = True
-        eigvals, eigvecs = np.linalg.eigh(_herm(np.asarray(cell.flux_inertia, dtype=complex)))
+        eigvals, eigvecs = np.linalg.eigh(_herm(as_block("a0")))
         on_range = np.abs(eigvals) > SPECTRAL_CUTOFF * float(np.max(np.abs(eigvals)))
         for i in np.flatnonzero(on_range & (eigvals < 0)):
             witnesses.append(Witness(index, float(eigvals[i]), embed(eigvecs[:, i], 3)))
         kernel = eigvecs[:, ~on_range]
         if kernel.shape[1] > 0:
-            a2 = cell.flux_resistance
+            a2 = cell_parts(law, index)[1]
             re_a2 = _herm(a2.num[0] / a2.den[0])
             a2_scale = float(np.max(np.abs(np.linalg.eigvalsh(re_a2))))
             k_eigvals, k_eigvecs = np.linalg.eigh(_herm(kernel.conj().T @ re_a2 @ kernel))
@@ -512,15 +529,14 @@ def mass_matrix_lil(problem):
     avg = operators_per_cell(op.grid)[1].tocoo()
     lmat = sp.lil_matrix((n, n))
     lmat.setdiag(1.0)
-    gamma_f = problem.face_coeffs["coupling"]
-    zeta_f = problem.face_coeffs["flux_coupling"]
+    gamma_f = problem.face_coeffs["Gamma"]
+    zeta_f = problem.face_coeffs["zeta0"]
     for r, c, v in zip(avg.row, avg.col, avg.data):
         lmat[sl[1].start + r, sl[2].start + c] = gamma_f[r] * v
         lmat[sl[3].start + r, sl[2].start + c] = zeta_f[r] * v
     lmat = lmat.tocsr()
-    diag = np.concatenate([problem.node_coeffs["rho0"], 1.0 / problem.face_coeffs["stiffness"],
-                           problem.node_coeffs["heat_capacity"],
-                           problem.face_coeffs["flux_inertia"]])
+    diag = np.concatenate([problem.node_coeffs["rho0"], 1.0 / problem.face_coeffs["C"],
+                           problem.node_coeffs["nu"], problem.face_coeffs["a0"]])
     m = (lmat.T @ sp.diags(diag) @ lmat).tocsr()
     return ((m + m.T) * 0.5).tocsr()
 

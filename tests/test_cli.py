@@ -73,20 +73,10 @@ class TestConfigParsing:
     def test_custom_rational_coefficient(self):
         payload = {"model": {"family": "custom", "coefficients": {
             "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0,
-            "a2": {"num": [[[1.0]]], "den": [2.0, 1.0]}}}}
+            "a2": {"num": [1.0], "den": [2.0, 1.0]}}}}
         config = RunConfig.from_dict(payload, "check")
         law = assemble_material_law(config.spec)
-        assert law.cells[0].flux_resistance.den.size == 2
-
-    def test_custom_matrix_coefficient(self):
-        payload = {"model": {"family": "custom", "coefficients": {
-            "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0,
-            "a0": [[1.0, 0.0], [0.0, 0.0]],
-            "a2": {"num": [[[0.0, 0.0], [0.0, 1.0]]], "den": [1.0]}}}}
-        config = RunConfig.from_dict(payload, "check")
-        law = assemble_material_law(config.spec)
-        assert law.block_dims == (1, 1, 1, 2)
-        assert run(config, io.StringIO()) == 0
+        assert law.a2[law.a2_index[0]].den.size == 2
 
     def test_tolerance_overrides(self):
         payload = sim_payload(tolerances={"solver_vs_oracle": 0.5})
@@ -511,7 +501,7 @@ def _with(section, key, value):
 
 
 def _custom_with(name, value):
-    payload = _custom_a2({"num": [[[1.0]]], "den": [2.0, 1.0]})
+    payload = _custom_a2({"num": [1.0], "den": [2.0, 1.0]})
     payload["model"]["coefficients"][name] = value
     return payload
 
@@ -568,9 +558,13 @@ CONFIG_HOLES = {
         "'kappa' cannot be a rational function"),
     "rational_custom_inertia": (_custom_with("a0", {"num": [1.0], "den": [1.0]}),
                                 "'a0' cannot be a rational function"),
-    "custom_lag_matrix": (_custom_with("n0", [[1.0, 0.0], [0.0, 1.0]]), "'n0'"),
+    "custom_lag_matrix": (_custom_with("n0", [[1.0, 0.0], [0.0, 1.0]]),
+                          "'model.coefficients.n0' must be a number or a list of finite numbers"),
     "custom_density_not_square": (_custom_with("rho0", [[1.0, 2.0]]),
-                                  "rho0 must be a square matrix"),
+                                  "'model.coefficients.rho0' must be a number or a list of "
+                                  "finite numbers"),
+    "custom_matrix_a0": (_custom_with("a0", [[1.0, 0.0], [0.0, 0.0]]),
+                         "'model.coefficients.a0' must be a number or a list of finite numbers"),
     "spatial_profile_number": (_with("forcing", "spatial_profile", 3),
                                "forcing.spatial_profile"),
     # int() would read these as mode 10, 1 and 1

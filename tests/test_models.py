@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, spec_with
+from conftest import ALL_FAMILIES, cell_parts, spec_with
 from thermoevo import (
     ModelFamily,
     ModelSpec,
@@ -21,6 +21,16 @@ from thermoevo._integrators import exp_march_linear
 from thermoevo.errors import InputError
 from thermoevo.rational import realize_state_space
 from thermoevo.signals import antiderivative
+
+
+def congruence(law):
+    """(L^T D L, D) of the single cell of ``law``: D = diag(rho0, 1/C, nu, a0)
+    and L the unit triangular factor with Gamma at (sigma, theta) and zeta0
+    at (q, theta)."""
+    lmat = np.eye(4)
+    lmat[1, 2], lmat[3, 2] = law.Gamma[0], law.zeta0[0]
+    core = np.diag([law.rho0[0], 1.0 / law.C[0], law.nu[0], law.a0[0]])
+    return lmat.T @ core @ lmat, core
 
 
 def stars(rows):
@@ -52,23 +62,22 @@ class TestAssembly:
     def test_flux_relaxation_blocks(self):
         law = assemble_material_law(ModelSpec(ModelFamily.LORD_SHULMAN, {
             "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "kappa": 1.0, "a0": 1.0}))
-        mass = law.cells[0].mass()
+        mass = law.mass[0]
         assert mass[2, 3] == 0.0 and mass[3, 2] == 0.0
         assert mass[3, 3] == 1.0
-        np.testing.assert_array_equal(law.stacks[0].dissipation_at_zero[0],
-                                      np.diag([0.0, 0.0, 0.0, 1.0]))
-        for part in (law.cells[0].theta_damping, law.cells[0].flux_resistance):
+        assert [values.tolist() for values in law.at_zero] == [[0.0], [1.0]]
+        for part in cell_parts(law, 0):
             assert part.den.size == 1 and len(part.num) == 1  # constant law
 
     def test_conservative_flux_law_has_no_zero_order_part(self):
         law = assemble_material_law(spec_with(ModelFamily.GREEN_NAGHDI_II, k_star=1.0))
-        for part in (law.cells[0].theta_damping, law.cells[0].flux_resistance):
+        for part in cell_parts(law, 0):
             assert all(np.all(np.asarray(c) == 0.0) for c in part.num)
 
     def test_classical_reduction(self):
         law = assemble_material_law(ModelSpec(ModelFamily.CLASSICAL, {
             "rho0": 2.0, "nu": 0.5, "C": 4.0, "Gamma": 1.0, "kappa": 2.0}))
-        mass = law.cells[0].mass()
+        mass = law.mass[0]
         np.testing.assert_array_equal(mass[3, :], np.zeros(4))
         np.testing.assert_array_equal(mass[:, 3], np.zeros(4))
         np.testing.assert_allclose(mass[:3, :3], np.array([
@@ -76,8 +85,7 @@ class TestAssembly:
             [0.0, 0.25, 0.25],
             [0.0, 0.25, 0.5 + 0.25],
         ]), atol=1e-15)
-        np.testing.assert_array_equal(law.stacks[0].dissipation_at_zero[0],
-                                      np.diag([0.0, 0.0, 0.0, 0.5]))
+        assert [values.tolist() for values in law.at_zero] == [[0.0], [0.5]]
 
     def test_relaxed_temperature_maps(self):
         # nu, a0, zeta0 and the damping gain all derive from the lag primitives
@@ -85,14 +93,14 @@ class TestAssembly:
         law = assemble_material_law(ModelSpec(ModelFamily.GREEN_LINDSAY, {
             "rho0": 1.0, "C": 1.0, "Gamma": 0.5, "kappa": kappa,
             "n0": n0, "b": b, "d": d, "h": h}))
-        cell = law.cells[0]
-        assert cell.heat_capacity[0, 0] == pytest.approx(h / n0)
-        assert cell.flux_inertia[0, 0] == pytest.approx(n0 / kappa)
-        assert cell.flux_coupling[0, 0] == pytest.approx(b / n0)
+        assert law.nu[0] == pytest.approx(h / n0)
+        assert law.a0[0] == pytest.approx(n0 / kappa)
+        assert law.zeta0[0] == pytest.approx(b / n0)
         gain = d - (h + b * b / kappa) / n0
-        assert cell.theta_damping.num[0][0, 0] == pytest.approx(gain)
-        np.testing.assert_allclose(cell.theta_damping.den, [n0, 1.0])
-        assert cell.theta_lag == n0
+        damping = cell_parts(law, 0)[0]
+        assert damping.num[0][0, 0] == pytest.approx(gain)
+        np.testing.assert_allclose(damping.den, [n0, 1.0])
+        assert law.n0[0] == n0
 
     def test_coefficient_validation(self):
         with pytest.raises(InputError):  # user nu is not accepted for the lag family
@@ -118,7 +126,7 @@ class TestAssembly:
         law = assemble_material_law(ModelSpec(ModelFamily.CLASSICAL, {
             "rho0": [1.0, 2.0, 3.0], "nu": 1.0, "C": 1.0, "Gamma": 0.0, "kappa": 1.0}))
         assert law.n_cells == 3
-        assert [c.rho0[0, 0] for c in law.cells] == [1.0, 2.0, 3.0]
+        assert law.rho0.tolist() == [1.0, 2.0, 3.0]
         with pytest.raises(InputError):  # mismatched list lengths
             ModelSpec(ModelFamily.CLASSICAL, {
                 "rho0": [1.0, 2.0], "nu": [1.0, 1.0, 1.0], "C": 1.0,
@@ -126,7 +134,8 @@ class TestAssembly:
 
     def test_per_cell_lists_are_converted_per_coefficient(self, monkeypatch):
         # converting a whole per-cell list once per cell made assembly
-        # quadratic in the cell count
+        # quadratic in the cell count; and a law is built once per distinct
+        # law, not per cell
         asarray, conversions = np.asarray, []
 
         def counted(value, *args, **kwargs):
@@ -134,17 +143,29 @@ class TestAssembly:
                 conversions.append(len(value))
             return asarray(value, *args, **kwargs)
 
+        build, built = RationalMatrixFunction.__post_init__, []
+
+        def counted_build(law):
+            built.append(law)
+            build(law)
+
         monkeypatch.setattr(np, "asarray", counted)
+        monkeypatch.setattr(RationalMatrixFunction, "__post_init__", counted_build)
         counts = []
         for n in (8, 64):
             conversions.clear()
+            built.clear()
             rng = np.random.default_rng(n)
+            # kappa takes n / 2 distinct values, each in two cells
+            kappa = rng.permutation(np.repeat(rng.uniform(0.5, 2.0, n // 2), 2))
             law = assemble_material_law(ModelSpec(ModelFamily.DPL_I, {
                 "rho0": 1.0, "nu": 1.0, "Gamma": 0.5, "n1": 0.5, "n2": 0.25,
-                "C": rng.uniform(0.8, 1.25, n).tolist(),
-                "kappa": rng.uniform(0.5, 2.0, n).tolist()}))
+                "C": rng.uniform(0.8, 1.25, n).tolist(), "kappa": kappa.tolist()}))
             assert law.n_cells == n
             counts.append(len(conversions))
+            assert (len(law.a1), len(law.a2)) == (1, n // 2)
+            assert len(built) == len(law.a1) + len(law.a2)
+            assert [law.a2[k].num[1][0, 0] for k in law.a2_index] == (1.0 / kappa).tolist()
         assert counts[0] == counts[1]
 
 
@@ -165,7 +186,7 @@ class TestPatternsAndClassification:
 
     def test_hermiticity(self):
         for family in ALL_FAMILIES:
-            mass = assemble_material_law(canonical_spec(family)).cells[0].mass()
+            mass = assemble_material_law(canonical_spec(family)).mass[0]
             scale = np.max(np.abs(mass))
             assert np.max(np.abs(mass - mass.conj().T)) <= 1e-14 * scale
 
@@ -176,10 +197,9 @@ class TestPatternsAndClassification:
                 "Gamma": rng.uniform(-1.0, 1.0), "kappa": rng.uniform(0.5, 2.0),
                 "n0": rng.uniform(0.2, 2.0), "b": rng.uniform(-1.0, 1.0),
                 "d": rng.uniform(-2.0, 2.0), "h": rng.uniform(0.3, 2.0)})
-            cell = assemble_material_law(spec).cells[0]
-            (lmat,), (core,) = models._congruence([cell])
-            rebuilt = lmat.conj().T @ core @ lmat
-            assert np.max(np.abs(rebuilt - cell.mass())) <= 1e-12 * np.max(np.abs(core))
+            law = assemble_material_law(spec)
+            rebuilt, core = congruence(law)
+            assert np.max(np.abs(rebuilt - law.mass[0])) <= 1e-12 * np.max(np.abs(core))
 
     def test_pattern_table_text(self):
         text = pattern_table(assemble_material_law(canonical_spec(ModelFamily.LORD_SHULMAN)))
@@ -265,7 +285,7 @@ class TestEntropy:
         law = assemble_material_law(ModelSpec(ModelFamily.GREEN_LINDSAY, {
             "rho0": 2.0, "C": 1.0, "Gamma": 0.3, "kappa": 1.0,
             "n0": n0, "b": 0.0, "d": h / n0, "h": h}))
-        assert np.all(law.cells[0].theta_damping.num[0] == 0.0)
+        assert np.all(cell_parts(law, 0)[0].num[0] == 0.0)
         t = 1e-3 * np.arange(501)
         eps = WeightedSignal(t, np.sin(t), 1.0)
         theta = WeightedSignal(t, np.cos(t), 1.0)
@@ -278,14 +298,15 @@ class TestEntropy:
     def per_column_entropy(law, strain, theta_big, flux):
         """The former column-by-column path: one realization and one march
         per component."""
-        coeff = law.scalar_arrays(strain.n_components)
-        nu, zeta0, a0 = coeff["heat_capacity"], coeff["flux_coupling"], coeff["flux_inertia"]
-        rho_eta = (coeff["coupling"][None, :] * strain.samples
+        # a one-cell law holds in every component
+        cells = np.arange(strain.n_components) % law.n_cells
+        nu, zeta0, a0 = law.nu[cells], law.zeta0[cells], law.a0[cells]
+        rho_eta = (law.Gamma[cells][None, :] * strain.samples
                    + (nu + zeta0 * a0 * zeta0)[None, :] * theta_big.samples
                    + (zeta0 * a0)[None, :] * flux.samples)
         memory = np.zeros_like(rho_eta)
         for j in range(strain.n_components):
-            damping = law.cell(j).theta_damping
+            damping = cell_parts(law, cells[j])[0]
             if all(np.all(np.asarray(c) == 0) for c in damping.num):
                 continue
             real = realize_state_space(damping)
@@ -294,7 +315,7 @@ class TestEntropy:
             memory[:, j] = (col @ real.d.T + states @ real.c.T)[:, 0]
         if np.any(memory != 0):
             rho_eta = rho_eta + antiderivative(theta_big.with_samples(memory)).samples
-        return rho_eta / coeff["rho0"][None, :]
+        return rho_eta / law.rho0[cells][None, :]
 
     @staticmethod
     def random_fields(rng, m, n_t=401):
@@ -322,7 +343,7 @@ class TestEntropy:
 
         monkeypatch.setattr(models, "realize_state_space", counting)
         got = compute_entropy(law, *fields).samples
-        distinct = {law.cell(j).theta_damping.key() for j in range(6)}
+        distinct = {cell_parts(law, j % law.n_cells)[0].key() for j in range(6)}
         assert len(distinct) == n_laws
         assert sorted(calls) == sorted(distinct)
         assert np.array_equal(got, want)
@@ -337,27 +358,37 @@ class TestEntropy:
 
 
 class TestCustomLaws:
-    def test_matrix_blocks_round_trip(self):
-        law = assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
-            "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0,
-            "a0": np.diag([1.0, 0.0]),
-            "a2": RationalMatrixFunction.constant(np.diag([0.0, 1.0]))}))
-        assert law.block_dims == (1, 1, 1, 2)
-        mass = law.cells[0].mass()
-        assert mass.shape == (5, 5)
-        assert np.max(np.abs(mass - mass.conj().T)) == 0.0
-
-    @pytest.mark.filterwarnings("error")
-    def test_complex_higher_term_keeps_imaginary_part(self):
-        # a real constant term and a complex z term: the zero-order block is complex
-        a2 = RationalMatrixFunction((np.eye(2), np.array([[0, -0.5j], [-0.5j, -1j]])), [1, 0.5])
-        law = assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
-            "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "a2": a2}))
-        nums, _ = law.stacks[0].parts[1]
-        np.testing.assert_array_equal(nums[1][0], a2.num[1])
-        assert np.any(nums[1].imag)
-
     def test_custom_requires_positive_density(self):
         with pytest.raises(InputError):
             assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
                 "rho0": -1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0}))
+
+
+#: coefficient values that are not real finite numbers or lists of them, each
+#: with the family and coefficient it is given as
+BAD_COEFFICIENTS = {
+    "string": (ModelFamily.CLASSICAL, "C", "1"),
+    "complex": (ModelFamily.CLASSICAL, "Gamma", 0.5 + 1j),
+    "nan": (ModelFamily.CLASSICAL, "rho0", float("nan")),
+    "inf": (ModelFamily.CLASSICAL, "kappa", float("inf")),
+    "boolean": (ModelFamily.LORD_SHULMAN, "a0", True),
+    "nan_in_list": (ModelFamily.CLASSICAL, "nu", [1.0, float("nan")]),
+    "matrix": (ModelFamily.CUSTOM, "a0", np.diag([1.0, 0.0])),
+    "matrix_rational": (ModelFamily.CUSTOM, "a2",
+                        RationalMatrixFunction.constant(np.diag([0.0, 1.0]))),
+    "complex_rational": (ModelFamily.CUSTOM, "a2", RationalMatrixFunction(
+        (np.eye(1), np.array([[-0.5j]])), [1, 0.5])),
+    "infinite_rational": (ModelFamily.CUSTOM, "a1", RationalMatrixFunction(
+        (np.array([[np.inf]]),), [1.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COEFFICIENTS))
+def test_bad_coefficient_names_itself(case):
+    family, name, value = BAD_COEFFICIENTS[case]
+    if family is ModelFamily.CUSTOM:
+        spec = ModelSpec(family, {"rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, name: value})
+    else:
+        spec = spec_with(family, **{name: value})
+    with pytest.raises(InputError, match=f"coefficient '{name}' must be"):
+        assemble_material_law(spec)

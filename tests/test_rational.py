@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (ALL_FAMILIES, apply_symbol_fl, horner_per_point, per_cell_law,
+from conftest import (ALL_FAMILIES, apply_symbol_fl, cell_parts, horner_per_point, per_cell_law,
                       realize_per_pole, spec_with, transfer_mismatch_per_frequency,
                       uncoupled_law, validate_realization)
 from thermoevo import (
@@ -167,8 +167,8 @@ class TestValidate:
 
     def test_catalog_zero_order_entries(self, probe):
         for family in ALL_FAMILIES:
-            cell = uncoupled_law(family).cells[0]
-            for r in (cell.theta_damping, cell.flux_resistance):
+            law = uncoupled_law(family)
+            for r in (law.a1[0], law.a2[0]):
                 err = validate_realization(r, realize_state_space(r), probe)
                 assert err <= 1e-5, f"{family.value}: {err}"
 
@@ -206,9 +206,8 @@ def zero_order_laws():
         ModelFamily.DPL_I, kappa=[0.5, 1.3, 2.0], n2=[0.25, 0.3, 0.2])))
     found = {}
     for law in laws:
-        for cell in law.cells:
-            for r in (cell.theta_damping, cell.flux_resistance):
-                found.setdefault(r.key(), r)
+        for r in law.a1 + law.a2:
+            found.setdefault(r.key(), r)
     return list(found.values())
 
 
@@ -293,7 +292,7 @@ class TestStackedRealization:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_stacked_call_equals_per_law_calls(self, family):
         law = per_cell_law(family)
-        laws = [r for cell in law.cells for r in (cell.theta_damping, cell.flux_resistance)]
+        laws = [r for j in range(law.n_cells) for r in cell_parts(law, j)]
         stacked = realize_state_space(laws)
         assert len(stacked) == len(laws)
         for r, got in zip(laws, stacked):
