@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, cell_parts, spec_with
+from conftest import ALL_FAMILIES, cell_mass, cell_parts, spec_with
 from thermoevo import (
     ModelFamily,
     ModelSpec,
@@ -21,16 +21,6 @@ from thermoevo._integrators import exp_march_linear
 from thermoevo.errors import InputError
 from thermoevo.rational import realize_state_space
 from thermoevo.signals import antiderivative
-
-
-def congruence(law):
-    """(L^T D L, D) of the single cell of ``law``: D = diag(rho0, 1/C, nu, a0)
-    and L the unit triangular factor with Gamma at (sigma, theta) and zeta0
-    at (q, theta)."""
-    lmat = np.eye(4)
-    lmat[1, 2], lmat[3, 2] = law.Gamma[0], law.zeta0[0]
-    core = np.diag([law.rho0[0], 1.0 / law.C[0], law.nu[0], law.a0[0]])
-    return lmat.T @ core @ lmat, core
 
 
 def stars(rows):
@@ -198,8 +188,8 @@ class TestPatternsAndClassification:
                 "n0": rng.uniform(0.2, 2.0), "b": rng.uniform(-1.0, 1.0),
                 "d": rng.uniform(-2.0, 2.0), "h": rng.uniform(0.3, 2.0)})
             law = assemble_material_law(spec)
-            rebuilt, core = congruence(law)
-            assert np.max(np.abs(rebuilt - law.mass[0])) <= 1e-12 * np.max(np.abs(core))
+            core = [law.rho0[0], 1.0 / law.C[0], law.nu[0], law.a0[0]]
+            assert np.max(np.abs(cell_mass(law, 0) - law.mass[0])) <= 1e-12 * np.max(np.abs(core))
 
     def test_pattern_table_text(self):
         text = pattern_table(assemble_material_law(canonical_spec(ModelFamily.LORD_SHULMAN)))
