@@ -40,7 +40,7 @@ from .models import (
 )
 from .oracle import compare, spectral_solve
 from .rational import (
-    RationalMatrixFunction,
+    RationalFunction,
     StateSpaceRealization,
     realize_state_space,
 )

@@ -49,7 +49,7 @@ from .models import (
     pattern_table,
 )
 from .oracle import compare, spectral_solve
-from .rational import RationalMatrixFunction
+from .rational import RationalFunction
 from .signals import WeightedSignal, weighted_norm
 from .spatial import Grid1D, build_operators
 from .wellposed import certify_wellposedness
@@ -116,10 +116,8 @@ def _parse_coefficient(name, value):
         _check_keys(value, {"num", "den"}, context)
         if set(value) != {"num", "den"} or not isinstance(value["num"], list):
             raise ConfigError(f"'{context}' needs both 'num' (a list) and 'den'")
-        return RationalMatrixFunction(
-            tuple(_numeric_array(value["num"], f"{context}.num", (1,))),
-            _numeric_array(value["den"], f"{context}.den", (0, 1)),
-        )
+        return RationalFunction(_numeric_array(value["num"], f"{context}.num", (1,)),
+                                _numeric_array(value["den"], f"{context}.den", (1,)))
     if isinstance(value, list):
         return _numeric_array(value, context, (0, 1))
     return _finite(value, context)

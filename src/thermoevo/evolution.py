@@ -189,18 +189,18 @@ class EvolutionProblem:
         # owner dofs and laws: flux resistance per face, then temperature damping per node
         owner = sl[3].start + np.arange(op.grid.n_cells)
         damping = law.a1[law.a1_index[0]]
-        damped = any(np.any(c != 0) for c in damping.num)
+        damped = np.any(damping.num)
         distinct = realize_state_space(law.a2 + ((damping,) if damped else ()))
         reals = [distinct[k] for k in np.broadcast_to(law.a2_index, owner.size)]
         if damped:
             owner = np.concatenate([owner, sl[2].start + np.arange(op.grid.n_nodes)])
             reals += [distinct[-1]] * op.grid.n_nodes
         feed = np.zeros(op.n_dof)
-        feed[owner] = [real.d[0, 0] for real in reals]
+        feed[owner] = [real.d for real in reals]
         chain = _AuxChain(
-            np.concatenate([np.diagonal(real.a) for real in reals]),
-            np.concatenate([real.b[:, 0] for real in reals]),
-            np.concatenate([real.c[0] for real in reals]),
+            np.concatenate([real.a for real in reals]),
+            np.concatenate([real.b for real in reals]),
+            np.concatenate([real.c for real in reals]),
             np.repeat(owner, [real.n_states for real in reals]),
         )
         return feed, chain

@@ -10,7 +10,7 @@ unknowns.
 
 Coefficients are cellwise (piecewise constant in space): real finite
 numbers, or per-cell lists of them; scalar input means a single uniform
-cell.  Custom laws also take real 1x1 rational functions for a1 and a2.  A
+cell.  Custom laws also take rational functions for a1 and a2.  A
 law holds one float array per coefficient over its cells, and for each
 zero-order part the tuple of its distinct rational laws with the index of
 each cell's law.
@@ -26,7 +26,7 @@ import numpy as np
 
 from ._integrators import exp_march_linear
 from .errors import InputError
-from .rational import RationalMatrixFunction, realize_state_space
+from .rational import RationalFunction, realize_state_space
 from .signals import WeightedSignal, antiderivative
 
 __all__ = [
@@ -94,7 +94,7 @@ class ModelSpec:
 
     Coefficient values are real finite numbers (uniform) or lists of per-cell
     values; all lists must share one length.  Custom laws additionally
-    accept real 1x1 rational functions for the zero-order parts a1 and a2.
+    accept rational functions for the zero-order parts a1 and a2.
     """
 
     family: ModelFamily
@@ -117,7 +117,7 @@ class ModelSpec:
             )
         rational_ok = _RATIONAL_COEFFS if family is ModelFamily.CUSTOM else set()
         for name, value in self.coefficients.items():
-            if isinstance(value, RationalMatrixFunction) and name not in rational_ok:
+            if isinstance(value, RationalFunction) and name not in rational_ok:
                 raise InputError(f"coefficient '{name}' cannot be a rational function")
 
     @property
@@ -133,13 +133,9 @@ class ModelSpec:
 
 
 def _column(name: str, value, n_cells: int):
-    """Coefficient ``name`` converted once: a real 1x1 rational function as
-    given, else its float values over ``n_cells`` cells."""
-    if isinstance(value, RationalMatrixFunction):
-        if value.dims != (1, 1) or not all(
-                c.dtype.kind in "iuf" and np.all(np.isfinite(c)) for c in (*value.num, value.den)):
-            raise InputError(f"coefficient '{name}' must be a 1x1 rational function "
-                             "with real finite coefficients")
+    """Coefficient ``name`` converted once: a rational function as given,
+    else its float values over ``n_cells`` cells."""
+    if isinstance(value, RationalFunction):
         return value
     try:
         arr = np.asarray(value)
@@ -156,22 +152,23 @@ def _column(name: str, value, n_cells: int):
 def _distinct_laws(num: list, den: list) -> tuple:
     """The distinct scalar laws sum_k num[k] z^k / sum_k den[k] z^k among the
     cells, given the per-cell arrays of their coefficients, one
-    :class:`RationalMatrixFunction` each in order of first appearance, and
-    the index of each cell's law.  Laws are told apart by the bytes of their
+    :class:`RationalFunction` each in order of first appearance, and the
+    index of each cell's law.  Laws are told apart by the bytes of their
     coefficients, with 0.0 added so that -0.0 and 0.0 agree."""
-    rows = np.stack(num + den, axis=1) + 0.0
+    coeffs = np.stack(num + den, axis=1)
+    rows = coeffs + 0.0
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0].tolist()
     first = {}
     for j, key in enumerate(keys):
         first.setdefault(key, j)
     slot = {key: k for k, key in enumerate(first)}
-    laws = tuple(RationalMatrixFunction(tuple(c[j] for c in num), np.array([c[j] for c in den]))
-                 for j in first.values())
+    split = len(num)
+    laws = tuple(RationalFunction(coeffs[j, :split], coeffs[j, split:]) for j in first.values())
     return laws, np.array([slot[key] for key in keys], dtype=np.intp)
 
 
 def _zero_part(n_cells: int) -> tuple:
-    return (RationalMatrixFunction.zero(1),), np.zeros(n_cells, dtype=np.intp)
+    return (RationalFunction.constant(0.0),), np.zeros(n_cells, dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +227,7 @@ class MaterialLaw:
     @cached_property
     def at_zero(self) -> tuple:
         """``(a1(0), a2(0))``, the zero-order parts at z = 0, over the cells."""
-        return tuple(np.array([r.num[0][0, 0] / r.den[0] for r in laws])[index]
+        return tuple(np.array([r.num[0] / r.den[0] for r in laws])[index]
                      for laws, index in ((self.a1, self.a1_index), (self.a2, self.a2_index)))
 
     def is_uniform(self) -> bool:
@@ -252,7 +249,7 @@ def assemble_material_law(spec: ModelSpec) -> MaterialLaw:
 
     Each coefficient is converted once, to a float array over the cells; a
     value that is not a real finite number (or a list of them, or for a1
-    and a2 of a custom law a real 1x1 rational function) raises.  Raises on
+    and a2 of a custom law a rational function) raises.  Raises on
     structurally invalid coefficients (non-positive density, vanishing lag
     times, singular conductivity); hypothesis violations that merely break
     well-posedness assemble fine so the certifier can report them.
@@ -327,7 +324,7 @@ def _part(value, n: int) -> tuple:
     cell, or constant per-cell values."""
     if value is None:
         return _zero_part(n)
-    if isinstance(value, RationalMatrixFunction):
+    if isinstance(value, RationalFunction):
         return (value,), np.zeros(n, dtype=np.intp)
     return _distinct_laws([value], [np.ones(n)])
 
@@ -419,12 +416,13 @@ def compute_entropy(
     memory = np.zeros_like(rho_eta)
     for k, law_k in enumerate(law.a1):
         cols = np.flatnonzero(damping == k)
-        if cols.size == 0 or all(np.all(c == 0) for c in law_k.num):
+        if cols.size == 0 or not np.any(law_k.num):
             continue
         real = realize_state_space(law_k)
         theta = theta_big.samples[:, cols]
-        states = exp_march_linear(real.a, real.b, theta[:, None, :], theta_big.dt)
-        memory[:, cols] = theta * real.d[0, 0] + real.c[0] @ states
+        states = exp_march_linear(np.diag(real.a), real.b[:, None], theta[:, None, :],
+                                  theta_big.dt)
+        memory[:, cols] = theta * real.d + real.c @ states
     if np.any(memory != 0):
         rho_eta = rho_eta + antiderivative(theta_big.with_samples(memory)).samples
 

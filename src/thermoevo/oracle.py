@@ -66,14 +66,14 @@ def _mode_systems(problem: EvolutionProblem, s: np.ndarray) -> tuple:
     e_mat = np.eye(d)
     e_mat[:4, :4] = law.mass[0]
     k_mat = np.zeros((d, d))
-    k_mat[2, 2] = float(r1.d[0, 0])
-    k_mat[3, 3] = float(r2.d[0, 0])
-    k_mat[2, 4:4 + p1] = r1.c[0]
-    k_mat[4:4 + p1, 2] = -r1.b[:, 0]
-    k_mat[4:4 + p1, 4:4 + p1] = -r1.a
-    k_mat[3, 4 + p1:] = r2.c[0]
-    k_mat[4 + p1:, 3] = -r2.b[:, 0]
-    k_mat[4 + p1:, 4 + p1:] = -r2.a
+    k_mat[2, 2] = r1.d
+    k_mat[3, 3] = r2.d
+    k_mat[2, 4:4 + p1] = r1.c
+    k_mat[4:4 + p1, 2] = -r1.b
+    k_mat[4:4 + p1, 4:4 + p1] = -np.diag(r1.a)
+    k_mat[3, 4 + p1:] = r2.c
+    k_mat[4 + p1:, 3] = -r2.b
+    k_mat[4 + p1:, 4 + p1:] = -np.diag(r2.a)
     skew = np.zeros((d, d))  # the mode's difference symbol on (v, sigma) and (theta, q)
     skew[0, 1] = skew[3, 2] = 1.0
     skew[1, 0] = skew[2, 3] = -1.0

@@ -124,15 +124,15 @@ def check_symbol_boundary(law: MaterialLaw, rho0: float) -> float:
         raise InputError("rho0 must be positive and finite")
     # slot k holds a1[k], slot len(a1) + k holds a2[k]; a zero part is not realized
     parts = law.a1 + law.a2
-    slots = [k for k, part in enumerate(parts) if any(np.any(c != 0) for c in part.num)]
+    slots = [k for k, part in enumerate(parts) if np.any(part.num)]
     reals = realize_state_space([parts[k] for k in slots])
     owner = np.repeat(np.asarray(slots, dtype=int), [real.n_states for real in reals])
-    poles = np.concatenate([np.diagonal(real.a) for real in reals] + [np.zeros(0)])
+    poles = np.concatenate([real.a for real in reals] + [np.zeros(0)])
     if np.any(poles >= rho0):
         return -np.inf
-    residues = np.concatenate([real.b[:, 0] * real.c[0] for real in reals] + [np.zeros(0)])
+    residues = np.concatenate([real.b * real.c for real in reals] + [np.zeros(0)])
     feed = np.zeros(len(parts))
-    feed[slots] = [real.d[0, 0] for real in reals]
+    feed[slots] = [real.d for real in reals]
     beta = rho0 - poles
     lowest = np.minimum(feed, feed + np.bincount(owner, residues / beta, minlength=feed.size))
     mixed = (np.bincount(owner, residues > 0, minlength=feed.size)

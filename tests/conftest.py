@@ -34,7 +34,7 @@ from thermoevo import (
 from thermoevo._integrators import exp_march_linear, phi_matrices
 from thermoevo.errors import InputError, PoleProximityError
 from thermoevo.models import SPECTRAL_CUTOFF
-from thermoevo.rational import RationalMatrixFunction, StateSpaceRealization
+from thermoevo.rational import RationalFunction, StateSpaceRealization
 from thermoevo.wellposed import Witness, WellPosednessReport, _rho_grid
 
 #: families whose canonical coefficients satisfy the certified hypotheses
@@ -143,14 +143,14 @@ class WindowDecayError(InputError):
     """A signal does not decay at the ends of its sampling window."""
 
 
-def apply_symbol_fl(matrix_function, f: WeightedSignal) -> WeightedSignal:
+def apply_symbol_fl(symbol, f: WeightedSignal) -> WeightedSignal:
     """Apply a rational symbol of the inverse time derivative via FFT.
 
-    The signal is unweighted with exp(-rho*t), transformed, multiplied per
-    frequency by ``matrix_function`` evaluated at z = 1/(i*omega + rho), and
-    transformed back.  Zero padding to the next power of two (at least twice
-    the signal length) suppresses circular wrap-around so that causality is
-    preserved up to spectral leakage.
+    The signal is unweighted with exp(-rho*t), transformed, each component
+    multiplied per frequency by ``symbol`` evaluated at z = 1/(i*omega +
+    rho), and transformed back.  Zero padding to the next power of two (at
+    least twice the signal length) suppresses circular wrap-around so that
+    causality is preserved up to spectral leakage.
 
     Raises
     ------
@@ -159,13 +159,8 @@ def apply_symbol_fl(matrix_function, f: WeightedSignal) -> WeightedSignal:
     PoleProximityError
         If the symbol denominator nearly vanishes at a grid frequency.
     """
-    if not isinstance(matrix_function, RationalMatrixFunction):
-        raise InputError("symbol must be a RationalMatrixFunction")
-    rows, cols = matrix_function.dims
-    if cols != f.n_components:
-        raise InputError(
-            f"symbol acts on {cols} components, signal has {f.n_components}"
-        )
+    if not isinstance(symbol, RationalFunction):
+        raise InputError("symbol must be a RationalFunction")
 
     weighted = np.exp(-f.rho * f.t)[:, None] * f.samples
     peak = float(np.max(np.abs(weighted)))
@@ -185,8 +180,8 @@ def apply_symbol_fl(matrix_function, f: WeightedSignal) -> WeightedSignal:
     omega = 2.0 * np.pi * np.fft.fftfreq(n_fft, d=f.dt)
     z = 1.0 / (1j * omega + f.rho)
 
-    den_scale = max(float(np.max(np.abs(matrix_function.den))), 1.0)
-    den_vals = np.polynomial.polynomial.polyval(z, matrix_function.den)
+    den_scale = max(float(np.max(np.abs(symbol.den))), 1.0)
+    den_vals = np.polynomial.polynomial.polyval(z, symbol.den)
     if np.min(np.abs(den_vals)) < POLE_TOL * den_scale:
         worst = omega[int(np.argmin(np.abs(den_vals)))]
         raise PoleProximityError(
@@ -194,27 +189,22 @@ def apply_symbol_fl(matrix_function, f: WeightedSignal) -> WeightedSignal:
         )
 
     spectrum = np.fft.fft(weighted, n=n_fft, axis=0)
-    mats = horner_per_point(matrix_function, z)
-    out_spec = np.einsum("krc,kc->kr", mats, spectrum)
+    out_spec = horner_per_point(symbol, z)[:, None] * spectrum
     out = np.fft.ifft(out_spec, axis=0)[:n]
-
-    real_input = not np.iscomplexobj(f.samples)
-    real_symbol = has_real_coefficients(matrix_function)
-    if real_input and real_symbol:
+    if not np.iscomplexobj(f.samples):
         out = out.real
-    out = np.exp(f.rho * f.t)[:, None] * out
-    if rows == f.n_components:
-        return f.with_samples(out)
-    return WeightedSignal(f.t, out, f.rho)
+    return f.with_samples(np.exp(f.rho * f.t)[:, None] * out)
 
 
-def has_real_coefficients(r: RationalMatrixFunction) -> bool:
-    """Whether no coefficient of ``r`` has a complex dtype."""
-    return not any(np.iscomplexobj(c) for c in (*r.num, r.den))
+def march_realization(real: StateSpaceRealization, f: WeightedSignal) -> np.ndarray:
+    """``real`` applied to each component of ``f``, its states marched by the
+    exponential one-sided integrator."""
+    states = exp_march_linear(np.diag(real.a), real.b[:, None], f.samples[:, None, :], f.dt)
+    return f.samples * real.d + real.c @ states
 
 
 def validate_realization(
-    r: RationalMatrixFunction,
+    r: RationalFunction,
     real: StateSpaceRealization,
     probe: WeightedSignal,
 ) -> float:
@@ -224,8 +214,7 @@ def validate_realization(
     the probe grid; the reference is the frequency-domain application of the
     same function.  The probe must be smooth and decay inside its window.
     """
-    states = exp_march_linear(real.a, real.b, probe.samples, probe.dt)
-    direct = probe.samples @ real.d.T + states @ real.c.T
+    direct = march_realization(real, probe)
     reference = apply_symbol_fl(r, probe).samples
     scale = float(np.max(np.abs(reference)))
     if scale == 0.0:
@@ -262,13 +251,13 @@ def horner_per_point(r, z):
     """Numerator over denominator of ``r`` at the points z, built as the
     former out-of-place Horner loop did."""
     z = np.asarray(z)
-    num = np.zeros(z.shape + r.dims, dtype=np.result_type(z.dtype, r.num[0].dtype, float))
-    for coeff in reversed(r.num):
-        num = num * z[..., None, None] + coeff
-    den = np.zeros(z.shape, dtype=np.result_type(z.dtype, r.den.dtype, float))
+    num = np.zeros(z.shape, dtype=np.result_type(z.dtype, float))
+    for c in reversed(r.num):
+        num = num * z + c
+    den = np.zeros(z.shape, dtype=np.result_type(z.dtype, float))
     for c in reversed(r.den):
         den = den * z + c
-    return num / den[..., None, None]
+    return num / den
 
 
 def transfer_mismatch_per_frequency(r, real):
@@ -280,12 +269,11 @@ def transfer_mismatch_per_frequency(r, real):
     worst = 0.0
     for s in freqs:
         want = horner_per_point(r, 1.0 / s)
-        if real.n_states == 0:
-            got = real.d.astype(complex)
-        else:
-            got = real.d + real.c @ np.linalg.solve(s * np.eye(real.n_states) - real.a, real.b)
-        scale = max(scale, float(np.max(np.abs(want))))
-        worst = max(worst, float(np.max(np.abs(want - got))))
+        got = complex(real.d)
+        if real.n_states:
+            got += real.c @ np.linalg.solve(s * np.eye(real.n_states) - np.diag(real.a), real.b)
+        scale = max(scale, abs(want))
+        worst = max(worst, abs(want - got))
     return worst, scale
 
 
@@ -313,7 +301,7 @@ def full_symbol(law, j, z):
     mass = cell_mass(law, j)
     mats = np.zeros(z.shape + mass.shape, dtype=complex) + mass
     for k, part in zip((2, 3), cell_parts(law, j)):
-        mats[..., k, k] += z * horner_per_point(part, z)[..., 0, 0]
+        mats[..., k, k] += z * horner_per_point(part, z)
     return mats
 
 
@@ -372,7 +360,7 @@ def refined_line_minimum(law, rho0, n_points=20001, decades=(-4, 7), steps=120):
             lo, hi = (lo, b) if f_a < f_b else (a, hi)
         limit = (rho0 * cell_mass(law, j)).astype(complex)
         for block, part in zip((2, 3), cell_parts(law, j)):
-            limit[block, block] += horner_per_point(part, 0.0)[0, 0].real
+            limit[block, block] += horner_per_point(part, 0.0).real
         lowest = min(lowest, float(values[k]),
                      float(np.min(line_lowest(law, j, rho0, [lo, hi]))),
                      float(np.linalg.eigvalsh(limit)[0]))
@@ -381,28 +369,27 @@ def refined_line_minimum(law, rho0, n_points=20001, decades=(-4, 7), steps=120):
 
 def _pole_terms(r):
     """(poles, phi(p), psi'(p)) of R(1/s) = phi(s) / psi(s), pole by pole."""
-    num_degree, den_degree = len(r.num) - 1, r.den.size - 1
+    num_degree, den_degree = r.num.size - 1, r.den.size - 1
     poles = np.asarray([1.0 / root for root in (
         np.polynomial.Polynomial(r.den).roots() if den_degree > 0 else [])]
         + [0.0] * max(num_degree - den_degree, 0), dtype=complex)
     deg = max(num_degree, den_degree)
-    phi = np.zeros((deg + 1,) + r.dims, dtype=complex)
-    for k, m in enumerate(r.num):
-        phi[deg - k] += m
+    phi = np.zeros(deg + 1, dtype=complex)
+    for k, c in enumerate(r.num):
+        phi[deg - k] += c
     psi = np.zeros(deg + 1, dtype=complex)
     for k, c in enumerate(r.den):
         psi[deg - k] += c
     dpsi = np.polynomial.Polynomial(psi).deriv()
-    return poles, [np.tensordot(p ** np.arange(deg + 1), phi, axes=(0, 0)) for p in poles], \
-        [dpsi(p) for p in poles]
+    return poles, [p ** np.arange(deg + 1) @ phi for p in poles], [dpsi(p) for p in poles]
 
 
 def _live_terms(r):
     """(pole, phi(p), psi'(p)) of the poles whose residue the numerator does
     not cancel (or where psi' vanishes), one pole at a time."""
-    scale = max(float(np.max(np.abs(c))) for c in r.num)
+    scale = float(np.max(np.abs(r.num)))
     return [(p, phi, slope) for p, phi, slope in zip(*_pole_terms(r))
-            if slope == 0 or np.max(np.abs(phi)) > 1e-12 * scale * abs(slope)]
+            if slope == 0 or abs(phi) > 1e-12 * scale * abs(slope)]
 
 
 def live_poles_per_pole(r):
@@ -410,26 +397,16 @@ def live_poles_per_pole(r):
 
 
 def realize_per_pole(r):
-    """The partial-fraction realization of ``r``, one pole at a time."""
-    d = r.num[0] / r.den[0]
-    rows, cols = r.dims
-    a_blocks, b_blocks, c_blocks = [], [], []
-    for pole, phi, slope in _live_terms(r):
-        u, s, vh = np.linalg.svd(phi / slope)
-        rank = int(np.sum(s > 1e-12 * s[0]))
-        root_s = np.sqrt(s[:rank])
-        c_blocks.append(u[:, :rank] * root_s)
-        b_blocks.append(root_s[:, None] * vh[:rank])
-        a_blocks.append(np.full(rank, pole))
-    if a_blocks:
-        a, b, c = np.diag(np.concatenate(a_blocks)), np.vstack(b_blocks), np.hstack(c_blocks)
-    else:
-        a, b, c = np.zeros((0, 0)), np.zeros((0, cols)), np.zeros((rows, 0))
-    if (np.max(np.abs(a.imag)) if a.size else 0.0) < 1e-14 and \
-            (np.max(np.abs(b.imag)) if b.size else 0.0) < 1e-12 and \
-            (np.max(np.abs(c.imag)) if c.size else 0.0) < 1e-12 and has_real_coefficients(r):
-        a, b, c, d = a.real, b.real, c.real, np.asarray(d).real
-    return StateSpaceRealization(np.atleast_2d(d), a, b, c)
+    """The partial-fraction realization of ``r``, one pole at a time: a pole
+    with a non-zero residue rho gets one state, its input gain sqrt|rho| and
+    its output gain the rest of rho, sign(rho) sqrt|rho| for a real one."""
+    terms = [(pole, phi / slope) for pole, phi, slope in _live_terms(r) if phi != 0]
+    poles = np.array([pole for pole, _ in terms], dtype=complex)
+    residues = np.array([residue for _, residue in terms], dtype=complex)
+    root = np.sqrt(np.abs(residues))
+    if np.all(np.abs(poles.imag) < 1e-14) and np.all(np.abs(residues.imag) < 1e-12 * root):
+        poles, residues = poles.real, residues.real
+    return StateSpaceRealization(float(r.num[0] / r.den[0]), poles, root, np.sign(residues) * root)
 
 
 def _herm(a):
@@ -452,7 +429,7 @@ def condition_rho_per_cell(law, rho):
     for index in range(law.n_cells):
         m1 = np.zeros((4, 4))
         for block, r in zip((2, 3), cell_parts(law, index)):
-            m1[block, block] = (r.num[0] / r.den[0])[0, 0]
+            m1[block, block] = r.num[0] / r.den[0]
         eigvals, eigvecs = np.linalg.eigh(rho * cell_mass(law, index) + _herm(m1))
         if best is None or eigvals[0] < best.eigenvalue:
             best = Witness(index, float(eigvals[0]), eigvecs[:, 0])
@@ -499,7 +476,7 @@ def certify_per_cell(law):
         kernel = eigvecs[:, ~on_range]
         if kernel.shape[1] > 0:
             a2 = cell_parts(law, index)[1]
-            re_a2 = _herm(a2.num[0] / a2.den[0])
+            re_a2 = np.array([[a2.num[0] / a2.den[0]]])
             a2_scale = float(np.max(np.abs(np.linalg.eigvalsh(re_a2))))
             k_eigvals, k_eigvecs = np.linalg.eigh(_herm(kernel.conj().T @ re_a2 @ kernel))
             if a2_scale == 0.0 or k_eigvals[0] <= SPECTRAL_CUTOFF * a2_scale:

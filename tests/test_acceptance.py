@@ -18,6 +18,7 @@ from conftest import (
     cell_order,
     from_band,
     make_probe,
+    march_realization,
     negated_law,
     random_smooth,
     uncoupled_law,
@@ -32,7 +33,7 @@ from thermoevo import (
     Grid1D,
     ModelFamily,
     ModelSpec,
-    RationalMatrixFunction,
+    RationalFunction,
     Trajectory,
     WeightedSignal,
     antiderivative,
@@ -52,7 +53,6 @@ from thermoevo import (
     time_grid,
     weighted_norm,
 )
-from thermoevo._integrators import exp_march_linear
 from thermoevo.cli import RunConfig, run
 from thermoevo.evolution import skew_band
 
@@ -161,10 +161,8 @@ def test_criterion_05_realization_fidelity():
     # frequency-domain vs time-domain path for the constant laws
     const_worst = 0.0
     for kappa in (1.0, 2.0):
-        r = RationalMatrixFunction.constant(1.0 / kappa)
-        real = realize_state_space(r)
-        states = exp_march_linear(real.a, real.b, probe.samples, probe.dt)
-        direct = probe.samples @ real.d.T + states @ real.c.T
+        r = RationalFunction.constant(1.0 / kappa)
+        direct = march_realization(realize_state_space(r), probe)
         spectral = apply_symbol_fl(r, probe).samples
         const_worst = max(const_worst,
                           float(np.max(np.abs(direct - spectral))
@@ -222,7 +220,7 @@ def test_criterion_07_causality():
     marching_ok = all((not r.skipped) and r.leakage == 0.0 for r in marching)
 
     # frequency-domain path on the scalar relaxed flux law
-    sym = RationalMatrixFunction((np.zeros((1, 1)), np.eye(1)), np.array([1.0, 1.0]))
+    sym = RationalFunction([0.0, 1.0], [1.0, 1.0])
     ts = 2**-10 * np.arange(int(6 / 2**-10) + 1)
     x = (ts - 2.0) / 0.7
     samples = np.zeros_like(ts)

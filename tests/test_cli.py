@@ -542,6 +542,8 @@ def _huge_heat_capacity():
 CONFIG_HOLES = {
     "rational_without_den": (_custom_a2({"num": [1.0]}), "and 'den'"),
     "rational_scalar_num": (_custom_a2({"num": 1.0, "den": [1.0]}), "'num' (a list)"),
+    "rational_scalar_den": (_custom_a2({"num": [1.0], "den": 2.0}),
+                            "'model.coefficients.a2.den' must be a list of finite numbers"),
     "rational_ragged_num": (_custom_a2({"num": [[[1.0], [1.0, 2.0]]], "den": [1.0]}),
                             "a2.num"),
     "n_cells_fraction": (_with("grid", "n_cells", 2.7), "grid.n_cells"),
@@ -590,6 +592,12 @@ CONFIG_HOLES = {
     # a2 = 1 / (1 + 0.2 z + z^2) certifies, but its poles s = -0.1 +- 0.994987j are not marched
     "custom_complex_pole_pair": (_custom_a2({"num": [1.0], "den": [1.0, 0.2, 1.0]}),
                                  "complex pole s = -0.1+0.994987j"),
+    # a2 = z^3 / ((1 + z)(2 + z)(3 + z)(2.0078125 + z)): real simple poles so
+    # close (s = -0.5 and -0.498) that the partial fractions' residues cancel
+    # past the realization's self check, 4.6e-9 against 1e-9 relative
+    "custom_close_poles": (_custom_a2({"num": [0, 0, 0, 1],
+                                       "den": [12.046875, 28.0859375, 23.046875, 8.0078125, 1.0]}),
+                           "realization transfer mismatch"),
     "output_not_string": (sim_payload(output=3), "'output'"),
     # arrays past physical memory: refused before any of them is allocated
     "cells_past_memory": (_with("grid", "n_cells", 10**12), "GiB of physical memory"),

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 
 from conftest import (ALL_FAMILIES, apply_symbol_fl, band_of, bandwidth, bound_numbers_whole,
                       cell_order, displacement_two_branch, from_band, leakage_whole,
-                      march_two_branch, mass_matrix_lil, operators_per_cell, per_cell_law,
+                      march_realization, march_two_branch, mass_matrix_lil, operators_per_cell, per_cell_law,
                       sampled_forcing, simpson_weights, skew_operator, spec_with,
                       two_branch_system, uncoupled_law, weighted_norm_whole)
 from thermoevo import (
@@ -19,7 +19,7 @@ from thermoevo import (
     Grid1D,
     ModelFamily,
     ModelSpec,
-    RationalMatrixFunction,
+    RationalFunction,
     Trajectory,
     WeightedSignal,
     assemble_forcing,
@@ -38,7 +38,6 @@ from thermoevo import (
     time_grid,
 )
 from thermoevo import _lapack, evolution, rational, signals
-from thermoevo._integrators import exp_march_linear
 from thermoevo.errors import ArtifactWriteError, InputError, SingularSystemError
 
 
@@ -180,7 +179,7 @@ def two_pole_resistance_law():
     poles, so one q dof owns two aux states."""
     return assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
         "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.5, "a0": 1.0,
-        "a2": RationalMatrixFunction((np.eye(1), 0.5 * np.eye(1)), np.array([1.0, 3.0, 2.0]))}))
+        "a2": RationalFunction([1.0, 0.5], [1.0, 3.0, 2.0])}))
 
 
 #: unit roundoff of float64
@@ -808,8 +807,7 @@ class TestPerCellLaws:
             return realize_state_space(laws)
 
         def realizing(nums, den):
-            realized.extend((tuple(m[g].tobytes() for m in nums), den[g].tobytes())
-                            for g in range(len(den)))
+            realized.extend((nums[g].tobytes(), den[g].tobytes()) for g in range(len(den)))
             return realize(nums, den)
 
         monkeypatch.setattr(evolution, "realize_state_space", counting)
@@ -918,7 +916,7 @@ class TestCausality:
         # scalar relaxed flux law q = M(d0^-1) g with M(z) = z/(a0 + z),
         # solved through the frequency domain on a delayed smooth input
         a0 = 1.0
-        sym = RationalMatrixFunction((np.zeros((1, 1)), np.eye(1)), np.array([a0, 1.0]))
+        sym = RationalFunction([0.0, 1.0], [a0, 1.0])
         t = 2**-10 * np.arange(int(6 / 2**-10) + 1)
         x = (t - 2.0) / 0.7
         samples = np.zeros_like(t)
@@ -930,9 +928,7 @@ class TestCausality:
         leak = np.max(np.abs(out.samples[t < 1.3 - 2 * sig.dt]))
         assert leak <= 1e-6 * peak
         # two-path agreement against the realization march
-        real = realize_state_space(sym)
-        states = exp_march_linear(real.a, real.b, sig.samples, sig.dt)
-        direct = sig.samples @ real.d.T + states @ real.c.T
+        direct = march_realization(realize_state_space(sym), sig)
         assert np.max(np.abs(direct - out.samples)) <= 1e-6 * peak
 
 

@@ -12,7 +12,7 @@ from thermoevo import (
     Grid1D,
     ModelFamily,
     ModelSpec,
-    RationalMatrixFunction,
+    RationalFunction,
     Trajectory,
     WeightedSignal,
     assemble_forcing,
@@ -299,8 +299,8 @@ def damped_two_pole_law():
     flux resistance: every mode carries both kinds of memory state."""
     return assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
         "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, "a0": 1.0,
-        "a1": RationalMatrixFunction((np.array([[0.3]]),), np.array([1.0, 0.5])),
-        "a2": RationalMatrixFunction((np.eye(1), 0.5 * np.eye(1)), np.array([1.0, 3.0, 2.0]))}))
+        "a1": RationalFunction([0.3], [1.0, 0.5]),
+        "a2": RationalFunction([1.0, 0.5], [1.0, 3.0, 2.0])}))
 
 
 class TestAuxOnRead:

@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (WindowDecayError, apply_symbol_fl, make_probe, random_smooth,
-                      weighted_norm_whole)
-from thermoevo import RationalMatrixFunction, WeightedSignal, antiderivative, weighted_norm
+from conftest import WindowDecayError, apply_symbol_fl, random_smooth, weighted_norm_whole
+from thermoevo import RationalFunction, WeightedSignal, antiderivative, weighted_norm
 from thermoevo.signals import (CHUNK_VALUES, CSV_CHUNK_VALUES, map_row_chunks, row_peaks,
                                write_csv)
 from thermoevo.errors import InputError, PoleProximityError
@@ -265,25 +264,23 @@ class TestAntiderivative:
 
 class TestApplySymbol:
     def test_identity_symbol(self, probe):
-        out = apply_symbol_fl(RationalMatrixFunction.constant(np.eye(1)), probe)
+        out = apply_symbol_fl(RationalFunction.constant(1.0), probe)
         scale = np.max(np.abs(probe.samples))
         assert np.max(np.abs(out.samples - probe.samples)) <= 1e-10 * scale
 
     def test_integration_symbol_matches_antiderivative(self, probe):
-        out = apply_symbol_fl(RationalMatrixFunction((np.zeros((1, 1)), np.ones((1, 1))),
-                                                np.array([1.0])), probe)
+        out = apply_symbol_fl(RationalFunction([0.0, 1.0], [1.0]), probe)
         ref = antiderivative(probe)
         scale = np.max(np.abs(ref.samples))
         assert np.max(np.abs(out.samples - ref.samples)) <= 1e-6 * scale
 
     def test_constant_symbol_scales(self, probe):
-        out = apply_symbol_fl(RationalMatrixFunction.constant(0.25), probe)
+        out = apply_symbol_fl(RationalFunction.constant(0.25), probe)
         scale = np.max(np.abs(probe.samples))
         assert np.max(np.abs(out.samples - 0.25 * probe.samples)) <= 1e-12 * scale
 
     def test_linearity(self, probe):
-        sym = RationalMatrixFunction((np.array([[0.5]]), np.array([[1.0]])),
-                                     np.array([1.0, 1.0]))
+        sym = RationalFunction([0.5, 1.0], [1.0, 1.0])
         doubled = apply_symbol_fl(sym, probe.with_samples(2.0 * probe.samples))
         single = apply_symbol_fl(sym, probe)
         scale = np.max(np.abs(single.samples))
@@ -296,8 +293,7 @@ class TestApplySymbol:
         inside = np.abs(x) < 1.0
         samples[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
         sig = WeightedSignal(t, samples, 1.0)
-        sym = RationalMatrixFunction((np.array([[0.5]]), np.array([[1.0]])),
-                                     np.array([1.0, 1.0]))
+        sym = RationalFunction([0.5, 1.0], [1.0, 1.0])
         out = apply_symbol_fl(sym, sig)
         peak = np.max(np.abs(out.samples))
         before = np.max(np.abs(out.samples[t < 1.2 - 2 * sig.dt]))
@@ -306,25 +302,11 @@ class TestApplySymbol:
     def test_window_decay_required(self):
         t = uniform(0.0, 1.0, 1e-2)
         with pytest.raises(WindowDecayError):
-            apply_symbol_fl(RationalMatrixFunction.constant(np.eye(1)),
+            apply_symbol_fl(RationalFunction.constant(1.0),
                             WeightedSignal(t, np.ones_like(t), 1.0))
 
     def test_pole_on_grid_frequency_rejected(self, probe):
         # denominator vanishes at z = 1/rho, the zero-frequency sample
-        sym = RationalMatrixFunction((np.eye(1),), np.array([-1.0 / probe.rho, 1.0]))
+        sym = RationalFunction([1.0], [-1.0 / probe.rho, 1.0])
         with pytest.raises(PoleProximityError):
             apply_symbol_fl(sym, probe)
-
-    def test_component_mismatch(self, probe):
-        with pytest.raises(InputError):
-            apply_symbol_fl(RationalMatrixFunction.constant(np.eye(2)), probe)
-
-    def test_matrix_symbol_mixes_components(self):
-        base = make_probe()
-        two = WeightedSignal(base.t, np.column_stack([base.samples[:, 0],
-                                                      0.5 * base.samples[:, 0]]), 1.0)
-        mix = RationalMatrixFunction.constant(np.array([[0.0, 2.0], [1.0, 0.0]]))
-        out = apply_symbol_fl(mix, two)
-        scale = np.max(np.abs(two.samples))
-        assert np.max(np.abs(out.samples[:, 0] - 2.0 * two.samples[:, 1])) <= 1e-10 * scale
-        assert np.max(np.abs(out.samples[:, 1] - two.samples[:, 0])) <= 1e-10 * scale
