@@ -366,9 +366,21 @@ BAD_COEFFICIENTS = {
     "matrix": (ModelFamily.CUSTOM, "a0", np.diag([1.0, 0.0])),
 }
 
+#: rational coefficients whose numerator is not a real finite vector, each
+#: built inside the test: the law is refused when it is built
+BAD_RATIONAL_NUMERATORS = {
+    "matrix_rational": lambda: RationalFunction(np.diag([0.0, 1.0]), [1.0]),
+    "complex_rational": lambda: RationalFunction([1.0, -0.5j], [1.0, 0.5]),
+    "infinite_rational": lambda: RationalFunction([np.inf], [1.0]),
+}
 
-@pytest.mark.parametrize("case", sorted(BAD_COEFFICIENTS))
+
+@pytest.mark.parametrize("case", sorted(BAD_COEFFICIENTS) + sorted(BAD_RATIONAL_NUMERATORS))
 def test_bad_coefficient_names_itself(case):
+    if case in BAD_RATIONAL_NUMERATORS:
+        with pytest.raises(InputError, match="numerator must be"):
+            BAD_RATIONAL_NUMERATORS[case]()
+        return
     family, name, value = BAD_COEFFICIENTS[case]
     if family is ModelFamily.CUSTOM:
         spec = ModelSpec(family, {"rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0, name: value})

@@ -214,14 +214,16 @@ class TestLineConstant:
         got = check_symbol_boundary(law, rho0)
         assert abs(got - want) <= 1e-12 * abs(want)
 
-    @pytest.mark.parametrize("a2", [RationalFunction([1.0], [1.0, 0.2, 1.0])],
-                             ids=["complex_pole_pair"])
-    def test_complex_part_rejected(self, a2):
-        # the march takes laws with real poles only, and so does the bound: a
-        # complex pole pair is refused when the part is realized (a complex
-        # coefficient already when the law is built)
-        with pytest.raises(RealizationError, match="complex pole"):
-            check_symbol_boundary(custom_resistance(a2), 1.0)
+    @pytest.mark.parametrize("make_a2, error, message", [
+        (lambda: RationalFunction([1.0, 1j], [1.0]), InputError, "numerator must be"),
+        (lambda: RationalFunction([1.0], [1.0, 0.2, 1.0]), RealizationError, "complex pole")],
+        ids=["complex_coefficient", "complex_pole_pair"])
+    def test_complex_part_rejected(self, make_a2, error, message):
+        # the march takes real laws with real poles only, and so does the
+        # bound: a complex coefficient is refused when the law is built, a
+        # complex pole pair when the part is realized
+        with pytest.raises(error, match=message):
+            check_symbol_boundary(custom_resistance(make_a2()), 1.0)
 
     @pytest.mark.parametrize("rho0", [np.nan, np.inf, 0.0])
     def test_rejects_non_finite_or_nonpositive_weight(self, rho0):
