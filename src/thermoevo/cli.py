@@ -97,30 +97,18 @@ def _finite(value, context: str) -> float:
     return float(value)
 
 
-def _numeric_array(value, context: str, ndims: tuple) -> np.ndarray:
-    """``value`` as a non-empty finite float array whose dimension is in ``ndims``."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if (arr.dtype.kind not in "iuf" or arr.ndim not in ndims or arr.size == 0
-            or not np.all(np.isfinite(arr))):
-        shapes = " or ".join(("a number", "a list")[d] for d in ndims)
-        raise ConfigError(f"'{context}' must be {shapes} of finite numbers")
-    return arr.astype(float)
-
-
 def _parse_coefficient(name, value):
+    """A ``{"num", "den"}`` object as a rational function; else ``value``."""
+    if not isinstance(value, dict):
+        return value
     context = f"model.coefficients.{name}"
-    if isinstance(value, dict):
-        _check_keys(value, {"num", "den"}, context)
-        if set(value) != {"num", "den"} or not isinstance(value["num"], list):
-            raise ConfigError(f"'{context}' needs both 'num' (a list) and 'den'")
-        return RationalFunction(_numeric_array(value["num"], f"{context}.num", (1,)),
-                                _numeric_array(value["den"], f"{context}.den", (1,)))
-    if isinstance(value, list):
-        return _numeric_array(value, context, (0, 1))
-    return _finite(value, context)
+    _check_keys(value, {"num", "den"}, context)
+    if set(value) != {"num", "den"}:
+        raise ConfigError(f"'{context}' needs both 'num' and 'den'")
+    try:
+        return RationalFunction(value["num"], value["den"])
+    except InputError as exc:
+        raise ConfigError(f"'{context}': {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._integrators import exp_march_linear
 from .errors import InputError
-from .rational import RationalFunction, realize_state_space
+from .rational import RationalFunction, real_array, realize_state_space
 from .signals import WeightedSignal, antiderivative
 
 __all__ = [
@@ -93,8 +93,8 @@ class ModelSpec:
     """A named model family with its material coefficients.
 
     Coefficient values are real finite numbers (uniform) or lists of per-cell
-    values; all lists must share one length.  Custom laws additionally
-    accept rational functions for the zero-order parts a1 and a2.
+    values, held as given (:func:`assemble_material_law` checks them); custom
+    laws also accept rational functions for the zero-order parts a1 and a2.
     """
 
     family: ModelFamily
@@ -120,33 +120,14 @@ class ModelSpec:
             if isinstance(value, RationalFunction) and name not in rational_ok:
                 raise InputError(f"coefficient '{name}' cannot be a rational function")
 
-    @property
-    def n_cells(self) -> int:
-        n = 1
-        for value in self.coefficients.values():
-            if isinstance(value, (list, tuple, np.ndarray)) and np.asarray(value).ndim == 1:
-                m = np.asarray(value).shape[0]
-                if n not in (1, m):
-                    raise InputError("per-cell coefficient lists must share one length")
-                n = max(n, m)
-        return n
-
 
 def _column(name: str, value, n_cells: int):
-    """Coefficient ``name`` converted once: a rational function as given,
-    else its float values over ``n_cells`` cells."""
+    """Converted coefficient ``name`` over ``n_cells`` cells."""
     if isinstance(value, RationalFunction):
         return value
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf" or arr.ndim > 1 or not np.all(np.isfinite(arr)):
-        raise InputError(f"coefficient '{name}' must be a real finite number "
-                         "or a list of them")
-    if arr.size not in (1, n_cells):
-        raise InputError(f"coefficient '{name}' has {arr.size} values for {n_cells} cells")
-    return np.full(n_cells, arr, dtype=float)
+    if value.size not in (1, n_cells):
+        raise InputError(f"coefficient '{name}' has {value.size} values for {n_cells} cells")
+    return np.full(n_cells, value)
 
 
 def _distinct_laws(num: list, den: list) -> tuple:
@@ -247,15 +228,19 @@ def _classify(mass: np.ndarray) -> str:
 def assemble_material_law(spec: ModelSpec) -> MaterialLaw:
     """Map a model family onto the common two-part law.
 
-    Each coefficient is converted once, to a float array over the cells; a
-    value that is not a real finite number (or a list of them, or for a1
-    and a2 of a custom law a rational function) raises.  Raises on
+    Each coefficient is converted once (:func:`~thermoevo.rational.real_array`),
+    over as many cells as the most values given; a value that is not a real
+    finite number or a list of them of length 1 or that count (or for a1 and
+    a2 of a custom law a rational function) raises.  Raises on
     structurally invalid coefficients (non-positive density, vanishing lag
     times, singular conductivity); hypothesis violations that merely break
     well-posedness assemble fine so the certifier can report them.
     """
-    n = spec.n_cells
-    c = {name: _column(name, value, n) for name, value in spec.coefficients.items()}
+    c = {name: value if isinstance(value, RationalFunction) else real_array(
+             value, f"coefficient '{name}' must be a real finite number or a list of them")
+         for name, value in spec.coefficients.items()}
+    n = max([1] + [value.size for value in c.values() if isinstance(value, np.ndarray)])
+    c = {name: _column(name, value, n) for name, value in c.items()}
     if spec.family is ModelFamily.CUSTOM:
         return _assemble_custom(c, n)
     return _assemble_catalog(spec.family, c, n)

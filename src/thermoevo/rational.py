@@ -31,18 +31,39 @@ EVAL_POLE_TOL = 1e-14
 TRANSFER_MATCH_TOL = 1e-9
 
 
-def _coefficients(value, name: str) -> np.ndarray:
-    """``value`` as a read-only float64 vector, or :class:`InputError` unless
-    it is a non-empty 1-D list of real finite numbers."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if (arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size == 0
-            or not np.isfinite(arr).all()):
-        raise InputError(f"{name} must be a non-empty list of real finite numbers")
-    arr = arr.astype(np.float64)
+#: the types of a real number; a bool (``bool`` or ``np.bool_``) is not one
+_REAL = (int, float, np.integer, np.floating)
+
+
+def real_array(value, message: str) -> np.ndarray:
+    """``value`` as a read-only float64 array of at most one dimension: a
+    Python or numpy int or float (an int becomes the double ``float()``
+    gives), a list or tuple of them, or an int or float ndarray, judged by
+    its dtype.  Anything else, a bool anywhere in it, a non-finite value or
+    a nested list included, raises :class:`InputError` with ``message``."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf" or value.ndim > 1:
+            raise InputError(message)
+        arr = value.astype(np.float64)
+    else:
+        items = value if isinstance(value, (list, tuple)) else [value]
+        if not all(isinstance(v, _REAL) and not isinstance(v, bool) for v in items):
+            raise InputError(message)
+        try:
+            arr = np.asarray(value, dtype=np.float64)
+        except OverflowError:  # an int past the float range
+            raise InputError(message) from None
+    if not np.isfinite(arr).all():
+        raise InputError(message)
     arr.flags.writeable = False
+    return arr
+
+
+def _coefficients(value, name: str) -> np.ndarray:
+    message = f"{name} must be a non-empty list of real finite numbers"
+    arr = real_array(value, message)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InputError(message)
     return arr
 
 

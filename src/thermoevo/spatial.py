@@ -10,6 +10,7 @@ antisymmetric to the last bit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +34,14 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if not (self.length > 0):
-            raise InputError("domain length must be positive")
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, (int, np.integer)):
+            raise InputError(f"n_cells must be an integer, not {self.n_cells!r}")
+        if not 0 < self.length < np.inf:
+            raise InputError("domain length must be positive and finite")
         if self.n_cells < 2:
             raise InputError("need at least 2 cells")
+        if self.n_cells > sys.float_info.max:
+            raise InputError("n_cells is too large: it has no float value")
         # 1/h rounds to inf exactly when h <= 2**-1024
         if not self.h > 2.0**-1024:
             raise InputError(f"cell size L/n_cells = {self.length:g}/{self.n_cells} "

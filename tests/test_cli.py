@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thermoevo
-from thermoevo import _json, _lapack, assemble_material_law, cli, evolution, pattern_table
+from thermoevo import (ModelFamily, ModelSpec, _json, _lapack, assemble_material_law, cli,
+                       evolution, pattern_table)
 from thermoevo.cli import RunConfig, main, run
 from thermoevo.errors import ConfigError
+from thermoevo.models import COEFFICIENTS
 
 
 def ls_model(gamma=0.5):
@@ -506,6 +509,14 @@ def _custom_with(name, value):
     return payload
 
 
+def _with_kappa_cells(value):
+    """The simulate payload with a per-cell kappa whose last cell is ``value``."""
+    payload = sim_payload()
+    n_cells = payload["grid"]["n_cells"]
+    payload["model"]["coefficients"]["kappa"] = [1.0] * (n_cells - 1) + [value]
+    return payload
+
+
 def _t_max_off_grid():
     payload = sim_payload()
     payload["time"].update(t_max=0.1, dt=0.03)
@@ -541,11 +552,16 @@ def _huge_heat_capacity():
 
 CONFIG_HOLES = {
     "rational_without_den": (_custom_a2({"num": [1.0]}), "and 'den'"),
-    "rational_scalar_num": (_custom_a2({"num": 1.0, "den": [1.0]}), "'num' (a list)"),
+    "rational_scalar_num": (_custom_a2({"num": 1.0, "den": [1.0]}),
+                            "'model.coefficients.a2': numerator must be a non-empty list"),
     "rational_scalar_den": (_custom_a2({"num": [1.0], "den": 2.0}),
-                            "'model.coefficients.a2.den' must be a list of finite numbers"),
+                            "'model.coefficients.a2': denominator must be a non-empty list"),
     "rational_ragged_num": (_custom_a2({"num": [[[1.0], [1.0, 2.0]]], "den": [1.0]}),
-                            "a2.num"),
+                            "'model.coefficients.a2': numerator must be a non-empty list"),
+    "rational_num_with_boolean": (_custom_a2({"num": [1.0, True], "den": [1.0, 0.5]}),
+                                  "'model.coefficients.a2': numerator must be a non-empty list"),
+    # JSON true read as 1.0 in one cell
+    "coefficient_list_with_boolean": (_with_kappa_cells(True), "coefficient 'kappa' must be"),
     "n_cells_fraction": (_with("grid", "n_cells", 2.7), "grid.n_cells"),
     "n_cells_string": (_with("grid", "n_cells", "8"), "grid.n_cells"),
     "n_cells_bool": (_with("grid", "n_cells", True), "grid.n_cells"),
@@ -561,12 +577,12 @@ CONFIG_HOLES = {
     "rational_custom_inertia": (_custom_with("a0", {"num": [1.0], "den": [1.0]}),
                                 "'a0' cannot be a rational function"),
     "custom_lag_matrix": (_custom_with("n0", [[1.0, 0.0], [0.0, 1.0]]),
-                          "'model.coefficients.n0' must be a number or a list of finite numbers"),
+                          "coefficient 'n0' must be a real finite number or a list of them"),
     "custom_density_not_square": (_custom_with("rho0", [[1.0, 2.0]]),
-                                  "'model.coefficients.rho0' must be a number or a list of "
-                                  "finite numbers"),
+                                  "coefficient 'rho0' must be a real finite number or a list "
+                                  "of them"),
     "custom_matrix_a0": (_custom_with("a0", [[1.0, 0.0], [0.0, 0.0]]),
-                         "'model.coefficients.a0' must be a number or a list of finite numbers"),
+                         "coefficient 'a0' must be a real finite number or a list of them"),
     "spatial_profile_number": (_with("forcing", "spatial_profile", 3),
                                "forcing.spatial_profile"),
     # int() would read these as mode 10, 1 and 1
@@ -601,6 +617,8 @@ CONFIG_HOLES = {
     "output_not_string": (sim_payload(output=3), "'output'"),
     # arrays past physical memory: refused before any of them is allocated
     "cells_past_memory": (_with("grid", "n_cells", 10**12), "GiB of physical memory"),
+    # 1 / n_cells would overflow converting the count to a float
+    "cells_past_float_range": (_with("grid", "n_cells", 10**400), "n_cells is too large"),
     "steps_past_memory": (_steps(10**12), "GiB of physical memory"),
     # the step count in the error line as compactly as the bytes
     "steps_past_memory_compact": (_with("time", "dt", 1e-300), "(5e+299 time steps, 62 unknowns"),
@@ -617,7 +635,32 @@ def test_config_hole_exits_one_with_error_line(case, tmp_path, capsys):
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def _law_arrays(law) -> list:
+    """Every array of ``law``: the coefficients, the indices and the distinct laws."""
+    return [getattr(law, name) for name in (*COEFFICIENTS, "n0", "a1_index", "a2_index")] + [
+        part for r in law.a1 + law.a2 for part in (r.num, r.den)]
+
+
+@pytest.mark.parametrize("form", ["scalar", "list"])
+def test_integer_past_int64_is_the_double_float_gives(form):
+    # 2**64 fits no int64 or uint64; the CLI and the API read the same double
+    big, double = 2**64, 18446744073709551616.0
+    assert float(big) == double
+    value, want = (big, double) if form == "scalar" else ([big, 1.0], [double, 1.0])
+    model = ls_model()
+    want_law = assemble_material_law(ModelSpec(ModelFamily.LORD_SHULMAN,
+                                               dict(model["coefficients"], C=want)))
+    model["coefficients"]["C"] = value
+    cli_spec = RunConfig.from_dict(json.loads(json.dumps({"model": model})), "check").spec
+    api_spec = ModelSpec(ModelFamily.LORD_SHULMAN, model["coefficients"])
+    for spec in (cli_spec, api_spec):
+        got = _law_arrays(assemble_material_law(spec))
+        assert len(got) == len(_law_arrays(want_law))
+        assert all(np.array_equal(g, w) for g, w in zip(got, _law_arrays(want_law)))
 
 
 def test_complex_pole_pair_still_certifies(tmp_path, capsys):

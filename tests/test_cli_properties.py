@@ -62,6 +62,8 @@ _LEAVES = _NUMBER_LEAVES + _NAME_LEAVES + [("grid", "n_cells")]
 _NOT_A_NUMBER = st.one_of(
     st.text(max_size=4), st.none(), st.booleans(), st.just([]), st.just({}),
     st.lists(st.lists(st.floats(), max_size=2), min_size=1, max_size=2).map(lambda v: [v]),
+    # one value per cell of the tiny payload, one of them a boolean
+    st.integers(0, 3).map(lambda i: [1.0] * i + [True] + [1.0] * (3 - i)),
     st.sampled_from([float("nan"), float("inf"), -float("inf")]))
 #: no valid family, scheme, forcing kind, block or profile name uses only these letters
 _NOT_A_NAME = st.one_of(

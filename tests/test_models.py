@@ -117,10 +117,10 @@ class TestAssembly:
             "rho0": [1.0, 2.0, 3.0], "nu": 1.0, "C": 1.0, "Gamma": 0.0, "kappa": 1.0}))
         assert law.n_cells == 3
         assert law.rho0.tolist() == [1.0, 2.0, 3.0]
-        with pytest.raises(InputError):  # mismatched list lengths
-            ModelSpec(ModelFamily.CLASSICAL, {
+        with pytest.raises(InputError, match="coefficient 'rho0' has 2 values for 3 cells"):
+            assemble_material_law(ModelSpec(ModelFamily.CLASSICAL, {
                 "rho0": [1.0, 2.0], "nu": [1.0, 1.0, 1.0], "C": 1.0,
-                "Gamma": 0.0, "kappa": 1.0}).n_cells
+                "Gamma": 0.0, "kappa": 1.0}))
 
     def test_per_cell_lists_are_converted_per_coefficient(self, monkeypatch):
         # converting a whole per-cell list once per cell made assembly
@@ -363,6 +363,9 @@ BAD_COEFFICIENTS = {
     "inf": (ModelFamily.CLASSICAL, "kappa", float("inf")),
     "boolean": (ModelFamily.LORD_SHULMAN, "a0", True),
     "nan_in_list": (ModelFamily.CLASSICAL, "nu", [1.0, float("nan")]),
+    "boolean_in_list": (ModelFamily.CLASSICAL, "kappa", [1.0, True]),
+    "numpy_boolean_in_list": (ModelFamily.CLASSICAL, "C", [1.0, np.True_]),
+    "ragged_list": (ModelFamily.CLASSICAL, "C", [[1.0], [1.0, 2.0]]),
     "matrix": (ModelFamily.CUSTOM, "a0", np.diag([1.0, 0.0])),
 }
 

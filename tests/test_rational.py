@@ -81,9 +81,10 @@ class TestConstructor:
         ([np.nan], [1.0]),
         ([1.0], [1.0, np.inf]),
         ([True], [1.0]),
+        ([1.0, True], [1.0]),
         (["1"], [1.0]),
         ([], [1.0]),
-    ], ids=["complex_den", "nan", "inf", "boolean", "string", "empty_num"])
+    ], ids=["complex_den", "nan", "inf", "boolean", "boolean_in_list", "string", "empty_num"])
     def test_rejected(self, num, den):
         with pytest.raises(InputError, match="must be a non-empty list of real finite numbers"):
             RationalFunction(num, den)

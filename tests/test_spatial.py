@@ -28,6 +28,15 @@ class TestGrid:
             Grid1D(-1.0, 4)
         with pytest.raises(InputError):
             Grid1D(1.0, 1)
+        for n_cells in (8.0, "8", True):
+            with pytest.raises(InputError, match="n_cells must be an integer"):
+                Grid1D(1.0, n_cells)
+        for length in (np.inf, np.nan):
+            with pytest.raises(InputError, match="length must be positive and finite"):
+                Grid1D(length, 8)
+        with pytest.raises(InputError, match="n_cells is too large"):
+            Grid1D(1.0, 10**400)
+        assert Grid1D(1.0, np.int64(8)).n_faces == 8
 
 
 #: (n_cells, length) of the closed-form checks against the per-cell assembly
