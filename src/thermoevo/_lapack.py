@@ -1,5 +1,5 @@
 """The band and tridiagonal LAPACK/BLAS routines of the march and of the
-oracle's spline: ``gbtrf``, ``gbtrs``, ``gbmv``, ``tbsv`` and ``gtsv``.
+oracle's spline: ``gbtrf``, ``gbtrs``, ``tbsv`` and ``gtsv``.
 
 numpy 2 wheels link scipy-openblas, built with 64-bit integers
 (``USE64BITINT``) and its symbols renamed ``scipy_<routine>_64_``.  Where
@@ -9,24 +9,25 @@ int64 sizes and pivots, and no further library loads.  Other builds (MKL,
 Accelerate, conda) take them from ``scipy.linalg.lapack`` and
 ``scipy.linalg.blas``.
 
-:func:`gbtrs`, :func:`gbmv` and :func:`tbsv` bind one matrix and the work
-vectors they read and write, checked once for dtype, length, contiguity
-and writability; the call they return takes no argument.  A march thus
-makes every argument once per factorization, and each step passes ready
-pointers only.
+:func:`gbtrs` and :func:`tbsv` bind one matrix and the work vector they
+overwrite, checked once for dtype, length, contiguity and writability; the
+call they return takes no argument.  A march thus makes every argument once
+per factorization, and each step passes ready pointers only.  The march
+needs no banded product: in its congruence basis the instantaneous block
+is diagonal (:class:`thermoevo.evolution._ImplicitStepper`).
 """
 
 from __future__ import annotations
 
 import ctypes
-from ctypes import c_char_p, c_double, c_int64, c_size_t, c_void_p, cast, pointer
+from ctypes import c_char_p, c_int64, c_size_t, c_void_p, cast, pointer
 from functools import cache
 
 import numpy as np
 
 from .errors import SingularSystemError
 
-__all__ = ["gbtrf", "gbtrs", "gbmv", "tbsv", "gtsv"]
+__all__ = ["gbtrf", "gbtrs", "tbsv", "gtsv"]
 
 #: argument types of each routine: Fortran takes every argument by
 #: reference, and ``c_size_t`` is the hidden length of the one-character
@@ -34,7 +35,6 @@ __all__ = ["gbtrf", "gbtrs", "gbmv", "tbsv", "gtsv"]
 _SIGNATURES = {
     "dgbtrf": [c_void_p] * 8,
     "dgbtrs": [c_char_p, *[c_void_p] * 10, c_size_t],
-    "dgbmv": [c_char_p, *[c_void_p] * 12, c_size_t],
     "dtbsv": [c_char_p, c_char_p, c_char_p, *[c_void_p] * 6, *[c_size_t] * 3],
     "dgtsv": [c_void_p] * 8,
 }
@@ -133,35 +133,6 @@ def gbtrs(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, b: np.ndarray):
     routine = routines["dgbtrs"]
     args = (_NO_TRANSPOSE, *_ints(n, kl, ku, 1), _address(lu), *_ints(lu.shape[0]),
             _address(piv), _address(b), *_ints(n, 0), _ONE_CHARACTER)
-    return lambda: routine(*args)
-
-
-def gbmv(a: np.ndarray, kl: int, ku: int, x: np.ndarray, y: np.ndarray):
-    """The product ``y <- y + A x`` of the n x n band matrix ``a``
-    (``kl + ku + 1`` rows, Fortran order), bound to the work vectors ``x``
-    and ``y``."""
-    a = _band(a, kl + ku + 1)
-    n = a.shape[1]
-    _check_work(x, n)
-    _check_work(y, n)
-    routines = _openblas64()
-    if routines is None:
-        from scipy.linalg.blas import dgbmv
-
-        # BLAS needs only LDA >= kl + ku + 1, the rows of ``a``; scipy's
-        # wrapper also asks for that many rows of the product, so a smaller
-        # matrix runs over zero rows past its own
-        rows = max(n, kl + ku + 1)
-
-        def product():
-            out = np.concatenate([y, np.zeros(rows - n)]) if rows > n else y
-            y[:] = dgbmv(rows, n, kl, ku, 1.0, a, x, beta=1.0, y=out, overwrite_y=1)[:n]
-
-        return product
-    routine = routines["dgbmv"]
-    one, increment = _reference(c_double(1.0)), _ints(1)[0]
-    args = (_NO_TRANSPOSE, *_ints(n, n, kl, ku), one, _address(a), *_ints(a.shape[0]),
-            _address(x), increment, one, _address(y), increment, _ONE_CHARACTER)
     return lambda: routine(*args)
 
 

@@ -428,7 +428,7 @@ def main(argv=None) -> int:
                 payload = json.loads(args.config.read_text(encoding="utf-8"))
             except FileNotFoundError:
                 raise ConfigError(f"config file not found: {args.config}") from None
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not UTF-8, not JSON, or an integer past int's digit limit
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
         config = RunConfig.from_dict(payload, args.mode, out_dir=args.out,
                                      all_families=args.all)

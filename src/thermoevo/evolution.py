@@ -11,12 +11,14 @@ Solving ODEs II, IV.3) of the augmented state z = (U, x): backward Euler is
 theta = 1, the trapezoidal rule theta = 1/2.  Every block couples only
 neighbouring cells, and each auxiliary state (one simple pole) only its
 owner unknown, so with the unknowns ordered cell by cell and each auxiliary
-state placed just before its owner, both matrices of the step are bands,
-written entry by entry from closed forms.  One banded LU of the step matrix
-is reused across steps: without pivoting where the step matrix is certified
-for it (:class:`_ImplicitStepper`), so a solve is two triangular sweeps,
-and with partial pivoting otherwise.  The right-hand side is one banded
-product.
+state placed just before its owner, the step matrix is a band, written
+entry by entry from closed forms.  The march carries w = L u in place of u,
+where M = L^T diag(D) L and L^-1 = I - N exactly (:class:`_Congruence`):
+there the instantaneous block is diagonal, so a step's right-hand side is
+a diagonal scaling plus the forcing, and no banded product.  One banded LU
+of the congruent step matrix is reused across steps: without pivoting where
+the step matrix is certified for it (:class:`_ImplicitStepper`), so a solve
+is two triangular sweeps, and with partial pivoting otherwise.
 """
 
 from __future__ import annotations
@@ -85,6 +87,75 @@ class _AuxChain:
         return self.poles.size
 
 
+@dataclass(frozen=True)
+class _Congruence:
+    """The unit triangular factor L = I + N of the instantaneous block
+    M = L^T diag(D) L (:attr:`EvolutionProblem.mass_band`).
+
+    N's only entries put ``half_gamma[f]`` (sigma rows) and ``half_zeta[f]``
+    (q rows) on the two temperature nodes of face f, node j having face j
+    on its left and face j + 1 on its right; so N^2 = 0 and L^-1 = I - N
+    exactly.  ``sigma``, ``theta`` and ``q`` are the positions of those
+    unknowns (block slices) along the last axis of the rows that the maps
+    change in place.  Where N is zero every map leaves its rows untouched,
+    signed zeros included.
+    """
+
+    half_gamma: np.ndarray  # (n_cells,)
+    half_zeta: np.ndarray   # (n_cells,)
+    diagonal: np.ndarray    # (n_dof,) D in block order
+    sigma: slice
+    theta: slice
+    q: slice
+
+    @cached_property
+    def identity(self) -> bool:
+        return not (np.any(self.half_gamma) or np.any(self.half_zeta))
+
+    def by_row(self, positions: np.ndarray, n: int) -> list:
+        """N by rows over an order of ``n`` positions that puts block-order
+        dof i at ``positions[i]``: one ``(cols, values)`` pair for the left
+        and one for the right end of each face, row i holding ``values[i]``
+        at column ``cols[i]`` (a zero where it holds none)."""
+        pairs = []
+        for faces in (slice(1, None), slice(None, -1)):  # face j + 1, face j of node j
+            cols, values = np.zeros(n, dtype=np.intp), np.zeros(n)
+            for at, half in ((self.sigma, self.half_gamma), (self.q, self.half_zeta)):
+                cols[positions[at][faces]] = positions[self.theta]
+                values[positions[at][faces]] = half[faces]
+            pairs.append((cols, values))
+        return pairs
+
+    def _lower(self, rows, add) -> np.ndarray:
+        if not self.identity:
+            theta = rows[..., self.theta]
+            # theta_{f-1} + theta_f on face f: node j is the right end of
+            # face j + 1 and the left end of face j
+            faces = np.empty(theta.shape[:-1] + (theta.shape[-1] + 1,))
+            faces[..., 0], faces[..., -1] = theta[..., 0], theta[..., -1]
+            np.add(theta[..., :-1], theta[..., 1:], out=faces[..., 1:-1])
+            for at, half in ((self.sigma, self.half_gamma), (self.q, self.half_zeta)):
+                add(rows[..., at], half * faces, out=rows[..., at])
+        return rows
+
+    def lower(self, rows) -> np.ndarray:
+        """``rows`` <- L ``rows``."""
+        return self._lower(rows, np.add)
+
+    def lower_inverse(self, rows) -> np.ndarray:
+        """``rows`` <- L^-1 ``rows`` = ``rows - N rows``."""
+        return self._lower(rows, np.subtract)
+
+    def lower_inverse_transpose(self, rows) -> np.ndarray:
+        """``rows`` <- L^-T ``rows`` = ``rows - N^T rows``: only the
+        temperature unknowns change."""
+        if not self.identity:
+            faces = self.half_gamma * rows[..., self.sigma]
+            faces += self.half_zeta * rows[..., self.q]
+            rows[..., self.theta] -= faces[..., :-1] + faces[..., 1:]
+        return rows
+
+
 @dataclass
 class EvolutionProblem:
     """Material law, spatial operator, forcing and scheme for one run.
@@ -150,6 +221,15 @@ class EvolutionProblem:
                 for name in COEFFICIENTS}
 
     @cached_property
+    def _congruence(self) -> _Congruence:
+        """The congruence factor L of the instantaneous block in block order."""
+        face, node = self.face_coeffs, self.node_coeffs
+        _, sigma, theta, q = self.op.block_slices()
+        return _Congruence(0.5 * face["Gamma"], 0.5 * face["zeta0"],
+                           np.concatenate([node["rho0"], 1.0 / face["C"], node["nu"], face["a0"]]),
+                           sigma, theta, q)
+
+    @cached_property
     def mass_band(self) -> np.ndarray:
         """Instantaneous block M = L^T diag(D) L in band storage over the cell
         order of :class:`_ImplicitStepper`.
@@ -160,9 +240,9 @@ class EvolutionProblem:
         temperature nodes of face f, so M is symmetric positive semidefinite
         wherever D is nonnegative; its entries are written in closed form.
         """
-        face, node = self.face_coeffs, self.node_coeffs
+        face, node, congruence = self.face_coeffs, self.node_coeffs, self._congruence
         inv_c, inertia = 1.0 / face["C"], face["a0"]
-        half_gamma, half_zeta = 0.5 * face["Gamma"], 0.5 * face["zeta0"]
+        half_gamma, half_zeta = congruence.half_gamma, congruence.half_zeta
         sigma_theta = inv_c * half_gamma   # M[sigma_f, theta] on both nodes of face f
         q_theta = inertia * half_zeta      # M[q_f, theta] likewise
         sigma_shared = sigma_theta * half_gamma  # theta-theta through sigma_f
@@ -293,7 +373,7 @@ def _lu_unpivoted(ab: np.ndarray, k: int):
 
 class _ImplicitStepper:
     """One factorized theta-scheme step of the augmented state z = (u, x),
-    reused across the march.
+    reused across the march, taken in the congruence basis w = T z.
 
     The memory states x are unknowns of the band: with E = blockdiag(M, I)
     and J = [[A_h + diag(D), C], [-B, -P]], a step solves
@@ -310,25 +390,35 @@ class _ImplicitStepper:
     state placed just before its owner dof (an owner repeats when its law has
     several poles): ``u_at`` and ``x_at`` give the z position of each
     block-order dof and of each memory state; ``perm`` lists the block-order
-    dof at each cell-order position and ``inv`` is its inverse.  Both
-    matrices are bands with ``band`` sub- and super-diagonals.
+    dof at each cell-order position and ``inv`` is its inverse.
+
+    With T = blockdiag(L, I), L the congruence factor of M
+    (:class:`_Congruence`), the march carries w = T z.  The instantaneous
+    block becomes the diagonal ``c = (D/dt, 1)`` (the x rows times dt), and
+    the step matrix ``step_band`` = T^-T (E/dt + theta J) T^-1, a band with
+    ``band`` sub- and super-diagonals, formed from the entries of E/dt +
+    theta J and N's two entries per sigma or q row (:func:`_congruent`),
+    never as a dense matrix.  Backward Euler solves ``step_band w+ = c w +
+    L^-T f+``; the trapezoidal rule, in its implicit-midpoint form,
+    ``step_band s = 2 c w + L^-T (f+ + f)/2`` and sets ``w+ = s - w``.  A
+    step is thus one scaling, one sum, the solve and one copy or difference:
+    no banded product.
 
     The step matrix is factorized once.  Where every x pivot
     ``1 - theta dt p_i`` is positive and the symmetric part of the step
     matrix on u, ``M/dt + theta (diag(D) + the memory states' diagonal)``,
-    is positive definite (:meth:`_positive_definite`), an LU without
-    pivoting is stable (Golub & Van Loan, on matrices with a positive
-    definite symmetric part): the x columns come first, so it leaves the step
-    matrix M/dt + K_theta, and each solve is two triangular sweeps (``tbsv``)
-    on the factors (:func:`_lu_unpivoted`).  Otherwise, or where that LU
-    meets a zero or non-finite pivot, ``gbtrf`` factorizes the same band with
-    partial pivoting (``pivoted``) and ``gbtrs`` solves.
+    is positive definite (:meth:`_positive_definite`; a congruence keeps
+    it so), an LU without pivoting is stable (Golub & Van Loan, on matrices
+    with a positive definite symmetric part): the x columns come first, so
+    it leaves the step matrix of u alone, and each solve is two triangular
+    sweeps (``tbsv``) on the factors (:func:`_lu_unpivoted`).  Otherwise, or
+    where that LU meets a zero or non-finite pivot, ``gbtrf`` factorizes the
+    same band with partial pivoting (``pivoted``) and ``gbtrs`` solves.
 
-    The right-hand side is one ``gbmv`` product.  The product and the solve
-    are bound here, once, to two work vectors (:mod:`thermoevo._lapack`):
-    ``z`` holds the state a step starts from, and ``rhs`` the right-hand
-    side, which the solve overwrites with the new state; so a stepper takes
-    one step at a time, never two at once from different threads.
+    The solve is bound here, once, to the work vector ``rhs``
+    (:mod:`thermoevo._lapack`), which it overwrites with its solution; ``w``
+    is the state a step starts from.  So a stepper takes one step at a
+    time, never two at once from different threads.
     """
 
     def __init__(self, problem: EvolutionProblem):
@@ -354,43 +444,42 @@ class _ImplicitStepper:
         mass, zero_order = problem.mass_band, skew_band(problem.op)
         feed = problem.feedthrough[self.perm]
         zero_order[_BAND] = feed  # A_h + diag(D): A_h has a zero diagonal
+        # the entries (rows, cols, values) of E/dt + theta J over z, its x
+        # rows times dt: the stored entries (j + d, j) of the cell-order
+        # bands, one band offset d at a time, then the memory states'
+        entries = []
+        for d in range(-_BAND, _BAND + 1):
+            j = np.arange(max(0, -d), n_u - max(0, d))
+            j = j[(mass[_BAND + d, j] != 0.0) | (zero_order[_BAND + d, j] != 0.0) | (d == 0)]
+            entries.append((cell_at[j + d], cell_at[j],
+                            mass[_BAND + d, j] / dt + theta * zero_order[_BAND + d, j]))
+        x_diagonal, x_input = dt * chain.poles, dt * chain.gain_in
+        entries += [(self.x_at, self.x_at, 1.0 - theta * x_diagonal),
+                    (self.x_at, owner, -theta * x_input),
+                    (owner, self.x_at, theta * chain.gain_out)]
+        rows, cols, values = _congruent(*(np.concatenate(part) for part in zip(*entries)),
+                                        problem._congruence.by_row(self.u_at, n_z))
+        # E/dt + theta J is structurally symmetric, and so is its congruent
+        self.band = band = int(np.max(np.abs(rows - cols), initial=0))
+        # entry (i, j) at [band + i - j, j], Fortran-ordered; repeats summed
+        step_band = np.bincount((band + rows - cols) + (2 * band + 1) * cols, values,
+                                minlength=(2 * band + 1) * n_z).reshape((-1, n_z), order="F")
+        step_band.flags.writeable = False
+        self.step_band = step_band
 
-        def cell_entries():
-            """(z rows, z cols, M/dt, A_h + diag(D)) of the stored entries
-            (j + d, j) of the cell-order bands, one band offset d at a time."""
-            for d in range(-_BAND, _BAND + 1):
-                j = np.arange(max(0, -d), n_u - max(0, d))
-                j = j[(mass[_BAND + d, j] != 0.0) | (zero_order[_BAND + d, j] != 0.0) | (d == 0)]
-                yield (cell_at[j + d], cell_at[j], mass[_BAND + d, j] / dt,
-                       zero_order[_BAND + d, j])
-
-        # A_h and M are structurally symmetric: the lower band is the upper's
-        self.band = band = max(int(np.max(owner - self.x_at, initial=0)),
-                               *(int(np.max(r - c, initial=0)) for r, c, _, _ in cell_entries()))
-        x_diagonal, x_input, x_output = dt * chain.poles, dt * chain.gain_in, chain.gain_out
-
-        def matrix(weight, out):
-            """E/dt + weight J over z, its x rows times dt, into the band
-            storage ``out`` with ``band`` sub- and super-diagonals."""
-            for rows, cols, m, a in cell_entries():
-                out[band + rows - cols, cols] = m + weight * a
-            out[band, self.x_at] = 1.0 - weight * x_diagonal
-            out[band + self.x_at - owner, owner] = -weight * x_input
-            out[band + owner - self.x_at, self.x_at] = weight * x_output
-            return out
-
-        self.z, self.rhs = np.zeros(n_z), np.zeros(n_z)
-        self.rhs_band = matrix(theta - 1.0, np.zeros((2 * band + 1, n_z), order="F"))
-        self.product = _lapack.gbmv(self.rhs_band, band, band, self.z, self.rhs)
+        c = np.ones(n_z)
+        c[self.u_at] = problem._congruence.diagonal / dt
+        self.c = c / theta  # c, or the midpoint form's 2 c: exact
+        self.w, self.rhs = np.zeros(n_z), np.zeros(n_z)
         ab = np.zeros((3 * band + 1, n_z), order="F")
         lu = None
         if np.all(theta * x_diagonal < 1.0) and self._positive_definite(problem, feed):
-            matrix(theta, ab[band:])
+            ab[band:] = step_band
             lu = _lu_unpivoted(ab, band)
         self.pivoted = lu is None
         if self.pivoted:
-            ab[:] = 0.0
-            matrix(theta, ab[band:])
+            ab[:band] = 0.0
+            ab[band:] = step_band
             lu, piv, info = _lapack.gbtrf(ab, band, band)
             if info > 0:
                 raise SingularSystemError(
@@ -421,15 +510,22 @@ class _ImplicitStepper:
         lu = _lu_unpivoted(symmetric, _BAND)
         return lu is not None and bool(np.all(lu[2 * _BAND] > 0.0))
 
-    def advance(self, forcing) -> np.ndarray:
-        """One step from the state in ``z`` under ``forcing``, the z-order
-        ``theta f+ + (1-theta) f``; the new state replaces ``z`` and is
-        returned (``z`` itself)."""
-        self.rhs[:] = forcing
-        self.product()
-        self.solve()
-        self.z[:] = self.rhs
-        return self.z
+    def march(self, forcing, out) -> None:
+        """Steps from the state ``w`` under each row of ``forcing`` in turn,
+        the z-order ``L^-T (theta f+ + (1-theta) f)`` (:meth:`mix`), writing
+        each new state to the next row of ``out``; ``w`` becomes the last."""
+        c, rhs, solve, w = self.c, self.rhs, self.solve, self.w
+        midpoint = self.theta != 1.0
+        for row, new in zip(forcing, out):
+            np.multiply(c, w, out=rhs)
+            rhs += row
+            solve()
+            if midpoint:
+                np.subtract(rhs, w, out=new)
+            else:
+                new[:] = rhs
+            w = new
+        self.w = w
 
     def mix(self, f_next, f_n) -> np.ndarray:
         """``theta f+ + (1-theta) f`` of block-order or row-stacked forcing;
@@ -468,17 +564,44 @@ class _ImplicitStepper:
         return aux
 
 
+def _congruent(rows, cols, values, n_by_row) -> tuple:
+    """The entries ``(rows, cols, values)`` of T^-T A T^-1, T^-1 = I - N,
+    from those of A and N by rows (:meth:`_Congruence.by_row`); entries at
+    one position are to be summed.  A T^-1 = A - A N: column t gains
+    ``-A[:, k] N[k, t]``; then T^-T (A T^-1) gains ``-N[k, t]`` times row k
+    of A T^-1 on row t."""
+    for by_rows in (False, True):
+        key = rows if by_rows else cols
+        parts = [(rows, cols, values)]
+        for n_cols, n_values in n_by_row:
+            hit = np.flatnonzero(n_values[key])
+            moved = n_cols[key[hit]]
+            scaled = -(values[hit] * n_values[key[hit]])
+            parts.append((moved, cols[hit], scaled) if by_rows else (rows[hit], moved, scaled))
+        rows, cols, values = (np.concatenate(part) for part in zip(*parts))
+    return rows, cols, values
+
+
 def step_implicit(problem: EvolutionProblem, u_n, x_n, f_next, f_n):
     """Advance one implicit step in block order from the forcing at both ends
-    (backward Euler does not read ``f_n``); the factorization is cached."""
+    (backward Euler does not read ``f_n``); the factorization is cached.
+    The step maps ``u_n`` to ``L u_n`` (:class:`_Congruence`) and the new
+    state back, so a chain of steps equals :func:`solve`, which carries
+    ``L u``, to rounding past its first step, and bitwise where L = I."""
     stepper = problem._stepper
+    congruence = problem._congruence
     forcing = np.zeros(stepper.rhs.size)
-    forcing[stepper.u_at] = stepper.mix(np.asarray(f_next, dtype=float),
-                                        np.asarray(f_n, dtype=float))
-    stepper.z[stepper.u_at] = u_n
-    stepper.z[stepper.x_at] = x_n
-    z = stepper.advance(forcing)
-    return z[stepper.u_at], z[stepper.x_at]
+    # copies of f_next and u_n: the maps work in place
+    forcing[stepper.u_at] = congruence.lower_inverse_transpose(
+        stepper.mix(np.array(f_next, dtype=float), np.asarray(f_n, dtype=float)))
+    w = np.zeros(stepper.rhs.size)
+    w[stepper.u_at] = congruence.lower(np.array(u_n, dtype=float))
+    w[stepper.x_at] = x_n
+    stepper.w = w
+    with np.errstate(over="ignore", invalid="ignore"):  # as BLAS, which never warns
+        stepper.march(forcing[None], np.empty((1, w.size)))
+        w = stepper.w
+        return congruence.lower_inverse(w[stepper.u_at]), w[stepper.x_at]
 
 
 class Trajectory:
@@ -655,28 +778,36 @@ def _reap(pid: int, read_end: int, paths) -> str:
 def solve(problem: EvolutionProblem) -> Trajectory:
     """March the implicit scheme from zero initial data over the grid.
 
-    The forcing enters in row chunks, each mixed as ``theta f+ + (1-theta) f``
-    and spread to the z order of :class:`_ImplicitStepper` at once; each
-    step is stored in block order, in ``states``, which is read-only.  Only
-    the current memory states are carried through the march, inside z; the
-    trajectory's ``aux`` replays their update over the stored states on its
-    first read (:meth:`_ImplicitStepper.aux_history`).  A march whose state
-    overflows raises :class:`InputError` naming the first step that is not
-    finite."""
+    The forcing enters in row chunks, each mixed as ``theta f+ + (1-theta) f``,
+    mapped by L^-T and spread to the z order of :class:`_ImplicitStepper`
+    at once.  The marched states of a chunk, w = T z, are gathered into
+    ``states`` in block order and mapped back by u = w - N w; ``states`` is
+    read-only.  Only the current memory states are carried through the
+    march, inside w; the trajectory's ``aux`` replays their update over the
+    stored states on its first read (:meth:`_ImplicitStepper.aux_history`).
+    A march whose state overflows raises :class:`InputError` naming the
+    first step that is not finite."""
     t = problem.forcing.amplitudes.t
     stepper = problem._stepper
     states = np.zeros((t.size, problem.op.n_dof))
     amplitudes = problem.forcing.amplitudes.samples
-    profiles = np.zeros((amplitudes.shape[1], stepper.rhs.size))
-    profiles[:, stepper.u_at] = problem.forcing.profiles
+    congruence = problem._congruence
     # a chunk's forcing, its mix and one temporary of the mix take CHUNK_VALUES
     chunk = max(1, CHUNK_VALUES // (3 * stepper.rhs.size))
-    stepper.z[:] = 0.0
-    for start in range(0, t.size - 1, chunk):
-        f = amplitudes[start:start + chunk + 1] @ profiles
-        f[:, stepper.x_at] = 0.0  # exact zeros, as step_implicit gives the memory states
-        for k, row in enumerate(stepper.mix(f[1:], f[:-1]), start + 1):
-            stepper.advance(row).take(stepper.u_at, out=states[k])
+    # a chunk's z-order forcing (its memory-state entries stay exact zeros,
+    # as step_implicit gives them) and marched states: 2/3 CHUNK_VALUES more
+    forcing, marched = np.zeros((2, min(chunk, t.size - 1), stepper.rhs.size))
+    stepper.w = np.zeros(stepper.rhs.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for start in range(0, t.size - 1, chunk):
+            f = amplitudes[start:start + chunk + 1] @ problem.forcing.profiles
+            m = f.shape[0] - 1
+            forcing[:m, stepper.u_at] = congruence.lower_inverse_transpose(
+                stepper.mix(f[1:], f[:-1]))
+            stepper.march(forcing[:m], marched)
+            block = states[start + 1:start + 1 + m]
+            np.take(marched[:m], stepper.u_at, axis=1, out=block, mode="clip")
+            congruence.lower_inverse(block)
     if not (np.isfinite(states.max()) and np.isfinite(states.min())):
         k = int(np.argmin(np.all(np.isfinite(states), axis=1)))
         raise InputError(f"the march overflows: the state is not finite from step {k} "
@@ -689,8 +820,9 @@ def energy_functional(trajectory: Trajectory) -> np.ndarray:
     """Per-step quadratic form of the instantaneous block, h-weighted.
 
     Evaluated in the congruence form ``u^T M u = sum_i D_i (L u)_i^2``
-    (:attr:`EvolutionProblem.mass_band`): ``L u`` is ``u`` with ``gamma_f``
-    and ``zeta_f`` times the face mean of Theta added to sigma and q.
+    (:class:`_Congruence`): ``L u`` is ``u`` with ``gamma_f / 2`` and
+    ``zeta_f / 2`` times the sum of Theta at the ends of face f added to
+    sigma and q.
     For laws with constant Hermitian zero-order block and vanished forcing,
     backward Euler makes this sequence nonincreasing and the trapezoidal
     rule conserves it exactly (skew spatial part drops out).  Taken in row
@@ -698,16 +830,11 @@ def energy_functional(trajectory: Trajectory) -> np.ndarray:
     never copied whole.
     """
     problem = trajectory.problem
-    face, node = problem.face_coeffs, problem.node_coeffs
-    sl = problem.op.block_slices()
-    weights = np.concatenate([node["rho0"], 1.0 / face["C"], node["nu"], face["a0"]])
+    congruence = problem._congruence
 
     def energy(chunk):
-        lu = chunk.copy()
-        theta_faces = problem.op.node_to_face(lu[:, sl[2]])
-        lu[:, sl[1]] += face["Gamma"] * theta_faces
-        lu[:, sl[3]] += face["zeta0"] * theta_faces
-        return np.einsum("ki,ki,i->k", lu, lu, weights)
+        lu = congruence.lower(chunk.copy())
+        return np.einsum("ki,ki,i->k", lu, lu, congruence.diagonal)
 
     return problem.op.grid.h * map_row_chunks(trajectory.states, energy)
 

@@ -44,13 +44,15 @@ def real_array(value, message: str) -> np.ndarray:
     if isinstance(value, np.ndarray):
         if value.dtype.kind not in "iuf" or value.ndim > 1:
             raise InputError(message)
-        arr = value.astype(np.float64)
+        with np.errstate(over="ignore"):  # a long double past the range: inf, refused below
+            arr = value.astype(np.float64)
     else:
         items = value if isinstance(value, (list, tuple)) else [value]
         if not all(isinstance(v, _REAL) and not isinstance(v, bool) for v in items):
             raise InputError(message)
         try:
-            arr = np.asarray(value, dtype=np.float64)
+            with np.errstate(over="ignore"):
+                arr = np.asarray(value, dtype=np.float64)
         except OverflowError:  # an int past the float range
             raise InputError(message) from None
     if not np.isfinite(arr).all():

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .rational import real_array
 
 __all__ = [
     "Grid1D",
@@ -28,7 +29,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid on (0, L) with ``n_cells`` cells."""
+    """Uniform grid on (0, L) with ``n_cells`` cells.
+
+    ``length`` is read as a float64 (:func:`~thermoevo.rational.real_array`):
+    a string, a bool, a complex or a value past the float range is refused."""
 
     length: float
     n_cells: int
@@ -36,8 +40,11 @@ class Grid1D:
     def __post_init__(self):
         if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, (int, np.integer)):
             raise InputError(f"n_cells must be an integer, not {self.n_cells!r}")
-        if not 0 < self.length < np.inf:
-            raise InputError("domain length must be positive and finite")
+        message = f"domain length must be positive and finite, not {self.length!r}"
+        length = real_array(self.length, message)
+        if length.ndim or not length > 0:
+            raise InputError(message)
+        object.__setattr__(self, "length", float(length))
         if self.n_cells < 2:
             raise InputError("need at least 2 cells")
         if self.n_cells > sys.float_info.max:

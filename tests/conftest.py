@@ -497,9 +497,10 @@ def certify_per_cell(law):
     return WellPosednessReport("inconclusive", 0.0, float("inf"), classification, (), checks)
 
 
-def mass_matrix_lil(problem):
-    """The assembled mass matrix with its congruence factor set entry by
-    entry in a ``lil_matrix``."""
+def congruence_factor(problem):
+    """The unit triangular congruence factor L of the mass matrix, set entry
+    by entry in a ``lil_matrix``: gamma_f and zeta_f times the node-to-face
+    average on the sigma and q rows."""
     op = problem.op
     n = op.n_dof
     sl = op.block_slices()
@@ -511,7 +512,13 @@ def mass_matrix_lil(problem):
     for r, c, v in zip(avg.row, avg.col, avg.data):
         lmat[sl[1].start + r, sl[2].start + c] = gamma_f[r] * v
         lmat[sl[3].start + r, sl[2].start + c] = zeta_f[r] * v
-    lmat = lmat.tocsr()
+    return lmat.tocsr()
+
+
+def mass_matrix_lil(problem):
+    """The assembled mass matrix ``L^T diag(D) L`` with its congruence factor
+    from :func:`congruence_factor`."""
+    lmat = congruence_factor(problem)
     diag = np.concatenate([problem.node_coeffs["rho0"], 1.0 / problem.face_coeffs["C"],
                            problem.node_coeffs["nu"], problem.face_coeffs["a0"]])
     m = (lmat.T @ sp.diags(diag) @ lmat).tocsr()

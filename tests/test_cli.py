@@ -411,6 +411,25 @@ class TestMain:
         config_path.write_text("{not json")
         assert main(["check", "--config", str(config_path)]) == 1
 
+    def test_config_not_utf8_is_input_error(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_bytes(b'{"model": {"family": "classical\xff"}}')
+        assert main(["check", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err
+
+    def test_integer_past_the_digit_limit_is_input_error(self, tmp_path, capsys):
+        # json refuses an integer of more than sys.get_int_max_str_digits()
+        # digits (4300 by default) with a plain ValueError
+        model = json.dumps({"model": ls_model()}).replace('"rho0": 1.0', '"rho0": ' + "1" * 5000)
+        assert "1" * 5000 in model
+        config_path = tmp_path / "run.json"
+        config_path.write_text(model)
+        assert main(["check", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
+
     def test_missing_config_file(self, capsys):
         assert main(["check", "--config", "/nonexistent/nope.json"]) == 1
 
@@ -599,9 +618,11 @@ CONFIG_HOLES = {
                                  "instantaneous block is not finite"),
     # h = 5e-324 / 8 underflows to 0
     "cell_size_underflows": (_with("grid", "L", 5e-324), "cell size L/n_cells"),
+    # the trapezoidal rule's midpoint form solves for w+ + w from 2 c w + f,
+    # about twice the state, so it overflows a step before the state would
     "march_overflows": (_march_overflow(),
-                        "the march overflows: the state is not finite from step 724 "
-                        "(t = 2.82812)"),
+                        "the march overflows: the state is not finite from step 723 "
+                        "(t = 2.82422)"),
     # (t - center) / width overflows: the pulse would be zero at every step
     "pulse_center_overflows": (_with("forcing", "center", 1e308), "pulse center 1e+308"),
     "pulse_width_overflows": (_with("forcing", "width", 1e-310), "pulse width 1e-310"),

@@ -8,7 +8,8 @@ from scipy.sparse.linalg import splu
 
 from conftest import (ALL_FAMILIES, apply_symbol_fl, band_of, bandwidth, bound_numbers_whole,
                       cell_order, displacement_two_branch, from_band, leakage_whole,
-                      march_realization, march_two_branch, mass_matrix_lil, operators_per_cell, per_cell_law,
+                      congruence_factor, march_realization, march_two_branch, mass_matrix_lil,
+                      operators_per_cell, per_cell_law,
                       sampled_forcing, simpson_weights, skew_operator, spec_with,
                       two_branch_system, uncoupled_law, weighted_norm_whole)
 from thermoevo import (
@@ -245,7 +246,11 @@ class TestThetaScheme:
         u2, x2 = step_implicit(problem, u, x, f[2], f[2])
         np.testing.assert_array_equal(u1, u2)
         np.testing.assert_array_equal(x1, x2)
-        np.testing.assert_array_equal(u1, traj.states[2])
+        # the first step from zero is the march's to the bit; the second
+        # starts from L u of the march's state, not from its own L u
+        np.testing.assert_array_equal(u, traj.states[1])
+        scale = np.max(np.abs(traj.states[2]))
+        assert np.max(np.abs(u1 - traj.states[2])) <= two_branch_bound(problem) * scale
 
     def test_trapezoidal_step_needs_previous_forcing(self):
         problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.DPL_II)),
@@ -255,7 +260,9 @@ class TestThetaScheme:
         u, x = step_implicit(problem, traj.states[0], traj.aux[0], f[1], f[0])
         u1, _ = step_implicit(problem, u, x, f[2], f[1])
         u2, _ = step_implicit(problem, u, x, f[2], f[2])
-        np.testing.assert_array_equal(u1, traj.states[2])
+        np.testing.assert_array_equal(u, traj.states[1])
+        scale = np.max(np.abs(traj.states[2]))
+        assert np.max(np.abs(u1 - traj.states[2])) <= two_branch_bound(problem) * scale
         assert not np.array_equal(u2, u1)
 
     def test_empty_aux_chain_stays_float(self):
@@ -280,8 +287,11 @@ def sweep_law(n_cells, seed=3):
 class TestAuxOnRead:
     """The march carries only the current memory states; ``aux`` replays
     their update over the stored states when it is first read.  The states
-    equal those of the ``step_implicit`` chain bitwise (one core); the
-    replayed memory states equal the chain's to ``AUX_REPLAY_ULPS``."""
+    equal those of the ``step_implicit`` chain (one core): bitwise where the
+    congruence factor L is the identity and on the first step from zero;
+    otherwise each chained step starts from L u of the state it is given,
+    not from the march's own L u, so they agree to ``two_branch_bound``.
+    The replayed memory states equal the chain's to ``AUX_REPLAY_ULPS``."""
 
     @staticmethod
     def step_chain(problem):
@@ -298,10 +308,15 @@ class TestAuxOnRead:
     @pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
     @pytest.mark.parametrize("family, n_t", [
         (ModelFamily.DPL_I, None), ("two_pole", None), (ModelFamily.CLASSICAL, None),
-        (ModelFamily.DPL_I, 2)], ids=["dpl_i", "two_pole_owner", "no_aux", "one_step"])
+        (ModelFamily.DPL_I, 2), ("uncoupled", None)],
+        ids=["dpl_i", "two_pole_owner", "no_aux", "one_step", "uncoupled"])
     def test_equals_the_step_chain_bitwise(self, family, n_t, scheme):
-        law = (two_pole_resistance_law() if family == "two_pole"
-               else assemble_material_law(canonical_spec(family)))
+        if family == "two_pole":
+            law = two_pole_resistance_law()
+        elif family == "uncoupled":
+            law = uncoupled_law(ModelFamily.DPL_I)
+        else:
+            law = assemble_material_law(canonical_spec(family))
         problem = pulse_problem(law, n_cells=8, dt=2**-7, t_max=0.25, scheme=scheme,
                                 center=0.1, width=0.03)
         if n_t is not None:  # the grid's first n_t times
@@ -314,7 +329,13 @@ class TestAuxOnRead:
         assert trajectory.aux.shape == (problem.n_steps + 1, problem.aux_chain.n_aux)
         assert (np.max(np.abs(trajectory.aux - aux), initial=0.0)
                 <= AUX_REPLAY_ULPS * EPS * np.max(np.abs(aux), initial=0.0))
-        assert trajectory.states.tobytes() == states.tobytes()
+        assert trajectory.states[:2].tobytes() == states[:2].tobytes()
+        if problem._congruence.identity:
+            assert family == "uncoupled"
+            assert trajectory.states.tobytes() == states.tobytes()
+        else:
+            assert (np.max(np.abs(trajectory.states - states))
+                    <= two_branch_bound(problem) * np.max(np.abs(states)))
         assert trajectory.aux is trajectory.aux
         if problem.aux_chain.n_aux:
             assert np.max(np.abs(aux[-1])) > 0.0
@@ -430,8 +451,9 @@ class TestBandedStep:
         np.testing.assert_array_equal(order[order < n], cell_order(problem.op))
         # each owner's two states, in chain order, just before it
         np.testing.assert_array_equal(stepper.x_at, stepper.u_at[owner] - np.tile([2, 1], 4))
-        # theta_{j-1} meets theta_j across sigma_j, two states, q_j and v_j
-        assert stepper.band == 6
+        # in the congruence basis theta_j meets v_{j-1} through sigma_j's row,
+        # across theta_{j-1}, sigma_j, two states, q_j and v_j
+        assert stepper.band == 7
 
     @pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
     def test_each_step_is_one_product_and_two_sweeps(self, scheme, monkeypatch):
@@ -456,7 +478,8 @@ class TestBandedStep:
         monkeypatch.setattr(evolution._ImplicitStepper, "next_aux", forbidden)
         monkeypatch.setattr(np, "bincount", forbidden)
         solve(problem)
-        assert calls == {"dgbmv": problem.n_steps, "dtbsv": 2 * problem.n_steps}
+        # the product is the diagonal scaling of the congruence basis: no dgbmv
+        assert calls == {"dtbsv": 2 * problem.n_steps}
 
     def test_zero_step_matrix_raises(self):
         problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.CLASSICAL)),
@@ -508,8 +531,6 @@ class TestLapackBinding:
         for bad in (np.ones(6, dtype=np.float32), np.ones(5), np.ones(12)[::2], read_only):
             with pytest.raises(ValueError, match="work vector"):
                 _lapack.gbtrs(lu, piv, 4, 4, bad)
-            with pytest.raises(ValueError, match="work vector"):
-                _lapack.gbmv(band[4:], 4, 4, np.ones(6), bad)
         b = np.full(6, 4.0)
         _lapack.gbtrs(lu, piv, 4, 4, b)()
         np.testing.assert_array_equal(b, np.full(6, 2.0))
@@ -862,19 +883,61 @@ class TestClosedForms:
         want = problem.op.grid.h * np.einsum("ki,ki->k", u, (m @ u.T).T)
         assert np.all(np.abs(energy_functional(trajectory) - want) <= 1e-14 * want)
 
+    @pytest.mark.parametrize("name, n_cells, length", CLOSED_FORM_CASES)
+    def test_energy_is_the_face_mean_form_bitwise(self, name, n_cells, length):
+        # L u through the shared congruence factor rounds as the face-mean
+        # form it replaced: gamma_f times the mean of Theta at face f's ends
+        problem = closed_form_problem(name, n_cells, length)
+        u = np.random.default_rng(n_cells).standard_normal((5, problem.op.n_dof))
+        face, node, sl = problem.face_coeffs, problem.node_coeffs, problem.op.block_slices()
+        lu = u.copy()
+        theta_faces = problem.op.node_to_face(lu[:, sl[2]])
+        lu[:, sl[1]] += face["Gamma"] * theta_faces
+        lu[:, sl[3]] += face["zeta0"] * theta_faces
+        weights = np.concatenate([node["rho0"], 1.0 / face["C"], node["nu"], face["a0"]])
+        want = problem.op.grid.h * np.einsum("ki,ki,i->k", lu, lu, weights)
+        trajectory = Trajectory(problem, u, np.zeros((5, problem.aux_chain.n_aux)))
+        assert energy_functional(trajectory).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
     @pytest.mark.parametrize("n_cells", [2, 3, 17])
-    def test_trapezoidal_rhs_band_carries_skew_operator(self, n_cells):
-        # without coupling M has no off-diagonal entry and without memory
-        # states z is the cell order, so off the diagonal the right-hand-side
-        # band E/dt - (1 - theta) J is exactly -A_h / 2
-        problem = closed_form_problem("uncoupled_classical", n_cells, 1.0, TRAPEZOIDAL)
-        stepper = problem._stepper
-        band = stepper.rhs_band.copy()
-        band[stepper.band] = 0.0
-        want = band_of(-0.5 * skew_operator(problem.op.grid), cell_order(problem.op),
-                       stepper.band)
-        np.testing.assert_array_equal(band, want)
-        assert problem._stepper.rhs_band.flags.f_contiguous
+    @pytest.mark.parametrize("name", ["uncoupled_classical", "green_lindsay"])
+    def test_step_band_is_the_congruent_step_matrix(self, name, n_cells, scheme):
+        # T^-T (E/dt + theta J) T^-1 formed densely, T = blockdiag(L, I) over
+        # z, the x rows of E/dt + theta J times dt
+        problem = closed_form_problem(name, n_cells, 1.0, scheme)
+        stepper, chain = problem._stepper, problem.aux_chain
+        theta, dt, n_z = problem.theta, problem.dt, stepper.rhs.size
+        u_at, x_at, owner = stepper.u_at, stepper.x_at, stepper.u_at[chain.owner]
+        step = np.zeros((n_z, n_z))
+        step[np.ix_(u_at, u_at)] = (mass_matrix_lil(problem).toarray() / dt
+                                    + theta * (np.diag(problem.feedthrough)
+                                               + skew_operator(problem.op.grid).toarray()))
+        step[x_at, x_at] = 1.0 - theta * dt * chain.poles
+        step[x_at, owner] = -theta * dt * chain.gain_in
+        step[owner, x_at] = theta * chain.gain_out
+        t_inv = np.eye(n_z)
+        t_inv[np.ix_(u_at, u_at)] = np.linalg.inv(congruence_factor(problem).toarray())
+        want = t_inv.T @ step @ t_inv
+        band = stepper.band
+        got = from_band(stepper.step_band, np.arange(n_z), band).toarray()
+        assert np.max(np.abs(got - want)) <= 8 * EPS * np.max(np.abs(want))
+        # the band holds every entry: nothing of the dense matrix lies outside it
+        near = np.abs(np.subtract.outer(np.arange(n_z), np.arange(n_z))) <= band
+        assert np.all(want[~near] == 0.0)
+        assert stepper.step_band.flags.f_contiguous
+
+    def test_stepper_builds_no_dense_matrix(self):
+        problem = closed_form_problem("dpl_i_per_cell", 512, 1.0)
+        n_z = problem.op.n_dof + problem.aux_chain.n_aux
+        problem.mass_band, problem.aux_chain  # the law's own pieces, not the stepper's
+        tracemalloc.start()
+        try:
+            problem._stepper
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_z * n_z / 10
 
 
 class TestCausality:

@@ -34,6 +34,14 @@ class TestGrid:
         for length in (np.inf, np.nan):
             with pytest.raises(InputError, match="length must be positive and finite"):
                 Grid1D(length, 8)
+        # not a real float64: a string, a bool, a complex, a long double past
+        # the float range, an array of lengths
+        for length in ("1.0", True, np.True_, 1.0 + 0.0j, np.longdouble("1e400"), [1.0]):
+            with pytest.raises(InputError, match="length must be positive and finite, not"):
+                Grid1D(length, 8)
+        grid = Grid1D(np.float32(0.5), np.int64(8))
+        assert type(grid.length) is float and grid.h == 0.0625
+        assert Grid1D(2, 4).length == 2.0
         with pytest.raises(InputError, match="n_cells is too large"):
             Grid1D(1.0, 10**400)
         assert Grid1D(1.0, np.int64(8)).n_faces == 8
