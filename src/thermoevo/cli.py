@@ -20,12 +20,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import _json
+from ._frozen import Frozen
 from .errors import (
     ConfigError,
     InputError,
@@ -35,6 +35,7 @@ from .errors import (
 from .evolution import (
     BACKWARD_EULER,
     TRAPEZOIDAL,
+    BoundCheckResult,
     EvolutionProblem,
     causality_test,
     solution_bound_check,
@@ -111,19 +112,15 @@ def _parse_coefficient(name, value):
         raise ConfigError(f"'{context}': {exc}") from None
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Parsed and validated run configuration."""
 
-    mode: str
-    payload: dict
-    spec: ModelSpec = None
-    grid: Grid1D = None
-    time: dict = None
-    forcing: dict = None
-    output: Path = None
-    tolerances: dict = None
-    all_families: bool = False
+    def __init__(self, mode: str, payload: dict, spec: ModelSpec = None, grid: Grid1D = None,
+                 time: dict = None, forcing: dict = None, output: Path = None,
+                 tolerances: dict = None, all_families: bool = False):
+        vars(self).update(mode=mode, payload=payload, spec=spec, grid=grid, time=time,
+                          forcing=forcing, output=output, tolerances=tolerances,
+                          all_families=all_families)
 
     @classmethod
     def from_dict(cls, payload: dict, mode: str, out_dir=None,
@@ -372,7 +369,7 @@ def _bound_check(config, problem, report, trajectory):
     entry = {"status": "ok", "lhs": check.lhs, "rhs": check.rhs, "c_used": check.c_used,
              "tail_ratio": check.tail_ratio}
     slack = config.tolerances["bound_slack"]
-    if not replace(check, slack=slack).ok:
+    if not BoundCheckResult(check.lhs, check.rhs, check.c_used, check.tail_ratio, slack).ok:
         return entry, [f"a_priori_bound lhs {check.lhs:.6e} > rhs {check.rhs:.6e} "
                        f"(slack {slack})"]
     return entry, []

@@ -24,13 +24,13 @@ is two triangular sweeps, and with partial pivoting otherwise.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import _lapack
+from ._frozen import Frozen
 from .errors import ArtifactWriteError, InputError, SingularSystemError
 from .forcing import Forcing
 from .models import COEFFICIENTS, MaterialLaw, compute_entropy, recover_theta
@@ -73,22 +73,24 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class _AuxChain:
+class _AuxChain(Frozen):
     """Diagonal realization states attached to individual unknowns."""
 
-    poles: np.ndarray      # (n_aux,)
-    gain_in: np.ndarray    # (n_aux,) input weight on the owner unknown
-    gain_out: np.ndarray   # (n_aux,) output weight back onto the owner row
-    owner: np.ndarray      # (n_aux,) global dof indices
+    def __init__(self, poles: np.ndarray, gain_in: np.ndarray, gain_out: np.ndarray,
+                 owner: np.ndarray):
+        vars(self).update(
+            poles=poles,        # (n_aux,)
+            gain_in=gain_in,    # (n_aux,) input weight on the owner unknown
+            gain_out=gain_out,  # (n_aux,) output weight back onto the owner row
+            owner=owner,        # (n_aux,) global dof indices
+        )
 
     @property
     def n_aux(self) -> int:
         return self.poles.size
 
 
-@dataclass(frozen=True)
-class _Congruence:
+class _Congruence(Frozen):
     """The unit triangular factor L = I + N of the instantaneous block
     M = L^T diag(D) L (:attr:`EvolutionProblem.mass_band`).
 
@@ -101,12 +103,14 @@ class _Congruence:
     signed zeros included.
     """
 
-    half_gamma: np.ndarray  # (n_cells,)
-    half_zeta: np.ndarray   # (n_cells,)
-    diagonal: np.ndarray    # (n_dof,) D in block order
-    sigma: slice
-    theta: slice
-    q: slice
+    def __init__(self, half_gamma: np.ndarray, half_zeta: np.ndarray, diagonal: np.ndarray,
+                 sigma: slice, theta: slice, q: slice):
+        vars(self).update(
+            half_gamma=half_gamma,  # (n_cells,)
+            half_zeta=half_zeta,    # (n_cells,)
+            diagonal=diagonal,      # (n_dof,) D in block order
+            sigma=sigma, theta=theta, q=q,
+        )
 
     @cached_property
     def identity(self) -> bool:
@@ -156,7 +160,6 @@ class _Congruence:
         return rows
 
 
-@dataclass
 class EvolutionProblem:
     """Material law, spatial operator, forcing and scheme for one run.
 
@@ -165,25 +168,21 @@ class EvolutionProblem:
     the run's, and their weight the run weight used for all norm accounting.
     """
 
-    law: MaterialLaw
-    op: DiscreteSpatialOperator
-    forcing: Forcing
-    scheme: str = BACKWARD_EULER
-
-    def __post_init__(self):
-        if self.scheme not in (BACKWARD_EULER, TRAPEZOIDAL):
-            raise InputError(f"unknown scheme '{self.scheme}'")
-        if self.forcing.profiles.shape[1] != self.op.n_dof:
+    def __init__(self, law: MaterialLaw, op: DiscreteSpatialOperator, forcing: Forcing,
+                 scheme: str = BACKWARD_EULER):
+        self.law, self.op, self.forcing, self.scheme = law, op, forcing, scheme
+        if scheme not in (BACKWARD_EULER, TRAPEZOIDAL):
+            raise InputError(f"unknown scheme '{scheme}'")
+        if forcing.profiles.shape[1] != op.n_dof:
             raise InputError(
-                f"forcing has {self.forcing.profiles.shape[1]} components, "
-                f"operator has {self.op.n_dof} unknowns"
+                f"forcing has {forcing.profiles.shape[1]} components, "
+                f"operator has {op.n_dof} unknowns"
             )
-        if self.forcing.amplitudes.t[0] != 0:
+        if forcing.amplitudes.t[0] != 0:
             raise InputError("the time grid must start at t = 0 (zero history)")
-        n = self.op.grid.n_cells
-        if self.law.n_cells not in (1, n):
-            raise InputError(f"law has {self.law.n_cells} cells, grid has {n}")
-        law = self.law
+        n = op.grid.n_cells
+        if law.n_cells not in (1, n):
+            raise InputError(f"law has {law.n_cells} cells, grid has {n}")
         if np.any(law.n0 != law.n0[0]) or np.any(law.a1_index != law.a1_index[0]):
             raise InputError(
                 "per-cell variation of the temperature damping term is not supported"
@@ -839,11 +838,14 @@ def energy_functional(trajectory: Trajectory) -> np.ndarray:
     return problem.op.grid.h * map_row_chunks(trajectory.states, energy)
 
 
-@dataclass(frozen=True)
-class CausalityResult:
-    leakage: float
-    skipped: bool = False
-    reason: str = ""
+class CausalityResult(Frozen):
+    def __init__(self, leakage: float, skipped: bool = False, reason: str = ""):
+        vars(self).update(leakage=leakage, skipped=skipped, reason=reason)
+
+    def __eq__(self, other):
+        if type(other) is not CausalityResult:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def causality_test(problem: EvolutionProblem, t0: float,
@@ -880,13 +882,10 @@ def causality_test(problem: EvolutionProblem, t0: float,
     return CausalityResult(float(np.max(before)) / peak)
 
 
-@dataclass(frozen=True)
-class BoundCheckResult:
-    lhs: float
-    rhs: float
-    c_used: float
-    tail_ratio: float
-    slack: float = 0.05
+class BoundCheckResult(Frozen):
+    def __init__(self, lhs: float, rhs: float, c_used: float, tail_ratio: float,
+                 slack: float = 0.05):
+        vars(self).update(lhs=lhs, rhs=rhs, c_used=c_used, tail_ratio=tail_ratio, slack=slack)
 
     @property
     def window_ok(self) -> bool:

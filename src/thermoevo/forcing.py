@@ -8,10 +8,9 @@ single discrete mode), in the momentum block ("f") or the heat block ("h").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import InputError
 from .signals import WeightedSignal
 from .spatial import DiscreteSpatialOperator, node_modes
@@ -26,23 +25,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Forcing:
+class Forcing(Frozen):
     """The source ``F(t) = a(t) P``: the r columns of ``amplitudes`` a(t), on
     the run's time grid and weight, times the r rows of ``profiles`` P, shape
     ``(r, n_dof)``.  A sampled field is the identity's rows times its samples:
     ``Forcing(WeightedSignal(t, f, rho), np.eye(n_dof))``."""
 
-    amplitudes: WeightedSignal
-    profiles: np.ndarray
-
-    def __post_init__(self):
-        profiles = np.array(self.profiles, dtype=float)
-        r = self.amplitudes.n_components
+    def __init__(self, amplitudes: WeightedSignal, profiles: np.ndarray):
+        profiles = np.array(profiles, dtype=float)
+        r = amplitudes.n_components
         if profiles.ndim != 2 or profiles.shape[0] != r or not np.all(np.isfinite(profiles)):
             raise InputError(f"profiles must be a finite array of {r} rows, got {profiles.shape}")
         profiles.flags.writeable = False
-        object.__setattr__(self, "profiles", profiles)
+        vars(self).update(amplitudes=amplitudes, profiles=profiles)
 
     @property
     def samples(self) -> np.ndarray:
@@ -69,10 +64,12 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
 
 def gaussian_pulse(t: np.ndarray, center: float, width: float) -> np.ndarray:
     """exp(-((t - center) / width)^2); an argument past the float range is
-    an input error naming ``width`` when its reciprocal overflows, else
-    ``center``."""
+    an input error naming ``width`` when it is not finite or its reciprocal
+    overflows, else ``center``."""
     if width <= 0:
         raise InputError("pulse width must be positive")
+    if not np.isfinite(width):
+        raise InputError(f"pulse width {width:g} is not finite")
     with np.errstate(over="ignore"):  # a square past the float range is exp(-inf) = 0
         offset = (t - center) / width
         if not np.all(np.isfinite(offset)):
@@ -123,6 +120,8 @@ def assemble_forcing(
             raise InputError("delayed_step needs 'delay'")
         if center is not None or width is not None:
             raise InputError("delayed_step takes only 'delay'")
+        if not np.isfinite(delay):
+            raise InputError(f"step delay {delay:g} is not finite")
         amplitude = (t >= delay).astype(float)
     else:
         raise InputError(f"unknown forcing kind '{kind}'")

@@ -18,12 +18,12 @@ each cell's law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
+from ._frozen import Frozen
 from ._integrators import exp_march_linear
 from .errors import InputError
 from .rational import RationalFunction, real_array, realize_state_space
@@ -88,8 +88,7 @@ _CUSTOM_OPTIONAL = {"a0", "zeta0", "n0", "a1", "a2"}
 _RATIONAL_COEFFS = {"a1", "a2"}
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Frozen):
     """A named model family with its material coefficients.
 
     Coefficient values are real finite numbers (uniform) or lists of per-cell
@@ -97,12 +96,9 @@ class ModelSpec:
     laws also accept rational functions for the zero-order parts a1 and a2.
     """
 
-    family: ModelFamily
-    coefficients: dict
-
-    def __post_init__(self):
-        family = ModelFamily(self.family)
-        object.__setattr__(self, "family", family)
+    def __init__(self, family: ModelFamily, coefficients: dict):
+        family = ModelFamily(family)
+        vars(self).update(family=family, coefficients=coefficients)
         allowed = _FAMILY_COEFFS[family]
         unknown = set(self.coefficients) - set(allowed)
         if unknown:
@@ -152,8 +148,7 @@ def _zero_part(n_cells: int) -> tuple:
     return (RationalFunction.constant(0.0),), np.zeros(n_cells, dtype=np.intp)
 
 
-@dataclass(frozen=True, eq=False)
-class MaterialLaw:
+class MaterialLaw(Frozen):
     """Assembled cellwise material law with its positivity classification.
 
     ``rho0``, ``C``, ``Gamma``, ``nu``, ``zeta0``, ``a0`` and the temperature
@@ -165,22 +160,13 @@ class MaterialLaw:
     resistance; cell j's are ``a1[a1_index[j]]`` and ``a2[a2_index[j]]``.
     """
 
-    family: ModelFamily
-    rho0: np.ndarray
-    C: np.ndarray
-    Gamma: np.ndarray
-    nu: np.ndarray
-    zeta0: np.ndarray
-    a0: np.ndarray
-    n0: np.ndarray
-    a1: tuple
-    a1_index: np.ndarray
-    a2: tuple
-    a2_index: np.ndarray
-    classification: str = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "classification", _classify(self.mass))
+    def __init__(self, family: ModelFamily, rho0: np.ndarray, C: np.ndarray,
+                 Gamma: np.ndarray, nu: np.ndarray, zeta0: np.ndarray, a0: np.ndarray,
+                 n0: np.ndarray, a1: tuple, a1_index: np.ndarray, a2: tuple,
+                 a2_index: np.ndarray):
+        vars(self).update(family=family, rho0=rho0, C=C, Gamma=Gamma, nu=nu, zeta0=zeta0,
+                          a0=a0, n0=n0, a1=a1, a1_index=a1_index, a2=a2, a2_index=a2_index)
+        vars(self)["classification"] = _classify(self.mass)
 
     @property
     def n_cells(self) -> int:

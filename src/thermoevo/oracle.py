@@ -24,10 +24,10 @@ recovered from the same mode coefficients of the forcing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 from ._integrators import phi_matrices
 from ._lapack import gtsv
 from .errors import InputError, OracleRejectionError
@@ -251,10 +251,9 @@ def _mode_history(problem: EvolutionProblem) -> tuple:
     return y, node_vecs, face_vecs, p1
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    per_field: dict
-    overall: float
+class ComparisonResult(Frozen):
+    def __init__(self, per_field: dict, overall: float):
+        vars(self).update(per_field=per_field, overall=overall)
 
 
 def compare(traj_a: Trajectory, traj_b: Trajectory) -> ComparisonResult:

@@ -13,10 +13,9 @@ what the time steppers consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import InputError, PoleProximityError, RealizationError
 
 __all__ = [
@@ -69,8 +68,7 @@ def _coefficients(value, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class RationalFunction:
+class RationalFunction(Frozen):
     """Ratio of two real polynomials in z.
 
     ``num[k]`` and ``den[k]`` are the coefficients of z**k, held as
@@ -80,20 +78,16 @@ class RationalFunction:
     trailing zeros.
     """
 
-    num: np.ndarray
-    den: np.ndarray
-
-    def __post_init__(self):
-        num = _coefficients(self.num, "numerator")
-        den = _coefficients(self.den, "denominator")
+    def __init__(self, num, den):
+        num = _coefficients(num, "numerator")
+        den = _coefficients(den, "denominator")
         scale = np.abs(den).max()
         if scale == 0.0 or abs(den[0]) <= 1e-15 * scale:
             raise InputError("denominator must not vanish at z = 0 (symbol not analytic)")
         last = den.size
         while last > 1 and den[last - 1] == 0.0:
             last -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den[:last])
+        vars(self).update(num=num, den=den[:last])
 
     @classmethod
     def constant(cls, value: float) -> "RationalFunction":
@@ -134,18 +128,15 @@ def _stack_groups(laws) -> list:
             for index in groups.values()]
 
 
-@dataclass(frozen=True)
-class StateSpaceRealization:
+class StateSpaceRealization(Frozen):
     """Time-domain realization y = d u + c . x with x' = diag(a) x + b u.
 
     ``d`` is a float and ``a``, ``b``, ``c`` are real vectors of length
     ``n_states``: state k belongs to the real simple pole ``a[k]`` (the
     partial fractions of :func:`realize_state_space`)."""
 
-    d: float
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    def __init__(self, d: float, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+        vars(self).update(d=d, a=a, b=b, c=c)
 
     @property
     def n_states(self) -> int:

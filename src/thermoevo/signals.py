@@ -12,12 +12,12 @@ antiderivative acts componentwise on the sample columns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import InputError
 
 __all__ = [
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightedSignal:
+class WeightedSignal(Frozen):
     """Sampled time signal living in an exponentially weighted space.
 
     Parameters
@@ -42,16 +41,11 @@ class WeightedSignal:
         Positive, finite exponential weight of the ambient space.
     """
 
-    t: np.ndarray
-    samples: np.ndarray
-    rho: float = 1.0
-    dt: float = field(init=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
+    def __init__(self, t: np.ndarray, samples: np.ndarray, rho: float = 1.0):
+        t = np.asarray(t, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise InputError("time grid needs at least 2 points")
-        samples = np.asarray(self.samples)
+        samples = np.asarray(samples)
         if samples.ndim == 1:
             samples = samples[:, None]
         if samples.ndim != 2 or samples.shape[0] != t.shape[0]:
@@ -62,15 +56,13 @@ class WeightedSignal:
         dt = steps[0]
         if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
             raise InputError("time grid must be uniform with positive step")
-        if not 0 < self.rho < np.inf:
-            raise InputError(f"rho must be positive and finite, got {self.rho}")
+        if not 0 < rho < np.inf:
+            raise InputError(f"rho must be positive and finite, got {rho}")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(samples)):
             raise InputError("non-finite values in signal")
         t.flags.writeable = False
         samples.flags.writeable = False
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "dt", float(dt))
+        vars(self).update(t=t, samples=samples, rho=rho, dt=float(dt))
 
     @property
     def n_components(self) -> int:

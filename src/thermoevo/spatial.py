@@ -11,10 +11,10 @@ antisymmetric to the last bit.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import InputError
 from .rational import real_array
 
@@ -27,24 +27,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Grid1D(Frozen):
     """Uniform grid on (0, L) with ``n_cells`` cells.
 
     ``length`` is read as a float64 (:func:`~thermoevo.rational.real_array`):
     a string, a bool, a complex or a value past the float range is refused."""
 
-    length: float
-    n_cells: int
-
-    def __post_init__(self):
-        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, (int, np.integer)):
-            raise InputError(f"n_cells must be an integer, not {self.n_cells!r}")
-        message = f"domain length must be positive and finite, not {self.length!r}"
-        length = real_array(self.length, message)
+    def __init__(self, length: float, n_cells: int):
+        if isinstance(n_cells, bool) or not isinstance(n_cells, (int, np.integer)):
+            raise InputError(f"n_cells must be an integer, not {n_cells!r}")
+        message = f"domain length must be positive and finite, not {length!r}"
+        length = real_array(length, message)
         if length.ndim or not length > 0:
             raise InputError(message)
-        object.__setattr__(self, "length", float(length))
+        vars(self).update(length=float(length), n_cells=n_cells)
         if self.n_cells < 2:
             raise InputError("need at least 2 cells")
         if self.n_cells > sys.float_info.max:
@@ -75,8 +71,7 @@ class Grid1D:
         return self.h * (np.arange(self.n_cells) + 0.5)
 
 
-@dataclass(frozen=True)
-class DiscreteSpatialOperator:
+class DiscreteSpatialOperator(Frozen):
     """The staggered difference and averaging operators of one grid.
 
     Each acts along the last axis of an array of node (or face) values, so a
@@ -85,12 +80,9 @@ class DiscreteSpatialOperator:
     padded at both boundary nodes.
     """
 
-    grid: Grid1D
-    block_sizes: tuple = field(init=False)
-
-    def __post_init__(self):
-        n_nodes, n_faces = self.grid.n_nodes, self.grid.n_faces
-        object.__setattr__(self, "block_sizes", (n_nodes, n_faces, n_nodes, n_faces))
+    def __init__(self, grid: Grid1D):
+        n_nodes, n_faces = grid.n_nodes, grid.n_faces
+        vars(self).update(grid=grid, block_sizes=(n_nodes, n_faces, n_nodes, n_faces))
 
     @property
     def n_dof(self) -> int:

@@ -18,11 +18,10 @@ Three layers of checking, from cheap to thorough:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _json
+from ._frozen import Frozen
 from .errors import InputError
 from .models import MaterialLaw, SPECTRAL_CUTOFF
 from .rational import _live_poles, _stack_groups, realize_state_space
@@ -45,13 +44,11 @@ RHO_RANGE = (1e-3, 1e6)
 RHO_GRID_PER_DECADE = 20
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """A most-negative direction found during certification."""
 
-    cell: int
-    eigenvalue: float
-    eigenvector: np.ndarray
+    def __init__(self, cell: int, eigenvalue: float, eigenvector: np.ndarray):
+        vars(self).update(cell=cell, eigenvalue=eigenvalue, eigenvector=eigenvector)
 
     def as_dict(self) -> dict:
         return {
@@ -61,14 +58,12 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class WellPosednessReport:
-    verdict: str
-    c_estimate: float
-    rho_min: float
-    classification: str
-    witnesses: tuple
-    checks_run: tuple
+class WellPosednessReport(Frozen):
+    def __init__(self, verdict: str, c_estimate: float, rho_min: float,
+                 classification: str, witnesses: tuple, checks_run: tuple):
+        vars(self).update(verdict=verdict, c_estimate=c_estimate, rho_min=rho_min,
+                          classification=classification, witnesses=witnesses,
+                          checks_run=checks_run)
 
     def to_json(self) -> str:
         return _json.dumps({

@@ -788,6 +788,12 @@ def test_runs_leave_numpy_ma_unloaded(tmp_path):
     assert_runs_leave_unloaded(tmp_path, "numpy.ma")
 
 
+def test_runs_leave_dataclasses_unloaded(tmp_path):
+    # the records are plain classes: building 17 dataclasses took ~20 ms of import
+    assert modules_loaded("import thermoevo", "dataclasses") == []
+    assert_runs_leave_unloaded(tmp_path, "dataclasses")
+
+
 def test_splu_name_loads_scipy_sparse_on_lookup():
     baseline = modules_loaded("import numpy, scipy.linalg", "scipy")
     code = ("import sys, thermoevo.evolution as evolution; "

@@ -40,6 +40,7 @@ from thermoevo import (
 )
 from thermoevo import _lapack, evolution, rational, signals
 from thermoevo.errors import ArtifactWriteError, InputError, SingularSystemError
+from thermoevo.forcing import gaussian_pulse
 
 
 def pulse_problem(law, n_cells=16, dt=2**-9, t_max=1.0, rho=1.0,
@@ -1169,6 +1170,20 @@ class TestFactoredForcing:
             Forcing(amplitudes, np.ones((3, 5)))
         with pytest.raises(InputError, match="must be a finite array"):
             Forcing(amplitudes, np.full((2, 5), np.inf))
+
+    @pytest.mark.parametrize("delay", [np.nan, np.inf])
+    def test_non_finite_delay_is_refused(self, delay):
+        # (t >= nan) and (t >= inf) are all False: a zero forcing
+        op = build_operators(Grid1D(1.0, 8))
+        with pytest.raises(InputError, match=r"^step delay (nan|inf) is not finite$"):
+            assemble_forcing(op, time_grid(0.25, 2**-6), 1.0, "delayed_step", "f", "bump",
+                             delay=delay)
+
+    @pytest.mark.parametrize("width", [np.nan, np.inf])
+    def test_non_finite_width_is_named(self, width):
+        # a NaN width was reported as the center's; an infinite one gave a constant
+        with pytest.raises(InputError, match=r"^pulse width (nan|inf) is not finite$"):
+            gaussian_pulse(time_grid(0.25, 2**-6), 0.1, width)
 
 
 class TestValidation:
