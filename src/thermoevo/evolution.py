@@ -160,17 +160,19 @@ class _Congruence(Frozen):
         return rows
 
 
-class EvolutionProblem:
+class EvolutionProblem(Frozen):
     """Material law, spatial operator, forcing and scheme for one run.
 
     The forcing's profiles span all block unknowns (components ordered v,
     sigma, theta_big, q); its amplitudes' uniform grid, starting at t = 0, is
     the run's, and their weight the run weight used for all norm accounting.
+    A problem is immutable, so the pieces it caches (its stepper, its
+    realizations, its congruence) always belong to its fields.
     """
 
     def __init__(self, law: MaterialLaw, op: DiscreteSpatialOperator, forcing: Forcing,
                  scheme: str = BACKWARD_EULER):
-        self.law, self.op, self.forcing, self.scheme = law, op, forcing, scheme
+        vars(self).update(law=law, op=op, forcing=forcing, scheme=scheme)
         if scheme not in (BACKWARD_EULER, TRAPEZOIDAL):
             raise InputError(f"unknown scheme '{scheme}'")
         if forcing.profiles.shape[1] != op.n_dof:
@@ -777,33 +779,38 @@ def _reap(pid: int, read_end: int, paths) -> str:
 def solve(problem: EvolutionProblem) -> Trajectory:
     """March the implicit scheme from zero initial data over the grid.
 
-    The forcing enters in row chunks, each mixed as ``theta f+ + (1-theta) f``,
-    mapped by L^-T and spread to the z order of :class:`_ImplicitStepper`
-    at once.  The marched states of a chunk, w = T z, are gathered into
-    ``states`` in block order and mapped back by u = w - N w; ``states`` is
-    read-only.  Only the current memory states are carried through the
-    march, inside w; the trajectory's ``aux`` replays their update over the
-    stored states on its first read (:meth:`_ImplicitStepper.aux_history`).
-    A march whose state overflows raises :class:`InputError` naming the
-    first step that is not finite."""
+    The forcing's profiles are mapped by L^-T and spread to the z order of
+    :class:`_ImplicitStepper` once; each row chunk of the forcing is then
+    its amplitudes times those profiles, mixed as ``theta f+ + (1-theta) f``.
+    That equals mapping each chunk's forcing by L^-T bitwise where L^-T
+    leaves the profile rows alone (no sigma or q entries, as in every CLI
+    forcing, or L = I), and to rounding where a profile with sigma or q
+    entries meets a coupled law.  The marched states of a chunk, w = T z,
+    are gathered into ``states`` in block order and mapped back by
+    u = w - N w; ``states`` is read-only.  Only the current memory states
+    are carried through the march, inside w; the trajectory's ``aux``
+    replays their update over the stored states on its first read
+    (:meth:`_ImplicitStepper.aux_history`).  A march whose state overflows
+    raises :class:`InputError` naming the first step that is not finite."""
     t = problem.forcing.amplitudes.t
     stepper = problem._stepper
     states = np.zeros((t.size, problem.op.n_dof))
     amplitudes = problem.forcing.amplitudes.samples
     congruence = problem._congruence
+    # the memory-state columns stay exact zeros, as step_implicit gives them
+    profiles = np.zeros((amplitudes.shape[1], stepper.rhs.size))
+    profiles[:, stepper.u_at] = congruence.lower_inverse_transpose(
+        problem.forcing.profiles.copy())
     # a chunk's forcing, its mix and one temporary of the mix take CHUNK_VALUES
     chunk = max(1, CHUNK_VALUES // (3 * stepper.rhs.size))
-    # a chunk's z-order forcing (its memory-state entries stay exact zeros,
-    # as step_implicit gives them) and marched states: 2/3 CHUNK_VALUES more
-    forcing, marched = np.zeros((2, min(chunk, t.size - 1), stepper.rhs.size))
+    # and a chunk's marched states 1/3 CHUNK_VALUES more
+    marched = np.zeros((min(chunk, t.size - 1), stepper.rhs.size))
     stepper.w = np.zeros(stepper.rhs.size)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         for start in range(0, t.size - 1, chunk):
-            f = amplitudes[start:start + chunk + 1] @ problem.forcing.profiles
+            f = amplitudes[start:start + chunk + 1] @ profiles
             m = f.shape[0] - 1
-            forcing[:m, stepper.u_at] = congruence.lower_inverse_transpose(
-                stepper.mix(f[1:], f[:-1]))
-            stepper.march(forcing[:m], marched)
+            stepper.march(stepper.mix(f[1:], f[:-1]), marched)
             block = states[start + 1:start + 1 + m]
             np.take(marched[:m], stepper.u_at, axis=1, out=block, mode="clip")
             congruence.lower_inverse(block)

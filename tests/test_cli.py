@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -808,3 +809,63 @@ def test_splu_name_loads_scipy_sparse_on_lookup():
     assert out.stdout.split() == [str("scipy.sparse.linalg" in baseline), "True"]
     with pytest.raises(AttributeError, match="no attribute 'spl'"):
         evolution.spl  # noqa: B018
+
+
+#: the thermoevo command: as ``python -m`` runs it, and as the console script
+#: of pyproject.toml calls it
+LAUNCHERS = {
+    "python_m": ["-m", "thermoevo.cli"],
+    "entry": ["-c", "import thermoevo.cli; thermoevo.cli.entry()"],
+}
+
+#: check-mode models by the exit status they end in: satisfied, an input
+#: error (JSON true in a per-cell list), a violated law
+EXIT_MODELS = {
+    0: ls_model(),
+    1: {"family": "lord_shulman", "coefficients": dict(ls_model()["coefficients"],
+                                                       kappa=[1.0, True])},
+    2: {"family": "dpl_i", "coefficients": {"rho0": 1, "nu": 1, "C": 1, "Gamma": 0.5,
+                                            "kappa": 1, "n1": 0.5, "n2": -0.25}},
+}
+
+#: loaded at the child's start-up: an atexit handler that records the
+#: collector's freeze count where THERMOEVO_FREEZE_COUNT names
+SITECUSTOMIZE = """\
+import atexit, gc, os
+
+def record():
+    with open(os.environ["THERMOEVO_FREEZE_COUNT"], "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+atexit.register(record)
+"""
+
+
+@pytest.mark.parametrize("status", sorted(EXIT_MODELS))
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+def test_command_ends_as_main_returns_without_exit_collections(launcher, status, tmp_path,
+                                                               capsys):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"model": EXIT_MODELS[status]}))
+    argv = ["check", "--config", str(config_path)]
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    env = package_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(site), env["PYTHONPATH"]])
+    env["THERMOEVO_FREEZE_COUNT"] = str(tmp_path / "freeze_count")
+    child = subprocess.run([sys.executable, *LAUNCHERS[launcher], *argv], env=env,
+                           capture_output=True, text=True)
+    # the collector is frozen once main has returned, and atexit handlers still run
+    assert int((tmp_path / "freeze_count").read_text()) > 0
+    # in process, main returns the same status and output and freezes nothing
+    assert main(argv) == child.returncode == status
+    assert gc.get_freeze_count() == 0
+    captured = capsys.readouterr()
+    assert (child.stdout, child.stderr) == (captured.out, captured.err)
+    if status == 1:
+        assert child.stderr.startswith("error: coefficient 'kappa' must be")
+        assert len(child.stderr.splitlines()) == 1
+    else:
+        assert json.loads(child.stdout)["verdict"] == ("satisfied", "violated")[status // 2]
+        assert child.stderr == ""

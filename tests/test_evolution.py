@@ -488,7 +488,8 @@ class TestBandedStep:
         assert problem.aux_chain.n_aux == 0
         # M/dt cancels theta (diag(D) + A_h) exactly at theta = 1 and dt = 2^-7
         zero_order = sp.diags(problem.feedthrough) + skew_operator(problem.op.grid)
-        problem.mass_band = -problem.dt * band_of(zero_order, cell_order(problem.op))
+        # the problem is immutable: set the cached band where cached_property keeps it
+        vars(problem)["mass_band"] = -problem.dt * band_of(zero_order, cell_order(problem.op))
         with pytest.raises(SingularSystemError, match="zero pivot 1"):
             problem._stepper
 
@@ -563,7 +564,7 @@ class TestLapackBinding:
         problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.CLASSICAL)),
                                 n_cells=8, dt=2**-7, t_max=0.25)
         zero_order = sp.diags(problem.feedthrough) + skew_operator(problem.op.grid)
-        problem.mass_band = -problem.dt * band_of(zero_order, cell_order(problem.op))
+        vars(problem)["mass_band"] = -problem.dt * band_of(zero_order, cell_order(problem.op))
         band = np.zeros((13, problem.op.n_dof), order="F")
         assert _lapack.gbtrf(band, 4, 4)[2] == 1
         with pytest.raises(SingularSystemError, match="zero pivot 1"):
@@ -1187,6 +1188,18 @@ class TestFactoredForcing:
 
 
 class TestValidation:
+    def test_scheme_cannot_be_reassigned(self):
+        # the problem caches its stepper: a new scheme on a solved problem
+        # would march with the old scheme's step matrix
+        problem = pulse_problem(uncoupled_law(ModelFamily.LORD_SHULMAN), n_cells=8,
+                                dt=2**-6, t_max=0.25)
+        states = solve(problem).states
+        for scheme in (TRAPEZOIDAL, "bogus"):
+            with pytest.raises(AttributeError, match="cannot assign to field 'scheme'"):
+                problem.scheme = scheme
+        assert problem.scheme == BACKWARD_EULER and problem.theta == 1.0
+        assert solve(problem).states.tobytes() == states.tobytes()
+
     def test_component_count_checked(self):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         op = build_operators(Grid1D(1.0, 8))

@@ -1,8 +1,8 @@
 """The record classes: their constructors, their immutability and their caches.
 
 The records are plain classes; each ``__init__`` keeps the parameter names,
-order and defaults listed in :data:`SIGNATURES`, and every record but
-:class:`EvolutionProblem` refuses assignment and deletion of its fields.
+order and defaults listed in :data:`SIGNATURES`, and every record refuses
+assignment and deletion of its fields.
 """
 
 import inspect
@@ -93,8 +93,6 @@ def built() -> dict:
 def test_record_contract(cls, built):
     assert rendered(cls) == SIGNATURES[cls]
     record = built[cls]
-    if cls is EvolutionProblem:  # the one record that never was frozen
-        return
     names = [*inspect.signature(cls).parameters, *DERIVED.get(cls, ())]
     for name in names:
         value = getattr(record, name)
@@ -109,8 +107,9 @@ def test_record_contract(cls, built):
 
 
 def test_cached_properties_still_cache(built):
-    law, congruence = built[MaterialLaw], built[_Congruence]
+    law, congruence, problem = built[MaterialLaw], built[_Congruence], built[EvolutionProblem]
     assert law.mass is law.mass and "mass" in vars(law)
+    assert problem.mass_band is problem.mass_band and "mass_band" in vars(problem)
     assert congruence.identity is False and "identity" in vars(congruence)
 
 
