@@ -11,14 +11,16 @@ Solving ODEs II, IV.3) of the augmented state z = (U, x): backward Euler is
 theta = 1, the trapezoidal rule theta = 1/2.  Every block couples only
 neighbouring cells, and each auxiliary state (one simple pole) only its
 owner unknown, so with the unknowns ordered cell by cell and each auxiliary
-state placed just before its owner, the step matrix is a band, written
-entry by entry from closed forms.  The march carries w = L u in place of u,
-where M = L^T diag(D) L and L^-1 = I - N exactly (:class:`_Congruence`):
-there the instantaneous block is diagonal, so a step's right-hand side is
-a diagonal scaling plus the forcing, and no banded product.  One banded LU
-of the congruent step matrix is reused across steps: without pivoting where
-the step matrix is certified for it (:class:`_ImplicitStepper`), so a solve
-is two triangular sweeps, and with partial pivoting otherwise.
+state placed just before its owner, the step matrix is a band.  The march
+carries w = L u in place of u, where M = L^T diag(D) L and L^-1 = I - N
+exactly (:class:`_Congruence`): there the instantaneous block is the
+diagonal D, so the step matrix is D/dt plus the congruent of the other
+blocks, written entry by entry from their closed forms and N's, and a
+step's right-hand side is a diagonal scaling plus the forcing, with no
+banded product.  One banded LU of the congruent step matrix is reused
+across steps: without pivoting where the step matrix is certified for it
+(:class:`_ImplicitStepper`), so a solve is two triangular sweeps, and with
+partial pivoting otherwise.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class _AuxChain(Frozen):
 
 class _Congruence(Frozen):
     """The unit triangular factor L = I + N of the instantaneous block
-    M = L^T diag(D) L (:attr:`EvolutionProblem.mass_band`).
+    M = L^T diag(D) L, the march's basis (:class:`_ImplicitStepper`).
 
     N's only entries put ``half_gamma[f]`` (sigma rows) and ``half_zeta[f]``
     (q rows) on the two temperature nodes of face f, node j having face j
@@ -231,37 +233,6 @@ class EvolutionProblem(Frozen):
                            sigma, theta, q)
 
     @cached_property
-    def mass_band(self) -> np.ndarray:
-        """Instantaneous block M = L^T diag(D) L in band storage over the cell
-        order of :class:`_ImplicitStepper`.
-
-        Entry ``(i, j)`` of M sits at ``[_BAND + i - j, j]``.  L is the unit
-        triangular congruence factor whose only off-diagonal entries put
-        ``gamma_f / 2`` (sigma rows) and ``zeta_f / 2`` (q rows) on the two
-        temperature nodes of face f, so M is symmetric positive semidefinite
-        wherever D is nonnegative; its entries are written in closed form.
-        """
-        face, node, congruence = self.face_coeffs, self.node_coeffs, self._congruence
-        inv_c, inertia = 1.0 / face["C"], face["a0"]
-        half_gamma, half_zeta = congruence.half_gamma, congruence.half_zeta
-        sigma_theta = inv_c * half_gamma   # M[sigma_f, theta] on both nodes of face f
-        q_theta = inertia * half_zeta      # M[q_f, theta] likewise
-        sigma_shared = sigma_theta * half_gamma  # theta-theta through sigma_f
-        q_shared = q_theta * half_zeta           # theta-theta through q_f
-        v, sigma, theta, q = _cell_positions(self.op)
-        # a theta diagonal sums its left and right sigma faces, its own
-        # capacity, then its q faces: the block order of the row of L^T D
-        theta_diagonal = (sigma_shared[:-1] + sigma_shared[1:] + node["nu"]
-                          + q_shared[:-1] + q_shared[1:])
-        diagonal = [(sigma, inv_c), (q, inertia), (v, node["rho0"]), (theta, theta_diagonal)]
-        # node c has face c on its left and face c + 1 on its right
-        pairs = [(sigma[:-1], theta, sigma_theta[:-1]), (sigma[1:], theta, sigma_theta[1:]),
-                 (q[:-1], theta, q_theta[:-1]), (q[1:], theta, q_theta[1:]),
-                 (theta[1:], theta[:-1], (sigma_shared + q_shared)[1:-1])]
-        return _band(self.op.n_dof, [*((at, at, val) for at, val in diagonal), *pairs,
-                                     *((col, row, val) for row, col, val in pairs)])
-
-    @cached_property
     def _realizations(self) -> tuple:
         """Feedthrough diagonal and aux chains for the zero-order block; each
         distinct law is realized once."""
@@ -299,44 +270,43 @@ class EvolutionProblem(Frozen):
         return _ImplicitStepper(self)
 
 
-#: sub- and super-diagonals of every step matrix in cell order
-_BAND = 4
-
-
 def _cell_positions(op: DiscreteSpatialOperator) -> tuple:
     """Cell-order positions of the v, sigma, theta_big and q unknowns.
 
     Cell j holds sigma_j, q_j, v_j, theta_j at 4j .. 4j + 3 (node j + 1 is
     its right end); the last cell has only sigma and q.  Every coupling of
-    the step then lies within ``_BAND`` places of the diagonal."""
+    A_h, D and M then lies within four places of the diagonal."""
     nodes, faces = 4 * np.arange(op.grid.n_nodes), 4 * np.arange(op.grid.n_cells)
     return nodes + 2, faces, nodes + 3, faces + 1
 
 
-def _band(n: int, entries) -> np.ndarray:
-    """The n x n matrix with the ``(rows, cols, values)`` of ``entries`` in
-    LAPACK/BLAS band storage with ``_BAND`` sub- and super-diagonals: entry
-    (i, j) at ``[_BAND + i - j, j]``, Fortran-ordered so BLAS reads it in place."""
-    band = np.zeros((2 * _BAND + 1, n), order="F")
-    for rows, cols, values in entries:
-        band[_BAND + rows - cols, cols] = values
-    return band
-
-
-def skew_band(op: DiscreteSpatialOperator) -> np.ndarray:
-    """The block operator A_h in band storage over the cell order of
-    :class:`_ImplicitStepper`.
+def skew_entries(op: DiscreteSpatialOperator) -> tuple:
+    """The entries ``(rows, cols, values)`` of the block operator A_h in
+    block order, one per position and none on the diagonal.
 
     ``A_h[v, sigma] = grad^T`` and ``A_h[theta, q] = -grad^T``, each with the
-    negated transpose below: every node unknown of cell j meets the faces j
-    and j + 1 with ``+-1/h``, so ``A_h^T = -A_h`` bit for bit.
+    negated transpose below: every node unknown j meets the faces j and
+    j + 1 with ``+-1/h``, so ``A_h^T = -A_h`` bit for bit.
     """
     inv_h = np.full(op.grid.n_nodes, 1.0 / op.grid.h)
-    v, sigma, theta, q = _cell_positions(op)
+    v, sigma, theta, q = (np.arange(at.start, at.stop) for at in op.block_slices())
     # v and theta against sigma and q on each node's left and right faces
     node_rows = [(v, sigma[:-1], inv_h), (v, sigma[1:], -inv_h),
                  (theta, q[:-1], -inv_h), (theta, q[1:], inv_h)]
-    return _band(op.n_dof, [*node_rows, *((col, row, -val) for row, col, val in node_rows)])
+    entries = [*node_rows, *((col, row, -val) for row, col, val in node_rows)]
+    return tuple(np.concatenate(part) for part in zip(*entries))
+
+
+def _band_storage(diagonal: np.ndarray, rows, cols, values) -> tuple:
+    """``(k, ab)``: ``diag(diagonal)`` plus the entries ``(rows, cols,
+    values)``, repeats summed, in LAPACK band storage with the k sub- and
+    super-diagonals the entries reach: entry (i, j) at ``[k + i - j, j]``,
+    Fortran-ordered so BLAS reads it in place."""
+    n = diagonal.size
+    k = int(np.max(np.abs(rows - cols), initial=0))
+    at = np.concatenate([(k + rows - cols) + (2 * k + 1) * cols, k + (2 * k + 1) * np.arange(n)])
+    ab = np.bincount(at, np.concatenate([values, diagonal]), minlength=(2 * k + 1) * n)
+    return k, ab.reshape((-1, n), order="F")
 
 
 #: the exponent budget of :func:`_lu_unpivoted`: no entry is scaled by more
@@ -363,7 +333,7 @@ def _lu_unpivoted(ab: np.ndarray, k: int):
     n = ab.shape[1]
     if not 2.0 ** -512 < max(ab.max(), -ab.min()) < 2.0 ** 512:
         return None
-    exponents = max(1, _SCALE_BUDGET // k) * (np.arange(3 * k + 1) - 2 * k)[:, None]
+    exponents = max(1, _SCALE_BUDGET // max(k, 1)) * (np.arange(3 * k + 1) - 2 * k)[:, None]
     np.ldexp(ab, -exponents, out=ab)  # row r holds the offset i - j = r - 2k
     lu, piv, info = _lapack.gbtrf(ab, k, k)
     if info or not np.array_equal(piv, np.arange(1, n + 1)):
@@ -390,29 +360,32 @@ class _ImplicitStepper:
     z runs in the cell order of :func:`_cell_positions` with each memory
     state placed just before its owner dof (an owner repeats when its law has
     several poles): ``u_at`` and ``x_at`` give the z position of each
-    block-order dof and of each memory state; ``perm`` lists the block-order
-    dof at each cell-order position and ``inv`` is its inverse.
+    block-order dof and of each memory state, and ``inv`` the cell-order
+    position of each block-order dof.
 
     With T = blockdiag(L, I), L the congruence factor of M
     (:class:`_Congruence`), the march carries w = T z.  The instantaneous
-    block becomes the diagonal ``c = (D/dt, 1)`` (the x rows times dt), and
-    the step matrix ``step_band`` = T^-T (E/dt + theta J) T^-1, a band with
-    ``band`` sub- and super-diagonals, formed from the entries of E/dt +
-    theta J and N's two entries per sigma or q row (:func:`_congruent`),
-    never as a dense matrix.  Backward Euler solves ``step_band w+ = c w +
-    L^-T f+``; the trapezoidal rule, in its implicit-midpoint form,
-    ``step_band s = 2 c w + L^-T (f+ + f)/2`` and sets ``w+ = s - w``.  A
-    step is thus one scaling, one sum, the solve and one copy or difference:
-    no banded product.
+    block becomes the diagonal ``c = (D/dt, 1)`` = T^-T (E/dt) T^-1 (the x
+    rows times dt), and the step matrix ``step_band`` = T^-T (E/dt + theta
+    J) T^-1 is ``diag(c) + theta T^-T J T^-1``, a band with ``band`` sub-
+    and super-diagonals, formed from the closed-form entries of J
+    (:func:`skew_entries`, the feedthrough and the memory states') and of
+    N, two per sigma or q row (:func:`_congruent`), never as a dense
+    matrix.  Backward Euler solves ``step_band w+ = c w + L^-T f+``; the
+    trapezoidal rule, in its implicit-midpoint form, ``step_band s = 2 c w
+    + L^-T (f+ + f)/2`` and sets ``w+ = s - w``.  A step is thus one
+    scaling, one sum, the solve and one copy or difference: no banded
+    product.
 
     The step matrix is factorized once.  Where every x pivot
     ``1 - theta dt p_i`` is positive and the symmetric part of the step
     matrix on u, ``M/dt + theta (diag(D) + the memory states' diagonal)``,
-    is positive definite (:meth:`_positive_definite`; a congruence keeps
-    it so), an LU without pivoting is stable (Golub & Van Loan, on matrices
-    with a positive definite symmetric part): the x columns come first, so
-    it leaves the step matrix of u alone, and each solve is two triangular
-    sweeps (``tbsv``) on the factors (:func:`_lu_unpivoted`).  Otherwise, or
+    is positive definite (:meth:`_positive_definite`, which judges it in
+    the congruence basis; a congruence keeps it so), an LU without
+    pivoting is stable (Golub & Van Loan, on matrices with a positive
+    definite symmetric part): the x columns come first, so it leaves the
+    step matrix of u alone, and each solve is two triangular sweeps
+    (``tbsv``) on the factors (:func:`_lu_unpivoted`).  Otherwise, or
     where that LU meets a zero or non-finite pivot, ``gbtrf`` factorizes the
     same band with partial pivoting (``pivoted``) and ``gbtrs`` solves.
 
@@ -428,8 +401,7 @@ class _ImplicitStepper:
         self.chain = chain = problem.aux_chain
         # inv maps each block-order dof to its cell-order position
         self.inv = np.concatenate(_cell_positions(problem.op))
-        self.perm = np.argsort(self.inv)
-        n_u, n_z = self.perm.size, self.perm.size + chain.n_aux
+        n_u, n_z = self.inv.size, self.inv.size + chain.n_aux
         # the z position of each cell-order dof and each memory state: the
         # states of an owner, consecutive in the chain, sit just before it
         owner = self.inv[chain.owner]
@@ -442,39 +414,29 @@ class _ImplicitStepper:
         self.u_at = cell_at[self.inv]
         owner = cell_at[owner]
 
-        mass, zero_order = problem.mass_band, skew_band(problem.op)
-        feed = problem.feedthrough[self.perm]
-        zero_order[_BAND] = feed  # A_h + diag(D): A_h has a zero diagonal
-        # the entries (rows, cols, values) of E/dt + theta J over z, its x
-        # rows times dt: the stored entries (j + d, j) of the cell-order
-        # bands, one band offset d at a time, then the memory states'
-        entries = []
-        for d in range(-_BAND, _BAND + 1):
-            j = np.arange(max(0, -d), n_u - max(0, d))
-            j = j[(mass[_BAND + d, j] != 0.0) | (zero_order[_BAND + d, j] != 0.0) | (d == 0)]
-            entries.append((cell_at[j + d], cell_at[j],
-                            mass[_BAND + d, j] / dt + theta * zero_order[_BAND + d, j]))
+        # the entries (rows, cols, values) of theta J over z, its x rows
+        # times dt: A_h + diag(D), then the memory states'
+        rows, cols, values = skew_entries(problem.op)
         x_diagonal, x_input = dt * chain.poles, dt * chain.gain_in
-        entries += [(self.x_at, self.x_at, 1.0 - theta * x_diagonal),
-                    (self.x_at, owner, -theta * x_input),
-                    (owner, self.x_at, theta * chain.gain_out)]
-        rows, cols, values = _congruent(*(np.concatenate(part) for part in zip(*entries)),
-                                        problem._congruence.by_row(self.u_at, n_z))
-        # E/dt + theta J is structurally symmetric, and so is its congruent
-        self.band = band = int(np.max(np.abs(rows - cols), initial=0))
-        # entry (i, j) at [band + i - j, j], Fortran-ordered; repeats summed
-        step_band = np.bincount((band + rows - cols) + (2 * band + 1) * cols, values,
-                                minlength=(2 * band + 1) * n_z).reshape((-1, n_z), order="F")
-        step_band.flags.writeable = False
-        self.step_band = step_band
-
+        entries = [(self.u_at[rows], self.u_at[cols], theta * values),
+                   (self.u_at, self.u_at, theta * problem.feedthrough),
+                   (self.x_at, self.x_at, -theta * x_diagonal),
+                   (self.x_at, owner, -theta * x_input),
+                   (owner, self.x_at, theta * chain.gain_out)]
+        congruence = problem._congruence
+        # T^-T (E/dt) T^-1 is the diagonal c; theta J is structurally
+        # symmetric, and so is its congruent
         c = np.ones(n_z)
-        c[self.u_at] = problem._congruence.diagonal / dt
+        c[self.u_at] = congruence.diagonal / dt
+        band, step_band = _band_storage(c, *_congruent(
+            *(np.concatenate(part) for part in zip(*entries)), congruence.by_row(self.u_at, n_z)))
+        step_band.flags.writeable = False
+        self.band, self.step_band = band, step_band
         self.c = c / theta  # c, or the midpoint form's 2 c: exact
         self.w, self.rhs = np.zeros(n_z), np.zeros(n_z)
         ab = np.zeros((3 * band + 1, n_z), order="F")
         lu = None
-        if np.all(theta * x_diagonal < 1.0) and self._positive_definite(problem, feed):
+        if np.all(theta * x_diagonal < 1.0) and self._positive_definite(problem):
             ab[band:] = step_band
             lu = _lu_unpivoted(ab, band)
         self.pivoted = lu is None
@@ -497,19 +459,25 @@ class _ImplicitStepper:
 
             self.solve = solve
 
-    def _positive_definite(self, problem, feed) -> bool:
-        """Whether ``M/dt + theta (diag(D) + the memory states' diagonal)``,
-        the symmetric part of the step matrix on u, is positive definite: a
-        symmetric matrix is where its LU without pivoting has positive
-        pivots only (:func:`_lu_unpivoted`, which reuses ``gbtrf``)."""
-        theta, dt, chain = self.theta, self.dt, self.chain
+    def _positive_definite(self, problem) -> bool:
+        """Whether the symmetric part of the step matrix on u, ``M/dt + theta
+        (diag(D) + the memory states' diagonal)``, is positive definite.
+
+        It is judged over z on ``diag(c) / theta + T^-T (diag(D) + the memory
+        states' diagonal) T^-1``: on u, its congruent over theta; on x, a
+        positive diagonal.  A symmetric matrix is positive definite where
+        its LU without pivoting has positive pivots only
+        (:func:`_lu_unpivoted`, which reuses ``gbtrf``)."""
+        theta, dt, chain, at = self.theta, self.dt, self.chain, self.u_at
         memory = theta * dt * chain.gain_out * chain.gain_in / (1.0 - theta * dt * chain.poles)
-        symmetric = np.zeros((3 * _BAND + 1, self.perm.size), order="F")
-        symmetric[_BAND:] = problem.mass_band / dt  # M is symmetric
-        symmetric[2 * _BAND] += theta * (feed + np.bincount(self.inv[chain.owner], memory,
-                                                            minlength=self.perm.size))
-        lu = _lu_unpivoted(symmetric, _BAND)
-        return lu is not None and bool(np.all(lu[2 * _BAND] > 0.0))
+        owners = np.concatenate([at, at[chain.owner]])
+        band, symmetric = _band_storage(self.c, *_congruent(
+            owners, owners, np.concatenate([problem.feedthrough, memory]),
+            problem._congruence.by_row(at, self.c.size)))
+        ab = np.zeros((3 * band + 1, self.c.size), order="F")
+        ab[band:] = symmetric
+        lu = _lu_unpivoted(ab, band)
+        return lu is not None and bool(np.all(lu[2 * band] > 0.0))
 
     def march(self, forcing, out) -> None:
         """Steps from the state ``w`` under each row of ``forcing`` in turn,

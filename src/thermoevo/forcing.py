@@ -47,7 +47,7 @@ class Forcing(Frozen):
 
 def step_count(t_max: float, dt: float) -> int:
     """The number of steps of length ``dt`` that make up ``t_max``."""
-    if dt <= 0 or t_max <= dt:
+    if not 0 < dt < t_max:  # NaN included
         raise InputError("need 0 < dt < t_max")
     ratio = t_max / dt
     if ratio == float("inf"):

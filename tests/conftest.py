@@ -32,6 +32,7 @@ from thermoevo import (
     canonical_spec,
 )
 from thermoevo._integrators import exp_march_linear, phi_matrices
+from thermoevo.evolution import skew_entries
 from thermoevo.errors import InputError, PoleProximityError
 from thermoevo.models import SPECTRAL_CUTOFF
 from thermoevo.rational import RationalFunction, StateSpaceRealization
@@ -565,6 +566,13 @@ def skew_operator(grid):
                     [None, None, d_grad, None]], format="csr")
 
 
+def skew_matrix(op):
+    """A_h as a CSR matrix in block order, built from the time stepper's own
+    entries (:func:`~thermoevo.evolution.skew_entries`)."""
+    rows, cols, values = skew_entries(op)
+    return sp.csr_matrix((values, (rows, cols)), shape=(op.n_dof, op.n_dof))
+
+
 def cell_order(op):
     """Dof indices cell by cell: sigma_j, q_j, v_j, theta_j for cell j, whose
     right end is node j + 1; the last cell has only sigma and q."""
@@ -632,7 +640,7 @@ def two_branch_system(problem):
     dt = problem.dt
     chain = problem.aux_chain
     zero_order = sp.diags(problem.feedthrough) + skew_operator(problem.op.grid)
-    mass = from_band(problem.mass_band, cell_order(problem.op))
+    mass = mass_matrix_lil(problem)
     correction = np.zeros(problem.op.n_dof)
     if problem.scheme == BACKWARD_EULER:
         decay = 1.0 / (1.0 - dt * chain.poles)

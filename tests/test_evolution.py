@@ -200,7 +200,7 @@ def two_branch_bound(problem):
     step, damped by backward Euler (at most 0.7 n_steps EPS measured) and
     carried forward undamped, times -1 a step, by the trapezoidal rule on
     rows without mass (at most 8.2 n_steps EPS measured)."""
-    massless = np.any(problem.mass_band[4] == 0.0)
+    massless = np.any(mass_matrix_lil(problem).diagonal() == 0.0)
     return (16 if problem.scheme == TRAPEZOIDAL and massless else 1) * problem.n_steps * EPS
 
 
@@ -371,6 +371,23 @@ def negative_feedthrough_law():
         "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.5, "a2": -0.05}))
 
 
+def massless_problem():
+    """An 8-cell problem whose step matrix is theta A_h alone: a custom law
+    without coupling, zero-order part or memory states, with its congruence
+    given a zero diagonal where cached_property keeps it (the problem is
+    immutable).  A_h is singular: the grid has one more face than interior
+    node."""
+    law = assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
+        "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.0}))
+    problem = pulse_problem(law, n_cells=8, dt=2**-7, t_max=0.25)
+    assert problem.aux_chain.n_aux == 0 and not np.any(problem.feedthrough)
+    congruence = problem._congruence
+    vars(problem)["_congruence"] = evolution._Congruence(
+        congruence.half_gamma, congruence.half_zeta, np.zeros(problem.op.n_dof),
+        congruence.sigma, congruence.theta, congruence.q)
+    return problem
+
+
 def named_law(name, n_cells, seed=3):
     """A catalog family by name, "sweep" (:func:`sweep_law`) or
     "negative_feedthrough" (:func:`negative_feedthrough_law`)."""
@@ -379,6 +396,17 @@ def named_law(name, n_cells, seed=3):
     if name == "negative_feedthrough":
         return negative_feedthrough_law()
     return assemble_material_law(canonical_spec(ModelFamily(name)))
+
+
+#: the laws of the positivity decision beyond the catalog: no capacity (its
+#: temperature rows hold mass only through the coupling), and a flux
+#: resistance that is negative where the flux inertia is one
+POSITIVITY_LAWS = {
+    "massless_theta": lambda: assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
+        "rho0": 1.0, "nu": 0.0, "C": 1.0, "Gamma": 0.5, "a2": 1.0})),
+    "negative_resistance": lambda: assemble_material_law(ModelSpec(ModelFamily.CUSTOM, {
+        "rho0": 1.0, "nu": 1.0, "C": 1.0, "Gamma": 0.5, "a0": 1.0, "a2": -0.5})),
+}
 
 
 #: (catalog family, "sweep" or "negative_feedthrough", n_cells) under both schemes
@@ -400,9 +428,9 @@ class TestBandedStep:
     def test_cell_order_has_bandwidth_four(self, name, n_cells, scheme):
         problem = self.problem(name, n_cells, scheme)
         stepper = problem._stepper
-        np.testing.assert_array_equal(stepper.perm, cell_order(problem.op))
-        np.testing.assert_array_equal(stepper.perm[stepper.inv], np.arange(problem.op.n_dof))
-        assert bandwidth(two_branch_system(problem)[0], stepper.perm) <= 4
+        order = cell_order(problem.op)
+        np.testing.assert_array_equal(order[stepper.inv], np.arange(problem.op.n_dof))
+        assert bandwidth(two_branch_system(problem)[0], order) <= 4
 
     @pytest.mark.parametrize("name, n_cells, scheme", BANDED_CASES)
     def test_solve_matches_sparse_lu(self, name, n_cells, scheme):
@@ -420,6 +448,36 @@ class TestBandedStep:
         # row swap; the negative feedthrough fails the test
         stepper = self.problem(name, n_cells, scheme)._stepper
         assert stepper.pivoted == (name == "negative_feedthrough")
+
+    @pytest.mark.parametrize("dt", [2**-8, 2**-4])
+    @pytest.mark.parametrize("scheme", [BACKWARD_EULER, TRAPEZOIDAL])
+    @pytest.mark.parametrize("name", [*(f.value for f in ALL_FAMILIES), "negative_feedthrough",
+                                      "massless_theta", "negative_resistance"])
+    def test_positivity_decision_equals_dense_eigenvalues(self, name, scheme, dt):
+        # the congruence basis decides as M/dt + theta (diag(D) + the memory
+        # states' diagonal) in block order
+        law = POSITIVITY_LAWS[name]() if name in POSITIVITY_LAWS else named_law(name, 16)
+        problem = pulse_problem(law, n_cells=16, dt=dt, t_max=0.5, scheme=scheme)
+        theta, chain = problem.theta, problem.aux_chain
+        memory = np.zeros(problem.op.n_dof)
+        np.add.at(memory, chain.owner, theta * dt * chain.gain_out * chain.gain_in
+                  / (1.0 - theta * dt * chain.poles))
+        symmetric = (mass_matrix_lil(problem).toarray() / dt
+                     + theta * np.diag(problem.feedthrough + memory))
+        want = np.linalg.eigvalsh(symmetric).min() > 0.0
+        assert problem._stepper._positive_definite(problem) == want
+
+    @pytest.mark.parametrize("name, coupled, band", [
+        (ModelFamily.CLASSICAL.value, True, 5), (ModelFamily.DPL_I.value, True, 6),
+        (ModelFamily.GREEN_LINDSAY.value, True, 7), (ModelFamily.DPL_I.value, False, 3)])
+    def test_band_widths(self, name, coupled, band):
+        # README: 5 without memory states, 6 with one per face, 7 with one
+        # per node, 3 where L = I
+        law = (assemble_material_law(canonical_spec(ModelFamily(name))) if coupled
+               else uncoupled_law(ModelFamily(name)))
+        problem = pulse_problem(law, n_cells=16, dt=2**-8, t_max=0.125)
+        assert problem._congruence.identity is not coupled
+        assert problem._stepper.band == band
 
     def test_unpivoted_lu_where_partial_pivoting_swaps(self):
         # a positive definite symmetric part under a large skew part: the
@@ -483,15 +541,8 @@ class TestBandedStep:
         assert calls == {"dtbsv": 2 * problem.n_steps}
 
     def test_zero_step_matrix_raises(self):
-        problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.CLASSICAL)),
-                                n_cells=8, dt=2**-7, t_max=0.25)
-        assert problem.aux_chain.n_aux == 0
-        # M/dt cancels theta (diag(D) + A_h) exactly at theta = 1 and dt = 2^-7
-        zero_order = sp.diags(problem.feedthrough) + skew_operator(problem.op.grid)
-        # the problem is immutable: set the cached band where cached_property keeps it
-        vars(problem)["mass_band"] = -problem.dt * band_of(zero_order, cell_order(problem.op))
-        with pytest.raises(SingularSystemError, match="zero pivot 1"):
-            problem._stepper
+        with pytest.raises(SingularSystemError, match="zero pivot 29"):
+            massless_problem()._stepper
 
 
 needs_numpy_openblas = pytest.mark.skipif(
@@ -561,13 +612,10 @@ class TestLapackBinding:
         np.testing.assert_allclose(upper @ y, x, rtol=0, atol=1e-14 * np.max(np.abs(x)))
 
     def test_zero_pivot_raises(self):
-        problem = pulse_problem(assemble_material_law(canonical_spec(ModelFamily.CLASSICAL)),
-                                n_cells=8, dt=2**-7, t_max=0.25)
-        zero_order = sp.diags(problem.feedthrough) + skew_operator(problem.op.grid)
-        vars(problem)["mass_band"] = -problem.dt * band_of(zero_order, cell_order(problem.op))
+        problem = massless_problem()
         band = np.zeros((13, problem.op.n_dof), order="F")
         assert _lapack.gbtrf(band, 4, 4)[2] == 1
-        with pytest.raises(SingularSystemError, match="zero pivot 1"):
+        with pytest.raises(SingularSystemError, match="zero pivot 29"):
             problem._stepper
 
 
@@ -868,15 +916,6 @@ class TestClosedForms:
     """Closed-form bands and energy against the entry-by-entry sparse assembly."""
 
     @pytest.mark.parametrize("name, n_cells, length", CLOSED_FORM_CASES)
-    def test_mass_band_equals_entrywise_assembly(self, name, n_cells, length):
-        problem = closed_form_problem(name, n_cells, length)
-        order = cell_order(problem.op)
-        want = mass_matrix_lil(problem)
-        assert bandwidth(want, order) <= 4
-        np.testing.assert_array_equal(from_band(problem.mass_band, order).toarray(),
-                                      want.toarray())
-
-    @pytest.mark.parametrize("name, n_cells, length", CLOSED_FORM_CASES)
     def test_energy_equals_quadratic_form(self, name, n_cells, length):
         problem = closed_form_problem(name, n_cells, length)
         u = np.random.default_rng(n_cells).standard_normal((5, problem.op.n_dof))
@@ -932,7 +971,7 @@ class TestClosedForms:
     def test_stepper_builds_no_dense_matrix(self):
         problem = closed_form_problem("dpl_i_per_cell", 512, 1.0)
         n_z = problem.op.n_dof + problem.aux_chain.n_aux
-        problem.mass_band, problem.aux_chain  # the law's own pieces, not the stepper's
+        problem._congruence, problem.aux_chain  # the law's own pieces, not the stepper's
         tracemalloc.start()
         try:
             problem._stepper
@@ -1199,6 +1238,11 @@ class TestValidation:
                 problem.scheme = scheme
         assert problem.scheme == BACKWARD_EULER and problem.theta == 1.0
         assert solve(problem).states.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("t_max, dt", [(np.nan, 0.1), (1.0, np.nan), (np.nan, np.nan)])
+    def test_time_grid_refuses_nan(self, t_max, dt):
+        with pytest.raises(InputError, match="need 0 < dt < t_max"):
+            time_grid(t_max, dt)
 
     def test_component_count_checked(self):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))

@@ -109,7 +109,7 @@ def test_record_contract(cls, built):
 def test_cached_properties_still_cache(built):
     law, congruence, problem = built[MaterialLaw], built[_Congruence], built[EvolutionProblem]
     assert law.mass is law.mass and "mass" in vars(law)
-    assert problem.mass_band is problem.mass_band and "mass_band" in vars(problem)
+    assert problem._congruence is congruence and "_congruence" in vars(problem)
     assert congruence.identity is False and "identity" in vars(congruence)
 
 

@@ -2,17 +2,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import band_of, cell_order, from_band, operators_per_cell, skew_operator, \
+from conftest import bandwidth, cell_order, operators_per_cell, skew_matrix, skew_operator, \
     verify_skew_adjoint
 
 from thermoevo import Grid1D, build_operators, mode_decomposition
 from thermoevo.errors import InputError
-from thermoevo.evolution import skew_band
-
-
-def block_operator(op):
-    """A_h as a CSR matrix in block order, read from the stepper's band."""
-    return from_band(skew_band(op), cell_order(op))
+from thermoevo.evolution import skew_entries
 
 
 class TestGrid:
@@ -56,14 +51,14 @@ LARGE_GRIDS = [*GRIDS, (2048, 1.0)]
 class TestOperators:
     @pytest.mark.parametrize("n_cells", [2, 64, 256])
     def test_exact_antisymmetry(self, n_cells):
-        a_h = block_operator(build_operators(Grid1D(1.0, n_cells)))
+        a_h = skew_matrix(build_operators(Grid1D(1.0, n_cells)))
         residual = a_h + a_h.T
         assert residual.nnz == 0  # entries cancel bit for bit
 
     def test_smallest_grid_shape(self):
         op = build_operators(Grid1D(1.0, 2))
         assert op.block_sizes == (1, 2, 1, 2)
-        assert skew_band(op).shape == (9, 6)
+        assert skew_matrix(op).shape == (6, 6) and skew_entries(op)[0].size == 8
 
     @pytest.mark.parametrize("n_cells, length", LARGE_GRIDS)
     def test_actions_equal_per_cell_assembly(self, n_cells, length):
@@ -91,14 +86,16 @@ class TestOperators:
         np.testing.assert_array_equal(to_faces, to_nodes.T)
 
     @pytest.mark.parametrize("n_cells, length", LARGE_GRIDS)
-    def test_skew_band_equals_per_cell_assembly(self, n_cells, length):
+    def test_skew_entries_equal_per_cell_assembly(self, n_cells, length):
         op = build_operators(Grid1D(length, n_cells))
-        band = skew_band(op)
-        np.testing.assert_array_equal(band, band_of(skew_operator(op.grid), cell_order(op)))
-        # entry (i, j) sits at [4 + i - j, j]: the mirror of each diagonal is its negation
-        for offset in range(1, 5):
-            np.testing.assert_array_equal(band[4 - offset, offset:], -band[4 + offset, :-offset])
-        assert not band[4].any()
+        rows, cols, values = skew_entries(op)
+        # one entry per position, none on the diagonal
+        assert np.unique(rows * op.n_dof + cols).size == rows.size
+        assert not np.any(rows == cols)
+        a_h = skew_matrix(op)
+        assert (a_h != skew_operator(op.grid)).nnz == 0
+        assert (a_h + a_h.T).nnz == 0  # the mirror of each entry is its negation
+        assert bandwidth(a_h, cell_order(op)) <= 4
 
     def test_gradient_second_order(self):
         length = 1.0
@@ -120,11 +117,11 @@ class TestOperators:
     @pytest.mark.parametrize("n_cells", [2, 64, 256])
     def test_random_pairing_residual(self, n_cells):
         op = build_operators(Grid1D(1.0, n_cells))
-        assert verify_skew_adjoint(block_operator(op), n_pairs=100) <= 1e-12
+        assert verify_skew_adjoint(skew_matrix(op), n_pairs=100) <= 1e-12
 
     def test_flipped_boundary_sign_detected(self):
         op = build_operators(Grid1D(1.0, 8))
-        broken = block_operator(op).tolil()
+        broken = skew_matrix(op).tolil()
         sl = op.block_slices()
         broken[sl[1].start, 0] = -broken[sl[1].start, 0]  # one wrong sign
         assert verify_skew_adjoint(broken.tocsr(), n_pairs=100) > 1e-6
@@ -132,7 +129,7 @@ class TestOperators:
     @pytest.mark.parametrize("n_cells", [8, 32, 64])
     def test_spectrum_purely_imaginary(self, n_cells):
         op = build_operators(Grid1D(1.0, n_cells))
-        a_h = block_operator(op)
+        a_h = skew_matrix(op)
         eigs = np.linalg.eigvals(a_h.toarray())
         scale = sp.linalg.norm(a_h, 1)
         assert np.max(np.abs(eigs.real)) <= 1e-10 * scale
