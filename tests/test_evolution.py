@@ -916,6 +916,24 @@ class TestClosedForms:
     """Closed-form bands and energy against the entry-by-entry sparse assembly."""
 
     @pytest.mark.parametrize("name, n_cells, length", CLOSED_FORM_CASES)
+    def test_congruence_equals_entrywise_assembly(self, name, n_cells, length):
+        # L and D of M = L^T diag(D) L bitwise, read back through the maps
+        # that the march applies: row k of lower(I) is L e_k
+        problem = closed_form_problem(name, n_cells, length)
+        congruence, n = problem._congruence, problem.op.n_dof
+        lmat = congruence_factor(problem).toarray()
+        np.testing.assert_array_equal(congruence.lower(np.eye(n)).T, lmat)
+        np.testing.assert_array_equal(congruence.lower_inverse(np.eye(n)).T,
+                                      2.0 * np.eye(n) - lmat)
+        np.testing.assert_array_equal(congruence.lower_inverse_transpose(np.eye(n)).T,
+                                      2.0 * np.eye(n) - lmat.T)
+        node, face = problem.node_coeffs, problem.face_coeffs
+        np.testing.assert_array_equal(congruence.diagonal, np.concatenate(
+            [node["rho0"], 1.0 / face["C"], node["nu"], face["a0"]]))
+        assert congruence.identity == np.array_equal(lmat, np.eye(n))
+        assert bandwidth(mass_matrix_lil(problem), cell_order(problem.op)) <= 4
+
+    @pytest.mark.parametrize("name, n_cells, length", CLOSED_FORM_CASES)
     def test_energy_equals_quadratic_form(self, name, n_cells, length):
         problem = closed_form_problem(name, n_cells, length)
         u = np.random.default_rng(n_cells).standard_normal((5, problem.op.n_dof))
