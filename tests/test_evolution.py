@@ -706,6 +706,22 @@ class TestDerivedFields:
         assert header == "t," + ",".join(f"x_{i}" for i in range(3))
         assert (tmp_path / "energy.csv").read_text().splitlines()[0] == "t,energy"
 
+    def test_csv_export_derives_the_displacement_once(self, tmp_path, monkeypatch):
+        law = assemble_material_law(canonical_spec(ModelFamily.GREEN_LINDSAY))
+        traj = solve(pulse_problem(law, n_cells=6, dt=2**-6, t_max=0.25, block="f"))
+        derived = [traj.strain(), traj.entropy()]
+        calls, displacement = [], evolution.Trajectory.displacement
+        monkeypatch.setattr(evolution.Trajectory, "displacement",
+                            lambda self: calls.append(self) or displacement(self))
+        traj.export_csv(tmp_path / "export")
+        assert calls == [traj]
+        # epsilon and eta as derived from it have the bytes of strain() and entropy()
+        for name, signal in zip(["epsilon", "eta"], derived):
+            path = tmp_path / f"{name}.csv"
+            signals.write_csv(path, ["t", *(f"x_{i}" for i in range(signal.n_components))],
+                      signal.t, signal.samples)
+            assert (tmp_path / "export" / path.name).read_bytes() == path.read_bytes()
+
     def test_piecewise_law_exports_no_entropy(self, tmp_path):
         law = assemble_material_law(spec_with(ModelFamily.LORD_SHULMAN,
                                               kappa=[1.0, 2.0, 1.5, 0.5]))
@@ -794,7 +810,8 @@ class TestParallelExport:
         assert zero == {"theta_big", "q", "theta", "eta"}
         heavy = {"v", "sigma", "u", "epsilon"}
         assert len(shares) == 2 and sorted(i for s in shares for i in s) == list(range(len(jobs)))
-        # the all-zero tables still cost half a nonzero one: two go to each share
+        # an all-zero table is dealt an eighth of the weight of a nonzero one of
+        # its size: each share gets two heavy tables, and the zero ones even out the rest
         assert [len(heavy & {names[i] for i in share}) for share in shares] == [2, 2]
         assert [len(zero & {names[i] for i in share}) for share in shares] == [2, 2]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import WindowDecayError, apply_symbol_fl, random_smooth, weighted_norm_whole
-from thermoevo import RationalFunction, WeightedSignal, antiderivative, weighted_norm
+from thermoevo import RationalFunction, WeightedSignal, antiderivative, signals, weighted_norm
 from thermoevo.signals import (CHUNK_VALUES, CSV_CHUNK_VALUES, map_row_chunks, row_peaks,
                                write_csv)
 from thermoevo.errors import InputError, PoleProximityError
@@ -90,6 +90,32 @@ SPECIAL_BITS = [0, 1 << 63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48, 0x7FF0_000
 EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, 1e-300,
                -1e300, 0.1, 1.0 / 3.0, 2.0 ** -1074 * 3, np.finfo(float).max]
 
+#: rows of a chunk of a three-column table (four values a row with the time)
+ZERO_ROWS = CSV_CHUNK_VALUES // 4
+
+
+def zero_but(value):
+    """Three chunks of three zero columns, the middle one holding ``value`` once."""
+    def build(rng):
+        values = np.zeros((3 * ZERO_ROWS, 3))
+        values[ZERO_ROWS + 7, 1] = value
+        return values
+    return build
+
+
+#: tables whose chunks are all +0.0, or all but one value
+ZERO_CASES = {
+    "table": lambda rng: np.zeros((3 * ZERO_ROWS + 5, 3)),
+    "column": lambda rng: np.zeros(3 * (CSV_CHUNK_VALUES // 2) + 9),
+    # chunks of 32 rows, so the times of several runs of all-zero chunks
+    "wide_table": lambda rng: np.zeros((600, 127)),
+    "negative_zero": zero_but(-0.0),
+    "smallest_subnormal": zero_but(5e-324),
+    "random_between_zeros": lambda rng: np.concatenate(
+        [np.zeros((2 * ZERO_ROWS, 3)), rng.standard_normal((ZERO_ROWS, 3)),
+         np.zeros((ZERO_ROWS + 3, 3))]),
+}
+
 
 class TestCsvWriter:
     @pytest.mark.parametrize("prefix", ["x", "component"])
@@ -118,6 +144,30 @@ class TestCsvWriter:
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 20, shape)
         values.flat[::5] = 0.0
         assert_bytes_match(tmp_path, values)
+
+    @pytest.mark.parametrize("case", sorted(ZERO_CASES))
+    def test_all_zero_chunks(self, case, rng, tmp_path):
+        assert_bytes_match(tmp_path, ZERO_CASES[case](rng))
+
+    def test_all_zero_table_encodes_only_its_times(self, tmp_path, monkeypatch):
+        # its values never reach the encoder, only its times as one column
+        encoded, laid_out = [], []
+        encode, layout = signals._encode, signals._layout
+        monkeypatch.setattr(signals, "_encode", lambda table: encoded.append(table) or encode(table))
+        monkeypatch.setattr(signals, "_layout", lambda x: laid_out.append(x) or layout(x))
+        t = np.arange(3 * ZERO_ROWS) * 2.0 ** -10
+        write_csv(tmp_path / "out.csv", ["t", "x_0", "x_1", "x_2"], t, np.zeros((t.size, 3)))
+        assert all(table.shape[1] == 1 for table in encoded)
+        assert np.array_equal(np.concatenate(encoded)[:, 0], t)
+        assert np.array_equal(np.sort(np.concatenate(laid_out)), t[1:])
+
+    def test_rejects_a_header_of_another_width(self, tmp_path):
+        t = np.arange(4.0)
+        with pytest.raises(ValueError, match="2 column names for 4 columns"):
+            write_csv(tmp_path / "out.csv", ["t", "x_0"], t, np.ones((4, 3)))
+        with pytest.raises(ValueError, match="3 column names for 2 columns"):
+            write_csv(tmp_path / "out.csv", ["t", "x_0", "x_1"], t, np.ones(4))
+        assert not (tmp_path / "out.csv").exists()
 
     def test_any_bit_pattern(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
