@@ -649,107 +649,105 @@ class Trajectory:
     def export_csv(self, directory) -> list:
         """One CSV per field (primary and derived) plus the energy series.
 
-        The displacement is computed once, and the strain and the entropy
-        are derived from it.  The tables are dealt into one share per available CPU (:func:`_deal`);
-        this process writes the first share and a forked writer each other
-        one, so every file is written whole by one process with the bytes of
-        :func:`write_csv`.  The paths are returned once every writer has
-        exited.
-        """
+        The tables are queued largest first, by widths known before any is
+        built.  This process and a forked writer per further CPU each take
+        the next one, derive it and write it whole with :func:`write_csv`
+        until none is left (:func:`_drain_in_writers`): a process derives
+        only what it writes, and the bytes do not depend on the CPU count.
+        A process computes the displacement and the strain at most once,
+        holding each while a table left in the queue may read it."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        fields = {name: self.block(name) for name in FIELD_BLOCKS}
-        fields["u"] = self.displacement()
-        fields["epsilon"] = self._strain(fields["u"])
-        fields["theta"] = self.theta()
-        if self.problem.law.is_uniform():
-            fields["eta"] = self._entropy(fields["epsilon"])
-        jobs = [(directory / f"{name}.csv",
-                 ["t", *(f"x_{i}" for i in range(signal.n_components))], signal.samples)
-                for name, signal in fields.items()]
-        jobs.append((directory / "energy.csv", ["t", "energy"], energy_functional(self)))
-        # write_csv writes an all-zero table in about an eighth of the time of
-        # a nonzero one of its size, at the benchmark's sizes
-        shares = _deal([values.size + 7 * np.count_nonzero(values) for _, _, values in jobs],
-                       _writer_count())
-        _write_shares(self.t, jobs, shares)
-        return [path for path, _, _ in jobs]
+        v, sigma, theta_big, q = self.problem.op.block_sizes
+        widths = {"v": v, "sigma": sigma, "theta_big": theta_big, "q": q, "u": v,
+                  "epsilon": sigma, "theta": theta_big, "eta": theta_big, "energy": 1}
+        if not self.problem.law.is_uniform():
+            del widths["eta"]
+        queue = sorted(widths, key=lambda name: -widths[name])  # ties in order
+        held = {}  # this process's displacement "u" and strain "epsilon"
+
+        def write(job):
+            name, left = queue[job], set(queue[job + 1:])
+            if name in FIELD_BLOCKS:
+                values = self.block(name).samples
+            elif name == "theta":
+                values = self.theta().samples
+            elif name == "energy":
+                values = energy_functional(self)
+            else:  # u, epsilon or eta: from the displacement or the strain
+                if name == "u" or "epsilon" not in held:
+                    held["u"] = held.get("u") or self.displacement()
+                if name != "u":
+                    held["epsilon"] = held.get("epsilon") or self._strain(held["u"])
+                derived = held["u" if name == "u" else "epsilon"]
+            # held while the tables left read the strain, or the displacement where it is not held
+            if not {"epsilon", "eta"} & left:
+                held.pop("epsilon", None)
+            if "u" not in left and ("epsilon" in held or not {"epsilon", "eta"} & left):
+                held.pop("u", None)
+            if name in ("u", "epsilon", "eta"):
+                values = (self._entropy(derived) if name == "eta" else derived).samples
+                del derived  # the strain is not kept through the write of eta
+            path = directory / f"{name}.csv"
+            try:
+                write_csv(path, ["t", "energy"] if name == "energy" else
+                          ["t", *(f"x_{i}" for i in range(widths[name]))], self.t, values)
+            except OSError as exc:
+                raise ArtifactWriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+        _drain_in_writers(len(queue), write)
+        return [directory / f"{name}.csv" for name in widths]
 
 
-def _writer_count() -> int:
-    """CSV writer processes: one per CPU this process may run on, or one
-    where the platform cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _deal(weights, n_shares: int) -> list:
-    """Indices of ``weights`` dealt into at most ``n_shares`` non-empty shares:
-    largest weight first (ties in order), each to the share of least load,
-    then of fewest items, then the first."""
-    shares = [[] for _ in range(max(1, min(n_shares, len(weights))))]
-    loads = [0] * len(shares)
-    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        k = min(range(len(shares)), key=lambda k: (loads[k], len(shares[k])))
-        shares[k].append(i)
-        loads[k] += weights[i]
-    return shares
-
-
-def _write_tables(t, jobs) -> None:
-    for path, columns, values in jobs:
-        try:
-            write_csv(path, columns, t, values)
-        except OSError as exc:
-            raise ArtifactWriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _write_shares(t, jobs, shares) -> None:
-    """Write the ``jobs`` of ``shares[0]`` here and each other share in a
-    forked writer; return, or raise the first writer's failure, only after
-    every writer has been reaped."""
+def _drain_in_writers(n_jobs: int, write) -> None:
+    """Call ``write(job)`` for each job below ``n_jobs`` in the order of one
+    queue, a pipe of one byte per job that this process and its writers read
+    until it is empty; return, or raise the first failure, once all are reaped."""
     _tables()  # the CSV encoder's tables, built here once for every writer to inherit
-    local = list(shares[0])
-    writers = []  # (pid, read end of the pipe carrying its failure, its share)
+    # one process per CPU this one may run on (every platform that tells can fork)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(n_jobs)))
+    os.close(fill)
+
+    def drain():
+        while job := os.read(queue, 1):
+            write(job[0])
+
+    writers = []  # (pid, read end of the pipe carrying its failure)
     try:
-        for share in shares[1:]:
+        for _ in range(min(cpus, n_jobs) - 1):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: this share is written here
+            except OSError:  # no process to spare: the others take its jobs
                 os.close(read_end)
                 os.close(write_end)
-                local.extend(share)
-                continue
-            if pid == 0:  # the writer: its own share, and out through os._exit on every path
+                break
+            if pid == 0:  # the writer: out through os._exit on every path
                 status = 1
                 try:
-                    _write_tables(t, [jobs[i] for i in share])
+                    drain()
                     status = 0
                 except Exception as exc:
                     os.write(write_end, str(exc).encode())
                 finally:
                     os._exit(status)
             os.close(write_end)
-            writers.append((pid, read_end, share))
-        _write_tables(t, [jobs[i] for i in local])
+            writers.append((pid, read_end))
+        drain()
     finally:
-        failures = [_reap(pid, read_end, [jobs[i][0] for i in share])
-                    for pid, read_end, share in writers]
+        os.close(queue)
+        failures = []
+        for pid, read_end in writers:
+            with os.fdopen(read_end, "rb") as pipe:
+                failures.append(pipe.read().decode(errors="replace"))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status and not failures[-1]:
+                failures[-1] = f"a CSV writer exited with status {status}"
     for message in failures:
         if message:
             raise ArtifactWriteError(message)
-
-
-def _reap(pid: int, read_end: int, paths) -> str:
-    """Wait for one writer: '' when it wrote all of ``paths``, else why not."""
-    with os.fdopen(read_end, "rb") as pipe:
-        message = pipe.read().decode(errors="replace")
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status and not message:
-        message = f"the writer of {', '.join(map(str, paths))} exited with status {status}"
-    return message
 
 
 def solve(problem: EvolutionProblem) -> Trajectory:

@@ -382,10 +382,10 @@ def compute_entropy(
         + (zeta0 * a0)[None, :] * flux.samples
     )
 
-    # one realization and one march per distinct damping law
+    # one realization and one march per distinct damping law; none where Theta is zero
     damping = law.a1_index[cells]
     memory = np.zeros_like(rho_eta)
-    for k, law_k in enumerate(law.a1):
+    for k, law_k in enumerate(law.a1 if np.any(theta_big.samples) else ()):
         cols = np.flatnonzero(damping == k)
         if cols.size == 0 or not np.any(law_k.num):
             continue

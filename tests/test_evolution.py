@@ -1,5 +1,9 @@
+import gc
+import hashlib
 import os
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -38,7 +42,7 @@ from thermoevo import (
     step_implicit,
     time_grid,
 )
-from thermoevo import _lapack, evolution, rational, signals
+from thermoevo import _lapack, evolution, models, rational, signals
 from thermoevo.errors import ArtifactWriteError, InputError, SingularSystemError
 from thermoevo.forcing import gaussian_pulse
 
@@ -694,6 +698,25 @@ class TestDerivedFields:
         assert eta.samples.shape == (problem.n_steps + 1, 7)
         assert np.all(np.isfinite(eta.samples))
 
+    @pytest.mark.parametrize("family", [ModelFamily.DPL_I, ModelFamily.GREEN_LINDSAY], ids=str)
+    def test_entropy_of_a_zero_temperature_marches_no_memory(self, family, tmp_path,
+                                                               monkeypatch):
+        # an uncoupled law driven on f: Theta is zero throughout, and so is the
+        # memory of the temperature damping (zero for dpl_i, nonzero for green_lindsay)
+        law = assemble_material_law(spec_with(family, Gamma=0.0))
+        traj = solve(pulse_problem(law, n_cells=8, dt=2**-7, t_max=0.25, block="f"))
+        assert not traj.block("theta_big").samples.any()
+        calls, march = [], models.exp_march_linear
+        monkeypatch.setattr(models, "exp_march_linear",
+                            lambda *args: calls.append(args) or march(*args))
+        eta = traj.entropy()
+        assert calls == []
+        assert not eta.samples.view(np.uint64).any()  # +0.0 throughout
+        with_cpus(monkeypatch, 1)
+        traj.export_csv(tmp_path)
+        assert hashlib.sha256((tmp_path / "eta.csv").read_bytes()).hexdigest() == (
+            "c4d0c14c893ee34ed68202328e532fc0bad7da680499bf9bbb3b77a5b828a64c")
+
     def test_csv_export(self, tmp_path):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         problem = pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25)
@@ -710,6 +733,7 @@ class TestDerivedFields:
         law = assemble_material_law(canonical_spec(ModelFamily.GREEN_LINDSAY))
         traj = solve(pulse_problem(law, n_cells=6, dt=2**-6, t_max=0.25, block="f"))
         derived = [traj.strain(), traj.entropy()]
+        with_cpus(monkeypatch, 1)  # a forked writer's calls are its own
         calls, displacement = [], evolution.Trajectory.displacement
         monkeypatch.setattr(evolution.Trajectory, "displacement",
                             lambda self: calls.append(self) or displacement(self))
@@ -766,6 +790,58 @@ def exported_bytes(written):
     return [(p.name, p.read_bytes()) for p in written]
 
 
+def recording_export(monkeypatch, log):
+    """Append a line ``pid event table`` to ``log`` from every process for
+    each writer forked (``fork``, the writer's pid), each table the export
+    derives (``derive``: u, epsilon, theta, eta, energy) and each table it
+    writes (``write``); return ``log``."""
+    def record(event, table):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {event} {table}\n")
+
+    def recorded(name, table, call):
+        def wrapper(*args):
+            record("derive", table)
+            return call(*args)
+        monkeypatch.setattr(evolution.Trajectory, name, wrapper)
+
+    for name, table in [("displacement", "u"), ("_strain", "epsilon"), ("theta", "theta"),
+                        ("_entropy", "eta")]:
+        recorded(name, table, getattr(evolution.Trajectory, name))
+    energy, write, fork = evolution.energy_functional, evolution.write_csv, os.fork
+    monkeypatch.setattr(evolution, "energy_functional",
+                        lambda traj: record("derive", "energy") or energy(traj))
+    monkeypatch.setattr(evolution, "write_csv",
+                        lambda path, *args: record("write", path.stem) or write(path, *args))
+
+    def forking():
+        pid = fork()
+        if pid:
+            record("fork", pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", forking)
+    return log
+
+
+def failing_in_writer(monkeypatch, marker, fail):
+    """Make a forked writer call ``fail(path)`` on the first table it takes,
+    after touching ``marker``; this process writes its first table only then
+    (or after a minute), so a writer surely takes one."""
+    parent, write = os.getpid(), evolution.write_csv
+
+    def writing(path, *args):
+        if os.getpid() != parent:
+            marker.touch()
+            fail(path)
+        deadline = time.monotonic() + 60.0
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        write(path, *args)
+
+    monkeypatch.setattr(evolution, "write_csv", writing)
+
+
 def verify_uniform_problem():
     """Uniform dpl_i without coupling and a delayed step on f: the layout of
     the benchmark's verify workload, on which theta_big, q, theta and eta
@@ -795,32 +871,6 @@ class TestParallelExport:
         assert four == one
         assert_no_child_left()
 
-    def test_split_puts_a_heavy_table_in_each_share(self, tmp_path, monkeypatch):
-        traj = solve(verify_uniform_problem())
-        dealt = []
-        monkeypatch.setattr(evolution, "_write_shares",
-                            lambda t, jobs, shares: dealt.append((jobs, shares)))
-        with_cpus(monkeypatch, 2)
-        traj.export_csv(tmp_path)
-        traj.export_csv(tmp_path)
-        (jobs, shares), (_, again) = dealt
-        assert shares == again
-        names = [path.stem for path, _, _ in jobs]
-        zero = {name for name, (_, _, values) in zip(names, jobs) if not values.any()}
-        assert zero == {"theta_big", "q", "theta", "eta"}
-        heavy = {"v", "sigma", "u", "epsilon"}
-        assert len(shares) == 2 and sorted(i for s in shares for i in s) == list(range(len(jobs)))
-        # an all-zero table is dealt an eighth of the weight of a nonzero one of
-        # its size: each share gets two heavy tables, and the zero ones even out the rest
-        assert [len(heavy & {names[i] for i in share}) for share in shares] == [2, 2]
-        assert [len(zero & {names[i] for i in share}) for share in shares] == [2, 2]
-
-    def test_deal_is_largest_first_to_least_loaded(self):
-        assert evolution._deal([5, 0, 9, 4, 0, 1], 2) == [[2, 5], [0, 3, 1, 4]]
-        assert evolution._deal([0, 0, 0], 2) == [[0, 2], [1]]
-        assert evolution._deal([3, 1], 8) == [[0], [1]]
-        assert evolution._deal([3, 1], 1) == [[0, 1]]
-
     def test_one_cpu_makes_no_fork(self, tmp_path, monkeypatch):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         traj = solve(pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25))
@@ -849,7 +899,7 @@ class TestParallelExport:
         assert built == [1]  # the writer inherits the tables instead of building them
         assert_no_child_left()
 
-    def test_failed_fork_writes_the_share_here(self, tmp_path, monkeypatch):
+    def test_failed_fork_leaves_its_tables_to_the_others(self, tmp_path, monkeypatch):
         law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
         traj = solve(pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25))
         with_cpus(monkeypatch, 1)
@@ -860,19 +910,129 @@ class TestParallelExport:
 
         with_cpus(monkeypatch, 4)
         monkeypatch.setattr(os, "fork", no_process)
-        assert exported_bytes(traj.export_csv(tmp_path / "four")) == one
-
-    def test_failed_writer_names_its_file_and_is_reaped(self, tmp_path):
-        t = np.arange(3.0)
-        blocked = tmp_path / "b.csv"
-        blocked.mkdir()
-        jobs = [(tmp_path / "a.csv", ["t", "x"], t), (blocked, ["t", "x"], t),
-                (tmp_path / "c.csv", ["t", "x"], t)]
-        with pytest.raises(ArtifactWriteError, match="cannot write .*b.csv"):
-            evolution._write_shares(t, jobs, [[0], [1], [2]])
+        assert exported_bytes(traj.export_csv(tmp_path / "none")) == one
+        # one writer forked, then no more: it and this process take every table
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: no_process() if forks else forks.append(1) or fork())
+        assert exported_bytes(traj.export_csv(tmp_path / "one_writer")) == one
         assert_no_child_left()
-        assert (tmp_path / "a.csv").read_text() == (tmp_path / "c.csv").read_text() \
-            == "t,x\n0,0\n1,1\n2,2\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2, 16])
+    def test_each_process_derives_only_what_it_writes(self, cpus, tmp_path, monkeypatch):
+        traj = solve(verify_uniform_problem())
+        with_cpus(monkeypatch, 1)
+        one = exported_bytes(traj.export_csv(tmp_path / "one"))
+        with_cpus(monkeypatch, cpus)
+        log = recording_export(monkeypatch, tmp_path / "log")
+        written = traj.export_csv(tmp_path / "queued")
+        assert exported_bytes(written) == one
+        assert_no_child_left()
+        events = [line.split() for line in log.read_text().splitlines()]
+        forks = [i for i, (_, event, _) in enumerate(events) if event == "fork"]
+        derived = [i for i, (_, event, _) in enumerate(events) if event == "derive"]
+        # a writer for each CPU but at most one for each table but this process's
+        assert len(forks) == min(cpus, len(written)) - 1
+        # nothing is derived before the first fork, nor here before the last
+        assert min(forks, default=-1) < min(derived)
+        assert all(i > max(forks, default=-1) for i in derived
+                   if events[i][0] == str(os.getpid()))
+        writes = sorted((table, pid) for pid, event, table in events if event == "write")
+        assert [table for table, _ in writes] == sorted(p.stem for p in written)
+        by_pid = {}
+        for table, pid in writes:
+            by_pid.setdefault(pid, set()).add(table)
+        # what each table is derived from besides itself
+        reads = {"u": {"epsilon", "eta"}, "epsilon": {"eta"}}
+        for pid, event, table in events:
+            if event == "derive":
+                assert ({table} | reads.get(table, set())) & by_pid[pid], (pid, table)
+        for pid in by_pid:
+            derives = [table for p, event, table in events if p == pid and event == "derive"]
+            assert derives.count("u") <= 1 and derives.count("epsilon") <= 1
+            assert {"theta", "eta", "energy"} & set(derives) <= by_pid[pid]
+
+    def test_export_holds_a_derived_table_only_while_one_left_reads_it(self, tmp_path,
+                                                                       monkeypatch):
+        traj = solve(verify_uniform_problem())
+        kept = {}  # a weak reference to each displacement and strain derived
+        for name, table in [("displacement", "u"), ("_strain", "epsilon")]:
+            def keeping(*args, call=getattr(evolution.Trajectory, name), table=table):
+                signal = call(*args)
+                kept[table] = weakref.ref(signal)
+                return signal
+            monkeypatch.setattr(evolution.Trajectory, name, keeping)
+        alive, write = [], evolution.write_csv
+
+        def writing(path, *args):
+            alive.append((path.stem, {table for table, ref in kept.items() if ref()}))
+            write(path, *args)
+
+        monkeypatch.setattr(evolution, "write_csv", writing)
+        with_cpus(monkeypatch, 1)
+        traj.export_csv(tmp_path)
+        # the queue is sigma, q, epsilon, v, theta_big, u, theta, eta, energy:
+        # the displacement is dropped once u is written, the strain once eta is
+        held = {"u", "epsilon"}
+        assert alive == [("sigma", set()), ("q", set()), ("epsilon", held), ("v", held),
+                         ("theta_big", held), ("u", {"epsilon"}), ("theta", {"epsilon"}),
+                         ("eta", set()), ("energy", set())]
+
+    @pytest.mark.parametrize("job, table", [(5, "u"), (7, "eta")])
+    def test_a_writer_of_one_table_frees_the_displacement(self, job, table, tmp_path,
+                                                          monkeypatch):
+        traj = solve(verify_uniform_problem())
+        kept, displacement, entropy = [], evolution.Trajectory.displacement, \
+            evolution.Trajectory._entropy
+
+        def keeping(self):
+            signal = displacement(self)
+            kept.append(weakref.ref(signal))
+            return signal
+
+        monkeypatch.setattr(evolution.Trajectory, "displacement", keeping)
+        alive_at_entropy = []
+        monkeypatch.setattr(evolution.Trajectory, "_entropy", lambda self, strain: (
+            alive_at_entropy.append(kept[0]() is not None) or entropy(self, strain)))
+        # this process takes only queue[job]; the writers take the rest. Having
+        # written u, it holds the displacement to the end of the queue, as eta
+        # is left; deriving eta, it needs the displacement only for the strain
+        monkeypatch.setattr(evolution, "_drain_in_writers", lambda n_jobs, write: write(job))
+        gc.disable()  # freed by its last reference, not by a collection
+        try:
+            written = traj.export_csv(tmp_path)
+            assert len(kept) == 1 and kept[0]() is None
+        finally:
+            gc.enable()
+        assert [p.stem for p in written if p.exists()] == [table]
+        assert alive_at_entropy == ([False] if table == "eta" else [])
+
+    def test_failed_writer_names_its_file_and_is_reaped(self, tmp_path, monkeypatch):
+        law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
+        traj = solve(pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25))
+        with_cpus(monkeypatch, 1)
+        one = dict(exported_bytes(traj.export_csv(tmp_path / "one")))
+
+        def no_space(path):
+            raise OSError(28, "No space left on device")
+
+        with_cpus(monkeypatch, 2)
+        failing_in_writer(monkeypatch, tmp_path / "failed", no_space)
+        with pytest.raises(ArtifactWriteError, match="cannot write .*[.]csv: No space left") as err:
+            traj.export_csv(tmp_path / "two")
+        assert_no_child_left()
+        # the writer's table is missing, and this process wrote every other one
+        (lost,) = [name for name in one if name in str(err.value)]
+        assert dict(exported_bytes((tmp_path / "two").iterdir())) == {
+            name: data for name, data in one.items() if name != lost}
+
+    def test_silent_writer_death_gives_its_status(self, tmp_path, monkeypatch):
+        law = assemble_material_law(canonical_spec(ModelFamily.CLASSICAL))
+        traj = solve(pulse_problem(law, n_cells=4, dt=2**-6, t_max=0.25))
+        with_cpus(monkeypatch, 2)
+        failing_in_writer(monkeypatch, tmp_path / "failed", lambda path: os._exit(3))
+        with pytest.raises(ArtifactWriteError, match="exited with status 3"):
+            traj.export_csv(tmp_path / "two")
+        assert_no_child_left()
 
 
 class TestPerCellLaws:
